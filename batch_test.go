@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fitingtree"
+	"fitingtree/internal/bench"
 )
 
 // TestLookupBatchMatchesLookup checks LookupBatch against per-key Lookup
@@ -101,7 +102,7 @@ func TestFacadeLookupBatch(t *testing.T) {
 	}
 	probes := []uint64{0, 1, 2, 100, 101, 1998, 5000}
 
-	c := fitingtree.NewConcurrent(build())
+	c := bench.NewConcurrent(build())
 	vals, found := c.LookupBatch(probes)
 	for i, k := range probes {
 		wantOK := k < 2000 && k%2 == 0

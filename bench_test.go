@@ -404,7 +404,7 @@ func BenchmarkParallelLookup(b *testing.B) {
 	})
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rwmutex/goroutines=%d", g), func(b *testing.B) {
-			c := fitingtree.NewConcurrent(build(b))
+			c := bench.NewConcurrent(build(b))
 			run(b, c.Lookup, g)
 		})
 	}
@@ -443,7 +443,7 @@ func BenchmarkParallelLookupCPU(b *testing.B) {
 		})
 	}
 	b.Run("rwmutex", func(b *testing.B) {
-		c := fitingtree.NewConcurrent(build(b))
+		c := bench.NewConcurrent(build(b))
 		run(b, c.Lookup)
 	})
 	b.Run("optimistic", func(b *testing.B) {

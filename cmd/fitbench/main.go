@@ -26,12 +26,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig1, fig6..fig13, extio, extrange, extablation, parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, all")
+		exp      = flag.String("exp", "all", "experiment, or a comma-separated list run in order: table1, fig1, fig6..fig13, extio, extrange, extablation, parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, all")
 		n        = flag.Int("n", 1_000_000, "base dataset size")
 		seed     = flag.Int64("seed", 1, "workload RNG seed")
 		probes   = flag.Int("probes", 100_000, "lookup probes per measurement")
 		quick    = flag.Bool("quick", false, "reduced sweeps for a fast run")
-		jsonPath = flag.String("json", "", "write machine-readable results of -exp parallel or shardwrite to this file; with -exp all, parallel goes here and shardwrite to <name>_shardwrite.<ext>")
+		jsonPath = flag.String("json", "", "write machine-readable results of one -exp parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings or adaptive to this file; with -exp all, parallel goes here and each other one to <name>_<exp>.<ext>")
 	)
 	flag.Parse()
 
@@ -97,19 +97,23 @@ func main() {
 			writeParallelJSON(*jsonPath, cfg, bench.ExtParallel(os.Stdout, cfg))
 		},
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "fitbench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	names := strings.Split(*exp, ",")
+	for _, name := range names {
+		if _, ok := runners[name]; !ok {
+			fmt.Fprintf(os.Stderr, "fitbench: unknown experiment %q\n", name)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	jsonExps := map[string]bool{"parallel": true, "shardwrite": true, "flushstall": true, "flushpub": true, "recovery": true, "shardrecovery": true, "burst": true, "strings": true, "adaptive": true, "all": true}
-	if *jsonPath != "" && !jsonExps[*exp] {
-		fmt.Fprintf(os.Stderr, "fitbench: -json applies only to -exp parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, or all\n")
+	if *jsonPath != "" && (len(names) != 1 || !jsonExps[*exp]) {
+		fmt.Fprintf(os.Stderr, "fitbench: -json applies only to a single -exp parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, or all\n")
 		os.Exit(2)
 	}
 	start := time.Now()
-	run()
+	for _, name := range names {
+		runners[name]()
+	}
 	fmt.Printf("(%s in %s, n=%d, seed=%d)\n", *exp, time.Since(start).Round(time.Millisecond), *n, *seed)
 }
 

@@ -214,11 +214,13 @@ func cmdRecover(args []string) error {
 		return err
 	}
 	fmt.Printf("recovered %d elements from %s (wal tail %d records)\n", d.Len(), *dir, tail)
-	fmt.Printf("wal open: %d records, %d corrupt frames", ws.Records, ws.CorruptFrames)
-	if ws.TruncatedAt > 0 {
-		fmt.Printf(", repaired by cutting %d trailing bytes", ws.TruncatedAt)
+	for i, st := range ws {
+		fmt.Printf("wal open, shard %d: %d records, %d corrupt frames", i, st.Records, st.CorruptFrames)
+		if st.TornBytes > 0 {
+			fmt.Printf(", repaired by cutting %d trailing bytes", st.TornBytes)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 	fmt.Printf("checkpoint: %d chunks written, %d reused, wal now %d records\n",
 		stats.ChunksWritten, stats.ChunksReused, d.WALRecords())
 	return d.Close()
@@ -253,12 +255,8 @@ func cmdScrub(args []string) error {
 	if err != nil {
 		return err
 	}
-	flavor := "single-tree"
-	if rep.Sharded {
-		flavor = fmt.Sprintf("sharded (generation %d)", rep.Generation)
-	}
-	fmt.Printf("checkpoint epoch %d: %s, %d shards, %d chunks, %d elements\n",
-		rep.Epoch, flavor, rep.Shards, len(rep.Chunks), rep.Elements)
+	fmt.Printf("checkpoint epoch %d: generation %d, %d shards, %d chunks, %d elements\n",
+		rep.Epoch, rep.Generation, rep.Shards, len(rep.Chunks), rep.Elements)
 	for _, c := range rep.Chunks {
 		fmt.Printf("  shard %d chunk %d: %d pages, %d bytes, %d elements ok\n",
 			c.Shard, c.Index, c.Pages, c.Bytes, c.Elements)
@@ -328,7 +326,7 @@ func cmdPump(args []string) error {
 
 // runDurableShell executes commands from in against the durable facade,
 // writing replies to out, until EOF or the quit command.
-func runDurableShell(d *fitingtree.Durable[uint64, uint64], in io.Reader, out io.Writer) {
+func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader, out io.Writer) {
 	sc := bufio.NewScanner(in)
 	fmt.Fprint(out, "> ")
 	for sc.Scan() {

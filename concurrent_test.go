@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fitingtree"
+	"fitingtree/internal/bench"
 )
 
 // readerWriterIndex is the surface shared by the two concurrency facades,
@@ -119,7 +120,7 @@ func TestConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stressIndex(t, fitingtree.NewConcurrent(tr), 4)
+	stressIndex(t, bench.NewConcurrent(tr), 4)
 }
 
 func TestOptimisticStress(t *testing.T) {

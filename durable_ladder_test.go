@@ -1,16 +1,14 @@
 package fitingtree
 
-// Crash-consistency tests for the durability layer with the frozen merge
-// ladder engaged: the PR 6 matrices ran the facade in inline-flush mode,
-// so no in-memory reorganization was ever in flight at a fault site. Here
-// the worker slot is held and the compaction scheduler is driven by hand
-// between scripted ops, so every WAL and device fault lands while the
-// ladder holds stacked layers that compactions keep rewriting — none of
-// which must ever matter to recovery, because compactions are
+// Durability with the frozen merge ladder engaged. In the crash matrices'
+// ladder mode (matrixStore.ladder, durable_test.go) every worker slot is
+// held and pumpLadder drives the compaction scheduler by hand between
+// scripted ops, so every WAL and device fault lands while the ladder
+// holds stacked layers that compactions keep rewriting — none of which
+// must ever matter to recovery, because compactions are
 // content-preserving and only acknowledged WAL records are durable state.
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,23 +16,6 @@ import (
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
-
-// ladderDurable opens a Durable configured so ladder states pile up
-// deterministically: async flush with the worker slot held, a small trip
-// threshold, depth 3.
-func ladderDurable(t testing.TB, fsys wal.FS, dev pager.Device) *Durable[int, int] {
-	t.Helper()
-	d, err := OpenDurable[int, int](fsys, dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(true)
-	d.SetFlushEvery(4)
-	d.SetMaxFrozenLayers(3)
-	d.opt.flusher.Store(true) // the script is the scheduler
-	return d
-}
 
 // pumpLadder runs compaction-scheduler rounds by hand: one round whenever
 // at least two layers are stacked (keeping a compaction in flight across
@@ -63,120 +44,6 @@ func pumpLadder(o *Optimistic[int, int]) int {
 		}
 	}
 	return rounds
-}
-
-// runLadderScript is runScript with a scheduler pump before every op, so
-// fault sites interleave with layer pushes, compactions and folds.
-func runLadderScript(d *Durable[int, int], ops []dOp, ckptAt map[int]bool) (acked int, states []*dmodel) {
-	m := &dmodel{}
-	states = append(states, m.clone())
-	for i, op := range ops {
-		pumpLadder(d.opt)
-		if ckptAt[i] {
-			d.Checkpoint() // folds the whole ladder off-lock for the snapshot
-		}
-		var err error
-		if op.del {
-			_, err = d.Delete(op.k)
-		} else {
-			err = d.Insert(op.k, op.v)
-		}
-		if op.del {
-			m.delete(op.k)
-		} else {
-			m.insert(op.k, op.v)
-		}
-		states = append(states, m.clone())
-		if err != nil {
-			return acked, states[:i+2]
-		}
-		acked = i + 1
-	}
-	return acked, states
-}
-
-// TestCrashMatrixWALLadder kills the WAL file system at every mutating
-// operation while ladder compactions are in flight, then crashes away
-// unsynced bytes and asserts prefix-consistent recovery with no
-// acknowledged write lost.
-func TestCrashMatrixWALLadder(t *testing.T) {
-	ops, ckptAt := crashScript()
-
-	probeMem := wal.NewMemFS()
-	probeFS := wal.NewFaultFS(probeMem)
-	d := ladderDurable(t, probeFS, pager.NewDisk())
-	// Probe run mirroring runLadderScript, counting scheduler rounds to
-	// prove the matrix really runs over in-flight compactions.
-	rounds := 0
-	for i, op := range ops {
-		rounds += pumpLadder(d.opt)
-		if ckptAt[i] {
-			if _, err := d.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var err error
-		if op.del {
-			_, err = d.Delete(op.k)
-		} else {
-			err = d.Insert(op.k, op.v)
-		}
-		if err != nil {
-			t.Fatalf("probe op %d: %v", i, err)
-		}
-	}
-	if rounds == 0 {
-		t.Fatal("probe run never ran a compaction round: the matrix would be vacuous")
-	}
-	sites := probeFS.Ops()
-	if sites < 2*len(ops) {
-		t.Fatalf("probe counted only %d WAL fault sites", sites)
-	}
-
-	for trip := 0; trip < sites; trip++ {
-		trip := trip
-		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
-			mem := wal.NewMemFS()
-			faulty := wal.NewFaultFS(mem)
-			d := ladderDurable(t, faulty, pager.NewDisk())
-			faulty.SetTrip(trip)
-			acked, states := runLadderScript(d, ops, ckptAt)
-			mem.Crash()
-			verifyRecovery(t, "wal ladder crash", mem, devOf(d), acked, states)
-		})
-	}
-}
-
-// TestCrashMatrixCheckpointLadder kills the checkpoint device at every
-// page write and sync while the ladder holds stacked layers — the
-// checkpoint folds them off-lock for its snapshot, so a torn checkpoint
-// must leave the previous superblock plus the intact WAL sufficient.
-func TestCrashMatrixCheckpointLadder(t *testing.T) {
-	ops, ckptAt := crashScript()
-
-	probeDev := pager.NewFaultDevice(pager.NewDisk())
-	d := ladderDurable(t, wal.NewMemFS(), probeDev)
-	if acked, _ := runLadderScript(d, ops, ckptAt); acked != len(ops) {
-		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
-	}
-	sites := probeDev.Ops()
-	if sites == 0 {
-		t.Fatal("probe counted no device fault sites")
-	}
-
-	for trip := 0; trip < sites; trip++ {
-		trip := trip
-		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
-			mem := wal.NewMemFS()
-			inner := pager.NewDisk()
-			faulty := pager.NewFaultDevice(inner)
-			d := ladderDurable(t, mem, faulty)
-			faulty.SetTrip(trip)
-			acked, states := runLadderScript(d, ops, ckptAt)
-			mem.Crash()
-			verifyRecovery(t, "ckpt ladder crash", mem, inner, acked, states)
-		})
-	}
 }
 
 // TestRecoveryBatchedReplay pins the replay restructure: a long
@@ -224,7 +91,7 @@ func TestRecoveryBatchedReplay(t *testing.T) {
 	if !pairsEqual(dump(rec), m.pairs) {
 		t.Fatal("batched replay recovered the wrong content")
 	}
-	tree := rec.opt.state.Load().tree
+	tree := shardTrees(rec)[0]
 	c := tree.Counters()
 	chunks := len(tree.ChunkIDs())
 	if c.Merges > chunks {

@@ -15,9 +15,20 @@ import (
 	"fitingtree/internal/wal"
 )
 
-// IntentName is the rebalance intent record's file name inside a sharded
-// durable store's file system.
+// IntentName is the rebalance intent record's file name inside a durable
+// store's file system.
 const IntentName = "rebalance.intent"
+
+// legacyLogName is the log file of the retired single-tree store format,
+// which also rooted its checkpoints in a gob manifest instead of the
+// checksummed FSHM record.
+const legacyLogName = "wal.log"
+
+// errLegacyStore rejects a store in the retired format: its log would be
+// ignored and its manifest cannot be decoded, so opening it could only
+// lose data.
+var errLegacyStore = errors.New("fitingtree: store is in the retired single-tree format " +
+	"(gob checkpoint root, wal.log); it was left untouched and must be rebuilt")
 
 // ShardWALName returns the log file name of shard i under fence
 // generation gen. The generation is baked into the name so recovery can
@@ -29,25 +40,40 @@ func ShardWALName(gen uint64, i int) string {
 	return fmt.Sprintf("wal-%d-%d.log", gen, i)
 }
 
-// DurableSharded is the crash-safe multi-writer facade: a range-sharded
-// set of Optimistic trees (Sharded's partitioning and read protocol)
-// whose writes are made durable by one write-ahead log per shard and
-// whose checkpoints commit one atomic cross-shard cut.
+// DurableSharded is the crash-safe facade: a range-sharded set of
+// Optimistic trees (Sharded's partitioning and read protocol) whose writes
+// are made durable by one write-ahead log per shard and whose base trees
+// are persisted by incremental copy-on-write checkpoints committing one
+// atomic cross-shard cut. A single-writer store is the same thing with
+// one shard (OpenDurable, CreateDurable): one log, a fence-less manifest,
+// never a migration.
 //
-// The protocol extends Durable's in three ways:
+// The protocol has four moving parts:
 //
-//   - Parallel group commit. Each shard owns a private WAL; a write
-//     appends to its shard's log under that shard's mutex only, so
-//     writers on different shards append — and fsync — concurrently. An
-//     op is acknowledged once its own shard's Sync barrier covers it.
-//   - Atomic cross-shard checkpoints. A checkpoint captures every
-//     shard's (chunk heads, WAL replay cursor) — each cut taken under
-//     that shard's writer mutex — and writes one top-level manifest blob
-//     naming all of them plus the fence keys, committed by the pager's
-//     dual-superblock epoch flip. Recovery therefore always loads one
-//     coherent epoch: all shards from cut N, never a mix. Per-shard
-//     chunk writes stay incremental (chunk ids are process-unique, so
-//     one id→blob map serves the whole facade).
+//   - Parallel group commit. Every Insert/Delete first appends one
+//     checksummed record to the owning shard's WAL, then applies to that
+//     shard's in-memory facade, both under that shard's mutex only — so
+//     writers on different shards append and fsync concurrently.
+//     SetSyncEvery batches the fsync barrier; a write is acknowledged —
+//     promised to survive a crash — once its shard's Sync barrier covers
+//     it.
+//   - Incremental, atomic checkpoints. A checkpointer (background by
+//     default, triggered by the flush pipeline's publications; or explicit
+//     via Checkpoint) captures every shard's (state, WAL replay cursor)
+//     under that shard's writer mutex, folds the states off-lock and
+//     writes them to page storage incrementally: chunk identity is
+//     preserved by the copy-on-write merges, so diffing the current chunk
+//     ids against the previous cut's yields exactly the dirty chunks, and
+//     only those are serialized — O(dirty), the on-disk mirror of
+//     publication cost (chunk ids are process-unique, so one id→blob map
+//     serves the whole facade). One top-level manifest blob names every
+//     shard's chunk heads and cursor plus the fence keys, and commits
+//     with the pager's dual-superblock epoch flip; each log is then
+//     truncated up to its covered LSN.
+//   - Recovery. Open loads the newest committed epoch — all shards from
+//     cut N, never a mix (checksummed chunk blobs, O(segments) router
+//     rebuild, no re-segmentation) — and replays each shard's WAL tail
+//     past its cursor: O(checkpoint + tail), never a full bulk rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; it becomes atomic by writing a fence-change
 //     intent record (old fences, new fences, source epoch) before any
@@ -60,12 +86,14 @@ func ShardWALName(gen uint64, i int) string {
 //     leftover files remain to sweep. See RebalanceIntent in
 //     internal/core.
 //
-// Any WAL or device error on the write path poisons the facade: Err
-// turns sticky, every later write fails fast (an acknowledged write that
-// replay cannot see must never happen), and Close skips the final
-// checkpoint — the last committed cut plus the synced log prefixes
-// already hold everything acknowledged. Reads stay latch-free and
-// unaffected throughout.
+// Any WAL or device error on the write path poisons the facade: the
+// failed log's tail state is unknown (a torn frame may sit where the next
+// append would land, and anything written after it would be cut off by
+// recovery), so Err turns sticky, every later write and Checkpoint fails
+// fast (an acknowledged write that replay cannot see must never happen),
+// and Close skips the final checkpoint — the last committed cut plus the
+// synced log prefixes already hold everything acknowledged. Reads stay
+// latch-free, snapshot-consistent and unaffected throughout.
 type DurableSharded[K Key, V any] struct {
 	codec opCodec[K, V]
 	snap  core.SnapCodec[K, V]
@@ -105,7 +133,8 @@ type DurableSharded[K Key, V any] struct {
 	ckptErr      error
 
 	// walStats describes what recovery found in each shard's log, in
-	// shard order of the generation that was opened.
+	// shard order of the generation that was opened; nil when the facade
+	// was created rather than opened.
 	walStats []wal.OpenStats
 
 	trigger  chan struct{}
@@ -134,8 +163,8 @@ type dshard[K Key, V any] struct {
 	unsynced int
 }
 
-// ShardedCheckpointStats reports what one cross-shard checkpoint did.
-type ShardedCheckpointStats struct {
+// CheckpointStats reports what one checkpoint did.
+type CheckpointStats struct {
 	// Epoch is the committed cut's epoch.
 	Epoch uint64
 	// Shards is the number of shards in the cut.
@@ -154,10 +183,21 @@ type ShardedCheckpointStats struct {
 // shard's checkpoint chunks are loaded and its WAL tail replayed. The
 // manifest's recorded options and fences override opts; a fresh store
 // starts one empty shard with opts and grows toward the shards target as
-// data arrives. Automatic checkpointing starts enabled.
+// data arrives. A store in the retired single-tree format (gob checkpoint
+// root and/or a wal.log) is rejected with an error naming it, untouched.
+// Automatic checkpointing starts enabled.
 func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, shards int) (*DurableSharded[K, V], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
+	}
+	// Checked before anything is touched, so a retired-format store stays
+	// byte-identical (the gob root is caught by loadShardManifest below,
+	// also ahead of every write).
+	if r, err := fsys.Open(legacyLogName); err == nil {
+		r.Close()
+		return nil, fmt.Errorf("%w: found %s", errLegacyStore, legacyLogName)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
 	store := pager.NewStore(dev)
 	super, haveCkpt, err := pager.ReadSuper(dev)
@@ -246,6 +286,18 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	return d, nil
 }
 
+// OpenDurable opens (or creates) a single-writer durable store: the
+// one-shard case of OpenDurableSharded, which never migrates.
+func OpenDurable[K Key, V any](fsys wal.FS, dev pager.Device, opts Options) (*DurableSharded[K, V], error) {
+	return OpenDurableSharded[K, V](fsys, dev, opts, 1)
+}
+
+// CreateDurable initializes a single-writer durable store from an
+// already-built tree: the one-shard case of CreateDurableSharded.
+func CreateDurable[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V]) (*DurableSharded[K, V], error) {
+	return CreateDurableSharded(fsys, dev, t, 1)
+}
+
 // CreateDurableSharded initializes a sharded durable facade from an
 // already-built tree: t is split into at most shards balanced range
 // partitions (Sharded's fence policy) and a full cross-shard checkpoint
@@ -286,8 +338,8 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	var reachable []pager.PageID
 	if haveCkpt {
 		// A previous store whose manifest no longer decodes (corrupt, or
-		// a single-tree Durable's) was unrecoverable by this facade
-		// anyway; it gets plain destructive supersede semantics.
+		// the retired single-tree format) was unrecoverable by this
+		// facade anyway; it gets plain destructive supersede semantics.
 		if m, mchain, merr := loadShardManifest(store, super.Manifest); merr == nil {
 			gen = m.Generation + 1
 			oldShards = len(m.Shards)
@@ -325,7 +377,6 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 		return nil, err
 	}
 	d.set.Store(set)
-	d.walStats = make([]wal.OpenStats, len(logs))
 	d.rebalancedAt.Store(int64(len(keys)))
 	d.ckptMu.Lock()
 	_, err = d.checkpointLocked(set, gen)
@@ -338,10 +389,12 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	// dead. The sweep is best-effort — a leftover intent resolves
 	// harmlessly at the next open (its generation is at most gen, so it
 	// can never condemn this store's logs), and old-generation log files
-	// are never opened again (log names embed the generation).
+	// are never opened again (log names embed the generation). A retired-
+	// format log goes too, or the next open would reject this store.
 	for i := 0; i < oldShards; i++ {
 		d.fsys.Remove(ShardWALName(gen-1, i))
 	}
+	d.fsys.Remove(legacyLogName)
 	d.fsys.Remove(IntentName)
 	d.fsys.Remove(IntentName + ".tmp")
 	d.SetAutoCheckpoint(true)
@@ -461,15 +514,17 @@ func closeShardLogs[K Key, V any](shards []*dshard[K, V]) {
 }
 
 // loadShardManifest reads, checksum-verifies, and decodes the top-level
-// manifest blob, returning its chain pages for the reachability sweep.
+// manifest blob, returning its chain pages for the reachability sweep. A
+// blob whose pages pass their CRCs yet is no FSHM record is what the
+// retired format's gob root looks like, and is reported as such.
 func loadShardManifest(store *pager.Store, head pager.PageID) (core.ShardManifest, []pager.PageID, error) {
 	blob, chain, err := store.GetChain(head, nil, nil)
 	if err != nil {
-		return core.ShardManifest{}, nil, fmt.Errorf("fitingtree: shard manifest: %w", err)
+		return core.ShardManifest{}, nil, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
 	}
 	m, err := core.DecodeShardManifest(blob)
 	if err != nil {
-		return core.ShardManifest{}, nil, fmt.Errorf("fitingtree: shard manifest: %w", err)
+		return core.ShardManifest{}, nil, fmt.Errorf("%w: checkpoint manifest: %v", errLegacyStore, err)
 	}
 	return m, chain, nil
 }
@@ -794,11 +849,11 @@ func (d *DurableSharded[K, V]) Sync() error {
 // after a failed rebalance in particular, committing a new epoch under
 // the old generation would strand the durable state between the intent
 // record and the migration it describes.
-func (d *DurableSharded[K, V]) Checkpoint() (ShardedCheckpointStats, error) {
+func (d *DurableSharded[K, V]) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if err := d.failedErr(); err != nil {
-		return ShardedCheckpointStats{}, err
+		return CheckpointStats{}, err
 	}
 	stats, err := d.checkpointLocked(d.set.Load(), d.generation)
 	d.ckptErr = err
@@ -808,8 +863,8 @@ func (d *DurableSharded[K, V]) Checkpoint() (ShardedCheckpointStats, error) {
 // checkpointLocked commits one cut of set under generation. Callers hold
 // d.ckptMu; set must be the published set (or, during a rebalance, the
 // set about to be published while writers are excluded).
-func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation uint64) (ShardedCheckpointStats, error) {
-	stats := ShardedCheckpointStats{Shards: len(set.shards)}
+func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation uint64) (CheckpointStats, error) {
+	stats := CheckpointStats{Shards: len(set.shards)}
 
 	// Capture each shard's (LSN cursor, state) under its writer mutex:
 	// the state then contains exactly the ops with LSN < cut. The cuts
@@ -1147,10 +1202,12 @@ func (d *DurableSharded[K, V]) WALRecords() int {
 }
 
 // WALOpenStats returns what recovery found when it opened each shard's
-// log (in shard order of the opened generation): replayed record counts
-// and, for cut files, whether the discarded tail looked like a torn
-// append or like corruption. Empty for a facade built by
-// CreateDurableSharded.
+// log: replayed record counts and, for cut files, whether the discarded
+// tail looked like a torn append (TornBytes without CorruptFrames) or like
+// corruption (CorruptFrames > 0); zero values mean a clean shutdown. It
+// describes the generation that was opened, in that generation's shard
+// order — later rebalances do not change it — and is nil for a facade
+// built by CreateDurableSharded, which opened nothing.
 func (d *DurableSharded[K, V]) WALOpenStats() []wal.OpenStats {
 	return append([]wal.OpenStats(nil), d.walStats...)
 }

@@ -4,168 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
-
-// --- scenario -------------------------------------------------------------
-
-// dumpSharded extracts a DurableSharded's full content in the model's
-// normalized form.
-func dumpSharded(d *DurableSharded[int, int]) [][2]int {
-	var pairs [][2]int
-	d.AscendRange(-1<<62, 1<<62, func(k, v int) bool {
-		pairs = append(pairs, [2]int{k, v})
-		return true
-	})
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	return pairs
-}
-
-// shardedCrashScript is a fixed op sequence that scatters keys across the
-// whole range (so every shard of a multi-shard facade sees traffic), with
-// duplicates (same value per key), deletes, interleaved checkpoints, and
-// one explicit rebalance in the middle.
-func shardedCrashScript() (ops []dOp, ckptAt, rebalAt map[int]bool) {
-	// Stride 997 over a 4096-key space: adjacent ops land on far-apart
-	// keys, exercising every shard in turn.
-	for i := 0; i < 40; i++ {
-		k := (i * 997) % 4096
-		ops = append(ops, dOp{k: k, v: k * 10})
-		if i%7 == 0 {
-			ops = append(ops, dOp{k: k, v: k * 10}) // duplicate, same value
-		}
-	}
-	for i := 0; i < 10; i++ {
-		ops = append(ops, dOp{del: true, k: (i * 3 * 997) % 4096})
-	}
-	ckptAt = map[int]bool{11: true, 37: true}
-	rebalAt = map[int]bool{24: true}
-	return ops, ckptAt, rebalAt
-}
-
-// newShardedUnderTest opens a deterministic facade for the crash matrix:
-// no background checkpoints, no async flush, no skew-triggered
-// migrations — every fault site is reached by the script alone.
-func newShardedUnderTest(t testing.TB, fsys wal.FS, dev pager.Device, shards int) *DurableSharded[int, int] {
-	t.Helper()
-	d, err := OpenDurableSharded[int, int](fsys, dev, Options{}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiesce(t, d)
-	return d
-}
-
-// quiesce puts a facade into the crash matrix's deterministic mode.
-func quiesce(t testing.TB, d *DurableSharded[int, int]) {
-	t.Helper()
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(false)
-	d.SetFlushEvery(8)
-	d.SetRebalanceFactor(math.Inf(1))
-}
-
-// seedSharded bulk-creates a genuinely multi-shard store (a fresh Open
-// starts with one shard; the matrices need traffic on several), returning
-// the facade and the matching initial model. Keys are spaced so the
-// script's stride interleaves with them; values follow the script's
-// k*10 convention so duplicate deletes stay value-agnostic.
-func seedSharded(t testing.TB, fsys wal.FS, dev pager.Device, shards int) (*DurableSharded[int, int], *dmodel) {
-	t.Helper()
-	keys := make([]int, 256)
-	vals := make([]int, len(keys))
-	for i := range keys {
-		keys[i] = i * 16
-		vals[i] = keys[i] * 10
-	}
-	tree, err := BulkLoad(keys, vals, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := CreateDurableSharded(fsys, dev, tree, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiesce(t, d)
-	if n := d.Shards(); n != shards {
-		t.Fatalf("seeded %d shards, want %d", n, shards)
-	}
-	m := &dmodel{}
-	for i, k := range keys {
-		m.insert(k, vals[i])
-	}
-	return d, m
-}
-
-// runShardedScript drives the facade through the script from the initial
-// model state m, stopping at the first error (injected faults poison
-// everything after it anyway). It returns the number of ops acknowledged
-// and the model state after every prefix. Checkpoint and Rebalance
-// failures are ignored: neither is an acknowledgment, and the WAL still
-// covers the data either way.
-func runShardedScript(d *DurableSharded[int, int], m *dmodel, ops []dOp, ckptAt, rebalAt map[int]bool) (acked int, states []*dmodel) {
-	states = append(states, m.clone())
-	for i, op := range ops {
-		if ckptAt[i] {
-			d.Checkpoint()
-		}
-		if rebalAt[i] {
-			d.Rebalance()
-		}
-		var err error
-		if op.del {
-			_, err = d.Delete(op.k)
-		} else {
-			err = d.Insert(op.k, op.v)
-		}
-		if op.del {
-			m.delete(op.k)
-		} else {
-			m.insert(op.k, op.v)
-		}
-		states = append(states, m.clone())
-		if err != nil {
-			return acked, states[:i+2]
-		}
-		acked = i + 1
-	}
-	return acked, states
-}
-
-// verifyShardedRecovery reopens the (injector-free) store and asserts the
-// recovered state equals the model after some prefix of at least the
-// acknowledged ops, and that the recovered tree is structurally sound.
-func verifyShardedRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, shards, acked int, states []*dmodel) {
-	t.Helper()
-	rec, err := OpenDurableSharded[int, int](fsys, dev, Options{}, shards)
-	if err != nil {
-		t.Fatalf("%s: recovery failed: %v", label, err)
-	}
-	rec.SetAutoCheckpoint(false)
-	got := dumpSharded(rec)
-	for m := len(states) - 1; m >= 0; m-- {
-		if pairsEqual(got, states[m].pairs) {
-			if m < acked {
-				t.Fatalf("%s: recovered only %d ops but %d were acknowledged", label, m, acked)
-			}
-			return
-		}
-	}
-	t.Fatalf("%s: recovered state (%d pairs) matches no op prefix (acked %d)", label, len(got), acked)
-}
 
 // --- smoke ----------------------------------------------------------------
 
@@ -175,7 +20,7 @@ func verifyShardedRecovery(t *testing.T, label string, fsys wal.FS, dev pager.De
 func TestDurableShardedBasic(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d := newShardedUnderTest(t, mem, dev, 4)
+	d := openStore(t, mem, dev, 4)
 	for i := 0; i < 500; i++ {
 		if err := d.Insert((i*997)%4096, i); err != nil {
 			t.Fatal(err)
@@ -195,13 +40,13 @@ func TestDurableShardedBasic(t *testing.T) {
 	if ok, err := d.Delete((3 * 997) % 4096); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	want := dumpSharded(d)
+	want := dump(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := newShardedUnderTest(t, mem, dev, 4)
-	if got := dumpSharded(rec); !pairsEqual(got, want) {
+	rec := openStore(t, mem, dev, 4)
+	if got := dump(rec); !pairsEqual(got, want) {
 		t.Fatalf("recovered %d pairs, want %d", len(got), len(want))
 	}
 	// Close checkpointed, so the reopened logs were empty.
@@ -241,6 +86,9 @@ func TestCreateDurableSharded(t *testing.T) {
 	if n := d.WALRecords(); n != 0 {
 		t.Fatalf("bulk import appended %d WAL records", n)
 	}
+	if ws := d.WALOpenStats(); ws != nil {
+		t.Fatalf("a created store opened no log, yet reports open stats %v", ws)
+	}
 	sizes := d.ShardSizes()
 	for i, n := range sizes {
 		if n < len(keys)/8 {
@@ -253,7 +101,10 @@ func TestCreateDurableSharded(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec := newShardedUnderTest(t, mem, dev, 4)
+	rec := openStore(t, mem, dev, 4)
+	if ws := rec.WALOpenStats(); len(ws) != 4 {
+		t.Fatalf("reopened 4 shard logs, open stats cover %d", len(ws))
+	}
 	if rec.Len() != len(keys)+1 {
 		t.Fatalf("recovered %d elements, want %d", rec.Len(), len(keys)+1)
 	}
@@ -271,7 +122,7 @@ func TestCreateDurableSharded(t *testing.T) {
 func TestDurableShardedRebalance(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d := newShardedUnderTest(t, mem, dev, 3)
+	d := openStore(t, mem, dev, 3)
 	// Heavily skewed load: everything lands in the last shard's range.
 	for i := 0; i < 1000; i++ {
 		if err := d.Insert(i, i); err != nil {
@@ -309,7 +160,7 @@ func TestDurableShardedRebalance(t *testing.T) {
 		}
 	}
 	mem.Crash()
-	rec := newShardedUnderTest(t, mem, dev, 3)
+	rec := openStore(t, mem, dev, 3)
 	if rec.Len() != 1100 {
 		t.Fatalf("recovered %d elements, want 1100", rec.Len())
 	}
@@ -345,83 +196,50 @@ func TestDurableShardedAutoRebalance(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec := newShardedUnderTest(t, mem, dev, 3)
+	rec := openStore(t, mem, dev, 3)
 	if rec.Len() != 3000 {
 		t.Fatalf("recovered %d elements, want 3000", rec.Len())
 	}
 }
 
+// TestOneShardNeverMigrates pins the single-writer contract: under a
+// skewed load that drives a multi-shard store through migrations, a
+// one-shard store stays at one shard and generation 0 and never touches
+// the rebalance intent.
+func TestOneShardNeverMigrates(t *testing.T) {
+	faulty := wal.NewFaultFS(wal.NewMemFS())
+	d, err := OpenDurable[int, int](faulty, pager.NewDisk(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetAutoCheckpoint(false)
+	d.SetAsyncFlush(false)
+	d.SetSyncEvery(256)
+	// Count only intent traffic from here on (Open swept a stale sibling).
+	faulty.SetNameFilter(func(name string) bool { return strings.HasPrefix(name, IntentName) })
+	faulty.SetTrip(-1)
+	for i := 0; i < 20_000; i++ {
+		if err := d.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			if ok, err := d.Delete(i - 2); err != nil || !ok {
+				t.Fatalf("delete %d: %v %v", i-2, ok, err)
+			}
+		}
+	}
+	if n, g := d.Shards(), d.Generation(); n != 1 || g != 0 {
+		t.Fatalf("one-shard store reshaped: %d shards, generation %d", n, g)
+	}
+	if n := faulty.Ops(); n != 0 {
+		t.Fatalf("one-shard store touched the rebalance intent %d times", n)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // --- crash matrices -------------------------------------------------------
-
-// TestShardedCrashMatrixWAL kills the whole log file system at every
-// mutating operation of the sharded script — mid-append on any shard,
-// mid-sync, mid-truncate, mid-intent, mid-migration — then crashes away
-// unsynced bytes and asserts prefix-consistent recovery with no
-// acknowledged write lost.
-func TestShardedCrashMatrixWAL(t *testing.T) {
-	ops, ckptAt, rebalAt := shardedCrashScript()
-
-	probeFS := wal.NewFaultFS(wal.NewMemFS())
-	d, m := seedSharded(t, probeFS, pager.NewDisk(), 3)
-	probeFS.SetTrip(-1) // reset the counter: only script-time sites matter
-	if acked, _ := runShardedScript(d, m, ops, ckptAt, rebalAt); acked != len(ops) {
-		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
-	}
-	sites := probeFS.Ops()
-	if sites < 2*len(ops) {
-		t.Fatalf("probe counted only %d WAL fault sites", sites)
-	}
-
-	for trip := 0; trip < sites; trip++ {
-		trip := trip
-		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
-			t.Parallel()
-			mem := wal.NewMemFS()
-			faulty := wal.NewFaultFS(mem)
-			dev := pager.NewDisk()
-			d, m := seedSharded(t, faulty, dev, 3)
-			faulty.SetTrip(trip)
-			acked, states := runShardedScript(d, m, ops, ckptAt, rebalAt)
-			mem.Crash()
-			verifyShardedRecovery(t, "wal crash", mem, dev, 3, acked, states)
-		})
-	}
-}
-
-// TestShardedCrashMatrixCheckpoint kills the checkpoint device at every
-// page write and sync — mid-blob, mid-manifest, mid-superblock, and
-// anywhere inside the rebalance's committing cut — and asserts the
-// previous committed epoch plus the intact logs still recover every
-// acknowledged write.
-func TestShardedCrashMatrixCheckpoint(t *testing.T) {
-	ops, ckptAt, rebalAt := shardedCrashScript()
-
-	probeDev := pager.NewFaultDevice(pager.NewDisk())
-	d, m := seedSharded(t, wal.NewMemFS(), probeDev, 3)
-	probeDev.SetTrip(-1) // reset the counter: only script-time sites matter
-	if acked, _ := runShardedScript(d, m, ops, ckptAt, rebalAt); acked != len(ops) {
-		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
-	}
-	sites := probeDev.Ops()
-	if sites == 0 {
-		t.Fatal("probe counted no device fault sites")
-	}
-
-	for trip := 0; trip < sites; trip++ {
-		trip := trip
-		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
-			t.Parallel()
-			mem := wal.NewMemFS()
-			inner := pager.NewDisk()
-			faulty := pager.NewFaultDevice(inner)
-			d, m := seedSharded(t, mem, faulty, 3)
-			faulty.SetTrip(trip)
-			acked, states := runShardedScript(d, m, ops, ckptAt, rebalAt)
-			mem.Crash()
-			verifyShardedRecovery(t, "ckpt crash", mem, inner, 3, acked, states)
-		})
-	}
-}
 
 // TestShardedCrashMatrixOneShard confines the fault to a single shard's
 // log file (every other shard's storage stays healthy) and asserts the
@@ -429,18 +247,19 @@ func TestShardedCrashMatrixCheckpoint(t *testing.T) {
 // anywhere fails fast with the same error, and recovery still sees a
 // consistent prefix covering all acknowledged ops.
 func TestShardedCrashMatrixOneShard(t *testing.T) {
-	ops, ckptAt, _ := shardedCrashScript() // no rebalance: generation stays 0
+	ops, ckptAt, _ := crashScript() // no rebalance: generation stays 0
 	const shards = 3
+	ms := matrixStore{shards: shards}
 
 	for victim := 0; victim < shards; victim++ {
 		victimName := ShardWALName(0, victim)
 		filter := func(name string) bool { return name == victimName }
 
 		probeFS := wal.NewFaultFS(wal.NewMemFS())
-		d, m := seedSharded(t, probeFS, pager.NewDisk(), shards)
+		d, m := ms.open(t, probeFS, pager.NewDisk())
 		probeFS.SetNameFilter(filter)
 		probeFS.SetTrip(-1)
-		if acked, _ := runShardedScript(d, m, ops, ckptAt, nil); acked != len(ops) {
+		if acked, _, _ := runScript(d, m, ops, ckptAt, nil); acked != len(ops) {
 			t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
 		}
 		sites := probeFS.Ops()
@@ -455,10 +274,10 @@ func TestShardedCrashMatrixOneShard(t *testing.T) {
 				mem := wal.NewMemFS()
 				faulty := wal.NewFaultFS(mem)
 				dev := pager.NewDisk()
-				d, m := seedSharded(t, faulty, dev, shards)
+				d, m := ms.open(t, faulty, dev)
 				faulty.SetNameFilter(filter)
 				faulty.SetTrip(trip)
-				acked, states := runShardedScript(d, m, ops, ckptAt, nil)
+				acked, states, _ := runScript(d, m, ops, ckptAt, nil)
 
 				// The op that hit the dead shard poisoned the facade:
 				// every subsequent write — on ANY shard — fails fast with
@@ -478,7 +297,7 @@ func TestShardedCrashMatrixOneShard(t *testing.T) {
 					t.Fatalf("poisoned Close() = %v", err)
 				}
 				mem.Crash()
-				verifyShardedRecovery(t, "one-shard crash", mem, dev, shards, acked, states)
+				verifyRecovery(t, "one-shard crash", mem, dev, shards, acked, states)
 			})
 		}
 	}
@@ -494,7 +313,7 @@ func TestShardedCrashMatrixRebalance(t *testing.T) {
 	const shards = 3
 	const n = 600
 	load := func(t *testing.T, fsys wal.FS, dev pager.Device) *DurableSharded[int, int] {
-		d := newShardedUnderTest(t, fsys, dev, shards)
+		d := openStore(t, fsys, dev, shards)
 		for i := 0; i < n; i++ {
 			if err := d.Insert(i, i); err != nil {
 				t.Fatal(err)
@@ -530,7 +349,7 @@ func TestShardedCrashMatrixRebalance(t *testing.T) {
 			t.Fatalf("%s: recovery failed: %v", label, err)
 		}
 		rec.SetAutoCheckpoint(false)
-		if got := dumpSharded(rec); !pairsEqual(got, wantPairs) {
+		if got := dump(rec); !pairsEqual(got, wantPairs) {
 			t.Fatalf("%s: recovered %d pairs, want %d — a migration fault changed the data", label, len(got), n)
 		}
 		// The intent never outlives a recovery, whichever way it resolved.
@@ -586,56 +405,6 @@ func TestShardedCrashMatrixRebalance(t *testing.T) {
 	}
 }
 
-// --- sticky poison --------------------------------------------------------
-
-// TestDurableShardedStickyError pins the poison protocol end to end on
-// the sharded facade: a sync failure fails the triggering write, every
-// subsequent write of every kind returns the same error, Err is sticky,
-// Close stays safe, and recovery sees exactly the acknowledged prefix.
-func TestDurableShardedStickyError(t *testing.T) {
-	mem := wal.NewMemFS()
-	faulty := wal.NewFaultFS(mem)
-	dev := pager.NewDisk()
-	d := newShardedUnderTest(t, faulty, dev, 3)
-	for i := 0; i < 20; i++ {
-		if err := d.Insert((i*997)%4096, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Trip the very next FS operation: the 21st insert's append fails.
-	faulty.SetTrip(0)
-	werr := d.Insert(1, 1)
-	if !errors.Is(werr, wal.ErrInjected) {
-		t.Fatalf("tripped insert error = %v", werr)
-	}
-	for i := 0; i < 5; i++ {
-		if err := d.Insert((i*131)%4096, i); !errors.Is(err, werr) {
-			t.Fatalf("insert %d after poison = %v, want sticky %v", i, err, werr)
-		}
-		if _, err := d.Delete((i * 997) % 4096); !errors.Is(err, werr) {
-			t.Fatalf("delete %d after poison = %v", i, err)
-		}
-		if _, err := d.DeleteValue((i*997)%4096, i); !errors.Is(err, werr) {
-			t.Fatalf("delete-value %d after poison = %v", i, err)
-		}
-	}
-	if err := d.Err(); !errors.Is(err, werr) {
-		t.Fatalf("Err() = %v, want sticky %v", err, werr)
-	}
-	// Reads keep serving the in-memory state.
-	if v, ok := d.Lookup(997 % 4096); !ok || v != 1 {
-		t.Fatalf("read on poisoned facade: %v %v", v, ok)
-	}
-	if err := d.Close(); !errors.Is(err, werr) {
-		t.Fatalf("Close() = %v, want the poison", err)
-	}
-	mem.Crash()
-	rec := newShardedUnderTest(t, mem, dev, 3)
-	if rec.Len() != 20 {
-		t.Fatalf("recovered %d elements, want exactly the 20 acked", rec.Len())
-	}
-}
-
 // --- randomized model check ----------------------------------------------
 
 // TestDurableShardedRandomizedModel drives a seeded random op mix —
@@ -650,7 +419,7 @@ func TestDurableShardedRandomizedModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			mem := wal.NewMemFS()
 			dev := pager.NewDisk()
-			d := newShardedUnderTest(t, mem, dev, 3)
+			d := openStore(t, mem, dev, 3)
 			model := map[int]int{}
 			steps := 1500
 			for i := 0; i < steps; i++ {
@@ -690,11 +459,11 @@ func TestDurableShardedRandomizedModel(t *testing.T) {
 				default:
 					// Crash and recover mid-run.
 					mem.Crash()
-					d = newShardedUnderTest(t, mem, dev, 3)
+					d = openStore(t, mem, dev, 3)
 				}
 			}
 			mem.Crash()
-			rec := newShardedUnderTest(t, mem, dev, 3)
+			rec := openStore(t, mem, dev, 3)
 			if rec.Len() != len(model) {
 				t.Fatalf("recovered %d elements, model has %d", rec.Len(), len(model))
 			}
@@ -705,80 +474,6 @@ func TestDurableShardedRandomizedModel(t *testing.T) {
 				return true
 			})
 		})
-	}
-}
-
-// --- concurrency ----------------------------------------------------------
-
-// TestDurableShardedConcurrentStress runs parallel writers on disjoint
-// key ranges, latch-free readers, and the background checkpointer
-// together (the -race target), then verifies a final recovery sees every
-// write.
-func TestDurableShardedConcurrentStress(t *testing.T) {
-	mem := wal.NewMemFS()
-	dev := pager.NewDisk()
-	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetFlushEvery(256)
-	d.SetSyncEvery(16)
-	const writers = 4
-	const perWriter = 2000
-	var readers, wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d.Lookup(perWriter / 2)
-				d.AscendRange(0, writers*perWriter, func(int, int) bool { return true })
-				d.Stats()
-			}
-		}()
-	}
-	var werr error
-	var werrMu sync.Mutex
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				k := w*perWriter + i
-				if err := d.Insert(k, k); err != nil {
-					werrMu.Lock()
-					if werr == nil {
-						werr = err
-					}
-					werrMu.Unlock()
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec := newShardedUnderTest(t, mem, dev, 4)
-	if rec.Len() != writers*perWriter {
-		t.Fatalf("recovered %d elements, want %d", rec.Len(), writers*perWriter)
-	}
-	for i := 0; i < writers*perWriter; i += 199 {
-		if v, ok := rec.Lookup(i); !ok || v != i {
-			t.Fatalf("key %d: %v %v", i, v, ok)
-		}
 	}
 }
 
@@ -829,11 +524,11 @@ func (f *superFaultDev) Write(id pager.PageID, p []byte) error {
 // so a crash tearing a retry aimed at its slot would lose acknowledged
 // data with no fallback.
 func TestShardedCheckpointRetryParity(t *testing.T) {
-	run := func(t *testing.T, firstFail superFaultMode, tearRetry bool) {
+	run := func(t *testing.T, shards int, firstFail superFaultMode, tearRetry bool) {
 		mem := wal.NewMemFS()
 		disk := pager.NewDisk()
 		fdev := &superFaultDev{Device: disk}
-		d := newShardedUnderTest(t, mem, fdev, 3)
+		d := openStore(t, mem, fdev, shards)
 		for i := 0; i < 200; i++ {
 			if err := d.Insert(i*31, i); err != nil {
 				t.Fatal(err)
@@ -876,7 +571,7 @@ func TestShardedCheckpointRetryParity(t *testing.T) {
 			}
 		}
 		mem.Crash()
-		rec := newShardedUnderTest(t, mem, disk, 3)
+		rec := openStore(t, mem, disk, shards)
 		defer rec.Close()
 		if got := rec.Len(); got != 350 {
 			t.Fatalf("recovered %d pairs, want 350", got)
@@ -887,9 +582,23 @@ func TestShardedCheckpointRetryParity(t *testing.T) {
 			}
 		}
 	}
-	t.Run("lost-then-torn-retry", func(t *testing.T) { run(t, superFailLost, true) })
-	t.Run("landed-then-torn-retry", func(t *testing.T) { run(t, superFailLanded, true) })
-	t.Run("lost-then-retry-commits", func(t *testing.T) { run(t, superFailLost, false) })
+	for _, c := range []struct {
+		name      string
+		firstFail superFaultMode
+		tearRetry bool
+	}{
+		{"lost-then-torn-retry", superFailLost, true},
+		{"landed-then-torn-retry", superFailLanded, true},
+		{"lost-then-retry-commits", superFailLost, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, shards := range []int{1, 3} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					run(t, shards, c.firstFail, c.tearRetry)
+				})
+			}
+		})
+	}
 }
 
 // TestShardedPoisonedCheckpointFailsFast pins the poison contract for
@@ -899,10 +608,16 @@ func TestShardedCheckpointRetryParity(t *testing.T) {
 // and the migration it describes — and recovery must still see every
 // acknowledged write under the old generation.
 func TestShardedPoisonedCheckpointFailsFast(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { poisonedCheckpointFailsFast(t, shards) })
+	}
+}
+
+func poisonedCheckpointFailsFast(t *testing.T, shards int) {
 	mem := wal.NewMemFS()
 	faulty := wal.NewFaultFS(mem)
 	disk := pager.NewDisk()
-	d := newShardedUnderTest(t, faulty, disk, 3)
+	d := openStore(t, faulty, disk, shards)
 	for i := 0; i < 400; i++ {
 		if err := d.Insert(i*17, i); err != nil {
 			t.Fatal(err)
@@ -938,7 +653,7 @@ func TestShardedPoisonedCheckpointFailsFast(t *testing.T) {
 			committed.Epoch, after.Epoch, ok, err)
 	}
 	mem.Crash()
-	rec := newShardedUnderTest(t, mem, disk, 3)
+	rec := openStore(t, mem, disk, shards)
 	defer rec.Close()
 	if got := rec.Len(); got != 500 {
 		t.Fatalf("recovered %d pairs, want 500", got)
@@ -963,7 +678,7 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 
 	// Store A: a checkpointed base plus an acknowledged, never-checkpointed
 	// WAL tail. No Close — the process is about to "crash".
-	a := newShardedUnderTest(t, mem, disk, 3)
+	a := openStore(t, mem, disk, 3)
 	for i := 0; i < 300; i++ {
 		if err := a.Insert(i*13, i); err != nil {
 			t.Fatal(err)
@@ -991,7 +706,7 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 	}
 	mem.Crash()
 
-	rec := newShardedUnderTest(t, mem, disk, 3)
+	rec := openStore(t, mem, disk, 3)
 	if got := rec.Len(); got != 360 {
 		t.Fatalf("recovered %d pairs after a failed supersede, want 360", got)
 	}
@@ -1017,7 +732,7 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiesce(t, d)
+	quiesce(d)
 	if g := d.Generation(); g != 1 {
 		t.Fatalf("superseding store at generation %d, want 1", g)
 	}
@@ -1030,7 +745,7 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.Crash()
-	rec2 := newShardedUnderTest(t, mem, disk, 2)
+	rec2 := openStore(t, mem, disk, 2)
 	defer rec2.Close()
 	want := map[int]int{1: 10, 2: 20, 3: 30, 4: 40}
 	if got := rec2.Len(); got != len(want) {

@@ -3,6 +3,7 @@ package fitingtree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -43,8 +44,8 @@ func (m *dmodel) clone() *dmodel {
 	return &dmodel{pairs: append([][2]int(nil), m.pairs...)}
 }
 
-// dump extracts a Durable's full content in the model's normalized form.
-func dump(d *Durable[int, int]) [][2]int {
+// dump extracts a store's full content in the model's normalized form.
+func dump(d *DurableSharded[int, int]) [][2]int {
 	var pairs [][2]int
 	d.AscendRange(-1<<62, 1<<62, func(k, v int) bool {
 		pairs = append(pairs, [2]int{k, v})
@@ -71,6 +72,16 @@ func pairsEqual(a, b [][2]int) bool {
 	return true
 }
 
+// shardTrees returns every shard's published base tree, in fence order.
+func shardTrees(d *DurableSharded[int, int]) []*Tree[int, int] {
+	opts := d.set.Load().opts
+	trees := make([]*Tree[int, int], len(opts))
+	for i, o := range opts {
+		trees[i] = o.state.Load().tree
+	}
+	return trees
+}
+
 // --- scenario ------------------------------------------------------------
 
 // dOp is one scripted operation of the crash scenario.
@@ -80,60 +91,156 @@ type dOp struct {
 	v   int
 }
 
-// crashScript is a fixed op sequence with duplicates (same value per key)
-// and deletes, with checkpoints interleaved at the marked indices.
-func crashScript() ([]dOp, map[int]bool) {
-	var ops []dOp
-	for i := 0; i < 30; i++ {
-		ops = append(ops, dOp{k: i * 2, v: i * 10})
-		if i%5 == 0 {
-			ops = append(ops, dOp{k: i * 2, v: i * 10}) // duplicate, same value
+// crashScript is a fixed op sequence that scatters keys across the whole
+// range (so every shard of a multi-shard store sees traffic), with
+// duplicates (same value per key), deletes, interleaved checkpoints, and
+// one explicit rebalance in the middle.
+func crashScript() (ops []dOp, ckptAt, rebalAt map[int]bool) {
+	// Stride 997 over a 4096-key space: adjacent ops land on far-apart
+	// keys, exercising every shard in turn.
+	for i := 0; i < 40; i++ {
+		k := (i * 997) % 4096
+		ops = append(ops, dOp{k: k, v: k * 10})
+		if i%7 == 0 {
+			ops = append(ops, dOp{k: k, v: k * 10}) // duplicate, same value
 		}
 	}
-	for i := 0; i < 8; i++ {
-		ops = append(ops, dOp{del: true, k: i * 4})
+	for i := 0; i < 10; i++ {
+		ops = append(ops, dOp{del: true, k: (i * 3 * 997) % 4096})
 	}
-	ckptAt := map[int]bool{12: true, 30: true}
-	return ops, ckptAt
+	ckptAt = map[int]bool{11: true, 37: true}
+	rebalAt = map[int]bool{24: true}
+	return ops, ckptAt, rebalAt
 }
 
-// runScript drives a Durable through the script, stopping at the first
-// error (an injected fault kills everything after it anyway). It returns
-// the number of ops acknowledged (nil error with sync-every-1) and the
-// model state after every prefix.
-func runScript(d *Durable[int, int], ops []dOp, ckptAt map[int]bool) (acked int, states []*dmodel) {
+// matrixStore configures the store a crash-matrix trial runs against.
+type matrixStore struct {
+	shards int
+	// ladder piles frozen layers up deterministically — async flush with
+	// every worker slot held, a small trip threshold, depth 3 — so the
+	// script's scheduler pump keeps compactions in flight at every fault
+	// site. Ladder runs skip the script's rebalance: the shards it builds
+	// would start live workers racing the pump.
+	ladder bool
+}
+
+// quiesce puts a store into the crash matrix's deterministic mode: no
+// background checkpoints, no async flush, no skew-triggered migrations —
+// every fault site is reached by the script alone.
+func quiesce(d *DurableSharded[int, int]) {
+	d.SetAutoCheckpoint(false)
+	d.SetAsyncFlush(false)
+	d.SetFlushEvery(8)
+	d.SetRebalanceFactor(math.Inf(1))
+}
+
+// openStore opens a quiesced store over whatever fsys and dev hold.
+func openStore(t testing.TB, fsys wal.FS, dev pager.Device, shards int) *DurableSharded[int, int] {
+	t.Helper()
+	d, err := OpenDurableSharded[int, int](fsys, dev, Options{}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(d)
+	return d
+}
+
+// open builds the trial's store and the model of its initial content. A
+// one-shard store starts fresh and empty, so its matrices also cover
+// recovery with no committed checkpoint; a fresh open always starts with
+// one shard, so a multi-shard store is bulk-created over seed keys spaced
+// to interleave with the script's stride (values follow the script's
+// k*10 convention so duplicate deletes stay value-agnostic).
+func (ms matrixStore) open(t testing.TB, fsys wal.FS, dev pager.Device) (*DurableSharded[int, int], *dmodel) {
+	t.Helper()
+	var d *DurableSharded[int, int]
 	m := &dmodel{}
-	states = append(states, m.clone()) // state after 0 ops
+	if ms.shards == 1 {
+		d = openStore(t, fsys, dev, 1)
+	} else {
+		keys := make([]int, 256)
+		vals := make([]int, len(keys))
+		for i := range keys {
+			keys[i] = i * 16
+			vals[i] = keys[i] * 10
+			m.insert(keys[i], vals[i])
+		}
+		tree, err := BulkLoad(keys, vals, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err = CreateDurableSharded(fsys, dev, tree, ms.shards); err != nil {
+			t.Fatal(err)
+		}
+		quiesce(d)
+	}
+	if n := d.Shards(); n != ms.shards {
+		t.Fatalf("store has %d shards, want %d", n, ms.shards)
+	}
+	if ms.ladder {
+		d.SetAsyncFlush(true)
+		d.SetFlushEvery(4)
+		d.SetMaxFrozenLayers(3)
+		for _, o := range d.set.Load().opts {
+			o.flusher.Store(true) // the script is the scheduler
+		}
+	}
+	return d, m
+}
+
+// script returns the crash script as this store runs it.
+func (ms matrixStore) script() (ops []dOp, ckptAt, rebalAt map[int]bool) {
+	ops, ckptAt, rebalAt = crashScript()
+	if ms.ladder {
+		rebalAt = nil
+	}
+	return ops, ckptAt, rebalAt
+}
+
+// runScript drives d through the script from the initial model state m,
+// stopping at the first error (an injected fault poisons everything after
+// it anyway). A compaction-scheduler pump runs before every op — a no-op
+// unless the store is in ladder mode — so fault sites interleave with
+// layer pushes, compactions and folds. It returns the number of ops
+// acknowledged (nil error with sync-every-1), the model state after every
+// prefix, and the scheduler rounds run. Checkpoint and Rebalance failures
+// are ignored: neither is an acknowledgment, and the WAL still covers the
+// data either way.
+func runScript(d *DurableSharded[int, int], m *dmodel, ops []dOp, ckptAt, rebalAt map[int]bool) (acked int, states []*dmodel, rounds int) {
+	states = append(states, m.clone())
 	for i, op := range ops {
+		for _, o := range d.set.Load().opts {
+			rounds += pumpLadder(o)
+		}
 		if ckptAt[i] {
-			d.Checkpoint() // failure is fine; the WAL still covers everything
+			d.Checkpoint() // folds every ladder off-lock for the snapshot
+		}
+		if rebalAt[i] {
+			d.Rebalance()
 		}
 		var err error
 		if op.del {
 			_, err = d.Delete(op.k)
-		} else {
-			err = d.Insert(op.k, op.v)
-		}
-		if op.del {
 			m.delete(op.k)
 		} else {
+			err = d.Insert(op.k, op.v)
 			m.insert(op.k, op.v)
 		}
 		states = append(states, m.clone())
 		if err != nil {
-			return acked, states[:i+2]
+			return acked, states[:i+2], rounds
 		}
 		acked = i + 1
 	}
-	return acked, states
+	return acked, states, rounds
 }
 
 // verifyRecovery reopens the (injector-free) store and asserts the
 // recovered state equals the model after some prefix of at least the
 // acknowledged ops.
-func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, acked int, states []*dmodel) {
+func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, shards, acked int, states []*dmodel) {
 	t.Helper()
-	rec, err := OpenDurable[int, int](fsys, dev, Options{})
+	rec, err := OpenDurableSharded[int, int](fsys, dev, Options{}, shards)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
@@ -141,8 +248,10 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, a
 	// Structural check first: every recovered page must respect its own
 	// recorded error bound (werr), so a checkpoint written under a tuned
 	// per-region plan survives any fault trip with its layout intact.
-	if err := rec.opt.state.Load().tree.CheckInvariants(); err != nil {
-		t.Fatalf("%s: recovered invariants: %v", label, err)
+	for i, tree := range shardTrees(rec) {
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("%s: recovered shard %d invariants: %v", label, i, err)
+		}
 	}
 	got := dump(rec)
 	for m := len(states) - 1; m >= 0; m-- {
@@ -158,103 +267,105 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, a
 
 // --- crash matrix --------------------------------------------------------
 
-// TestCrashMatrixWAL kills the WAL file system at every mutating
-// operation of the scripted scenario — mid-append (torn final record),
-// mid-sync, mid-truncate — then crashes away unsynced bytes and asserts
-// prefix-consistent recovery with no acknowledged write lost.
-func TestCrashMatrixWAL(t *testing.T) {
-	ops, ckptAt := crashScript()
+// faultCounter is the injector side of wal.FaultFS and pager.FaultDevice.
+type faultCounter interface {
+	SetTrip(n int)
+	Ops() int
+}
 
-	// Probe: count fault-site operations in a healthy run.
-	probeMem := wal.NewMemFS()
-	probeFS := wal.NewFaultFS(probeMem)
-	d, err := OpenDurable[int, int](probeFS, pager.NewDisk(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(false)
-	d.SetFlushEvery(8)
-	if acked, _ := runScript(d, ops, ckptAt); acked != len(ops) {
+// probeMatrix runs the script once on a healthy store and returns how many
+// fault sites fc saw (reset after the store was built: only script-time
+// sites matter). A ladder run must really have compactions in flight, or
+// its matrix would be vacuous.
+func probeMatrix(t *testing.T, ms matrixStore, fsys wal.FS, dev pager.Device, fc faultCounter) int {
+	t.Helper()
+	ops, ckptAt, rebalAt := ms.script()
+	d, m := ms.open(t, fsys, dev)
+	fc.SetTrip(-1)
+	acked, _, rounds := runScript(d, m, ops, ckptAt, rebalAt)
+	if acked != len(ops) {
 		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
 	}
-	sites := probeFS.Ops()
+	if ms.ladder && rounds == 0 {
+		t.Fatal("probe run never ran a compaction round: the matrix would be vacuous")
+	}
+	return fc.Ops()
+}
+
+// crashMatrixWAL kills the whole log file system at every mutating
+// operation of the script — mid-append on any shard (torn final record),
+// mid-sync, mid-truncate, mid-intent, mid-migration — then crashes away
+// unsynced bytes and asserts prefix-consistent recovery with no
+// acknowledged write lost.
+func crashMatrixWAL(t *testing.T, ms matrixStore) {
+	ops, ckptAt, rebalAt := ms.script()
+	probeFS := wal.NewFaultFS(wal.NewMemFS())
+	sites := probeMatrix(t, ms, probeFS, pager.NewDisk(), probeFS)
 	if sites < 2*len(ops) {
 		t.Fatalf("probe counted only %d WAL fault sites", sites)
 	}
-
 	for trip := 0; trip < sites; trip++ {
 		trip := trip
 		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
+			t.Parallel()
 			mem := wal.NewMemFS()
 			faulty := wal.NewFaultFS(mem)
-			d, err := OpenDurable[int, int](faulty, pager.NewDisk(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.SetAutoCheckpoint(false)
-			d.SetAsyncFlush(false)
-			d.SetFlushEvery(8)
+			dev := pager.NewDisk()
+			d, m := ms.open(t, faulty, dev)
 			faulty.SetTrip(trip)
-			acked, states := runScript(d, ops, ckptAt)
+			acked, states, _ := runScript(d, m, ops, ckptAt, rebalAt)
 			mem.Crash() // lose every byte not covered by a sync
-			// Recover against the raw stores: a second fresh device means
-			// checkpoints are discarded too, so recovery must come from the
-			// WAL alone only if the run never checkpointed — use the same
-			// device, whose committed checkpoints survive.
-			verifyRecovery(t, "wal crash", mem, devOf(d), acked, states)
+			verifyRecovery(t, "wal crash", mem, dev, ms.shards, acked, states)
 		})
 	}
 }
 
-// devOf unwraps the pager device a Durable was opened over.
-func devOf(d *Durable[int, int]) pager.Device { return d.store.Device() }
-
-// TestCrashMatrixCheckpoint kills the checkpoint device at every page
-// write and sync — mid-blob, mid-manifest, mid-superblock — and asserts
-// the previous checkpoint plus the intact WAL still recover every
-// acknowledged write.
-func TestCrashMatrixCheckpoint(t *testing.T) {
-	ops, ckptAt := crashScript()
-
+// crashMatrixCheckpoint kills the checkpoint device at every page write
+// and sync — mid-blob, mid-manifest, mid-superblock, and anywhere inside
+// the rebalance's committing cut — and asserts the previous committed
+// epoch (or a WAL-only rebuild when none committed) plus the intact logs
+// still recover every acknowledged write.
+func crashMatrixCheckpoint(t *testing.T, ms matrixStore) {
+	ops, ckptAt, rebalAt := ms.script()
 	probeDev := pager.NewFaultDevice(pager.NewDisk())
-	d, err := OpenDurable[int, int](wal.NewMemFS(), probeDev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(false)
-	d.SetFlushEvery(8)
-	if acked, _ := runScript(d, ops, ckptAt); acked != len(ops) {
-		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
-	}
-	sites := probeDev.Ops()
+	sites := probeMatrix(t, ms, wal.NewMemFS(), probeDev, probeDev)
 	if sites == 0 {
 		t.Fatal("probe counted no device fault sites")
 	}
-
 	for trip := 0; trip < sites; trip++ {
 		trip := trip
 		t.Run(fmt.Sprintf("trip=%d", trip), func(t *testing.T) {
+			t.Parallel()
 			mem := wal.NewMemFS()
 			inner := pager.NewDisk()
 			faulty := pager.NewFaultDevice(inner)
-			d, err := OpenDurable[int, int](mem, faulty, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.SetAutoCheckpoint(false)
-			d.SetAsyncFlush(false)
-			d.SetFlushEvery(8)
+			d, m := ms.open(t, mem, faulty)
 			faulty.SetTrip(trip)
-			acked, states := runScript(d, ops, ckptAt)
+			acked, states, _ := runScript(d, m, ops, ckptAt, rebalAt)
 			mem.Crash()
 			// Recovery reads the raw device: whatever the torn checkpoint
 			// left behind must be ignored in favor of the last committed
-			// superblock (or a WAL-only rebuild when none committed).
-			verifyRecovery(t, "ckpt crash", mem, inner, acked, states)
+			// superblock.
+			verifyRecovery(t, "ckpt crash", mem, inner, ms.shards, acked, states)
 		})
 	}
+}
+
+// The WAL-fault and checkpoint-fault matrices, inline-flush and with the
+// frozen merge ladder engaged, at one shard and at three.
+func TestCrashMatrixWAL(t *testing.T)        { crashMatrixWAL(t, matrixStore{shards: 1}) }
+func TestShardedCrashMatrixWAL(t *testing.T) { crashMatrixWAL(t, matrixStore{shards: 3}) }
+func TestCrashMatrixWALLadder(t *testing.T)  { crashMatrixWAL(t, matrixStore{shards: 1, ladder: true}) }
+func TestShardedCrashMatrixWALLadder(t *testing.T) {
+	crashMatrixWAL(t, matrixStore{shards: 3, ladder: true})
+}
+func TestCrashMatrixCheckpoint(t *testing.T)        { crashMatrixCheckpoint(t, matrixStore{shards: 1}) }
+func TestShardedCrashMatrixCheckpoint(t *testing.T) { crashMatrixCheckpoint(t, matrixStore{shards: 3}) }
+func TestCrashMatrixCheckpointLadder(t *testing.T) {
+	crashMatrixCheckpoint(t, matrixStore{shards: 1, ladder: true})
+}
+func TestShardedCrashMatrixCheckpointLadder(t *testing.T) {
+	crashMatrixCheckpoint(t, matrixStore{shards: 3, ladder: true})
 }
 
 // TestRecoveryRejectsCorruptedBlobs flips one byte in a committed
@@ -448,24 +559,25 @@ func TestDurableStringValues(t *testing.T) {
 	}
 }
 
-// TestDurableConcurrentStress runs writers, readers, and the background
-// checkpointer together (the -race target), then verifies a final
-// recovery sees every write.
-func TestDurableConcurrentStress(t *testing.T) {
+// concurrentStress runs parallel writers on disjoint key ranges, latch-free
+// readers, and the background checkpointer together (the -race target),
+// then verifies a final recovery sees every write.
+func concurrentStress(t *testing.T, shards, writers, perWriter int) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.SetFlushEvery(256)
-	const n = 4000
-	var wg sync.WaitGroup
+	d.SetSyncEvery(16)
+	n := writers * perWriter
+	var readers, wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
@@ -474,24 +586,33 @@ func TestDurableConcurrentStress(t *testing.T) {
 				}
 				d.Lookup(n / 2)
 				d.AscendRange(0, n, func(int, int) bool { return true })
+				d.Stats()
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		if err := d.Insert(i, i); err != nil {
+	werrs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter && werrs[w] == nil; i++ {
+				k := w*perWriter + i
+				werrs[w] = d.Insert(k, k)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for _, err := range werrs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetAutoCheckpoint(false)
+	rec := openStore(t, mem, dev, shards)
 	if rec.Len() != n {
 		t.Fatalf("recovered %d elements, want %d", rec.Len(), n)
 	}
@@ -506,6 +627,9 @@ func TestDurableConcurrentStress(t *testing.T) {
 		t.Fatalf("WAL holds %d records after Close", n)
 	}
 }
+
+func TestDurableConcurrentStress(t *testing.T)        { concurrentStress(t, 1, 1, 4000) }
+func TestDurableShardedConcurrentStress(t *testing.T) { concurrentStress(t, 4, 4, 2000) }
 
 // TestCreateDurableSkipsWAL checks bulk import: CreateDurable writes a
 // checkpoint directly and leaves the WAL empty.
@@ -544,25 +668,22 @@ func TestCreateDurableSkipsWAL(t *testing.T) {
 	}
 }
 
-// TestDurableStickyError pins the poison protocol on the single-tree
-// facade: once a WAL write or sync fails, every subsequent write of every
-// kind returns the same error (an acknowledged write that replay cannot
-// see must never happen), Err is sticky, Close skips the checkpoint but
-// stays safe, and recovery sees exactly the acknowledged prefix.
-func TestDurableStickyError(t *testing.T) {
+// stickyError pins the poison protocol end to end: once a WAL write or
+// sync fails, every subsequent write of every kind — on any shard —
+// returns the same error (an acknowledged write that replay cannot see
+// must never happen), Err is sticky, Close skips the checkpoint but stays
+// safe, and recovery sees exactly the acknowledged prefix.
+func stickyError(t *testing.T, shards int) {
 	mem := wal.NewMemFS()
 	faulty := wal.NewFaultFS(mem)
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](faulty, dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(false)
+	d, m := matrixStore{shards: shards}.open(t, faulty, dev)
 	for i := 0; i < 25; i++ {
-		if err := d.Insert(i, i); err != nil {
+		k := (i * 997) % 4096
+		if err := d.Insert(k, i); err != nil {
 			t.Fatal(err)
 		}
+		m.insert(k, i)
 	}
 	// Trip the next mutating FS op: the 26th insert's append fails mid-
 	// write (a torn record lands in the log).
@@ -572,13 +693,13 @@ func TestDurableStickyError(t *testing.T) {
 		t.Fatalf("tripped insert error = %v", werr)
 	}
 	for i := 0; i < 5; i++ {
-		if err := d.Insert(200+i, i); !errors.Is(err, werr) {
+		if err := d.Insert((i*131)%4096, i); !errors.Is(err, werr) {
 			t.Fatalf("insert %d after poison = %v, want sticky %v", i, err, werr)
 		}
-		if _, err := d.Delete(i); !errors.Is(err, werr) {
+		if _, err := d.Delete((i * 997) % 4096); !errors.Is(err, werr) {
 			t.Fatalf("delete %d after poison = %v", i, err)
 		}
-		if _, err := d.DeleteValue(i, i); !errors.Is(err, werr) {
+		if _, err := d.DeleteValue((i*997)%4096, i); !errors.Is(err, werr) {
 			t.Fatalf("delete-value %d after poison = %v", i, err)
 		}
 	}
@@ -586,27 +707,21 @@ func TestDurableStickyError(t *testing.T) {
 		t.Fatalf("Err() = %v, want sticky %v", err, werr)
 	}
 	// Reads keep serving the in-memory state.
-	if v, ok := d.Lookup(10); !ok || v != 10 {
+	if v, ok := d.Lookup(997); !ok || v != 1 {
 		t.Fatalf("read on poisoned facade: %v %v", v, ok)
 	}
 	if err := d.Close(); !errors.Is(err, werr) {
 		t.Fatalf("Close() = %v, want the poison", err)
 	}
 	mem.Crash()
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.SetAutoCheckpoint(false)
-	if rec.Len() != 25 {
-		t.Fatalf("recovered %d elements, want exactly the 25 acked", rec.Len())
-	}
-	for i := 0; i < 25; i++ {
-		if v, ok := rec.Lookup(i); !ok || v != i {
-			t.Fatalf("acked key %d lost: %v %v", i, v, ok)
-		}
+	rec := openStore(t, mem, dev, shards)
+	if got := dump(rec); !pairsEqual(got, m.pairs) {
+		t.Fatalf("recovered %d elements, want exactly the %d acked", len(got), len(m.pairs))
 	}
 }
+
+func TestDurableStickyError(t *testing.T)        { stickyError(t, 1) }
+func TestDurableShardedStickyError(t *testing.T) { stickyError(t, 3) }
 
 // TestDurableFaultInjectionReturnsErrors sanity-checks that injected
 // faults surface as errors, not panics or silent loss.

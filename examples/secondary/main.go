@@ -92,7 +92,7 @@ func main() {
 	// Maintenance under concurrent writes: the same index API over a
 	// Sharded backend takes posting updates from many goroutines while
 	// readers scan. NewSecondary accepts any backend satisfying
-	// fitingtree.Index — plain Tree, Concurrent, Optimistic, or Sharded.
+	// fitingtree.Index — plain Tree, Optimistic, or Sharded.
 	empty, err := fitingtree.BulkLoad[float64, int](nil, nil, fitingtree.Options{Error: 100})
 	if err != nil {
 		log.Fatal(err)

@@ -34,16 +34,18 @@
 //
 // # Concurrency and snapshots
 //
-// Three facades wrap a Tree for shared use. NewConcurrent is a plain
-// RWMutex reader/writer facade. NewOptimistic provides latch-free reads
-// under a single writer: every write publishes an immutable state (base
-// tree + pending-write delta) through an atomic pointer, and a full delta
-// is flushed with a page-granular copy-on-write merge that rebuilds only
-// the pages the delta touches. NewSharded range-partitions the key space
+// Three facades wrap a Tree for shared use. NewOptimistic provides
+// latch-free reads under a single writer: every write publishes an
+// immutable state (base tree + pending-write delta) through an atomic
+// pointer, and a full delta is flushed with a page-granular copy-on-write
+// merge that rebuilds only the pages the delta touches. NewSharded range-partitions the key space
 // over several Optimistic shards behind a distribution-aware partitioner,
 // so writers on different shards proceed concurrently while reads stay
-// latch-free; skewed shards are rebalanced automatically. Use
-// Encode/Decode to snapshot a tree to and from a stream,
+// latch-free; skewed shards are rebalanced automatically.
+// OpenDurableSharded adds crash safety to that layout — per-shard
+// write-ahead logs, incremental checkpoints committing one atomic
+// cross-shard cut — and OpenDurable is its one-shard, single-writer case.
+// Use Encode/Decode to snapshot a tree to and from a stream,
 // EncodeOptimistic/DecodeOptimistic to snapshot a live Optimistic facade
 // without blocking its writers, and EncodeSharded/DecodeSharded for a
 // coherent cut across all shards in the same stream format.
@@ -93,7 +95,7 @@ const (
 
 // Tree is a clustered FITing-Tree index from K to V. Build one with
 // BulkLoad; an empty tree from BulkLoad(nil, nil, opts) accepts inserts.
-// Not safe for concurrent use — see Concurrent.
+// Not safe for concurrent use — see Optimistic.
 type Tree[K Key, V any] = core.Tree[K, V]
 
 // Stats describes a tree's size and shape; IndexSize follows the paper's

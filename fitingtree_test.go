@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"fitingtree"
+	"fitingtree/internal/bench"
 	"fitingtree/internal/workload"
 )
 
@@ -137,7 +138,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := fitingtree.NewConcurrent(tr)
+	c := bench.NewConcurrent(tr)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,19 +1,24 @@
-package fitingtree
+package bench
 
-import "sync"
+import (
+	"sync"
 
-// Concurrent is a reader/writer-safe facade over a Tree: lookups and scans
+	"fitingtree"
+)
+
+// Concurrent is the RWMutex comparison baseline for the latch-free
+// facades: a reader/writer-safe wrapper over a Tree whose lookups and scans
 // take a shared lock, mutations an exclusive one. It matches the paper's
 // single-writer evaluation setup while letting multiple reader goroutines
 // share the index.
-type Concurrent[K Key, V any] struct {
+type Concurrent[K fitingtree.Key, V any] struct {
 	mu sync.RWMutex
-	t  *Tree[K, V]
+	t  *fitingtree.Tree[K, V]
 }
 
 // NewConcurrent wraps an existing tree. The tree must not be used directly
 // afterwards.
-func NewConcurrent[K Key, V any](t *Tree[K, V]) *Concurrent[K, V] {
+func NewConcurrent[K fitingtree.Key, V any](t *fitingtree.Tree[K, V]) *Concurrent[K, V] {
 	return &Concurrent[K, V]{t: t}
 }
 
@@ -87,7 +92,7 @@ func (c *Concurrent[K, V]) Len() int {
 }
 
 // Stats returns the tree's statistics.
-func (c *Concurrent[K, V]) Stats() Stats {
+func (c *Concurrent[K, V]) Stats() fitingtree.Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.t.Stats()

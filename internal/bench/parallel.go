@@ -88,7 +88,7 @@ func ExtParallel(w io.Writer, cfg Config) []ParallelPoint {
 		return tr
 	}
 	plain := build()
-	rw := fitingtree.NewConcurrent(build())
+	rw := NewConcurrent(build())
 	opt := fitingtree.NewOptimistic(build())
 
 	goroutines := []int{1, 2, 4, 8}

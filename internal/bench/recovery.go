@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -55,11 +56,13 @@ type RecoveryReport struct {
 // handful of chunks and every checkpoint degenerates to a full write.
 var recoveryOpts = fitingtree.Options{Error: 8}
 
-// recoveryStore builds a durable store holding n Weblogs keys: one full
-// checkpoint plus a WAL tail of exactly tail un-checkpointed inserts. The
-// facade is abandoned (not closed) so the store stays in the mid-run shape
-// recovery would find after a crash.
-func recoveryStore(n, tail int, seed int64) (*wal.MemFS, *pager.Disk, error) {
+// recoveryStore builds a durable store holding n Weblogs keys across
+// shards partitions: one full checkpoint plus a WAL tail of exactly tail
+// un-checkpointed inserts scattered over the whole key range (so every
+// shard's log carries a slice of it). The facade is abandoned (not closed)
+// so the store stays in the mid-run shape recovery would find after a
+// crash.
+func recoveryStore(n, tail, shards int, seed int64) (*wal.MemFS, *pager.Disk, error) {
 	keys := workload.Weblogs(n, seed)
 	vals := positions(len(keys))
 	tr, err := fitingtree.BulkLoad(keys, vals, recoveryOpts)
@@ -68,12 +71,14 @@ func recoveryStore(n, tail int, seed int64) (*wal.MemFS, *pager.Disk, error) {
 	}
 	fs := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := fitingtree.CreateDurable(fs, dev, tr)
+	d, err := fitingtree.CreateDurableSharded(fs, dev, tr, shards)
 	if err != nil {
 		return nil, nil, err
 	}
 	d.SetAutoCheckpoint(false)
 	d.SetAsyncFlush(false)
+	d.SetRebalanceFactor(math.Inf(1)) // keep the checkpointed fences fixed
+	d.SetSyncEvery(256)
 	maxKey := keys[len(keys)-1]
 	rng := rand.New(rand.NewSource(seed + int64(tail)))
 	for i := 0; i < tail; i++ {
@@ -140,7 +145,7 @@ func ExtRecovery(w io.Writer, cfg Config) []RecoveryPoint {
 		if tail >= n {
 			continue
 		}
-		fs, dev, err := recoveryStore(n, tail, cfg.Seed)
+		fs, dev, err := recoveryStore(n, tail, 1, cfg.Seed)
 		if err != nil {
 			panic(err)
 		}
@@ -170,7 +175,7 @@ func ExtRecovery(w io.Writer, cfg Config) []RecoveryPoint {
 
 	t2 := NewTable("Extension: incremental checkpoint cost vs dirty spread (same base)",
 		"n", "batch spread", "chunks total", "chunks written", "checkpoint ms")
-	fs, dev, err := recoveryStore(n, 0, cfg.Seed)
+	fs, dev, err := recoveryStore(n, 0, 1, cfg.Seed)
 	if err != nil {
 		panic(err)
 	}

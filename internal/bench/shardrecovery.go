@@ -3,12 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 
 	"fitingtree"
-	"fitingtree/internal/pager"
-	"fitingtree/internal/wal"
 	"fitingtree/internal/workload"
 )
 
@@ -36,42 +32,6 @@ type ShardRecoveryReport struct {
 	NumCPU     int                  `json:"num_cpu"`
 	GOMAXPROCS int                  `json:"gomaxprocs"`
 	Points     []ShardRecoveryPoint `json:"points"`
-}
-
-// shardRecoveryStore builds a sharded durable store holding n Weblogs
-// keys across shards partitions: one full cross-shard checkpoint plus a
-// WAL tail of exactly tail un-checkpointed inserts scattered over the
-// whole key range (so every shard's log carries a slice of it). The
-// facade is abandoned (not closed) so the store stays in the mid-run
-// shape recovery would find after a crash.
-func shardRecoveryStore(n, tail, shards int, seed int64) (*wal.MemFS, *pager.Disk, error) {
-	keys := workload.Weblogs(n, seed)
-	vals := positions(len(keys))
-	tr, err := fitingtree.BulkLoad(keys, vals, recoveryOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	fs := wal.NewMemFS()
-	dev := pager.NewDisk()
-	d, err := fitingtree.CreateDurableSharded(fs, dev, tr, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.SetAutoCheckpoint(false)
-	d.SetAsyncFlush(false)
-	d.SetRebalanceFactor(math.Inf(1)) // keep the checkpointed fences fixed
-	d.SetSyncEvery(256)
-	maxKey := keys[len(keys)-1]
-	rng := rand.New(rand.NewSource(seed + int64(tail)))
-	for i := 0; i < tail; i++ {
-		if err := d.Insert(uint64(rng.Int63n(int64(maxKey))), uint64(i)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := d.Sync(); err != nil {
-		return nil, nil, err
-	}
-	return fs, dev, nil
 }
 
 // ExtShardRecovery is the sharded-durability extension experiment: crash
@@ -109,7 +69,7 @@ func ExtShardRecovery(w io.Writer, cfg Config) []ShardRecoveryPoint {
 	t := NewTable("Extension: sharded recovery vs shard count (Weblogs, error=8, fixed WAL tail)",
 		"shards", "n", "wal tail", "recover ms", "rebuild ms", "rebuild/recover")
 	for _, shards := range shardCounts {
-		fs, dev, err := shardRecoveryStore(n, tail, shards, cfg.Seed)
+		fs, dev, err := recoveryStore(n, tail, shards, cfg.Seed)
 		if err != nil {
 			panic(err)
 		}

@@ -47,7 +47,8 @@ const tuneFoldsEvery = 4
 // optimistic lock coupling: Lookup, Contains, Each, AscendRange and
 // LookupBatch take no lock and never block or retry-loop, so aggregate
 // read throughput scales with reader goroutines instead of serializing on
-// a lock word the way the RWMutex-based Concurrent facade does.
+// a lock word the way an RWMutex wrapper (internal/bench's Concurrent,
+// the comparison baseline) does.
 //
 // Writers (Insert, Delete) are serialized by an internal mutex and publish
 // every change as a new immutable state: the bulk-loaded base tree plus a

@@ -17,8 +17,7 @@ type ScrubSuper struct {
 
 // ScrubChunk is one live checkpoint chunk's scrub result.
 type ScrubChunk struct {
-	// Shard is the owning shard's index (always 0 for a single-tree
-	// store).
+	// Shard is the owning shard's index.
 	Shard int
 	// Index is the chunk's position within its shard's manifest entry.
 	Index int
@@ -36,10 +35,7 @@ type ScrubReport struct {
 	// one's — the checkpoint the rest of the report covers.
 	Supers [2]ScrubSuper
 	Epoch  uint64
-	// Sharded reports the manifest's flavor: a cross-shard cut
-	// (DurableSharded) or a single-tree checkpoint root (Durable).
-	// Generation is the fence generation of a sharded cut, 0 otherwise.
-	Sharded    bool
+	// Generation is the cut's fence generation.
 	Generation uint64
 	// Shards is the number of trees in the cut; Chunks their live chunks
 	// in (shard, index) order.
@@ -56,7 +52,7 @@ type ScrubReport struct {
 
 // Scrub verifies a checkpoint store end to end without opening it for
 // writing: both superblock slots are checksum-validated, the newest
-// committed manifest is decoded (either flavor), every live chunk's blob
+// committed manifest is decoded, every live chunk's blob
 // page chain is walked with its per-page CRCs checked, every chunk is
 // decoded, and each shard's tree is reassembled and run through the full
 // structural invariant check. The WAL is not consulted: Scrub audits
@@ -87,43 +83,20 @@ func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 	rep.Epoch = super.Epoch
 
 	store := pager.NewStore(dev)
-	blob, mchain, err := store.GetChain(super.Manifest, nil, nil)
+	m, mchain, err := loadShardManifest(store, super.Manifest)
 	if err != nil {
-		return &rep, fmt.Errorf("fitingtree: scrub manifest: %w", err)
+		return &rep, fmt.Errorf("fitingtree: scrub: %w", err)
 	}
 	rep.ManifestPages = len(mchain)
 	rep.LivePages = len(mchain)
-
-	// The manifest decides the store's flavor: a self-describing
-	// cross-shard cut, or the single-tree gob root.
-	var shardChunks [][]pager.PageID
-	var opts Options
-	if m, err := core.DecodeShardManifest(blob); err == nil {
-		rep.Sharded = true
-		rep.Generation = m.Generation
-		opts = m.Options
-		shardChunks = make([][]pager.PageID, len(m.Shards))
-		for i, cut := range m.Shards {
-			shardChunks[i] = make([]pager.PageID, len(cut.Chunks))
-			for j, c := range cut.Chunks {
-				shardChunks[i][j] = pager.PageID(c)
-			}
-		}
-	} else {
-		m, err := loadManifest(store, super.Manifest)
-		if err != nil {
-			return &rep, fmt.Errorf("fitingtree: scrub: manifest is neither flavor: %w", err)
-		}
-		opts = m.Options
-		shardChunks = [][]pager.PageID{m.Chunks}
-	}
-	rep.Shards = len(shardChunks)
+	rep.Generation = m.Generation
+	rep.Shards = len(m.Shards)
 
 	snapCodec := core.NewSnapCodec[K, V]()
-	for shard, chunkHeads := range shardChunks {
-		snaps := make([]core.ChunkSnap[K, V], len(chunkHeads))
-		for i, head := range chunkHeads {
-			blob, chain, err := store.GetChain(head, nil, nil)
+	for shard, cut := range m.Shards {
+		snaps := make([]core.ChunkSnap[K, V], len(cut.Chunks))
+		for i, head := range cut.Chunks {
+			blob, chain, err := store.GetChain(pager.PageID(head), nil, nil)
 			if err != nil {
 				return &rep, fmt.Errorf("fitingtree: scrub shard %d chunk %d: %w", shard, i, err)
 			}
@@ -145,7 +118,7 @@ func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 			})
 			rep.LivePages += len(chain)
 		}
-		tree, err := core.AssembleChunks(snaps, opts)
+		tree, err := core.AssembleChunks(snaps, m.Options)
 		if err != nil {
 			return &rep, fmt.Errorf("fitingtree: scrub shard %d: %w", shard, err)
 		}

@@ -8,8 +8,7 @@ import (
 )
 
 // TestScrubSharded verifies the integrity auditor against a healthy
-// sharded store: both manifest flavors detected, every chunk accounted,
-// element totals exact.
+// sharded store: every chunk accounted, element totals exact.
 func TestScrubSharded(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
@@ -39,8 +38,8 @@ func TestScrubSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrub of a healthy store: %v", err)
 	}
-	if !rep.Sharded || rep.Shards != 3 {
-		t.Fatalf("scrub flavor: sharded=%v shards=%d", rep.Sharded, rep.Shards)
+	if rep.Shards != 3 {
+		t.Fatalf("scrub counted %d shards, want 3", rep.Shards)
 	}
 	if rep.Elements != 3100 {
 		t.Fatalf("scrub counted %d elements, want 3100", rep.Elements)
@@ -53,17 +52,15 @@ func TestScrubSharded(t *testing.T) {
 		t.Fatal("scrub found no valid superblock on a committed store")
 	}
 
-	// Corrupt one live chunk page: the scrub must fail, naming neither
-	// flavor valid nor loading garbage.
+	// Corrupt one live chunk page: the scrub must fail, not load garbage.
 	sup, ok, err := pager.ReadSuper(dev)
 	if err != nil || !ok {
 		t.Fatalf("no superblock: %v", err)
 	}
-	m, mchain, err := loadShardManifest(pager.NewStore(dev), sup.Manifest)
+	m, _, err := loadShardManifest(pager.NewStore(dev), sup.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = mchain
 	victim := pager.PageID(m.Shards[1].Chunks[0])
 	buf := make([]byte, pager.PageSize)
 	if err := dev.Read(victim, buf); err != nil {
@@ -78,8 +75,7 @@ func TestScrubSharded(t *testing.T) {
 	}
 }
 
-// TestScrubSingleTree verifies the auditor recognizes a plain Durable
-// store's gob manifest.
+// TestScrubSingleTree verifies the auditor against a one-shard store.
 func TestScrubSingleTree(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
@@ -100,8 +96,8 @@ func TestScrubSingleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sharded || rep.Shards != 1 {
-		t.Fatalf("scrub flavor: sharded=%v shards=%d", rep.Sharded, rep.Shards)
+	if rep.Shards != 1 || rep.Generation != 0 {
+		t.Fatalf("scrub counted %d shards at generation %d, want 1 at 0", rep.Shards, rep.Generation)
 	}
 	if rep.Elements != 500 {
 		t.Fatalf("scrub counted %d elements, want 500", rep.Elements)

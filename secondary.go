@@ -8,10 +8,10 @@ import (
 )
 
 // Index is the backend contract a Secondary maintains its postings
-// through: any key-ordered multimap with value-addressed deletes. All
-// four tree flavors of this module satisfy it — the plain *Tree
-// (single-goroutine, cheapest), *Concurrent (RWMutex), *Optimistic
-// (lock-free reads, background flush), and *Sharded (parallel writers) —
+// through: any key-ordered multimap with value-addressed deletes. The
+// in-memory tree flavors of this module satisfy it — the plain *Tree
+// (single-goroutine, cheapest), *Optimistic (lock-free reads, background
+// flush), and *Sharded (parallel writers) —
 // so an index can be maintained under whatever concurrency regime its
 // heap table lives under. DeleteValue is what makes posting maintenance
 // exact: among duplicate keys it removes the posting naming a specific
@@ -36,9 +36,9 @@ type Index[K Key, V any] interface {
 // Delete removes the posting for one specific row among duplicates via
 // the backend's DeleteValue.
 //
-// Concurrency follows the backend: over *Concurrent, *Optimistic, or
-// *Sharded an index accepts Insert/Delete from concurrent writers while
-// readers run Rows/RangeRows, with each posting mutation atomic exactly
+// Concurrency follows the backend: over *Optimistic or *Sharded an index
+// accepts Insert/Delete from concurrent writers while readers run
+// Rows/RangeRows, with each posting mutation atomic exactly
 // as the backend's writes are. The index itself adds no locking, so a
 // heap mutation and its posting update are made transactional by
 // whatever discipline guards the heap (see the secondary example).

@@ -243,7 +243,7 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 		d.Lookup(rng.Intn(k / 2))
 	}
 	d.SyncFlush()
-	d.opt.Retune()
+	d.set.Load().opts[0].Retune()
 	for i := 0; i < 4_000; i++ {
 		if err := d.Insert(rng.Intn(k), -i); err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 	if _, err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	wantBounds := d.opt.state.Load().tree.PageErrorBounds()
+	wantBounds := shardTrees(d)[0].PageErrorBounds()
 	distinct := map[int]bool{}
 	for _, b := range wantBounds {
 		distinct[b] = true
@@ -270,7 +270,7 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.SetAutoCheckpoint(false)
-	gotBounds := rec.opt.state.Load().tree.PageErrorBounds()
+	gotBounds := shardTrees(rec)[0].PageErrorBounds()
 	if len(gotBounds) != len(wantBounds) {
 		t.Fatalf("recovered %d pages, want %d", len(gotBounds), len(wantBounds))
 	}
@@ -285,7 +285,7 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 		t.Fatalf("recovered layout %d pages/%dB, want %d pages/%dB",
 			gotStats.Pages, gotStats.IndexSize, wantStats.Pages, wantStats.IndexSize)
 	}
-	if err := rec.opt.state.Load().tree.CheckInvariants(); err != nil {
+	if err := shardTrees(rec)[0].CheckInvariants(); err != nil {
 		t.Fatalf("recovered invariants: %v", err)
 	}
 	if !pairsEqual(dump(rec), wantPairs) {
