@@ -92,7 +92,7 @@ func main() {
 	fmt.Printf("loaded %d %s keys: %d segments, index %d bytes (data %d bytes)\n",
 		t.Len(), *dataset, st.Pages, st.IndexSize, st.DataSize)
 
-	runShell(t, os.Stdin, os.Stdout)
+	runShell(treeIndex{t}, os.Stdin, os.Stdout)
 }
 
 // datasetKeys generates one of the named paper workloads.
@@ -183,7 +183,7 @@ func cmdLoad(args []string) error {
 		return err
 	}
 	fmt.Printf("opened %s: %d elements, wal tail %d records\n", *dir, d.Len(), d.WALRecords())
-	runDurableShell(d, os.Stdin, os.Stdout)
+	runShell(d, os.Stdin, os.Stdout)
 	return d.Close()
 }
 
@@ -324,9 +324,41 @@ func cmdPump(args []string) error {
 	return d.Close()
 }
 
-// runDurableShell executes commands from in against the durable facade,
-// writing replies to out, until EOF or the quit command.
-func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader, out io.Writer) {
+// shellIndex is what the command loop needs from an index. A bare tree
+// reaches it through treeIndex; a durable store satisfies it (and
+// durableIndex) directly.
+type shellIndex interface {
+	Lookup(k uint64) (uint64, bool)
+	AscendRange(lo, hi uint64, fn func(k, v uint64) bool)
+	Stats() fitingtree.Stats
+	Insert(k, v uint64) error
+	Delete(k uint64) (bool, error)
+}
+
+// durableIndex is the durable store's extras: the checkpoint command, the
+// wal= field of stats, and writes that can actually fail.
+type durableIndex interface {
+	shellIndex
+	Checkpoint() (fitingtree.CheckpointStats, error)
+	WALRecords() int
+}
+
+// treeIndex adapts a bare tree, whose writes cannot fail.
+type treeIndex struct {
+	*fitingtree.Tree[uint64, uint64]
+}
+
+func (t treeIndex) Insert(k, v uint64) error      { t.Tree.Insert(k, v); return nil }
+func (t treeIndex) Delete(k uint64) (bool, error) { return t.Tree.Delete(k), nil }
+
+// runShell executes commands from in against idx, writing replies to out,
+// until EOF or the quit command.
+func runShell(idx shellIndex, in io.Reader, out io.Writer) {
+	durable, _ := idx.(durableIndex)
+	help := "commands: get, range, insert, delete, stats, quit"
+	if durable != nil {
+		help = "commands: get, range, insert, delete, checkpoint, stats, quit"
+	}
 	sc := bufio.NewScanner(in)
 	fmt.Fprint(out, "> ")
 	for sc.Scan() {
@@ -346,7 +378,7 @@ func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader,
 				fmt.Fprintln(out, "bad key:", err)
 				break
 			}
-			if v, ok := d.Lookup(k); ok {
+			if v, ok := idx.Lookup(k); ok {
 				fmt.Fprintf(out, "key %d -> value %d\n", k, v)
 			} else {
 				fmt.Fprintf(out, "key %d not found\n", k)
@@ -363,7 +395,7 @@ func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader,
 				break
 			}
 			count := 0
-			d.AscendRange(lo, hi, func(uint64, uint64) bool { count++; return true })
+			idx.AscendRange(lo, hi, func(uint64, uint64) bool { count++; return true })
 			fmt.Fprintf(out, "%d elements in [%d, %d]\n", count, lo, hi)
 		case "insert":
 			if len(fields) != 2 {
@@ -375,7 +407,7 @@ func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader,
 				fmt.Fprintln(out, "bad key:", err)
 				break
 			}
-			if err := d.Insert(k, 0); err != nil {
+			if err := idx.Insert(k, 0); err != nil {
 				fmt.Fprintln(out, "insert failed:", err)
 				break
 			}
@@ -390,14 +422,18 @@ func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader,
 				fmt.Fprintln(out, "bad key:", err)
 				break
 			}
-			found, err := d.Delete(k)
+			found, err := idx.Delete(k)
 			if err != nil {
 				fmt.Fprintln(out, "delete failed:", err)
 				break
 			}
 			fmt.Fprintln(out, "deleted:", found)
 		case "checkpoint":
-			stats, err := d.Checkpoint()
+			if durable == nil {
+				fmt.Fprintln(out, help)
+				break
+			}
+			stats, err := durable.Checkpoint()
 			if err != nil {
 				fmt.Fprintln(out, "checkpoint failed:", err)
 				break
@@ -405,90 +441,17 @@ func runDurableShell(d *fitingtree.DurableSharded[uint64, uint64], in io.Reader,
 			fmt.Fprintf(out, "checkpoint: %d chunks written, %d reused\n",
 				stats.ChunksWritten, stats.ChunksReused)
 		case "stats":
-			st := d.Stats()
-			fmt.Fprintf(out, "elements=%d pages=%d buffered=%d height=%d index=%dB data=%dB wal=%d\n",
-				st.Elements, st.Pages, st.Buffered, st.Height, st.IndexSize, st.DataSize, d.WALRecords())
-		case "quit", "exit":
-			return
-		default:
-			fmt.Fprintln(out, "commands: get, range, insert, delete, checkpoint, stats, quit")
-		}
-		fmt.Fprint(out, "> ")
-	}
-}
-
-// runShell executes commands from in against the tree, writing replies to
-// out, until EOF or the quit command.
-func runShell(t *fitingtree.Tree[uint64, uint64], in io.Reader, out io.Writer) {
-	sc := bufio.NewScanner(in)
-	fmt.Fprint(out, "> ")
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			fmt.Fprint(out, "> ")
-			continue
-		}
-		switch fields[0] {
-		case "get":
-			if len(fields) != 2 {
-				fmt.Fprintln(out, "usage: get <key>")
-				break
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				fmt.Fprintln(out, "bad key:", err)
-				break
-			}
-			if v, ok := t.Lookup(k); ok {
-				fmt.Fprintf(out, "key %d -> value %d\n", k, v)
-			} else {
-				fmt.Fprintf(out, "key %d not found\n", k)
-			}
-		case "range":
-			if len(fields) != 3 {
-				fmt.Fprintln(out, "usage: range <lo> <hi>")
-				break
-			}
-			lo, err1 := strconv.ParseUint(fields[1], 10, 64)
-			hi, err2 := strconv.ParseUint(fields[2], 10, 64)
-			if err1 != nil || err2 != nil {
-				fmt.Fprintln(out, "bad bounds")
-				break
-			}
-			count := 0
-			t.AscendRange(lo, hi, func(uint64, uint64) bool { count++; return true })
-			fmt.Fprintf(out, "%d elements in [%d, %d]\n", count, lo, hi)
-		case "insert":
-			if len(fields) != 2 {
-				fmt.Fprintln(out, "usage: insert <key>")
-				break
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				fmt.Fprintln(out, "bad key:", err)
-				break
-			}
-			t.Insert(k, 0)
-			fmt.Fprintln(out, "ok")
-		case "delete":
-			if len(fields) != 2 {
-				fmt.Fprintln(out, "usage: delete <key>")
-				break
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				fmt.Fprintln(out, "bad key:", err)
-				break
-			}
-			fmt.Fprintln(out, "deleted:", t.Delete(k))
-		case "stats":
-			st := t.Stats()
-			fmt.Fprintf(out, "elements=%d pages=%d buffered=%d height=%d index=%dB data=%dB\n",
+			st := idx.Stats()
+			fmt.Fprintf(out, "elements=%d pages=%d buffered=%d height=%d index=%dB data=%dB",
 				st.Elements, st.Pages, st.Buffered, st.Height, st.IndexSize, st.DataSize)
+			if durable != nil {
+				fmt.Fprintf(out, " wal=%d", durable.WALRecords())
+			}
+			fmt.Fprintln(out)
 		case "quit", "exit":
 			return
 		default:
-			fmt.Fprintln(out, "commands: get, range, insert, delete, stats, quit")
+			fmt.Fprintln(out, help)
 		}
 		fmt.Fprint(out, "> ")
 	}

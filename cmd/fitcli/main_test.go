@@ -26,7 +26,7 @@ func shellTree(t *testing.T) *fitingtree.Tree[uint64, uint64] {
 func run(t *testing.T, script string) string {
 	t.Helper()
 	var out bytes.Buffer
-	runShell(shellTree(t), strings.NewReader(script), &out)
+	runShell(treeIndex{shellTree(t)}, strings.NewReader(script), &out)
 	return out.String()
 }
 

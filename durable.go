@@ -3,18 +3,92 @@ package fitingtree
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
 
-// This file holds the per-shard halves of the durability protocol: loading
-// one shard's checkpoint chunks, replaying its WAL tail, folding its
-// pending layers for a cut, and writing or releasing its chunk blobs. The
-// facade that drives them — write path, cross-shard cut, recovery, poison
-// rule — is DurableSharded (durable_sharded.go); a one-shard store is the
-// same code with one shard.
+// This file holds the per-shard halves of the durability protocol: the
+// commit log a durable store plugs into each shard's writer section,
+// loading one shard's checkpoint chunks, replaying its WAL tail, folding
+// its pending layers for a cut, and writing or releasing its chunk blobs.
+// The store that drives them — cross-shard cut, rebalance commit, recovery
+// — is DurableSharded (durable_sharded.go); a one-shard store is the same
+// code with one shard.
+
+// walShared is what every shard log of one durable store shares: the op
+// codec, the group-commit batch and the sticky write-path poison.
+type walShared[K Key, V any] struct {
+	codec     opCodec[K, V]
+	syncEvery atomic.Int64 // group-commit batch, per shard
+	failed    atomic.Pointer[error]
+}
+
+// poison makes err the store's sticky write-path failure (first error
+// wins).
+func (w *walShared[K, V]) poison(err error) { w.failed.CompareAndSwap(nil, &err) }
+
+// failedErr returns the sticky write-path poison, nil when healthy.
+func (w *walShared[K, V]) failedErr() error {
+	if p := w.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// shardLog is one shard's commit log: its private WAL plus the
+// group-commit counter. It is attached to the shard's Optimistic and only
+// ever touched under that shard's writer mutex, which makes append order
+// apply order. Any WAL error poisons the whole store: the failed log's
+// tail state is unknown (a torn frame may sit where the next append would
+// land; a failed fsync leaves the durability of everything since the
+// previous barrier unknown), and once one log is in that state no write
+// anywhere can be honestly acknowledged.
+type shardLog[K Key, V any] struct {
+	*walShared[K, V]
+	wal      *wal.Log
+	unsynced int // appends since the last barrier
+}
+
+// append encodes one op and appends its record. An encode error (an
+// exotic value type gob rejects) fails the write without poisoning:
+// nothing reached the log.
+func (l *shardLog[K, V]) append(op byte, k K, v V) error {
+	payload, err := l.codec.encodeOp(op, k, v)
+	if err != nil {
+		return err
+	}
+	if _, err := l.wal.Append(payload); err != nil {
+		l.poison(err)
+		return err
+	}
+	return nil
+}
+
+// commit counts one appended-and-applied op against the group-commit
+// batch, running the barrier when the batch is full.
+func (l *shardLog[K, V]) commit() error {
+	l.unsynced++
+	if l.unsynced < int(l.syncEvery.Load()) {
+		return nil
+	}
+	return l.sync()
+}
+
+// sync runs the shard's fsync barrier if anything is pending.
+func (l *shardLog[K, V]) sync() error {
+	if l.unsynced == 0 {
+		return nil
+	}
+	if err := l.wal.Sync(); err != nil {
+		l.poison(err)
+		return err
+	}
+	l.unsynced = 0
+	return nil
+}
 
 // loadCheckpointChunks decodes the chunk blobs at chunkHeads and assembles
 // them into a tree, registering the fresh chunk id -> blob head pairs in

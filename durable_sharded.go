@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
@@ -40,23 +37,24 @@ func ShardWALName(gen uint64, i int) string {
 	return fmt.Sprintf("wal-%d-%d.log", gen, i)
 }
 
-// DurableSharded is the crash-safe facade: a range-sharded set of
-// Optimistic trees (Sharded's partitioning and read protocol) whose writes
-// are made durable by one write-ahead log per shard and whose base trees
-// are persisted by incremental copy-on-write checkpoints committing one
-// atomic cross-shard cut. A single-writer store is the same thing with
-// one shard (OpenDurable, CreateDurable): one log, a fence-less manifest,
-// never a migration.
+// DurableSharded is the crash-safe store: the sharded engine (Sharded's
+// partitioning, read protocol, routed write and rebalance — everything
+// declared on shardEngine is promoted unchanged) with durability plugged
+// in. Every shard carries a private write-ahead log its writer section
+// appends to, and the base trees are persisted by incremental
+// copy-on-write checkpoints committing one atomic cross-shard cut. A
+// single-writer store is the same thing with one shard (OpenDurable,
+// CreateDurable): one log, a fence-less manifest, never a migration.
 //
 // The protocol has four moving parts:
 //
-//   - Parallel group commit. Every Insert/Delete first appends one
-//     checksummed record to the owning shard's WAL, then applies to that
-//     shard's in-memory facade, both under that shard's mutex only — so
-//     writers on different shards append and fsync concurrently.
-//     SetSyncEvery batches the fsync barrier; a write is acknowledged —
-//     promised to survive a crash — once its shard's Sync barrier covers
-//     it.
+//   - Parallel group commit. A write's record is appended to the owning
+//     shard's WAL inside that shard's writer section — after the victim is
+//     decided, before the state is published, under the shard's one writer
+//     mutex (see Optimistic.apply) — so writers on different shards append
+//     and fsync concurrently. SetSyncEvery batches the fsync barrier; a
+//     write is acknowledged — promised to survive a crash — once its
+//     shard's Sync barrier covers it.
 //   - Incremental, atomic checkpoints. A checkpointer (background by
 //     default, triggered by the flush pipeline's publications; or explicit
 //     via Checkpoint) captures every shard's (state, WAL replay cursor)
@@ -66,7 +64,7 @@ func ShardWALName(gen uint64, i int) string {
 //     ids against the previous cut's yields exactly the dirty chunks, and
 //     only those are serialized — O(dirty), the on-disk mirror of
 //     publication cost (chunk ids are process-unique, so one id→blob map
-//     serves the whole facade). One top-level manifest blob names every
+//     serves the whole store). One top-level manifest blob names every
 //     shard's chunk heads and cursor plus the fence keys, and commits
 //     with the pager's dual-superblock epoch flip; each log is then
 //     truncated up to its covered LSN.
@@ -75,10 +73,11 @@ func ShardWALName(gen uint64, i int) string {
 //     rebuild, no re-segmentation) — and replays each shard's WAL tail
 //     past its cursor: O(checkpoint + tail), never a full bulk rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
-//     multi-shard mutation; it becomes atomic by writing a fence-change
-//     intent record (old fences, new fences, source epoch) before any
-//     migration work, building the new generation's shards and logs on
-//     the side, and committing everything with the next manifest flip.
+//     multi-shard mutation; the engine's rebalance becomes atomic through
+//     its commit step (commitRebalance): a fence-change intent record
+//     (old fences, new fences, source epoch) first, the new generation's
+//     logs on the side, and everything committed with the next manifest
+//     flip.
 //     A crash at any point resolves wholesale at the next open: a
 //     committed manifest still carrying a generation below the intent's
 //     means the flip never landed — the migration is discarded and the
@@ -86,43 +85,23 @@ func ShardWALName(gen uint64, i int) string {
 //     leftover files remain to sweep. See RebalanceIntent in
 //     internal/core.
 //
-// Any WAL or device error on the write path poisons the facade: the
-// failed log's tail state is unknown (a torn frame may sit where the next
-// append would land, and anything written after it would be cut off by
-// recovery), so Err turns sticky, every later write and Checkpoint fails
-// fast (an acknowledged write that replay cannot see must never happen),
-// and Close skips the final checkpoint — the last committed cut plus the
+// Any WAL or device error on the write path poisons the store (see
+// shardLog): Err turns sticky, every later write and Checkpoint fails fast
+// (an acknowledged write that replay cannot see must never happen), and
+// Close skips the final checkpoint — the last committed cut plus the
 // synced log prefixes already hold everything acknowledged. Reads stay
 // latch-free, snapshot-consistent and unaffected throughout.
+//
+// Lock order: reshape (the engine's) → ckptMu → a shard's writer mutex.
 type DurableSharded[K Key, V any] struct {
-	codec opCodec[K, V]
-	snap  core.SnapCodec[K, V]
-	opts  Options
-	fsys  wal.FS
-	want  int // target shard count
+	shardEngine[K, V]
+	walShared[K, V]
 
-	// reshape is held shared by writers and exclusively by rebalance (and
-	// Close); readers never touch it. Same discipline as Sharded.
-	reshape sync.RWMutex
-	set     atomic.Pointer[dshardSet[K, V]]
-
-	syncEvery    atomic.Int64  // group-commit batch, per shard
-	flushAt      atomic.Int64  // forwarded to every shard, current and future
-	maxFrozen    atomic.Int64  // forwarded to every shard, current and future
-	asyncOff     atomic.Bool   // forwarded to every shard, current and future
-	autoTuneOn   atomic.Bool   // forwarded to every shard, current and future
-	factor       atomic.Uint64 // rebalance skew factor (math.Float64bits)
-	writes       atomic.Uint64 // write counter gating the skew check
-	rebalancedAt atomic.Int64  // total elements when fences were last computed
-
-	// failed poisons the write path; failedMu guards it (writers on
-	// different shards share no other mutex).
-	failedMu sync.Mutex
-	failed   error
+	snap core.SnapCodec[K, V]
+	fsys wal.FS
 
 	// ckptMu serializes checkpoints and rebalance commits and guards the
-	// fields below. Rebalance acquires reshape before ckptMu; nothing
-	// acquires them in the other order.
+	// fields below.
 	ckptMu       sync.Mutex
 	store        *pager.Store
 	epoch        uint64
@@ -133,7 +112,7 @@ type DurableSharded[K Key, V any] struct {
 	ckptErr      error
 
 	// walStats describes what recovery found in each shard's log, in
-	// shard order of the generation that was opened; nil when the facade
+	// shard order of the generation that was opened; nil when the store
 	// was created rather than opened.
 	walStats []wal.OpenStats
 
@@ -141,26 +120,6 @@ type DurableSharded[K Key, V any] struct {
 	loopMu   sync.Mutex
 	loopStop chan struct{}
 	wg       sync.WaitGroup
-}
-
-// dshardSet is one immutable published partitioning of a DurableSharded
-// facade: fence keys plus the durable shards they induce. opts mirrors
-// shards' facades so the read paths shared with Sharded can borrow them
-// without per-call allocation.
-type dshardSet[K Key, V any] struct {
-	bounds []K
-	shards []*dshard[K, V]
-	opts   []*Optimistic[K, V]
-}
-
-// dshard is one durable shard: an Optimistic tree plus its private WAL.
-// mu serializes the shard's write path (append order is apply order);
-// writers on other shards never take it.
-type dshard[K Key, V any] struct {
-	mu       sync.Mutex
-	opt      *Optimistic[K, V]
-	log      *wal.Log
-	unsynced int
 }
 
 // CheckpointStats reports what one checkpoint did.
@@ -187,9 +146,6 @@ type CheckpointStats struct {
 // root and/or a wal.log) is rejected with an error naming it, untouched.
 // Automatic checkpointing starts enabled.
 func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, shards int) (*DurableSharded[K, V], error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
-	}
 	// Checked before anything is touched, so a retired-format store stays
 	// byte-identical (the gob root is caught by loadShardManifest below,
 	// also ahead of every write).
@@ -199,7 +155,11 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	store := pager.NewStore(dev)
+	d, err := newDurableSharded[K, V](fsys, dev, opts, shards)
+	if err != nil {
+		return nil, err
+	}
+	store := d.store
 	super, haveCkpt, err := pager.ReadSuper(dev)
 	if err != nil {
 		return nil, fmt.Errorf("fitingtree: read superblock: %w", err)
@@ -218,7 +178,6 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		return nil, err
 	}
 
-	d := newDurableSharded[K, V](fsys, store, opts, shards)
 	var trees []*Tree[K, V]
 	var bounds []K
 	var replayFroms []uint64
@@ -256,30 +215,25 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	}
 	store.RebuildFree(reachable)
 
-	set := &dshardSet[K, V]{
-		bounds: bounds,
-		shards: make([]*dshard[K, V], len(trees)),
-		opts:   make([]*Optimistic[K, V], len(trees)),
-	}
+	logs := make([]*wal.Log, len(trees))
 	d.walStats = make([]wal.OpenStats, len(trees))
 	total := 0
-	for i, tree := range trees {
+	for i := range trees {
 		log, records, st, err := wal.Open(fsys, ShardWALName(d.generation, i))
+		if err == nil {
+			logs[i] = log
+			d.walStats[i] = st
+			log.SetNextLSN(replayFroms[i])
+			trees[i], err = replayTail(trees[i], d.codec, records, replayFroms[i])
+		}
 		if err != nil {
-			closeShardLogs(set.shards[:i])
+			closeLogs(logs)
 			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
 		}
-		d.walStats[i] = st
-		log.SetNextLSN(replayFroms[i])
-		if tree, err = replayTail(tree, d.codec, records, replayFroms[i]); err != nil {
-			log.Close()
-			closeShardLogs(set.shards[:i])
-			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
-		}
-		set.shards[i] = d.newShard(tree, log)
-		set.opts[i] = set.shards[i].opt
-		total += tree.Len()
+		total += trees[i].Len()
 	}
+	set := d.shardSetOf(bounds, trees, 0)
+	d.attach(set, logs)
 	d.set.Store(set)
 	d.rebalancedAt.Store(int64(total))
 	d.SetAutoCheckpoint(true)
@@ -309,18 +263,11 @@ func CreateDurable[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V]) (
 // store in full, and only afterwards are its files swept. The tree must
 // not be used directly afterwards; the facade owns it.
 func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V], shards int) (*DurableSharded[K, V], error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
+	d, err := newDurableSharded[K, V](fsys, dev, t.Options(), shards)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]K, 0, t.Len())
-	vals := make([]V, 0, t.Len())
-	t.Ascend(func(k K, v V) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return true
-	})
-	starts, weights := t.PageBounds()
-	store := pager.NewStore(dev)
+	store := d.store
 	// Continue the epoch and generation sequences past any previous store
 	// on the device: the epoch so the new superblock outranks the stale
 	// one in the other slot, the generation so the fresh logs below never
@@ -363,26 +310,23 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	}
 	store.RebuildFree(reachable)
 
-	d := newDurableSharded[K, V](fsys, store, t.Options(), shards)
 	d.epoch = super.Epoch
 	d.generation = gen
-	bounds := balancedFences(keys, starts, weights, shards)
-	logs, err := createShardLogs(fsys, gen, len(bounds)+1)
+	set, err := d.load(t)
 	if err != nil {
 		return nil, err
 	}
-	set, err := d.newShardSet(keys, vals, bounds, logs)
+	logs, err := createShardLogs(fsys, gen, len(set.shards))
 	if err != nil {
-		closeLogs(logs)
 		return nil, err
 	}
+	d.attach(set, logs)
 	d.set.Store(set)
-	d.rebalancedAt.Store(int64(len(keys)))
 	d.ckptMu.Lock()
 	_, err = d.checkpointLocked(set, gen)
 	d.ckptMu.Unlock()
 	if err != nil {
-		closeShardLogs(set.shards)
+		closeLogs(logs)
 		return nil, err
 	}
 	// Committed: the previous store and any stale rebalance intent are
@@ -401,67 +345,39 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	return d, nil
 }
 
-// newDurableSharded builds the facade shell with its tuning defaults.
-func newDurableSharded[K Key, V any](fsys wal.FS, store *pager.Store, opts Options, want int) *DurableSharded[K, V] {
+// newDurableSharded builds the store shell with its tuning defaults and
+// plugs it into its own engine.
+func newDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, want int) (*DurableSharded[K, V], error) {
 	d := &DurableSharded[K, V]{
-		codec:   newOpCodec[K, V](),
-		snap:    core.NewSnapCodec[K, V](),
-		opts:    opts,
-		fsys:    fsys,
-		want:    want,
-		store:   store,
-		heads:   make(map[uint64]pager.PageID),
-		trigger: make(chan struct{}, 1),
+		walShared: walShared[K, V]{codec: newOpCodec[K, V]()},
+		snap:      core.NewSnapCodec[K, V](),
+		fsys:      fsys,
+		store:     pager.NewStore(dev),
+		heads:     make(map[uint64]pager.PageID),
+		trigger:   make(chan struct{}, 1),
 	}
+	if err := d.init(opts, want); err != nil {
+		return nil, err
+	}
+	d.durable = d
 	d.syncEvery.Store(1)
-	d.flushAt.Store(DefaultFlushEvery)
-	d.maxFrozen.Store(DefaultMaxFrozenLayers)
-	d.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
-	d.factor.Store(math.Float64bits(DefaultRebalanceFactor))
-	return d
+	return d, nil
 }
 
-// newShard wraps a tree and its log into a durable shard with the
-// facade's current tuning and flush hook applied.
-func (d *DurableSharded[K, V]) newShard(tree *Tree[K, V], log *wal.Log) *dshard[K, V] {
-	o := NewOptimistic(tree)
-	o.SetFlushEvery(int(d.flushAt.Load()))
-	o.SetMaxFrozenLayers(int(d.maxFrozen.Load()))
-	o.SetAsyncFlush(!d.asyncOff.Load())
-	o.SetAutoTune(d.autoTuneOn.Load())
-	o.SetFlushHook(func() {
+// attach plugs durability into a freshly built, not yet published shard
+// set: every shard gets its commit log (one per shard, in fence order)
+// and the flush hook that triggers the background checkpointer.
+func (d *DurableSharded[K, V]) attach(set *shardSet[K, V], logs []*wal.Log) {
+	kick := func() {
 		select {
 		case d.trigger <- struct{}{}:
 		default:
 		}
-	})
-	return &dshard[K, V]{opt: o, log: log}
-}
-
-// newShardSet partitions the sorted (keys, vals) run along bounds and
-// bulk-loads one durable shard per range over the given logs (one per
-// range, in fence order).
-func (d *DurableSharded[K, V]) newShardSet(keys []K, vals []V, bounds []K, logs []*wal.Log) (*dshardSet[K, V], error) {
-	set := &dshardSet[K, V]{
-		bounds: bounds,
-		shards: make([]*dshard[K, V], len(bounds)+1),
-		opts:   make([]*Optimistic[K, V], len(bounds)+1),
 	}
-	lo := 0
-	for i := range set.shards {
-		hi := len(keys)
-		if i < len(bounds) {
-			hi = lowerBound(keys, bounds[i]) // keys >= fence belong right of the cut
-		}
-		tr, err := BulkLoad(keys[lo:hi], vals[lo:hi], d.opts)
-		if err != nil {
-			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
-		}
-		set.shards[i] = d.newShard(tr, logs[i])
-		set.opts[i] = set.shards[i].opt
-		lo = hi
+	for i, sh := range set.shards {
+		sh.log = &shardLog[K, V]{walShared: &d.walShared, wal: logs[i]}
+		sh.SetFlushHook(kick)
 	}
-	return set, nil
 }
 
 // createShardLogs creates count fresh, empty, synced logs for generation
@@ -500,15 +416,6 @@ func closeLogs(logs []*wal.Log) {
 	for _, l := range logs {
 		if l != nil {
 			l.Close()
-		}
-	}
-}
-
-// closeShardLogs closes every built shard's log (error cleanup).
-func closeShardLogs[K Key, V any](shards []*dshard[K, V]) {
-	for _, sh := range shards {
-		if sh != nil {
-			sh.log.Close()
 		}
 	}
 }
@@ -641,95 +548,21 @@ func resolveIntent(fsys wal.FS, gen uint64, haveCkpt bool) error {
 	return fsys.Remove(IntentName + ".tmp")
 }
 
-// poison makes err the facade's sticky write-path failure (first error
-// wins).
-func (d *DurableSharded[K, V]) poison(err error) {
-	d.failedMu.Lock()
-	if d.failed == nil {
-		d.failed = err
-	}
-	d.failedMu.Unlock()
-}
-
-// failedErr returns the sticky write-path poison, nil when healthy.
-func (d *DurableSharded[K, V]) failedErr() error {
-	d.failedMu.Lock()
-	defer d.failedMu.Unlock()
-	return d.failed
-}
-
-// shardFor routes k to its owning shard.
-func (ss *dshardSet[K, V]) shardFor(k K) *dshard[K, V] {
-	return ss.shards[upperBoundKeys(ss.bounds, k)]
-}
-
 // Insert adds (k, v), durably once the owning shard's covering Sync
 // barrier completes (immediately with the default SetSyncEvery(1)).
 // Inserts to different shards append to — and fsync — different logs
 // concurrently. Panics on a NaN key.
 func (d *DurableSharded[K, V]) Insert(k K, v V) error {
-	if k != k {
-		panic("fitingtree: Insert with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpInsert, k, v)
-	if err != nil {
-		return err
-	}
-	d.reshape.RLock()
-	sh := d.set.Load().shardFor(k)
-	sh.mu.Lock()
-	err = d.failedErr()
-	if err == nil {
-		if _, err = sh.log.Append(payload); err != nil {
-			d.poison(err)
-		} else {
-			// Appended: apply unconditionally so memory tracks the log
-			// prefix even when the sync below fails.
-			sh.opt.Insert(k, v)
-			err = d.maybeSyncShard(sh)
-		}
-	}
-	sh.mu.Unlock()
-	d.reshape.RUnlock()
-	if err == nil {
-		d.maybeRebalance()
-	}
+	_, err := d.write(walOpInsert, k, v)
 	return err
 }
 
 // Delete removes one element with key k from the owning shard
-// (Optimistic's duplicate semantics), reporting whether one was found.
-// Durability matches Insert. Panics on a NaN key.
+// (Optimistic's duplicate semantics), reporting whether one was found; a
+// delete that finds nothing is not logged. Durability matches Insert.
+// Panics on a NaN key.
 func (d *DurableSharded[K, V]) Delete(k K) (bool, error) {
-	if k != k {
-		panic("fitingtree: Delete with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpDelete, k, *new(V))
-	if err != nil {
-		return false, err
-	}
-	d.reshape.RLock()
-	sh := d.set.Load().shardFor(k)
-	sh.mu.Lock()
-	found := false
-	err = d.failedErr()
-	// Probe first so no-op deletes are not logged; sh.mu serializes the
-	// shard's writers, so the answer cannot change before the apply.
-	if err == nil && sh.opt.Contains(k) {
-		if _, err = sh.log.Append(payload); err != nil {
-			d.poison(err)
-		} else {
-			sh.opt.Delete(k)
-			found = true
-			err = d.maybeSyncShard(sh)
-		}
-	}
-	sh.mu.Unlock()
-	d.reshape.RUnlock()
-	if found && err == nil {
-		d.maybeRebalance()
-	}
-	return found, err
+	return d.write(walOpDelete, k, *new(V))
 }
 
 // DeleteValue removes one element with key k whose value equals v under
@@ -737,70 +570,7 @@ func (d *DurableSharded[K, V]) Delete(k K) (bool, error) {
 // semantics), reporting whether one was removed. Durability matches
 // Insert. Panics on a NaN key and for non-comparable value types.
 func (d *DurableSharded[K, V]) DeleteValue(k K, v V) (bool, error) {
-	if k != k {
-		panic("fitingtree: DeleteValue with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpDeleteValue, k, v)
-	if err != nil {
-		return false, err
-	}
-	d.reshape.RLock()
-	sh := d.set.Load().shardFor(k)
-	sh.mu.Lock()
-	found := false
-	err = d.failedErr()
-	if err == nil {
-		present := false
-		sh.opt.Each(k, func(w V) bool {
-			if any(w) == any(v) {
-				present = true
-				return false
-			}
-			return true
-		})
-		if present {
-			if _, err = sh.log.Append(payload); err != nil {
-				d.poison(err)
-			} else {
-				sh.opt.DeleteValue(k, v)
-				found = true
-				err = d.maybeSyncShard(sh)
-			}
-		}
-	}
-	sh.mu.Unlock()
-	d.reshape.RUnlock()
-	if found && err == nil {
-		d.maybeRebalance()
-	}
-	return found, err
-}
-
-// maybeSyncShard counts one write against the shard's group-commit
-// batch. Callers hold sh.mu.
-func (d *DurableSharded[K, V]) maybeSyncShard(sh *dshard[K, V]) error {
-	sh.unsynced++
-	if sh.unsynced < int(d.syncEvery.Load()) {
-		return nil
-	}
-	return d.syncShardLocked(sh)
-}
-
-// syncShardLocked flushes one shard's WAL barrier, poisoning the whole
-// facade on failure — a failed fsync leaves the durability of everything
-// appended on this shard since the previous barrier unknown, and once
-// one log is in that state no write anywhere can be honestly
-// acknowledged. Callers hold sh.mu.
-func (d *DurableSharded[K, V]) syncShardLocked(sh *dshard[K, V]) error {
-	if sh.unsynced == 0 {
-		return nil
-	}
-	if err := sh.log.Sync(); err != nil {
-		d.poison(err)
-		return err
-	}
-	sh.unsynced = 0
-	return nil
+	return d.write(walOpDeleteValue, k, v)
 }
 
 // SetSyncEvery sets the per-shard group-commit batch: each shard's WAL is
@@ -824,10 +594,10 @@ func (d *DurableSharded[K, V]) Sync() error {
 	var wg sync.WaitGroup
 	for i, sh := range ss.shards {
 		wg.Add(1)
-		go func(i int, sh *dshard[K, V]) {
+		go func(i int, sh *Optimistic[K, V]) {
 			defer wg.Done()
 			sh.mu.Lock()
-			errs[i] = d.syncShardLocked(sh)
+			errs[i] = sh.log.sync()
 			sh.mu.Unlock()
 		}(i, sh)
 	}
@@ -863,7 +633,7 @@ func (d *DurableSharded[K, V]) Checkpoint() (CheckpointStats, error) {
 // checkpointLocked commits one cut of set under generation. Callers hold
 // d.ckptMu; set must be the published set (or, during a rebalance, the
 // set about to be published while writers are excluded).
-func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation uint64) (CheckpointStats, error) {
+func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation uint64) (CheckpointStats, error) {
 	stats := CheckpointStats{Shards: len(set.shards)}
 
 	// Capture each shard's (LSN cursor, state) under its writer mutex:
@@ -875,8 +645,8 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation
 	states := make([]*ostate[K, V], len(set.shards))
 	for i, sh := range set.shards {
 		sh.mu.Lock()
-		cuts[i] = sh.log.NextLSN()
-		states[i] = sh.opt.state.Load()
+		cuts[i] = sh.log.wal.NextLSN()
+		states[i] = sh.state.Load()
 		sh.mu.Unlock()
 	}
 
@@ -958,7 +728,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation
 			continue
 		}
 		sh.mu.Lock()
-		err := sh.log.Truncate(cuts[i] - 1)
+		err := sh.log.wal.Truncate(cuts[i] - 1)
 		sh.mu.Unlock()
 		if err != nil {
 			return stats, err
@@ -968,46 +738,37 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation
 }
 
 // Rebalance recomputes fences from the merged data and atomically
-// migrates to a new shard generation: intent record first, then fresh
-// logs and shards on the side, then one manifest flip that commits the
-// move. Writers are excluded for the duration; readers keep the old set.
-// An error leaves the old generation live in memory but poisons the
-// facade (the migration's durable state is ambiguous until the next
-// open, which discards it wholesale).
-func (d *DurableSharded[K, V]) Rebalance() error {
-	d.reshape.Lock()
-	defer d.reshape.Unlock()
+// migrates to a new shard generation (the engine's rebalance, forced, with
+// this store's commit step). Writers are excluded for the duration;
+// readers keep the old set. An error leaves the old generation live in
+// memory but poisons the store (the migration's durable state is
+// ambiguous until the next open, which discards it wholesale).
+func (d *DurableSharded[K, V]) Rebalance() error { return d.rebalance(true) }
+
+// beginRebalance excludes cuts for the duration of a rebalance — it holds
+// ckptMu until the returned func is called, so no checkpoint can
+// interleave with the migration — and refuses, holding nothing, to start
+// one on a poisoned store. Callers hold reshape exclusively.
+func (d *DurableSharded[K, V]) beginRebalance() (func(), error) {
 	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
 	if err := d.failedErr(); err != nil {
-		return err
+		d.ckptMu.Unlock()
+		return nil, err
 	}
-	err := d.rebalanceLocked()
-	if err != nil {
-		d.poison(err)
-	}
-	return err
+	return d.ckptMu.Unlock, nil
 }
 
-// rebalanceLocked runs one migration. Callers hold reshape (exclusive)
-// and ckptMu.
-func (d *DurableSharded[K, V]) rebalanceLocked() error {
-	ss := d.set.Load()
-	// Quiesce the outgoing shards' flush pipelines, then collect their
-	// merged content (same motion as Sharded.rebalance; shards drain in
-	// parallel and retired sets stay clean for readers holding them).
-	forEachShardParallel(ss.opts, func(sh *Optimistic[K, V]) { sh.Close() })
-	states := make([]*ostate[K, V], len(ss.shards))
-	for i, sh := range ss.shards {
-		states[i] = sh.opt.state.Load()
-	}
-	keys, vals := collectStates(states)
-	starts, weights, err := core.SegmentBoundsOf(keys, d.opts)
-	if err != nil {
-		// Unreachable: d.opts was normalized at construction.
-		panic(fmt.Sprintf("fitingtree: rebalance segmentation: %v", err))
-	}
-	bounds := balancedFences(keys, starts, weights, d.want)
+// commitRebalance is the durable step of the engine's rebalance: it makes
+// next — built from old's collected content, writers excluded, not yet
+// published — the store's new generation. On error nothing was committed,
+// the store is poisoned, and the engine keeps old published. Callers hold
+// reshape (exclusive) and ckptMu.
+func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) (err error) {
+	defer func() {
+		if err != nil {
+			d.poison(err)
+		}
+	}()
 	newGen := d.generation + 1
 
 	// 1. Intent first: once it is durable, a crash anywhere in the
@@ -1017,26 +778,21 @@ func (d *DurableSharded[K, V]) rebalanceLocked() error {
 	intent := core.EncodeRebalanceIntent(core.RebalanceIntent{
 		SourceEpoch: d.epoch,
 		Generation:  newGen,
-		OldFences:   encodeFences(&d.codec, ss.bounds),
-		NewFences:   encodeFences(&d.codec, bounds),
+		OldFences:   encodeFences(&d.codec, old.bounds),
+		NewFences:   encodeFences(&d.codec, next.bounds),
 	})
 	if err := writeFileAtomic(d.fsys, IntentName, intent); err != nil {
 		return err
 	}
 
-	// 2. Build the new generation on the side: fresh empty logs (their
-	// names carry newGen, so nothing can replay them through old fences)
-	// and freshly bulk-loaded shards. The old generation's durable state
-	// is untouched throughout.
-	logs, err := createShardLogs(d.fsys, newGen, len(bounds)+1)
+	// 2. Fresh empty logs for the new generation's shards (their names
+	// carry newGen, so nothing can replay them through old fences). The
+	// old generation's durable state is untouched throughout.
+	logs, err := createShardLogs(d.fsys, newGen, len(next.shards))
 	if err != nil {
 		return err
 	}
-	set, err := d.newShardSet(keys, vals, bounds, logs)
-	if err != nil {
-		closeLogs(logs)
-		return err
-	}
+	d.attach(next, logs)
 
 	// 3. The commit point: a full cut of the new shards (their trees are
 	// freshly built, so every chunk is written; the collected content
@@ -1044,63 +800,22 @@ func (d *DurableSharded[K, V]) rebalanceLocked() error {
 	// generation, flipped in with epoch+1. Crash before the flip:
 	// recovery discards the migration; after: recovery loads it — either
 	// way one coherent whole.
-	if _, err := d.checkpointLocked(set, newGen); err != nil {
-		closeShardLogs(set.shards)
+	if _, err := d.checkpointLocked(next, newGen); err != nil {
+		closeLogs(logs)
 		return err
 	}
-	d.set.Store(set)
 	oldGen := d.generation
 	d.generation = newGen
-	d.rebalancedAt.Store(int64(len(keys)))
 
 	// 4. Sweep: the old generation's logs and the intent are garbage.
 	// Best effort — a failure here leaves files the next open removes
 	// via the intent resolution (or ignores via generation-named opens).
-	for i, sh := range ss.shards {
-		sh.log.Close()
+	for i, sh := range old.shards {
+		sh.log.wal.Close()
 		d.fsys.Remove(ShardWALName(oldGen, i))
 	}
 	d.fsys.Remove(IntentName)
 	return nil
-}
-
-// maybeRebalance runs the skew check on one write in shardSkewCheckEvery
-// and triggers a migration when it reports drift. Unlike Sharded's, a
-// durable rebalance writes a full checkpoint, so the check re-verifies
-// under the exclusive lock before committing to the work.
-func (d *DurableSharded[K, V]) maybeRebalance() {
-	if d.writes.Add(1)%shardSkewCheckEvery != 0 {
-		return
-	}
-	ss := d.set.Load()
-	if !shardsNeedRebalance(ss.opts, nil, d.want, math.Float64frombits(d.factor.Load()),
-		int(d.rebalancedAt.Load())) {
-		return
-	}
-	d.reshape.Lock()
-	defer d.reshape.Unlock()
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	if d.failedErr() != nil {
-		return
-	}
-	ss = d.set.Load()
-	if !shardsNeedRebalance(ss.opts, nil, d.want, math.Float64frombits(d.factor.Load()),
-		int(d.rebalancedAt.Load())) {
-		return // another writer migrated between the check and the lock
-	}
-	if err := d.rebalanceLocked(); err != nil {
-		d.poison(err) // surfaced via Err and every later write
-	}
-}
-
-// SetRebalanceFactor sets the skew threshold (see
-// Sharded.SetRebalanceFactor); +Inf disables automatic migrations.
-func (d *DurableSharded[K, V]) SetRebalanceFactor(factor float64) {
-	if factor != factor || factor < minRebalanceFactor {
-		factor = minRebalanceFactor
-	}
-	d.factor.Store(math.Float64bits(factor))
 }
 
 // SetAutoCheckpoint starts or stops the background checkpointer, which
@@ -1165,9 +880,9 @@ func (d *DurableSharded[K, V]) Close() error {
 	defer d.reshape.Unlock()
 	ss := d.set.Load()
 	for _, sh := range ss.shards {
-		sh.opt.SetFlushHook(nil)
+		sh.SetFlushHook(nil)
 	}
-	forEachShardParallel(ss.opts, func(sh *Optimistic[K, V]) { sh.Close() })
+	ss.quiesce()
 	cerr := d.failedErr()
 	if cerr == nil {
 		d.ckptMu.Lock()
@@ -1177,7 +892,7 @@ func (d *DurableSharded[K, V]) Close() error {
 	}
 	for _, sh := range ss.shards {
 		sh.mu.Lock()
-		err := sh.log.Close()
+		err := sh.log.wal.Close()
 		sh.mu.Unlock()
 		if cerr == nil {
 			cerr = err
@@ -1195,7 +910,7 @@ func (d *DurableSharded[K, V]) WALRecords() int {
 	n := 0
 	for _, sh := range d.set.Load().shards {
 		sh.mu.Lock()
-		n += sh.log.Len()
+		n += sh.log.wal.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -1228,136 +943,4 @@ func (d *DurableSharded[K, V]) Epoch() uint64 {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	return d.epoch
-}
-
-// Shards returns the current number of shards.
-func (d *DurableSharded[K, V]) Shards() int { return len(d.set.Load().shards) }
-
-// Bounds returns a copy of the current fence keys (len Shards()-1,
-// strictly increasing): shard i owns keys in [bounds[i-1], bounds[i]).
-func (d *DurableSharded[K, V]) Bounds() []K {
-	return append([]K(nil), d.set.Load().bounds...)
-}
-
-// ShardSizes returns the current per-shard element counts in fence
-// order.
-func (d *DurableSharded[K, V]) ShardSizes() []int {
-	ss := d.set.Load()
-	sizes := make([]int, len(ss.opts))
-	for i, sh := range ss.opts {
-		sizes[i] = sh.Len()
-	}
-	return sizes
-}
-
-// Lookup returns a value stored under k; latch-free (see
-// Sharded.Lookup).
-func (d *DurableSharded[K, V]) Lookup(k K) (V, bool) {
-	ss := d.set.Load()
-	return ss.shardFor(k).opt.Lookup(k)
-}
-
-// Contains reports whether k is present; latch-free.
-func (d *DurableSharded[K, V]) Contains(k K) bool {
-	_, ok := d.Lookup(k)
-	return ok
-}
-
-// Each calls fn for every element with key exactly k against the owning
-// shard's consistent snapshot; latch-free.
-func (d *DurableSharded[K, V]) Each(k K, fn func(v V) bool) {
-	ss := d.set.Load()
-	ss.shardFor(k).opt.Each(k, fn)
-}
-
-// AscendRange scans lo <= key <= hi in ascending key order across
-// shards; latch-free (see Sharded.AscendRange).
-func (d *DurableSharded[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
-	ss := d.set.Load()
-	ascendSharded(ss.bounds, ss.opts, lo, hi, fn)
-}
-
-// LookupBatch resolves keys by scatter-gather across shard snapshots;
-// latch-free (see Sharded.LookupBatch).
-func (d *DurableSharded[K, V]) LookupBatch(keys []K) ([]V, []bool) {
-	ss := d.set.Load()
-	return lookupBatchSharded(ss.bounds, ss.opts, keys)
-}
-
-// Len returns the total number of stored elements across all shards,
-// including pending inserts.
-func (d *DurableSharded[K, V]) Len() int {
-	n := 0
-	for _, sh := range d.set.Load().opts {
-		n += sh.Len()
-	}
-	return n
-}
-
-// Stats aggregates the shards' statistics (see Sharded.Stats).
-func (d *DurableSharded[K, V]) Stats() Stats {
-	return aggregateShardStats(d.set.Load().opts)
-}
-
-// SetFlushEvery sets the per-shard delta flush threshold; shards created
-// by later rebalances inherit the value. Panics if n < 1.
-func (d *DurableSharded[K, V]) SetFlushEvery(n int) {
-	if n < 1 {
-		panic("fitingtree: SetFlushEvery threshold must be >= 1")
-	}
-	d.reshape.RLock()
-	defer d.reshape.RUnlock()
-	d.flushAt.Store(int64(n))
-	for _, sh := range d.set.Load().opts {
-		sh.SetFlushEvery(n)
-	}
-}
-
-// SetMaxFrozenLayers sets the per-shard frozen merge ladder depth;
-// shards created by later rebalances inherit the value. Panics if n < 1.
-func (d *DurableSharded[K, V]) SetMaxFrozenLayers(n int) {
-	if n < 1 {
-		panic("fitingtree: SetMaxFrozenLayers depth must be >= 1")
-	}
-	d.reshape.RLock()
-	defer d.reshape.RUnlock()
-	d.maxFrozen.Store(int64(n))
-	for _, sh := range d.set.Load().opts {
-		sh.SetMaxFrozenLayers(n)
-	}
-}
-
-// SetAsyncFlush enables or disables the asynchronous flush pipeline on
-// every shard; shards created by later rebalances inherit the value.
-func (d *DurableSharded[K, V]) SetAsyncFlush(enabled bool) {
-	d.reshape.RLock()
-	defer d.reshape.RUnlock()
-	d.asyncOff.Store(!enabled)
-	for _, sh := range d.set.Load().opts {
-		sh.SetAsyncFlush(enabled)
-	}
-}
-
-// SetAutoTune enables or disables cost-model-driven self-tuning on every
-// shard (see Optimistic.SetAutoTune; disabled by default). Retuned
-// layouts persist: checkpoints record each page's error bound, so
-// recovery reassembles the tuned layout exactly. Shards created by later
-// rebalances inherit the value.
-func (d *DurableSharded[K, V]) SetAutoTune(enabled bool) {
-	d.reshape.RLock()
-	defer d.reshape.RUnlock()
-	d.autoTuneOn.Store(enabled)
-	for _, sh := range d.set.Load().opts {
-		sh.SetAutoTune(enabled)
-	}
-}
-
-// SyncFlush synchronously folds every shard's pending writes into its
-// base tree; shards flush in parallel. Durability is unaffected (the
-// logs already hold the deltas); it makes the next Checkpoint's
-// dirty-chunk set exactly the folds' published one.
-func (d *DurableSharded[K, V]) SyncFlush() {
-	d.reshape.RLock()
-	defer d.reshape.RUnlock()
-	forEachShardParallel(d.set.Load().opts, func(sh *Optimistic[K, V]) { sh.SyncFlush() })
 }

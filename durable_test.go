@@ -74,7 +74,7 @@ func pairsEqual(a, b [][2]int) bool {
 
 // shardTrees returns every shard's published base tree, in fence order.
 func shardTrees(d *DurableSharded[int, int]) []*Tree[int, int] {
-	opts := d.set.Load().opts
+	opts := d.set.Load().shards
 	trees := make([]*Tree[int, int], len(opts))
 	for i, o := range opts {
 		trees[i] = o.state.Load().tree
@@ -181,7 +181,7 @@ func (ms matrixStore) open(t testing.TB, fsys wal.FS, dev pager.Device) (*Durabl
 		d.SetAsyncFlush(true)
 		d.SetFlushEvery(4)
 		d.SetMaxFrozenLayers(3)
-		for _, o := range d.set.Load().opts {
+		for _, o := range d.set.Load().shards {
 			o.flusher.Store(true) // the script is the scheduler
 		}
 	}
@@ -209,7 +209,7 @@ func (ms matrixStore) script() (ops []dOp, ckptAt, rebalAt map[int]bool) {
 func runScript(d *DurableSharded[int, int], m *dmodel, ops []dOp, ckptAt, rebalAt map[int]bool) (acked int, states []*dmodel, rounds int) {
 	states = append(states, m.clone())
 	for i, op := range ops {
-		for _, o := range d.set.Load().opts {
+		for _, o := range d.set.Load().shards {
 			rounds += pumpLadder(o)
 		}
 		if ckptAt[i] {

@@ -159,9 +159,8 @@ func DecodeOptimistic[K Key, V any](r io.Reader) (*Optimistic[K, V], error) {
 // — and the result decodes with Decode, DecodeOptimistic, or
 // DecodeSharded.
 func EncodeSharded[K Key, V any](s *Sharded[K, V], w io.Writer) error {
-	ss, states := s.snapshotAll()
-	keys, vals := collectStates(states)
-	return encodeSnapshot(w, ss.opts, keys, vals)
+	keys, vals := collectStates(s.snapshotAll())
+	return encodeSnapshot(w, s.opts, keys, vals)
 }
 
 // DecodeSharded reads a snapshot produced by any of the encoders and

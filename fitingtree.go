@@ -34,17 +34,19 @@
 //
 // # Concurrency and snapshots
 //
-// Three facades wrap a Tree for shared use. NewOptimistic provides
-// latch-free reads under a single writer: every write publishes an
-// immutable state (base tree + pending-write delta) through an atomic
-// pointer, and a full delta is flushed with a page-granular copy-on-write
-// merge that rebuilds only the pages the delta touches. NewSharded range-partitions the key space
-// over several Optimistic shards behind a distribution-aware partitioner,
-// so writers on different shards proceed concurrently while reads stay
-// latch-free; skewed shards are rebalanced automatically.
-// OpenDurableSharded adds crash safety to that layout — per-shard
-// write-ahead logs, incremental checkpoints committing one atomic
-// cross-shard cut — and OpenDurable is its one-shard, single-writer case.
+// NewOptimistic provides latch-free reads under a single writer: every
+// write publishes an immutable state (base tree + pending-write delta)
+// through an atomic pointer, and a full delta is flushed with a
+// page-granular copy-on-write merge that rebuilds only the pages the
+// delta touches. On top of it sits one sharded store, optionally durable.
+// NewSharded range-partitions the key space over several Optimistic
+// shards behind a distribution-aware partitioner, so writers on different
+// shards proceed concurrently while reads stay latch-free; skewed shards
+// are rebalanced automatically. OpenDurableSharded is the same engine
+// with crash safety plugged in — per-shard write-ahead logs appended
+// inside each shard's writer section, incremental checkpoints committing
+// one atomic cross-shard cut — and OpenDurable is its one-shard,
+// single-writer case.
 // Use Encode/Decode to snapshot a tree to and from a stream,
 // EncodeOptimistic/DecodeOptimistic to snapshot a live Optimistic facade
 // without blocking its writers, and EncodeSharded/DecodeSharded for a

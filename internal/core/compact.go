@@ -6,7 +6,7 @@ import "fitingtree/internal/num"
 // with the same meaning as applying lower and then upper: the result's
 // tombstones are relative to the view beneath lower, exactly as lower's
 // were, so MergeCOW(CompactOps(lower, upper, each)) publishes the same
-// content as MergeCOW2(lower, upper). Both inputs must be sorted by
+// content as MergeCOW(lower, upper). Both inputs must be sorted by
 // strictly ascending Key (MergeOp form); the output is too.
 //
 // The composition is per-key arithmetic except for one case that needs

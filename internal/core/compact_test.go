@@ -130,9 +130,9 @@ func compactGenOps(rng *rand.Rand, stream []pair, maxKey uint64) []MergeOp[uint6
 
 // TestCompactOpsRandomized cross-checks the two ways of folding a layer
 // stack: MergeCOW(CompactOps(lower, upper)) must publish exactly the same
-// content as the sequential MergeCOW2(lower, upper), for layers generated
+// content as the sequential MergeCOW(lower, upper), for layers generated
 // with the write path's relativity rule (upper counts relative to the
-// view after lower). It also pins MergeCOWN against the sequential fold
+// view after lower). It also pins MergeCOW against the sequential fold
 // at depth three and its receiver-identity degenerate cases.
 func TestCompactOpsRandomized(t *testing.T) {
 	for _, rk := range routerKinds {
@@ -158,7 +158,7 @@ func testCompactOpsRandomized(t *testing.T, kind RouterKind) {
 		lower := compactGenOps(rng, before, k)
 		middle := applyOpsModel(before, lower)
 		upper := compactGenOps(rng, middle, k)
-		want := contents(base.MergeCOW2(lower, upper))
+		want := contents(base.MergeCOW(lower, upper))
 
 		compacted := CompactOps(lower, upper, base.Each)
 		got := contents(base.MergeCOW(compacted))
@@ -171,25 +171,25 @@ func testCompactOpsRandomized(t *testing.T, kind RouterKind) {
 			}
 		}
 
-		// Depth-3 stack: MergeCOWN must equal the sequential fold, and
+		// Depth-3 stack: MergeCOW must equal the sequential fold, and
 		// compacting the bottom pair first must not change the outcome.
 		top := compactGenOps(rng, applyOpsModel(middle, upper), k)
 		wantN := contents(base.MergeCOW(lower).MergeCOW(upper).MergeCOW(top))
-		gotN := contents(base.MergeCOWN(lower, upper, top))
-		gotC := contents(base.MergeCOWN(compacted, top))
+		gotN := contents(base.MergeCOW(lower, upper, top))
+		gotC := contents(base.MergeCOW(compacted, top))
 		if len(gotN) != len(wantN) || len(gotC) != len(wantN) {
 			t.Fatalf("trial %d: depth-3 folds %d/%d elements, want %d", trial, len(gotN), len(gotC), len(wantN))
 		}
 		for i := range wantN {
 			if gotN[i] != wantN[i] {
-				t.Fatalf("trial %d: MergeCOWN element %d = %v, want %v", trial, i, gotN[i], wantN[i])
+				t.Fatalf("trial %d: MergeCOW element %d = %v, want %v", trial, i, gotN[i], wantN[i])
 			}
 			if gotC[i] != wantN[i] {
 				t.Fatalf("trial %d: compact-then-fold element %d = %v, want %v", trial, i, gotC[i], wantN[i])
 			}
 		}
-		if base.MergeCOWN() != base || base.MergeCOWN(nil, nil, nil) != base {
-			t.Fatalf("trial %d: empty MergeCOWN did not return the receiver", trial)
+		if base.MergeCOW() != base || base.MergeCOW(nil, nil, nil) != base {
+			t.Fatalf("trial %d: empty MergeCOW did not return the receiver", trial)
 		}
 	}
 }

@@ -29,18 +29,33 @@ type MergeOp[K num.Key, V any] struct {
 	Tombs []Tomb[V]
 }
 
-// MergeCOW folds ops — which must be sorted by strictly ascending Key —
-// into the tree copy-on-write: it returns a new tree in which only the
-// pages some op's key falls into are rebuilt (merged with the pending
-// writes and re-segmented under the same error bound) and only the chunks
-// overlapping a dirty interval are re-cut, while every untouched page,
-// every untouched chunk, and — with the default B+ tree router — every
-// router node off the rewritten entries' descent paths is shared, by
-// reference, with the receiver. The receiver is not modified (only read)
-// and both trees remain fully readable afterwards; shared structure must
-// not be mutated through either tree, so the result is meant for
-// publication-style use (see the Optimistic facade, whose flush this
-// implements). When ops is empty the receiver itself is returned.
+// MergeCOW folds an ordered stack of delta layers into the tree
+// copy-on-write, bottom layer first, one page-granular pass per layer.
+// Each layer's ops must be sorted by strictly ascending Key, and its
+// tombstones are interpreted against the scan order of the tree after
+// every layer beneath it has been applied — surviving base matches first,
+// then the lower layers' adds in insertion order — which is exactly the
+// order each pass materializes, so a layered read before the fold (the
+// Optimistic facade's tree ⊕ frozen[0..n] ⊕ active protocol) and a plain
+// read after it observe identical content. This relativity rule is what
+// makes the fold a sequential pass per layer instead of a composition
+// problem (composing tombstone counts across layers would need per-key
+// base-match counts, an extra O(ops) tree walk, while a later pass only
+// re-touches pages its layer actually dirties); composing two adjacent
+// layers into one op list without touching the tree is CompactOps' job.
+// Empty layers are skipped; with every layer empty the receiver itself is
+// returned.
+//
+// A pass returns a new tree in which only the pages some op's key falls
+// into are rebuilt (merged with the pending writes and re-segmented under
+// the same error bound) and only the chunks overlapping a dirty interval
+// are re-cut, while every untouched page, every untouched chunk, and —
+// with the default B+ tree router — every router node off the rewritten
+// entries' descent paths is shared, by reference, with the receiver. The
+// receiver is not modified (only read) and both trees remain fully
+// readable afterwards; shared structure must not be mutated through either
+// tree, so the result is meant for publication-style use (see the
+// Optimistic facade, whose flush this implements).
 //
 // Because segments partition the key space, a batch of d pending writes
 // touches at most O(d) pages regardless of tree size, and publication
@@ -52,7 +67,15 @@ type MergeOp[K num.Key, V any] struct {
 // design instead re-derived the whole router (O(segments) bulk load) and
 // copied the full page array on every flush, which dominated publication
 // at large segment counts.
-func (t *Tree[K, V]) MergeCOW(ops []MergeOp[K, V]) *Tree[K, V] {
+func (t *Tree[K, V]) MergeCOW(layers ...[]MergeOp[K, V]) *Tree[K, V] {
+	for _, ops := range layers {
+		t = t.mergeLayer(ops)
+	}
+	return t
+}
+
+// mergeLayer is one MergeCOW pass: it folds a single sorted op list.
+func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 	for i := range ops {
 		if ops[i].Key != ops[i].Key {
 			panic("fitingtree: MergeCOW with NaN key")
@@ -154,43 +177,6 @@ func (t *Tree[K, V]) MergeCOW(ops []MergeOp[K, V]) *Tree[K, V] {
 	nt.counters.Inserts += addN
 	nt.counters.Deletes += deleted
 	nt.size = t.size + addN - deleted
-	return nt
-}
-
-// MergeCOW2 folds two delta layers into the tree copy-on-write: first is
-// merged exactly as MergeCOW would, then second is merged into that
-// result. The layering mirrors the Optimistic facade's two-delta read
-// protocol (frozen delta below, active delta on top): second's tombstone
-// counts are interpreted against the scan order of the tree *after* first
-// is applied — surviving base matches, then first's adds in insertion
-// order — which is exactly the order mergeRegion materializes, so reads
-// before and after the fold observe identical content. Implemented as two
-// page-granular passes rather than one composed op list: composing
-// tombstone counts across layers would need per-key base-match counts (an
-// extra O(ops) tree walk), while the second pass only re-touches pages
-// second actually dirties. Empty layers are skipped; with both empty the
-// receiver itself is returned.
-func (t *Tree[K, V]) MergeCOW2(first, second []MergeOp[K, V]) *Tree[K, V] {
-	return t.MergeCOW(first).MergeCOW(second)
-}
-
-// MergeCOWN folds an ordered stack of delta layers into the tree
-// copy-on-write, bottom layer first. It generalizes MergeCOW2 to any
-// depth: each layer's tombstone counts are interpreted against the scan
-// order of the tree after every layer beneath it has been applied —
-// surviving base matches first, then the lower layers' adds in insertion
-// order — which is exactly the order each MergeCOW pass materializes, so
-// a layered read before the fold and a plain read after it observe
-// identical content. This relativity rule is what makes the fold a
-// sequential pass per layer instead of a composition problem; composing
-// two adjacent layers into one op list without touching the tree is
-// CompactOps' job. Empty layers are skipped; with all layers empty the
-// receiver itself is returned.
-func (t *Tree[K, V]) MergeCOWN(layers ...[]MergeOp[K, V]) *Tree[K, V] {
-	nt := t
-	for _, layer := range layers {
-		nt = nt.MergeCOW(layer)
-	}
 	return nt
 }
 

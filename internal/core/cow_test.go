@@ -454,7 +454,7 @@ func benchOps(tr *Tree[uint64, uint64], delta int) []MergeOp[uint64, uint64] {
 // layered reference model: applying the second op list to the model
 // stream *after* the first (so its tombstone counts address surviving
 // base matches, then the first layer's adds, in scan order) must match
-// MergeCOW2's physical fold — the contract the Optimistic facade's
+// MergeCOW's physical fold — the contract the Optimistic facade's
 // frozen/active delta pair relies on.
 func TestMergeCOW2Layering(t *testing.T) {
 	for _, rk := range routerKinds {
@@ -516,7 +516,7 @@ func testMergeCOW2Layering(t *testing.T, kind RouterKind) {
 		second := genOps(middle, k)
 		want := applyOpsModel(middle, second)
 
-		merged := base.MergeCOW2(first, second)
+		merged := base.MergeCOW(first, second)
 		if err := merged.CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: merged invariants: %v", trial, err)
 		}
@@ -538,11 +538,11 @@ func testMergeCOW2Layering(t *testing.T, kind RouterKind) {
 		}
 		// Degenerate layers: both empty returns the receiver itself; one
 		// empty layer reduces to a plain MergeCOW of the other.
-		if base.MergeCOW2(nil, nil) != base {
+		if base.MergeCOW(nil, nil) != base {
 			t.Fatalf("trial %d: empty fold did not return the receiver", trial)
 		}
 		oneWant := applyOpsModel(before, first)
-		oneGot := contents(base.MergeCOW2(first, nil))
+		oneGot := contents(base.MergeCOW(first, nil))
 		if len(oneGot) != len(oneWant) {
 			t.Fatalf("trial %d: first-only fold %d elements, want %d", trial, len(oneGot), len(oneWant))
 		}

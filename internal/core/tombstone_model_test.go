@@ -123,8 +123,8 @@ func applyTombOpsModel(base []pair, ops []MergeOp[uint64, uint64]) []pair {
 }
 
 // TestValueTombstonesRandomized cross-checks every fold path on layers
-// mixing counted, anonymous-list, and value tombstones: the sequential
-// MergeCOW2/MergeCOWN folds and the CompactOps-then-MergeCOW fold must
+// mixing counted, anonymous-list, and value tombstones: the layered and
+// pass-by-pass MergeCOW folds and the CompactOps-then-MergeCOW fold must
 // all publish exactly the content the reference model derives, for layers
 // generated under the write path's relativity rule (each layer's
 // tombstones have live victims in the view beneath it).
@@ -165,8 +165,8 @@ func testValueTombstonesRandomized(t *testing.T, kind RouterKind) {
 				}
 			}
 		}
-		assertContents("MergeCOW2", contents(base.MergeCOW2(lower, upper)))
-		assertContents("MergeCOWN", contents(base.MergeCOWN(lower, upper)))
+		assertContents("MergeCOW layered", contents(base.MergeCOW(lower, upper)))
+		assertContents("MergeCOW pass by pass", contents(base.MergeCOW(lower).MergeCOW(upper)))
 		compacted := CompactOps(lower, upper, base.Each)
 		assertContents("compacted", contents(base.MergeCOW(compacted)))
 
@@ -174,8 +174,8 @@ func testValueTombstonesRandomized(t *testing.T, kind RouterKind) {
 		// both sequentially and over the compacted bottom pair.
 		top := genTombOps(rng, want, k)
 		want3 := applyTombOpsModel(want, top)
-		got3 := contents(base.MergeCOWN(lower, upper, top))
-		gotC := contents(base.MergeCOWN(compacted, top))
+		got3 := contents(base.MergeCOW(lower, upper, top))
+		gotC := contents(base.MergeCOW(compacted, top))
 		if len(got3) != len(want3) || len(gotC) != len(want3) {
 			t.Fatalf("trial %d: depth-3 folds %d/%d elements, want %d", trial, len(got3), len(gotC), len(want3))
 		}

@@ -88,7 +88,10 @@ const tuneFoldsEvery = 4
 // Scans and batch lookups run against one consistent snapshot: writes
 // published during a scan are not observed by it.
 type Optimistic[K Key, V any] struct {
-	mu        sync.Mutex // serializes writers
+	// mu serializes writers: it is the shard's one writer lock. Everything
+	// a write does — victim decision, commit-log append, publication,
+	// group-commit barrier — happens under it (see apply).
+	mu        sync.Mutex
 	version   atomic.Uint64
 	state     atomic.Pointer[ostate[K, V]]
 	flushAt   atomic.Int64
@@ -116,6 +119,11 @@ type Optimistic[K Key, V any] struct {
 	// base-tree folds. Off by default. tuneFolds counts folds.
 	autoTune  atomic.Bool
 	tuneFolds atomic.Uint64
+
+	// log, when non-nil, is the commit log a durable store plugged into
+	// this shard: the writer section appends every op to it before
+	// publishing. Attached before the shard is published; guarded by mu.
+	log *shardLog[K, V]
 }
 
 // ostate is one immutable published state. Neither the tree nor any delta
@@ -424,20 +432,59 @@ func (o *Optimistic[K, V]) Stats() Stats {
 	return s
 }
 
-// Insert adds (k, v).
-func (o *Optimistic[K, V]) Insert(k K, v V) {
+// mustNotBeNaN panics on a NaN key: it compares false against everything,
+// so it would corrupt the sorted-delta invariant silently.
+func mustNotBeNaN[K Key](op byte, k K) {
 	if k != k {
-		panic("fitingtree: Insert with NaN key")
+		panic("fitingtree: " + opNames[op] + " with NaN key")
 	}
+}
+
+// apply is the one writer section; Insert, Delete, DeleteValue and the
+// sharded engine's routed write are its callers. Under the writer mutex it
+// decides the victim (a delete that finds none changes nothing and logs
+// nothing), appends the op to the commit log when the shard carries one (a
+// failed append publishes nothing), publishes the next state, and counts
+// the op against the log's group-commit barrier (a failed sync leaves the
+// op applied). Either log failure poisons the store, and a poisoned store
+// fails fast before anything else; without a log the error is always nil.
+func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if o.log != nil {
+		if err := o.log.failedErr(); err != nil {
+			return false, err
+		}
+	}
 	st := o.state.Load()
-	o.publishWrite(o.maybeFlush(&ostate[K, V]{
-		tree:   st.tree,
-		frozen: st.frozen,
-		delta:  st.delta.withInsert(k, v),
-		size:   st.size + 1,
-	}))
+	delta, size, ok := st.delta, st.size-1, true
+	switch op {
+	case walOpInsert:
+		delta, size = st.delta.withInsert(k, v), st.size+1
+	case walOpDelete:
+		delta, ok = st.withDelete(k)
+	default:
+		delta, ok = st.withDeleteValue(k, v)
+	}
+	if !ok {
+		return false, nil
+	}
+	if o.log != nil {
+		if err := o.log.append(op, k, v); err != nil {
+			return false, err
+		}
+	}
+	o.publishWrite(o.maybeFlush(&ostate[K, V]{tree: st.tree, frozen: st.frozen, delta: delta, size: size}))
+	if o.log != nil {
+		return true, o.log.commit()
+	}
+	return true, nil
+}
+
+// Insert adds (k, v). Panics on a NaN key.
+func (o *Optimistic[K, V]) Insert(k K, v V) {
+	mustNotBeNaN(walOpInsert, k)
+	o.apply(walOpInsert, k, v)
 }
 
 // Delete removes one element with key k and reports whether one was found.
@@ -458,22 +505,11 @@ func (o *Optimistic[K, V]) Insert(k K, v V) {
 // the victim can vary from run to run; workloads that need a
 // deterministic victim should name it with DeleteValue, or disable async
 // flushing (SetAsyncFlush(false)) / quiesce with SyncFlush before
-// deleting.
+// deleting. Panics on a NaN key.
 func (o *Optimistic[K, V]) Delete(k K) bool {
-	// Same guard as Insert: a NaN key compares false against everything,
-	// so it would corrupt the sorted-delta invariant silently.
-	if k != k {
-		panic("fitingtree: Delete with NaN key")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st := o.state.Load()
-	nd, ok := st.withDelete(k)
-	if !ok {
-		return false
-	}
-	o.publishWrite(o.maybeFlush(&ostate[K, V]{tree: st.tree, frozen: st.frozen, delta: nd, size: st.size - 1}))
-	return true
+	mustNotBeNaN(walOpDelete, k)
+	ok, _ := o.apply(walOpDelete, k, *new(V))
+	return ok
 }
 
 // DeleteValue removes one element with key k whose value equals v under
@@ -483,21 +519,12 @@ func (o *Optimistic[K, V]) Delete(k K) bool {
 // pending insert of (k, v) is consumed first, newest first, and otherwise
 // the delta records a value tombstone that deletes the first live match
 // carrying v in scan order wherever it currently resides — page data,
-// frozen layer, or a flushed page later. It panics for non-comparable
-// value types.
+// frozen layer, or a flushed page later. It panics on a NaN key and for
+// non-comparable value types.
 func (o *Optimistic[K, V]) DeleteValue(k K, v V) bool {
-	if k != k {
-		panic("fitingtree: DeleteValue with NaN key")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st := o.state.Load()
-	nd, ok := st.withDeleteValue(k, v)
-	if !ok {
-		return false
-	}
-	o.publishWrite(o.maybeFlush(&ostate[K, V]{tree: st.tree, frozen: st.frozen, delta: nd, size: st.size - 1}))
-	return true
+	mustNotBeNaN(walOpDeleteValue, k)
+	ok, _ := o.apply(walOpDeleteValue, k, v)
+	return ok
 }
 
 // SetFlushHook registers fn to run after every publication that installs
@@ -735,7 +762,7 @@ func (st *ostate[K, V]) fold() *Tree[K, V] {
 	if st.delta != nil {
 		layers = append(layers, st.delta.ops())
 	}
-	return st.tree.MergeCOWN(layers...)
+	return st.tree.MergeCOW(layers...)
 }
 
 // ops converts the delta into MergeCOW's sorted op-list form.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,13 +39,23 @@ const (
 	shardWriteBoostMax = 7
 )
 
-// Sharded is a range-partitioned multi-writer facade: it owns a set of
-// Optimistic shards behind a distribution-aware partitioner whose fence
-// keys are picked from the base tree's page boundaries, so shards carry
-// balanced element counts rather than balanced key spans (skewed data gets
-// narrow hot shards and wide cold ones). Every key routes to exactly one
-// shard, so per-key semantics — duplicate ordering, tombstone accounting,
-// flush behavior — are exactly Optimistic's.
+// Sharded is the range-partitioned multi-writer store, in memory: a
+// shardEngine with no durability backend. DurableSharded is the same
+// engine with one plugged in; everything declared on the engine — reads,
+// knobs, diagnostics — reaches both types by method promotion.
+//
+// Every key routes to exactly one Optimistic shard, so per-key semantics —
+// duplicate ordering, tombstone accounting, flush behavior — are exactly
+// Optimistic's.
+type Sharded[K Key, V any] struct {
+	shardEngine[K, V]
+}
+
+// shardEngine is the one sharded store both public types are built on: a
+// set of Optimistic shards behind a distribution-aware partitioner whose
+// fence keys are picked from the base tree's page boundaries, so shards
+// carry balanced element counts rather than balanced key spans (skewed
+// data gets narrow hot shards and wide cold ones).
 //
 // Reads (Lookup, Contains, Each, AscendRange, LookupBatch) stay latch-free
 // end to end: they load the shard set through an atomic pointer and then
@@ -53,30 +64,31 @@ const (
 // fence order; LookupBatch scatter-gathers with per-shard sorted
 // sub-batches.
 //
-// Writers (Insert, Delete) route to one shard and serialize only on that
-// shard's writer mutex, so writers whose keys land on different shards
-// proceed fully concurrently — each shard keeps its own delta, its own
-// page-granular copy-on-write flush, and its own background flusher
-// (asynchronous by default on multi-processor runtimes; see Optimistic,
-// SetAsyncFlush, SyncFlush and Close). A shared RWMutex is held in read
-// mode
-// for the duration of a write; its exclusive side is taken only by
-// rebalances and coherent multi-shard snapshots (EncodeSharded), which are
-// rare and short.
+// Writes route to one shard and run that shard's writer section
+// (Optimistic.apply) under its writer mutex — the only per-shard lock — so
+// writers whose keys land on different shards proceed fully concurrently:
+// each shard keeps its own delta, its own page-granular copy-on-write
+// flush, its own background flusher (asynchronous by default on
+// multi-processor runtimes; see Optimistic, SetAsyncFlush, SyncFlush) and,
+// on a durable store, its own commit log. The reshape RWMutex is held in
+// read mode for the duration of a write; its exclusive side is taken only
+// by rebalances and coherent multi-shard snapshots, which are rare.
 //
-// When one shard's size drifts past a configurable factor of the mean
-// (SetRebalanceFactor), the facade re-partitions: all shard contents are
-// collected under the exclusive lock, fresh fences are computed from the
-// merged data's segment boundaries, and a new shard set is published
-// atomically. Readers holding the old set keep complete, consistent
-// snapshots.
-type Sharded[K Key, V any] struct {
+// When one shard's size — or its share of the write traffic — drifts past
+// a configurable factor of the mean (SetRebalanceFactor), the engine
+// re-partitions: all shard contents are collected under the exclusive
+// lock, fresh fences are computed from the merged data's segment
+// boundaries, the durability backend (if any) commits the new generation,
+// and a new shard set is published atomically. Readers holding the old set
+// keep complete, consistent snapshots.
+type shardEngine[K Key, V any] struct {
 	// reshape is held shared by writers (writes on different shards still
-	// run concurrently) and exclusively by rebalance and coherent
-	// multi-shard snapshots. Readers never touch it.
+	// run concurrently) and exclusively by rebalance, coherent multi-shard
+	// snapshots and a durable Close. Readers never touch it.
 	reshape sync.RWMutex
 	set     atomic.Pointer[shardSet[K, V]]
 
+	opts         Options       // every shard's tree options; fixed once the first set is built
 	want         int           // target shard count
 	flushAt      atomic.Int64  // forwarded to every shard, current and future
 	maxFrozen    atomic.Int64  // forwarded to every shard, current and future
@@ -85,18 +97,25 @@ type Sharded[K Key, V any] struct {
 	factor       atomic.Uint64 // rebalance skew factor (math.Float64bits)
 	writes       atomic.Uint64 // write counter gating the skew check
 	rebalancedAt atomic.Int64  // total elements when fences were last computed
+
+	// durable is the durability plug — the store this engine is embedded
+	// in — or nil for an in-memory store. Shards built for it carry commit
+	// logs, and rebalance brackets itself with its beginRebalance and
+	// commitRebalance: the only steps of the engine that differ between
+	// the two public types.
+	durable *DurableSharded[K, V]
 }
 
 // shardSet is one immutable published partitioning: the fence keys and the
 // shards they induce. The slice headers and fences are never mutated after
-// publication; the shards themselves are live Optimistic facades.
+// publication; the shards themselves are live Optimistic facades (each
+// carrying its commit log when the store is durable).
 type shardSet[K Key, V any] struct {
 	// bounds holds len(shards)-1 strictly increasing fence keys: shard i
 	// owns keys in [bounds[i-1], bounds[i]), with the first and last
 	// ranges open-ended.
 	bounds      []K
 	shards      []*Optimistic[K, V]
-	opts        Options
 	versionBase uint64 // accumulated Version() sum of retired shard sets
 	// shardWrites tallies writes routed to each shard since this set was
 	// published, feeding the write-skew rebalance trigger: a shard
@@ -104,6 +123,11 @@ type shardSet[K Key, V any] struct {
 	// even when element counts are balanced. Reset naturally when a
 	// rebalance publishes a fresh set.
 	shardWrites []atomic.Uint64
+	// skewSettled disarms the write-skew trigger for this set: a
+	// write-skew rebalance recomputed the fences and they did not move, so
+	// the hot range cannot be split and repeating the O(n) work every
+	// minSkewWrites writes would buy nothing.
+	skewSettled atomic.Bool
 }
 
 // balancedFences picks the fence keys for a shard split of the sorted
@@ -235,9 +259,36 @@ func (ss *shardSet[K, V]) shardFor(k K) int {
 // grows toward the target as data arrives. The tree must not be used
 // directly afterwards: the facade owns its content.
 func NewSharded[K Key, V any](t *Tree[K, V], shards int) (*Sharded[K, V], error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
+	s := &Sharded[K, V]{}
+	if err := s.init(t.Options(), shards); err != nil {
+		return nil, err
 	}
+	ss, err := s.load(t)
+	if err != nil {
+		return nil, err
+	}
+	s.set.Store(ss)
+	return s, nil
+}
+
+// init sets the engine's options, shard target and tuning defaults.
+func (e *shardEngine[K, V]) init(opts Options, want int) error {
+	if want < 1 {
+		return fmt.Errorf("fitingtree: shard count %d, must be >= 1", want)
+	}
+	e.opts, e.want = opts, want
+	e.flushAt.Store(DefaultFlushEvery)
+	e.maxFrozen.Store(DefaultMaxFrozenLayers)
+	// Same adaptive default as NewOptimistic: async flushing needs a spare
+	// core to run the background merges on.
+	e.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
+	e.factor.Store(math.Float64bits(DefaultRebalanceFactor))
+	return nil
+}
+
+// load splits t's content into the engine's first shard set, fenced along
+// the tree's page boundaries. The caller publishes it.
+func (e *shardEngine[K, V]) load(t *Tree[K, V]) (*shardSet[K, V], error) {
 	keys := make([]K, 0, t.Len())
 	vals := make([]V, 0, t.Len())
 	t.Ascend(func(k K, v V) bool {
@@ -246,108 +297,114 @@ func NewSharded[K Key, V any](t *Tree[K, V], shards int) (*Sharded[K, V], error)
 		return true
 	})
 	starts, weights := t.PageBounds()
-	s := &Sharded[K, V]{want: shards}
-	s.flushAt.Store(DefaultFlushEvery)
-	s.maxFrozen.Store(DefaultMaxFrozenLayers)
-	// Same adaptive default as NewOptimistic: async flushing needs a spare
-	// core to run the background merges on.
-	s.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
-	s.factor.Store(math.Float64bits(DefaultRebalanceFactor))
-	ss, err := newShardSet(keys, vals, starts, weights, t.Options(), shards, 0,
-		DefaultFlushEvery, DefaultMaxFrozenLayers, !s.asyncOff.Load(), false)
-	if err != nil {
-		return nil, err
-	}
-	s.set.Store(ss)
-	s.rebalancedAt.Store(int64(len(keys)))
-	return s, nil
+	e.rebalancedAt.Store(int64(len(keys)))
+	return e.newShardSet(keys, vals, balancedFences(keys, starts, weights, e.want), 0)
 }
 
-// newShardSet partitions the sorted (keys, vals) run along fences chosen
-// by balancedFences and bulk-loads one shard per range.
-func newShardSet[K Key, V any](keys []K, vals []V, starts []K, weights []int,
-	opts Options, want int, versionBase uint64, flushAt, maxFrozen int, async, autoTune bool) (*shardSet[K, V], error) {
-	bounds := balancedFences(keys, starts, weights, want)
-	shards := make([]*Optimistic[K, V], len(bounds)+1)
+// newShardSet partitions the sorted (keys, vals) run along bounds and
+// bulk-loads one shard per range.
+func (e *shardEngine[K, V]) newShardSet(keys []K, vals []V, bounds []K, versionBase uint64) (*shardSet[K, V], error) {
+	trees := make([]*Tree[K, V], len(bounds)+1)
 	lo := 0
-	for i := range shards {
+	for i := range trees {
 		hi := len(keys)
 		if i < len(bounds) {
 			hi = lowerBound(keys, bounds[i]) // keys >= fence belong right of the cut
 		}
-		tr, err := BulkLoad(keys[lo:hi], vals[lo:hi], opts)
+		tr, err := BulkLoad(keys[lo:hi], vals[lo:hi], e.opts)
 		if err != nil {
 			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
 		}
-		o := NewOptimistic(tr)
-		o.SetFlushEvery(flushAt)
-		o.SetMaxFrozenLayers(maxFrozen)
-		o.SetAsyncFlush(async)
-		o.SetAutoTune(autoTune)
-		shards[i] = o
+		trees[i] = tr
 		lo = hi
 	}
-	return &shardSet[K, V]{bounds: bounds, shards: shards, opts: opts, versionBase: versionBase,
-		shardWrites: make([]atomic.Uint64, len(shards))}, nil
+	return e.shardSetOf(bounds, trees, versionBase), nil
+}
+
+// shardSetOf wraps one tree per fence range into a shard set, every shard
+// carrying the engine's current knob values.
+func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V], versionBase uint64) *shardSet[K, V] {
+	shards := make([]*Optimistic[K, V], len(trees))
+	for i, tr := range trees {
+		o := NewOptimistic(tr)
+		o.SetFlushEvery(int(e.flushAt.Load()))
+		o.SetMaxFrozenLayers(int(e.maxFrozen.Load()))
+		o.SetAsyncFlush(!e.asyncOff.Load())
+		o.SetAutoTune(e.autoTuneOn.Load())
+		shards[i] = o
+	}
+	return &shardSet[K, V]{bounds: bounds, shards: shards, versionBase: versionBase,
+		shardWrites: make([]atomic.Uint64, len(shards))}
+}
+
+// forward applies a knob change to every current shard. The caller stores
+// the engine-level value first; the shared reshape lock then orders the
+// loop against rebalance: a rebalance that ran before it published the set
+// this loop patches, and one that runs after it reads the stored value
+// when building its shards.
+func (e *shardEngine[K, V]) forward(fn func(*Optimistic[K, V])) {
+	e.reshape.RLock()
+	defer e.reshape.RUnlock()
+	for _, sh := range e.set.Load().shards {
+		fn(sh)
+	}
 }
 
 // SetFlushEvery sets the per-shard delta flush threshold (see
 // Optimistic.SetFlushEvery). Safe to call at any time; shards created by
 // later rebalances inherit the value. Panics if n < 1.
-func (s *Sharded[K, V]) SetFlushEvery(n int) {
+func (e *shardEngine[K, V]) SetFlushEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetFlushEvery threshold must be >= 1")
 	}
-	// The shared lock orders this against rebalance: either the rebalance
-	// sees the new flushAt when building its shards, or this loop sees the
-	// shard set the rebalance published.
-	s.reshape.RLock()
-	defer s.reshape.RUnlock()
-	s.flushAt.Store(int64(n))
-	for _, sh := range s.set.Load().shards {
-		sh.SetFlushEvery(n)
-	}
+	e.flushAt.Store(int64(n))
+	e.forward(func(sh *Optimistic[K, V]) { sh.SetFlushEvery(n) })
 }
 
 // SetMaxFrozenLayers sets the per-shard frozen merge ladder depth (see
 // Optimistic.SetMaxFrozenLayers). Safe to call at any time; shards created
 // by later rebalances inherit the value. Panics if n < 1.
-func (s *Sharded[K, V]) SetMaxFrozenLayers(n int) {
+func (e *shardEngine[K, V]) SetMaxFrozenLayers(n int) {
 	if n < 1 {
 		panic("fitingtree: SetMaxFrozenLayers depth must be >= 1")
 	}
-	// Same ordering argument as SetFlushEvery: the shared lock makes the
-	// new depth visible either to the rebalance building new shards or to
-	// this loop over the set it published.
-	s.reshape.RLock()
-	defer s.reshape.RUnlock()
-	s.maxFrozen.Store(int64(n))
-	for _, sh := range s.set.Load().shards {
-		sh.SetMaxFrozenLayers(n)
-	}
+	e.maxFrozen.Store(int64(n))
+	e.forward(func(sh *Optimistic[K, V]) { sh.SetMaxFrozenLayers(n) })
 }
 
 // SetAsyncFlush enables or disables the asynchronous flush pipeline on
 // every shard (see Optimistic.SetAsyncFlush; enabled by default on a
 // multi-processor runtime). Safe to call at any time; shards created by
 // later rebalances inherit the value.
-func (s *Sharded[K, V]) SetAsyncFlush(enabled bool) {
-	s.reshape.RLock()
-	defer s.reshape.RUnlock()
-	s.asyncOff.Store(!enabled)
-	for _, sh := range s.set.Load().shards {
-		sh.SetAsyncFlush(enabled)
-	}
+func (e *shardEngine[K, V]) SetAsyncFlush(enabled bool) {
+	e.asyncOff.Store(!enabled)
+	e.forward(func(sh *Optimistic[K, V]) { sh.SetAsyncFlush(enabled) })
+}
+
+// SetAutoTune enables or disables cost-model-driven self-tuning on every
+// shard (see Optimistic.SetAutoTune; disabled by default). Shard writes
+// additionally feed the skew-aware fence picker: a rebalance boosts the
+// fence weights of write-hot regions, so hot ranges get narrower shards.
+// On a durable store retuned layouts persist: checkpoints record each
+// page's error bound, so recovery reassembles the tuned layout exactly.
+// Safe to call at any time; shards created by later rebalances inherit
+// the value.
+func (e *shardEngine[K, V]) SetAutoTune(enabled bool) {
+	e.autoTuneOn.Store(enabled)
+	e.forward(func(sh *Optimistic[K, V]) { sh.SetAutoTune(enabled) })
 }
 
 // SyncFlush synchronously folds every shard's pending writes — frozen
 // deltas of in-flight background flushes and active deltas alike — into
 // the shard base trees. Shards flush in parallel: each fold is an
-// independent page-granular merge of that shard's pages.
-func (s *Sharded[K, V]) SyncFlush() {
-	s.reshape.RLock()
-	defer s.reshape.RUnlock()
-	forEachShardParallel(s.set.Load().shards, func(sh *Optimistic[K, V]) { sh.SyncFlush() })
+// independent page-granular merge of that shard's pages. On a durable
+// store durability is unaffected (the logs already hold the deltas); it
+// makes the next Checkpoint's dirty-chunk set exactly the folds'
+// published one.
+func (e *shardEngine[K, V]) SyncFlush() {
+	e.reshape.RLock()
+	defer e.reshape.RUnlock()
+	forEachShardParallel(e.set.Load().shards, func(sh *Optimistic[K, V]) { sh.SyncFlush() })
 }
 
 // Close drains every shard's flush pipeline and disables asynchronous
@@ -358,7 +415,7 @@ func (s *Sharded[K, V]) Close() {
 	s.asyncOff.Store(true)
 	s.reshape.RLock()
 	defer s.reshape.RUnlock()
-	forEachShardParallel(s.set.Load().shards, func(sh *Optimistic[K, V]) { sh.Close() })
+	s.set.Load().quiesce()
 }
 
 // forEachShardParallel runs fn over shards concurrently and waits for all
@@ -379,42 +436,28 @@ func forEachShardParallel[K Key, V any](shards []*Optimistic[K, V], fn func(*Opt
 	wg.Wait()
 }
 
-// SetAutoTune enables or disables cost-model-driven self-tuning on every
-// shard (see Optimistic.SetAutoTune; disabled by default). Shard writes
-// additionally feed the skew-aware fence picker: a rebalance boosts the
-// fence weights of write-hot regions, so hot ranges get narrower shards.
-// Safe to call at any time; shards created by later rebalances inherit
-// the value.
-func (s *Sharded[K, V]) SetAutoTune(enabled bool) {
-	s.reshape.RLock()
-	defer s.reshape.RUnlock()
-	s.autoTuneOn.Store(enabled)
-	for _, sh := range s.set.Load().shards {
-		sh.SetAutoTune(enabled)
-	}
-}
-
 // SetRebalanceFactor sets the skew threshold: a boundary rebuild is
 // considered once the largest shard exceeds factor times the mean shard
-// size. Values below 1.5 (including NaN) are clamped to 1.5; +Inf disables
-// rebalancing. Safe to call at any time.
-func (s *Sharded[K, V]) SetRebalanceFactor(factor float64) {
+// size (or the busiest shard factor times the mean write share). Values
+// below 1.5 (including NaN) are clamped to 1.5; +Inf disables rebalancing.
+// Safe to call at any time.
+func (e *shardEngine[K, V]) SetRebalanceFactor(factor float64) {
 	if factor != factor || factor < minRebalanceFactor {
 		factor = minRebalanceFactor
 	}
-	s.factor.Store(math.Float64bits(factor))
+	e.factor.Store(math.Float64bits(factor))
 }
 
 // Shards returns the current number of shards. It can be lower than the
-// target passed to NewSharded while the data is too small to split, and
-// reaches the target through rebalances as data arrives.
-func (s *Sharded[K, V]) Shards() int { return len(s.set.Load().shards) }
+// target the store was built with while the data is too small to split,
+// and reaches the target through rebalances as data arrives.
+func (e *shardEngine[K, V]) Shards() int { return len(e.set.Load().shards) }
 
 // ShardSizes returns the current per-shard element counts in fence order —
 // a balance diagnostic. Like Len, the counts are a momentary aggregate
 // under concurrent writers.
-func (s *Sharded[K, V]) ShardSizes() []int {
-	ss := s.set.Load()
+func (e *shardEngine[K, V]) ShardSizes() []int {
+	ss := e.set.Load()
 	sizes := make([]int, len(ss.shards))
 	for i, sh := range ss.shards {
 		sizes[i] = sh.Len()
@@ -424,8 +467,8 @@ func (s *Sharded[K, V]) ShardSizes() []int {
 
 // Bounds returns a copy of the current fence keys (len Shards()-1,
 // strictly increasing): shard i owns keys in [bounds[i-1], bounds[i]).
-func (s *Sharded[K, V]) Bounds() []K {
-	return append([]K(nil), s.set.Load().bounds...)
+func (e *shardEngine[K, V]) Bounds() []K {
+	return append([]K(nil), e.set.Load().bounds...)
 }
 
 // Version returns an aggregate write stamp: the sum of every shard's
@@ -443,10 +486,9 @@ func (s *Sharded[K, V]) Version() uint64 {
 
 // Len returns the total number of stored elements across all shards,
 // including pending delta inserts.
-func (s *Sharded[K, V]) Len() int {
-	ss := s.set.Load()
+func (e *shardEngine[K, V]) Len() int {
 	n := 0
-	for _, sh := range ss.shards {
+	for _, sh := range e.set.Load().shards {
 		n += sh.Len()
 	}
 	return n
@@ -455,16 +497,9 @@ func (s *Sharded[K, V]) Len() int {
 // Stats aggregates the shards' statistics: counts and sizes sum, heights
 // and the frozen-ladder depth take the maximum (per-layer pending counts
 // are per-shard and left unset — see Optimistic.Stats for them).
-func (s *Sharded[K, V]) Stats() Stats {
-	return aggregateShardStats(s.set.Load().shards)
-}
-
-// aggregateShardStats folds per-shard statistics into one facade-level
-// view: counts and sizes sum, heights and ladder depth take the maximum.
-// Shared by Sharded and DurableSharded.
-func aggregateShardStats[K Key, V any](shards []*Optimistic[K, V]) Stats {
+func (e *shardEngine[K, V]) Stats() Stats {
 	var agg Stats
-	for _, sh := range shards {
+	for _, sh := range e.set.Load().shards {
 		st := sh.Stats()
 		agg.Elements += st.Elements
 		agg.Pages += st.Pages
@@ -492,14 +527,14 @@ func aggregateShardStats[K Key, V any](shards []*Optimistic[K, V]) Stats {
 
 // Lookup returns a value stored under k; latch-free. When k has
 // duplicates, an arbitrary match is returned; use Each for all of them.
-func (s *Sharded[K, V]) Lookup(k K) (V, bool) {
-	ss := s.set.Load()
+func (e *shardEngine[K, V]) Lookup(k K) (V, bool) {
+	ss := e.set.Load()
 	return ss.shards[ss.shardFor(k)].Lookup(k)
 }
 
 // Contains reports whether k is present; latch-free.
-func (s *Sharded[K, V]) Contains(k K) bool {
-	_, ok := s.Lookup(k)
+func (e *shardEngine[K, V]) Contains(k K) bool {
+	_, ok := e.Lookup(k)
 	return ok
 }
 
@@ -507,8 +542,8 @@ func (s *Sharded[K, V]) Contains(k K) bool {
 // shard's consistent snapshot; latch-free. Match order is Optimistic's:
 // surviving base matches in page order, then pending inserts in insertion
 // order.
-func (s *Sharded[K, V]) Each(k K, fn func(v V) bool) {
-	ss := s.set.Load()
+func (e *shardEngine[K, V]) Each(k K, fn func(v V) bool) {
+	ss := e.set.Load()
 	ss.shards[ss.shardFor(k)].Each(k, fn)
 }
 
@@ -519,24 +554,15 @@ func (s *Sharded[K, V]) Each(k K, fn func(v V) bool) {
 // partition the key space, so the stitched output is globally ordered; each
 // shard's portion is one consistent cut (writes published to a shard after
 // its capture are not observed).
-func (s *Sharded[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
-	ss := s.set.Load()
-	ascendSharded(ss.bounds, ss.shards, lo, hi, fn)
-}
-
-// ascendSharded is the ordered cross-shard range scan shared by Sharded
-// and DurableSharded: every intersecting shard's state is captured before
-// the first element is emitted, then each shard's portion is scanned in
-// fence order.
-func ascendSharded[K Key, V any](bounds []K, shards []*Optimistic[K, V],
-	lo, hi K, fn func(k K, v V) bool) {
+func (e *shardEngine[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 	if hi < lo {
 		return
 	}
-	from, to := upperBoundKeys(bounds, lo), upperBoundKeys(bounds, hi)
+	ss := e.set.Load()
+	from, to := upperBoundKeys(ss.bounds, lo), upperBoundKeys(ss.bounds, hi)
 	states := make([]*ostate[K, V], to-from+1)
 	for i := range states {
-		states[i] = shards[from+i].state.Load()
+		states[i] = ss.shards[from+i].state.Load()
 	}
 	for _, st := range states {
 		stopped := false
@@ -569,14 +595,9 @@ const shardBatchParallelMin = 2048
 // shardBatchParallelMin probes spanning several shards fan the per-shard
 // sub-batches out to one worker goroutine per shard; each worker fills
 // disjoint result indices, so the fan-out needs no locking.
-func (s *Sharded[K, V]) LookupBatch(keys []K) ([]V, []bool) {
-	ss := s.set.Load()
-	return lookupBatchSharded(ss.bounds, ss.shards, keys)
-}
-
-// lookupBatchSharded is the scatter-gather batch engine shared by Sharded
-// and DurableSharded; see Sharded.LookupBatch for the protocol.
-func lookupBatchSharded[K Key, V any](bounds []K, shards []*Optimistic[K, V], keys []K) ([]V, []bool) {
+func (e *shardEngine[K, V]) LookupBatch(keys []K) ([]V, []bool) {
+	ss := e.set.Load()
+	bounds, shards := ss.bounds, ss.shards
 	if len(shards) == 1 {
 		return shards[0].LookupBatch(keys)
 	}
@@ -635,37 +656,35 @@ func lookupBatchSharded[K Key, V any](bounds []K, shards []*Optimistic[K, V], ke
 	return vals, found
 }
 
+// write is the one routed write: it runs op through the owning shard's
+// writer section (Optimistic.apply — victim decision, commit-log append
+// when durable, publication, group-commit barrier, all under that shard's
+// writer mutex and nothing else), tallies it for the write-skew trigger and
+// gives the skew check its turn. The error is always nil in memory. Panics
+// on a NaN key, before any lock is taken.
+func (e *shardEngine[K, V]) write(op byte, k K, v V) (bool, error) {
+	mustNotBeNaN(op, k)
+	e.reshape.RLock()
+	ss := e.set.Load()
+	si := ss.shardFor(k)
+	ok, err := ss.shards[si].apply(op, k, v)
+	ss.shardWrites[si].Add(1)
+	e.reshape.RUnlock()
+	if ok && err == nil {
+		e.maybeRebalance()
+	}
+	return ok, err
+}
+
 // Insert adds (k, v). Only the owning shard's writer mutex is taken, so
 // inserts to different shards proceed concurrently. Panics on a NaN key.
-func (s *Sharded[K, V]) Insert(k K, v V) {
-	if k != k {
-		panic("fitingtree: Insert with NaN key")
-	}
-	s.reshape.RLock()
-	ss := s.set.Load()
-	si := ss.shardFor(k)
-	ss.shards[si].Insert(k, v)
-	ss.shardWrites[si].Add(1)
-	s.reshape.RUnlock()
-	s.maybeRebalance()
-}
+func (s *Sharded[K, V]) Insert(k K, v V) { s.write(walOpInsert, k, v) }
 
 // Delete removes one element with key k from the owning shard and reports
 // whether one was found; duplicate semantics are Optimistic.Delete's.
 // Panics on a NaN key.
 func (s *Sharded[K, V]) Delete(k K) bool {
-	if k != k {
-		panic("fitingtree: Delete with NaN key")
-	}
-	s.reshape.RLock()
-	ss := s.set.Load()
-	si := ss.shardFor(k)
-	ok := ss.shards[si].Delete(k)
-	ss.shardWrites[si].Add(1)
-	s.reshape.RUnlock()
-	if ok {
-		s.maybeRebalance()
-	}
+	ok, _ := s.write(walOpDelete, k, *new(V))
 	return ok
 }
 
@@ -675,100 +694,112 @@ func (s *Sharded[K, V]) Delete(k K) bool {
 // victim, so the outcome is independent of flush timing). Panics on a NaN
 // key and for non-comparable value types.
 func (s *Sharded[K, V]) DeleteValue(k K, v V) bool {
-	if k != k {
-		panic("fitingtree: DeleteValue with NaN key")
-	}
-	s.reshape.RLock()
-	ss := s.set.Load()
-	si := ss.shardFor(k)
-	ok := ss.shards[si].DeleteValue(k, v)
-	ss.shardWrites[si].Add(1)
-	s.reshape.RUnlock()
-	if ok {
-		s.maybeRebalance()
-	}
+	ok, _ := s.write(walOpDeleteValue, k, v)
 	return ok
 }
 
 // maybeRebalance runs the skew check on one write in shardSkewCheckEvery
-// and triggers a boundary rebuild when it reports drift.
-func (s *Sharded[K, V]) maybeRebalance() {
-	if s.writes.Add(1)%shardSkewCheckEvery != 0 {
+// and triggers a boundary rebuild when it reports drift. The rebuild
+// re-verifies under the exclusive lock; on a durable store its failure
+// poisons the store and surfaces through Err and every later write.
+func (e *shardEngine[K, V]) maybeRebalance() {
+	if e.writes.Add(1)%shardSkewCheckEvery != 0 {
 		return
 	}
-	if s.needsRebalance(s.set.Load()) {
-		s.rebalance()
+	if e.needsRebalance(e.set.Load()) != rebalanceNone {
+		_ = e.rebalance(false) // a failed commit poisoned the store; Err reports it
 	}
 }
 
-// needsRebalance reports whether the shard set's sizes have drifted enough
-// to warrant an O(n) re-partition: the facade is under its target shard
-// count, or the largest shard exceeds the skew factor times the mean. An
-// amortization guard requires the total size to have moved by at least a
-// quarter since fences were last computed, so repeated checks against an
-// unsplittable distribution (e.g. one giant duplicate run) stay cheap.
-func (s *Sharded[K, V]) needsRebalance(ss *shardSet[K, V]) bool {
-	return shardsNeedRebalance(ss.shards, ss.shardWrites, s.want,
-		math.Float64frombits(s.factor.Load()), int(s.rebalancedAt.Load()))
-}
+// rebalanceReason says what drift, if any, warrants a re-partition.
+type rebalanceReason int
 
-// shardsNeedRebalance is the skew policy shared by Sharded and
-// DurableSharded; see Sharded.needsRebalance for the rules. writes may be
-// nil when the caller keeps no per-shard write tallies; the write-skew
-// term is then skipped.
-func shardsNeedRebalance[K Key, V any](shards []*Optimistic[K, V], writes []atomic.Uint64,
-	want int, factor float64, rebalancedAt int) bool {
+const (
+	rebalanceNone      rebalanceReason = iota
+	rebalanceSize                      // under the shard target, or element-count skew (also: forced)
+	rebalanceWriteSkew                 // one shard absorbs an outsized share of the writes
+)
+
+// needsRebalance reports whether the shard set has drifted enough to
+// warrant an O(n) re-partition. Size drift: the store is under its target
+// shard count, or the largest shard exceeds the skew factor times the
+// mean — behind an amortization guard that requires the total size to have
+// moved by at least a quarter since fences were last computed, so repeated
+// checks against an unsplittable distribution (e.g. one giant duplicate
+// run) stay cheap. Write skew: one shard absorbing more than factor times
+// the mean write share serializes its writers even when element counts are
+// balanced; a pure-update workload never moves the total element count, so
+// this term sits outside the size guard and is instead disarmed per shard
+// set once a rebalance finds it cannot move the fences (skewSettled).
+func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) rebalanceReason {
+	factor := math.Float64frombits(e.factor.Load())
 	if math.IsInf(factor, 1) {
-		return false
+		return rebalanceNone
 	}
 	total, maxSize := 0, 0
-	for _, sh := range shards {
+	for _, sh := range ss.shards {
 		n := sh.Len()
 		total += n
 		if n > maxSize {
 			maxSize = n
 		}
 	}
-	if total < want*minShardElements {
-		return false
+	if total < e.want*minShardElements {
+		return rebalanceNone
 	}
-	// Write skew: one shard absorbing an outsized share of the write
-	// traffic serializes its writers even when element counts are
-	// balanced. Checked before the size-amortization guard because a
-	// pure-update workload never moves the total element count.
-	if len(writes) > 1 {
+	if at := int(e.rebalancedAt.Load()); at <= 0 || total >= at+at/4 || total <= at/2 {
+		if len(ss.shards) < e.want || float64(maxSize) > factor*float64(total)/float64(len(ss.shards)) {
+			return rebalanceSize
+		}
+	}
+	if len(ss.shardWrites) > 1 && !ss.skewSettled.Load() {
 		var totW, maxW uint64
-		for i := range writes {
-			w := writes[i].Load()
+		for i := range ss.shardWrites {
+			w := ss.shardWrites[i].Load()
 			totW += w
 			if w > maxW {
 				maxW = w
 			}
 		}
-		if totW >= minSkewWrites && float64(maxW) > factor*float64(totW)/float64(len(writes)) {
-			return true
+		if totW >= minSkewWrites && float64(maxW) > factor*float64(totW)/float64(len(ss.shardWrites)) {
+			return rebalanceWriteSkew
 		}
 	}
-	if at := rebalancedAt; at > 0 && total < at+at/4 && total > at/2 {
-		return false
-	}
-	if len(shards) < want {
-		return true
-	}
-	mean := float64(total) / float64(len(shards))
-	return float64(maxSize) > factor*mean
+	return rebalanceNone
 }
 
-// rebalance recomputes fences from the merged data's segment boundaries
-// and publishes a fresh shard set. Writers are excluded for the duration
+// quiesce drains every shard's flush pipeline and leaves asynchronous
+// flushing off on them: afterwards no background worker is live and every
+// shard's state is its clean base tree. Shards drain in parallel.
+func (ss *shardSet[K, V]) quiesce() {
+	forEachShardParallel(ss.shards, func(sh *Optimistic[K, V]) { sh.Close() })
+}
+
+// rebalance is the one re-partition: quiesce, collect, re-segment, weigh,
+// fence, build, commit, publish. Writers are excluded for the duration
 // (exclusive reshape lock); readers keep running against the old set,
-// which stays a complete, consistent snapshot.
-func (s *Sharded[K, V]) rebalance() {
-	s.reshape.Lock()
-	defer s.reshape.Unlock()
-	ss := s.set.Load()
-	if !s.needsRebalance(ss) {
-		return // another writer rebalanced between the check and the lock
+// which stays a complete, consistent snapshot. Unless forced it re-checks
+// the trigger under the lock (another writer may have rebalanced between
+// the check and the lock). Commit is the durability backend's step and the
+// only one that can fail: the old set then stays published, and the
+// backend has poisoned its store (the migration's durable state is
+// ambiguous until the next open, which discards it wholesale).
+func (e *shardEngine[K, V]) rebalance(force bool) error {
+	e.reshape.Lock()
+	defer e.reshape.Unlock()
+	if e.durable != nil {
+		end, err := e.durable.beginRebalance()
+		if err != nil {
+			return err
+		}
+		defer end()
+	}
+	ss := e.set.Load()
+	why := rebalanceSize
+	if !force {
+		if why = e.needsRebalance(ss); why == rebalanceNone {
+			return nil
+		}
 	}
 	// Quiesce the outgoing shards' flush pipelines before reading their
 	// version stamps: background flush workers publish under only the
@@ -780,7 +811,7 @@ func (s *Sharded[K, V]) rebalance() {
 	// pending deltas (page-granular, O(pending) per shard), runs shards in
 	// parallel, and leaves the retired set permanently clean for readers
 	// still holding it.
-	forEachShardParallel(ss.shards, func(sh *Optimistic[K, V]) { sh.Close() })
+	ss.quiesce()
 	states := make([]*ostate[K, V], len(ss.shards))
 	base := ss.versionBase + 2 // keep Version monotone (and even) across the swap
 	for i, sh := range ss.shards {
@@ -788,9 +819,9 @@ func (s *Sharded[K, V]) rebalance() {
 		states[i] = sh.state.Load()
 	}
 	keys, vals := collectStates(states)
-	starts, weights, err := core.SegmentBoundsOf(keys, ss.opts)
+	starts, weights, err := core.SegmentBoundsOf(keys, e.opts)
 	if err != nil {
-		// Unreachable: ss.opts was normalized at construction.
+		// Unreachable: e.opts was normalized at construction.
 		panic(fmt.Sprintf("fitingtree: rebalance segmentation: %v", err))
 	}
 	// Feed the outgoing shards' sampled write rates into the fence picker:
@@ -802,15 +833,32 @@ func (s *Sharded[K, V]) rebalance() {
 	for _, st := range states {
 		loads = append(loads, st.tree.ChunkLoads()...)
 	}
-	weights = writeBoostedWeights(starts, weights, loads)
-	ns, err := newShardSet(keys, vals, starts, weights, ss.opts, s.want, base,
-		int(s.flushAt.Load()), int(s.maxFrozen.Load()), !s.asyncOff.Load(), s.autoTuneOn.Load())
+	bounds := balancedFences(keys, starts, writeBoostedWeights(starts, weights, loads), e.want)
+	if why == rebalanceWriteSkew && slices.Equal(bounds, ss.bounds) {
+		// The hot range cannot be split (one scorching key, or no load
+		// samples to boost with): rebuilding would republish the same
+		// partitioning — and on a durable store write a full checkpoint —
+		// every minSkewWrites writes. Keep the set, re-arm its pipelines
+		// and stop asking until a size rebalance publishes a fresh one.
+		ss.skewSettled.Store(true)
+		for _, sh := range ss.shards {
+			sh.SetAsyncFlush(!e.asyncOff.Load())
+		}
+		return nil
+	}
+	ns, err := e.newShardSet(keys, vals, bounds, base)
 	if err != nil {
 		// Unreachable: the collected run is sorted and NaN-free.
 		panic(fmt.Sprintf("fitingtree: rebalance: %v", err))
 	}
-	s.set.Store(ns)
-	s.rebalancedAt.Store(int64(len(keys)))
+	if e.durable != nil {
+		if err := e.durable.commitRebalance(ss, ns); err != nil {
+			return err
+		}
+	}
+	e.set.Store(ns)
+	e.rebalancedAt.Store(int64(len(keys)))
+	return nil
 }
 
 // parallelCollectMin is the total element count below which collectStates
@@ -885,13 +933,13 @@ func collectStatesParallel[K Key, V any](states []*ostate[K, V], total int) ([]K
 // snapshotAll captures one coherent cut across every shard: writers are
 // excluded only for the O(shards) state loads, then the immutable states
 // are readable without any lock. EncodeSharded builds on this.
-func (s *Sharded[K, V]) snapshotAll() (*shardSet[K, V], []*ostate[K, V]) {
-	s.reshape.Lock()
-	ss := s.set.Load()
+func (e *shardEngine[K, V]) snapshotAll() []*ostate[K, V] {
+	e.reshape.Lock()
+	defer e.reshape.Unlock()
+	ss := e.set.Load()
 	states := make([]*ostate[K, V], len(ss.shards))
 	for i, sh := range ss.shards {
 		states[i] = sh.state.Load()
 	}
-	s.reshape.Unlock()
-	return ss, states
+	return states
 }

@@ -243,7 +243,7 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 		d.Lookup(rng.Intn(k / 2))
 	}
 	d.SyncFlush()
-	d.set.Load().opts[0].Retune()
+	d.set.Load().shards[0].Retune()
 	for i := 0; i < 4_000; i++ {
 		if err := d.Insert(rng.Intn(k), -i); err != nil {
 			t.Fatal(err)

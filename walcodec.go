@@ -23,12 +23,16 @@ import (
 // bulkier, but the WAL holds only the un-checkpointed tail, so compactness
 // matters less than never silently failing on an exotic V.
 
-// Op codes stored in a WAL record's first byte.
+// Op codes: the write path's one op type (Optimistic.apply switches on
+// them) and the first byte of a WAL record.
 const (
 	walOpInsert      byte = 1
 	walOpDelete      byte = 2
 	walOpDeleteValue byte = 3
 )
+
+// opNames names the write ops in panics.
+var opNames = [...]string{walOpInsert: "Insert", walOpDelete: "Delete", walOpDeleteValue: "DeleteValue"}
 
 // opCodec converts between (op, key, value) and WAL record payloads for
 // one concrete K, V instantiation.
