@@ -12,7 +12,7 @@
 //	range <lo> <hi>    count elements in [lo, hi]
 //	insert <key>       insert a key
 //	delete <key>       delete a key
-//	stats              index statistics
+//	stats              index statistics and maintenance counters
 //	quit
 //
 // The durable subcommands exercise the WAL + checkpoint storage engine
@@ -446,6 +446,12 @@ func runShell(idx shellIndex, in io.Reader, out io.Writer) {
 				st.Elements, st.Pages, st.Buffered, st.Height, st.IndexSize, st.DataSize)
 			if durable != nil {
 				fmt.Fprintf(out, " wal=%d", durable.WALRecords())
+			}
+			// Maintenance counters, where the index keeps them: refits over
+			// pages_made is the share of rebuilt pages that kept their line.
+			if c, ok := idx.(interface{ Counters() fitingtree.Counters }); ok {
+				ctr := c.Counters()
+				fmt.Fprintf(out, " merges=%d pages_made=%d refits=%d", ctr.Merges, ctr.PagesMade, ctr.Refits)
 			}
 			fmt.Fprintln(out)
 		case "quit", "exit":

@@ -77,14 +77,16 @@ func (st *ostate[K, V]) bounds() (lo, hi K, ok bool) {
 		ok = true
 	}
 	for _, d := range append(append([]*odelta[K, V]{}, st.frozen...), st.delta) {
-		if d == nil || len(d.keys) == 0 {
+		if d == nil {
 			continue
 		}
-		if !ok || d.keys[0] < lo {
-			lo = d.keys[0]
+		dlo, _, _ := d.m.Min()
+		dhi, _, _ := d.m.Max()
+		if !ok || dlo < lo {
+			lo = dlo
 		}
-		if !ok || d.keys[len(d.keys)-1] > hi {
-			hi = d.keys[len(d.keys)-1]
+		if !ok || dhi > hi {
+			hi = dhi
 		}
 		ok = true
 	}

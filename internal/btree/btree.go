@@ -679,6 +679,89 @@ func (t *Tree[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(k K, v V) bool
 	return true
 }
 
+// Iter is a forward cursor over one tree version: the pull-style
+// counterpart of AscendRange, for callers that merge a tree's entries into
+// another ordered stream and cannot hand control to a callback. Leaves
+// carry no sibling links, so the cursor keeps its descent path and climbs
+// it to reach the next leaf. The zero value is an exhausted cursor; it
+// must not be copied once positioned (the path may live in its own
+// buffer), and the tree version must not be mutated while it is in use.
+type Iter[K num.Key, V any] struct {
+	path []iterFrame[K, V]
+	buf  [8]iterFrame[K, V] // backs path up to height 8, so seeking allocates nothing
+}
+
+// iterFrame is one level of a cursor's descent path: the child taken at
+// an inner node, or the current entry at the leaf.
+type iterFrame[K num.Key, V any] struct {
+	n *node[K, V]
+	i int
+}
+
+// SeekGE positions the cursor on the first entry of t with key >= k.
+func (it *Iter[K, V]) SeekGE(t *Tree[K, V], k K) {
+	it.path = it.buf[:0]
+	n := t.root
+	for !n.leaf() {
+		i := search(n, k)
+		it.path = append(it.path, iterFrame[K, V]{n, i})
+		n = n.children[i]
+	}
+	i := search(n, k)
+	// search finds the first key > k; step back over an exact match.
+	if i > 0 && n.keys[i-1] == k {
+		i--
+	}
+	it.path = append(it.path, iterFrame[K, V]{n, i})
+	it.settle()
+}
+
+// settle moves a cursor that ran off the end of its leaf to the first
+// entry of the next one, or exhausts it. Non-root leaves are never empty,
+// so one hop always lands on an entry.
+func (it *Iter[K, V]) settle() {
+	top := len(it.path) - 1
+	if f := it.path[top]; f.i < len(f.n.keys) {
+		return
+	}
+	// Climb to the nearest ancestor with a child right of the path.
+	for top--; top >= 0 && it.path[top].i == len(it.path[top].n.children)-1; top-- {
+	}
+	if top < 0 {
+		it.path = it.path[:0]
+		return
+	}
+	it.path = it.path[:top+1]
+	it.path[top].i++
+	for n := it.path[top].n.children[it.path[top].i]; ; n = n.children[0] {
+		it.path = append(it.path, iterFrame[K, V]{n, 0})
+		if n.leaf() {
+			return
+		}
+	}
+}
+
+// Valid reports whether the cursor is on an entry.
+func (it *Iter[K, V]) Valid() bool { return len(it.path) > 0 }
+
+// Key returns the current entry's key; the cursor must be Valid.
+func (it *Iter[K, V]) Key() K {
+	f := it.path[len(it.path)-1]
+	return f.n.keys[f.i]
+}
+
+// Value returns the current entry's value; the cursor must be Valid.
+func (it *Iter[K, V]) Value() V {
+	f := it.path[len(it.path)-1]
+	return f.n.vals[f.i]
+}
+
+// Next advances to the next entry in key order; the cursor must be Valid.
+func (it *Iter[K, V]) Next() {
+	it.path[len(it.path)-1].i++
+	it.settle()
+}
+
 // BulkLoad builds the tree bottom-up from sorted, distinct keys with the
 // given leaf fill factor in (0,1]. It replaces the tree's contents. Bulk
 // loading an index after the one-pass segmentation step is how FITing-Tree

@@ -560,3 +560,49 @@ func BenchmarkGet(b *testing.B) {
 		tr.Get(uint64(rng.Intn(n)))
 	}
 }
+
+// TestIterMatchesAscendRange checks the pull cursor against the push scan
+// on grown, bulk-loaded and path-copied trees, from seek keys that are
+// present, absent, below the minimum and above the maximum.
+func TestIterMatchesAscendRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, order := range []int{3, 4, 16} {
+		grown := New[int, int](order)
+		var keys, vals []int
+		for i := 0; i < 700; i++ {
+			k := rng.Intn(3000) * 2
+			grown.Insert(k, k+1)
+		}
+		grown.Ascend(func(k, v int) bool { keys, vals = append(keys, k), append(vals, v); return true })
+		bulk := New[int, int](order)
+		if err := bulk.BulkLoad(keys, vals, 1); err != nil {
+			t.Fatal(err)
+		}
+		cow := bulk.CloneCOW()
+		for i := 0; i < 50; i++ {
+			cow.Delete(keys[rng.Intn(len(keys))])
+			cow.Insert(rng.Intn(3000)*2+1, -1)
+		}
+		for name, tr := range map[string]*Tree[int, int]{"empty": New[int, int](order), "grown": grown, "bulk": bulk, "cow": cow} {
+			for _, from := range []int{-5, 0, 1, 2, 777, 2999, 3000, 5998, 5999, 7000} {
+				var want [][2]int
+				tr.AscendRange(from, 1<<30, func(k, v int) bool { want = append(want, [2]int{k, v}); return true })
+				var it Iter[int, int]
+				n := 0
+				for it.SeekGE(tr, from); it.Valid(); it.Next() {
+					if n >= len(want) || want[n] != [2]int{it.Key(), it.Value()} {
+						t.Fatalf("order %d %s from %d: entry %d = (%d,%d), want %v", order, name, from, n, it.Key(), it.Value(), want[min(n, len(want)-1)])
+					}
+					n++
+				}
+				if n != len(want) {
+					t.Fatalf("order %d %s from %d: cursor yielded %d entries, scan %d", order, name, from, n, len(want))
+				}
+			}
+		}
+	}
+	var zero Iter[int, int]
+	if zero.Valid() {
+		t.Fatal("zero Iter is valid")
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"fitingtree/internal/num"
@@ -118,7 +120,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 				vals = append(vals, v)
 			}
 		}
-		nt.chunks = cutChunks(t.buildPages(keys, vals, &nt.counters))
+		nt.chunks = cutChunks(t.buildPages(keys, vals, nil, &nt.counters))
 		if err := nt.loadRouter(t.opts.FillFactor); err != nil {
 			// Unreachable: op keys are strictly ascending.
 			panic(fmt.Sprintf("fitingtree: MergeCOW router bootstrap: %v", err))
@@ -128,24 +130,10 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 
 		// Rebuild the dirty regions' content (reads only the receiver).
 		rebuilt := make([][]*page[K, V], len(ivs))
+		deleted = t.rebuildRegions(ivs, ops, rebuilt, &nt.counters)
 		dirty := 0
-		for i, iv := range ivs {
-			keys, vals, d := t.mergeRegion(iv, ops[iv.opLo:iv.opHi])
-			deleted += d
-			rebuilt[i] = t.buildPages(keys, vals, &nt.counters)
+		for _, iv := range ivs {
 			dirty += t.regionLen(iv)
-			// Feed the tuner: the rebuilt pages inherit the region's
-			// decayed load counters plus this batch's op count.
-			var sr, sw uint64
-			t.eachRegionPage(iv, func(p *page[K, V]) {
-				sr += atomic.LoadUint64(&p.reads)
-				sw += atomic.LoadUint64(&p.writes)
-			})
-			opN := 0
-			for _, op := range ops[iv.opLo:iv.opHi] {
-				opN += len(op.Adds) + op.Dels + len(op.Tombs)
-			}
-			carryLoad(sr, sw, opN, rebuilt[i])
 		}
 
 		// Router maintenance is hybrid. The persistent clone pays a few
@@ -313,20 +301,96 @@ func (t *Tree[K, V]) startsInterval(p *page[K, V], iv cowInterval) bool {
 	return t.chunks[iv.loCI].pages[iv.loPI] == p
 }
 
-// buildPages re-segments a sorted merged run into fresh pages, counting the
-// work in ctr. The run's backing arrays are shared by sub-slicing, as in
-// merge. Under a region plan the run is split at region boundaries and
-// each piece segmented with its region's error bound — the lazy-retarget
-// protocol: a plan change costs nothing until a rebuild was going to
-// happen anyway.
-func (t *Tree[K, V]) buildPages(keys []K, vals []V, ctr *Counters) []*page[K, V] {
+// regionsPerWorker is how many dirty regions a fold wants per goroutine
+// before fanning the rebuild out pays for starting one, and regionBatch
+// how many a worker claims at a time.
+const (
+	regionsPerWorker = 32
+	regionBatch      = 8
+)
+
+// rebuildRegions fills rebuilt[i] with the pages that replace dirty
+// interval ivs[i], counting the work in ctr, and returns how many elements
+// tombstones removed. Regions are independent — each reads the receiver
+// and writes its own slot — so a batch dirtying many of them is rebuilt by
+// min(GOMAXPROCS, regions/regionsPerWorker) workers (the caller being
+// one), each keeping its own counters, summed at the end: page order,
+// page contents and counts do not depend on the worker count. Below two
+// workers' worth of regions, or on one processor, everything runs on the
+// caller.
+func (t *Tree[K, V]) rebuildRegions(ivs []cowInterval, ops []MergeOp[K, V], rebuilt [][]*page[K, V], ctr *Counters) int {
+	var (
+		next    atomic.Int64 // first interval nobody has claimed yet
+		wg      sync.WaitGroup
+		mu      sync.Mutex // guards ctr and deleted
+		deleted int
+	)
+	work := func() {
+		defer wg.Done()
+		var c Counters
+		dels := 0
+		for lo := 0; lo < len(ivs); {
+			hi := int(next.Add(regionBatch))
+			for lo = hi - regionBatch; lo < min(hi, len(ivs)); lo++ {
+				var d int
+				rebuilt[lo], d = t.rebuildRegion(ivs[lo], ops[ivs[lo].opLo:ivs[lo].opHi], &c)
+				dels += d
+			}
+		}
+		mu.Lock()
+		ctr.add(c)
+		deleted += dels
+		mu.Unlock()
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(ivs)/regionsPerWorker))
+	wg.Add(workers)
+	for ; workers > 1; workers-- {
+		go work()
+	}
+	work()
+	wg.Wait()
+	return deleted
+}
+
+// rebuildRegion merges one dirty interval's pages with its ops and builds
+// the pages that replace them.
+func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], ctr *Counters) ([]*page[K, V], int) {
+	keys, vals, deleted := t.mergeRegion(iv, ops)
+	var only *page[K, V] // the region's page, when it has just one
+	if iv.loCI == iv.hiCI && iv.loPI == iv.hiPI {
+		only = t.chunks[iv.loCI].pages[iv.loPI]
+	}
+	pages := t.buildPages(keys, vals, only, ctr)
+	// Feed the tuner: the rebuilt pages inherit the region's decayed load
+	// counters plus this batch's op count.
+	var sr, sw uint64
+	t.eachRegionPage(iv, func(p *page[K, V]) {
+		sr += atomic.LoadUint64(&p.reads)
+		sw += atomic.LoadUint64(&p.writes)
+	})
+	opN := 0
+	for _, op := range ops {
+		opN += len(op.Adds) + op.Dels + len(op.Tombs)
+	}
+	carryLoad(sr, sw, opN, pages)
+	return pages, deleted
+}
+
+// buildPages turns a sorted merged run into fresh pages, counting the work
+// in ctr. The run's backing arrays are shared by sub-slicing, as in merge.
+// Under a region plan the run is split at region boundaries and each piece
+// built under its region's error bound — the lazy-retarget protocol: a
+// plan change costs nothing until a rebuild was going to happen anyway.
+// only is the page the run replaces when the dirty region was that one
+// page (nil otherwise); see buildPagesErr for what it buys.
+func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], ctr *Counters) []*page[K, V] {
 	if len(keys) == 0 {
 		return nil
 	}
 	ctr.Merges++
 	plan := t.tune.planOf()
 	if plan == nil || len(plan.targets) == 0 {
-		return t.buildPagesErr(keys, vals, t.opts.segError(), ctr)
+		return t.buildPagesErr(keys, vals, t.opts.segError(), only, ctr)
 	}
 	var pages []*page[K, V]
 	for lo := 0; lo < len(keys); {
@@ -339,15 +403,37 @@ func (t *Tree[K, V]) buildPages(keys []K, vals []V, ctr *Counters) []*page[K, V]
 				hi = at
 			}
 		}
-		pages = append(pages, t.buildPagesErr(keys[lo:hi], vals[lo:hi], plan.segErrAt(ri, t.opts.BufferSize), ctr)...)
+		keep := only
+		if hi-lo < len(keys) {
+			keep = nil // the run straddles a region boundary: no one model to keep
+		}
+		pages = append(pages, t.buildPagesErr(keys[lo:hi], vals[lo:hi], plan.segErrAt(ri, t.opts.BufferSize), keep, ctr)...)
 		lo = hi
 	}
 	return pages
 }
 
-// buildPagesErr segments one sorted run under a single error bound,
-// stamping the bound on every page it cuts.
-func (t *Tree[K, V]) buildPagesErr(keys []K, vals []V, segErr int, ctr *Counters) []*page[K, V] {
+// buildPagesErr builds the pages of one sorted run under a single error
+// bound, stamping the bound on every page it cuts.
+//
+// Refit before re-segmenting: when the run replaces one page (only) built
+// under this same bound, and that page's own line — same start, same
+// slope — still predicts every key of the run within the bound, the run
+// stays one page under the old model (counted in Refits). What the paper
+// guarantees is the bound, and the bound is checked here key by key; the
+// cone is only the way a slope is found when none is known. A few inserts
+// rarely push a page out of its bound, while the greedy cone re-run on
+// slightly denser data routinely splits a page the old slope still
+// covers, so skipping it saves the segmentation pass and the page growth.
+// A page whose region was retuned to another bound is re-segmented.
+func (t *Tree[K, V]) buildPagesErr(keys []K, vals []V, segErr int, only *page[K, V], ctr *Counters) []*page[K, V] {
+	if only != nil && only.werr == segErr && only.start() <= keys[0] &&
+		segment.Fits(keys, only.start(), only.seg.Slope, segErr) {
+		ctr.PagesMade++
+		ctr.Refits++
+		seg := segment.Segment[K]{Start: only.start(), Count: len(keys), Slope: only.seg.Slope}
+		return []*page[K, V]{newPage(seg, keys, vals, segErr)}
+	}
 	segs := segment.ShrinkingCone(keys, segErr)
 	ctr.PagesMade += len(segs)
 	pages := make([]*page[K, V], len(segs))
@@ -443,7 +529,40 @@ func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V]) ([]K, []V,
 	ts := newTombSets(ops) // tombstones left to apply, per op
 	deleted := 0
 	oi := 0
+	// Adds sort after every base match of the same key, so an op's adds go
+	// out only once the base run has moved past its key.
+	flushAdds := func() {
+		for _, v := range ops[oi].Adds {
+			keys = append(keys, ops[oi].Key)
+			vals = append(vals, v)
+		}
+		oi++
+	}
 	t.eachRegionPage(iv, func(p *page[K, V]) {
+		if len(p.bufKeys) == 0 {
+			// The common page: no insert buffer to interleave. Base keys
+			// between two op keys are one copy; only the matches of an op's
+			// own key are offered to its tombstones one by one.
+			pk, pv := p.keys, p.vals
+			for len(pk) > 0 && oi < len(ops) {
+				k := ops[oi].Key
+				n, _ := findKey(pk, k)
+				keys, vals = append(keys, pk[:n]...), append(vals, pv[:n]...)
+				for ; n < len(pk) && pk[n] == k; n++ {
+					if ts[oi].Consume(pv[n]) {
+						deleted++
+						continue
+					}
+					keys, vals = append(keys, pk[n]), append(vals, pv[n])
+				}
+				if n < len(pk) {
+					flushAdds() // else k's matches may run on into the next page
+				}
+				pk, pv = pk[n:], pv[n:]
+			}
+			keys, vals = append(keys, pk...), append(vals, pv...)
+			return
+		}
 		i, j := 0, 0
 		for i < len(p.keys) || j < len(p.bufKeys) {
 			useData := j >= len(p.bufKeys) ||
@@ -457,14 +576,8 @@ func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V]) ([]K, []V,
 				bk, bv = p.bufKeys[j], p.bufVals[j]
 				j++
 			}
-			// Adds sort after every base match of the same key, so flush
-			// only the ops whose key the base run has moved past.
 			for oi < len(ops) && ops[oi].Key < bk {
-				for _, v := range ops[oi].Adds {
-					keys = append(keys, ops[oi].Key)
-					vals = append(vals, v)
-				}
-				oi++
+				flushAdds()
 			}
 			if oi < len(ops) && ops[oi].Key == bk && ts[oi].Consume(bv) {
 				deleted++
@@ -474,11 +587,8 @@ func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V]) ([]K, []V,
 			vals = append(vals, bv)
 		}
 	})
-	for ; oi < len(ops); oi++ {
-		for _, v := range ops[oi].Adds {
-			keys = append(keys, ops[oi].Key)
-			vals = append(vals, v)
-		}
+	for oi < len(ops) {
+		flushAdds()
 	}
 	return keys, vals, deleted
 }

@@ -294,6 +294,20 @@ type Counters struct {
 	Deletes   int // successful Delete calls
 	Merges    int // buffer merge + re-segmentation events
 	PagesMade int // pages created by merges (not counting bulk load)
+	// Refits counts the PagesMade that kept their predecessor's line: a
+	// copy-on-write merge rebuilt one page and its start and slope still
+	// predicted every merged key within the page's error bound, so the
+	// region was not re-segmented (see buildPagesErr).
+	Refits int
+}
+
+// add accumulates o into c.
+func (c *Counters) add(o Counters) {
+	c.Inserts += o.Inserts
+	c.Deletes += o.Deletes
+	c.Merges += o.Merges
+	c.PagesMade += o.PagesMade
+	c.Refits += o.Refits
 }
 
 // Tree is a clustered FITing-Tree index from K to V.

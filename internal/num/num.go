@@ -91,6 +91,56 @@ func Approx[K Key](k K) float64 {
 	return approxSlow(k)
 }
 
+// ApproxInto projects keys into dst[:len(keys)] and returns that slice:
+// Approx of every key at one type switch per call, where Approx pays one
+// per key. Segmentation's per-key loops project a block of keys at a time
+// through it. dst must hold len(keys) values.
+func ApproxInto[K Key](dst []float64, keys []K) []float64 {
+	dst = dst[:len(keys)]
+	switch ks := any(keys).(type) {
+	case []int:
+		toFloats(dst, ks)
+	case []int8:
+		toFloats(dst, ks)
+	case []int16:
+		toFloats(dst, ks)
+	case []int32:
+		toFloats(dst, ks)
+	case []int64:
+		toFloats(dst, ks)
+	case []uint:
+		toFloats(dst, ks)
+	case []uint8:
+		toFloats(dst, ks)
+	case []uint16:
+		toFloats(dst, ks)
+	case []uint32:
+		toFloats(dst, ks)
+	case []uint64:
+		toFloats(dst, ks)
+	case []float32:
+		toFloats(dst, ks)
+	case []float64:
+		copy(dst, ks)
+	case []string:
+		for i, s := range ks {
+			dst[i] = StringApprox(s)
+		}
+	default:
+		for i, k := range keys {
+			dst[i] = approxSlow(k)
+		}
+	}
+	return dst
+}
+
+// toFloats is ApproxInto's loop for one builtin numeric type.
+func toFloats[K Numeric](dst []float64, keys []K) {
+	for i, k := range keys {
+		dst[i] = float64(k)
+	}
+}
+
 // StringApprox is the weakly monotone float64 projection of a string key:
 // its first 8 bytes read as a big-endian uint64 (missing bytes are zero).
 // Strings sharing an 8-byte prefix collide, which degrades interpolation

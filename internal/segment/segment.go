@@ -165,6 +165,11 @@ func (c *cone) slope() float64 {
 	return c.lastSlope
 }
 
+// approxBlock is how many keys the per-key loops project at a time
+// (num.ApproxInto): large enough to amortize the projection's type switch
+// to nothing, small enough for the block to live on the stack.
+const approxBlock = 256
+
 // ShrinkingCone partitions sorted keys into segments using the paper's
 // greedy one-pass algorithm (Algorithm 2) with error threshold err.
 // keys must be sorted ascending (duplicates allowed); err must be >= 1.
@@ -178,23 +183,31 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 	}
 	e := float64(err)
 	segs := make([]Segment[K], 0, 16)
-	c := newCone(num.Approx(keys[0]), 0)
+	var buf [approxBlock]float64
+	var c cone
 	start := 0
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			panic(fmt.Sprintf("segment: keys not sorted at index %d", i))
+	for base := 0; base < len(keys); base += approxBlock {
+		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {
+			i := base + j
+			if i == 0 {
+				c = newCone(x, 0)
+				continue
+			}
+			if keys[i] < keys[i-1] {
+				panic(fmt.Sprintf("segment: keys not sorted at index %d", i))
+			}
+			if c.absorb(x, i, e) {
+				continue
+			}
+			segs = append(segs, Segment[K]{
+				Start:    keys[start],
+				StartPos: start,
+				Count:    i - start,
+				Slope:    c.slope(),
+			})
+			start = i
+			c = newCone(x, i)
 		}
-		if c.absorb(num.Approx(keys[i]), i, e) {
-			continue
-		}
-		segs = append(segs, Segment[K]{
-			Start:    keys[start],
-			StartPos: start,
-			Count:    i - start,
-			Slope:    c.slope(),
-		})
-		start = i
-		c = newCone(num.Approx(keys[i]), i)
 	}
 	segs = append(segs, Segment[K]{
 		Start:    keys[start],
@@ -203,6 +216,28 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 		Slope:    c.slope(),
 	})
 	return segs
+}
+
+// Fits reports whether the line anchored at start with the given slope
+// predicts the position of every element of sorted keys within err — the
+// guarantee ShrinkingCone's segments carry, tested for a model that is
+// already known instead of searched for. A segment's validity is this
+// bound, not the algorithm that found the slope, so a caller that has
+// changed a segment's data a little can keep the segment, model and all,
+// when Fits still holds. The arithmetic is Predict's, so a lookup window
+// of err around Predict finds every key Fits accepted.
+func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
+	x0 := num.Approx(start)
+	e := float64(err)
+	var buf [approxBlock]float64
+	for base := 0; base < len(keys); base += approxBlock {
+		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {
+			if d := float64((x-x0)*slope) - float64(base+j); d > e || d < -e {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkSorted panics if keys are not ascending or err < 1.

@@ -356,3 +356,51 @@ func BenchmarkShrinkingCone1M(b *testing.B) {
 		ShrinkingCone(keys, 100)
 	}
 }
+
+// TestFitsIsPredictWithinBound checks Fits against its definition — every
+// key's Predict within err of its position — on runs longer than one
+// projection block, for the segment's own slope (fits) and for slopes
+// bent until the bound breaks.
+func TestFitsIsPredictWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	fits, breaks := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		keys := sortedUint64(rng, 300+rng.Intn(1500))
+		if trial%2 == 0 {
+			// Near-linear: one segment spanning several projection blocks.
+			for i := range keys {
+				keys[i] = uint64(i*1000 + rng.Intn(900))
+			}
+		}
+		e := 1 + rng.Intn(64)
+		seg := ShrinkingCone(keys, e)[0]
+		if trial%2 == 0 && seg.Count <= approxBlock {
+			t.Fatalf("trial %d: near-linear run cut after %d keys", trial, seg.Count)
+		}
+		run := keys[:seg.Count]
+		for _, bend := range []float64{1, 1 + rng.Float64()/float64(len(run)), 1 - rng.Float64()/10, 2} {
+			s := Segment[uint64]{Start: seg.Start, Count: seg.Count, Slope: seg.Slope * bend}
+			want := true
+			for i, k := range run {
+				if math.Abs(s.Predict(k)-float64(i)) > float64(e) {
+					want = false
+					break
+				}
+			}
+			if got := Fits(run, s.Start, s.Slope, e); got != want {
+				t.Fatalf("trial %d bend %g: Fits = %v over %d keys, Predict says %v", trial, bend, got, len(run), want)
+			}
+			if want {
+				fits++
+			} else {
+				breaks++
+			}
+		}
+	}
+	if fits == 0 || breaks == 0 {
+		t.Fatalf("one-sided test: %d fitting, %d breaking cases", fits, breaks)
+	}
+	if !Fits([]uint64(nil), 0, 1, 1) {
+		t.Fatal("an empty run does not fit")
+	}
+}

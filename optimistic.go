@@ -2,9 +2,11 @@ package fitingtree
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"fitingtree/internal/btree"
 	"fitingtree/internal/core"
 )
 
@@ -20,7 +22,9 @@ const DefaultMaxFrozenLayers = 4
 // FlushBackpressureFactor bounds the asynchronous flush pipeline's lag.
 // While the frozen ladder is full, writers keep absorbing new writes into
 // the active delta; once the active delta reaches FlushBackpressureFactor
-// times the flush threshold, the tripping writer falls back to a
+// times the flush threshold, the next writer waits for the background
+// round in flight to publish — which frees a ladder slot — and only if the
+// ladder is still full then (no round was open) falls back to a
 // synchronous inline fold of the whole ladder. The same factor bounds the
 // compaction scheduler's layer growth: adjacent frozen layers are merged
 // into each other only while the combined layer stays within
@@ -52,7 +56,8 @@ const tuneFoldsEvery = 4
 //
 // Writers (Insert, Delete) are serialized by an internal mutex and publish
 // every change as a new immutable state: the bulk-loaded base tree plus a
-// small sorted delta of pending inserts and deletions. A seqlock-style
+// small sorted delta of pending inserts and deletions — a path-copied
+// ordered map, so a publication costs O(log pending). A seqlock-style
 // version stamp is bumped to odd before and even after each publication;
 // point reads validate it afterwards and re-read once if a publication
 // raced them. Unlike a C-style seqlock, correctness never depends on that
@@ -105,6 +110,15 @@ type Optimistic[K Key, V any] struct {
 	flusher atomic.Bool
 	// workers tracks live flush workers so Close can await their exit.
 	workers sync.WaitGroup
+	// inRound is true while the worker merges one round's layers off-lock;
+	// roundDone (on mu) is signalled when the round has published. A writer
+	// about to fold the ladder inline waits for it first, so the two never
+	// merge the same layer. Guarded by mu.
+	inRound   bool
+	roundDone sync.Cond
+	// discarded counts background rounds whose result was dropped because
+	// their input layers were gone at publication.
+	discarded atomic.Uint64
 	// bpFolds counts inline backpressure folds: writers that tripped the
 	// threshold with the ladder full and the active delta past the bound,
 	// and paid the merge themselves. See BackpressureFolds.
@@ -148,31 +162,65 @@ type ostate[K Key, V any] struct {
 	size  int // live elements: tree minus deletions plus inserts
 }
 
-// odelta is an immutable sorted set of pending per-key write operations.
-// dels[i] counts deletions applied to the layers beneath this delta's
-// matches for keys[i]: the first dels[i] matches in Each order are treated
-// as removed. adds[i] holds pending inserts for keys[i] in insertion
-// order.
+// odelta is an immutable ordered map from key to that key's pending
+// writes. The entry is the op a fold applies (core.MergeOp): Adds holds
+// pending inserts in insertion order, and the tombstones — deletions
+// applied to the layers beneath this delta's matches for the key, the
+// first matches in Each order — use exactly one of two forms. The common
+// counted form is Dels with Tombs == nil: pure anonymous deletes, the fast
+// path every Delete-only workload stays on. Once a DeleteValue touches the
+// entry it switches to the list form: Tombs holds the ordered list
+// (anonymous deletes travel inside it as Any entries so recording order is
+// preserved) and Dels is 0. delN counts tombstones across both forms.
 //
-// An entry's tombstones use exactly one of two forms. The common counted
-// form is dels[i] with tombs[i] == nil — pure anonymous deletes, the fast
-// path every Delete-only workload stays on. Once a DeleteValue touches
-// the entry it switches to the list form: tombs[i] holds the ordered
-// core.Tomb list (anonymous deletes travel inside it as Any entries so
-// recording order is preserved) and dels[i] is 0. delN counts tombstones
-// across both forms.
+// The map is a path-copied B+ tree: a write clones the published version
+// in O(1) and copies only the nodes on one descent, so publishing a write
+// costs O(log pending) however large the delta has grown, and every older
+// version stays intact for the readers still holding it. Entries are
+// shared between versions and never mutated; a nil delta is empty.
 type odelta[K Key, V any] struct {
-	keys  []K
-	adds  [][]V
-	dels  []int
-	tombs [][]core.Tomb[V]
-	addN  int // total pending inserts
-	delN  int // total pending deletions
+	m    *btree.Tree[K, *core.MergeOp[K, V]]
+	addN int // total pending inserts
+	delN int // total pending deletions
 }
 
-// entryTombs returns application state for entry i's tombstones.
-func (d *odelta[K, V]) entryTombs(i int) core.TombSet[V] {
-	return core.NewTombSet(d.dels[i], d.tombs[i])
+// find returns the entry for k, or nil; nil-safe.
+func (d *odelta[K, V]) find(k K) *core.MergeOp[K, V] {
+	if d == nil {
+		return nil
+	}
+	e, _ := d.m.Get(k)
+	return e
+}
+
+// entry returns a copy of the entry for k for the caller to edit — an
+// empty one when the delta has none; nil-safe.
+func (d *odelta[K, V]) entry(k K) core.MergeOp[K, V] {
+	if old := d.find(k); old != nil {
+		return *old
+	}
+	return core.MergeOp[K, V]{Key: k}
+}
+
+// with returns a version of the delta (nil-safe) in which e is the entry
+// for e.Key and the pending counts moved by addN and delN. An entry left
+// with nothing pending is dropped, and a delta left with no entry is nil.
+func (d *odelta[K, V]) with(e *core.MergeOp[K, V], addN, delN int) *odelta[K, V] {
+	nd := &odelta[K, V]{addN: addN, delN: delN}
+	if d == nil {
+		nd.m = btree.New[K, *core.MergeOp[K, V]](btree.DefaultOrder)
+	} else {
+		nd.m, nd.addN, nd.delN = d.m.CloneCOW(), d.addN+addN, d.delN+delN
+	}
+	if len(e.Adds) > 0 || e.Dels > 0 || len(e.Tombs) > 0 {
+		nd.m.Insert(e.Key, e)
+		return nd
+	}
+	nd.m.Delete(e.Key)
+	if nd.m.Len() == 0 {
+		return nil
+	}
+	return nd
 }
 
 // pending returns the delta's total pending op count.
@@ -189,6 +237,7 @@ func NewOptimistic[K Key, V any](t *Tree[K, V]) *Optimistic[K, V] {
 	o.flushAt.Store(DefaultFlushEvery)
 	o.maxFrozen.Store(DefaultMaxFrozenLayers)
 	o.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
+	o.roundDone.L = &o.mu
 	o.state.Store(&ostate[K, V]{tree: t, size: t.Len()})
 	return o
 }
@@ -288,20 +337,24 @@ func (o *Optimistic[K, V]) Counters() Counters {
 // BackpressureFolds returns the number of inline backpressure folds so
 // far: writes that tripped the flush threshold while the frozen ladder
 // was full and the active delta had grown past the backpressure bound,
-// forcing the writer to run the whole fold synchronously. A bursty
-// workload that keeps this counter flat at a given ladder depth is being
-// absorbed entirely by the background pipeline.
+// forcing the writer to run the whole fold synchronously. A writer at the
+// bound lets a background round in flight publish first and then usually
+// finds a free slot, so the count rises only when the worker was not
+// merging. A bursty workload that keeps this counter flat at a given
+// ladder depth is being absorbed entirely by the background pipeline.
 func (o *Optimistic[K, V]) BackpressureFolds() uint64 { return o.bpFolds.Load() }
 
-// SyncFlush synchronously folds every pending write — the whole frozen
-// ladder (if background merges are in flight) and the active delta — into
-// the base tree and publishes the clean state. If the background worker
-// completes its own merge of layers this call already folded, its stale
-// publication is discarded. Afterwards the published state has no pending
-// deltas; concurrent writers may of course add new ones immediately.
+// SyncFlush synchronously folds every pending write — what is left of the
+// frozen ladder once the background round in flight (if any) has
+// published, and the active delta — into the base tree and publishes the
+// clean state. Afterwards the published state has no pending deltas;
+// concurrent writers may of course add new ones immediately.
 func (o *Optimistic[K, V]) SyncFlush() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	for o.inRound {
+		o.roundDone.Wait()
+	}
 	st := o.state.Load()
 	if len(st.frozen) == 0 && st.delta == nil {
 		return
@@ -395,11 +448,11 @@ func (o *Optimistic[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 // active delta is probed first: under a write-heavy load it is the layer
 // most likely to mention a recently touched key.
 func (st *ostate[K, V]) inAnyLayer(k K) bool {
-	if _, ok := st.delta.find(k); ok {
+	if st.delta.find(k) != nil {
 		return true
 	}
 	for _, d := range st.frozen {
-		if _, ok := d.find(k); ok {
+		if d.find(k) != nil {
 			return true
 		}
 	}
@@ -448,9 +501,18 @@ func mustNotBeNaN[K Key](op byte, k K) {
 // the op against the log's group-commit barrier (a failed sync leaves the
 // op applied). Either log failure poisons the store, and a poisoned store
 // fails fast before anything else; without a log the error is always nil.
+//
+// A write that may fold the ladder inline first waits for the background
+// round in flight to publish (the wait releases the mutex, so it comes
+// before the victim decision): the round's layers are then in the tree,
+// the ladder has a free slot, and the write usually pushes instead of
+// folding — writer and worker never merge the same layer.
 func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	for o.inRound && o.flushPlan(o.state.Load(), 1) >= flushFold {
+		o.roundDone.Wait()
+	}
 	if o.log != nil {
 		if err := o.log.failedErr(); err != nil {
 			return false, err
@@ -571,58 +633,71 @@ func (o *Optimistic[K, V]) publishWrite(next *ostate[K, V]) {
 	}
 }
 
-// maybeFlush decides what happens once enough writes are pending. In
-// asynchronous mode (the default) the active delta is pushed onto the
-// frozen ladder — an O(1) slice append handing it to the background
-// worker as an immutable merge input — and a fresh active delta takes new
-// writes. Only when the ladder is full (SetMaxFrozenLayers) do writers
-// keep absorbing writes into the active delta, and only past the
-// backpressure bound does the tripping writer fall back to a synchronous
-// inline fold of the whole ladder. In inline mode (SetAsyncFlush(false))
-// the fold always runs on the tripping writer. Either way the fold is the
-// page-granular copy-on-write merge: each delta already is a sorted op
-// list (keys ascending, adds in insertion order, tombstone counts), and
-// MergeCOW rebuilds only the pages those keys fall into while the new
-// state shares every other page with the old one — O(delta · pages
-// touched), not O(n). Callers hold o.mu.
-func (o *Optimistic[K, V]) maybeFlush(st *ostate[K, V]) *ostate[K, V] {
-	d := st.delta
-	if d == nil {
-		return st
-	}
-	// One atomic load serves both the trip check and the backpressure
-	// check: with two loads, a concurrent SetFlushEvery could yield a
-	// backpressure bound inconsistent with the threshold that tripped.
+// What a write does about the pending deltas once it is published, in
+// flushPlan's order of preference.
+const (
+	flushNone         = iota // below the threshold, or ladder full and still absorbing
+	flushPush                // freeze the active delta onto the ladder
+	flushFold                // inline mode: fold everything on the writer
+	flushBackpressure        // ladder full and the active delta at its bound: fold everything
+)
+
+// flushPlan decides what a write leaving st's active delta with extra more
+// pending ops does. In asynchronous mode (the default) a delta that
+// reaches the flush threshold is pushed onto the frozen ladder; only when
+// the ladder is full (SetMaxFrozenLayers) do writers keep absorbing writes
+// into the active delta, and only past the backpressure bound does the
+// tripping writer fold the whole ladder itself. In inline mode
+// (SetAsyncFlush(false)) the fold always runs on the tripping writer. One
+// load of the threshold serves both the trip check and the backpressure
+// check: with two, a concurrent SetFlushEvery could yield a bound
+// inconsistent with the threshold that tripped.
+func (o *Optimistic[K, V]) flushPlan(st *ostate[K, V], extra int) int {
 	flushAt := o.flushAt.Load()
-	pending := int64(d.pending())
-	if pending < flushAt {
+	pending := int64(extra)
+	if st.delta != nil {
+		pending += int64(st.delta.pending())
+	}
+	switch {
+	case pending < flushAt:
+		return flushNone
+	case o.asyncOff.Load():
+		return flushFold
+	case len(st.frozen) < int(o.maxFrozen.Load()):
+		return flushPush
+	case pending < flushAt*FlushBackpressureFactor:
+		return flushNone
+	}
+	return flushBackpressure
+}
+
+// maybeFlush carries out flushPlan on the state a write is about to
+// publish. A push is an O(1) slice append handing the delta to the
+// background worker as an immutable merge input, with a fresh active delta
+// taking new writes. A fold is the page-granular copy-on-write merge: each
+// delta walks out as a sorted op list (keys ascending, adds in insertion
+// order, tombstone counts), and MergeCOW rebuilds only the pages those
+// keys fall into while the new state shares every other page with the old
+// one — O(delta · pages touched), not O(n). Frozen layers can linger in
+// inline mode from a just-disabled pipeline; they fold below the active
+// delta, the same layering reads apply. Callers hold o.mu and, for a fold,
+// have let the round in flight publish (see apply).
+func (o *Optimistic[K, V]) maybeFlush(st *ostate[K, V]) *ostate[K, V] {
+	switch o.flushPlan(st, 0) {
+	case flushNone:
 		return st
-	}
-	if o.asyncOff.Load() {
-		// Inline mode. Frozen layers can linger from a just-disabled
-		// pipeline; fold them below the active delta, same layering as
-		// reads.
-		o.tuneBeforeFold(st.tree)
-		return &ostate[K, V]{tree: st.fold(), size: st.size}
-	}
-	if len(st.frozen) < int(o.maxFrozen.Load()) {
-		// Push: the active delta becomes the ladder's newest layer, new
-		// writes go to a fresh active delta. The three-index append
-		// always copies the spine, so published ladders never share a
-		// backing array with a longer successor. publishWrite kicks the
-		// worker.
-		frozen := append(st.frozen[:len(st.frozen):len(st.frozen)], d)
+	case flushPush:
+		// The three-index append always copies the spine, so published
+		// ladders never share a backing array with a longer successor.
+		// publishWrite kicks the worker.
+		frozen := append(st.frozen[:len(st.frozen):len(st.frozen)], st.delta)
 		return &ostate[K, V]{tree: st.tree, frozen: frozen, size: st.size}
+	case flushBackpressure:
+		// The worker is between rounds with every ladder slot occupied and
+		// the active delta has grown past the bound. Fold everything
+		// synchronously so pending state cannot grow without limit.
+		o.bpFolds.Add(1)
 	}
-	if pending < flushAt*FlushBackpressureFactor {
-		return st // ladder full; keep absorbing writes
-	}
-	// Backpressure: the worker is lagging with every ladder slot occupied
-	// and the active delta has grown past the bound. Fold everything
-	// synchronously so pending state cannot grow without limit; the
-	// worker's stale merge is discarded when it fails the layer-identity
-	// check at publication.
-	o.bpFolds.Add(1)
 	o.tuneBeforeFold(st.tree)
 	return &ostate[K, V]{tree: st.fold(), size: st.size}
 }
@@ -643,31 +718,48 @@ func (o *Optimistic[K, V]) kick() {
 // combined layer stays under the backpressure bound) or folds the bottom
 // layer into the base tree — so tree folds batch several deltas' worth of
 // writes while the ladder keeps absorbing pushes. All merging runs with
-// no lock held; the worker briefly takes the writer mutex to publish, and
-// layer-pointer identity checks (ladder slices are immutable, so a layer
-// pointer at a stable index identifies the merge input) discard results
-// whose inputs a SyncFlush or backpressure fold consumed meanwhile.
-// Writer pushes only append above the layers being merged, so they never
-// invalidate an in-flight round.
+// no lock held; the worker takes the writer mutex briefly to open a round
+// (read the state it will merge and raise inRound) and again to publish
+// it. Writer pushes only append above the layers being merged, so they
+// never invalidate a round, and whoever would replace the tree or the
+// ladder wholesale — SyncFlush, an inline or backpressure fold — waits for
+// the open round first, so a round's inputs are still in place when it
+// publishes. Deciding to exit under the same mutex that orders pushes and
+// kicks means no push can slip between the last look and the exit.
 func (o *Optimistic[K, V]) flushWorker() {
 	defer o.workers.Done()
 	for {
+		o.mu.Lock()
 		st := o.state.Load()
 		if len(st.frozen) == 0 {
 			o.flusher.Store(false)
-			// A push published between the load above and the store may
-			// have seen this worker as live and skipped its kick; re-check
-			// and re-claim the worker slot if so.
-			if len(o.state.Load().frozen) > 0 && o.flusher.CompareAndSwap(false, true) {
-				continue
-			}
+			o.mu.Unlock()
 			return
 		}
+		o.inRound = true
+		o.mu.Unlock()
 		if i := compactPick(st.frozen, o.flushAt.Load()); i >= 0 {
 			o.compactPair(st, i)
 		} else {
 			o.foldBottom(st)
 		}
+	}
+}
+
+// publishRound closes a background round under the writer mutex: next
+// maps the current state to the one carrying the round's result, or to nil
+// when the round's input layers are no longer where it found them (only
+// hand-driven rounds in tests and direct state surgery get there; the
+// result is dropped and counted).
+func (o *Optimistic[K, V]) publishRound(next func(cur *ostate[K, V]) *ostate[K, V]) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.inRound = false
+	o.roundDone.Broadcast()
+	if ns := next(o.state.Load()); ns != nil {
+		o.publish(ns)
+	} else {
+		o.discarded.Add(1)
 	}
 }
 
@@ -692,27 +784,26 @@ func compactPick[K Key, V any](frozen []*odelta[K, V], flushAt int64) int {
 
 // compactPair merges frozen layers i and i+1 into a single layer off-lock
 // and publishes the shortened ladder. The merge inputs are identified by
-// layer pointer: a concurrent SyncFlush or backpressure fold that
-// consumed them fails the check and the round's work is discarded.
+// layer pointer (ladder slices are immutable, so a layer pointer at a
+// stable index identifies the merge input).
 func (o *Optimistic[K, V]) compactPair(st *ostate[K, V], i int) {
 	combined := st.compactLayers(i)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cur := o.state.Load()
-	if cur.tree != st.tree || len(cur.frozen) <= i+1 ||
-		cur.frozen[i] != st.frozen[i] || cur.frozen[i+1] != st.frozen[i+1] {
-		return
-	}
-	frozen := make([]*odelta[K, V], 0, len(cur.frozen)-1)
-	frozen = append(frozen, cur.frozen[:i]...)
-	if combined.pending() > 0 {
-		frozen = append(frozen, combined)
-	}
-	frozen = append(frozen, cur.frozen[i+2:]...)
-	if len(frozen) == 0 {
-		frozen = nil
-	}
-	o.publish(&ostate[K, V]{tree: cur.tree, frozen: frozen, delta: cur.delta, size: cur.size})
+	o.publishRound(func(cur *ostate[K, V]) *ostate[K, V] {
+		if cur.tree != st.tree || len(cur.frozen) <= i+1 ||
+			cur.frozen[i] != st.frozen[i] || cur.frozen[i+1] != st.frozen[i+1] {
+			return nil
+		}
+		frozen := make([]*odelta[K, V], 0, len(cur.frozen)-1)
+		frozen = append(frozen, cur.frozen[:i]...)
+		if combined != nil {
+			frozen = append(frozen, combined)
+		}
+		frozen = append(frozen, cur.frozen[i+2:]...)
+		if len(frozen) == 0 {
+			frozen = nil
+		}
+		return &ostate[K, V]{tree: cur.tree, frozen: frozen, delta: cur.delta, size: cur.size}
+	})
 }
 
 // compactLayers composes frozen layers i and i+1 into one delta whose
@@ -737,19 +828,18 @@ func (st *ostate[K, V]) compactLayers(i int) *odelta[K, V] {
 func (o *Optimistic[K, V]) foldBottom(st *ostate[K, V]) {
 	o.tuneBeforeFold(st.tree)
 	merged := st.tree.MergeCOW(st.frozen[0].ops())
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cur := o.state.Load()
-	if cur.tree != st.tree || len(cur.frozen) == 0 || cur.frozen[0] != st.frozen[0] {
-		return
-	}
-	// Ladder slices are immutable, so the published remainder can share
-	// the current slice's backing array.
-	frozen := cur.frozen[1:]
-	if len(frozen) == 0 {
-		frozen = nil
-	}
-	o.publish(&ostate[K, V]{tree: merged, frozen: frozen, delta: cur.delta, size: cur.size})
+	o.publishRound(func(cur *ostate[K, V]) *ostate[K, V] {
+		if cur.tree != st.tree || len(cur.frozen) == 0 || cur.frozen[0] != st.frozen[0] {
+			return nil
+		}
+		// Ladder slices are immutable, so the published remainder can share
+		// the current slice's backing array.
+		frozen := cur.frozen[1:]
+		if len(frozen) == 0 {
+			frozen = nil
+		}
+		return &ostate[K, V]{tree: merged, frozen: frozen, delta: cur.delta, size: cur.size}
+	})
 }
 
 // fold returns the state's base tree with every pending delta physically
@@ -765,30 +855,32 @@ func (st *ostate[K, V]) fold() *Tree[K, V] {
 	return st.tree.MergeCOW(layers...)
 }
 
-// ops converts the delta into MergeCOW's sorted op-list form.
+// ops walks the delta out in key order: MergeCOW's sorted op-list form.
 func (d *odelta[K, V]) ops() []core.MergeOp[K, V] {
-	ops := make([]core.MergeOp[K, V], len(d.keys))
-	for i, k := range d.keys {
-		ops[i] = core.MergeOp[K, V]{Key: k, Adds: d.adds[i], Dels: d.dels[i], Tombs: d.tombs[i]}
-	}
+	ops := make([]core.MergeOp[K, V], 0, d.m.Len())
+	d.m.Ascend(func(_ K, e *core.MergeOp[K, V]) bool {
+		ops = append(ops, *e)
+		return true
+	})
 	return ops
 }
 
-// deltaFromOps builds a delta from a sorted op list (CompactOps output).
+// deltaFromOps bulk-loads a delta from a sorted op list (CompactOps
+// output), whose elements become the entries; nil when the list is empty.
 func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
-	d := &odelta[K, V]{
-		keys:  make([]K, len(ops)),
-		adds:  make([][]V, len(ops)),
-		dels:  make([]int, len(ops)),
-		tombs: make([][]core.Tomb[V], len(ops)),
+	if len(ops) == 0 {
+		return nil
 	}
-	for i, op := range ops {
-		d.keys[i] = op.Key
-		d.adds[i] = op.Adds
-		d.dels[i] = op.Dels
-		d.tombs[i] = op.Tombs
-		d.addN += len(op.Adds)
-		d.delN += op.Dels + len(op.Tombs)
+	d := &odelta[K, V]{m: btree.New[K, *core.MergeOp[K, V]](btree.DefaultOrder)}
+	keys := make([]K, len(ops))
+	ents := make([]*core.MergeOp[K, V], len(ops))
+	for i := range ops {
+		keys[i], ents[i] = ops[i].Key, &ops[i]
+		d.addN += len(ops[i].Adds)
+		d.delN += ops[i].Dels + len(ops[i].Tombs)
+	}
+	if err := d.m.BulkLoad(keys, ents, 1); err != nil {
+		panic("fitingtree: compacted ops out of order: " + err.Error())
 	}
 	return d
 }
@@ -796,40 +888,34 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 // lookup resolves a point read against this state's full layer stack.
 func (st *ostate[K, V]) lookup(k K) (V, bool) {
 	// Collect the per-layer entries for k, bottom (oldest frozen layer)
-	// to top (active delta). Most lookups miss every layer and fall
-	// through to the plain tree read.
-	type layerEntry struct {
-		dels  int
-		adds  []V
-		tombs []core.Tomb[V]
+	// to top (active delta); nil where a layer does not mention k. Most
+	// lookups miss every layer and fall through to the plain tree read
+	// without leaving the stack: the buffer covers the default ladder.
+	var buf [DefaultMaxFrozenLayers + 1]*core.MergeOp[K, V]
+	entries := buf[:0]
+	for _, d := range st.frozen {
+		entries = append(entries, d.find(k))
 	}
-	entries := make([]layerEntry, 0, 8)
+	if st.delta != nil {
+		entries = append(entries, st.delta.find(k))
+	}
 	totalDels := 0
 	hasList := false
 	hit := false
-	collect := func(d *odelta[K, V]) {
-		var e layerEntry
-		if i, ok := d.find(k); ok {
-			e.dels, e.adds, e.tombs = d.dels[i], d.adds[i], d.tombs[i]
+	for _, e := range entries {
+		if e != nil {
 			hit = true
+			totalDels += e.Dels + len(e.Tombs)
+			hasList = hasList || len(e.Tombs) > 0
 		}
-		entries = append(entries, e)
-		totalDels += e.dels + len(e.tombs)
-		hasList = hasList || len(e.tombs) > 0
-	}
-	for _, d := range st.frozen {
-		collect(d)
-	}
-	if st.delta != nil {
-		collect(st.delta)
 	}
 	if !hit {
 		return st.tree.Lookup(k)
 	}
 	// The newest add of the top layer survives unconditionally: no
 	// tombstone sits above it.
-	if top := entries[len(entries)-1]; len(top.adds) > 0 {
-		return top.adds[len(top.adds)-1], true
+	if top := entries[len(entries)-1]; top != nil && len(top.Adds) > 0 {
+		return top.Adds[len(top.Adds)-1], true
 	}
 	// General path: materialize only the base matches tombstones can
 	// reach — consumption across all layers is at most totalDels, so
@@ -851,8 +937,11 @@ func (st *ostate[K, V]) lookup(k K) (V, bool) {
 	})
 	var adds []V
 	for _, e := range entries {
-		if len(e.tombs) > 0 {
-			ts := core.NewTombSet(0, e.tombs)
+		if e == nil {
+			continue
+		}
+		if len(e.Tombs) > 0 {
+			ts := core.NewTombSet(0, e.Tombs)
 			nb := make([]V, 0, len(base))
 			for _, v := range base {
 				if !ts.Consume(v) {
@@ -868,7 +957,7 @@ func (st *ostate[K, V]) lookup(k K) (V, bool) {
 			}
 			adds = na
 		} else {
-			drop := e.dels
+			drop := e.Dels
 			if c := min(drop, len(base)); c > 0 {
 				base = base[c:]
 				drop -= c
@@ -877,8 +966,8 @@ func (st *ostate[K, V]) lookup(k K) (V, bool) {
 				adds = adds[min(drop, len(adds)):]
 			}
 		}
-		if len(e.adds) > 0 {
-			adds = append(adds[:len(adds):len(adds)], e.adds...)
+		if len(e.Adds) > 0 {
+			adds = append(adds[:len(adds):len(adds)], e.Adds...)
 		}
 	}
 	if len(adds) > 0 {
@@ -906,8 +995,8 @@ func overlayEach[K Key, V any](base eachFn[K, V], d *odelta[K, V]) eachFn[K, V] 
 	return func(k K, fn func(v V) bool) {
 		var ts core.TombSet[V]
 		var adds []V
-		if i, ok := d.find(k); ok {
-			ts, adds = d.entryTombs(i), d.adds[i]
+		if e := d.find(k); e != nil {
+			ts, adds = core.NewTombSet(e.Dels, e.Tombs), e.Adds
 		}
 		stopped := false
 		base(k, func(v V) bool {
@@ -965,21 +1054,24 @@ func overlayScan[K Key, V any](base scanFn[K, V], d *odelta[K, V]) scanFn[K, V] 
 		return base
 	}
 	return func(lo, hi K, fn func(k K, v V) bool) {
-		di := lowerBound(d.keys, lo)
+		// The cursor walks the delta's entries from lo on, only as far as
+		// the scan gets: a scan stopped early pays for the entries it
+		// passed, not for the range it named.
+		var it btree.Iter[K, *core.MergeOp[K, V]]
+		it.SeekGE(d.m, lo)
 		// emitDeltaTo flushes pending inserts for delta keys up to bound
 		// (exclusive, or inclusive when incl), reporting false on early stop.
 		emitDeltaTo := func(bound K, incl bool) bool {
-			for di < len(d.keys) {
-				dk := d.keys[di]
+			for ; it.Valid(); it.Next() {
+				dk := it.Key()
 				if dk > hi || dk > bound || (dk == bound && !incl) {
 					return true
 				}
-				for _, v := range d.adds[di] {
+				for _, v := range it.Value().Adds {
 					if !fn(dk, v) {
 						return false
 					}
 				}
-				di++
 			}
 			return true
 		}
@@ -994,8 +1086,8 @@ func overlayScan[K Key, V any](base scanFn[K, V], d *odelta[K, V]) scanFn[K, V] 
 					return false
 				}
 				haveCur, cur, ts = true, k, core.TombSet[V]{}
-				if di < len(d.keys) && d.keys[di] == k {
-					ts = d.entryTombs(di)
+				if it.Valid() && it.Key() == k {
+					ts = core.NewTombSet(it.Value().Dels, it.Value().Tombs)
 				}
 			}
 			if ts.Consume(v) {
@@ -1026,45 +1118,28 @@ func (st *ostate[K, V]) ascendRange(lo, hi K, fn func(k K, v V) bool) {
 	overlayScan(s, st.delta)(lo, hi, fn)
 }
 
-// find returns the index of k in the delta, nil-safe.
-func (d *odelta[K, V]) find(k K) (int, bool) {
-	if d == nil {
-		return 0, false
-	}
-	i := lowerBound(d.keys, k)
-	return i, i < len(d.keys) && d.keys[i] == k
-}
-
-// withInsert returns a copy of the delta (nil-safe) with v pending under
-// k. Shared inner slices are never mutated: the touched entry is rebuilt.
+// withInsert returns a version of the delta (nil-safe) with v pending
+// under k. Entries are shared between versions, so the touched entry is
+// rebuilt, its adds copied by the cap-trimmed append.
 func (d *odelta[K, V]) withInsert(k K, v V) *odelta[K, V] {
-	i, found := d.find(k)
-	nd := d.clone(i, !found)
-	entry := make([]V, len(nd.adds[i])+1)
-	copy(entry, nd.adds[i])
-	entry[len(entry)-1] = v
-	nd.keys[i] = k
-	nd.adds[i] = entry
-	nd.addN++
-	return nd
+	e := d.entry(k)
+	e.Adds = append(e.Adds[:len(e.Adds):len(e.Adds)], v)
+	return d.with(&e, 1, 0)
 }
 
-// withDelete returns a copy of the state's active delta with one element
-// of key k removed, or ok=false when no live element with key k exists. A
-// pending insert in the active delta is consumed first; otherwise one
-// more match of the layered view beneath the active delta (base tree,
-// then each frozen layer's adds, bottom to top) is tombstoned.
+// withDelete returns a version of the state's active delta with one
+// element of key k removed, or ok=false when no live element with key k
+// exists. A pending insert in the active delta is consumed first;
+// otherwise one more match of the layered view beneath the active delta
+// (base tree, then each frozen layer's adds, bottom to top) is tombstoned.
 func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
 	d := st.delta
-	i, found := d.find(k)
-	if found && len(d.adds[i]) > 0 {
-		if len(d.adds[i]) == 1 && d.dels[i] == 0 && d.tombs[i] == nil {
-			return d.without(i), true
-		}
-		nd := d.clone(i, false)
-		nd.adds[i] = append([]V(nil), nd.adds[i][:len(nd.adds[i])-1]...)
-		nd.addN--
-		return nd, true
+	e := d.entry(k)
+	if n := len(e.Adds); n > 0 {
+		// The shorter slice shares the old entry's array, which nobody
+		// writes: every append to an entry's adds copies.
+		e.Adds = e.Adds[: n-1 : n-1]
+		return d.with(&e, -1, 0), true
 	}
 	// The new tombstone needs a live match in the layered view beneath
 	// the active delta: surviving base matches, then each frozen layer's
@@ -1073,10 +1148,7 @@ func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
 	// reading them), so even when the victim is a frozen add the delete is
 	// recorded as one more active tombstone — the accounting reaches down
 	// through every layer.
-	var ts core.TombSet[V]
-	if found {
-		ts = d.entryTombs(i)
-	}
+	ts := core.NewTombSet(e.Dels, e.Tombs)
 	alive := false
 	st.beneathActive()(k, func(v V) bool {
 		if ts.Consume(v) {
@@ -1088,22 +1160,18 @@ func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
 	if !alive {
 		return nil, false
 	}
-	nd := d.clone(i, !found)
-	nd.keys[i] = k
-	if nd.tombs[i] != nil {
+	if e.Tombs != nil {
 		// List form: anonymous deletes join the list so ordering against
 		// the entry's value tombstones is preserved. The cap trim forces
-		// the append to copy, never mutating the shared inner slice.
-		t := nd.tombs[i]
-		nd.tombs[i] = append(t[:len(t):len(t)], core.Tomb[V]{Any: true})
+		// the append to copy, never mutating the shared list.
+		e.Tombs = append(e.Tombs[:len(e.Tombs):len(e.Tombs)], core.Tomb[V]{Any: true})
 	} else {
-		nd.dels[i]++
+		e.Dels++
 	}
-	nd.delN++
-	return nd, true
+	return d.with(&e, 0, 1), true
 }
 
-// withDeleteValue returns a copy of the state's active delta with one
+// withDeleteValue returns a version of the state's active delta with one
 // element of key k whose value equals v removed, or ok=false when no such
 // live element exists. The newest equal-valued pending insert in the
 // active delta is consumed first; otherwise a value tombstone is recorded
@@ -1112,28 +1180,14 @@ func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
 // tombstone form.
 func (st *ostate[K, V]) withDeleteValue(k K, v V) (*odelta[K, V], bool) {
 	d := st.delta
-	i, found := d.find(k)
-	if found {
-		for j := len(d.adds[i]) - 1; j >= 0; j-- {
-			if any(d.adds[i][j]) != any(v) {
-				continue
-			}
-			if len(d.adds[i]) == 1 && d.dels[i] == 0 && d.tombs[i] == nil {
-				return d.without(i), true
-			}
-			nd := d.clone(i, false)
-			entry := make([]V, 0, len(nd.adds[i])-1)
-			entry = append(entry, nd.adds[i][:j]...)
-			entry = append(entry, nd.adds[i][j+1:]...)
-			nd.adds[i] = entry
-			nd.addN--
-			return nd, true
+	e := d.entry(k)
+	for j := len(e.Adds) - 1; j >= 0; j-- {
+		if any(e.Adds[j]) == any(v) {
+			e.Adds = slices.Delete(slices.Clone(e.Adds), j, j+1)
+			return d.with(&e, -1, 0), true
 		}
 	}
-	var ts core.TombSet[V]
-	if found {
-		ts = d.entryTombs(i)
-	}
+	ts := core.NewTombSet(e.Dels, e.Tombs)
 	alive := false
 	st.beneathActive()(k, func(w V) bool {
 		if ts.Consume(w) {
@@ -1148,90 +1202,17 @@ func (st *ostate[K, V]) withDeleteValue(k K, v V) (*odelta[K, V], bool) {
 	if !alive {
 		return nil, false
 	}
-	nd := d.clone(i, !found)
-	nd.keys[i] = k
-	list := nd.tombs[i]
-	if list == nil && nd.dels[i] > 0 {
+	list := e.Tombs
+	if list == nil && e.Dels > 0 {
 		// Switch the entry to list form: existing anonymous tombstones
 		// become Any entries ahead of the new value entry, preserving
 		// recording order.
-		list = make([]core.Tomb[V], nd.dels[i])
+		list = make([]core.Tomb[V], e.Dels)
 		for j := range list {
 			list[j].Any = true
 		}
-		nd.dels[i] = 0
+		e.Dels = 0
 	}
-	nd.tombs[i] = append(list[:len(list):len(list)], core.Tomb[V]{Val: v})
-	nd.delN++
-	return nd, true
-}
-
-// clone copies the delta's spine (nil-safe). When insert is set, a zero
-// entry is opened at index i; the caller fills it in.
-func (d *odelta[K, V]) clone(i int, insert bool) *odelta[K, V] {
-	n := 0
-	if d != nil {
-		n = len(d.keys)
-	}
-	grow := 0
-	if insert {
-		grow = 1
-	}
-	nd := &odelta[K, V]{
-		keys:  make([]K, n+grow),
-		adds:  make([][]V, n+grow),
-		dels:  make([]int, n+grow),
-		tombs: make([][]core.Tomb[V], n+grow),
-	}
-	if d != nil {
-		nd.addN, nd.delN = d.addN, d.delN
-		copy(nd.keys[:i], d.keys[:i])
-		copy(nd.adds[:i], d.adds[:i])
-		copy(nd.dels[:i], d.dels[:i])
-		copy(nd.tombs[:i], d.tombs[:i])
-		copy(nd.keys[i+grow:], d.keys[i:])
-		copy(nd.adds[i+grow:], d.adds[i:])
-		copy(nd.dels[i+grow:], d.dels[i:])
-		copy(nd.tombs[i+grow:], d.tombs[i:])
-	}
-	return nd
-}
-
-// without returns a copy of the delta with entry i dropped (nil when that
-// was the last entry).
-func (d *odelta[K, V]) without(i int) *odelta[K, V] {
-	if len(d.keys) == 1 {
-		return nil
-	}
-	nd := &odelta[K, V]{
-		keys:  make([]K, len(d.keys)-1),
-		adds:  make([][]V, len(d.adds)-1),
-		dels:  make([]int, len(d.dels)-1),
-		tombs: make([][]core.Tomb[V], len(d.tombs)-1),
-		addN:  d.addN - len(d.adds[i]),
-		delN:  d.delN - d.dels[i] - len(d.tombs[i]),
-	}
-	copy(nd.keys, d.keys[:i])
-	copy(nd.adds, d.adds[:i])
-	copy(nd.dels, d.dels[:i])
-	copy(nd.tombs, d.tombs[:i])
-	copy(nd.keys[i:], d.keys[i+1:])
-	copy(nd.adds[i:], d.adds[i+1:])
-	copy(nd.dels[i:], d.dels[i+1:])
-	copy(nd.tombs[i:], d.tombs[i+1:])
-	return nd
-}
-
-// lowerBound returns the index of the first key >= k in a sorted slice.
-func lowerBound[K Key](keys []K, k K) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	e.Tombs = append(list[:len(list):len(list)], core.Tomb[V]{Val: v})
+	return d.with(&e, 0, 1), true
 }

@@ -309,7 +309,7 @@ func (e *shardEngine[K, V]) newShardSet(keys []K, vals []V, bounds []K, versionB
 	for i := range trees {
 		hi := len(keys)
 		if i < len(bounds) {
-			hi = lowerBound(keys, bounds[i]) // keys >= fence belong right of the cut
+			hi, _ = slices.BinarySearch(keys, bounds[i]) // keys >= fence belong right of the cut
 		}
 		tr, err := BulkLoad(keys[lo:hi], vals[lo:hi], e.opts)
 		if err != nil {
@@ -620,7 +620,7 @@ func (e *shardEngine[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	for si, b := 0, 0; si < len(shards) && b < len(sub); si++ {
 		e := len(sub)
 		if si < len(bounds) {
-			e = lowerBound(sub, bounds[si]) // keys >= fence belong to later shards
+			e, _ = slices.BinarySearch(sub, bounds[si]) // keys >= fence belong to later shards
 		}
 		if e > b {
 			spans = append(spans, span{shard: si, b: b, e: e})
