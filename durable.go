@@ -49,17 +49,19 @@ func (w *walShared[K, V]) failedErr() error {
 type shardLog[K Key, V any] struct {
 	*walShared[K, V]
 	wal      *wal.Log
-	unsynced int // appends since the last barrier
+	unsynced int    // appends since the last barrier
+	buf      []byte // the record being appended; the log copies it into its frame
 }
 
 // append encodes one op and appends its record. An encode error (an
 // exotic value type gob rejects) fails the write without poisoning:
 // nothing reached the log.
 func (l *shardLog[K, V]) append(op byte, k K, v V) error {
-	payload, err := l.codec.encodeOp(op, k, v)
+	payload, err := l.codec.encodeOp(l.buf[:0], op, k, v)
 	if err != nil {
 		return err
 	}
+	l.buf = payload
 	if _, err := l.wal.Append(payload); err != nil {
 		l.poison(err)
 		return err

@@ -170,6 +170,7 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 			t.size += len(ps.Keys) + len(ps.BufKeys)
 		}
 		t.chunks = append(t.chunks, newChunk(pages))
+		t.npages += len(pages)
 	}
 	if err := t.loadRouter(o.FillFactor); err != nil {
 		return nil, fmt.Errorf("fitingtree: checkpoint router: %w", err)

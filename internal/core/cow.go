@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,7 +121,9 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 				vals = append(vals, v)
 			}
 		}
-		nt.chunks = cutChunks(t.buildPages(keys, vals, nil, &nt.counters))
+		pages := t.buildPages(keys, vals, nil, 0, &nt.counters)
+		nt.npages = stampIDs([][]*page[K, V]{pages})
+		nt.chunks = cutChunks(pages)
 		if err := nt.loadRouter(t.opts.FillFactor); err != nil {
 			// Unreachable: op keys are strictly ascending.
 			panic(fmt.Sprintf("fitingtree: MergeCOW router bootstrap: %v", err))
@@ -135,6 +138,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		for _, iv := range ivs {
 			dirty += t.regionLen(iv)
 		}
+		nt.npages = t.npages - dirty + stampIDs(rebuilt)
 
 		// Router maintenance is hybrid. The persistent clone pays a few
 		// node copies (O(log segments)) per dirty routed page; a bulk
@@ -146,7 +150,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		// clone incrementally only when the delta dirties less than that
 		// fraction of the pages; a scattered delta falls back to the bulk
 		// load, which still shares every carried page and untouched chunk.
-		incremental := dirty*t.tune.ratioOr(routerRatioDefault) < t.pageCount()
+		incremental := dirty*t.tune.ratioOr(routerRatioDefault) < t.npages
 		if incremental {
 			nt.adoptRouter(t)
 			t.retireDirtyEntries(nt, ivs)
@@ -309,15 +313,26 @@ const (
 	regionBatch      = 8
 )
 
+// regionScratch is one rebuild worker's merge buffer: every region the
+// worker rebuilds is merged into it and then cut into pages that own
+// their arrays, so a fold allocates (and clears) no run per region, and
+// the buffer — stale value pointers included — is garbage as soon as
+// rebuildRegions returns.
+type regionScratch[K num.Key, V any] struct {
+	keys []K
+	vals []V
+}
+
 // rebuildRegions fills rebuilt[i] with the pages that replace dirty
 // interval ivs[i], counting the work in ctr, and returns how many elements
 // tombstones removed. Regions are independent — each reads the receiver
 // and writes its own slot — so a batch dirtying many of them is rebuilt by
 // min(GOMAXPROCS, regions/regionsPerWorker) workers (the caller being
-// one), each keeping its own counters, summed at the end: page order,
-// page contents and counts do not depend on the worker count. Below two
-// workers' worth of regions, or on one processor, everything runs on the
-// caller.
+// one), each keeping its own counters, summed at the end, and its own
+// merge scratch: page order, page contents and counts do not depend on
+// the worker count. The pages come back without identities; the caller
+// stamps them (stampIDs) once the workers are done. Below two workers'
+// worth of regions, or on one processor, everything runs on the caller.
 func (t *Tree[K, V]) rebuildRegions(ivs []cowInterval, ops []MergeOp[K, V], rebuilt [][]*page[K, V], ctr *Counters) int {
 	var (
 		next    atomic.Int64 // first interval nobody has claimed yet
@@ -328,12 +343,13 @@ func (t *Tree[K, V]) rebuildRegions(ivs []cowInterval, ops []MergeOp[K, V], rebu
 	work := func() {
 		defer wg.Done()
 		var c Counters
+		var scratch regionScratch[K, V]
 		dels := 0
 		for lo := 0; lo < len(ivs); {
 			hi := int(next.Add(regionBatch))
 			for lo = hi - regionBatch; lo < min(hi, len(ivs)); lo++ {
 				var d int
-				rebuilt[lo], d = t.rebuildRegion(ivs[lo], ops[ivs[lo].opLo:ivs[lo].opHi], &c)
+				rebuilt[lo], d = t.rebuildRegion(ivs[lo], ops[ivs[lo].opLo:ivs[lo].opHi], &scratch, &c)
 				dels += d
 			}
 		}
@@ -352,15 +368,23 @@ func (t *Tree[K, V]) rebuildRegions(ivs []cowInterval, ops []MergeOp[K, V], rebu
 	return deleted
 }
 
-// rebuildRegion merges one dirty interval's pages with its ops and builds
-// the pages that replace them.
-func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], ctr *Counters) ([]*page[K, V], int) {
-	keys, vals, deleted := t.mergeRegion(iv, ops)
+// rebuildRegion merges one dirty interval's pages with its ops (in s) and
+// builds the pages that replace them.
+func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], s *regionScratch[K, V], ctr *Counters) ([]*page[K, V], int) {
+	deleted := t.mergeRegion(iv, ops, s)
 	var only *page[K, V] // the region's page, when it has just one
+	moved := 0           // the run's elements before this position are only's, unmoved
 	if iv.loCI == iv.hiCI && iv.loPI == iv.hiPI {
 		only = t.chunks[iv.loCI].pages[iv.loPI]
+		if len(only.bufKeys) == 0 && only.deletes == 0 {
+			// Ops ascend, so everything before the first op's key was copied
+			// through in place. A page with an insert buffer interleaves it
+			// with the data, and one with in-place deletes was accepted under
+			// a window widened by them: both are checked from the start.
+			moved, _ = findKey(only.keys, ops[0].Key)
+		}
 	}
-	pages := t.buildPages(keys, vals, only, ctr)
+	pages := t.buildPages(s.keys, s.vals, only, moved, ctr)
 	// Feed the tuner: the rebuilt pages inherit the region's decayed load
 	// counters plus this batch's op count.
 	var sr, sw uint64
@@ -377,20 +401,21 @@ func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], ctr *Cou
 }
 
 // buildPages turns a sorted merged run into fresh pages, counting the work
-// in ctr. The run's backing arrays are shared by sub-slicing, as in merge.
+// in ctr. The run is only read: every page copies its share out of it.
 // Under a region plan the run is split at region boundaries and each piece
 // built under its region's error bound — the lazy-retarget protocol: a
 // plan change costs nothing until a rebuild was going to happen anyway.
 // only is the page the run replaces when the dirty region was that one
-// page (nil otherwise); see buildPagesErr for what it buys.
-func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], ctr *Counters) []*page[K, V] {
+// page (nil otherwise) and moved the position before which the run is that
+// page's data unmoved; see buildPagesErr for what they buy.
+func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
 	if len(keys) == 0 {
 		return nil
 	}
 	ctr.Merges++
 	plan := t.tune.planOf()
 	if plan == nil || len(plan.targets) == 0 {
-		return t.buildPagesErr(keys, vals, t.opts.segError(), only, ctr)
+		return t.buildPagesErr(keys, vals, t.opts.segError(), only, moved, ctr)
 	}
 	var pages []*page[K, V]
 	for lo := 0; lo < len(keys); {
@@ -407,14 +432,17 @@ func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], ctr *Count
 		if hi-lo < len(keys) {
 			keep = nil // the run straddles a region boundary: no one model to keep
 		}
-		pages = append(pages, t.buildPagesErr(keys[lo:hi], vals[lo:hi], plan.segErrAt(ri, t.opts.BufferSize), keep, ctr)...)
+		pages = append(pages, t.buildPagesErr(keys[lo:hi], vals[lo:hi], plan.segErrAt(ri, t.opts.BufferSize), keep, moved, ctr)...)
 		lo = hi
 	}
 	return pages
 }
 
 // buildPagesErr builds the pages of one sorted run under a single error
-// bound, stamping the bound on every page it cuts.
+// bound, stamping the bound on every page it cuts. Every page gets arrays
+// of its own, exactly its size (ownCopy): the run is a worker's scratch,
+// and a page that shared an array with its siblings would keep all of it
+// alive for as long as any one of them survives.
 //
 // Refit before re-segmenting: when the run replaces one page (only) built
 // under this same bound, and that page's own line — same start, same
@@ -426,26 +454,39 @@ func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], ctr *Count
 // slightly denser data routinely splits a page the old slope still
 // covers, so skipping it saves the segmentation pass and the page growth.
 // A page whose region was retuned to another bound is re-segmented.
-func (t *Tree[K, V]) buildPagesErr(keys []K, vals []V, segErr int, only *page[K, V], ctr *Counters) []*page[K, V] {
+//
+// The check starts at moved: the elements before it are the old page's,
+// at the positions they had under the very (start, slope, bound) that
+// accepted them when that page was built, so only what the batch moved —
+// everything from its first op's position on — is tested.
+func (t *Tree[K, V]) buildPagesErr(keys []K, vals []V, segErr int, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
 	if only != nil && only.werr == segErr && only.start() <= keys[0] &&
-		segment.Fits(keys, only.start(), only.seg.Slope, segErr) {
+		segment.FitsFrom(keys, moved, only.start(), only.seg.Slope, segErr) {
 		ctr.PagesMade++
 		ctr.Refits++
 		seg := segment.Segment[K]{Start: only.start(), Count: len(keys), Slope: only.seg.Slope}
-		return []*page[K, V]{newPage(seg, keys, vals, segErr)}
+		return []*page[K, V]{newPage(0, seg, ownCopy(keys), ownCopy(vals), segErr)}
 	}
 	segs := segment.ShrinkingCone(keys, segErr)
 	ctr.PagesMade += len(segs)
 	pages := make([]*page[K, V], len(segs))
 	for i, s := range segs {
 		pages[i] = newPage(
+			0,
 			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
-			keys[s.StartPos:s.EndPos():s.EndPos()],
-			vals[s.StartPos:s.EndPos():s.EndPos()],
+			ownCopy(keys[s.StartPos:s.EndPos()]),
+			ownCopy(vals[s.StartPos:s.EndPos()]),
 			segErr,
 		)
 	}
 	return pages
+}
+
+// ownCopy returns a copy of s in an array of its own with no spare
+// capacity. Clone's copying append does not clear what it is about to
+// overwrite (for element types without pointers), which make would.
+func ownCopy[T any](s []T) []T {
+	return slices.Clip(slices.Clone(s))
 }
 
 // cowInterval is a maximal dirty run of pages — (loCI, loPI) through
@@ -511,21 +552,13 @@ func (t *Tree[K, V]) dirtyIntervals(ops []MergeOp[K, V]) []cowInterval {
 }
 
 // mergeRegion merges the content of the dirty pages of iv with ops into
-// one sorted run, applying tombstones as it goes, and reports how many
-// elements the tombstones removed. Ties keep the read order the Optimistic
-// facade promises: surviving base matches (scan order) first, then pending
-// adds in insertion order.
-func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V]) ([]K, []V, int) {
-	total := 0
-	t.eachRegionPage(iv, func(p *page[K, V]) {
-		total += len(p.keys) + len(p.bufKeys)
-	})
-	addN := 0
-	for _, op := range ops {
-		addN += len(op.Adds)
-	}
-	keys := make([]K, 0, total+addN)
-	vals := make([]V, 0, total+addN)
+// one sorted run — left in s, whose arrays it reuses and grows as needed —
+// applying tombstones as it goes, and reports how many elements the
+// tombstones removed. Ties keep the read order the Optimistic facade
+// promises: surviving base matches (scan order) first, then pending adds
+// in insertion order.
+func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V], s *regionScratch[K, V]) int {
+	keys, vals := s.keys[:0], s.vals[:0]
 	ts := newTombSets(ops) // tombstones left to apply, per op
 	deleted := 0
 	oi := 0
@@ -590,17 +623,8 @@ func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V]) ([]K, []V,
 	for oi < len(ops) {
 		flushAdds()
 	}
-	return keys, vals, deleted
-}
-
-// pageCount returns the number of pages in the chain, by summing chunk
-// lengths (O(chunks)).
-func (t *Tree[K, V]) pageCount() int {
-	n := 0
-	for _, c := range t.chunks {
-		n += len(c.pages)
-	}
-	return n
+	s.keys, s.vals = keys, vals
+	return deleted
 }
 
 // regionLen returns the number of pages iv spans.

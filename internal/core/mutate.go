@@ -20,8 +20,8 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 	cu, ok := t.insertCursor(k)
 	if !ok {
 		// Empty tree: create the initial page and chunk.
-		p := newPage(segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.segErrFor(k))
-		t.chunks = []*chunk[K, V]{newChunk([]*page[K, V]{p})}
+		p := newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.segErrFor(k))
+		t.chunks, t.npages = []*chunk[K, V]{newChunk([]*page[K, V]{p})}, 1
 		t.idx.insert(k, p)
 		return
 	}
@@ -152,6 +152,7 @@ func spliceChunks[K num.Key, V any](s []*chunk[K, V], ci, removed int, repl []*c
 // and an emptied chunk is dropped from the chain.
 func (t *Tree[K, V]) splicePages(cu cursor[K, V], removed int, pages []*page[K, V]) {
 	c := cu.c
+	t.npages += len(pages) - removed
 	np := make([]*page[K, V], 0, len(c.pages)-removed+len(pages))
 	np = append(np, c.pages[:cu.pi]...)
 	np = append(np, pages...)
@@ -223,6 +224,7 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 	pages := make([]*page[K, V], len(segs))
 	for i, s := range segs {
 		pages[i] = newPage(
+			pageSeq.Add(1),
 			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
 			// Sub-slicing the merged run is safe: pages never grow their
 			// data in place, and in-place deletions stay within a page's

@@ -20,7 +20,7 @@ func TestRefitKeepsOrSplits(t *testing.T) {
 		keys[i] = uint64(i) * 10 // one straight line: one page
 	}
 	tr := buildCOWBase(t, keys, Options{Error: 16, BufferSize: 0})
-	if n := tr.pageCount(); n != 1 {
+	if n := tr.NumPages(); n != 1 {
 		t.Fatalf("fixture has %d pages, want 1", n)
 	}
 	old := tr.chunks[0].pages[0]
@@ -55,13 +55,16 @@ func TestRefitKeepsOrSplits(t *testing.T) {
 }
 
 // TestRefitRandomized drives randomized pages × op batches through the
-// fold — duplicates, counted and value tombstones, numeric keys and string
-// keys whose 8-byte projection collides — and checks after every batch:
-// invariants hold (every page within its own bound), content matches the
-// reference model, and no dirty region comes out as more pages than
-// ShrinkingCone alone makes of the same merged run. Then a plan retargets
-// the upper half of the key space to another ε: regions there must
-// re-segment under the new bound, never refit.
+// fold — duplicates, counted and value tombstones, an op below the chain's
+// first key, numeric keys and string keys whose 8-byte projection collides
+// — and checks after every batch: invariants hold (every page within its
+// own bound), content matches the reference model, no dirty region comes
+// out as more pages than ShrinkingCone alone makes of the same merged run,
+// and the fold kept exactly the pages a reference that runs the full Fits
+// over every merged run keeps (refitReference) — the suffix check the fold
+// really runs decides every region the same way. Then a plan retargets the
+// upper half of the key space to another ε: regions there must re-segment
+// under the new bound, never refit.
 func TestRefitRandomized(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { testRefitRandomized(t, func(k uint64) uint64 { return k * 3 }) })
 	// The first 8 bytes are shared by 10 000 consecutive keys, so Approx is
@@ -120,18 +123,27 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 		}
 		for batch := 0; batch < 6; batch++ {
 			rawOps := genTombOps(rng, stream, maxKey)
+			if min := stream[0].k; min > 0 && rawOps[0].Key >= min {
+				// An op before the first page's first key: nothing of that
+				// page keeps its position.
+				rawOps = append([]MergeOp[uint64, uint64]{{Key: min - 1, Adds: []uint64{7}}}, rawOps...)
+			}
 			ops := convert(rawOps)
+			want := tr.Counters().Refits + refitReference(t, tr, ops)
 			for _, iv := range tr.dirtyIntervals(ops) {
 				rops := ops[iv.opLo:iv.opHi]
-				run, _, _ := tr.mergeRegion(iv, rops)
-				pages, _ := tr.rebuildRegion(iv, rops, &Counters{})
-				if cone := len(segment.ShrinkingCone(run, opts.segError())); len(pages) > cone {
+				var s regionScratch[K, uint64]
+				pages, _ := tr.rebuildRegion(iv, rops, &s, &Counters{})
+				if cone := len(segment.ShrinkingCone(s.keys, opts.segError())); len(pages) > cone {
 					t.Fatalf("round %d batch %d: region rebuilt as %d pages, ShrinkingCone makes %d", round, batch, len(pages), cone)
 				}
 			}
 			tr = tr.MergeCOW(ops)
 			stream = applyTombOpsModel(stream, rawOps)
 			check(fmt.Sprintf("batch %d", batch))
+			if got := tr.Counters().Refits; got != want {
+				t.Fatalf("round %d batch %d: %d refits, the full-check reference keeps %d", round, batch, got, want)
+			}
 		}
 		refits += tr.Counters().Refits
 
@@ -161,11 +173,15 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 			}
 		}
 		was := tr.Counters().Refits
+		want := was + refitReference(t, tr, convert(rawOps))
 		tr = tr.MergeCOW(convert(rawOps))
 		stream = applyTombOpsModel(stream, rawOps)
 		check("retuned batch")
 		if len(rawOps) > 0 && tr.Counters().Refits != was {
 			t.Fatalf("round %d: %d refits in a region retuned to another bound", round, tr.Counters().Refits-was)
+		}
+		if want != was {
+			t.Fatalf("round %d: the full-check reference keeps %d pages of a retuned region", round, want-was)
 		}
 		for _, c := range tr.chunks {
 			for _, p := range c.pages {
@@ -177,5 +193,106 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 	}
 	if refits == 0 {
 		t.Fatal("no batch kept a page by refit: the rule went untested")
+	}
+}
+
+// refitReference returns how many dirty regions of ops a fold of tr must
+// keep as one page under the old model, decided the slow way: the full Fits
+// over every merged run that replaces one page built under the bound in
+// force. Where the fold is entitled to check a suffix only — the page has
+// neither insert buffer nor in-place deletes — it also requires the run's
+// head to be the old page's, unmoved, and the suffix check to agree.
+func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[K, uint64]) int {
+	t.Helper()
+	keep := 0
+	for _, iv := range tr.dirtyIntervals(ops) {
+		if iv.loCI != iv.hiCI || iv.loPI != iv.hiPI {
+			continue
+		}
+		only := tr.chunks[iv.loCI].pages[iv.loPI]
+		rops := ops[iv.opLo:iv.opHi]
+		var s regionScratch[K, uint64]
+		tr.mergeRegion(iv, rops, &s)
+		if len(s.keys) == 0 {
+			continue
+		}
+		segErr := tr.segErrFor(s.keys[0])
+		if segErr != tr.segErrFor(s.keys[len(s.keys)-1]) {
+			continue // the run straddles a retuned boundary
+		}
+		full := only.werr == segErr && only.start() <= s.keys[0] &&
+			segment.Fits(s.keys, only.start(), only.seg.Slope, segErr)
+		if full {
+			keep++
+		}
+		if len(only.bufKeys) > 0 || only.deletes > 0 {
+			continue
+		}
+		moved, _ := findKey(only.keys, rops[0].Key)
+		if !slices.Equal(s.keys[:moved], only.keys[:moved]) || !slices.Equal(s.vals[:moved], only.vals[:moved]) {
+			t.Fatalf("page at %v: the run's first %d elements are not the old page's", only.start(), moved)
+		}
+		suffix := only.werr == segErr && only.start() <= s.keys[0] &&
+			segment.FitsFrom(s.keys, moved, only.start(), only.seg.Slope, segErr)
+		if suffix != full {
+			t.Fatalf("page at %v: suffix check from %d says %v, full check %v", only.start(), moved, suffix, full)
+		}
+	}
+	return keep
+}
+
+// TestRefitChecksTouchedPagesInFull covers the two pages a fold must not
+// check by suffix: one with an insert buffer (the merged run interleaves
+// buffer and data, so no prefix keeps its place) and one with in-place
+// deletes (its keys were accepted under a window widened by them, which
+// the rebuilt page no longer has). A bare tree is edited in place until
+// most pages carry one or the other, then folded: invariants, content and
+// the full-check reference's refit count must hold.
+func TestRefitChecksTouchedPagesInFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	buffered, eroded, refits := 0, 0, 0
+	for round := 0; round < 30; round++ {
+		n := 2000 + rng.Intn(4000)
+		maxKey := uint64(n * (2 + rng.Intn(4)))
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64() % maxKey
+		}
+		slices.Sort(keys)
+		tr := buildCOWBase(t, keys, Options{Error: 16 << rng.Intn(3), BufferSize: 12})
+		for i := 0; i < n/8; i++ {
+			if rng.Intn(2) == 0 {
+				tr.Insert(rng.Uint64()%maxKey, 5_000_000+uint64(i))
+			} else {
+				tr.Delete(keys[rng.Intn(n)])
+			}
+		}
+		for _, c := range tr.chunks {
+			for _, p := range c.pages {
+				if len(p.bufKeys) > 0 {
+					buffered++
+				}
+				if p.deletes > 0 {
+					eroded++
+				}
+			}
+		}
+		stream := contents(tr)
+		ops := genTombOps(rng, stream, maxKey)
+		want := tr.Counters().Refits + refitReference(t, tr, ops)
+		merged := tr.MergeCOW(ops)
+		if err := merged.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got, model := contents(merged), applyTombOpsModel(stream, ops); !slices.Equal(got, model) {
+			t.Fatalf("round %d: folded content differs from the model (%d vs %d elements)", round, len(got), len(model))
+		}
+		if got := merged.Counters().Refits; got != want {
+			t.Fatalf("round %d: %d refits, the full-check reference keeps %d", round, got, want)
+		}
+		refits += merged.Counters().Refits
+	}
+	if buffered == 0 || eroded == 0 || refits == 0 {
+		t.Fatalf("%d buffered pages, %d with in-place deletes, %d refits: a case went untested", buffered, eroded, refits)
 	}
 }

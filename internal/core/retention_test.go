@@ -1,0 +1,283 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+	"unsafe"
+
+	"fitingtree/internal/workload"
+)
+
+// span is the address range of one page array, cap included.
+type span struct {
+	lo, hi  uintptr
+	rebuilt bool
+}
+
+// arraySpans returns the key and value arrays of every page of tr.
+func arraySpans(tr *Tree[uint64, uint64], rebuilt func(*page[uint64, uint64]) bool) []span {
+	var out []span
+	for _, c := range tr.chunks {
+		for _, p := range c.pages {
+			for _, s := range [][]uint64{p.keys, p.vals} {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+				out = append(out, span{lo, lo + uintptr(cap(s))*8, rebuilt(p)})
+			}
+		}
+	}
+	return out
+}
+
+// TestFoldPagesOwnTheirArrays pins what a fold hands a rebuilt page: key
+// and value arrays of exactly the page's size that overlap no other page's
+// — not a sibling cut from the same merged run, not a page of the receiver
+// — nor the worker's merge scratch, so a page keeps alive its own data and
+// nothing else. (Two pages cut from one array side by side do not overlap
+// either; that sharing is what TestFoldReleasesReplacedArrays measures.)
+func TestFoldPagesOwnTheirArrays(t *testing.T) {
+	keys := workload.Weblogs(200_000, 5)
+	base := buildCOWBase(t, keys, Options{Error: 16, BufferSize: 0})
+	rng := rand.New(rand.NewSource(3))
+	tr := base
+	for fold := 0; fold < 4; fold++ {
+		var ops []MergeOp[uint64, uint64]
+		for _, i := range rng.Perm(len(keys))[:3000] {
+			op := MergeOp[uint64, uint64]{Key: keys[i] + uint64(rng.Intn(3))}
+			if rng.Intn(4) == 0 {
+				op.Adds = make([]uint64, 40) // a burst that splits its page
+			} else {
+				op.Adds = []uint64{1}
+			}
+			ops = append(ops, op)
+		}
+		sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+		ops = slices.CompactFunc(ops, func(a, b MergeOp[uint64, uint64]) bool { return a.Key == b.Key })
+		var scratch regionScratch[uint64, uint64]
+		for _, iv := range tr.dirtyIntervals(ops) {
+			pages, _ := tr.rebuildRegion(iv, ops[iv.opLo:iv.opHi], &scratch, &Counters{})
+			for _, s := range [][]uint64{scratch.keys, scratch.vals} {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+				hi := lo + uintptr(cap(s))*8
+				for _, p := range pages {
+					for _, a := range [][]uint64{p.keys, p.vals} {
+						if at := uintptr(unsafe.Pointer(unsafe.SliceData(a))); at >= lo && at < hi {
+							t.Fatalf("fold %d: page at %d lives in the merge scratch", fold, p.start())
+						}
+					}
+				}
+			}
+		}
+		old := map[*page[uint64, uint64]]bool{}
+		for _, c := range tr.chunks {
+			for _, p := range c.pages {
+				old[p] = true
+			}
+		}
+		next := tr.MergeCOW(ops)
+		fresh := func(p *page[uint64, uint64]) bool { return !old[p] }
+		made := 0
+		for _, c := range next.chunks {
+			for _, p := range c.pages {
+				if !fresh(p) {
+					continue
+				}
+				made++
+				if cap(p.keys) != len(p.keys) || cap(p.vals) != len(p.vals) {
+					t.Fatalf("fold %d: rebuilt page at %d has %d keys in cap %d, %d values in cap %d",
+						fold, p.start(), len(p.keys), cap(p.keys), len(p.vals), cap(p.vals))
+				}
+			}
+		}
+		if c := next.Counters(); made < 1000 || c.Refits == 0 || c.PagesMade == c.Refits {
+			t.Fatalf("fold %d rebuilt %d pages (%+v): want refits and splits among many", fold, made, c)
+		}
+		// Every array of the new tree and of the receiver, by address: a
+		// rebuilt page's must overlap neither neighbor.
+		spans := append(arraySpans(next, fresh), arraySpans(tr, func(*page[uint64, uint64]) bool { return false })...)
+		sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+		spans = slices.Compact(spans) // pages carried by both trees
+		for i := 1; i < len(spans); i++ {
+			if (spans[i].rebuilt || spans[i-1].rebuilt) && spans[i].lo < spans[i-1].hi {
+				t.Fatalf("fold %d: a rebuilt page's array [%#x,%#x) overlaps [%#x,%#x)",
+					fold, spans[i].lo, spans[i].hi, spans[i-1].lo, spans[i-1].hi)
+			}
+		}
+		tr = next
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestFoldReleasesReplacedArrays folds batch after batch into a tree until
+// every bulk-loaded page has been replaced several times over, drops every
+// tree but the last and measures the heap: what is left must be about the
+// data (16 bytes per element), not the bulk-load arrays or the merged runs
+// of earlier folds pinned by one surviving page each.
+func TestFoldReleasesReplacedArrays(t *testing.T) {
+	const n = 400_000
+	before := liveHeap()
+	tr := func() *Tree[uint64, uint64] {
+		u := workload.Weblogs(n*5/4, 8)
+		u = slices.Compact(u)
+		rng := rand.New(rand.NewSource(8))
+		rng.Shuffle(len(u), func(i, j int) { u[i], u[j] = u[j], u[i] })
+		bulk, hold := u[:len(u)*4/5], u[len(u)*4/5:]
+		slices.Sort(bulk)
+		tr := buildCOWBase(t, bulk, Options{})
+		first := map[uint64]bool{}
+		for _, id := range tr.PageIDs() {
+			first[id] = true
+		}
+		for len(hold) > 0 {
+			batch := hold[:min(tr.NumPages()*2, len(hold))] // about two ops per page
+			hold = hold[len(batch):]
+			slices.Sort(batch)
+			ops := make([]MergeOp[uint64, uint64], len(batch))
+			for i, k := range batch {
+				ops[i] = MergeOp[uint64, uint64]{Key: k, Adds: []uint64{k}}
+			}
+			tr = tr.MergeCOW(ops)
+		}
+		for _, id := range tr.PageIDs() {
+			if first[id] {
+				t.Fatalf("bulk-loaded page %d was never rebuilt: the scenario proves nothing", id)
+			}
+		}
+		return tr
+	}()
+	after := liveHeap()
+	data := uint64(tr.Len()) * 16
+	if held := after - before; held > data*3/2 {
+		t.Fatalf("%d elements hold %d bytes of heap, %.2fx their data", tr.Len(), held, float64(held)/float64(data))
+	}
+	runtime.KeepAlive(tr)
+}
+
+// TestNumPagesMatchesChain compares the carried page count with a walk of
+// the chain after each kind of operation that splices pages: bare-tree
+// inserts and deletes (buffer merges, splits, emptied pages), folds, and a
+// tree assembled from chunk snapshots.
+func TestNumPagesMatchesChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	check := func(what string, tr *Tree[uint64, uint64]) {
+		t.Helper()
+		if got, want := tr.NumPages(), len(tr.PageIDs()); got != want {
+			t.Fatalf("%s: NumPages %d, the chain has %d pages", what, got, want)
+		}
+	}
+	empty, err := BulkLoad[uint64, uint64](nil, nil, Options{Error: 8, BufferSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("empty", empty)
+	tr := empty
+	var live []uint64
+	for i := 0; i < 20_000; i++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(live))
+			tr.Delete(live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		} else {
+			k := rng.Uint64() % 50_000
+			tr.Insert(k, k)
+			live = append(live, k)
+		}
+		if i%500 == 0 {
+			check("in-place edits", tr)
+		}
+	}
+	check("in-place edits", tr)
+	for fold := 0; fold < 20; fold++ {
+		seen := map[uint64]bool{}
+		var ops []MergeOp[uint64, uint64]
+		for len(ops) < 1+rng.Intn(400) {
+			k := rng.Uint64() % 50_000
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			op := MergeOp[uint64, uint64]{Key: k}
+			if has := tr.Contains(k); has && rng.Intn(2) == 0 {
+				op.Dels = 1
+			} else {
+				op.Adds = make([]uint64, 1+rng.Intn(30))
+			}
+			ops = append(ops, op)
+		}
+		sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+		tr = tr.MergeCOW(ops)
+		check("fold", tr)
+	}
+	check("bootstrap fold", empty.MergeCOW([]MergeOp[uint64, uint64]{{Key: 1, Adds: make([]uint64, 500)}, {Key: 9, Adds: []uint64{1}}}))
+	snaps := make([]ChunkSnap[uint64, uint64], tr.NumChunks())
+	for i := range snaps {
+		snaps[i] = tr.ChunkSnap(i)
+	}
+	loaded, err := AssembleChunks(snaps, tr.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("assembled", loaded)
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldScratchDropsValues pins the lifetime of the merge scratch for
+// values that hold pointers: one fold carries a value through the scratch
+// into a rebuilt page, the next deletes it, and once the older trees are
+// gone nothing — no scratch kept past its fold — may keep it reachable.
+func TestFoldScratchDropsValues(t *testing.T) {
+	type blob struct{ b [1 << 12]byte }
+	const n = 50_000 // enough regions for the rebuild to fan out
+	keys := make([]uint64, n)
+	vals := make([]*blob, n)
+	shared := &blob{}
+	for i := range keys {
+		keys[i], vals[i] = uint64(i)*7, shared
+	}
+	victim := uint64(n/2) * 7
+	collected := make(chan struct{})
+	tr := func() *Tree[uint64, *blob] {
+		base, err := BulkLoad(keys, vals, Options{Error: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := &blob{}
+		runtime.SetFinalizer(v, func(*blob) { close(collected) })
+		// Adds next to every third key: the victim's page and most others
+		// pass through a scratch, the victim's value included.
+		var ops []MergeOp[uint64, *blob]
+		for i := 0; i < n; i += 3 {
+			ops = append(ops, MergeOp[uint64, *blob]{Key: keys[i] + 1, Adds: []*blob{shared}})
+		}
+		withV := base.MergeCOW([]MergeOp[uint64, *blob]{{Key: victim, Adds: []*blob{v}}}).MergeCOW(ops)
+		if got, _ := withV.Lookup(keys[0] + 1); got != shared {
+			t.Fatal("fold lost an add")
+		}
+		return withV.MergeCOW([]MergeOp[uint64, *blob]{{Key: victim, Tombs: []Tomb[*blob]{{Val: v}}}})
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC() // the finalizer runs on its own goroutine, some time after
+		select {
+		case <-collected:
+			if tr.Len() != n+(n+2)/3 {
+				t.Fatalf("Len = %d, want %d", tr.Len(), n+(n+2)/3)
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	t.Fatal("a value deleted by a fold is still reachable after the older trees were dropped")
+}

@@ -141,7 +141,7 @@ func TestQuickImplicitFloor(t *testing.T) {
 		// The floor search only consults keys; the routed pages just have
 		// to be real, so park every entry on one dummy page.
 		dummy := newPage(
-			segment.Segment[uint64]{Start: 0, Count: 1, Slope: 0}, []uint64{0}, []int{0}, 1,
+			1, segment.Segment[uint64]{Start: 0, Count: 1, Slope: 0}, []uint64{0}, []int{0}, 1,
 		)
 		pages := make([]*page[uint64, int], len(keys))
 		for i := range pages {

@@ -303,8 +303,10 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	}
 	count := 0
 	routed := 0
+	walked := 0
 	var prev *page[K, V]
 	for ci, c := range t.chunks {
+		walked += len(c.pages)
 		if c.id == 0 {
 			return fmt.Errorf("fitingtree: chunk %d has no identity", ci)
 		}
@@ -404,6 +406,9 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	}
 	if count != t.size {
 		return fmt.Errorf("fitingtree: size %d but %d elements found", t.size, count)
+	}
+	if walked != t.npages {
+		return fmt.Errorf("fitingtree: page count %d but %d pages in the chain", t.npages, walked)
 	}
 	if routed != t.idx.len() {
 		return fmt.Errorf("fitingtree: %d routed pages but router has %d entries", routed, t.idx.len())

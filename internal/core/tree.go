@@ -168,11 +168,32 @@ type page[K num.Key, V any] struct {
 	deletes int // elements removed from keys since last rebuild
 }
 
-// newPage allocates a page with a fresh identity over the given segment
-// data, built under segmentation error bound werr.
-func newPage[K num.Key, V any](seg segment.Segment[K], keys []K, vals []V, werr int) *page[K, V] {
-	return &page[K, V]{id: pageSeq.Add(1), seg: seg, werr: werr, keys: keys, vals: vals,
+// newPage allocates a page over the given segment data, built under
+// segmentation error bound werr. id is its identity, a fresh pageSeq value
+// — or 0 from a builder that stamps a whole batch of pages afterwards
+// (stampIDs), before any of them can be reached from a tree.
+func newPage[K num.Key, V any](id uint64, seg segment.Segment[K], keys []K, vals []V, werr int) *page[K, V] {
+	return &page[K, V]{id: id, seg: seg, werr: werr, keys: keys, vals: vals,
 		pref: stringPrefixes(keys), fixed8: allLen8(keys)}
+}
+
+// stampIDs gives every page of groups a fresh identity, in order, out of
+// one reserved block of pageSeq — one atomic operation for a whole fold
+// where a per-page increment had the rebuild workers contend for the
+// counter's cache line — and returns how many pages it stamped.
+func stampIDs[K num.Key, V any](groups [][]*page[K, V]) int {
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	id := pageSeq.Add(uint64(n)) - uint64(n)
+	for _, g := range groups {
+		for _, p := range g {
+			id++
+			p.id = id
+		}
+	}
+	return n
 }
 
 // stringPrefixes builds the prefix sidecar of a string-keyed page: the
@@ -318,6 +339,7 @@ type Tree[K num.Key, V any] struct {
 	opts   Options
 	idx    router[K, V]
 	chunks []*chunk[K, V] // chunked page chain in ascending key order
+	npages int            // pages in the chain, maintained by every splice
 	size   int            // total elements (pages + buffers)
 
 	// Hot-path state precomputed at construction so lookups neither
@@ -430,13 +452,14 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 	pages := make([]*page[K, V], len(segs))
 	for i, s := range segs {
 		pages[i] = newPage(
+			pageSeq.Add(1),
 			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
 			append([]K(nil), keys[s.StartPos:s.EndPos()]...),
 			append([]V(nil), vals[s.StartPos:s.EndPos()]...),
 			o.segError(),
 		)
 	}
-	t.chunks = cutChunks(pages)
+	t.chunks, t.npages = cutChunks(pages), len(pages)
 	// Only the first page of a run of equal start keys goes in the inner
 	// tree; lookups reach the rest via the chain.
 	if err := t.loadRouter(o.FillFactor); err != nil {
@@ -453,6 +476,12 @@ func (t *Tree[K, V]) Len() int { return t.size }
 
 // Counters returns maintenance counters accumulated since the build.
 func (t *Tree[K, V]) Counters() Counters { return t.counters }
+
+// NumPages returns the number of pages (segments) in the chain in O(1):
+// the count is carried from tree to tree by every operation that splices
+// pages, so a caller may read it per write (the Optimistic facade sizes
+// its fold batches by it).
+func (t *Tree[K, V]) NumPages() int { return t.npages }
 
 // PageIDs returns the identity of every page in chain order. Two trees
 // related by MergeCOW share a page iff the same id appears in both; tests

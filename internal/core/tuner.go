@@ -219,7 +219,7 @@ func carryLoad[K num.Key, V any](srcReads, srcWrites uint64, ops int, rebuilt []
 // in chain order — the persisted quantity recovery must reproduce for a
 // tuned layout to survive a restart. Observability for tools and tests.
 func (t *Tree[K, V]) PageErrorBounds() []int {
-	out := make([]int, 0, t.pageCount())
+	out := make([]int, 0, t.NumPages())
 	for _, c := range t.chunks {
 		for _, p := range c.pages {
 			out = append(out, p.werr)

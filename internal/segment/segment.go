@@ -227,10 +227,17 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 // when Fits still holds. The arithmetic is Predict's, so a lookup window
 // of err around Predict finds every key Fits accepted.
 func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
+	return FitsFrom(keys, 0, start, slope, err)
+}
+
+// FitsFrom is Fits for the elements at positions from and up only: the
+// test of a caller that knows keys[:from] sit where the same model already
+// accepted them.
+func FitsFrom[K num.Key](keys []K, from int, start K, slope float64, err int) bool {
 	x0 := num.Approx(start)
 	e := float64(err)
 	var buf [approxBlock]float64
-	for base := 0; base < len(keys); base += approxBlock {
+	for base := from; base < len(keys); base += approxBlock {
 		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {
 			if d := float64((x-x0)*slope) - float64(base+j); d > e || d < -e {
 				return false
@@ -240,7 +247,6 @@ func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
 	return true
 }
 
-// checkSorted panics if keys are not ascending or err < 1.
 func checkSorted[K num.Key](keys []K, err int) {
 	if err < 1 {
 		panic(fmt.Sprintf("segment: error threshold %d < 1", err))

@@ -43,7 +43,7 @@ func TestLegacyStoreRejected(t *testing.T) {
 		}
 		codec := newOpCodec[int, int]()
 		for i := 0; i < 10; i++ {
-			payload, err := codec.encodeOp(walOpInsert, i, i)
+			payload, err := codec.encodeOp(nil, walOpInsert, i, i)
 			if err != nil {
 				t.Fatal(err)
 			}

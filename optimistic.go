@@ -10,8 +10,14 @@ import (
 	"fitingtree/internal/core"
 )
 
-// DefaultFlushEvery is the number of pending writes that triggers an
-// Optimistic facade's delta flush (merge into a freshly built tree).
+// DefaultFlushEvery is the floor of the default flush threshold: the
+// number of pending writes that triggers an Optimistic facade's delta
+// flush (merge into a freshly built tree) while the base tree is small.
+// Unless SetFlushEvery pinned it, the threshold follows the tree — a
+// quarter of its page count once that exceeds this floor — because a fold
+// rebuilds every page a pending write falls into: B writes over P pages
+// rebuild P·(1−e^(−B/P)) of them, so a batch that does not grow with the
+// tree pays nearly one whole page per write.
 const DefaultFlushEvery = 1024
 
 // DefaultMaxFrozenLayers is the default depth of the frozen merge ladder:
@@ -29,7 +35,9 @@ const DefaultMaxFrozenLayers = 4
 // compaction scheduler's layer growth: adjacent frozen layers are merged
 // into each other only while the combined layer stays within
 // FlushBackpressureFactor × the flush threshold, so a fold into the base
-// tree batches about that many deltas.
+// tree batches about that many deltas. With the default, tree-derived
+// threshold (see DefaultFlushEvery) both bounds come to about one pending
+// write per page of the base tree.
 const FlushBackpressureFactor = 4
 
 // compactTierFactor is the ladder scheduler's size-tiering ratio: the
@@ -67,9 +75,10 @@ const tuneFoldsEvery = 4
 // are reclaimed by the garbage collector once the last reader drops them,
 // which is what makes the scheme safe without epoch bookkeeping.
 //
-// Once the delta reaches the flush threshold (SetFlushEvery), it is folded
-// into the base tree with a page-granular copy-on-write merge
-// (Tree.MergeCOW): only the pages the delta's keys fall into are rebuilt,
+// Once the delta reaches the flush threshold (derived from the base tree's
+// page count unless SetFlushEvery pinned it), it is folded into the base
+// tree with a page-granular copy-on-write merge (Tree.MergeCOW): only the
+// pages the delta's keys fall into are rebuilt,
 // and the published tree shares every untouched page with its predecessor,
 // so flush cost scales with the delta size, not the tree size. Readers
 // holding the old state keep a complete, consistent tree; the shared pages
@@ -96,9 +105,11 @@ type Optimistic[K Key, V any] struct {
 	// mu serializes writers: it is the shard's one writer lock. Everything
 	// a write does — victim decision, commit-log append, publication,
 	// group-commit barrier — happens under it (see apply).
-	mu        sync.Mutex
-	version   atomic.Uint64
-	state     atomic.Pointer[ostate[K, V]]
+	mu      sync.Mutex
+	version atomic.Uint64
+	state   atomic.Pointer[ostate[K, V]]
+	// flushAt is the flush threshold SetFlushEvery pinned; 0 means nobody
+	// did, and the threshold follows the base tree (see threshold).
 	flushAt   atomic.Int64
 	maxFrozen atomic.Int64
 
@@ -234,7 +245,6 @@ func (d *odelta[K, V]) pending() int { return d.addN + d.delN }
 // writer's timeslice; SetAsyncFlush overrides the default either way.
 func NewOptimistic[K Key, V any](t *Tree[K, V]) *Optimistic[K, V] {
 	o := &Optimistic[K, V]{}
-	o.flushAt.Store(DefaultFlushEvery)
 	o.maxFrozen.Store(DefaultMaxFrozenLayers)
 	o.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
 	o.roundDone.L = &o.mu
@@ -242,17 +252,33 @@ func NewOptimistic[K Key, V any](t *Tree[K, V]) *Optimistic[K, V] {
 	return o
 }
 
-// SetFlushEvery sets the number of pending writes that triggers a delta
-// flush. The threshold is an atomic, so it is safe to change at any time,
-// including while readers and writers are active; the new value applies
-// from the next write. It panics if n < 1: a non-positive threshold has
-// no meaning (every write would both trip and not satisfy it), and
-// silently clamping hid caller bugs.
+// SetFlushEvery pins the number of pending writes that triggers a delta
+// flush to n, and with it the backpressure and compaction bounds
+// (FlushBackpressureFactor × n), replacing the default that follows the
+// base tree's page count (see DefaultFlushEvery). The threshold is an
+// atomic, so it is safe to change at any time, including while readers
+// and writers are active; the new value applies from the next write. It
+// panics if n < 1: a non-positive threshold has no meaning (every write
+// would both trip and not satisfy it), and silently clamping hid caller
+// bugs.
 func (o *Optimistic[K, V]) SetFlushEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetFlushEvery threshold must be >= 1")
 	}
 	o.flushAt.Store(int64(n))
+}
+
+// threshold returns the flush threshold in force over base tree t: the
+// pinned value if SetFlushEvery set one, else a quarter of t's page count,
+// at least DefaultFlushEvery. A fold copies every page some pending write
+// falls into, so its cost per write is set by pending writes per page;
+// sizing the batch by the tree holds that ratio (and the pages rebuilt per
+// write) steady however large the tree grows.
+func (o *Optimistic[K, V]) threshold(t *Tree[K, V]) int64 {
+	if n := o.flushAt.Load(); n > 0 {
+		return n
+	}
+	return max(DefaultFlushEvery, int64(t.NumPages()/4))
 }
 
 // SetMaxFrozenLayers sets the frozen merge ladder's depth: how many
@@ -653,7 +679,7 @@ const (
 // check: with two, a concurrent SetFlushEvery could yield a bound
 // inconsistent with the threshold that tripped.
 func (o *Optimistic[K, V]) flushPlan(st *ostate[K, V], extra int) int {
-	flushAt := o.flushAt.Load()
+	flushAt := o.threshold(st.tree)
 	pending := int64(extra)
 	if st.delta != nil {
 		pending += int64(st.delta.pending())
@@ -738,7 +764,7 @@ func (o *Optimistic[K, V]) flushWorker() {
 		}
 		o.inRound = true
 		o.mu.Unlock()
-		if i := compactPick(st.frozen, o.flushAt.Load()); i >= 0 {
+		if i := compactPick(st.frozen, o.threshold(st.tree)); i >= 0 {
 			o.compactPair(st, i)
 		} else {
 			o.foldBottom(st)

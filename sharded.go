@@ -90,7 +90,7 @@ type shardEngine[K Key, V any] struct {
 
 	opts         Options       // every shard's tree options; fixed once the first set is built
 	want         int           // target shard count
-	flushAt      atomic.Int64  // forwarded to every shard, current and future
+	flushAt      atomic.Int64  // pinned by SetFlushEvery (0 = not pinned), then forwarded to every shard, current and future
 	maxFrozen    atomic.Int64  // forwarded to every shard, current and future
 	asyncOff     atomic.Bool   // forwarded to every shard, current and future
 	autoTuneOn   atomic.Bool   // forwarded to every shard, current and future
@@ -277,7 +277,6 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 		return fmt.Errorf("fitingtree: shard count %d, must be >= 1", want)
 	}
 	e.opts, e.want = opts, want
-	e.flushAt.Store(DefaultFlushEvery)
 	e.maxFrozen.Store(DefaultMaxFrozenLayers)
 	// Same adaptive default as NewOptimistic: async flushing needs a spare
 	// core to run the background merges on.
@@ -327,7 +326,9 @@ func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V], versionB
 	shards := make([]*Optimistic[K, V], len(trees))
 	for i, tr := range trees {
 		o := NewOptimistic(tr)
-		o.SetFlushEvery(int(e.flushAt.Load()))
+		if n := e.flushAt.Load(); n > 0 {
+			o.SetFlushEvery(int(n))
+		}
 		o.SetMaxFrozenLayers(int(e.maxFrozen.Load()))
 		o.SetAsyncFlush(!e.asyncOff.Load())
 		o.SetAutoTune(e.autoTuneOn.Load())
@@ -350,9 +351,10 @@ func (e *shardEngine[K, V]) forward(fn func(*Optimistic[K, V])) {
 	}
 }
 
-// SetFlushEvery sets the per-shard delta flush threshold (see
-// Optimistic.SetFlushEvery). Safe to call at any time; shards created by
-// later rebalances inherit the value. Panics if n < 1.
+// SetFlushEvery pins the per-shard delta flush threshold (see
+// Optimistic.SetFlushEvery); until it is called every shard's threshold
+// follows that shard's own base tree. Safe to call at any time; shards
+// created by later rebalances inherit the value. Panics if n < 1.
 func (e *shardEngine[K, V]) SetFlushEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetFlushEvery threshold must be >= 1")

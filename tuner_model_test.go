@@ -280,10 +280,17 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 				i, gotBounds[i], wantBounds[i])
 		}
 	}
+	// The layout is the pages: their count, their bounds (above) and the
+	// per-segment share of the index size. The router's share is left out
+	// on purpose — recovery always bulk-loads the router, while the
+	// pre-crash one was maintained incrementally or bulk-reloaded fold by
+	// fold, whichever CalibrateRouter's wall-clock measurement chose, so
+	// its node count differs from run to run on a loaded machine.
 	gotStats := rec.Stats()
-	if gotStats.Pages != wantStats.Pages || gotStats.IndexSize != wantStats.IndexSize {
-		t.Fatalf("recovered layout %d pages/%dB, want %d pages/%dB",
-			gotStats.Pages, gotStats.IndexSize, wantStats.Pages, wantStats.IndexSize)
+	segBytes := func(s Stats) int64 { return s.IndexSize - s.Inner.SizeBytes }
+	if gotStats.Pages != wantStats.Pages || segBytes(gotStats) != segBytes(wantStats) {
+		t.Fatalf("recovered layout %d pages/%dB of segments, want %d pages/%dB",
+			gotStats.Pages, segBytes(gotStats), wantStats.Pages, segBytes(wantStats))
 	}
 	if err := shardTrees(rec)[0].CheckInvariants(); err != nil {
 		t.Fatalf("recovered invariants: %v", err)

@@ -168,11 +168,12 @@ func (c *opCodec[K, V]) decodeValue(data []byte) (V, error) {
 	return v, nil
 }
 
-// encodeOp builds one WAL record payload. Insert and value-delete records
-// carry the value; anonymous deletes stop after the key.
-func (c *opCodec[K, V]) encodeOp(op byte, k K, v V) ([]byte, error) {
-	buf := make([]byte, 1, 24)
-	buf[0] = op
+// encodeOp appends one WAL record payload to buf (a caller that logs op
+// after op passes the same buffer, emptied, and allocates nothing).
+// Insert and value-delete records carry the value; anonymous deletes stop
+// after the key.
+func (c *opCodec[K, V]) encodeOp(buf []byte, op byte, k K, v V) ([]byte, error) {
+	buf = append(buf, op)
 	buf = c.appendKey(buf, k)
 	if op == walOpInsert || op == walOpDeleteValue {
 		return c.appendValue(buf, v)

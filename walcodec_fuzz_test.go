@@ -31,14 +31,14 @@ func FuzzOpCodec(f *testing.F) {
 	}
 	nums, strs := newOpCodec[uint64, uint64](), newOpCodec[string, string]()
 	numSeeds := [][]byte{
-		must(nums.encodeOp(walOpInsert, 40, 7)),
-		must(nums.encodeOp(walOpDelete, 40, 0)),
-		must(nums.encodeOp(walOpDeleteValue, 80, 80)),
+		must(nums.encodeOp(nil, walOpInsert, 40, 7)),
+		must(nums.encodeOp(nil, walOpDelete, 40, 0)),
+		must(nums.encodeOp(nil, walOpDeleteValue, 80, 80)),
 	}
 	strSeeds := [][]byte{
-		must(strs.encodeOp(walOpInsert, "k040", "seven")),
-		must(strs.encodeOp(walOpDelete, "k040", "")),
-		must(strs.encodeOp(walOpDeleteValue, "k080", "k080")),
+		must(strs.encodeOp(nil, walOpInsert, "k040", "seven")),
+		must(strs.encodeOp(nil, walOpDelete, "k040", "")),
+		must(strs.encodeOp(nil, walOpDeleteValue, "k080", "k080")),
 	}
 	f.Add([]byte(nil))
 	for _, p := range append(numSeeds, strSeeds...) {
@@ -70,7 +70,7 @@ func fuzzOpCodec[K Key, V any](t *testing.T, codec opCodec[K, V], payloads [][]b
 		if err != nil {
 			continue
 		}
-		again, err := codec.encodeOp(op, k, v)
+		again, err := codec.encodeOp(nil, op, k, v)
 		if err != nil || !bytes.Equal(again, p) {
 			t.Fatalf("record %x re-encodes as %x (%v)", p, again, err)
 		}

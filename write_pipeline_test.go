@@ -269,11 +269,15 @@ func TestFoldBoundBurstDiscardsNoRound(t *testing.T) {
 // TestParallelFoldDeterministic folds the same write stream on one
 // processor and on four: every fold dirties far more regions than the
 // fan-out threshold, and the resulting trees must agree page for page —
-// error bounds, statistics, maintenance counters and content.
+// error bounds, page starts and sizes, statistics, maintenance counters
+// and content — whichever worker's merge scratch a region went through
+// and however many regions that scratch had served before.
 func TestParallelFoldDeterministic(t *testing.T) {
 	u := distinctWeblogs(150_000, 9)
 	type result struct {
 		bounds   []int
+		starts   []uint64
+		sizes    []int
 		stats    Stats
 		counters Counters
 		scan     [][2]uint64
@@ -316,6 +320,7 @@ func TestParallelFoldDeterministic(t *testing.T) {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		r.bounds, r.stats, r.counters = st.tree.PageErrorBounds(), o.Stats(), o.Counters()
+		r.starts, r.sizes = st.tree.PageBounds()
 		o.AscendRange(0, ^uint64(0), func(k, v uint64) bool { r.scan = append(r.scan, [2]uint64{k, v}); return true })
 		return r
 	}
@@ -334,6 +339,9 @@ func TestParallelFoldDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.bounds, four.bounds) {
 		t.Fatal("PageErrorBounds differ between 1 and 4 processors")
+	}
+	if !reflect.DeepEqual(one.starts, four.starts) || !reflect.DeepEqual(one.sizes, four.sizes) {
+		t.Fatal("page starts or sizes differ between 1 and 4 processors")
 	}
 	if !reflect.DeepEqual(one.scan, four.scan) {
 		t.Fatal("AscendRange differs between 1 and 4 processors")
