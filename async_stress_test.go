@@ -247,11 +247,10 @@ func TestShardedAsyncMatchesOptimistic(t *testing.T) {
 	}
 }
 
-// TestShardedLookupBatchParallel exercises the per-shard fan-out path
-// (batches above the parallel cutoff spanning several shards): results
-// must agree element-wise with point lookups, in random, presorted, and
-// reversed probe orders, and stay consistent while writers churn the
-// shards concurrently (run with -race).
+// TestShardedLookupBatchParallel exercises large batches spanning several
+// shards: results must agree element-wise with point lookups, in random,
+// presorted, and reversed probe orders, and stay consistent while writers
+// churn the shards concurrently (run with -race).
 func TestShardedLookupBatchParallel(t *testing.T) {
 	base := make([]uint64, 100_000)
 	for i := range base {

@@ -1,6 +1,6 @@
 // Benchmarks mirroring the paper's evaluation, one per table/figure, at
 // testing.B-friendly sizes. The full parameter sweeps with paper-style
-// output live in cmd/fitbench; EXPERIMENTS.md maps each figure to both.
+// output live in cmd/fitbench.
 package fitingtree_test
 
 import (
@@ -452,8 +452,9 @@ func BenchmarkParallelLookupCPU(b *testing.B) {
 	})
 }
 
-// BenchmarkLookupBatch compares batched lookups (sorted probe order, one
-// router descent per page run) against the same probes issued one by one.
+// BenchmarkLookupBatch compares batched lookups — in random probe order
+// (answered key by key), presorted (one router descent per page run) and
+// random behind four shards — against the same probes issued one by one.
 func BenchmarkLookupBatch(b *testing.B) {
 	keys := benchKeys()
 	vals := benchVals(len(keys))
@@ -478,6 +479,17 @@ func BenchmarkLookupBatch(b *testing.B) {
 	b.Run("batch-presorted", func(b *testing.B) {
 		for i := 0; i < b.N; i += batchSize {
 			t.LookupBatch(sorted)
+		}
+	})
+	// Last: NewSharded takes the tree over.
+	s, err := fitingtree.NewSharded(t, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.Run("sharded-batch", func(b *testing.B) {
+		for i := 0; i < b.N; i += batchSize {
+			s.LookupBatch(probes)
 		}
 	})
 }

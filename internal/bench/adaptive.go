@@ -27,17 +27,6 @@ type AdaptivePoint struct {
 	Underfull       int     `json:"underfull_after_deletes"`
 }
 
-// AdaptiveReport is the machine-readable envelope for AdaptivePoint
-// measurements (written as BENCH_pr10.json by cmd/fitbench -json).
-type AdaptiveReport struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Seed       int64           `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []AdaptivePoint `json:"points"`
-}
-
 // Hot-range geometry of the adaptive experiment: 10% of the elements,
 // centered, receiving 90% of the lookups.
 const (

@@ -2,9 +2,9 @@
 // the paper's evaluation (Section 7). Each experiment in the paper — Table
 // 1 and Figures 1, 6, 7, 8, 9, 10, 11, 12, 13 — has a runner here that
 // generates the workload, builds the competing indexes, measures, and
-// prints the same rows/series the paper reports. cmd/fitbench is the CLI
-// over these runners; the repository-root benchmarks reuse the same
-// helpers under testing.B.
+// prints the same rows/series the paper reports. Experiments lists them
+// all; cmd/fitbench is the CLI over that list, and the repository-root
+// benchmarks reuse the same helpers under testing.B.
 package bench
 
 import (

@@ -85,39 +85,23 @@ func TestLookupNsPositive(t *testing.T) {
 	}
 }
 
-// Smoke tests: every experiment runner completes and emits its table.
+// Smoke tests: every registered experiment completes and emits its table.
 func TestExperimentSmoke(t *testing.T) {
-	cases := []struct {
-		name string
-		fn   func(w *bytes.Buffer)
-	}{
-		{"table1", func(w *bytes.Buffer) { Table1(w, quickCfg()) }},
-		{"fig1", func(w *bytes.Buffer) { Fig1(w, quickCfg()) }},
-		{"fig6", func(w *bytes.Buffer) { Fig6(w, quickCfg()) }},
-		{"fig7", func(w *bytes.Buffer) { Fig7(w, quickCfg()) }},
-		{"fig8", func(w *bytes.Buffer) { Fig8(w, quickCfg()) }},
-		{"fig9", func(w *bytes.Buffer) { Fig9(w, quickCfg()) }},
-		{"fig10", func(w *bytes.Buffer) { Fig10(w, quickCfg()) }},
-		{"fig11", func(w *bytes.Buffer) { Fig11(w, quickCfg()) }},
-		{"fig12", func(w *bytes.Buffer) { Fig12(w, quickCfg()) }},
-		{"fig13", func(w *bytes.Buffer) { Fig13(w, quickCfg()) }},
-		{"extio", func(w *bytes.Buffer) { ExtIO(w, quickCfg()) }},
-		{"extrange", func(w *bytes.Buffer) { ExtRange(w, quickCfg()) }},
-		{"extablation", func(w *bytes.Buffer) { ExtAblation(w, quickCfg()) }},
-		{"parallel", func(w *bytes.Buffer) { ExtParallel(w, quickCfg()) }},
-		{"shardwrite", func(w *bytes.Buffer) { ExtShardWrite(w, quickCfg()) }},
-		{"flushstall", func(w *bytes.Buffer) { ExtFlushStall(w, quickCfg()) }},
-		{"adaptive", func(w *bytes.Buffer) { ExtAdaptive(w, quickCfg()) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
 			var buf bytes.Buffer
-			c.fn(&buf)
+			pts := e.Run(&buf, quickCfg())
 			if !strings.Contains(buf.String(), "==") {
-				t.Fatalf("%s produced no table: %q", c.name, buf.String())
+				t.Fatalf("%s produced no table: %q", e.Name, buf.String())
 			}
 			if len(strings.Split(buf.String(), "\n")) < 4 {
-				t.Fatalf("%s table too short:\n%s", c.name, buf.String())
+				t.Fatalf("%s table too short:\n%s", e.Name, buf.String())
+			}
+			if (pts != nil) != e.JSON {
+				t.Fatalf("%s returned points %v, registered with JSON=%v", e.Name, pts, e.JSON)
+			}
+			if got, ok := Find(e.Name); !ok || got.Name != e.Name {
+				t.Fatalf("Find(%q) = %v, %v", e.Name, got.Name, ok)
 			}
 		})
 	}

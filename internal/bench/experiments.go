@@ -406,28 +406,67 @@ func Fig13(w io.Writer, cfg Config) {
 	t.Print(w)
 }
 
-// All runs every paper experiment in paper order, then the extension
-// experiments (disk I/O, range scans, ablations).
-func All(w io.Writer, cfg Config) {
-	AllButParallel(w, cfg)
-	ExtParallel(w, cfg)
+// Experiment is one entry of the registry: everything that names,
+// validates, lists or smokes an experiment iterates Experiments.
+type Experiment struct {
+	Name string
+	// Run prints the experiment's tables to w and returns its measured
+	// points, or nil when it has no machine-readable report.
+	Run func(w io.Writer, cfg Config) any
+	// JSON reports whether Run returns points (what cmd/fitbench's -json
+	// writes).
+	JSON bool
 }
 
-// AllButParallel runs every experiment except ExtParallel, for callers
-// that run the parallel experiment separately to capture its points
-// (cmd/fitbench's -json).
-func AllButParallel(w io.Writer, cfg Config) {
-	Table1(w, cfg)
-	Fig1(w, cfg)
-	Fig6(w, cfg)
-	Fig7(w, cfg)
-	Fig8(w, cfg)
-	Fig9(w, cfg)
-	Fig10(w, cfg)
-	Fig11(w, cfg)
-	Fig12(w, cfg)
-	Fig13(w, cfg)
-	ExtIO(w, cfg)
-	ExtRange(w, cfg)
-	ExtAblation(w, cfg)
+// Experiments is the one ordered list of experiments: the paper's Section
+// 7 in paper order, the extensions that reuse its harness (disk I/O,
+// range scans, ablations), then the three system experiments the
+// canonical benchmark (benchmark/README.md) has no column for yet.
+var Experiments = []Experiment{
+	tables("table1", Table1),
+	tables("fig1", Fig1),
+	tables("fig6", Fig6),
+	tables("fig7", Fig7),
+	tables("fig8", Fig8),
+	tables("fig9", Fig9),
+	tables("fig10", Fig10),
+	tables("fig11", Fig11),
+	tables("fig12", Fig12),
+	tables("fig13", Fig13),
+	tables("extio", ExtIO),
+	tables("extrange", ExtRange),
+	tables("extablation", ExtAblation),
+	points("parallel", ExtParallel),
+	points("strings", ExtStrings),
+	points("adaptive", ExtAdaptive),
+}
+
+func tables(name string, run func(io.Writer, Config)) Experiment {
+	return Experiment{Name: name, Run: func(w io.Writer, cfg Config) any { run(w, cfg); return nil }}
+}
+
+func points[P any](name string, run func(io.Writer, Config) []P) Experiment {
+	return Experiment{Name: name, JSON: true, Run: func(w io.Writer, cfg Config) any { return run(w, cfg) }}
+}
+
+// Find returns the registered experiment called name.
+func Find(name string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Names lists the registered experiments in order, keeping only those with
+// a JSON report when jsonOnly is set.
+func Names(jsonOnly bool) []string {
+	var out []string
+	for _, e := range Experiments {
+		if e.JSON || !jsonOnly {
+			out = append(out, e.Name)
+		}
+	}
+	return out
 }

@@ -22,18 +22,6 @@ type ParallelPoint struct {
 	Speedup    float64 `json:"speedup_vs_1"` // vs the same facade at 1 goroutine
 }
 
-// ParallelReport is the machine-readable envelope for ParallelPoint
-// measurements (written as BENCH_pr1.json by cmd/fitbench -json), so later
-// PRs can compare against a recorded perf trajectory.
-type ParallelReport struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Seed       int64           `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []ParallelPoint `json:"points"`
-}
-
 // aggregateOpsPerSec runs g goroutines hammering lookup over probes for at
 // least minDur and returns the combined lookups per second.
 func aggregateOpsPerSec(lookup func(uint64) (uint64, bool), probes []uint64, g int, minDur time.Duration) float64 {

@@ -26,20 +26,6 @@ type StringsPoint struct {
 	LookupOverhead float64 `json:"lookup_overhead_vs_uint64"`
 }
 
-// StringsReport is the machine-readable envelope for StringsPoint
-// measurements (written as BENCH_pr8.json by cmd/fitbench -json): the
-// cost of splitting ordering from interpolation, i.e. of running the
-// segmentation over Approx's truncated-prefix positions while every
-// comparison uses the full ordered-bytes key.
-type StringsReport struct {
-	Experiment string         `json:"experiment"`
-	N          int            `json:"n"`
-	Seed       int64          `json:"seed"`
-	NumCPU     int            `json:"num_cpu"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Points     []StringsPoint `json:"points"`
-}
-
 // ExtStrings is the ordered-bytes key extension experiment: it indexes
 // the same sorted column twice — once under native uint64 keys, once
 // under their order-preserving keycodec.Uint64 encodings — and compares

@@ -274,57 +274,6 @@ func (t *Tree[K, V]) Floor(k K) (K, V, bool) {
 	return left.keys[last], left.vals[last], true
 }
 
-// FloorWithNext is Floor extended with the key of the entry immediately
-// after the floor (the floor's in-tree successor), when one exists. The
-// successor comes from the same descent — the floor's right neighbor in
-// its leaf, or the minimum of the nearest right subtree — so callers that
-// need a validity range [floor, next) for caching a descent (the
-// FITing-Tree batch lookup path) pay one search, not two.
-func (t *Tree[K, V]) FloorWithNext(k K) (fk K, fv V, nk K, hasNext, ok bool) {
-	n := t.root
-	var left, right *node[K, V] // nearest subtrees fully left/right of the path
-	for !n.leaf() {
-		i := search(n, k)
-		if i > 0 {
-			left = n.children[i-1]
-		}
-		if i < len(n.children)-1 {
-			right = n.children[i+1]
-		}
-		n = n.children[i]
-	}
-	succFrom := func(leaf *node[K, V], i int) (K, bool) {
-		if i < len(leaf.keys) {
-			return leaf.keys[i], true
-		}
-		if right == nil {
-			var zk K
-			return zk, false
-		}
-		for !right.leaf() {
-			right = right.children[0]
-		}
-		return right.keys[0], true
-	}
-	if i := search(n, k) - 1; i >= 0 {
-		nk, hasNext = succFrom(n, i+1)
-		return n.keys[i], n.vals[i], nk, hasNext, true
-	}
-	// No key <= k in the descent leaf: the floor is the maximum of the
-	// nearest left subtree, and the successor is this leaf's first key.
-	nk, hasNext = succFrom(n, 0)
-	if left == nil {
-		var zk K
-		var zv V
-		return zk, zv, nk, hasNext, false
-	}
-	for !left.leaf() {
-		left = left.children[len(left.children)-1]
-	}
-	last := len(left.keys) - 1
-	return left.keys[last], left.vals[last], nk, hasNext, true
-}
-
 // Ceil returns the smallest key >= k and its value. The mirror image of
 // Floor: the descent remembers the nearest subtree entirely right of the
 // path.

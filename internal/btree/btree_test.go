@@ -476,38 +476,6 @@ func TestQuickInsertDeleteMatchesMap(t *testing.T) {
 	}
 }
 
-// TestFloorWithNextMatchesFloor pins FloorWithNext against Floor and Ceil:
-// same floor result, and the reported successor is the smallest key
-// strictly greater than the floor (or than k when there is no floor).
-func TestFloorWithNextMatchesFloor(t *testing.T) {
-	tr := New[int, int](4)
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 3000; i++ {
-		k := rng.Intn(10_000)
-		tr.Insert(k, k)
-	}
-	for q := -5; q < 10_100; q += 7 {
-		fk, fv, nk, hasNext, ok := tr.FloorWithNext(q)
-		wfk, wfv, wok := tr.Floor(q)
-		if ok != wok || (ok && (fk != wfk || fv != wfv)) {
-			t.Fatalf("FloorWithNext(%d) floor = %d,%d,%v, Floor says %d,%d,%v", q, fk, fv, ok, wfk, wfv, wok)
-		}
-		after := q
-		if ok {
-			after = fk
-		}
-		wnk, _, wnok := tr.Ceil(after + 1)
-		if hasNext != wnok || (hasNext && nk != wnk) {
-			t.Fatalf("FloorWithNext(%d) next = %d,%v, Ceil(%d) says %d,%v", q, nk, hasNext, after+1, wnk, wnok)
-		}
-	}
-	// Empty tree.
-	empty := New[int, int](4)
-	if _, _, _, hasNext, ok := empty.FloorWithNext(5); ok || hasNext {
-		t.Fatal("FloorWithNext on empty tree reported a hit")
-	}
-}
-
 // TestQuickFloorMatchesLinearScan compares Floor against a brute-force scan.
 func TestQuickFloorMatchesLinearScan(t *testing.T) {
 	f := func(keysRaw []uint16, probes []uint16) bool {

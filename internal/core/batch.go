@@ -1,6 +1,6 @@
 package core
 
-import "fitingtree/internal/num"
+import "slices"
 
 // maxChainWalk bounds how many pages a sorted batch advances along the
 // chain before falling back to a fresh router descent: consecutive sorted
@@ -9,27 +9,24 @@ import "fitingtree/internal/num"
 const maxChainWalk = 16
 
 // LookupBatch performs Lookup for every element of keys and returns values
-// and found flags parallel to keys. Already-sorted probe sets (common when
-// the batch comes from a sorted join side) amortize router descents by
-// walking the page chain forward between probes. Unsorted probe sets are
-// processed in input order with per-routed-page grouping: one router
-// descent resolves a page group's key range, and every subsequent probe
-// falling into that range reuses the descent — no global permutation sort,
-// which used to dominate the random-probe case. Duplicate semantics match
-// Lookup: an arbitrary match is returned.
+// and found flags parallel to keys. An ascending probe set (common when the
+// batch comes from a sorted join side) amortizes router descents by walking
+// the page chain forward between probes; any other order is answered key
+// by key through Lookup. Duplicate semantics match Lookup: an arbitrary
+// match is returned.
 func (t *Tree[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	vals := make([]V, len(keys))
 	found := make([]bool, len(keys))
-	if len(keys) == 0 || len(t.chunks) == 0 {
+	if len(t.chunks) == 0 {
 		return vals, found
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			t.lookupBatchGrouped(keys, vals, found)
-			return vals, found
-		}
+	if slices.IsSorted(keys) {
+		t.lookupBatchSorted(keys, vals, found)
+		return vals, found
 	}
-	t.lookupBatchSorted(keys, vals, found)
+	for i, k := range keys {
+		vals[i], found[i] = t.Lookup(k)
+	}
 	return vals, found
 }
 
@@ -63,48 +60,6 @@ func (t *Tree[K, V]) lookupBatchSorted(keys []K, vals []V, found []bool) {
 	}
 }
 
-// lookupBatchGrouped serves an arbitrary-order probe set. For each probe
-// it checks whether the key falls into the routed key range resolved by
-// the previous descent — [group's routing key, next routing key) — and if
-// so reuses that descent's page without touching the router; otherwise it
-// pays one fresh devirtualized descent, which yields the range as a side
-// effect (FloorWithNext). Random probes thus cost one descent each (like
-// single lookups) but skip the permutation sort the old path paid, and
-// locally clustered probe sets collapse to one descent per routed page
-// even when globally unsorted.
-func (t *Tree[K, V]) lookupBatchGrouped(keys []K, vals []V, found []bool) {
-	var gp *page[K, V] // the group's routed page
-	var groupLo K      // the group's routing key
-	var groupHi K      // smallest routed key > groupLo (valid if bounded)
-	bounded := false
-	for n, k := range keys {
-		if gp == nil || k < groupLo || (bounded && k >= groupHi) {
-			var ok bool
-			if t.rim != nil {
-				gp, groupHi, bounded, ok = t.rim.floorWithNext(k)
-			} else {
-				_, gp, groupHi, bounded, ok = t.rbt.FloorWithNext(k)
-			}
-			if !ok {
-				// k precedes every routing key: the chain's first page is
-				// the only one that can hold k (as a buffered insert).
-				// Serve the probe without caching a group.
-				vals[n], found[n] = t.searchPage(t.chunks[0].pages[0], k)
-				gp = nil
-				continue
-			}
-			groupLo = gp.start()
-		}
-		// Same fast path as Lookup: the routed page resolves almost every
-		// probe; only a miss derives chain coordinates.
-		if v, ok := t.searchPage(gp, k); ok {
-			vals[n], found[n] = v, true
-		} else {
-			vals[n], found[n] = t.searchFrom(t.pageCursor(gp), k)
-		}
-	}
-}
-
 // searchFrom runs the tail of a point lookup for k from the routed floor
 // cursor cu: back up over duplicate spill, then search forward across the
 // equal-start run.
@@ -125,78 +80,5 @@ func (t *Tree[K, V]) searchRun(cu cursor[K, V], k K) (V, bool) {
 			return zero, false
 		}
 		cu = nx
-	}
-}
-
-// ProbeOrder returns a permutation visiting keys in ascending order, or
-// nil when keys are already sorted (the free fast path). The sort is the
-// specialized closure-free quicksort of the batch hot path; batch-style
-// callers outside the package (e.g. the sharded facade's scatter-gather)
-// use it to presort sub-batches rather than paying sort.Sort's interface
-// dispatch.
-func ProbeOrder[K num.Key](keys []K) []int32 {
-	ascending := true
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			ascending = false
-			break
-		}
-	}
-	if ascending {
-		return nil
-	}
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortPerm(keys, order)
-	return order
-}
-
-// sortPerm sorts the permutation p by keys[p[i]]: a median-of-three
-// quicksort with an insertion-sorted tail, specialized so every comparison
-// is a direct key compare instead of sort.Slice's closure call.
-func sortPerm[K num.Key](keys []K, p []int32) {
-	for len(p) > 12 {
-		m := len(p) / 2
-		last := len(p) - 1
-		if keys[p[m]] < keys[p[0]] {
-			p[m], p[0] = p[0], p[m]
-		}
-		if keys[p[last]] < keys[p[m]] {
-			p[last], p[m] = p[m], p[last]
-			if keys[p[m]] < keys[p[0]] {
-				p[m], p[0] = p[0], p[m]
-			}
-		}
-		pivot := keys[p[m]]
-		i, j := 0, last
-		for i <= j {
-			for keys[p[i]] < pivot {
-				i++
-			}
-			for keys[p[j]] > pivot {
-				j--
-			}
-			if i <= j {
-				p[i], p[j] = p[j], p[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, iterate on the larger one to
-		// bound stack depth.
-		if j < len(p)-i {
-			sortPerm(keys, p[:j+1])
-			p = p[i:]
-		} else {
-			sortPerm(keys, p[i:])
-			p = p[:j+1]
-		}
-	}
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && keys[p[j]] < keys[p[j-1]]; j-- {
-			p[j], p[j-1] = p[j-1], p[j]
-		}
 	}
 }

@@ -195,23 +195,6 @@ func (r *implicitRouter[K, V]) floor(k K) (*page[K, V], bool) {
 	return r.pages[i], true
 }
 
-// floorWithNext is floor extended with the next routing key (the floor
-// entry's successor), the validity range the batch path caches a descent
-// under. The sorted key array makes the successor a neighbor access.
-func (r *implicitRouter[K, V]) floorWithNext(k K) (p *page[K, V], nk K, hasNext, ok bool) {
-	i := r.searchFloor(k)
-	if i < 0 {
-		if len(r.keys) > 0 {
-			nk, hasNext = r.keys[0], true
-		}
-		return nil, nk, hasNext, false
-	}
-	if i+1 < len(r.keys) {
-		nk, hasNext = r.keys[i+1], true
-	}
-	return r.pages[i], nk, hasNext, true
-}
-
 func (r *implicitRouter[K, V]) get(k K) (*page[K, V], bool) {
 	i := r.searchFloor(k)
 	if i < 0 || r.keys[i] != k {

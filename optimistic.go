@@ -452,9 +452,9 @@ func (o *Optimistic[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 }
 
 // LookupBatch looks up every element of keys against one consistent
-// snapshot, returning values and found flags parallel to keys. The probe
-// set is processed in sorted order to amortize router descents (see
-// Tree.LookupBatch).
+// snapshot, returning values and found flags parallel to keys: the base
+// tree answers the batch (see Tree.LookupBatch), and only keys some delta
+// layer mentions are resolved again through the layer stack.
 func (o *Optimistic[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	st := o.state.Load()
 	vals, found := st.tree.LookupBatch(keys)
@@ -909,6 +909,15 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 		panic("fitingtree: compacted ops out of order: " + err.Error())
 	}
 	return d
+}
+
+// get is a point read against this state: Lookup's branch for a caller
+// that already holds the snapshot.
+func (st *ostate[K, V]) get(k K) (V, bool) {
+	if st.delta == nil && len(st.frozen) == 0 {
+		return st.tree.Lookup(k)
+	}
+	return st.lookup(k)
 }
 
 // lookup resolves a point read against this state's full layer stack.

@@ -61,8 +61,8 @@ type Sharded[K Key, V any] struct {
 // end to end: they load the shard set through an atomic pointer and then
 // run Optimistic's snapshot protocol inside the owning shard(s), taking no
 // lock and never blocking. AscendRange stitches per-shard snapshots in
-// fence order; LookupBatch scatter-gathers with per-shard sorted
-// sub-batches.
+// fence order; LookupBatch reads each shard through one snapshot, cutting
+// an ascending batch at the fences and routing any other key by key.
 //
 // Writes route to one shard and run that shard's writer section
 // (Optimistic.apply) under its writer mutex — the only per-shard lock — so
@@ -581,80 +581,46 @@ func (e *shardEngine[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 	}
 }
 
-// shardBatchParallelMin is the batch size below which LookupBatch probes
-// its shards sequentially: goroutine spawn and scheduling overhead
-// dominates small batches, where the sequential scatter already wins.
-const shardBatchParallelMin = 2048
-
 // LookupBatch looks up every element of keys, returning values and found
-// flags parallel to keys; latch-free. One permutation sorts the whole
-// batch by key (core.ProbeOrder, the batch hot path's specialized sort;
-// free when the batch is presorted) — shards partition the key space, so
-// the sorted batch is automatically contiguous per shard with every
-// sub-batch presorted for the shard's LookupBatch fast path. Results
-// gather back into probe order, and each shard's sub-batch runs against
-// one consistent snapshot of that shard. Batches of at least
-// shardBatchParallelMin probes spanning several shards fan the per-shard
-// sub-batches out to one worker goroutine per shard; each worker fills
-// disjoint result indices, so the fan-out needs no locking.
+// flags parallel to keys; latch-free. Each shard is read through one
+// snapshot for the whole call. Shards partition the key space, so an
+// ascending batch is cut at the fences into one contiguous, still
+// ascending sub-batch per shard (see Tree.LookupBatch's chain walk); any
+// other order routes key by key like Lookup, loading a shard's state the
+// first time a key lands on it.
 func (e *shardEngine[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	ss := e.set.Load()
-	bounds, shards := ss.bounds, ss.shards
-	if len(shards) == 1 {
-		return shards[0].LookupBatch(keys)
+	if len(ss.shards) == 1 {
+		return ss.shards[0].LookupBatch(keys)
 	}
 	vals := make([]V, len(keys))
 	found := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, found
-	}
-	order := core.ProbeOrder(keys) // nil when keys are already ascending
-	sub := keys
-	if order != nil {
-		sub = make([]K, len(keys))
-		for i, p := range order {
-			sub[i] = keys[p]
-		}
-	}
-	// spans maps each shard with work to its contiguous sub-batch [b, e).
-	type span struct{ shard, b, e int }
-	spans := make([]span, 0, len(shards))
-	for si, b := 0, 0; si < len(shards) && b < len(sub); si++ {
-		e := len(sub)
-		if si < len(bounds) {
-			e, _ = slices.BinarySearch(sub, bounds[si]) // keys >= fence belong to later shards
-		}
-		if e > b {
-			spans = append(spans, span{shard: si, b: b, e: e})
-		}
-		b = e
-	}
-	probe := func(sp span) {
-		sv, sf := shards[sp.shard].LookupBatch(sub[sp.b:sp.e])
-		if order == nil {
-			copy(vals[sp.b:sp.e], sv)
-			copy(found[sp.b:sp.e], sf)
-		} else {
-			for j := sp.b; j < sp.e; j++ {
-				vals[order[j]], found[order[j]] = sv[j-sp.b], sf[j-sp.b]
+	if slices.IsSorted(keys) {
+		for si, b := 0, 0; b < len(keys); si++ {
+			end := len(keys)
+			if si < len(ss.bounds) {
+				n, _ := slices.BinarySearch(keys[b:], ss.bounds[si]) // keys >= fence belong to later shards
+				end = b + n
+			}
+			if end > b {
+				sv, sf := ss.shards[si].LookupBatch(keys[b:end])
+				copy(vals[b:], sv)
+				copy(found[b:], sf)
+				b = end
 			}
 		}
-	}
-	if len(sub) < shardBatchParallelMin || len(spans) < 2 {
-		for _, sp := range spans {
-			probe(sp)
-		}
 		return vals, found
 	}
-	var wg sync.WaitGroup
-	for _, sp := range spans {
-		wg.Add(1)
-		go func(sp span) {
-			defer wg.Done()
-			probe(sp)
-		}(sp)
+	states := make([]*ostate[K, V], len(ss.shards))
+	for i, k := range keys {
+		si := ss.shardFor(k)
+		st := states[si]
+		if st == nil {
+			st = ss.shards[si].state.Load()
+			states[si] = st
+		}
+		vals[i], found[i] = st.get(k)
 	}
-	wg.Wait()
 	return vals, found
 }
 

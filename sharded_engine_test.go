@@ -2,6 +2,7 @@ package fitingtree
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -365,5 +366,137 @@ func TestEngineDifferentialFailedAppend(t *testing.T) {
 				t.Fatalf("Err = %v, want the sticky injected fault", d.Err())
 			}
 		})
+	}
+}
+
+// TestShardedLookupBatchLayers pins LookupBatch on both sharded stores
+// against per-key Lookup over every delta shape a shard can be in: an
+// active delta only (inline flushing, threshold not yet reached), a frozen
+// layer beneath an active delta (async, worker slots held so the ladder
+// stays put), and flushed — with duplicate keys, pending tombstones and
+// value tombstones in the layers. The batches are the shapes the routing
+// distinguishes: unsorted and straddling every fence, the same presorted,
+// empty, and entirely below the first or above the last fence.
+func TestShardedLookupBatchLayers(t *testing.T) {
+	const n, flushAt = 6000, 64
+	keys := make([]int, 0, n+n/50)
+	for i := 0; i < n; i++ {
+		keys = append(keys, i*7)
+		if i%50 == 0 {
+			keys = append(keys, i*7) // a duplicate pair in the base
+		}
+	}
+	vals := make([]int, len(keys))
+	for i := range vals {
+		vals[i] = i
+	}
+	build := func() *Tree[int, int] {
+		tr, err := BulkLoad(keys, vals, Options{Error: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, async := range []bool{false, true} {
+		s, err := NewSharded(build(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := CreateDurableSharded(wal.NewMemFS(), pager.NewDisk(), build(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetAutoCheckpoint(false)
+		for name, e := range map[string]*shardEngine[int, int]{"Sharded": &s.shardEngine, "DurableSharded": &d.shardEngine} {
+			e.SetRebalanceFactor(math.Inf(1)) // the fences, and the held slots, stay
+			e.SetFlushEvery(flushAt)
+			e.SetAsyncFlush(async)
+			ss := e.set.Load()
+			if len(ss.shards) != 3 {
+				t.Fatalf("%s: %d shards, want 3", name, len(ss.shards))
+			}
+			writes := flushAt / 2 // stays in the active delta
+			if async {
+				writes = flushAt + flushAt/2 // one push, then an active delta
+				for _, sh := range ss.shards {
+					sh.flusher.Store(true)
+				}
+			}
+			rng := rand.New(rand.NewSource(29))
+			for si := range ss.shards {
+				lo, hi := 0, n*7
+				if si > 0 {
+					lo = ss.bounds[si-1]
+				}
+				if si < len(ss.bounds) {
+					hi = ss.bounds[si]
+				}
+				for i := 0; i < writes; i++ {
+					k := lo + rng.Intn(hi-lo)
+					op, v := byte(walOpInsert), i
+					switch i % 4 {
+					case 1:
+						op, k = walOpDelete, k/7*7 // a stored key: a pending tombstone
+					case 2:
+						op, k, v = walOpDeleteValue, k/350*350, k/350*51 // the first of a duplicate pair
+					case 3:
+						k = k / 7 * 7 // a duplicate of a stored key
+					}
+					if k < lo {
+						k = lo
+					}
+					if _, err := e.write(op, k, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for si, sh := range ss.shards {
+				lst := sh.state.Load()
+				if lst.delta == nil || (len(lst.frozen) > 0) != async {
+					t.Fatalf("%s async=%v: shard %d has %d frozen layers, active=%v", name, async, si, len(lst.frozen), lst.delta != nil)
+				}
+			}
+
+			var straddle []int
+			for _, b := range ss.bounds {
+				straddle = append(straddle, b+7, b-1, b, b-7, b+1)
+			}
+			for i := 0; i < 300; i++ {
+				straddle = append(straddle, rng.Intn(n*7+100)-50)
+			}
+			presorted := slices.Clone(straddle)
+			slices.Sort(presorted)
+			below := []int{ss.bounds[0] - 1, 0, -5, ss.bounds[0] - 7, 350}
+			above := []int{n*7 + 3, ss.bounds[len(ss.bounds)-1], n * 7, ss.bounds[len(ss.bounds)-1] + 7}
+			check := func(when string) {
+				t.Helper()
+				for _, batch := range [][]int{straddle, presorted, nil, below, above} {
+					bv, bf := e.LookupBatch(batch)
+					if len(bv) != len(batch) || len(bf) != len(batch) {
+						t.Fatalf("%s %s: result lengths %d/%d for %d keys", name, when, len(bv), len(bf), len(batch))
+					}
+					for i, k := range batch {
+						// A duplicate key's answer is "an arbitrary match":
+						// any live value under k is right.
+						live := false
+						e.Each(k, func(v int) bool { live = live || v == bv[i]; return !live })
+						if _, ok := e.Lookup(k); bf[i] != ok || (ok && !live) {
+							t.Fatalf("%s %s: batch[%d] key %d = (%d,%v), Lookup found=%v, value live=%v",
+								name, when, i, k, bv[i], bf[i], ok, live)
+						}
+					}
+				}
+			}
+			check(fmt.Sprintf("async=%v layered", async))
+			for _, sh := range ss.shards {
+				sh.flusher.Store(false)
+			}
+			e.SyncFlush()
+			check(fmt.Sprintf("async=%v flushed", async))
+		}
+		s.Close()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
