@@ -12,18 +12,19 @@ import (
 )
 
 // TestLookupBatchMatchesLookup checks LookupBatch against per-key Lookup
-// over duplicate-heavy data, both router kinds, and post-churn trees whose
+// over duplicate-heavy data, both window searches, and post-churn trees whose
 // page chains have buffered inserts, tombstoned pages and duplicate runs.
 func TestLookupBatchMatchesLookup(t *testing.T) {
-	for _, router := range []fitingtree.RouterKind{fitingtree.RouterBTree, fitingtree.RouterImplicit} {
-		rng := rand.New(rand.NewSource(int64(router) + 5))
+	for _, rk := range searchKinds {
+		search := rk.search
+		rng := rand.New(rand.NewSource(int64(search) + 5))
 		keys := make([]uint64, 5000)
 		for i := range keys {
 			keys[i] = uint64(rng.Intn(1500) * 3) // dense duplicates
 		}
 		sortU64(keys)
 		tr, err := fitingtree.BulkLoad(keys, append([]uint64(nil), keys...),
-			fitingtree.Options{Error: 24, BufferSize: 8, Router: router})
+			fitingtree.Options{Error: 24, BufferSize: 8, Search: search})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,13 +33,13 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 			t.Helper()
 			vals, found := tr.LookupBatch(probes)
 			if len(vals) != len(probes) || len(found) != len(probes) {
-				t.Fatalf("router=%d: result lengths %d/%d for %d probes", router, len(vals), len(found), len(probes))
+				t.Fatalf("search=%d: result lengths %d/%d for %d probes", search, len(vals), len(found), len(probes))
 			}
 			for i, k := range probes {
 				wv, wok := tr.Lookup(k)
 				if found[i] != wok || (wok && vals[i] != wv) {
-					t.Fatalf("router=%d: batch[%d] key %d = (%d,%v), Lookup = (%d,%v)",
-						router, i, k, vals[i], found[i], wv, wok)
+					t.Fatalf("search=%d: batch[%d] key %d = (%d,%v), Lookup = (%d,%v)",
+						search, i, k, vals[i], found[i], wv, wok)
 				}
 			}
 		}

@@ -191,7 +191,7 @@ func BenchmarkFig10CostModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	t, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: e, BufferSize: e / 2, FillFactor: 0.5})
+	t, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: e, BufferSize: e / 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,34 +331,6 @@ func BenchmarkSearchStrategies(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkRouters is the Section 2.2 ablation: B+ tree vs implicit
-// (Eytzinger) segment router.
-func BenchmarkRouters(b *testing.B) {
-	keys := benchKeys()
-	vals := benchVals(len(keys))
-	probes := bench.Probes(keys, 1<<15, 9)
-	mask := len(probes) - 1
-	for _, r := range []struct {
-		name string
-		kind fitingtree.RouterKind
-	}{
-		{"btree", fitingtree.RouterBTree},
-		{"implicit", fitingtree.RouterImplicit},
-	} {
-		b.Run(r.name, func(b *testing.B) {
-			t, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 100, Router: r.kind})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(t.Stats().IndexSize), "index-bytes")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Lookup(probes[i&mask])
-			}
-		})
 	}
 }
 

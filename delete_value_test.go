@@ -249,27 +249,23 @@ func driveStringModel(t *testing.T, idx stringIndex, seed int64) {
 }
 
 // TestStringKeyedLadderModel runs the exact multiset model against
-// string-keyed Optimistic pipelines across ladder depths, routers, and
-// flush modes: the ordered-bytes key contract (native < for correctness,
+// string-keyed Optimistic pipelines across ladder depths, window searches,
+// and flush modes: the ordered-bytes key contract (native < for correctness,
 // truncated-prefix Approx for interpolation only) must leave every
 // observation identical to a numeric-keyed tree's.
 func TestStringKeyedLadderModel(t *testing.T) {
-	for _, router := range []fitingtree.RouterKind{fitingtree.RouterBTree, fitingtree.RouterImplicit} {
-		rname := map[fitingtree.RouterKind]string{
-			fitingtree.RouterBTree:    "btree",
-			fitingtree.RouterImplicit: "implicit",
-		}[router]
+	for _, rk := range searchKinds {
 		for _, depth := range []int{1, 2, 4, 8} {
 			for _, async := range []bool{false, true} {
 				mode := "inline"
 				if async {
 					mode = "async"
 				}
-				router, depth, async := router, depth, async
-				t.Run(fmt.Sprintf("%s/depth=%d/%s", rname, depth, mode), func(t *testing.T) {
+				rk, depth, async := rk, depth, async
+				t.Run(fmt.Sprintf("%s/depth=%d/%s", rk.name, depth, mode), func(t *testing.T) {
 					for _, flushAt := range []int{2, 13} {
 						tr, err := fitingtree.BulkLoad[string, uint64](nil, nil,
-							fitingtree.Options{Error: 32, BufferSize: 8, Router: router})
+							fitingtree.Options{Error: 32, BufferSize: 8, Search: rk.search})
 						if err != nil {
 							t.Fatal(err)
 						}

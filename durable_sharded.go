@@ -69,8 +69,8 @@ func ShardWALName(gen uint64, i int) string {
 //     with the pager's dual-superblock epoch flip; each log is then
 //     truncated up to its covered LSN.
 //   - Recovery. Open loads the newest committed epoch — all shards from
-//     cut N, never a mix (checksummed chunk blobs, O(segments) router
-//     rebuild, no re-segmentation) — and replays each shard's WAL tail
+//     cut N, never a mix (checksummed chunk blobs, start and head arrays
+//     derived per page, no re-segmentation) — and replays each shard's WAL tail
 //     past its cursor: O(checkpoint + tail), never a full bulk rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; the engine's rebalance becomes atomic through

@@ -112,7 +112,7 @@ func Decode[K Key, V any](r io.Reader) (*Tree[K, V], error) {
 	if h.Elements < 0 {
 		return nil, fmt.Errorf("fitingtree: snapshot header claims %d elements", h.Elements)
 	}
-	// Element counts drive downstream allocation (pages, router), so
+	// Element counts drive downstream allocation (pages, start arrays), so
 	// cross-check each slice against the header the moment it decodes; gob
 	// itself bounds a slice's claimed length by the message size, so a
 	// corrupt count cannot drive an outsized allocation either.

@@ -43,7 +43,7 @@ func main() {
 	}
 	fmt.Printf("latency SLA %.0fns -> error=%d (predicted %.0fns, %d bytes; c=%.1fns measured)\n",
 		sla, res.Error, res.PredictedLatencyNs, res.PredictedSizeBytes, res.CacheMissNs)
-	t1, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: res.Error, BufferSize: -1, FillFactor: 0.5})
+	t1, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: res.Error, BufferSize: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("space budget 256KiB -> error=%d (predicted %.0fns, %d bytes)\n",
 		res2.Error, res2.PredictedLatencyNs, res2.PredictedSizeBytes)
-	t2, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: res2.Error, BufferSize: -1, FillFactor: 0.5})
+	t2, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: res2.Error, BufferSize: -1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,9 +8,10 @@
 // position mapping with piece-wise linear segments whose maximal
 // interpolation error is bounded by a tunable threshold E. Only the
 // segments' boundaries (start key, slope, page pointer) are organized in a
-// B+ tree, so the index size is governed by how linear the data is rather
-// than by how many keys it has — often orders of magnitude smaller than a
-// dense B+ tree at comparable lookup latency. Lookups search at most a
+// tree — here two levels of sorted start-key arrays over the page chain —
+// so the index size is governed by how linear the data is rather than by
+// how many keys it has — often orders of magnitude smaller than a dense
+// B+ tree at comparable lookup latency. Lookups search at most a
 // 2E+1-element window after interpolating; inserts land in per-segment
 // sorted buffers that are merged and re-segmented when full, preserving the
 // error guarantee under updates.
@@ -84,24 +85,14 @@ const (
 	SearchExponential = core.SearchExponential // galloping bracket + binary search
 )
 
-// RouterKind selects the structure organizing segment routing keys
-// (Section 2.2 sketches swapping the inner B+ tree for a read-optimized
-// structure).
-type RouterKind = core.RouterKind
-
-// Segment routers.
-const (
-	RouterBTree    = core.RouterBTree    // B+ tree (default; the paper's design)
-	RouterImplicit = core.RouterImplicit // Eytzinger implicit layout; read-optimized
-)
-
 // Tree is a clustered FITing-Tree index from K to V. Build one with
 // BulkLoad; an empty tree from BulkLoad(nil, nil, opts) accepts inserts.
 // Not safe for concurrent use — see Optimistic.
 type Tree[K Key, V any] = core.Tree[K, V]
 
 // Stats describes a tree's size and shape; IndexSize follows the paper's
-// byte accounting (inner tree + 24 bytes per segment).
+// byte accounting (inner tree — the chain's start arrays, 16 bytes per page
+// and per chunk — + 24 bytes per segment).
 type Stats = core.Stats
 
 // Counters reports maintenance activity (inserts, merges, pages created).

@@ -85,14 +85,13 @@ func TestIndexSizeOrdering(t *testing.T) {
 }
 
 // TestErrorBoundEndToEnd drives the public API through a bulk load plus a
-// heavy mixed workload on every strategy/router combination and verifies
+// heavy mixed workload under every search strategy and verifies
 // the invariants (including the paper's error bound) still hold.
 func TestErrorBoundEndToEnd(t *testing.T) {
 	combos := []fitingtree.Options{
 		{Error: 30, BufferSize: 10},
 		{Error: 30, BufferSize: 10, Search: fitingtree.SearchLinear},
 		{Error: 30, BufferSize: 10, Search: fitingtree.SearchExponential},
-		{Error: 30, BufferSize: 10, Router: fitingtree.RouterImplicit},
 	}
 	base := workload.IoT(20_000, 54)
 	vals := make([]uint64, len(base))

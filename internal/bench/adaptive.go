@@ -23,7 +23,6 @@ type AdaptivePoint struct {
 	IndexSize       int64   `json:"index_size_bytes"`
 	Regions         int     `json:"regions"`                 // tuner regions in the final plan (0 = untuned)
 	PlanEpsilons    []int   `json:"plan_epsilons,omitempty"` // per-region ε targets of the final plan
-	RouterRatio     int     `json:"router_ratio"`            // measured router crossover (0 = uncalibrated)
 	Underfull       int     `json:"underfull_after_deletes"`
 }
 
@@ -120,7 +119,6 @@ func ExtAdaptive(w io.Writer, cfg Config) []AdaptivePoint {
 		}
 		warm(0)
 		if c.adaptive {
-			pt.RouterRatio = o.Calibrate()
 			o.Retune()
 		}
 		warm(1)

@@ -287,7 +287,7 @@ func Fig10(w io.Writer, cfg Config) {
 		errs = []int{100, 10000}
 	}
 	for _, e := range errs {
-		ft, err := core.BulkLoad(keys, vals, core.Options{Error: e, BufferSize: e / 2, FillFactor: 0.5})
+		ft, err := core.BulkLoad(keys, vals, core.Options{Error: e, BufferSize: e / 2})
 		if err != nil {
 			panic(err)
 		}

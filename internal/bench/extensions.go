@@ -125,15 +125,14 @@ func ExtRange(w io.Writer, cfg Config) {
 }
 
 // ExtAblation compares the in-segment search strategies (Section 4.1.2's
-// design choice) and the segment routers (Section 2.2's "any other tree
-// structure" remark) at small and large error thresholds.
+// design choice) at small and large error thresholds.
 func ExtAblation(w io.Writer, cfg Config) {
 	cfg = cfg.withDefaults()
 	keys := workload.Weblogs(cfg.N, cfg.Seed)
 	vals := positions(len(keys))
 	probes := Probes(keys, cfg.Probes, cfg.Seed+41)
 
-	t := NewTable("Extension: ablations — search strategy and router",
+	t := NewTable("Extension: ablations — search strategy",
 		"variant", "error", "IndexSize", "ns/lookup")
 	errs := []int{10, 1000}
 	if cfg.Quick {
@@ -143,10 +142,9 @@ func ExtAblation(w io.Writer, cfg Config) {
 		name string
 		opts core.Options
 	}{
-		{"binary+btree", core.Options{Search: core.SearchBinary}},
-		{"linear+btree", core.Options{Search: core.SearchLinear}},
-		{"exponential+btree", core.Options{Search: core.SearchExponential}},
-		{"binary+implicit", core.Options{Router: core.RouterImplicit}},
+		{"binary", core.Options{Search: core.SearchBinary}},
+		{"linear", core.Options{Search: core.SearchLinear}},
+		{"exponential", core.Options{Search: core.SearchExponential}},
 	}
 	for _, e := range errs {
 		for _, v := range variants {

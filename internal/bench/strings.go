@@ -32,11 +32,9 @@ type StringsPoint struct {
 // segment counts, lookup latency, range-scan rate, and insert cost. The
 // codec preserves order exactly, so both trees hold identical content in
 // identical order; the string rows pay only for byte-wise comparisons
-// and the truncated-prefix Approx interpolation. Both rows use the
-// read-optimized implicit router so the measured difference is the key
-// representation, not router layout: its prefix sidecar (and the page-
-// level one) let string probes run on contiguous integers, touching
-// string bytes only on prefix ties.
+// and the truncated-prefix Approx interpolation: the start arrays compare
+// 8-byte prefixes first and the pages' prefix sidecars let string probes
+// run on contiguous integers, touching string bytes only on prefix ties.
 func ExtStrings(w io.Writer, cfg Config) []StringsPoint {
 	cfg = cfg.withDefaults()
 	keys := workload.Weblogs(cfg.N, cfg.Seed)
@@ -72,7 +70,7 @@ func ExtStrings(w io.Writer, cfg Config) []StringsPoint {
 		errs = []int{100}
 	}
 	for _, e := range errs {
-		opts := core.Options{Error: e, BufferSize: 8, Router: core.RouterImplicit}
+		opts := core.Options{Error: e, BufferSize: 8}
 		ut, err := core.BulkLoad(keys, vals, opts)
 		if err != nil {
 			panic(err)

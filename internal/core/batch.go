@@ -3,21 +3,21 @@ package core
 import "slices"
 
 // maxChainWalk bounds how many pages a sorted batch advances along the
-// chain before falling back to a fresh router descent: consecutive sorted
-// probes usually land on the same or an adjacent page, but a large key gap
-// is cheaper to cross through the router than one page at a time.
+// chain before falling back to a fresh locate: consecutive sorted probes
+// usually land on the same or an adjacent page, but a large key gap is
+// cheaper to cross through the start arrays than one page at a time.
 const maxChainWalk = 16
 
 // LookupBatch performs Lookup for every element of keys and returns values
 // and found flags parallel to keys. An ascending probe set (common when the
-// batch comes from a sorted join side) amortizes router descents by walking
-// the page chain forward between probes; any other order is answered key
-// by key through Lookup. Duplicate semantics match Lookup: an arbitrary
-// match is returned.
+// batch comes from a sorted join side) amortizes the start-array searches
+// by walking the page chain forward between probes; any other order is
+// answered key by key through Lookup. Duplicate semantics match Lookup: an
+// arbitrary match is returned.
 func (t *Tree[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	vals := make([]V, len(keys))
 	found := make([]bool, len(keys))
-	if len(t.chunks) == 0 {
+	if len(t.chunks) == 0 || len(keys) == 0 {
 		return vals, found
 	}
 	if slices.IsSorted(keys) {
@@ -31,51 +31,36 @@ func (t *Tree[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 }
 
 // lookupBatchSorted serves an ascending probe set: each probe starts from
-// the page the previous one ended on and advances along the chain, so keys
-// routed to the same page run cost one descent total.
+// the page the previous one was located on and advances along the chain, so
+// keys routed to the same page run cost one locate total.
 func (t *Tree[K, V]) lookupBatchSorted(keys []K, vals []V, found []bool) {
-	var cu cursor[K, V]
-	have := false
+	cu := t.locate(keys[0])
 	for n, k := range keys {
-		if !have {
-			cu, have = t.firstCandidate(k)
-		} else {
-			// Probes ascend, so the owning page can only move forward.
-			for i := 0; ; i++ {
-				nx, has := t.next(cu)
-				if !has || t.pageOf(nx).start() > k {
-					break
-				}
-				if i == maxChainWalk {
-					cu, _ = t.locateCursor(k)
-					break
-				}
-				cu = nx
+		// Probes ascend, so the owning page can only move forward.
+		for i := 0; ; i++ {
+			nx, has := t.next(cu)
+			if !has || nx.start() > k {
+				break
 			}
-			// Duplicate runs can spill keys equal to k into the tails of
-			// preceding pages (see firstCandidate).
-			cu = t.backUp(cu, k)
+			if i == maxChainWalk {
+				cu = t.locate(k)
+				break
+			}
+			cu = nx
 		}
-		vals[n], found[n] = t.searchRun(cu, k)
+		vals[n], found[n] = t.lookupAt(cu, k)
 	}
-}
-
-// searchFrom runs the tail of a point lookup for k from the routed floor
-// cursor cu: back up over duplicate spill, then search forward across the
-// equal-start run.
-func (t *Tree[K, V]) searchFrom(cu cursor[K, V], k K) (V, bool) {
-	return t.searchRun(t.backUp(cu, k), k)
 }
 
 // searchRun searches forward from cu across the pages that may contain k,
 // exactly as Lookup does.
 func (t *Tree[K, V]) searchRun(cu cursor[K, V], k K) (V, bool) {
 	for {
-		if v, ok := t.searchPage(t.pageOf(cu), k); ok {
+		if v, ok := t.searchPage(cu, k); ok {
 			return v, true
 		}
 		nx, has := t.next(cu)
-		if !has || t.pageOf(nx).start() > k {
+		if !has || nx.start() > k {
 			var zero V
 			return zero, false
 		}

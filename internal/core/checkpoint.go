@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the checkpointing surface of the tree: immutable chunks in,
-// immutable chunks out. A checkpoint does not serialize the router — the
-// router is derivable in O(segments) from the chunks' segment models — so
-// the durable format is simply the chunk chain, and the incremental
+// immutable chunks out. A checkpoint serializes no index — the start and
+// head arrays are derived from the chunks' segment models as the pages are
+// assembled — so the durable format is simply the chunk chain, and the incremental
 // checkpointer pairs ChunkIDs (which chunks changed?) with ChunkSnap
 // (serialize exactly those) to write O(dirty) chunks per checkpoint, the
 // on-disk mirror of MergeCOW's in-memory publication cost.
@@ -124,24 +124,24 @@ func validateSnap[K num.Key, V any](ci int, snap ChunkSnap[K, V]) error {
 
 // AssembleChunks rebuilds a tree from checkpointed chunks (in chain
 // order) after validating them. The pages' segment models are restored
-// verbatim, so no re-segmentation runs: the cost is decoding plus an
-// O(segments) router bulk load — this is what makes recovery scale with
-// the checkpoint's size rather than re-running ShrinkingCone over every
-// key.
+// verbatim, so no re-segmentation runs: the cost is decoding plus
+// deriving each page's start and head — this is what makes recovery scale
+// with the checkpoint's size rather than re-running ShrinkingCone over
+// every key.
 func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*Tree[K, V], error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree[K, V]{opts: o, segErr: o.segError(), strat: o.Search, tune: &tuneState[K]{}}
-	t.initRouter(o)
+	t := &Tree[K, V]{opts: o, strat: o.Search, tune: &tuneState[K]{}}
+	chunks := make([]*chunk[K, V], 0, len(snaps))
 	var prevStart K
 	havePrev := false
 	for ci, snap := range snaps {
 		if err := validateSnap(ci, snap); err != nil {
 			return nil, err
 		}
-		pages := make([]*page[K, V], len(snap.Pages))
+		run := makeRun[K, V](len(snap.Pages))
 		// One backing array per chunk instead of one allocation per page;
 		// recovery assembles tens of thousands of pages.
 		backing := make([]page[K, V], len(snap.Pages))
@@ -166,14 +166,12 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 				bufVals: ps.BufVals,
 				deletes: ps.Deletes,
 			}
-			pages[pi] = &backing[pi]
+			run.add(&backing[pi])
 			t.size += len(ps.Keys) + len(ps.BufKeys)
 		}
-		t.chunks = append(t.chunks, newChunk(pages))
-		t.npages += len(pages)
+		chunks = append(chunks, newChunk(run))
+		t.npages += len(run.pages)
 	}
-	if err := t.loadRouter(o.FillFactor); err != nil {
-		return nil, fmt.Errorf("fitingtree: checkpoint router: %w", err)
-	}
+	t.setChunks(chunks)
 	return t, nil
 }

@@ -135,12 +135,12 @@ func compactGenOps(rng *rand.Rand, stream []pair, maxKey uint64) []MergeOp[uint6
 // view after lower). It also pins MergeCOW against the sequential fold
 // at depth three and its receiver-identity degenerate cases.
 func TestCompactOpsRandomized(t *testing.T) {
-	for _, rk := range routerKinds {
-		t.Run(rk.name, func(t *testing.T) { testCompactOpsRandomized(t, rk.kind) })
+	for _, rk := range searchKinds {
+		t.Run(rk.name, func(t *testing.T) { testCompactOpsRandomized(t, rk.search) })
 	}
 }
 
-func testCompactOpsRandomized(t *testing.T, kind RouterKind) {
+func testCompactOpsRandomized(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 30; trial++ {
 		n := 200 + rng.Intn(1500)
@@ -152,7 +152,7 @@ func testCompactOpsRandomized(t *testing.T, kind RouterKind) {
 			}
 			keys[i] = k
 		}
-		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Router: kind})
+		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search})
 		before := contents(base)
 
 		lower := compactGenOps(rng, before, k)

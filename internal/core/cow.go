@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -52,24 +51,20 @@ type MergeOp[K num.Key, V any] struct {
 // A pass returns a new tree in which only the pages some op's key falls
 // into are rebuilt (merged with the pending writes and re-segmented under
 // the same error bound) and only the chunks overlapping a dirty interval
-// are re-cut, while every untouched page, every untouched chunk, and —
-// with the default B+ tree router — every router node off the rewritten
-// entries' descent paths is shared, by reference, with the receiver. The
-// receiver is not modified (only read) and both trees remain fully
-// readable afterwards; shared structure must not be mutated through either
-// tree, so the result is meant for publication-style use (see the
+// are re-cut, while every untouched page and every untouched chunk — its
+// start and head arrays included — is shared, by reference, with the
+// receiver. The receiver is not modified (only read) and both trees remain
+// fully readable afterwards; shared structure must not be mutated through
+// either tree, so the result is meant for publication-style use (see the
 // Optimistic facade, whose flush this implements).
 //
 // Because segments partition the key space, a batch of d pending writes
 // touches at most O(d) pages regardless of tree size, and publication
 // work scales with those dirty pages alone: O(pages touched · page size +
-// adds) to rebuild data, O(dirty segments · log segments) of router
-// edits — the router addresses pages directly, so entries of carried
-// pages survive even when their chunk is re-cut — and one pointer-array
-// copy of the chunk spine (pages / chunkTarget entries). The pre-chunked
-// design instead re-derived the whole router (O(segments) bulk load) and
-// copied the full page array on every flush, which dominated publication
-// at large segment counts.
+// adds) to rebuild data, the start and head arrays of the re-cut chunks
+// (carried pages bring theirs along by copy), and one copy of the chunk
+// spine with its start array (pages / chunkTarget entries each). There is
+// no index beside the chain to maintain.
 func (t *Tree[K, V]) MergeCOW(layers ...[]MergeOp[K, V]) *Tree[K, V] {
 	for _, ops := range layers {
 		t = t.mergeLayer(ops)
@@ -92,12 +87,11 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 	}
 	if len(ops) == 0 {
 		// A no-op merge shares everything; the receiver already is that
-		// tree, so cloning the spine and router would be pure waste.
+		// tree, so copying the spine would be pure waste.
 		return t
 	}
 	nt := &Tree[K, V]{
 		opts:     t.opts,
-		segErr:   t.segErr,
 		strat:    t.strat,
 		counters: t.counters,
 		tune:     t.tune, // shared, not copied: one tuning state per lineage
@@ -112,7 +106,6 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 	if len(t.chunks) == 0 {
 		// Bootstrap: no pages to merge with, the content is the adds alone
 		// (tombstones cannot outnumber zero base matches).
-		nt.initRouter(t.opts)
 		keys := make([]K, 0, addN)
 		vals := make([]V, 0, addN)
 		for _, op := range ops {
@@ -123,11 +116,9 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		}
 		pages := t.buildPages(keys, vals, nil, 0, &nt.counters)
 		nt.npages = stampIDs([][]*page[K, V]{pages})
-		nt.chunks = cutChunks(pages)
-		if err := nt.loadRouter(t.opts.FillFactor); err != nil {
-			// Unreachable: op keys are strictly ascending.
-			panic(fmt.Sprintf("fitingtree: MergeCOW router bootstrap: %v", err))
-		}
+		var run pageRun[K, V]
+		run.add(pages...)
+		nt.setChunks(cutChunks(run, nil))
 	} else {
 		ivs := t.dirtyIntervals(ops)
 
@@ -139,31 +130,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 			dirty += t.regionLen(iv)
 		}
 		nt.npages = t.npages - dirty + stampIDs(rebuilt)
-
-		// Router maintenance is hybrid. The persistent clone pays a few
-		// node copies (O(log segments)) per dirty routed page; a bulk
-		// reload pays O(segments) once but with bulk-load constants —
-		// roughly one slice append per entry. The crossover — router
-		// edits cost about `ratio` bulk-loaded entries each — defaults to
-		// the historical hand-calibrated 32 and is replaced by
-		// CalibrateRouter's measurement on this router kind and host, so
-		// clone incrementally only when the delta dirties less than that
-		// fraction of the pages; a scattered delta falls back to the bulk
-		// load, which still shares every carried page and untouched chunk.
-		incremental := dirty*t.tune.ratioOr(routerRatioDefault) < t.npages
-		if incremental {
-			nt.adoptRouter(t)
-			t.retireDirtyEntries(nt, ivs)
-			t.insertRebuiltEntries(nt, ivs, rebuilt)
-		}
-		t.spliceClusters(nt, ivs, rebuilt)
-		if !incremental {
-			nt.initRouter(t.opts)
-			if err := nt.loadRouter(t.opts.FillFactor); err != nil {
-				// Unreachable: the assembled chain is key-ordered.
-				panic(fmt.Sprintf("fitingtree: MergeCOW router reload: %v", err))
-			}
-		}
+		nt.setChunks(t.spliceClusters(ivs, rebuilt))
 	}
 
 	nt.counters.Inserts += addN
@@ -172,66 +139,18 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 	return nt
 }
 
-// retireDirtyEntries deletes from nt's router the entry of every dirty
-// page that heads an equal-start run in the receiver's chain. Dirty pages
-// continuing a run that starts on a carried page own no entry, and the
-// run head's entry — addressing a page the merge carries — stays valid
-// untouched. All deletes run before any insert so a key whose run head
-// moves between intervals cannot transiently alias.
-func (t *Tree[K, V]) retireDirtyEntries(nt *Tree[K, V], ivs []cowInterval) {
-	for _, iv := range ivs {
-		pred := t.pageBefore(iv)
-		t.eachRegionPage(iv, func(p *page[K, V]) {
-			if pred == nil || pred.start() != p.start() {
-				nt.idx.delete(p.start())
-			}
-			pred = p
-		})
-	}
-}
-
-// insertRebuiltEntries registers the routing entries of the rebuilt pages
-// that head equal-start runs in the published chain, plus the first
-// carried page after each interval when the rebuild changed its run-head
-// role. pred tracks the published chain's predecessor page across
-// adjacent intervals, so run boundaries are judged against what readers
-// of the new tree will actually see.
-func (t *Tree[K, V]) insertRebuiltEntries(nt *Tree[K, V], ivs []cowInterval, rebuilt [][]*page[K, V]) {
-	var pred *page[K, V]
-	for j, iv := range ivs {
-		if j == 0 || !t.adjacent(ivs[j-1], iv) {
-			pred = t.pageBefore(iv)
-		}
-		for _, rp := range rebuilt[j] {
-			if pred == nil || pred.start() != rp.start() {
-				nt.idx.insert(rp.start(), rp)
-			}
-			pred = rp
-		}
-		after, ok := t.pageAfter(iv)
-		if !ok {
-			continue
-		}
-		if j+1 < len(ivs) && t.startsInterval(after, ivs[j+1]) {
-			continue // dirty itself; the next interval re-registers that region
-		}
-		if pred == nil || pred.start() != after.start() {
-			nt.idx.insert(after.start(), after)
-		}
-	}
-}
-
-// spliceClusters replaces the chunks overlapping dirty intervals in nt's
-// chunk spine. Intervals sharing a chunk form one cluster (a chunk is
-// re-cut at most once); within a cluster's chunk span, carried pages move
-// into the fresh chunks by reference and dirty ranges are substituted
-// with their rebuilt pages. Adjacent under-full chunks are absorbed into
-// the re-cut — pages still carried by reference, only the spine rebuilt —
-// so delete-eroded chunks re-merge with the next fold that touches their
-// neighborhood instead of accumulating forever. Clusters splice right to
-// left so the chunk indices of pending clusters stay valid.
-func (t *Tree[K, V]) spliceClusters(nt *Tree[K, V], ivs []cowInterval, rebuilt [][]*page[K, V]) {
-	nt.chunks = append([]*chunk[K, V](nil), t.chunks...)
+// spliceClusters returns the receiver's chunk spine with the chunks
+// overlapping dirty intervals replaced. Intervals sharing a chunk form one
+// cluster (a chunk is re-cut at most once); within a cluster's chunk span,
+// carried pages move into the fresh chunks by reference — their starts and
+// heads by copy — and dirty ranges are substituted with their rebuilt
+// pages. Adjacent under-full chunks are absorbed into the re-cut — pages
+// still carried by reference, only the chunks rebuilt — so delete-eroded
+// chunks re-merge with the next fold that touches their neighborhood
+// instead of accumulating forever. Clusters splice right to left so the
+// chunk indices of pending clusters stay valid.
+func (t *Tree[K, V]) spliceClusters(ivs []cowInterval, rebuilt [][]*page[K, V]) []*chunk[K, V] {
+	chunks := t.chunks
 	plan := t.tune.planOf()
 	limit := len(t.chunks) // chunks at/after this index belong to an already-spliced cluster
 	hi := len(ivs)
@@ -252,57 +171,32 @@ func (t *Tree[K, V]) spliceClusters(nt *Tree[K, V], ivs []cowInterval, rebuilt [
 		for cHi+1 < limit && underfull(t.chunks[cHi+1]) {
 			cHi++
 		}
-		var np []*page[K, V]
-		pos := cursor[K, V]{c: t.chunks[cLo], pi: 0, ci: cLo}
-		valid := true
+		n := 0
+		for _, c := range t.chunks[cLo : cHi+1] {
+			n += len(c.pages)
+		}
 		for j := lo; j < hi; j++ {
-			iv := ivs[j]
-			for valid && !(pos.ci == iv.loCI && pos.pi == iv.loPI) {
-				np = append(np, t.pageOf(pos))
-				pos, valid = t.next(pos)
+			n += len(rebuilt[j]) - t.regionLen(ivs[j])
+		}
+		run := makeRun[K, V](n)
+		ci, pi := cLo, 0 // the next receiver-chain page not yet accounted for
+		carryTo := func(toCI, toPI int) {
+			for ; ci < toCI; ci, pi = ci+1, 0 {
+				run.carry(t.chunks[ci], pi, len(t.chunks[ci].pages))
 			}
-			np = append(np, rebuilt[j]...)
-			pos, valid = t.next(cursor[K, V]{c: t.chunks[iv.hiCI], pi: iv.hiPI, ci: iv.hiCI})
+			run.carry(t.chunks[ci], pi, toPI)
 		}
-		for valid && pos.ci <= cHi {
-			np = append(np, t.pageOf(pos))
-			pos, valid = t.next(pos)
+		for j := lo; j < hi; j++ {
+			carryTo(ivs[j].loCI, ivs[j].loPI)
+			run.add(rebuilt[j]...)
+			ci, pi = ivs[j].hiCI, ivs[j].hiPI+1
 		}
-		nt.chunks = spliceChunks(nt.chunks, cLo, cHi-cLo+1, cutChunksPlan(np, plan))
+		carryTo(cHi, len(t.chunks[cHi].pages))
+		chunks = splice(chunks, cLo, cHi-cLo+1, cutChunks(run, plan))
 		limit = cLo
 		hi = lo
 	}
-}
-
-// pageBefore returns the receiver-chain page preceding the interval's
-// first page, or nil at the chain head.
-func (t *Tree[K, V]) pageBefore(iv cowInterval) *page[K, V] {
-	cu := cursor[K, V]{c: t.chunks[iv.loCI], pi: iv.loPI, ci: iv.loCI}
-	if pv, ok := t.prev(cu); ok {
-		return t.pageOf(pv)
-	}
-	return nil
-}
-
-// pageAfter returns the receiver-chain page following the interval's last
-// page.
-func (t *Tree[K, V]) pageAfter(iv cowInterval) (*page[K, V], bool) {
-	cu := cursor[K, V]{c: t.chunks[iv.hiCI], pi: iv.hiPI, ci: iv.hiCI}
-	if nx, ok := t.next(cu); ok {
-		return t.pageOf(nx), true
-	}
-	return nil, false
-}
-
-// adjacent reports whether b's first page immediately follows a's last.
-func (t *Tree[K, V]) adjacent(a, b cowInterval) bool {
-	nx, ok := t.next(cursor[K, V]{c: t.chunks[a.hiCI], pi: a.hiPI, ci: a.hiCI})
-	return ok && nx.ci == b.loCI && nx.pi == b.loPI
-}
-
-// startsInterval reports whether p is the interval's first page.
-func (t *Tree[K, V]) startsInterval(p *page[K, V], iv cowInterval) bool {
-	return t.chunks[iv.loCI].pages[iv.loPI] == p
+	return chunks
 }
 
 // regionsPerWorker is how many dirty regions a fold wants per goroutine
@@ -501,31 +395,22 @@ type cowInterval struct {
 
 // dirtyIntervals maps each op to the pages it touches and coalesces
 // overlapping ranges. An op that only inserts touches the page Insert
-// would buffer it in through the end of the key's equal-start run, so its
-// adds land after every base match of the key; an op with tombstones
-// additionally reaches back to the first candidate page, because "first
-// Dels matches in scan order" is a property of the whole run, duplicate
-// spill included.
+// would buffer it in (runHead) through the end of the key's equal-start
+// run, so its adds land after every base match of the key; an op with
+// tombstones additionally reaches back to the first candidate page,
+// because "first Dels matches in scan order" is a property of the whole
+// run, duplicate spill included.
 func (t *Tree[K, V]) dirtyIntervals(ops []MergeOp[K, V]) []cowInterval {
 	var ivs []cowInterval
 	for oi, op := range ops {
 		k := op.Key
-		var lo cursor[K, V]
-		if op.Dels > 0 || len(op.Tombs) > 0 {
-			lo, _ = t.firstCandidate(k)
-		} else {
-			lo, _ = t.insertCursor(k)
-		}
 		// Adds sort after every base match of k, and matches can continue
 		// through the key's equal-start run, so the region always extends
-		// to the run's last page.
-		hi := lo
-		for {
-			nx, has := t.next(hi)
-			if !has || t.pageOf(nx).start() > k {
-				break
-			}
-			hi = nx
+		// to the run's last page: the page locate lands on.
+		hi := t.locate(k)
+		lo := t.runHead(hi, k)
+		if op.Dels > 0 || len(op.Tombs) > 0 {
+			lo = t.backUp(hi, k)
 		}
 		iv := cowInterval{lo.ci, lo.pi, hi.ci, hi.pi, oi, oi + 1}
 		// Coalesce with earlier intervals this one's pages overlap. Ops

@@ -95,24 +95,26 @@ func buildCOWBase(t *testing.T, keys []uint64, opts Options) *Tree[uint64, uint6
 	return tr
 }
 
-// routerKinds names both router kinds for the test matrix: the COW/merge
-// model must hold under the persistent B+ tree router and the
-// rebuild-on-publication implicit router alike.
-var routerKinds = []struct {
-	name string
-	kind RouterKind
+// searchKinds is the second dimension of the randomized model matrix: every
+// model runs under the default window search and under the galloping one, so
+// both seek paths face duplicate runs, tombstones and folds. The labels are
+// the ones the dimension carried while it selected a router kind; the test
+// floor tracks subtests by name, so they stay.
+var searchKinds = []struct {
+	name   string
+	search SearchStrategy
 }{
-	{"btree", RouterBTree},
-	{"implicit", RouterImplicit},
+	{"btree", SearchBinary},
+	{"implicit", SearchExponential},
 }
 
 func TestMergeCOWMatchesModel(t *testing.T) {
-	for _, rk := range routerKinds {
-		t.Run(rk.name, func(t *testing.T) { testMergeCOWMatchesModel(t, rk.kind) })
+	for _, rk := range searchKinds {
+		t.Run(rk.name, func(t *testing.T) { testMergeCOWMatchesModel(t, rk.search) })
 	}
 }
 
-func testMergeCOWMatchesModel(t *testing.T, kind RouterKind) {
+func testMergeCOWMatchesModel(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		n := 200 + rng.Intn(3000)
@@ -132,7 +134,7 @@ func testMergeCOWMatchesModel(t *testing.T, kind RouterKind) {
 			}
 			keys[i] = k
 		}
-		opts := Options{Error: 8 + rng.Intn(24), BufferSize: 4, Router: kind}
+		opts := Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search}
 		base := buildCOWBase(t, keys, opts)
 		before := contents(base)
 
@@ -457,12 +459,12 @@ func benchOps(tr *Tree[uint64, uint64], delta int) []MergeOp[uint64, uint64] {
 // MergeCOW's physical fold — the contract the Optimistic facade's
 // frozen/active delta pair relies on.
 func TestMergeCOW2Layering(t *testing.T) {
-	for _, rk := range routerKinds {
-		t.Run(rk.name, func(t *testing.T) { testMergeCOW2Layering(t, rk.kind) })
+	for _, rk := range searchKinds {
+		t.Run(rk.name, func(t *testing.T) { testMergeCOW2Layering(t, rk.search) })
 	}
 }
 
-func testMergeCOW2Layering(t *testing.T, kind RouterKind) {
+func testMergeCOW2Layering(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(137))
 	genOps := func(stream []pair, maxKey uint64) []MergeOp[uint64, uint64] {
 		opKeys := map[uint64]bool{}
@@ -505,7 +507,7 @@ func testMergeCOW2Layering(t *testing.T, kind RouterKind) {
 			}
 			keys[i] = k
 		}
-		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Router: kind})
+		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search})
 		before := contents(base)
 
 		first := genOps(before, k)

@@ -12,7 +12,7 @@ import (
 
 // buildShareBase builds a deep tree (many segments, many chunks) for
 // structural-sharing assertions.
-func buildShareBase(t *testing.T, n int, kind RouterKind) *Tree[uint64, uint64] {
+func buildShareBase(t *testing.T, n int, search SearchStrategy) *Tree[uint64, uint64] {
 	t.Helper()
 	keys := make([]uint64, n)
 	rng := rand.New(rand.NewSource(17))
@@ -21,7 +21,7 @@ func buildShareBase(t *testing.T, n int, kind RouterKind) *Tree[uint64, uint64] 
 		k += uint64(1 + rng.Intn(13))
 		keys[i] = k
 	}
-	return buildCOWBase(t, keys, Options{Error: 8, BufferSize: 2, Router: kind})
+	return buildCOWBase(t, keys, Options{Error: 8, BufferSize: 2, Search: search})
 }
 
 // tightOps builds a small op cluster around the middle of the key space.
@@ -40,7 +40,7 @@ func tightOps(tr *Tree[uint64, uint64]) []MergeOp[uint64, uint64] {
 // chunk of the published tree is pointer-identical (same chunk identity)
 // with the parent's.
 func TestMergeCOWSharesChunks(t *testing.T) {
-	base := buildShareBase(t, 300_000, RouterBTree)
+	base := buildShareBase(t, 300_000, SearchBinary)
 	baseChunks := base.ChunkIDs()
 	if len(baseChunks) < 20 {
 		t.Fatalf("want a deep chunked chain, got %d chunks", len(baseChunks))
@@ -75,53 +75,73 @@ func TestMergeCOWSharesChunks(t *testing.T) {
 	}
 }
 
-// TestMergeCOWSharesRouterNodes pins the persistent-router contract: the
-// published tree's B+ tree router shares all nodes with the parent's
-// except the descent paths of the routing entries the dirty interval
-// rewrote — O(dirty · height), not a rebuilt O(segments) tree.
-func TestMergeCOWSharesRouterNodes(t *testing.T) {
-	base := buildShareBase(t, 100_000, RouterBTree)
+// TestMergeCOWSharesHeadArrays pins what a publication copies of the index:
+// the chunk spine and its start array, and the start and head arrays of the
+// chunks it re-cuts — every other chunk is shared whole, so its start and
+// head arrays are the parent's very arrays, and the heads of carried pages
+// in a re-cut chunk still point at the parent's key and value arrays.
+func TestMergeCOWSharesHeadArrays(t *testing.T) {
+	base := buildShareBase(t, 100_000, SearchBinary)
 	merged := base.MergeCOW(tightOps(base))
 	if err := merged.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-
-	total := merged.rbt.NodeCount()
-	shared := merged.rbt.SharedNodeCount(base.rbt)
-	copied := total - shared
-	if shared == 0 {
-		t.Fatal("published router shares no nodes with its parent")
+	if &merged.starts[0] == &base.starts[0] {
+		t.Fatal("publication shares the parent's top-level start array")
 	}
-	// The dirty interval rewrites at most ~2 chunks' worth of entries
-	// (≤ 2·chunkMax inserts/deletes), each copying one root-to-leaf path.
-	budget := 2 * chunkMax * (base.rbt.Height() + 2)
-	if copied > budget {
-		t.Fatalf("publication copied %d router nodes of %d (budget %d)", copied, total, budget)
+	byID := map[uint64]*chunk[uint64, uint64]{}
+	pages := map[*page[uint64, uint64]]bool{}
+	for _, c := range base.chunks {
+		byID[c.id] = c
+		for _, p := range c.pages {
+			pages[p] = true
+		}
 	}
-	if copied == 0 {
-		t.Fatal("publication copied no router nodes — entries cannot have been rewritten")
+	shared, recut, carried := 0, 0, 0
+	for _, c := range merged.chunks {
+		if old := byID[c.id]; old != nil {
+			if c != old || &c.starts[0] != &old.starts[0] || &c.heads[0] != &old.heads[0] {
+				t.Fatalf("chunk %d kept its identity but not its arrays", c.id)
+			}
+			shared++
+			continue
+		}
+		recut++
+		for pi, p := range c.pages {
+			if pages[p] {
+				carried++
+				if &c.heads[pi].keys[0] != &p.keys[0] {
+					t.Fatalf("carried page %v: head points away from the page's keys", p.start())
+				}
+			}
+		}
 	}
-	// And the parent's router is untouched: invariants hold and its floor
-	// answers still match the parent's content.
+	if recut == 0 || recut > 3 {
+		t.Fatalf("a 3-key delta re-cut %d chunks", recut)
+	}
+	if shared < len(base.chunks)-2 {
+		t.Fatalf("only %d of %d chunks shared", shared, len(base.chunks))
+	}
+	if carried == 0 {
+		t.Fatal("the re-cut chunks carried no page of the parent")
+	}
+	// And the parent is untouched: its arrays still describe its pages.
 	if err := base.CheckInvariants(); err != nil {
 		t.Fatalf("parent after publication: %v", err)
 	}
 }
 
 // TestMergeCOWPublicationConcurrentReaders is the -race stress for the
-// persistent-router publication: a single flusher thread repeatedly
-// MergeCOWs the current tree and publishes it through an atomic pointer
-// while reader goroutines hammer point lookups, floor-heavy batch probes,
-// and ordered scans on whatever version they last loaded. Run under -race
-// this pins that publication never writes into structure a published tree
-// shares (router nodes, chunks, pages).
+// publication: a single flusher thread repeatedly MergeCOWs the current
+// tree and publishes it through an atomic pointer while reader goroutines
+// hammer point lookups, batch probes, and ordered scans on whatever version
+// they last loaded. Run under -race this pins that publication never
+// writes into structure a published tree shares (chunks, their start and
+// head arrays, pages).
 func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
-	for _, rk := range routerKinds {
+	for _, rk := range searchKinds {
 		t.Run(rk.name, func(t *testing.T) {
-			// Deep enough that a 32-op delta stays under the hybrid
-			// threshold: the publications under test must take the
-			// incremental persistent-clone path, not the bulk reload.
-			base := buildShareBase(t, 120_000, rk.kind)
+			base := buildShareBase(t, 120_000, rk.search)
 			var cur atomic.Pointer[Tree[uint64, uint64]]
 			cur.Store(base)
 			maxKey, _, _ := base.Max()
@@ -190,9 +210,9 @@ func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
 // TestLookupBatchUnsortedMatchesLookup is the randomized equivalence test
 // for the grouped unsorted-probe fast path: on trees with duplicate runs
 // and buffered inserts, a shuffled probe set must answer exactly like
-// per-key Lookup calls, under both router kinds.
+// per-key Lookup calls, under both window searches.
 func TestLookupBatchUnsortedMatchesLookup(t *testing.T) {
-	for _, rk := range routerKinds {
+	for _, rk := range searchKinds {
 		t.Run(rk.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(53))
 			for trial := 0; trial < 12; trial++ {
@@ -202,7 +222,7 @@ func TestLookupBatchUnsortedMatchesLookup(t *testing.T) {
 				for i := range vals {
 					vals[i] = uint64(i)
 				}
-				tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8, Router: rk.kind})
+				tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8, Search: rk.search})
 				if err != nil {
 					t.Fatal(err)
 				}

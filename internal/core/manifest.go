@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // This file is the top-level manifest codec for the sharded durability
@@ -100,15 +99,15 @@ func takeU64(data []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(data), data[8:], nil
 }
 
-// appendOptions appends the tree options as six fixed u64 fields. Float
-// bits round-trip FillFactor exactly.
+// appendOptions appends the tree options as six fixed u64 fields. Words 2,
+// 3 and 5 are reserved: they held the retired Fanout, FillFactor and Router
+// options, stay in place so the format does not move, are written as zero
+// and are ignored on read (a store saved with those options set still
+// opens).
 func appendOptions(buf []byte, o Options) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Error)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.BufferSize)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Fanout)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o.FillFactor))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Search)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(o.Router)))
+	for _, w := range [6]int{o.Error, o.BufferSize, 0, 0, int(o.Search), 0} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(w)))
+	}
 	return buf
 }
 
@@ -126,13 +125,7 @@ func decodeOptions(data []byte) (Options, []byte, error) {
 	o := Options{
 		Error:      int(int64(raw[0])),
 		BufferSize: int(int64(raw[1])),
-		Fanout:     int(int64(raw[2])),
-		FillFactor: math.Float64frombits(raw[3]),
 		Search:     SearchStrategy(int64(raw[4])),
-		Router:     RouterKind(int64(raw[5])),
-	}
-	if o.FillFactor != o.FillFactor {
-		return Options{}, nil, fmt.Errorf("core: manifest options carry NaN fill factor")
 	}
 	if _, err := o.withDefaults(); err != nil {
 		return Options{}, nil, fmt.Errorf("core: manifest options invalid: %w", err)

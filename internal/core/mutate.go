@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"fitingtree/internal/num"
@@ -17,41 +18,46 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 	}
 	t.counters.Inserts++
 	t.size++
-	cu, ok := t.insertCursor(k)
-	if !ok {
+	if len(t.chunks) == 0 {
 		// Empty tree: create the initial page and chunk.
-		p := newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.segErrFor(k))
-		t.chunks, t.npages = []*chunk[K, V]{newChunk([]*page[K, V]{p})}, 1
-		t.idx.insert(k, p)
+		var run pageRun[K, V]
+		run.add(newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.segErrFor(k)))
+		t.setChunks(cutChunks(run, nil))
+		t.npages = 1
 		return
 	}
-	p := t.pageOf(cu)
+	cu := t.runHead(t.locate(k), k)
+	p := cu.page()
 	i, _ := findKey(p.bufKeys, k)
 	p.bufKeys = insertAt(p.bufKeys, i, k)
 	p.bufVals = insertAt(p.bufVals, i, v)
-	if len(p.bufKeys) >= num.MaxInt(1, t.opts.BufferSize) {
+	if len(p.bufKeys) >= max(1, t.opts.BufferSize) {
 		t.merge(cu)
+		return
 	}
+	cu.rehead()
 }
 
-// insertCursor returns the page Insert buffers k into; ok is false for an
-// empty tree. The router maps to the first page of an equal-start run; the
-// key may belong to a later page of the run (or to the page covering the
-// gap after it), so advance to the last page whose routing key precedes k.
-// MergeCOW opens its dirty regions with the same rule, so buffered and
-// flushed placement of a key cannot drift apart.
-func (t *Tree[K, V]) insertCursor(k K) (cursor[K, V], bool) {
-	cu, ok := t.locateCursor(k)
-	if !ok {
-		return cu, false
-	}
-	for {
-		nx, has := t.next(cu)
-		if !has || t.pageOf(nx).start() >= k {
-			return cu, true
+// rehead re-derives the head of the page at cu after an in-place edit —
+// the one way a head follows its page (legal only on chunks the tree owns
+// exclusively; see chunk).
+func (cu cursor[K, V]) rehead() { cu.c.heads[cu.pi] = headOf(cu.page()) }
+
+// runHead rewinds cu, the page locate returned for k, to the page Insert
+// buffers k into: the first page that starts exactly at k, else cu itself —
+// the last page whose start precedes k (the page covering the gap k falls
+// into) or the chain's first page. MergeCOW opens its dirty regions with
+// the same rule, so buffered and flushed placement of a key cannot drift
+// apart.
+func (t *Tree[K, V]) runHead(cu cursor[K, V], k K) cursor[K, V] {
+	for cu.start() == k {
+		pv, ok := t.prev(cu)
+		if !ok || pv.start() != k {
+			break
 		}
-		cu = nx
+		cu = pv
 	}
+	return cu
 }
 
 // Delete removes one element with key k and reports whether one was found.
@@ -77,130 +83,85 @@ func (t *Tree[K, V]) DeleteValue(k K, v V) bool {
 // duplicates (e.g. a secondary index deleting one specific row posting).
 func (t *Tree[K, V]) DeleteWhere(k K, pred func(V) bool) bool {
 	cu, ok := t.firstCandidate(k)
-	if !ok {
-		return false
-	}
-	for {
-		p := t.pageOf(cu)
-		if i, ok := findKey(p.bufKeys, k); ok {
-			for j := i; j < len(p.bufKeys) && p.bufKeys[j] == k; j++ {
-				if pred(p.bufVals[j]) {
-					p.bufKeys = removeAt(p.bufKeys, j)
-					p.bufVals = removeAt(p.bufVals, j)
-					t.afterDelete(cu)
-					return true
-				}
+	for ok {
+		p := cu.page()
+		for j, _ := findKey(p.bufKeys, k); j < len(p.bufKeys) && p.bufKeys[j] == k; j++ {
+			if pred(p.bufVals[j]) {
+				p.bufKeys = removeAt(p.bufKeys, j)
+				p.bufVals = removeAt(p.bufVals, j)
+				t.afterDelete(cu)
+				return true
 			}
 		}
-		if i, ok := p.dataSearch(k, p.werr, t.strat); ok {
-			// dataSearch returns the leftmost match in the page; every
-			// duplicate of k in this page is contiguous from there.
-			for j := i; j < len(p.keys) && p.keys[j] == k; j++ {
-				if pred(p.vals[j]) {
-					p.keys = removeAt(p.keys, j)
-					p.vals = removeAt(p.vals, j)
-					if p.pref != nil {
-						p.pref = removeAt(p.pref, j)
-					}
-					p.deletes++
-					t.afterDelete(cu)
-					return true
+		// seek lands on the leftmost match in the page; every duplicate of
+		// k in this page is contiguous from there.
+		for j, _ := t.seek(cu, k); j < len(p.keys) && p.keys[j] == k; j++ {
+			if pred(p.vals[j]) {
+				p.keys = removeAt(p.keys, j)
+				p.vals = removeAt(p.vals, j)
+				if p.pref != nil {
+					p.pref = removeAt(p.pref, j)
 				}
+				p.deletes++
+				t.afterDelete(cu)
+				return true
 			}
 		}
-		nx, has := t.next(cu)
-		if !has || t.pageOf(nx).start() > k {
+		if cu, ok = t.next(cu); ok && cu.start() > k {
 			return false
 		}
-		cu = nx
 	}
+	return false
 }
 
-// afterDelete updates accounting and re-segments or drops the page at cu
-// when deletions have eroded it.
+// afterDelete updates accounting after an in-place removal from the page
+// at cu, and re-segments or drops the page when deletions have eroded it.
 func (t *Tree[K, V]) afterDelete(cu cursor[K, V]) {
 	t.counters.Deletes++
 	t.size--
-	p := t.pageOf(cu)
-	if len(p.keys) == 0 && len(p.bufKeys) == 0 {
-		t.removePage(cu)
-		return
-	}
-	// Bound the window widening: once deletions match the buffer budget,
-	// rebuild the page's model.
-	if p.deletes > 0 && p.deletes+len(p.bufKeys) > num.MaxInt(1, t.opts.BufferSize) {
-		t.merge(cu)
-	}
-}
-
-// spliceChunks replaces chunks [ci, ci+removed) of s with repl.
-func spliceChunks[K num.Key, V any](s []*chunk[K, V], ci, removed int, repl []*chunk[K, V]) []*chunk[K, V] {
-	out := make([]*chunk[K, V], 0, len(s)-removed+len(repl))
-	out = append(out, s[:ci]...)
-	out = append(out, repl...)
-	out = append(out, s[ci+removed:]...)
-	return out
-}
-
-// splicePages replaces `removed` pages of cu's chunk starting at cu.pi
-// with pages. The edit is purely structural — the router addresses pages
-// directly, so only the caller's entry edits for the removed and added
-// pages matter, and no other entry is touched. If the result fits
-// chunkMax the chunk's spine is rewritten in place (legal only because
-// the plain Tree owns its chunks exclusively — published chunks are never
-// spliced, see chunk); an oversized result is re-cut into fresh chunks
-// and an emptied chunk is dropped from the chain.
-func (t *Tree[K, V]) splicePages(cu cursor[K, V], removed int, pages []*page[K, V]) {
-	c := cu.c
-	t.npages += len(pages) - removed
-	np := make([]*page[K, V], 0, len(c.pages)-removed+len(pages))
-	np = append(np, c.pages[:cu.pi]...)
-	np = append(np, pages...)
-	np = append(np, c.pages[cu.pi+removed:]...)
+	p := cu.page()
 	switch {
-	case len(np) == 0:
-		t.chunks = spliceChunks(t.chunks, cu.ci, 1, nil)
-	case len(np) > chunkMax:
-		t.chunks = spliceChunks(t.chunks, cu.ci, 1, cutChunksPlan(np, t.tune.planOf()))
+	case len(p.keys) == 0 && len(p.bufKeys) == 0:
+		t.splicePages(cu, nil)
+	case p.deletes > 0 && p.deletes+len(p.bufKeys) > max(1, t.opts.BufferSize):
+		// Bound the window widening: once deletions match the buffer
+		// budget, rebuild the page's model.
+		t.merge(cu)
 	default:
-		c.pages = np
+		cu.rehead()
 	}
 }
 
-// reindexSplice maintains the router across a splice that replaces the
-// page at cu with pages (possibly none): the replaced page's entry is
-// deleted if it was routed, entries are inserted for every new page that
-// heads an equal-start run, and the first surviving page after the splice
-// is re-registered if its run-head role changed. Inserting a run head's
-// entry also displaces, by key, the stale entry of a page that just lost
-// that role. Everything else in the router — in this chunk and every
-// other — addresses pages the splice carries and stays untouched.
-//
-// Callers invoke it BEFORE the structural splice, passing the replacement
-// pages, because it derives run boundaries from the pre-splice neighbors.
-func (t *Tree[K, V]) reindexSplice(cu cursor[K, V], pages []*page[K, V]) {
-	old := t.pageOf(cu)
-	if t.isRouted(cu) {
-		t.idx.delete(old.start())
-	}
-	var pred *page[K, V]
-	if pv, ok := t.prev(cu); ok {
-		pred = t.pageOf(pv)
-	}
-	for _, np := range pages {
-		if pred == nil || pred.start() != np.start() {
-			t.idx.insert(np.start(), np)
-		}
-		pred = np
-	}
-	// The page following the splice: routed now iff its start differs
-	// from the last new page's (or the splice predecessor's, when the
-	// page was removed without replacement).
-	if nx, ok := t.next(cu); ok {
-		after := t.pageOf(nx)
-		if pred == nil || pred.start() != after.start() {
-			t.idx.insert(after.start(), after)
-		}
+// splice returns s with s[at:at+removed] replaced by repl, in a new array.
+func splice[T any](s []T, at, removed int, repl []T) []T {
+	out := make([]T, 0, len(s)-removed+len(repl))
+	out = append(out, s[:at]...)
+	out = append(out, repl...)
+	return append(out, s[at+removed:]...)
+}
+
+// splicePages replaces the page at cu with pages (possibly none). The
+// chain's arrays are the index, so the edit is the whole of it: the chunk's
+// pages, starts and heads are edited together, in place (legal only because
+// the plain Tree owns its chunks exclusively — published chunks are never
+// spliced, see chunk); a chunk that outgrows chunkMax is then re-cut into
+// fresh chunks, one left empty is dropped from the chain, and otherwise the
+// tree's start array follows the chunk's first page.
+func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
+	c := cu.c
+	t.npages += len(pages) - 1
+	var repl pageRun[K, V]
+	repl.add(pages...)
+	c.pages = slices.Replace(c.pages, cu.pi, cu.pi+1, repl.pages...)
+	c.starts = slices.Replace(c.starts, cu.pi, cu.pi+1, repl.starts...)
+	c.heads = slices.Replace(c.heads, cu.pi, cu.pi+1, repl.heads...)
+	switch n := len(c.pages); {
+	case n == 0:
+		t.setChunks(splice(t.chunks, cu.ci, 1, nil))
+	case n > chunkMax:
+		t.setChunks(splice(t.chunks, cu.ci, 1, cutChunks(c.pageRun, t.tune.planOf())))
+	default:
+		t.starts[cu.ci] = c.start()
 	}
 }
 
@@ -209,10 +170,10 @@ func (t *Tree[K, V]) reindexSplice(cu cursor[K, V], pages []*page[K, V]) {
 // resulting page(s) into the chain in place of it (Algorithm 4 lines 5-9).
 func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 	t.counters.Merges++
-	p := t.pageOf(cu)
+	p := cu.page()
 	mergedKeys, mergedVals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
 	if len(mergedKeys) == 0 {
-		t.removePage(cu)
+		t.splicePages(cu, nil)
 		return
 	}
 	// The run spans a single page's key range, so one region target
@@ -236,17 +197,7 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 	}
 	carryLoad(atomic.LoadUint64(&p.reads), atomic.LoadUint64(&p.writes),
 		len(p.bufKeys)+p.deletes, pages)
-
-	t.reindexSplice(cu, pages)
-	t.splicePages(cu, 1, pages)
-}
-
-// removePage splices an empty page out of the chain and the router; the
-// reindex pass promotes the next page of an equal-start run into the
-// router if the removed page headed one.
-func (t *Tree[K, V]) removePage(cu cursor[K, V]) {
-	t.reindexSplice(cu, nil)
-	t.splicePages(cu, 1, nil)
+	t.splicePages(cu, pages)
 }
 
 // mergeSorted merges two sorted key runs (with parallel values) into fresh

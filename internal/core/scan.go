@@ -37,11 +37,13 @@ func (p *page[K, V]) firstKey() K {
 	return p.keys[0]
 }
 
-// ascendPage merges the page's data and buffer in key order, calling fn for
-// each pair with lo <= key <= hi, starting from the first key >= lo. It
-// reports false if fn requested a stop.
-func (p *page[K, V]) ascendPage(lo, hi K, fn func(k K, v V) bool) bool {
-	i, _ := findKey(p.keys, lo)
+// ascendPage merges the data and buffer of the page at cu in key order,
+// calling fn for each pair with lo <= key <= hi, starting from the first
+// key >= lo — found by the page's model (seek), not by searching the whole
+// page. It reports false if fn requested a stop or a key passed hi.
+func (t *Tree[K, V]) ascendPage(cu cursor[K, V], lo, hi K, fn func(k K, v V) bool) bool {
+	p := cu.page()
+	i, _ := t.seek(cu, lo)
 	j, _ := findKey(p.bufKeys, lo)
 	for i < len(p.keys) || j < len(p.bufKeys) {
 		useData := j >= len(p.bufKeys) ||
@@ -80,42 +82,33 @@ func (t *Tree[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 	// duplicate runs cross page boundaries, so start at the first
 	// candidate page.
 	cu, ok := t.firstCandidate(lo)
-	if !ok {
-		return
-	}
-	for {
-		p := t.pageOf(cu)
-		if p.firstKey() > hi {
-			return
-		}
-		if !p.ascendPage(lo, hi, fn) {
-			return
-		}
-		nx, has := t.next(cu)
-		if !has {
-			return
-		}
-		cu = nx
+	for ok && t.ascendPage(cu, lo, hi, fn) {
+		cu, ok = t.next(cu)
 	}
 }
 
 // Ascend calls fn for every element in ascending key order, stopping early
 // if fn returns false.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
-	for _, c := range t.chunks {
-		for _, p := range c.pages {
-			if !p.ascendPage(p.firstKey(), p.lastKey(), fn) {
-				return
-			}
-		}
+	if len(t.chunks) == 0 {
+		return
 	}
+	first := cursor[K, V]{c: t.chunks[0]}
+	t.AscendRange(first.page().firstKey(), t.last().page().lastKey(), fn)
 }
 
-// descendPage merges the page's data and buffer in reverse key order,
-// calling fn for each pair with lo <= key <= hi, starting from the last
-// key <= hi. It reports false if fn requested a stop.
-func (p *page[K, V]) descendPage(lo, hi K, fn func(k K, v V) bool) bool {
-	i := upperBound(p.keys, hi) - 1
+// descendPage merges the data and buffer of the page at cu in reverse key
+// order, calling fn for each pair with lo <= key <= hi, starting from the
+// last key <= hi: the element before hi's lower bound (seek), past hi's
+// own duplicates. It reports false if fn requested a stop or a key fell
+// below lo.
+func (t *Tree[K, V]) descendPage(cu cursor[K, V], lo, hi K, fn func(k K, v V) bool) bool {
+	p := cu.page()
+	i, _ := t.seek(cu, hi)
+	for i < len(p.keys) && p.keys[i] == hi {
+		i++
+	}
+	i--
 	j := upperBound(p.bufKeys, hi) - 1
 	for i >= 0 || j >= 0 {
 		useData := j < 0 || (i >= 0 && p.keys[i] >= p.bufKeys[j])
@@ -141,99 +134,61 @@ func (p *page[K, V]) descendPage(lo, hi K, fn func(k K, v V) bool) bool {
 	return true
 }
 
-// upperBound returns the index of the first key > k in a sorted slice.
-func upperBound[K num.Key](keys []K, k K) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // DescendRange calls fn for every element with lo <= key <= hi in
 // descending key order, stopping early if fn returns false (the reverse
 // scan an ORDER BY ... DESC query plan wants).
 func (t *Tree[K, V]) DescendRange(hi, lo K, fn func(k K, v V) bool) {
-	if hi < lo {
+	if hi < lo || len(t.chunks) == 0 {
 		return
 	}
-	cu, ok := t.locateCursor(hi)
-	if !ok {
-		return
-	}
-	// The page routed for hi is the last page whose routing key <= hi,
-	// but duplicate-run chains can continue past it with the same start.
-	for {
-		nx, has := t.next(cu)
-		if !has || t.pageOf(nx).start() > hi {
-			break
-		}
-		cu = nx
-	}
-	for {
-		p := t.pageOf(cu)
-		if p.lastKey() < lo {
-			return
-		}
-		if !p.descendPage(lo, hi, fn) {
-			return
-		}
-		pv, has := t.prev(cu)
-		if !has {
-			return
-		}
-		cu = pv
+	// The located page is the last whose start is <= hi: nothing after it
+	// can hold a key in range.
+	cu, ok := t.locate(hi), true
+	for ok && t.descendPage(cu, lo, hi, fn) {
+		cu, ok = t.prev(cu)
 	}
 }
 
 // Min returns the smallest key and one of its values.
 func (t *Tree[K, V]) Min() (K, V, bool) {
-	cu, ok := t.first()
-	if !ok {
+	if len(t.chunks) == 0 {
 		var zk K
 		var zv V
 		return zk, zv, false
 	}
-	p := t.pageOf(cu)
-	k := p.firstKey()
-	v, _ := t.searchPage(p, k)
+	cu := cursor[K, V]{c: t.chunks[0]}
+	k := cu.page().firstKey()
+	v, _ := t.searchPage(cu, k)
 	return k, v, true
 }
 
 // Max returns the largest key and one of its values. The chain gives the
-// last page in O(1); no router descent is needed.
+// last page in O(1); no descent is needed.
 func (t *Tree[K, V]) Max() (K, V, bool) {
-	cu, ok := t.last()
-	if !ok {
+	if len(t.chunks) == 0 {
 		var zk K
 		var zv V
 		return zk, zv, false
 	}
-	p := t.pageOf(cu)
-	k := p.lastKey()
-	v, _ := t.searchPage(p, k)
+	cu := t.last()
+	k := cu.page().lastKey()
+	v, _ := t.searchPage(cu, k)
 	return k, v, true
 }
 
 // LookupBreakdown is Lookup instrumented with wall-clock timing of its two
-// phases: the inner-tree search for the owning segment and the bounded
-// search within the page. It drives the Figure 13 experiment.
+// phases: the search of the chain's start arrays for the owning page and
+// everything after it (the bounded search within the page, and the chain
+// walk of a duplicate run). It drives the Figure 13 experiment.
 func (t *Tree[K, V]) LookupBreakdown(k K) (v V, ok bool, treeNs, pageNs int64) {
+	if len(t.chunks) == 0 {
+		return v, false, 0, 0
+	}
 	start := time.Now()
-	p, found := t.locatePage(k)
+	cu := t.locate(k)
 	treeNs = time.Since(start).Nanoseconds()
-	if !found {
-		return v, false, treeNs, 0
-	}
 	start = time.Now()
-	if v, ok = t.searchPage(p, k); !ok {
-		v, ok = t.searchFrom(t.pageCursor(p), k)
-	}
+	v, ok = t.lookupAt(cu, k)
 	pageNs = time.Since(start).Nanoseconds()
 	return v, ok, treeNs, pageNs
 }
@@ -252,10 +207,14 @@ type Stats struct {
 	// top. Both are facade-level: Tree.Stats leaves them zero.
 	FrozenLayers int
 	LayerPending []int
-	Inner        btree.Stats
-	Height       int   // inner tree height
-	IndexSize    int64 // bytes: inner tree + 24 B/segment metadata (paper's accounting)
-	DataSize     int64 // bytes of table data incl. buffers (not part of the index)
+	// Inner describes the index over the pages as the height-2 tree it is:
+	// one root (the tree's array of chunk start keys) over one leaf per
+	// chunk (the chunk's array of page start keys), a key and a pointer
+	// per entry.
+	Inner     btree.Stats
+	Height    int   // inner tree height
+	IndexSize int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
+	DataSize  int64 // bytes of table data incl. buffers (not part of the index)
 
 	// Self-tuning observability (see tuner.go). Regions is the current
 	// per-region plan — targets plus the load sample that produced them —
@@ -268,8 +227,8 @@ type Stats struct {
 
 // Stats traverses the tree and returns its statistics. The IndexSize
 // accounting matches the paper's SIZE(e) cost model: the inner tree's keys
-// and pointers plus 24 bytes of metadata (start key, slope, page address)
-// per segment.
+// and pointers — here the chain's two levels of start arrays — plus 24
+// bytes of metadata (start key, slope, page address) per segment.
 func (t *Tree[K, V]) Stats() Stats {
 	s := Stats{Elements: t.size, Chunks: len(t.chunks)}
 	for _, c := range t.chunks {
@@ -283,7 +242,8 @@ func (t *Tree[K, V]) Stats() Stats {
 			s.DataSize += int64(len(p.keys)+len(p.bufKeys)) * 16
 		}
 	}
-	s.Inner = t.idx.stats()
+	s.Inner = btree.Stats{Len: s.Pages, Height: 2, InnerNodes: 1, LeafNodes: s.Chunks,
+		SizeBytes: 16 * int64(s.Pages+s.Chunks)}
 	s.Height = s.Inner.Height
 	s.IndexSize = s.Inner.SizeBytes + int64(s.Pages)*24
 	if plan := t.tune.planOf(); plan != nil {
@@ -298,15 +258,17 @@ func (t *Tree[K, V]) Stats() Stats {
 // CheckInvariants validates the tree's structural invariants; tests drive
 // random workloads through the tree and call this afterwards.
 func (t *Tree[K, V]) CheckInvariants() error {
-	if err := t.idx.check(); err != nil {
-		return fmt.Errorf("fitingtree: inner tree: %w", err)
+	if len(t.starts) != len(t.chunks) {
+		return fmt.Errorf("fitingtree: %d chunk starts for %d chunks", len(t.starts), len(t.chunks))
 	}
 	count := 0
-	routed := 0
 	walked := 0
 	var prev *page[K, V]
 	for ci, c := range t.chunks {
 		walked += len(c.pages)
+		if len(c.starts) != len(c.pages) || len(c.heads) != len(c.pages) {
+			return fmt.Errorf("fitingtree: chunk %d holds %d pages, %d starts, %d heads", ci, len(c.pages), len(c.starts), len(c.heads))
+		}
 		if c.id == 0 {
 			return fmt.Errorf("fitingtree: chunk %d has no identity", ci)
 		}
@@ -316,12 +278,24 @@ func (t *Tree[K, V]) CheckInvariants() error {
 		if len(c.pages) > chunkMax {
 			return fmt.Errorf("fitingtree: chunk %d holds %d pages, max %d", ci, len(c.pages), chunkMax)
 		}
+		if t.starts[ci] != c.start() {
+			return fmt.Errorf("fitingtree: chunk %d starts at %v, the tree's start array says %v", ci, c.start(), t.starts[ci])
+		}
 		for pi, p := range c.pages {
 			if p.id == 0 {
 				return fmt.Errorf("fitingtree: page %v has no identity", p.start())
 			}
 			if len(p.keys) == 0 && len(p.bufKeys) == 0 {
 				return fmt.Errorf("fitingtree: empty page at %v", p.start())
+			}
+			// The start and head arrays are the index: they must equal what
+			// their page derives, or lookups read a stale model.
+			h, want := c.heads[pi], headOf(p)
+			if c.starts[pi] != p.start() || h.x0 != want.x0 || h.slope != want.slope ||
+				h.w != want.w || h.flags != want.flags ||
+				len(h.keys) != len(p.keys) || len(h.vals) != len(p.vals) ||
+				(len(p.keys) > 0 && (&h.keys[0] != &p.keys[0] || &h.vals[0] != &p.vals[0])) {
+				return fmt.Errorf("fitingtree: stale start or head for page %v (chunk %d, index %d)", p.start(), ci, pi)
 			}
 			for i := 1; i < len(p.keys); i++ {
 				if p.keys[i] < p.keys[i-1] {
@@ -375,7 +349,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 						p.start(), i, dev, p.werr+p.deletes)
 				}
 			}
-			// Chain order and routing.
+			// Chain order.
 			if prev != nil {
 				if p.start() < prev.start() {
 					return fmt.Errorf("fitingtree: page starts out of order: %v after %v", p.start(), prev.start())
@@ -392,14 +366,6 @@ func (t *Tree[K, V]) CheckInvariants() error {
 					return fmt.Errorf("fitingtree: page before %v holds keys past that start", p.start())
 				}
 			}
-			if prev == nil || prev.start() != p.start() {
-				routed++
-				got, ok := t.idx.get(p.start())
-				if !ok || got != p {
-					return fmt.Errorf("fitingtree: router misroutes page %v (chunk %d, index %d)",
-						p.start(), ci, pi)
-				}
-			}
 			count += len(p.keys) + len(p.bufKeys)
 			prev = p
 		}
@@ -409,9 +375,6 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	}
 	if walked != t.npages {
 		return fmt.Errorf("fitingtree: page count %d but %d pages in the chain", t.npages, walked)
-	}
-	if routed != t.idx.len() {
-		return fmt.Errorf("fitingtree: %d routed pages but router has %d entries", routed, t.idx.len())
 	}
 	return nil
 }

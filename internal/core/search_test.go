@@ -99,13 +99,11 @@ func TestRejectInvalidStrategy(t *testing.T) {
 	}
 }
 
-// Property: the three in-page search primitives agree with sort.Search on
-// random sorted slices and probe points.
+// Property: the three in-page search primitives return sort.Search's lower
+// bound on random sorted slices, probe points and starting positions, over
+// the whole slice and over any window that contains the answer.
 func TestQuickSearchPrimitivesAgree(t *testing.T) {
-	f := func(raw []uint16, probesRaw []uint16, atRaw uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
+	f := func(raw []uint16, probesRaw []uint16, atRaw, loRaw, hiRaw uint16) bool {
 		keys := make([]uint64, len(raw))
 		for i, r := range raw {
 			keys[i] = uint64(r % 300) // duplicates likely
@@ -114,26 +112,30 @@ func TestQuickSearchPrimitivesAgree(t *testing.T) {
 		n := len(keys)
 		for _, pr := range probesRaw {
 			k := uint64(pr % 300)
-			at := int(atRaw) % n
-			wantIdx := sort.Search(n, func(i int) bool { return keys[i] >= k })
-			want := wantIdx < n && keys[wantIdx] == k
-			bi, bok := binarySearch(keys, 0, n, k)
-			li, lok := linearSearch(keys, 0, n, at, k)
-			ei, eok := exponentialSearch(keys, 0, n, at, k)
-			if bok != want || lok != want || eok != want {
-				return false
-			}
-			if want {
-				// All must land on an element equal to k (not necessarily
-				// the same duplicate).
-				if keys[bi] != k || keys[li] != k || keys[ei] != k {
+			want := sort.Search(n, func(i int) bool { return keys[i] >= k })
+			// A window [lo, hi) whose closure holds the answer, as seek's does.
+			lo, hi := want-int(loRaw)%(want+1), want+int(hiRaw)%(n-want+1)
+			for _, w := range [][2]int{{0, n}, {lo, hi}} {
+				at := w[0] + int(atRaw)%(w[1]-w[0]+1)
+				if lowerBound(keys, w[0], w[1], k) != want {
 					return false
 				}
+				for _, s := range strategies {
+					if windowSeek(keys, w[0], w[1], at, k, s) != want {
+						return false
+					}
+				}
+			}
+			if i, ok := findKey(keys, k); i != want || ok != (want < n && keys[want] == k) {
+				return false
+			}
+			if upperBound(keys, k) != sort.Search(n, func(i int) bool { return keys[i] > k }) {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

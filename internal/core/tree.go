@@ -5,9 +5,9 @@
 // sorted column with piece-wise linear segments whose maximal interpolation
 // error is bounded by a tunable threshold E (Section 2). Each segment's
 // data lives in a variable-sized table page; the segments' starting keys,
-// slopes, and page locations are organized in a B+ tree (Figure 2). A point
-// lookup walks the inner tree to the owning page, interpolates the key's
-// position, and binary-searches only the 2E+1 window around the prediction
+// slopes, and page locations are organized in a tree (Figure 2). A point
+// lookup walks that tree to the owning page, interpolates the key's
+// position, and searches only the 2E+1 window around the prediction
 // (Section 4). Inserts go to a fixed-size sorted buffer attached to each
 // page; a full buffer is merged with the page and re-segmented with the
 // same one-pass algorithm, so the error guarantee survives updates
@@ -15,31 +15,31 @@
 // buffer, the segmentation error is transparently reduced to
 // E - buffer capacity.
 //
-// The leaf level is a chunked page chain: pages in global key order are
-// grouped into immutable chunks of at most chunkMax pages, and the router
-// maps a segment's start key to its page's stable address (chunk pointer,
-// index within the chunk). Pages carry no links, chunks never mutate their
-// page spine once another tree can reach them, and the router itself is a
-// persistently cloneable structure — so MergeCOW publishes a new tree that
-// shares, by reference, every untouched page, every untouched chunk, and
-// (with the B+ tree router) every untouched router node with its parent.
-// Because a page's address names its chunk rather than a global position,
-// a splice that changes the page count renumbers nothing outside the
-// chunks it rebuilds: there is no router suffix to shift. Navigation that
-// previously walked a flat slice is cursor arithmetic over (chunk, page)
-// pairs.
+// The chain is the router. Pages in global key order are grouped into
+// immutable chunks of at most chunkMax pages; every chunk carries the sorted
+// array of its pages' start keys and the tree carries the sorted array of
+// its chunks' start keys, so routing a key is two searches over two small
+// contiguous arrays — the height-2 tree Section 2.2 allows in place of a
+// B+ tree ("could instead use any other tree-based index structure") — and
+// lands on chain coordinates (chunk, page) directly. Beside its start array
+// a chunk holds one by-value head per page: the model, the window
+// half-width and the data slices, everything a hit reads, so a lookup never
+// dereferences a page. Pages carry no links and chunks never mutate once
+// another tree can reach them, so MergeCOW publishes a new tree that
+// shares, by reference, every untouched page and every untouched chunk
+// (with its start and head arrays) with its parent, and copies only the
+// chunk spine, its start array, and the arrays of the chunks it re-cuts.
 //
 // Duplicate keys are fully supported (a requirement for non-clustered
-// indexes): consecutive pages may share a starting key, in which case only
-// the first of the run is registered in the inner tree and lookups walk the
-// page chain for the remainder.
+// indexes): consecutive pages may share a starting key, and a key equal to
+// a page's start may also sit in the tails of the pages before it; lookups
+// walk the chain for those, and only for those.
 package core
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/num"
 	"fitingtree/internal/segment"
 )
@@ -54,7 +54,11 @@ const DefaultError = 100
 type SearchStrategy int
 
 const (
-	// SearchBinary binary-searches the 2E+1 window (the paper's default).
+	// SearchBinary binary-searches the 2E+1 window (the paper's default),
+	// seeded at the prediction: it strides from the predicted slot toward
+	// the key a sixteenth of the window at a time — the realised error is
+	// a fraction of the bound, and consecutive strides are consecutive
+	// cache lines — and bisects the stride that brackets the key.
 	SearchBinary SearchStrategy = iota
 	// SearchLinear scans outward from the predicted position; the paper
 	// notes it can win for very small error thresholds.
@@ -64,7 +68,9 @@ const (
 	SearchExponential
 )
 
-// Options configures a FITing-Tree.
+// Options configures a FITing-Tree: the error threshold, the insert buffer
+// it is shared with, and the in-page search. The inner structure has no
+// knobs — it is the page chain's own two-level start arrays.
 type Options struct {
 	// Error is the maximum distance E between an element's predicted and
 	// true position, including elements resident in insert buffers. The
@@ -78,22 +84,9 @@ type Options struct {
 	// no buffering (every insert merges immediately).
 	BufferSize int
 
-	// Fanout is the order (max keys per node) of the inner B+ tree.
-	// Defaults to btree.DefaultOrder.
-	Fanout int
-
-	// FillFactor is the inner tree's bulk-load fill in (0, 1]. Defaults
-	// to 1.
-	FillFactor float64
-
 	// Search selects the in-segment search algorithm; defaults to
 	// SearchBinary.
 	Search SearchStrategy
-
-	// Router selects the structure organizing segment routing keys;
-	// defaults to RouterBTree. RouterImplicit is the read-optimized
-	// variant the paper sketches in Section 2.2.
-	Router RouterKind
 }
 
 // withDefaults normalizes opts, returning an error for invalid settings.
@@ -110,23 +103,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BufferSize >= o.Error {
 		return o, fmt.Errorf("fitingtree: BufferSize %d must be < Error %d", o.BufferSize, o.Error)
 	}
-	if o.Fanout == 0 {
-		o.Fanout = btree.DefaultOrder
-	}
-	if o.Fanout < 3 {
-		return o, fmt.Errorf("fitingtree: Fanout = %d, must be >= 3", o.Fanout)
-	}
-	if o.FillFactor == 0 {
-		o.FillFactor = 1
-	}
-	if o.FillFactor < 0 || o.FillFactor > 1 {
-		return o, fmt.Errorf("fitingtree: FillFactor = %f, must be in (0, 1]", o.FillFactor)
-	}
 	if o.Search < SearchBinary || o.Search > SearchExponential {
 		return o, fmt.Errorf("fitingtree: unknown search strategy %d", o.Search)
-	}
-	if o.Router < RouterBTree || o.Router > RouterImplicit {
-		return o, fmt.Errorf("fitingtree: unknown router kind %d", o.Router)
 	}
 	return o, nil
 }
@@ -146,7 +124,8 @@ var pageSeq atomic.Uint64
 // tree (published by MergeCOW) must never be mutated — with one carve-out:
 // reads and writes are load counters touched only through sync/atomic, the
 // self-tuning feedback signal (see tuner.go), and carry no structural
-// meaning.
+// meaning. A page is the cold side of its pageHead: a lookup that hits
+// reads the head alone.
 type page[K num.Key, V any] struct {
 	// reads and writes lead the struct so the 64-bit atomic accesses stay
 	// aligned on 32-bit platforms. reads approximates lookups served by
@@ -234,79 +213,153 @@ func allLen8[K num.Key](keys []K) bool {
 }
 
 // start returns the page's first key as of the last rebuild (its routing
-// key in the inner tree).
+// key in the chain's start arrays).
 func (p *page[K, V]) start() K { return p.seg.Start }
+
+// pageHead flags.
+const (
+	headSampled = 1 << iota // the page counts its lookups (see readSamplePages)
+	headBuffer              // the page has buffered inserts
+	headPrefix              // string keys: the page carries a prefix sidecar
+)
+
+// pageHead is the hot side of a page, held by value in its chunk: what a
+// lookup that hits reads and nothing else — the model with its origin
+// already projected, the window half-width, the data slices, and one word
+// saying whether anything behind the *page (load counter, insert buffer,
+// prefix sidecar) needs touching at all. It is derived from the page
+// (headOf) whenever the page is built or edited in place, and
+// CheckInvariants holds every head to that derivation.
+type pageHead[K num.Key, V any] struct {
+	x0    float64 // num.Approx of the page's start key
+	slope float64
+	keys  []K
+	vals  []V
+	w     int // window half-width: werr + deletes
+	flags uint
+}
+
+// headOf derives p's head. p must carry its identity already.
+func headOf[K num.Key, V any](p *page[K, V]) pageHead[K, V] {
+	h := pageHead[K, V]{x0: num.Approx(p.seg.Start), slope: p.seg.Slope,
+		keys: p.keys, vals: p.vals, w: p.werr + p.deletes}
+	if p.id&(readSamplePages-1) == 0 {
+		h.flags |= headSampled
+	}
+	if len(p.bufKeys) > 0 {
+		h.flags |= headBuffer
+	}
+	if p.pref != nil {
+		h.flags |= headPrefix
+	}
+	return h
+}
 
 // chunkTarget is the page count freshly cut chunks aim for, and chunkMax
 // the in-place growth bound: a splice that pushes a chunk past chunkMax
 // re-cuts it into chunkTarget-sized chunks. The pair trades the top-level
-// chunk-slice copy a publication pays (total pages / chunkTarget pointer
-// moves) against the routing entries a chunk replacement refreshes (at
-// most chunkMax inserts).
+// spine copy a publication pays (total pages / chunkTarget entries) against
+// the arrays a chunk replacement rewrites (at most chunkMax entries each).
 const (
 	chunkTarget = 64
 	chunkMax    = 2 * chunkTarget
 )
 
-// chunk is one span of consecutive pages of the chain. The router
-// addresses a page as (chunk pointer, index within the chunk), so a
-// chunk's page spine is stable storage: once a chunk is reachable from
-// more than one tree (published by MergeCOW) it must never be mutated —
-// flushes replace whole chunks instead. A tree that owns its chunks
-// exclusively (the plain single-writer Tree) may splice pages within a
-// chunk in place, refreshing only that chunk's routing entries.
-type chunk[K num.Key, V any] struct {
-	id    uint64 // process-unique identity, for sharing diagnostics
-	pages []*page[K, V]
+// pageRun is a stretch of consecutive pages with their start keys and heads
+// in parallel arrays: what a chunk is made of, and what the splices
+// assemble — carried pages bring their start and head along by copy,
+// rebuilt ones have theirs derived — before cutting it into chunks.
+type pageRun[K num.Key, V any] struct {
+	pages  []*page[K, V]
+	starts []K
+	heads  []pageHead[K, V]
 }
 
-// newChunk allocates a chunk with a fresh identity over pages.
-func newChunk[K num.Key, V any](pages []*page[K, V]) *chunk[K, V] {
-	return &chunk[K, V]{id: pageSeq.Add(1), pages: pages}
+// makeRun returns an empty run with room for n pages.
+func makeRun[K num.Key, V any](n int) pageRun[K, V] {
+	return pageRun[K, V]{make([]*page[K, V], 0, n), make([]K, 0, n), make([]pageHead[K, V], 0, n)}
+}
+
+// add appends pages, deriving their starts and heads.
+func (r *pageRun[K, V]) add(pages ...*page[K, V]) {
+	for _, p := range pages {
+		r.pages = append(r.pages, p)
+		r.starts = append(r.starts, p.start())
+		r.heads = append(r.heads, headOf(p))
+	}
+}
+
+// carry appends pages [lo, hi) of c, arrays and all.
+func (r *pageRun[K, V]) carry(c *chunk[K, V], lo, hi int) {
+	r.pages = append(r.pages, c.pages[lo:hi]...)
+	r.starts = append(r.starts, c.starts[lo:hi]...)
+	r.heads = append(r.heads, c.heads[lo:hi]...)
+}
+
+// slice returns the sub-run [lo, hi), capped so an append cannot reach the
+// siblings cut from the same arrays.
+func (r pageRun[K, V]) slice(lo, hi int) pageRun[K, V] {
+	return pageRun[K, V]{r.pages[lo:hi:hi], r.starts[lo:hi:hi], r.heads[lo:hi:hi]}
+}
+
+// chunk is one span of consecutive pages of the chain with its slice of
+// the index over them: starts, the sorted start keys a lookup searches, and
+// heads, the by-value hot halves of the pages, both parallel to pages. Once
+// a chunk is reachable from more than one tree (published by MergeCOW) it
+// must never be mutated — flushes replace whole chunks instead. A tree that
+// owns its chunks exclusively (the plain single-writer Tree) may splice
+// pages within a chunk and re-derive heads in place.
+type chunk[K num.Key, V any] struct {
+	id uint64 // process-unique identity, for sharing diagnostics
+	pageRun[K, V]
+}
+
+// newChunk allocates a chunk with a fresh identity over run.
+func newChunk[K num.Key, V any](run pageRun[K, V]) *chunk[K, V] {
+	return &chunk[K, V]{id: pageSeq.Add(1), pageRun: run}
 }
 
 // start returns the chunk's first routing key. Chunks are never empty.
-func (c *chunk[K, V]) start() K { return c.pages[0].start() }
+func (c *chunk[K, V]) start() K { return c.starts[0] }
 
-// cutChunks groups pages into fresh chunks of chunkTarget pages each.
-func cutChunks[K num.Key, V any](pages []*page[K, V]) []*chunk[K, V] {
-	return cutChunksPlan(pages, nil)
-}
-
-// cutChunksPlan is cutChunks with a per-region chunk size: each chunk's
-// page-count target is the tuner's target for the region holding the
-// chunk's first page (chunkTarget when plan is nil or the region has no
-// override). Smaller targets in write-hot regions shrink the width of
-// future re-cuts; larger ones in cold regions shrink the top-level spine
-// copy a publication pays.
-func cutChunksPlan[K num.Key, V any](pages []*page[K, V], plan *regionPlan[K]) []*chunk[K, V] {
-	if len(pages) == 0 {
+// cutChunks groups run into fresh chunks: each chunk's page-count target
+// is the tuner's target for the region holding the chunk's first page
+// (chunkTarget when plan is nil or the region has no override). Smaller
+// targets in write-hot regions shrink the width of future re-cuts; larger
+// ones in cold regions shrink the top-level spine copy a publication pays.
+func cutChunks[K num.Key, V any](run pageRun[K, V], plan *regionPlan[K]) []*chunk[K, V] {
+	n := len(run.pages)
+	if n == 0 {
 		return nil
 	}
-	chunks := make([]*chunk[K, V], 0, (len(pages)+chunkTarget-1)/chunkTarget)
-	for at := 0; at < len(pages); {
+	chunks := make([]*chunk[K, V], 0, (n+chunkTarget-1)/chunkTarget)
+	for at := 0; at < n; {
 		target := chunkTarget
 		if plan != nil {
-			target = plan.chunkTargetFor(pages[at].start())
+			target = plan.chunkTargetFor(run.starts[at])
 		}
-		end := num.MinInt(at+target, len(pages))
-		chunks = append(chunks, newChunk(pages[at:end:end]))
+		end := min(at+target, n)
+		chunks = append(chunks, newChunk(run.slice(at, end)))
 		at = end
 	}
 	return chunks
 }
 
 // cursor identifies a page during navigation: its chunk (by pointer), the
-// page's index within it, and the chunk's index in the tree's chunk
-// slice. The router itself stores no cursors — it routes straight to
-// *page, an address that stays valid across every splice that carries the
-// page — so cursors are derived on demand (see pageCursor) and only by
-// the operations that actually walk the chain.
+// page's index within it, and the chunk's index in the tree's chunk slice.
+// locate hands one out for free — the chain's own arrays are what it
+// searches.
 type cursor[K num.Key, V any] struct {
 	c  *chunk[K, V]
 	pi int // page index within c
 	ci int // index of c in Tree.chunks
 }
+
+// start returns the start key of the page the cursor addresses.
+func (cu cursor[K, V]) start() K { return cu.c.starts[cu.pi] }
+
+// page returns the page the cursor addresses.
+func (cu cursor[K, V]) page() *page[K, V] { return cu.c.pages[cu.pi] }
 
 // Counters records maintenance activity, exposed for evaluation
 // (e.g. Figure 7's split-rate discussion).
@@ -337,82 +390,29 @@ func (c *Counters) add(o Counters) {
 // for concurrent use; wrap it or serialize access externally.
 type Tree[K num.Key, V any] struct {
 	opts   Options
-	idx    router[K, V]
 	chunks []*chunk[K, V] // chunked page chain in ascending key order
+	starts []K            // the chunks' start keys, parallel to chunks: the index's top level
 	npages int            // pages in the chain, maintained by every splice
 	size   int            // total elements (pages + buffers)
-
-	// Hot-path state precomputed at construction so lookups neither
-	// recompute option-derived values nor dispatch through the router
-	// interface: rbt/rim hold the concrete router (exactly one is non-nil)
-	// for devirtualized floor searches.
-	segErr int            // opts.segError(), the in-page window half-width
 	strat  SearchStrategy // opts.Search
-	rbt    *btree.Tree[K, *page[K, V]]
-	rim    *implicitRouter[K, V]
 
 	counters Counters
 
 	// tune is the self-tuning state shared by every tree in a MergeCOW
 	// lineage (the pointer is carried, not copied, across publications):
-	// the per-region layout plan, the measured router-maintenance
-	// crossover, and the calibration latch. See tuner.go. May be nil for
-	// trees built by internal surgery; all tuner entry points tolerate
-	// that.
+	// the per-region layout plan. See tuner.go. May be nil for trees built
+	// by internal surgery; all tuner entry points tolerate that.
 	tune *tuneState[K]
 }
 
-// initRouter installs a fresh empty router of the kind selected by o,
-// keeping both the interface (for cold structural operations) and the
-// concrete pointer (for the devirtualized lookup path).
-func (t *Tree[K, V]) initRouter(o Options) {
-	if o.Router == RouterImplicit {
-		r := &implicitRouter[K, V]{}
-		t.idx, t.rim = r, r
-		return
+// setChunks installs chunks as the tree's chain and derives the top-level
+// start array from it.
+func (t *Tree[K, V]) setChunks(chunks []*chunk[K, V]) {
+	t.chunks = chunks
+	t.starts = make([]K, len(chunks))
+	for i, c := range chunks {
+		t.starts[i] = c.start()
 	}
-	r := &btreeRouter[K, V]{tr: btree.New[K, *page[K, V]](o.Fanout)}
-	t.idx, t.rbt = r, r.tr
-}
-
-// adoptRouter installs a persistent clone of src's router: the B+ tree
-// router shares every node with src until a mutation copies its descent
-// path (btree.CloneCOW); the implicit router copies its flat arrays, the
-// documented O(segments) cost of the read-optimized variant. src is only
-// read, so adopting is safe while other goroutines read src.
-func (t *Tree[K, V]) adoptRouter(src *Tree[K, V]) {
-	if src.rim != nil {
-		r := src.rim.clone()
-		t.idx, t.rim = r, r
-		return
-	}
-	tr := src.rbt.CloneCOW()
-	t.idx, t.rbt = &btreeRouter[K, V]{tr: tr}, tr
-}
-
-// routedEntries derives the router's content from a chunked chain: one
-// entry per run of equal start keys, keyed by the run's start and valued
-// with the run's first page.
-func routedEntries[K num.Key, V any](chunks []*chunk[K, V]) ([]K, []*page[K, V]) {
-	var keys []K
-	var pages []*page[K, V]
-	var prev *page[K, V]
-	for _, c := range chunks {
-		for _, p := range c.pages {
-			if prev == nil || prev.start() != p.start() {
-				keys = append(keys, p.start())
-				pages = append(pages, p)
-			}
-			prev = p
-		}
-	}
-	return keys, pages
-}
-
-// loadRouter bulk-loads the router from the tree's chunks.
-func (t *Tree[K, V]) loadRouter(fill float64) error {
-	rk, rl := routedEntries(t.chunks)
-	return t.idx.bulkLoad(rk, rl, fill)
 }
 
 // BulkLoad builds a FITing-Tree over sorted keys (duplicates allowed) and
@@ -436,35 +436,19 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 			return nil, fmt.Errorf("fitingtree: keys not sorted at index %d", i)
 		}
 	}
-	t := &Tree[K, V]{
-		opts:   o,
-		size:   len(keys),
-		segErr: o.segError(),
-		strat:  o.Search,
-		tune:   &tuneState[K]{},
-	}
-	t.initRouter(o)
-	if len(keys) == 0 {
-		return t, nil
-	}
-
-	segs := segment.ShrinkingCone(keys, o.segError())
-	pages := make([]*page[K, V], len(segs))
-	for i, s := range segs {
-		pages[i] = newPage(
+	t := &Tree[K, V]{opts: o, size: len(keys), strat: o.Search, tune: &tuneState[K]{}}
+	var run pageRun[K, V]
+	for _, s := range segment.ShrinkingCone(keys, o.segError()) {
+		run.add(newPage(
 			pageSeq.Add(1),
 			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
 			append([]K(nil), keys[s.StartPos:s.EndPos()]...),
 			append([]V(nil), vals[s.StartPos:s.EndPos()]...),
 			o.segError(),
-		)
+		))
 	}
-	t.chunks, t.npages = cutChunks(pages), len(pages)
-	// Only the first page of a run of equal start keys goes in the inner
-	// tree; lookups reach the rest via the chain.
-	if err := t.loadRouter(o.FillFactor); err != nil {
-		return nil, fmt.Errorf("fitingtree: inner tree: %w", err)
-	}
+	t.setChunks(cutChunks(run, nil))
+	t.npages = len(run.pages)
 	return t, nil
 }
 
@@ -509,54 +493,6 @@ func (t *Tree[K, V]) ChunkIDs() []uint64 {
 	return ids
 }
 
-// pageOf returns the page the cursor addresses.
-func (t *Tree[K, V]) pageOf(cu cursor[K, V]) *page[K, V] { return cu.c.pages[cu.pi] }
-
-// pageCursor finds the cursor of a page the router handed out. Chunk and
-// page start keys ascend, so two binary searches narrow to the page's
-// equal-start run; the residual pointer scan only exceeds one step inside
-// long duplicate runs. Point lookups that hit the routed page itself never
-// call this — only chain walks (duplicate spill, run traversal, splices)
-// pay for coordinates.
-func (t *Tree[K, V]) pageCursor(p *page[K, V]) cursor[K, V] {
-	s := p.start()
-	// Last chunk whose start key is <= s.
-	lo, hi := 0, len(t.chunks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.chunks[mid].start() <= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ci := lo - 1; ci >= 0; ci-- {
-		c := t.chunks[ci]
-		// Leftmost page with start >= s in this chunk, then scan the
-		// equal-start run for identity.
-		plo, phi := 0, len(c.pages)
-		for plo < phi {
-			mid := int(uint(plo+phi) >> 1)
-			if c.pages[mid].start() < s {
-				plo = mid + 1
-			} else {
-				phi = mid
-			}
-		}
-		for pi := plo; pi < len(c.pages) && c.pages[pi].start() == s; pi++ {
-			if c.pages[pi] == p {
-				return cursor[K, V]{c: c, pi: pi, ci: ci}
-			}
-		}
-		if c.start() != s {
-			// The run begins inside this chunk, so it cannot extend into
-			// an earlier one.
-			break
-		}
-	}
-	panic("fitingtree: page not in chain")
-}
-
 // next returns the cursor one page forward in chain order.
 func (t *Tree[K, V]) next(cu cursor[K, V]) (cursor[K, V], bool) {
 	if cu.pi+1 < len(cu.c.pages) {
@@ -583,131 +519,104 @@ func (t *Tree[K, V]) prev(cu cursor[K, V]) (cursor[K, V], bool) {
 	return cursor[K, V]{c: c, pi: len(c.pages) - 1, ci: cu.ci - 1}, true
 }
 
-// first returns the cursor of the chain's first page; ok is false for an
-// empty tree.
-func (t *Tree[K, V]) first() (cursor[K, V], bool) {
-	if len(t.chunks) == 0 {
-		return cursor[K, V]{}, false
-	}
-	return cursor[K, V]{c: t.chunks[0], pi: 0, ci: 0}, true
-}
-
-// last returns the cursor of the chain's last page; ok is false for an
-// empty tree.
-func (t *Tree[K, V]) last() (cursor[K, V], bool) {
-	if len(t.chunks) == 0 {
-		return cursor[K, V]{}, false
-	}
+// last returns the cursor of the chain's last page. The tree must not be
+// empty.
+func (t *Tree[K, V]) last() cursor[K, V] {
 	ci := len(t.chunks) - 1
 	c := t.chunks[ci]
-	return cursor[K, V]{c: c, pi: len(c.pages) - 1, ci: ci}, true
+	return cursor[K, V]{c: c, pi: len(c.pages) - 1, ci: ci}
 }
 
-// isRouted reports whether the page at cu carries its own routing entry:
-// only the first page of a run of equal start keys is registered in the
-// router; the rest are reached by walking the chain.
-func (t *Tree[K, V]) isRouted(cu cursor[K, V]) bool {
-	p, ok := t.prev(cu)
-	return !ok || t.pageOf(p).start() != t.pageOf(cu).start()
+// locate returns the cursor of the page whose range contains k: the last
+// page of the chain whose start key is <= k, or the chain's first page
+// when k precedes every start. It is the whole inner-tree descent: one
+// upper bound over the chunks' starts, one over the chunk's page starts,
+// both on small contiguous arrays. The tree must not be empty.
+func (t *Tree[K, V]) locate(k K) cursor[K, V] {
+	ci := max(upperBound(t.starts, k)-1, 0)
+	c := t.chunks[ci]
+	return cursor[K, V]{c: c, pi: max(upperBound(c.starts, k)-1, 0), ci: ci}
 }
 
-// locatePage returns the page whose range contains k: the router's floor
-// entry, or the chain's first page when k precedes every routing key. ok
-// is false only for an empty tree. The router call is devirtualized: the
-// concrete floor search is reached directly rather than through the
-// router interface, which would block inlining on the hottest call of a
-// lookup. No chain coordinates are computed — the common point lookup
-// searches the returned page and never needs any.
-func (t *Tree[K, V]) locatePage(k K) (*page[K, V], bool) {
-	if len(t.chunks) == 0 {
-		return nil, false
+// searchPage looks for k inside the single page at cu (segment data window
+// plus buffer). It returns the value of the first match found.
+func (t *Tree[K, V]) searchPage(cu cursor[K, V], k K) (V, bool) {
+	h := &cu.c.heads[cu.pi]
+	if i, hit := t.seek(cu, k); hit {
+		return h.vals[i], true
 	}
-	var p *page[K, V]
-	var ok bool
-	if t.rim != nil {
-		p, ok = t.rim.floor(k)
-	} else {
-		_, p, ok = t.rbt.Floor(k)
-	}
-	if !ok {
-		return t.chunks[0].pages[0], true
-	}
-	return p, true
-}
-
-// locateCursor is locatePage with chain coordinates attached, for the
-// operations that walk the chain from the routed page.
-func (t *Tree[K, V]) locateCursor(k K) (cursor[K, V], bool) {
-	p, ok := t.locatePage(k)
-	if !ok {
-		return cursor[K, V]{}, false
-	}
-	return t.pageCursor(p), true
-}
-
-// searchPage looks for k inside a single page (segment data window plus
-// buffer). It returns the value of the first match found. The window
-// half-width is the page's own build-time error bound, not the tree
-// default: under a region plan, pages in different regions carry
-// different ε.
-func (t *Tree[K, V]) searchPage(p *page[K, V], k K) (V, bool) {
-	if i, ok := p.dataSearch(k, p.werr, t.strat); ok {
-		return p.vals[i], true
-	}
-	if i, ok := findKey(p.bufKeys, k); ok {
-		return p.bufVals[i], true
+	if h.flags&headBuffer != 0 {
+		p := cu.page()
+		if i, ok := findKey(p.bufKeys, k); ok {
+			return p.bufVals[i], true
+		}
 	}
 	var zero V
 	return zero, false
 }
 
 // firstCandidate returns the cursor of the earliest page that could
-// contain k. Usually that is the router's floor page, but duplicate runs
-// can spill keys equal to k into the tails of preceding pages, and
-// deletions can leave a key only in an earlier page of the run.
+// contain k. Usually that is the located page, but duplicate runs can
+// spill keys equal to k into the tails of preceding pages, and deletions
+// can leave a key only in an earlier page of the run.
 func (t *Tree[K, V]) firstCandidate(k K) (cursor[K, V], bool) {
-	cu, ok := t.locateCursor(k)
-	if !ok {
-		return cu, false
+	if len(t.chunks) == 0 {
+		return cursor[K, V]{}, false
 	}
-	return t.backUp(cu, k), true
+	return t.backUp(t.locate(k), k), true
 }
 
-// backUp rewinds cu over the preceding pages whose content reaches k
-// (duplicate spill).
+// onBackUp, when a test sets it, is called by every backUp that consults a
+// preceding page.
+var onBackUp func()
+
+// backUp rewinds cu — the last page whose start is <= k — over the
+// preceding pages whose content reaches k (duplicate spill). A page's
+// content never passes the next page's start, so only a page that starts
+// exactly at k can have matches before it: every other key stays put
+// without touching a page.
 func (t *Tree[K, V]) backUp(cu cursor[K, V], k K) cursor[K, V] {
-	for {
+	for cu.start() == k {
+		if onBackUp != nil {
+			onBackUp()
+		}
 		p, ok := t.prev(cu)
-		if !ok || t.pageOf(p).lastKey() < k {
-			return cu
+		if !ok || p.page().lastKey() < k {
+			break
 		}
 		cu = p
 	}
+	return cu
 }
 
 // Lookup returns a value stored under k. When k has duplicates, an
 // arbitrary match is returned; use Each for all of them.
 func (t *Tree[K, V]) Lookup(k K) (V, bool) {
-	p, ok := t.locatePage(k)
-	if !ok {
+	if len(t.chunks) == 0 {
 		var zero V
 		return zero, false
 	}
+	return t.lookupAt(t.locate(k), k)
+}
+
+// lookupAt is Lookup from cu, the page locate returned for k.
+func (t *Tree[K, V]) lookupAt(cu cursor[K, V], k K) (V, bool) {
 	// Read-load sampling for the tuner: 1 in readSamplePages pages (by
-	// identity, so the gate costs one mask on data already loaded) counts
-	// its lookups, scaled back up. Pages off the sample never touch
-	// shared memory here.
-	if p.id&(readSamplePages-1) == 0 {
-		atomic.AddUint64(&p.reads, readSamplePages)
+	// identity, a flag in the head) counts its lookups, scaled back up.
+	// Pages off the sample never touch shared memory here.
+	if cu.c.heads[cu.pi].flags&headSampled != 0 {
+		atomic.AddUint64(&cu.page().reads, readSamplePages)
 	}
-	// Fast path: the routed page holds a match; no chain coordinates are
-	// ever derived.
-	if v, found := t.searchPage(p, k); found {
-		return v, true
+	v, found := t.searchPage(cu, k)
+	if found || cu.start() != k {
+		// A hit, or an exact miss: the pages before cu end at or below its
+		// start and the pages after it start above k, so a key that is not
+		// cu's start and not in cu is nowhere.
+		return v, found
 	}
-	// Miss on the routed page: the key may sit in a preceding page
-	// (duplicate spill, deletions) or a later page of an equal-start run.
-	return t.searchFrom(t.pageCursor(p), k)
+	// k is the page's start and not in it: matches may sit in preceding
+	// pages (duplicate spill, an equal-start run eroded by deletions).
+	return t.searchRun(t.backUp(cu, k), k)
 }
 
 // Contains reports whether k is present.
@@ -721,272 +630,26 @@ func (t *Tree[K, V]) Contains(k K) bool {
 // of the same page.
 func (t *Tree[K, V]) Each(k K, fn func(v V) bool) {
 	cu, ok := t.firstCandidate(k)
-	if !ok {
-		return
-	}
-	for {
-		if p := t.pageOf(cu); !p.eachMatch(k, p.werr, t.strat, fn) {
+	for ok && t.eachMatch(cu, k, fn) {
+		if cu, ok = t.next(cu); ok && cu.start() > k {
 			return
 		}
-		nx, has := t.next(cu)
-		if !has || t.pageOf(nx).start() > k {
-			return
-		}
-		cu = nx
 	}
 }
 
-// dataSearch looks for k in the page's sorted data, restricted to the
-// prediction window of width 2*err around the interpolated position
-// (widened transparently by pending deletions, which can shift true
-// positions). It returns the index of the leftmost element equal to k.
-func (p *page[K, V]) dataSearch(k K, err int, strat SearchStrategy) (int, bool) {
-	n := len(p.keys)
-	if n == 0 {
-		return 0, false
-	}
-	w := err + p.deletes
-	pred := p.seg.Predict(k)
-	lo := num.ClampInt(int(pred)-w, 0, n-1)
-	hi := num.ClampInt(int(pred)+w+1, 0, n) // exclusive
-	var i int
-	var ok bool
-	if ks, isStr := any(p.keys).([]string); isStr && p.pref != nil {
-		kk := any(k).(string)
-		kp := num.StringPrefix(kk)
-		if p.fixed8 && len(kk) == 8 {
-			// Fixed-width codec keys: the sidecar is a lossless image of
-			// the key column, so the search never touches string data.
-			at := num.ClampInt(int(pred), lo, hi-1)
-			switch strat {
-			case SearchLinear:
-				i, ok = linearSearch(p.pref, lo, hi, at, kp)
-			case SearchExponential:
-				i, ok = exponentialSearch(p.pref, lo, hi, at, kp)
-			default:
-				i, ok = binarySearch(p.pref, lo, hi, kp)
-			}
-			if !ok {
-				return i, false
-			}
-			for i > 0 && p.pref[i-1] == kp {
-				i--
-			}
-			return i, true
-		}
-		i, ok = prefixWindowSearch(p.pref, ks, lo, hi, num.ClampInt(int(pred), lo, hi-1), kk, kp, strat)
-		if !ok {
-			return i, false
-		}
-		for i > 0 && p.pref[i-1] == kp && ks[i-1] == kk {
-			i--
-		}
-		return i, true
-	}
-	switch strat {
-	case SearchLinear:
-		i, ok = linearSearch(p.keys, lo, hi, num.ClampInt(int(pred), lo, hi-1), k)
-	case SearchExponential:
-		i, ok = exponentialSearch(p.keys, lo, hi, num.ClampInt(int(pred), lo, hi-1), k)
-	default:
-		i, ok = binarySearch(p.keys, lo, hi, k)
-	}
-	if !ok {
-		return i, false
-	}
-	// Normalize to the leftmost duplicate; every copy of k lies inside the
-	// window, so the rewind is bounded by 2*err.
-	for i > 0 && p.keys[i-1] == k {
-		i--
-	}
-	return i, true
-}
-
-// prefixWindowSearch is dataSearch's window search for string keys. The
-// probes bisect the page's prefix sidecar — one contiguous integer array,
-// the access pattern a numeric page enjoys — and the prefix is weakly
-// monotone, so an unequal prefix pair decides the order with one integer
-// compare. Only a prefix tie dereferences the actual strings. Ordered-
-// bytes codec keys resolve almost every probe on the integer path, which
-// is what keeps string-keyed lookups within small-constant reach of
-// native numeric ones.
-func prefixWindowSearch(pref []uint64, keys []string, lo, hi, at int, k string, kp uint64, strat SearchStrategy) (int, bool) {
-	switch strat {
-	case SearchLinear:
-		return prefixLinearSearch(pref, keys, lo, hi, at, k, kp)
-	case SearchExponential:
-		return prefixExponentialSearch(pref, keys, lo, hi, at, k, kp)
-	}
-	return prefixBinarySearch(pref, keys, lo, hi, k, kp)
-}
-
-// prefixBinarySearch is binarySearch over the prefix sidecar.
-func prefixBinarySearch(pref []uint64, keys []string, lo, hi int, k string, kp uint64) (int, bool) {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		mp := pref[mid]
-		if mp < kp || (mp == kp && keys[mid] < k) {
-			lo = mid + 1
-		} else {
-			hi = mid
+// eachMatch visits every element equal to k in the page at cu; it reports
+// false if fn requested a stop.
+func (t *Tree[K, V]) eachMatch(cu cursor[K, V], k K, fn func(v V) bool) bool {
+	h := &cu.c.heads[cu.pi]
+	for i, _ := t.seek(cu, k); i < len(h.keys) && h.keys[i] == k; i++ {
+		if !fn(h.vals[i]) {
+			return false
 		}
 	}
-	if lo < len(keys) && pref[lo] == kp && keys[lo] == k {
-		return lo, true
-	}
-	return lo, false
-}
-
-// prefixLinearSearch is linearSearch over the prefix sidecar.
-func prefixLinearSearch(pref []uint64, keys []string, lo, hi, at int, k string, kp uint64) (int, bool) {
-	if pref[at] < kp || (pref[at] == kp && keys[at] < k) {
-		for i := at; i < hi; i++ {
-			p := pref[i]
-			if p < kp {
-				continue
-			}
-			if p > kp {
-				return i, false
-			}
-			if keys[i] == k {
-				return i, true
-			}
-			if keys[i] > k {
-				return i, false
-			}
-		}
-		return hi, false
-	}
-	for i := at; i >= lo; i-- {
-		p := pref[i]
-		if p > kp {
-			continue
-		}
-		if p < kp {
-			return i + 1, false
-		}
-		if keys[i] == k {
-			return i, true
-		}
-		if keys[i] < k {
-			return i + 1, false
-		}
-	}
-	return lo, false
-}
-
-// prefixExponentialSearch is exponentialSearch over the prefix sidecar.
-func prefixExponentialSearch(pref []uint64, keys []string, lo, hi, at int, k string, kp uint64) (int, bool) {
-	if pref[at] < kp || (pref[at] == kp && keys[at] < k) {
-		step := 1
-		prev := at
-		i := at + 1
-		for i < hi {
-			p := pref[i]
-			if !(p < kp || (p == kp && keys[i] < k)) {
-				break
-			}
-			prev = i
-			i += step
-			step *= 2
-		}
-		return prefixBinarySearch(pref, keys, prev+1, num.MinInt(i+1, hi), k, kp)
-	}
-	step := 1
-	prev := at
-	i := at - 1
-	for i >= lo {
-		p := pref[i]
-		if !(p > kp || (p == kp && keys[i] > k)) {
-			break
-		}
-		prev = i
-		i -= step
-		step *= 2
-	}
-	return prefixBinarySearch(pref, keys, num.MaxInt(i, lo), prev+1, k, kp)
-}
-
-// binarySearch returns the leftmost index of k in keys[lo:hi).
-func binarySearch[K num.Key](keys []K, lo, hi int, k K) (int, bool) {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(keys) && keys[lo] == k {
-		return lo, true
-	}
-	return lo, false
-}
-
-// linearSearch scans from the predicted position toward k within
-// keys[lo:hi).
-func linearSearch[K num.Key](keys []K, lo, hi, at int, k K) (int, bool) {
-	if keys[at] < k {
-		for i := at; i < hi; i++ {
-			if keys[i] == k {
-				return i, true
-			}
-			if keys[i] > k {
-				return i, false
-			}
-		}
-		return hi, false
-	}
-	for i := at; i >= lo; i-- {
-		if keys[i] == k {
-			return i, true
-		}
-		if keys[i] < k {
-			return i + 1, false
-		}
-	}
-	return lo, false
-}
-
-// exponentialSearch gallops from the predicted position with doubling
-// steps until k is bracketed, then binary-searches the bracket. All work
-// stays inside keys[lo:hi).
-func exponentialSearch[K num.Key](keys []K, lo, hi, at int, k K) (int, bool) {
-	if keys[at] < k {
-		step := 1
-		prev := at
-		i := at + 1
-		for i < hi && keys[i] < k {
-			prev = i
-			i += step
-			step *= 2
-		}
-		return binarySearch(keys, prev+1, num.MinInt(i+1, hi), k)
-	}
-	step := 1
-	prev := at
-	i := at - 1
-	for i >= lo && keys[i] > k {
-		prev = i
-		i -= step
-		step *= 2
-	}
-	return binarySearch(keys, num.MaxInt(i, lo), prev+1, k)
-}
-
-// eachMatch visits every element equal to k in this page; it reports false
-// if fn requested a stop.
-func (p *page[K, V]) eachMatch(k K, err int, strat SearchStrategy, fn func(v V) bool) bool {
-	if i, ok := p.dataSearch(k, err, strat); ok {
-		for j := i; j < len(p.keys) && p.keys[j] == k; j++ {
-			if !fn(p.vals[j]) {
-				return false
-			}
-		}
-	}
-	if i, ok := findKey(p.bufKeys, k); ok {
-		for j := i; j < len(p.bufKeys) && p.bufKeys[j] == k; j++ {
-			if !fn(p.bufVals[j]) {
+	if h.flags&headBuffer != 0 {
+		p := cu.page()
+		for i, _ := findKey(p.bufKeys, k); i < len(p.bufKeys) && p.bufKeys[i] == k; i++ {
+			if !fn(p.bufVals[i]) {
 				return false
 			}
 		}
@@ -994,17 +657,139 @@ func (p *page[K, V]) eachMatch(k K, err int, strat SearchStrategy, fn func(v V) 
 	return true
 }
 
-// findKey binary-searches a small sorted slice for the first occurrence of
-// k.
-func findKey[K num.Key](keys []K, k K) (int, bool) {
-	lo, hi := 0, len(keys)
+// seek returns the position of k's lower bound in the data of the page at
+// cu — the first element >= k, len(keys) if there is none — and whether
+// that element is k (known without touching string data when the page's
+// prefix sidecar is a lossless image of its keys). It is the one in-page
+// search — point lookups test the element it lands on, scans start from
+// it — and it reads only the 2w+1 window around the model's prediction:
+// every element sits within w = werr + deletes of its own prediction and
+// the model is monotone, so the lower bound of any key, present or not,
+// lies within w of that key's prediction rounded to nearest (rounding, not
+// truncating, leaves half a position of slack on both sides for a slope on
+// the cone's edge). Keys the model sends far outside the page clamp to its
+// ends before any conversion to int.
+func (t *Tree[K, V]) seek(cu cursor[K, V], k K) (int, bool) {
+	h := &cu.c.heads[cu.pi]
+	n := len(h.keys)
+	at := 0
+	if pred := (num.Approx(k) - h.x0) * h.slope; pred > 0 {
+		at = n
+		if pred < float64(n) {
+			at = int(pred + 0.5)
+		}
+	}
+	lo, hi := max(at-h.w, 0), min(at+h.w+1, n)
+	if h.flags&headPrefix != 0 {
+		return cu.page().seekPrefix(any(h.keys).([]string), lo, hi, at, any(k).(string), t.strat)
+	}
+	i := windowSeek(h.keys, lo, hi, at, k, t.strat)
+	return i, i < n && h.keys[i] == k
+}
+
+// windowSeek returns k's lower bound within keys[lo:hi) under strat; at,
+// in [lo, hi], is the model's prediction, where every strategy starts.
+func windowSeek[K num.Key](keys []K, lo, hi, at int, k K, strat SearchStrategy) int {
+	switch strat {
+	case SearchLinear:
+		for at < hi && keys[at] < k {
+			at++
+		}
+		for at > lo && keys[at-1] >= k {
+			at--
+		}
+		return at
+	case SearchExponential:
+		return gallopSeek(keys, lo, hi, at, k, 1, 1)
+	}
+	return gallopSeek(keys, lo, hi, at, k, max(2, (hi-lo)>>4), 0)
+}
+
+// gallopSeek returns k's lower bound within keys[lo:hi): it steps from at
+// toward k until k is bracketed — step slots at a time, the step doubling
+// after each one when grow is 1 and constant when it is 0 — then bisects
+// the bracket.
+func gallopSeek[K num.Key](keys []K, lo, hi, at int, k K, step, grow int) int {
+	if at < hi && keys[at] < k {
+		for ; ; step <<= grow {
+			lo = at + 1
+			if at = min(at+step, hi); at == hi || keys[at] >= k {
+				return lowerBound(keys, lo, at, k)
+			}
+		}
+	}
+	for ; at > lo; step <<= grow {
+		hi = at
+		if at = max(at-step, lo); keys[at] < k {
+			return lowerBound(keys, at+1, hi, k)
+		}
+	}
+	return at
+}
+
+// seekPrefix is seek's window search for string keys. The probes read the
+// page's prefix sidecar — one contiguous integer array, the access pattern
+// a numeric page enjoys — and the prefix is weakly monotone, so the search
+// for k's prefix brackets k; only the run of keys that tie with it on the
+// prefix is searched on the strings themselves. For fixed-width codec keys
+// the sidecar is a lossless image of the key column and the search never
+// touches string data at all, which is what keeps string-keyed lookups
+// within small-constant reach of native numeric ones.
+func (p *page[K, V]) seekPrefix(keys []string, lo, hi, at int, k string, strat SearchStrategy) (int, bool) {
+	kp := num.StringPrefix(k)
+	i := windowSeek(p.pref, lo, hi, at, kp, strat)
+	if p.fixed8 && len(k) == 8 {
+		return i, i < len(keys) && p.pref[i] == kp
+	}
+	i = lowerBound(keys, i, i+upperBound(p.pref[i:hi], kp), k)
+	return i, i < len(keys) && keys[i] == k
+}
+
+// lowerBound returns the first index in [lo, hi) whose key is >= k, hi if
+// there is none.
+func lowerBound[K num.Key](keys []K, lo, hi int, k K) int {
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < k {
+		if mid := int(uint(lo+hi) >> 1); keys[mid] < k {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(keys) && keys[lo] == k
+	return lo
+}
+
+// upperBound returns the index of the first key > k in a sorted slice.
+// String keys compare 8-byte prefixes first (weakly monotone, so an unequal
+// pair decides the order with one integer compare) and pay the byte-wise
+// comparison only on a prefix tie.
+func upperBound[K num.Key](keys []K, k K) int {
+	lo, hi := 0, len(keys)
+	if ks, isStr := any(keys).([]string); isStr {
+		sk := any(k).(string)
+		kp := num.StringPrefix(sk)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if mp := num.StringPrefix(ks[mid]); mp < kp || (mp == kp && ks[mid] <= sk) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); keys[mid] <= k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// findKey searches a sorted slice for the first occurrence of k and
+// returns its lower bound with whether k is there.
+func findKey[K num.Key](keys []K, k K) (int, bool) {
+	i := lowerBound(keys, 0, len(keys), k)
+	return i, i < len(keys) && keys[i] == k
 }

@@ -68,12 +68,6 @@ func TestBulkLoadRejectsBadInput(t *testing.T) {
 	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{Error: 10, BufferSize: 10}); err == nil {
 		t.Fatal("accepted BufferSize >= Error")
 	}
-	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{FillFactor: 1.5}); err == nil {
-		t.Fatal("accepted FillFactor > 1")
-	}
-	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{Fanout: 2}); err == nil {
-		t.Fatal("accepted Fanout < 3")
-	}
 }
 
 func TestLookupAllKeysAfterBulkLoad(t *testing.T) {
@@ -389,6 +383,14 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if ss.DataSize != bs.DataSize {
 		t.Fatalf("data size should not depend on error: %d vs %d", ss.DataSize, bs.DataSize)
+	}
+	// The inner tree is the chain's two levels of start arrays: a key and a
+	// pointer per page and per chunk, under 24 B of model per segment.
+	for _, s := range []Stats{ss, bs} {
+		if s.Inner.Len != s.Pages || s.Inner.LeafNodes != s.Chunks || s.Height != 2 ||
+			s.Inner.SizeBytes != 16*int64(s.Pages+s.Chunks) || s.IndexSize != s.Inner.SizeBytes+24*int64(s.Pages) {
+			t.Fatalf("inner tree accounting off: %+v", s)
+		}
 	}
 }
 

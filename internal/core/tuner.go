@@ -8,16 +8,13 @@
 // The plan is applied lazily: nothing is rebuilt when a plan changes;
 // MergeCOW and merge simply segment the regions they were going to
 // rebuild anyway under the region's targets, recording the bound used on
-// each page (page.werr). CalibrateRouter replaces the hand-calibrated
-// router-maintenance crossover with a measured one.
+// each page (page.werr).
 package core
 
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/costmodel"
 	"fitingtree/internal/num"
 )
@@ -46,15 +43,6 @@ const (
 	chunkTargetHot  = 24
 	chunkTargetCold = 96
 
-	// routerRatioDefault is the uncalibrated router-maintenance crossover
-	// (the historical hand-calibrated constant): incremental maintenance
-	// wins while dirty*ratio < pages. CalibrateRouter replaces it with a
-	// measured edit-cost / bulk-load-cost ratio, clamped to
-	// [routerRatioMin, routerRatioMax].
-	routerRatioDefault = 32
-	routerRatioMin     = 4
-	routerRatioMax     = 512
-
 	// tunerCacheMissNs is the cache-miss constant fed to the per-region
 	// cost models; the paper's 50ns stands in so Retune never pays a
 	// measurement (the scoring below compares candidates, not SLAs).
@@ -79,22 +67,19 @@ const (
 	// write-dominated regions drift loose and return their index memory.
 	tunerSizeNsPerByte = 8 * tunerCacheMissNs
 
-	// modelFill is the inner-tree fill the per-region models assume (the
-	// paper's evaluation setup).
-	modelFill = 0.5
-
-	calibrateMinEntries = 512
-	calibrateMinTime    = time.Millisecond
-	calibrateMaxEdits   = 4096
+	// modelFanout and modelFill are the inner-tree order and fill the
+	// per-region models assume (the paper's evaluation setup): parameters
+	// of the model, not properties of this tree, whose inner structure is
+	// the chain's own start arrays.
+	modelFanout = 16
+	modelFill   = 0.5
 )
 
 // tuneState is the self-tuning state of one tree lineage. MergeCOW carries
-// the pointer into every tree it publishes, so counters, plan, and
-// calibration survive publications without copying.
+// the pointer into every tree it publishes, so the plan survives
+// publications without copying.
 type tuneState[K num.Key] struct {
-	routerRatio atomic.Int64                  // measured edit/bulk per-entry cost ratio; 0 = uncalibrated
-	calibrated  atomic.Bool                   // one-shot latch for EnsureCalibrated
-	plan        atomic.Pointer[regionPlan[K]] // current per-region targets; nil = untuned
+	plan atomic.Pointer[regionPlan[K]] // current per-region targets; nil = untuned
 }
 
 // planOf returns the current region plan; nil when untuned or when the
@@ -104,18 +89,6 @@ func (ts *tuneState[K]) planOf() *regionPlan[K] {
 		return nil
 	}
 	return ts.plan.Load()
-}
-
-// ratioOr returns the measured router crossover ratio, or def while
-// uncalibrated.
-func (ts *tuneState[K]) ratioOr(def int) int {
-	if ts == nil {
-		return def
-	}
-	if r := ts.routerRatio.Load(); r > 0 {
-		return int(r)
-	}
-	return def
 }
 
 // RegionStat describes one tuner region: its layout targets and the load
@@ -368,7 +341,7 @@ func pickEpsilon(o Options, cands []int, pages, werrSum, elems int, reads, write
 		segs[i] = num.MaxInt(1, pages*segErrNow/se)
 	}
 	frac := float64(o.BufferSize) / float64(o.Error)
-	m, err := costmodel.NewFromSamples(cands, segs, tunerCacheMissNs, o.Fanout, modelFill, frac)
+	m, err := costmodel.NewFromSamples(cands, segs, tunerCacheMissNs, modelFanout, modelFill, frac)
 	if err != nil {
 		return o.Error
 	}
@@ -382,78 +355,4 @@ func pickEpsilon(o Options, cands []int, pages, werrSum, elems int, reads, write
 		}
 	}
 	return best
-}
-
-// EnsureCalibrated runs CalibrateRouter at most once per tuning lineage.
-func (t *Tree[K, V]) EnsureCalibrated() {
-	if t.tune == nil || !t.tune.calibrated.CompareAndSwap(false, true) {
-		return
-	}
-	t.CalibrateRouter()
-}
-
-// CalibrateRouter measures, on this tree's actual router kind and content,
-// the per-entry cost of incremental maintenance (persistent clone plus
-// delete/insert round-trips) against the per-entry cost of a bulk reload,
-// and stores the ratio as the lineage's router-maintenance crossover:
-// MergeCOW keeps the router incrementally while dirty*ratio < pages.
-// The implicit router's O(n) edits naturally measure a large ratio,
-// pushing it toward bulk reloads; the B+ tree router's O(log n) edits
-// measure a small one. Safe on a published tree (the clone is never
-// visible). Returns the ratio in effect afterwards; trees too small to
-// time meaningfully keep the current setting.
-func (t *Tree[K, V]) CalibrateRouter() int {
-	if t.tune == nil {
-		return routerRatioDefault
-	}
-	keys, pages := routedEntries(t.chunks)
-	n := len(keys)
-	if n < calibrateMinEntries {
-		return t.tune.ratioOr(routerRatioDefault)
-	}
-	// Bulk side: rebuild a scratch router of the same kind from scratch,
-	// repeated until the timing is meaningful.
-	reps := 0
-	start := time.Now()
-	for reps == 0 || (time.Since(start) < calibrateMinTime && reps < 8) {
-		var scratch router[K, V]
-		if t.rim != nil {
-			scratch = &implicitRouter[K, V]{}
-		} else {
-			scratch = &btreeRouter[K, V]{tr: btree.New[K, *page[K, V]](t.opts.Fanout)}
-		}
-		if err := scratch.bulkLoad(keys, pages, t.opts.FillFactor); err != nil {
-			return t.tune.ratioOr(routerRatioDefault)
-		}
-		reps++
-	}
-	bulkNs := float64(time.Since(start).Nanoseconds()) / float64(reps*n)
-	// Edit side: a persistent clone of the live router, edited in place
-	// the way retireDirtyEntries/insertRebuiltEntries would.
-	var cl router[K, V]
-	if t.rim != nil {
-		cl = t.rim.clone()
-	} else {
-		cl = &btreeRouter[K, V]{tr: t.rbt.CloneCOW()}
-	}
-	edits := 0
-	start = time.Now()
-	for i := 0; edits < calibrateMaxEdits; i++ {
-		j := (i*7919 + 13) % n
-		cl.delete(keys[j])
-		cl.insert(keys[j], pages[j])
-		edits++
-		if edits&63 == 0 && time.Since(start) >= calibrateMinTime {
-			break
-		}
-	}
-	editNs := float64(time.Since(start).Nanoseconds()) / float64(edits)
-	ratio := routerRatioDefault
-	if bulkNs > 0 {
-		ratio = int(editNs / bulkNs)
-	}
-	ratio = num.ClampInt(ratio, routerRatioMin, routerRatioMax)
-	t.tune.routerRatio.Store(int64(ratio))
-	t.tune.calibrated.Store(true) // an explicit run satisfies EnsureCalibrated
-	return ratio
 }

@@ -239,37 +239,6 @@ func TestSnapCodecRoundTripsWErr(t *testing.T) {
 	}
 }
 
-func TestCalibrateRouter(t *testing.T) {
-	small, err := BulkLoad([]int{1, 2, 3}, []int{1, 2, 3}, Options{Error: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := small.CalibrateRouter(); got != routerRatioDefault {
-		t.Fatalf("tiny tree calibrated to %d, want default %d", got, routerRatioDefault)
-	}
-	for _, router := range []RouterKind{RouterBTree, RouterImplicit} {
-		keys := jaggedKeys(50_000)
-		vals := make([]int, len(keys))
-		tr, err := BulkLoad(keys, vals, Options{Error: 16, Router: router})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := tr.CalibrateRouter()
-		if ratio < routerRatioMin || ratio > routerRatioMax {
-			t.Fatalf("router %d: ratio %d outside [%d, %d]", router, ratio, routerRatioMin, routerRatioMax)
-		}
-		if got := tr.tune.ratioOr(routerRatioDefault); got != ratio {
-			t.Fatalf("router %d: lineage holds ratio %d, calibration returned %d", router, got, ratio)
-		}
-		// EnsureCalibrated is a one-shot latch on an already-calibrated
-		// lineage: it must not re-run (and must not reset the ratio).
-		tr.EnsureCalibrated()
-		if got := tr.tune.ratioOr(routerRatioDefault); got != ratio {
-			t.Fatalf("EnsureCalibrated changed the ratio: %d -> %d", ratio, got)
-		}
-	}
-}
-
 func TestChunkLoadsReflectCounters(t *testing.T) {
 	tr, keys := buildJagged(t, 20_000)
 	mid := keys[len(keys)/2]

@@ -22,7 +22,7 @@ func TestSizeIsUpperBoundOfActual(t *testing.T) {
 	}
 	vals := make([]int, len(keys))
 	for _, e := range []int{32, 100, 1000} {
-		tr, err := core.BulkLoad(keys, vals, core.Options{Error: e, FillFactor: 0.5})
+		tr, err := core.BulkLoad(keys, vals, core.Options{Error: e})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,17 @@
 // objective is the maximal error norm E-infinity, not least squares: the
 // error bound is what bounds the local search window after interpolation.
 //
-// Segment semantics follow the paper's Section 3.1 exactly: a segment's
-// line is anchored at the segment's first point and passes through its last
-// point, and a key may end a segment only if that line keeps every interior
-// point within the error threshold. The ShrinkingCone greedy (Algorithm 2)
-// tests this in O(1) per key by maintaining the cone of slopes that satisfy
-// all absorbed points.
+// Segment boundaries follow the paper's Section 3.1 exactly: a segment's
+// line is anchored at the segment's first point, and a key may end a segment
+// only if the line through it keeps every interior point within the error
+// threshold. The ShrinkingCone greedy (Algorithm 2) tests this in O(1) per
+// key by maintaining the cone of slopes that satisfy all absorbed points.
+// The slope a finished segment records is a stated deviation from
+// Algorithm 2: not the line to its last point, which sits on the cone's
+// edge, but the least-squares slope through the origin clamped into the
+// final cone. Every slope in the cone keeps every absorbed point within the
+// threshold, so the bound is the paper's; the realised error is about half
+// the endpoint line's, and that is what a lookup's window search pays for.
 //
 // Three segmentation algorithms are provided:
 //
@@ -91,7 +96,7 @@ func (s Segment[K]) EndPos() int { return s.StartPos + s.Count }
 type cone struct {
 	x0, y0    float64
 	low, high float64
-	lastSlope float64 // slope to the most recent absorbed point with dx > 0
+	sxy, sxx  float64 // sums of dx*dy and dx*dx over the absorbed points
 	narrowed  bool    // whether any dx > 0 point has been absorbed
 }
 
@@ -149,20 +154,28 @@ func (c *cone) absorb(x float64, y int, err float64) bool {
 	dx := x - c.x0
 	c.constrain(x, y, err)
 	if dx > 0 {
-		c.lastSlope = (float64(y) - c.y0) / dx
+		c.sxy += dx * (float64(y) - c.y0)
+		c.sxx += dx * dx
 		c.narrowed = true
 	}
 	return true
 }
 
-// slope returns the segment's slope: the line from the origin through the
-// last absorbed end point, or 0 for a segment holding a single distinct key
-// (duplicates of the origin all predict offset 0).
+// slope returns the segment's slope: the least-squares line through the
+// origin over the absorbed points, clamped into the final cone — every
+// slope in [low, high] keeps every absorbed point within the threshold, and
+// this one sits near the middle of their deviations where the line to the
+// last point sits on the cone's edge. 0 for a segment holding a single
+// distinct key (duplicates of the origin all predict offset 0).
 func (c *cone) slope() float64 {
 	if !c.narrowed {
 		return 0
 	}
-	return c.lastSlope
+	s := c.sxy / c.sxx
+	if s != s {
+		s = c.low // the sums overflowed (float keys past 1e154): any slope in the cone serves
+	}
+	return min(max(s, c.low), c.high)
 }
 
 // approxBlock is how many keys the per-key loops project at a time
@@ -224,8 +237,10 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 // already known instead of searched for. A segment's validity is this
 // bound, not the algorithm that found the slope, so a caller that has
 // changed a segment's data a little can keep the segment, model and all,
-// when Fits still holds. The arithmetic is Predict's, so a lookup window
-// of err around Predict finds every key Fits accepted.
+// when Fits still holds. The arithmetic is Predict's and the tolerance
+// Verify's (a slope clamped to the cone's edge reproduces its constraining
+// point only up to rounding), so a lookup window of err around Predict
+// rounded to nearest finds every key Fits accepted.
 func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
 	return FitsFrom(keys, 0, start, slope, err)
 }
@@ -235,7 +250,7 @@ func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
 // accepted them.
 func FitsFrom[K num.Key](keys []K, from int, start K, slope float64, err int) bool {
 	x0 := num.Approx(start)
-	e := float64(err)
+	e := float64(err) + epsilon
 	var buf [approxBlock]float64
 	for base := from; base < len(keys); base += approxBlock {
 		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {

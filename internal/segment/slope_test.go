@@ -1,0 +1,105 @@
+// An external test package: workload imports segment, and the datasets the
+// slope rule is judged on live in workload.
+package segment_test
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"fitingtree/internal/num"
+	"fitingtree/internal/segment"
+	"fitingtree/internal/workload"
+)
+
+// endpointCone is Algorithm 2 as the paper states it, kept here as the
+// reference: the same cone, with the segment's slope the line to its last
+// absorbed point. It returns each segment's (start position, count, slope).
+func endpointCone(keys []uint64, err int) (segs [][2]int, slopes []float64) {
+	e := float64(err)
+	var x0, y0, low, high, last float64
+	start := 0
+	open := func(i int) {
+		start, x0, y0, low, high, last = i, num.Approx(keys[i]), float64(i), 0, math.Inf(1), 0
+	}
+	open(0)
+	for i := 1; i < len(keys); i++ {
+		dx, dy := num.Approx(keys[i])-x0, float64(i)-y0
+		if dx <= 0 {
+			if dy <= e && low <= high {
+				continue
+			}
+		} else if s := dy / dx; s >= low && s <= high {
+			high, low, last = math.Min(high, (dy+e)/dx), math.Max(low, (dy-e)/dx), s
+			continue
+		}
+		segs, slopes = append(segs, [2]int{start, i - start}), append(slopes, last)
+		open(i)
+	}
+	return append(segs, [2]int{start, len(keys) - start}), append(slopes, last)
+}
+
+// realisedErrors returns |predicted - actual| for every key under the given
+// per-segment slopes, sorted.
+func realisedErrors(keys []uint64, segs [][2]int, slopes []float64) []float64 {
+	errs := make([]float64, 0, len(keys))
+	for si, s := range segs {
+		x0 := num.Approx(keys[s[0]])
+		for i := 0; i < s[1]; i++ {
+			errs = append(errs, math.Abs((num.Approx(keys[s[0]+i])-x0)*slopes[si]-float64(i)))
+		}
+	}
+	sort.Float64s(errs)
+	return errs
+}
+
+// TestSlopeInsideCone pins the slope rule's three promises: segment
+// boundaries are Algorithm 2's, bit for bit (the cone decides them, the
+// slope does not); every segment satisfies its bound under the recorded
+// slope (Fits, the test a lookup window relies on); and the realised error
+// is never above the endpoint line's and, at the default threshold on the
+// two real-world datasets, at most 0.6 of it — the point of the rule. (A
+// step function's error is its plateaus' and a threshold that leaves a
+// handful of segments has no typical error; neither moves with the slope.)
+func TestSlopeInsideCone(t *testing.T) {
+	datasets := map[string][]uint64{
+		"weblogs": workload.Weblogs(200_000, 3),
+		"iot":     workload.IoT(200_000, 4),
+		"step":    workload.Step(200_000, 100, 1_000),
+	}
+	for name, keys := range datasets {
+		for _, e := range []int{8, 100, 1000} {
+			t.Run(fmt.Sprintf("%s/e=%d", name, e), func(t *testing.T) {
+				got := segment.ShrinkingCone(keys, e)
+				want, wantSlopes := endpointCone(keys, e)
+				if len(got) != len(want) {
+					t.Fatalf("%d segments, the endpoint-slope cone cuts %d", len(got), len(want))
+				}
+				slopes := make([]float64, len(got))
+				for i, s := range got {
+					if s.StartPos != want[i][0] || s.Count != want[i][1] {
+						t.Fatalf("segment %d is (%d, %d), the endpoint-slope cone's is %v", i, s.StartPos, s.Count, want[i])
+					}
+					if !segment.Fits(keys[s.StartPos:s.EndPos()], s.Start, s.Slope, e) {
+						t.Fatalf("segment %d (%d keys from %d): recorded slope %g breaks the bound", i, s.Count, s.Start, s.Slope)
+					}
+					slopes[i] = s.Slope
+				}
+				if err := segment.Verify(keys, got, e); err != nil {
+					t.Fatal(err)
+				}
+				mid := len(keys) / 2
+				centred, endpoint := realisedErrors(keys, want, slopes)[mid], realisedErrors(keys, want, wantSlopes)[mid]
+				limit := 1.01
+				if e == 100 && name != "step" {
+					limit = 0.6
+				}
+				if centred > limit*endpoint {
+					t.Fatalf("median realised error %.1f, endpoint rule %.1f: want <= %.2fx", centred, endpoint, limit)
+				}
+				t.Logf("median |pred-actual| %.1f (endpoint rule %.1f) over %d segments", centred, endpoint, len(got))
+			})
+		}
+	}
+}

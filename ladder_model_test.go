@@ -20,28 +20,33 @@ import (
 	"fitingtree"
 )
 
+// searchKinds is the second dimension of the randomized models in this
+// package: each runs under the default window search and under the galloping
+// one. The labels are the ones the dimension carried while it selected a
+// router kind; the test floor tracks subtests by name, so they stay.
+var searchKinds = []struct {
+	name   string
+	search fitingtree.SearchStrategy
+}{{"btree", fitingtree.SearchBinary}, {"implicit", fitingtree.SearchExponential}}
+
 func TestLadderModelRandomizedDepths(t *testing.T) {
-	for _, router := range []fitingtree.RouterKind{fitingtree.RouterBTree, fitingtree.RouterImplicit} {
-		rname := map[fitingtree.RouterKind]string{
-			fitingtree.RouterBTree:    "btree",
-			fitingtree.RouterImplicit: "implicit",
-		}[router]
+	for _, rk := range searchKinds {
 		for _, depth := range []int{1, 2, 4, 8} {
 			for _, async := range []bool{false, true} {
 				mode := "inline"
 				if async {
 					mode = "async"
 				}
-				router, depth, async := router, depth, async
-				t.Run(fmt.Sprintf("%s/depth=%d/%s", rname, depth, mode), func(t *testing.T) {
-					testLadderModelDepth(t, router, depth, async)
+				rk, depth, async := rk, depth, async
+				t.Run(fmt.Sprintf("%s/depth=%d/%s", rk.name, depth, mode), func(t *testing.T) {
+					testLadderModelDepth(t, rk.search, depth, async)
 				})
 			}
 		}
 	}
 }
 
-func testLadderModelDepth(t *testing.T, router fitingtree.RouterKind, depth int, async bool) {
+func testLadderModelDepth(t *testing.T, search fitingtree.SearchStrategy, depth int, async bool) {
 	for _, flushAt := range []int{2, 13} {
 		rng := rand.New(rand.NewSource(int64(flushAt)*977 + int64(depth)))
 		nextVal := uint64(1 << 32)
@@ -60,7 +65,7 @@ func testLadderModelDepth(t *testing.T, router fitingtree.RouterKind, depth int,
 			}
 			everVals[base[i]][baseVals[i]] = true
 		}
-		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8, Router: router})
+		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8, Search: search})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -244,20 +244,26 @@ func TestLadderSchedulerPick(t *testing.T) {
 // duplicate anywhere in the N-layer accounting shows up as a value-id
 // mismatch.
 func TestLadderModelRandomizedPump(t *testing.T) {
-	for _, rk := range []struct {
-		name string
-		kind RouterKind
-	}{{"btree", RouterBTree}, {"implicit", RouterImplicit}} {
+	for _, rk := range searchKinds {
 		for _, depth := range []int{1, 2, 4, 8} {
 			rk, depth := rk, depth
 			t.Run(rk.name+"/depth="+string(rune('0'+depth)), func(t *testing.T) {
-				testLadderModelRandomizedPump(t, rk.kind, depth)
+				testLadderModelRandomizedPump(t, rk.search, depth)
 			})
 		}
 	}
 }
 
-func testLadderModelRandomizedPump(t *testing.T, kind RouterKind, depth int) {
+// searchKinds is the second dimension of the randomized models in this
+// package: each runs under the default window search and under the galloping
+// one. The labels are the ones the dimension carried while it selected a
+// router kind; the test floor tracks subtests by name, so they stay.
+var searchKinds = []struct {
+	name   string
+	search SearchStrategy
+}{{"btree", SearchBinary}, {"implicit", SearchExponential}}
+
+func testLadderModelRandomizedPump(t *testing.T, search SearchStrategy, depth int) {
 	const flushAt = 8
 	rng := rand.New(rand.NewSource(int64(depth)*1009 + 7))
 	base := make([]uint64, 800)
@@ -273,7 +279,7 @@ func testLadderModelRandomizedPump(t *testing.T, kind RouterKind, depth int) {
 	}
 	build := func() *Optimistic[uint64, uint64] {
 		tr, err := BulkLoad(append([]uint64(nil), base...), append([]uint64(nil), vals...),
-			Options{Error: 24, BufferSize: 8, Router: kind})
+			Options{Error: 24, BufferSize: 8, Search: search})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,10 @@ package fitingtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"math"
 	"testing"
 
 	"fitingtree/internal/pager"
@@ -119,4 +121,103 @@ func snapshotPages(t *testing.T, dev pager.Device) []byte {
 		all = append(all, buf...)
 	}
 	return all
+}
+
+// TestStoreWithRetiredOptionsOpens is the other side of the format
+// contract: a store whose manifest carries the retired Fanout, FillFactor
+// and Router options (hand-encoded into the option block's reserved words,
+// what a build with `Fanout: 32, FillFactor: 0.5, Router: 1` wrote) is
+// not a legacy store. It scrubs clean, opens with every row, takes writes
+// and checkpoints — and the checkpoint writes those words back as zero.
+func TestStoreWithRetiredOptionsOpens(t *testing.T) {
+	mem := wal.NewMemFS()
+	dev := pager.NewDisk()
+	open := func() *DurableSharded[int, int] {
+		t.Helper()
+		d, err := OpenDurableSharded[int, int](mem, dev, Options{Error: 32}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetAutoCheckpoint(false)
+		return d
+	}
+	checkpointAndClose := func(d *DurableSharded[int, int]) {
+		t.Helper()
+		if _, err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rows = 4000
+	d := open()
+	for i := 0; i < rows; i++ {
+		if err := d.Insert(i*3, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointAndClose(d)
+
+	// The option block follows the u32 magic and the u64 generation; its
+	// words 2, 3 and 5 are the retired ones.
+	retired := map[int]uint64{12 + 2*8: 32, 12 + 3*8: math.Float64bits(0.5), 12 + 5*8: 1}
+	manifest := func() []byte {
+		t.Helper()
+		sup, ok, err := pager.ReadSuper(dev)
+		if err != nil || !ok {
+			t.Fatalf("no committed superblock: %v", err)
+		}
+		blob, err := pager.NewStore(dev).Get(sup.Manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	blob := manifest()
+	for at, w := range retired {
+		binary.LittleEndian.PutUint64(blob[at:], w)
+	}
+	head, err := pager.NewStore(dev).Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, _, _ := pager.ReadSuper(dev)
+	if err := pager.WriteSuper(dev, pager.Super{Epoch: sup.Epoch + 1, Manifest: head}); err != nil {
+		t.Fatal(err)
+	}
+
+	if rep, err := Scrub[int, int](dev); err != nil || rep.Elements != rows {
+		t.Fatalf("scrub of a store with the retired options set: %d elements, %v", rep.Elements, err)
+	}
+	d = open()
+	if d.Len() != rows {
+		t.Fatalf("opened with %d rows, want %d", d.Len(), rows)
+	}
+	for i := 0; i < rows; i += 37 {
+		if v, ok := d.Lookup(i * 3); !ok || v != i {
+			t.Fatalf("Lookup(%d) = (%d, %v) after opening the old store", i*3, v, ok)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		if err := d.Insert(i*3+1, -i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointAndClose(d)
+	for at := range retired {
+		if w := binary.LittleEndian.Uint64(manifest()[at:]); w != 0 {
+			t.Fatalf("checkpoint wrote %#x into the reserved option word at offset %d", w, at)
+		}
+	}
+	if rep, err := Scrub[int, int](dev); err != nil || rep.Elements != rows+500 {
+		t.Fatalf("scrub after the checkpoint: %d elements, %v", rep.Elements, err)
+	}
+	d = open()
+	if d.Len() != rows+500 {
+		t.Fatalf("reopened with %d rows, want %d", d.Len(), rows+500)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -139,9 +139,9 @@ type Optimistic[K Key, V any] struct {
 	// a new base tree (see SetFlushHook).
 	flushHook atomic.Pointer[func()]
 
-	// autoTune enables the self-tuning loop (SetAutoTune): one-shot router
-	// crossover calibration plus a cost-model retune every tuneFoldsEvery
-	// base-tree folds. Off by default. tuneFolds counts folds.
+	// autoTune enables the self-tuning loop (SetAutoTune): a cost-model
+	// retune every tuneFoldsEvery base-tree folds. Off by default.
+	// tuneFolds counts folds.
 	autoTune  atomic.Bool
 	tuneFolds atomic.Uint64
 
@@ -311,10 +311,9 @@ func (o *Optimistic[K, V]) SetAsyncFlush(enabled bool) {
 }
 
 // SetAutoTune enables or disables cost-model-driven self-tuning
-// (disabled by default). Enabled, the first base-tree fold calibrates the
-// router-maintenance crossover by measurement (Tree.CalibrateRouter) and
-// every tuneFoldsEvery-th fold re-derives the per-region layout plan from
-// the pages' sampled load counters (Tree.Retune) — tight error bounds
+// (disabled by default). Enabled, every tuneFoldsEvery-th base-tree fold
+// re-derives the per-region layout plan from the pages' sampled load
+// counters (Tree.Retune) — tight error bounds
 // where lookups dominate, loose bounds and small chunks where inserts
 // dominate. Plans apply lazily as folds rebuild dirty regions, so
 // enabling it never triggers a rebuild by itself. Safe to toggle at any
@@ -332,23 +331,11 @@ func (o *Optimistic[K, V]) Retune() []RegionStat {
 	return o.state.Load().tree.Retune()
 }
 
-// Calibrate measures the router-maintenance crossover on the current base
-// tree and returns the ratio in effect afterwards; see
-// Tree.CalibrateRouter.
-func (o *Optimistic[K, V]) Calibrate() int {
-	return o.state.Load().tree.CalibrateRouter()
-}
-
-// tuneBeforeFold runs the self-tuning hooks ahead of a fold into the base
-// tree: one-shot router calibration, then a retune every tuneFoldsEvery
-// folds so the fold itself applies fresh region targets to the pages it
-// was going to rebuild anyway.
+// tuneBeforeFold runs the self-tuning hook ahead of a fold into the base
+// tree: a retune every tuneFoldsEvery folds, so the fold itself applies
+// fresh region targets to the pages it was going to rebuild anyway.
 func (o *Optimistic[K, V]) tuneBeforeFold(t *Tree[K, V]) {
-	if !o.autoTune.Load() {
-		return
-	}
-	t.EnsureCalibrated()
-	if o.tuneFolds.Add(1)%tuneFoldsEvery == 0 {
+	if o.autoTune.Load() && o.tuneFolds.Add(1)%tuneFoldsEvery == 0 {
 		t.Retune()
 	}
 }

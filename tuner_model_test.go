@@ -5,7 +5,7 @@ package fitingtree
 // rebuilds, and under-full chunk absorption are layout-only — a tuned
 // facade and an untuned reference fed the identical op stream stay
 // value-id-for-value-id equivalent under every router and ladder depth.
-// The race stress drives Retune/Calibrate against concurrent readers and
+// The race stress drives Retune against concurrent readers and
 // writers (the CI -race step runs it). The durable test crashes a tuned
 // store and asserts recovery reproduces the persisted per-page error
 // bounds exactly.
@@ -24,19 +24,18 @@ import (
 )
 
 func TestTunerModelEquivalence(t *testing.T) {
-	for _, router := range []RouterKind{RouterBTree, RouterImplicit} {
-		rname := map[RouterKind]string{RouterBTree: "btree", RouterImplicit: "implicit"}[router]
+	for _, rk := range searchKinds {
 		for _, depth := range []int{1, 4} {
-			router, depth := router, depth
-			t.Run(fmt.Sprintf("%s/depth=%d", rname, depth), func(t *testing.T) {
-				testTunerEquivalence(t, router, depth)
+			rk, depth := rk, depth
+			t.Run(fmt.Sprintf("%s/depth=%d", rk.name, depth), func(t *testing.T) {
+				testTunerEquivalence(t, rk.search, depth)
 			})
 		}
 	}
 }
 
-func testTunerEquivalence(t *testing.T, router RouterKind, depth int) {
-	rng := rand.New(rand.NewSource(int64(depth)*7919 + int64(router)))
+func testTunerEquivalence(t *testing.T, search SearchStrategy, depth int) {
+	rng := rand.New(rand.NewSource(int64(depth)*7919 + int64(search)))
 	nextVal := uint64(1 << 32)
 	base := make([]uint64, 3000)
 	baseVals := make([]uint64, 3000)
@@ -49,7 +48,7 @@ func testTunerEquivalence(t *testing.T, router RouterKind, depth int) {
 		nextVal++
 	}
 	build := func() *Optimistic[uint64, uint64] {
-		tr, err := BulkLoad(base, baseVals, Options{Error: 48, BufferSize: 8, Router: router})
+		tr, err := BulkLoad(base, baseVals, Options{Error: 48, BufferSize: 8, Search: search})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +120,6 @@ func testTunerEquivalence(t *testing.T, router RouterKind, depth int) {
 		// change layout, never content.
 		tuned.SyncFlush()
 		ref.SyncFlush()
-		tuned.Calibrate()
 		tuned.Retune()
 		check(phase)
 	}
@@ -133,7 +131,7 @@ func testTunerEquivalence(t *testing.T, router RouterKind, depth int) {
 	}
 }
 
-// TestTunerRaceStress races Retune and Calibrate against live readers and
+// TestTunerRaceStress races Retune against live readers and
 // a writer; run under -race it pins that tuning state is safely shared
 // across publications. Content is verified at the end against the
 // writer's own accounting.
@@ -172,11 +170,8 @@ func TestTunerRaceStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
+		for !stop.Load() {
 			o.Retune()
-			if i%8 == 0 {
-				o.Calibrate()
-			}
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -281,11 +276,9 @@ func TestDurableCrashPreservesTunedLayout(t *testing.T) {
 		}
 	}
 	// The layout is the pages: their count, their bounds (above) and the
-	// per-segment share of the index size. The router's share is left out
-	// on purpose — recovery always bulk-loads the router, while the
-	// pre-crash one was maintained incrementally or bulk-reloaded fold by
-	// fold, whichever CalibrateRouter's wall-clock measurement chose, so
-	// its node count differs from run to run on a loaded machine.
+	// per-segment share of the index size. The start arrays' share is left
+	// out on purpose — recovery cuts chunks afresh, so their count need
+	// not match the pre-crash chain's.
 	gotStats := rec.Stats()
 	segBytes := func(s Stats) int64 { return s.IndexSize - s.Inner.SizeBytes }
 	if gotStats.Pages != wantStats.Pages || segBytes(gotStats) != segBytes(wantStats) {

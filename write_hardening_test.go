@@ -408,18 +408,12 @@ func TestOptimisticModelRandomized(t *testing.T) {
 // found flags, and that every surviving value was genuinely inserted (or
 // bulk-loaded) under its key.
 func TestOptimisticModelRandomizedAsync(t *testing.T) {
-	// The model must hold under both router kinds: the persistent B+ tree
-	// router (publication clones it, sharing untouched nodes) and the
-	// implicit router (publication copies its flat arrays).
-	for _, router := range []fitingtree.RouterKind{fitingtree.RouterBTree, fitingtree.RouterImplicit} {
-		t.Run(map[fitingtree.RouterKind]string{
-			fitingtree.RouterBTree:    "btree",
-			fitingtree.RouterImplicit: "implicit",
-		}[router], func(t *testing.T) { testOptimisticModelRandomizedAsync(t, router) })
+	for _, rk := range searchKinds {
+		t.Run(rk.name, func(t *testing.T) { testOptimisticModelRandomizedAsync(t, rk.search) })
 	}
 }
 
-func testOptimisticModelRandomizedAsync(t *testing.T, router fitingtree.RouterKind) {
+func testOptimisticModelRandomizedAsync(t *testing.T, search fitingtree.SearchStrategy) {
 	for _, flushAt := range []int{1, 2, 13, 64} {
 		rng := rand.New(rand.NewSource(int64(flushAt) * 101))
 		nextVal := uint64(1 << 32)
@@ -438,7 +432,7 @@ func testOptimisticModelRandomizedAsync(t *testing.T, router fitingtree.RouterKi
 			}
 			everVals[base[i]][baseVals[i]] = true
 		}
-		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8, Router: router})
+		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8, Search: search})
 		if err != nil {
 			t.Fatal(err)
 		}
