@@ -2,7 +2,9 @@ package fitingtree
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"fitingtree/internal/core"
@@ -92,38 +94,95 @@ func (l *shardLog[K, V]) sync() error {
 	return nil
 }
 
-// loadCheckpointChunks decodes the chunk blobs at chunkHeads and assembles
-// them into a tree, registering the fresh chunk id -> blob head pairs in
-// heads and appending every chain page to reachable. Recovery calls it once
-// per shard into the same heads map — chunk ids are process-unique, so one
-// map serves the whole facade.
-func loadCheckpointChunks[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V],
-	chunkHeads []pager.PageID, opts Options, heads map[uint64]pager.PageID,
-	reachable []pager.PageID) (*Tree[K, V], []pager.PageID, error) {
+// loadCheckpoint decodes every shard's chunk blobs (cuts: the manifest's
+// shard entries) and assembles one tree per shard, registering the fresh
+// chunk id -> blob head pairs in heads (chunk ids are process-unique, so one
+// map serves the store) and returning the ids in (shard, chain) order with
+// every chain page read (the reachable set).
+//
+// The calling goroutine makes every store (hence device) call: it reads the
+// blobs in order — page CRCs, payload lengths and the chain bound are
+// checked as the bytes arrive — into a small ring of recycled buffers, and
+// min(GOMAXPROCS, chunks) workers decode them (structure, key order and NaN
+// checks travel with the bytes); assembly then runs shard by shard. A
+// failure stops the reads, every worker is joined before the return, and
+// the error is the lowest failing (shard, chunk)'s whatever the schedule:
+// chunks are handed out in order and each one handed out is decoded. One
+// processor runs everything inline.
+func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V], cuts []core.ShardCut,
+	opts Options, heads map[uint64]pager.PageID) (trees []*Tree[K, V], order []uint64, reachable []pager.PageID, err error) {
+	var chunkHeads []pager.PageID // every shard's, flattened
+	for _, cut := range cuts {
+		for _, c := range cut.Chunks {
+			chunkHeads = append(chunkHeads, pager.PageID(c))
+		}
+	}
 	snaps := make([]core.ChunkSnap[K, V], len(chunkHeads))
-	// The blob buffer is recycled across chunks (Decode copies what it
-	// keeps); the chain ids accumulate directly into reachable.
-	var blob []byte
-	var err error
-	for i, head := range chunkHeads {
-		blob, reachable, err = store.GetChain(head, blob[:0], reachable)
+	errs := make([]error, len(chunkHeads))
+	workers := min(runtime.GOMAXPROCS(0), len(chunkHeads))
+	// One buffer per worker plus the one being read into; Decode copies
+	// what it keeps, so a decoded buffer goes straight back to the reader.
+	ring := make(chan []byte, workers+1)
+	for i := 0; i < cap(ring); i++ {
+		ring <- nil
+	}
+	type job struct {
+		i    int
+		blob []byte
+	}
+	jobs := make(chan job)
+	var failed atomic.Bool
+	decode := func(j job) {
+		if snaps[j.i], errs[j.i] = snapCodec.Decode(j.blob); errs[j.i] != nil {
+			failed.Store(true)
+		}
+		ring <- j.blob[:0]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers && workers > 1; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				decode(j)
+			}
+		}()
+	}
+	for i := 0; i < len(chunkHeads) && !failed.Load(); i++ {
+		blob, chain, err := store.GetChain(chunkHeads[i], <-ring, reachable)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fitingtree: checkpoint chunk %d: %w", i, err)
+			errs[i] = err
+			break
 		}
-		if snaps[i], err = snapCodec.Decode(blob); err != nil {
-			return nil, nil, fmt.Errorf("fitingtree: checkpoint chunk %d: %w", i, err)
+		reachable = chain
+		if workers > 1 {
+			jobs <- job{i, blob}
+		} else {
+			decode(job{i, blob})
 		}
 	}
-	tree, err := core.AssembleChunks(snaps, opts)
-	if err != nil {
-		return nil, nil, err
+	close(jobs)
+	wg.Wait()
+	trees = make([]*Tree[K, V], len(cuts))
+	for s, at := 0, 0; s < len(cuts); s++ {
+		n := len(cuts[s].Chunks)
+		for i, err := range errs[at : at+n] {
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("fitingtree: shard %d: checkpoint chunk %d: %w", s, i, err)
+			}
+		}
+		if trees[s], err = core.AssembleChunks(snaps[at:at+n], opts); err != nil {
+			return nil, nil, nil, fmt.Errorf("fitingtree: shard %d: %w", s, err)
+		}
+		// Assembly creates one chunk per snapshot in order, so the fresh
+		// chunk ids pair positionally with the manifest's blob heads.
+		for i, id := range trees[s].ChunkIDs() {
+			heads[id] = chunkHeads[at+i]
+			order = append(order, id)
+		}
+		at += n
 	}
-	// Assembly creates one chunk per snapshot in order, so the fresh
-	// chunk ids pair positionally with the manifest's blob heads.
-	for i, id := range tree.ChunkIDs() {
-		heads[id] = chunkHeads[i]
-	}
-	return tree, reachable, nil
+	return trees, order, reachable, nil
 }
 
 // replayTail folds a WAL tail into tree as one batch instead of one facade
@@ -228,44 +287,86 @@ func foldState[K Key, V any](st *ostate[K, V]) *Tree[K, V] {
 	return st.tree
 }
 
+// encodeAhead is how many encoded chunks may wait for the single-threaded
+// Put, and so how many blob buffers a cut keeps in flight.
+const encodeAhead = 3
+
 // writeDirtyChunks serializes tree's chunks into store, skipping every
 // chunk whose id already has a blob in prev (carried over by reference —
 // the copy-on-write merges preserve untouched chunks' identity, so the id
 // diff is exactly the dirty set). Live chunks are recorded in next, and the
-// chain-ordered blob heads are returned with the written/reused counts. On
-// error the caller owns the Rollback.
+// chain-ordered chunk ids and blob heads (as the manifest spells them) are
+// returned with the written/reused counts. On error the caller owns the
+// Rollback.
+//
+// Every Put runs on the calling goroutine, in chain order, so the pages a
+// cut allocates do not depend on the schedule; one worker encodes up to
+// encodeAhead chunks ahead of it into recycled buffers (the tree is
+// immutable) and has exited by the time the call returns.
 func writeDirtyChunks[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V],
-	tree *Tree[K, V], prev, next map[uint64]pager.PageID) ([]pager.PageID, int, int, error) {
-	ids := tree.ChunkIDs()
-	chunks := make([]pager.PageID, len(ids))
-	written, reused := 0, 0
+	tree *Tree[K, V], prev, next map[uint64]pager.PageID) (ids, chunks []uint64, written, reused int, err error) {
+	ids = tree.ChunkIDs()
+	chunks = make([]uint64, len(ids))
+	var dirty []int
 	for i, id := range ids {
 		if head, ok := prev[id]; ok {
-			next[id], chunks[i] = head, head
+			next[id], chunks[i] = head, uint64(head)
 			reused++
+		} else {
+			dirty = append(dirty, i)
+		}
+	}
+	type encoded struct {
+		i    int
+		blob []byte
+		err  error
+	}
+	// free and out together hold the encodeAhead buffers in circulation, so
+	// a send on either never blocks; the worker waits only for a buffer.
+	free := make(chan []byte, encodeAhead)
+	out := make(chan encoded, encodeAhead)
+	for i := 0; i < encodeAhead; i++ {
+		free <- nil
+	}
+	go func() {
+		defer close(out)
+		for _, i := range dirty {
+			buf, ok := <-free
+			if !ok {
+				return
+			}
+			blob, err := snapCodec.AppendEncode(buf[:0], tree.ChunkSnap(i))
+			out <- encoded{i, blob, err}
+		}
+	}()
+	for e := range out {
+		if err != nil {
+			continue // failed: drain until the worker has stopped
+		}
+		var head pager.PageID
+		if e.err != nil {
+			err = fmt.Errorf("fitingtree: checkpoint chunk %d: %w", e.i, e.err)
+		} else if head, err = store.Put(e.blob); err == nil {
+			next[ids[e.i]], chunks[e.i] = head, uint64(head)
+			written++
+			free <- e.blob
 			continue
 		}
-		blob, err := snapCodec.Encode(tree.ChunkSnap(i))
-		if err != nil {
-			return nil, written, reused, fmt.Errorf("fitingtree: checkpoint chunk %d: %w", i, err)
-		}
-		head, err := store.Put(blob)
-		if err != nil {
-			return nil, written, reused, err
-		}
-		next[id], chunks[i] = head, head
-		written++
+		close(free) // the worker stops once the buffers still in free run out
 	}
-	return chunks, written, reused, nil
+	return ids, chunks, written, reused, err
 }
 
 // freeDeadHeads releases the blobs of every chunk in prev that next no
 // longer references — reusable only after the checkpoint commits (shadow
-// paging). On error the caller owns the Rollback.
-func freeDeadHeads(store *pager.Store, prev, next map[uint64]pager.PageID) error {
-	for id, head := range prev {
+// paging) — in order, the previous cut's (shard, chain) order: which pages
+// are freed first decides where the next cut's blobs land, and a store's
+// layout should follow from its op history, not from a map's iteration. On
+// error the caller owns the Rollback.
+func freeDeadHeads(store *pager.Store, order []uint64, prev, next map[uint64]pager.PageID) error {
+	for _, id := range order {
 		if _, live := next[id]; !live {
-			if err := store.Free(head); err != nil {
+			if err := store.Free(prev[id]); err != nil {
 				return err
 			}
 		}

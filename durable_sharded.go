@@ -107,6 +107,7 @@ type DurableSharded[K Key, V any] struct {
 	epoch        uint64
 	generation   uint64
 	heads        map[uint64]pager.PageID // chunk id -> blob head, last committed cut
+	order        []uint64                // heads' chunk ids in that cut's (shard, chain) order
 	manifestHead pager.PageID
 	haveCkpt     bool
 	ckptErr      error
@@ -180,25 +181,14 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 
 	var trees []*Tree[K, V]
 	var bounds []K
-	var replayFroms []uint64
 	var reachable []pager.PageID
 	if haveCkpt {
 		d.opts = m.Options
 		if bounds, err = decodeFences(&d.codec, m.Fences); err != nil {
 			return nil, err
 		}
-		trees = make([]*Tree[K, V], len(m.Shards))
-		replayFroms = make([]uint64, len(m.Shards))
-		for i, cut := range m.Shards {
-			chunkHeads := make([]pager.PageID, len(cut.Chunks))
-			for j, c := range cut.Chunks {
-				chunkHeads[j] = pager.PageID(c)
-			}
-			trees[i], reachable, err = loadCheckpointChunks(store, d.snap, chunkHeads, d.opts, d.heads, reachable)
-			if err != nil {
-				return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
-			}
-			replayFroms[i] = cut.ReplayFrom
+		if trees, d.order, reachable, err = loadCheckpoint(store, d.snap, m.Shards, d.opts, d.heads); err != nil {
+			return nil, err
 		}
 		reachable = append(reachable, mchain...)
 		d.epoch = super.Epoch
@@ -210,22 +200,29 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		if err != nil {
 			return nil, err
 		}
-		trees = []*Tree[K, V]{tr}
-		replayFroms = []uint64{0}
+		trees, m.Shards = []*Tree[K, V]{tr}, make([]core.ShardCut, 1) // one empty shard, replayed from LSN 0
 	}
 	store.RebuildFree(reachable)
 
+	// The logs are opened one after another on this goroutine (wal.FS
+	// promises nothing about concurrent calls); the tails' replays — op
+	// decode, the per-key compose, one MergeCOW, no I/O — then run side by
+	// side, and the lowest failing shard is the one reported.
 	logs := make([]*wal.Log, len(trees))
+	tails := make([][]wal.Record, len(trees))
 	d.walStats = make([]wal.OpenStats, len(trees))
-	total := 0
+	errs := make([]error, len(trees))
+	opened := 0
 	for i := range trees {
-		log, records, st, err := wal.Open(fsys, ShardWALName(d.generation, i))
-		if err == nil {
-			logs[i] = log
-			d.walStats[i] = st
-			log.SetNextLSN(replayFroms[i])
-			trees[i], err = replayTail(trees[i], d.codec, records, replayFroms[i])
+		if logs[i], tails[i], d.walStats[i], errs[i] = wal.Open(fsys, ShardWALName(d.generation, i)); errs[i] != nil {
+			break
 		}
+		logs[i].SetNextLSN(m.Shards[i].ReplayFrom)
+		opened++
+	}
+	fanOut(opened, func(i int) { trees[i], errs[i] = replayTail(trees[i], d.codec, tails[i], m.Shards[i].ReplayFrom) })
+	total := 0
+	for i, err := range errs {
 		if err != nil {
 			closeLogs(logs)
 			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
@@ -591,17 +588,11 @@ func (d *DurableSharded[K, V]) Sync() error {
 	defer d.reshape.RUnlock()
 	ss := d.set.Load()
 	errs := make([]error, len(ss.shards))
-	var wg sync.WaitGroup
-	for i, sh := range ss.shards {
-		wg.Add(1)
-		go func(i int, sh *Optimistic[K, V]) {
-			defer wg.Done()
-			sh.mu.Lock()
-			errs[i] = sh.log.sync()
-			sh.mu.Unlock()
-		}(i, sh)
-	}
-	wg.Wait()
+	forEachShardParallel(ss.shards, func(i int, sh *Optimistic[K, V]) {
+		sh.mu.Lock()
+		errs[i] = sh.log.sync()
+		sh.mu.Unlock()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -651,23 +642,21 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 	}
 
 	newHeads := make(map[uint64]pager.PageID, len(d.heads))
+	newOrder := make([]uint64, 0, len(d.order))
 	mshards := make([]core.ShardCut, len(set.shards))
 	for i, st := range states {
 		tree := foldState(st)
-		chunks, written, reused, err := writeDirtyChunks(d.store, d.snap, tree, d.heads, newHeads)
+		ids, chunks, written, reused, err := writeDirtyChunks(d.store, d.snap, tree, d.heads, newHeads)
 		if err != nil {
 			d.store.Rollback()
 			return stats, err
 		}
 		stats.ChunksWritten += written
 		stats.ChunksReused += reused
-		cs := make([]uint64, len(chunks))
-		for j, id := range chunks {
-			cs[j] = uint64(id)
-		}
-		mshards[i] = core.ShardCut{ReplayFrom: cuts[i], Chunks: cs}
+		newOrder = append(newOrder, ids...)
+		mshards[i] = core.ShardCut{ReplayFrom: cuts[i], Chunks: chunks}
 	}
-	if err := freeDeadHeads(d.store, d.heads, newHeads); err != nil {
+	if err := freeDeadHeads(d.store, d.order, d.heads, newHeads); err != nil {
 		d.store.Rollback()
 		return stats, err
 	}
@@ -715,7 +704,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 	}
 	d.store.Commit()
 	d.epoch++
-	d.heads = newHeads
+	d.heads, d.order = newHeads, newOrder
 	d.manifestHead = mHead
 	d.haveCkpt = true
 	stats.Epoch = d.epoch

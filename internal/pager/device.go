@@ -11,6 +11,11 @@ import (
 // fixed-size pages with a durability barrier. Disk (in-memory, counted)
 // and FileDisk (one file on a real file system) implement it, and
 // FaultDevice wraps any implementation with deterministic fault injection.
+//
+// Calls are never concurrent: a Store makes every call on the goroutine
+// that called it, and a durable store — whose open, create and cut fan
+// their CPU work out over every core — keeps its device I/O on the one
+// goroutine that is opening it or holds its checkpoint lock.
 type Device interface {
 	// Allocate extends the device by one page and returns its id. The new
 	// page reads as zeroes.

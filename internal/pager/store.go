@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"sync"
 )
 
 // This file implements the checkpoint side of the durability protocol: a
@@ -31,6 +31,9 @@ import (
 // NilPage terminates a blob chain.
 const NilPage = ^PageID(0)
 
+// unknownPage marks a chain-memo slot the store has no link for.
+const unknownPage = NilPage - 1
+
 // blobHeader is the per-page overhead: u32 CRC | u32 next | u32 length.
 const blobHeader = 12
 
@@ -55,6 +58,10 @@ type Super struct {
 	ReplayFrom uint64
 }
 
+// superPages recycles the page buffer of superblock I/O, which takes a
+// bare Device and so cannot borrow a Store's scratch.
+var superPages = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
 // WriteSuper commits s into the superblock slot for its epoch parity and
 // syncs the device. The previous superblock (other slot) is untouched, so
 // a torn write here is recoverable.
@@ -62,7 +69,10 @@ func WriteSuper(dev Device, s Super) error {
 	for dev.NumPages() < 2 {
 		dev.Allocate()
 	}
-	buf := make([]byte, PageSize)
+	page := superPages.Get().(*[PageSize]byte)
+	defer superPages.Put(page)
+	buf := page[:]
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:], superMagic)
 	binary.LittleEndian.PutUint64(buf[8:], s.Epoch)
 	binary.LittleEndian.PutUint32(buf[16:], uint32(s.Manifest))
@@ -83,7 +93,9 @@ func ReadSuperAt(dev Device, slot PageID) (Super, bool, error) {
 	if int(slot) >= dev.NumPages() {
 		return Super{}, false, nil
 	}
-	buf := make([]byte, PageSize)
+	page := superPages.Get().(*[PageSize]byte)
+	defer superPages.Put(page)
+	buf := page[:]
 	if err := dev.Read(slot, buf); err != nil {
 		return Super{}, false, err
 	}
@@ -120,13 +132,22 @@ func ReadSuper(dev Device) (s Super, ok bool, err error) {
 }
 
 // Store writes and reads blobs over a Device, shadow-paged as described
-// above. It is not safe for concurrent use; the checkpointer serializes
-// access.
+// above. It is not safe for concurrent use, and it makes every Device call
+// on the goroutine that called it; the checkpointer serializes access.
 type Store struct {
 	dev     Device
 	free    []PageID // reusable now
 	pending []PageID // freed by the in-flight checkpoint; reusable after Commit
-	scratch []byte   // page buffer reused by chain walks (Store is single-threaded)
+	scratch []byte   // the one page buffer of chain walks and Put (Store is single-threaded)
+	ids     []PageID // Put's page list, reused across blobs
+
+	// next is the chain memo: next[id] is the page that followed id in the
+	// live blob it was last written (Put) or read (GetChain) as part of —
+	// NilPage at the chain's end, unknownPage (also: past the slice's end)
+	// where the store holds no link. It lets Free release a blob without
+	// reading it back, for 4 bytes per store page.
+	next   []PageID
+	staged []PageID // heads Put since the last Commit or Rollback
 }
 
 // NewStore returns a blob store over dev, reserving the superblock pages.
@@ -136,7 +157,7 @@ func NewStore(dev Device) *Store {
 	for dev.NumPages() < 2 {
 		dev.Allocate()
 	}
-	return &Store{dev: dev}
+	return &Store{dev: dev, scratch: make([]byte, PageSize)}
 }
 
 // Device returns the underlying device (for superblock I/O and counters).
@@ -147,6 +168,7 @@ func (s *Store) Device() Device { return s.dev }
 func (s *Store) SetFree(ids []PageID) {
 	s.free = append(s.free[:0], ids...)
 	s.pending = s.pending[:0]
+	s.forget(s.free)
 }
 
 // FreePages returns the number of immediately reusable pages.
@@ -159,16 +181,6 @@ type PageViewer interface {
 	PageView(id PageID) ([]byte, error)
 }
 
-// page returns the reusable scratch page buffer, allocating it on first
-// use. Recovery walks thousands of short chains; sharing one buffer keeps
-// those walks allocation-free.
-func (s *Store) page() []byte {
-	if s.scratch == nil {
-		s.scratch = make([]byte, PageSize)
-	}
-	return s.scratch
-}
-
 // readPage reads page id through the device's zero-copy view when it has
 // one, falling back to a copy into the scratch buffer. The returned slice
 // follows PageViewer's validity rules either way.
@@ -176,11 +188,10 @@ func (s *Store) readPage(id PageID) ([]byte, error) {
 	if v, ok := s.dev.(PageViewer); ok {
 		return v.PageView(id)
 	}
-	buf := s.page()
-	if err := s.dev.Read(id, buf); err != nil {
+	if err := s.dev.Read(id, s.scratch); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return s.scratch, nil
 }
 
 // alloc returns a reusable page, extending the device when none is free.
@@ -193,74 +204,106 @@ func (s *Store) alloc() PageID {
 	return s.dev.Allocate()
 }
 
-// Put writes data as a chain of checksummed pages and returns the head
-// page id. The pages are written but not synced; the caller syncs (via
-// WriteSuper) once the whole checkpoint is staged.
-func (s *Store) Put(data []byte) (PageID, error) {
-	n := (len(data) + BlobPayload - 1) / BlobPayload
-	if n == 0 {
-		n = 1
-	}
-	ids := make([]PageID, n)
-	for i := range ids {
-		ids[i] = s.alloc()
-	}
-	buf := make([]byte, PageSize)
+// link memoizes ids as one blob's chain, in order.
+func (s *Store) link(ids []PageID) {
 	for i, id := range ids {
-		part := data[i*BlobPayload:]
-		if len(part) > BlobPayload {
-			part = part[:BlobPayload]
+		for int(id) >= len(s.next) {
+			s.next = append(s.next, unknownPage)
 		}
+		s.next[id] = NilPage
+		if i > 0 {
+			s.next[ids[i-1]] = id
+		}
+	}
+}
+
+// forget drops the memo's links out of ids.
+func (s *Store) forget(ids []PageID) {
+	for _, id := range ids {
+		if int(id) < len(s.next) {
+			s.next[id] = unknownPage
+		}
+	}
+}
+
+// known appends the memoized chain from head to ids. ok is false when the
+// memo runs out before the chain's end.
+func (s *Store) known(head PageID, ids []PageID) (_ []PageID, ok bool) {
+	for id := head; id != NilPage; id = s.next[id] {
+		if int(id) >= len(s.next) || s.next[id] == unknownPage {
+			return ids, false
+		}
+		ids = append(ids, id)
+	}
+	return ids, true
+}
+
+// Put writes data as a chain of checksummed pages and returns the head
+// page id, remembering the chain so that a later Free of the head reads
+// nothing. The pages are written but not synced; the caller syncs (via
+// WriteSuper) once the whole checkpoint is staged. Page list and page
+// buffer are the store's own: Put allocates nothing.
+func (s *Store) Put(data []byte) (PageID, error) {
+	n := max(1, (len(data)+BlobPayload-1)/BlobPayload)
+	ids := s.ids[:0]
+	for i := 0; i < n; i++ {
+		ids = append(ids, s.alloc())
+	}
+	s.ids = ids
+	buf := s.scratch
+	for i, id := range ids {
+		part := data[i*BlobPayload : min(len(data), (i+1)*BlobPayload)]
 		next := NilPage
 		if i+1 < n {
 			next = ids[i+1]
 		}
 		binary.LittleEndian.PutUint32(buf[4:], uint32(next))
 		binary.LittleEndian.PutUint32(buf[8:], uint32(len(part)))
-		copy(buf[blobHeader:], part)
-		for j := blobHeader + len(part); j < PageSize; j++ {
-			buf[j] = 0
-		}
+		clear(buf[blobHeader+copy(buf[blobHeader:], part):])
 		binary.LittleEndian.PutUint32(buf[0:], crc32.Checksum(buf[4:], storeCRC))
 		if err := s.dev.Write(id, buf); err != nil {
 			return NilPage, err
 		}
 	}
+	s.link(ids)
+	s.staged = append(s.staged, ids[0])
 	return ids[0], nil
 }
 
 // Get reads the blob chained from head, verifying every page's checksum.
 func (s *Store) Get(head PageID) ([]byte, error) {
-	var data []byte
-	buf := s.page()
-	seen := 0
-	for id := head; id != NilPage; {
-		if seen++; seen > s.dev.NumPages() {
-			return nil, fmt.Errorf("pager: blob chain from page %d cycles", head)
-		}
-		if err := s.dev.Read(id, buf); err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint32(buf[0:]) != crc32.Checksum(buf[4:], storeCRC) {
-			return nil, fmt.Errorf("pager: blob page %d failed checksum", id)
-		}
-		n := binary.LittleEndian.Uint32(buf[8:])
-		if n > BlobPayload {
-			return nil, fmt.Errorf("pager: blob page %d claims %d payload bytes", id, n)
-		}
-		data = append(data, buf[blobHeader:blobHeader+n]...)
-		id = PageID(binary.LittleEndian.Uint32(buf[4:]))
-	}
-	return data, nil
+	data, _, err := s.walk(head, nil, nil, true)
+	return data, err
 }
 
 // GetChain reads the blob chained from head and returns its page ids in
 // one pass — what recovery wants, since it needs both the content and the
-// reachability set and should not pay the page reads twice. The blob is
-// appended to data and the ids to ids, so a caller looping over many
-// blobs can recycle both backing arrays (pass them back re-sliced to
-// zero length) and walk the whole checkpoint without reallocating.
+// reachability set and should not pay the page reads twice — and
+// remembers the chain for a later Free. The blob is appended to data and
+// the ids to ids, so a caller looping over many blobs can recycle both
+// backing arrays (pass them back re-sliced to zero length); the bytes are
+// copied, never a view into a PageViewer's page.
 func (s *Store) GetChain(head PageID, data []byte, ids []PageID) ([]byte, []PageID, error) {
+	start := len(ids)
+	data, ids, err := s.walk(head, data, ids, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.link(ids[start:])
+	return data, ids, nil
+}
+
+// Chain returns the page ids making up the blob at head (for reachability
+// sweeps), verifying checksums along the way.
+func (s *Store) Chain(head PageID) ([]PageID, error) {
+	_, ids, err := s.walk(head, nil, nil, false)
+	return ids, err
+}
+
+// walk follows the chain from head on the device, appending every page id
+// to ids and, with payload set, every page's payload to data. Each page
+// must pass its checksum; a chain longer than the device cycles.
+func (s *Store) walk(head PageID, data []byte, ids []PageID, payload bool) ([]byte, []PageID, error) {
 	start := len(ids)
 	for id := head; id != NilPage; {
 		if len(ids)-start >= s.dev.NumPages() {
@@ -273,46 +316,33 @@ func (s *Store) GetChain(head PageID, data []byte, ids []PageID) ([]byte, []Page
 		if binary.LittleEndian.Uint32(buf[0:]) != crc32.Checksum(buf[4:], storeCRC) {
 			return nil, nil, fmt.Errorf("pager: blob page %d failed checksum", id)
 		}
-		n := binary.LittleEndian.Uint32(buf[8:])
-		if n > BlobPayload {
-			return nil, nil, fmt.Errorf("pager: blob page %d claims %d payload bytes", id, n)
+		if payload {
+			n := binary.LittleEndian.Uint32(buf[8:])
+			if n > BlobPayload {
+				return nil, nil, fmt.Errorf("pager: blob page %d claims %d payload bytes", id, n)
+			}
+			data = append(data, buf[blobHeader:blobHeader+n]...)
 		}
-		data = append(data, buf[blobHeader:blobHeader+n]...)
 		ids = append(ids, id)
 		id = PageID(binary.LittleEndian.Uint32(buf[4:]))
 	}
 	return data, ids, nil
 }
 
-// Chain returns the page ids making up the blob at head (for reachability
-// sweeps), verifying checksums along the way.
-func (s *Store) Chain(head PageID) ([]PageID, error) {
-	var ids []PageID
-	buf := s.page()
-	for id := head; id != NilPage; {
-		if len(ids) >= s.dev.NumPages() {
-			return nil, fmt.Errorf("pager: blob chain from page %d cycles", head)
-		}
-		if err := s.dev.Read(id, buf); err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint32(buf[0:]) != crc32.Checksum(buf[4:], storeCRC) {
-			return nil, fmt.Errorf("pager: blob page %d failed checksum", id)
-		}
-		ids = append(ids, id)
-		id = PageID(binary.LittleEndian.Uint32(buf[4:]))
-	}
-	return ids, nil
-}
-
-// Free schedules the blob at head for reuse after the next Commit. The
-// chain is walked to find its pages, so it must still be intact.
+// Free schedules the blob at head for reuse after the next Commit. A head
+// this store wrote (Put) or read (GetChain) is released from the chain
+// memo without touching the device; any other head's chain is walked to
+// find its pages, so it must still be intact.
 func (s *Store) Free(head PageID) error {
-	ids, err := s.Chain(head)
-	if err != nil {
-		return err
+	start := len(s.pending)
+	ids, ok := s.known(head, s.pending)
+	if !ok {
+		var err error
+		if _, ids, err = s.walk(head, nil, ids[:start], false); err != nil {
+			return err
+		}
 	}
-	s.pending = append(s.pending, ids...)
+	s.pending = ids
 	return nil
 }
 
@@ -321,32 +351,46 @@ func (s *Store) Free(head PageID) error {
 // until then the freed pages still belong to the previous checkpoint,
 // which a crash would fall back to.
 func (s *Store) Commit() {
+	s.forget(s.pending)
 	s.free = append(s.free, s.pending...)
 	s.pending = s.pending[:0]
+	s.staged = s.staged[:0]
 }
 
 // Rollback discards the frees staged since the previous Commit, for a
 // checkpoint that failed before its superblock landed: the pages stay
 // referenced by the still-current checkpoint, so they must not re-enter
-// circulation. Pages written by the failed attempt are leaked until the
-// next recovery's RebuildFree reclaims them — a bounded loss that keeps
-// the failure path trivially correct.
-func (s *Store) Rollback() { s.pending = s.pending[:0] }
+// circulation (their chains stay memoized: the blobs are live again).
+// Pages written by the failed attempt are leaked until the next recovery's
+// RebuildFree reclaims them — a bounded loss that keeps the failure path
+// trivially correct — and the memo forgets their chains.
+func (s *Store) Rollback() {
+	for _, head := range s.staged {
+		ids, _ := s.known(head, s.ids[:0])
+		s.ids = ids
+		s.forget(ids)
+	}
+	s.staged = s.staged[:0]
+	s.pending = s.pending[:0]
+}
 
 // RebuildFree derives the freelist as every allocated page (past the
 // superblocks) not in reachable, for use after recovery.
 func (s *Store) RebuildFree(reachable []PageID) {
-	used := make(map[PageID]bool, len(reachable))
+	used := make([]bool, s.dev.NumPages())
 	for _, id := range reachable {
-		used[id] = true
+		if int(id) < len(used) {
+			used[id] = true
+		}
 	}
 	s.free = s.free[:0]
 	s.pending = s.pending[:0]
-	for i := 2; i < s.dev.NumPages(); i++ {
-		if !used[PageID(i)] {
+	// Descending, so that alloc (which pops the tail) reuses low pages
+	// first and a long-lived store stays compact.
+	for i := len(used) - 1; i >= 2; i-- {
+		if !used[i] {
 			s.free = append(s.free, PageID(i))
 		}
 	}
-	// Reuse low pages first so a long-lived store stays compact.
-	sort.Slice(s.free, func(a, b int) bool { return s.free[a] > s.free[b] })
+	s.forget(s.free)
 }

@@ -3,7 +3,10 @@ package pager
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -228,4 +231,212 @@ func TestPoolOverFaultDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2.Unpin()
+}
+
+// readCounter counts Read calls; it deliberately has no PageView, so every
+// page a walk touches is one Read.
+type readCounter struct {
+	Device
+	reads int
+}
+
+func (c *readCounter) Read(id PageID, buf []byte) error {
+	c.reads++
+	return c.Device.Read(id, buf)
+}
+
+// TestChainMemoFreeReadsNothing pins the memo's contract: a blob this store
+// wrote (Put) or read (GetChain) is freed without a device read, a blob it
+// never saw is walked, and either way Free stages exactly the blob's chain.
+func TestChainMemoFreeReadsNothing(t *testing.T) {
+	dev := &readCounter{Device: NewDisk()}
+	s := NewStore(dev)
+	put, err := s.Put(make([]byte, 3*BlobPayload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Put(make([]byte, 2*BlobPayload+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(put); err != nil || dev.reads != 0 || len(s.pending) != 3 {
+		t.Fatalf("Free of a Put head: err=%v reads=%d pending=%v", err, dev.reads, s.pending)
+	}
+	s.Commit()
+
+	// A second store over the same device knows nothing: Free walks the
+	// chain, and a GetChain beforehand makes the walk unnecessary.
+	s2 := NewStore(dev)
+	if err := s2.Free(other); err != nil || dev.reads != 3 {
+		t.Fatalf("Free of an unknown head: err=%v reads=%d, want 3", err, dev.reads)
+	}
+	s2.Rollback()
+	if _, chain, err := s2.GetChain(other, nil, nil); err != nil || len(chain) != 3 {
+		t.Fatalf("GetChain: %v %v", chain, err)
+	}
+	dev.reads = 0
+	if err := s2.Free(other); err != nil || dev.reads != 0 || len(s2.pending) != 3 {
+		t.Fatalf("Free after GetChain: err=%v reads=%d pending=%v", err, dev.reads, s2.pending)
+	}
+}
+
+// TestChainMemoRollbackForgetsAttempt: a rolled-back attempt's blobs leave
+// the memo (freeing one later must read it, not trust a chain whose pages
+// were never committed), its pages stay off the freelist, and the frees it
+// staged are live — and memoized — again.
+func TestChainMemoRollbackForgetsAttempt(t *testing.T) {
+	dev := &readCounter{Device: NewDisk()}
+	s := NewStore(dev)
+	live, _ := s.Put(make([]byte, 2*BlobPayload))
+	s.Commit()
+	if err := s.Free(live); err != nil {
+		t.Fatal(err)
+	}
+	failed, _ := s.Put(make([]byte, 2*BlobPayload))
+	s.Rollback()
+	if s.FreePages() != 0 || len(s.pending) != 0 {
+		t.Fatalf("Rollback returned pages: free=%v pending=%v", s.free, s.pending)
+	}
+	if _, ok := s.known(failed, nil); ok {
+		t.Fatal("the rolled-back attempt's chain is still memoized")
+	}
+	if err := s.Free(live); err != nil || dev.reads != 0 {
+		t.Fatalf("Free of the re-live blob: err=%v reads=%d", err, dev.reads)
+	}
+}
+
+// TestStorePartitionProperty drives random Put / GetChain / Free / Commit /
+// Rollback / reopen sequences against a model and checks after every step
+// that the freelist, the pending frees, the live blobs' chains and the
+// pages leaked by rolled-back attempts partition the allocated pages, that
+// the memo agrees with the device about every chain it claims to know, and
+// that a Free of a known head reads nothing.
+func TestStorePartitionProperty(t *testing.T) {
+	type blob struct {
+		data  []byte
+		chain []PageID
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev := &readCounter{Device: NewDisk()}
+		s := NewStore(dev)
+		live := map[PageID]blob{}   // committed or staged, not freed
+		freed := map[PageID]blob{}  // freed by the in-flight attempt
+		staged := map[PageID]bool{} // put by the in-flight attempt
+		known := map[PageID]bool{}
+		leaked := map[PageID]bool{}
+		pick := func() (PageID, bool) {
+			heads := make([]PageID, 0, len(live))
+			for h := range live {
+				heads = append(heads, h)
+			}
+			if len(heads) == 0 {
+				return 0, false
+			}
+			sort.Slice(heads, func(a, b int) bool { return heads[a] < heads[b] })
+			return heads[rng.Intn(len(heads))], true
+		}
+		endAttempt := func(commit bool) {
+			if commit {
+				s.Commit()
+			} else {
+				s.Rollback()
+				for h, b := range freed {
+					live[h] = b
+				}
+				for h := range staged {
+					if b, ok := live[h]; ok {
+						for _, id := range b.chain {
+							leaked[id] = true
+						}
+						delete(live, h)
+						delete(known, h)
+					}
+				}
+			}
+			clear(freed)
+			clear(staged)
+		}
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				data := make([]byte, rng.Intn(4*BlobPayload))
+				rng.Read(data)
+				head, err := s.Put(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain, err := NewStore(dev.Device).Chain(head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[head], staged[head], known[head] = blob{data, chain}, true, true
+			case op < 6:
+				if head, ok := pick(); ok {
+					before := dev.reads
+					if err := s.Free(head); err != nil {
+						t.Fatal(err)
+					}
+					if known[head] && dev.reads != before {
+						t.Fatalf("seed %d step %d: Free of known head %d made %d reads", seed, step, head, dev.reads-before)
+					}
+					freed[head] = live[head]
+					delete(live, head)
+				}
+			case op < 7:
+				if head, ok := pick(); ok {
+					data, chain, err := s.GetChain(head, nil, nil)
+					if err != nil || !bytes.Equal(data, live[head].data) || !slices.Equal(chain, live[head].chain) {
+						t.Fatalf("seed %d step %d: GetChain(%d): %v", seed, step, head, err)
+					}
+					known[head] = true
+				}
+			case op < 8:
+				endAttempt(true)
+			case op < 9:
+				endAttempt(false)
+			default:
+				// Reopen: a fresh store over the same device, its freelist
+				// rebuilt from what the committed state reaches.
+				endAttempt(rng.Intn(2) == 0)
+				var reach []PageID
+				for _, b := range live {
+					reach = append(reach, b.chain...)
+				}
+				s = NewStore(dev)
+				s.RebuildFree(reach)
+				clear(known)
+				clear(leaked)
+			}
+
+			owner := map[PageID]string{}
+			claim := func(id PageID, who string) {
+				if prev, dup := owner[id]; dup {
+					t.Fatalf("seed %d step %d: page %d is both %s and %s", seed, step, id, prev, who)
+				}
+				owner[id] = who
+			}
+			for _, id := range s.free {
+				claim(id, "free")
+			}
+			for _, id := range s.pending {
+				claim(id, "pending")
+			}
+			for id := range leaked {
+				claim(id, "leaked")
+			}
+			for h, b := range live {
+				for _, id := range b.chain {
+					claim(id, "live")
+				}
+				if got, ok := s.known(h, nil); ok != known[h] || (ok && !slices.Equal(got, b.chain)) {
+					t.Fatalf("seed %d step %d: memo of head %d = %v (known %v), device chain %v (known %v)",
+						seed, step, h, got, ok, b.chain, known[h])
+				}
+			}
+			if len(owner) != dev.NumPages()-2 {
+				t.Fatalf("seed %d step %d: %d of %d pages accounted for", seed, step, len(owner), dev.NumPages()-2)
+			}
+		}
+	}
 }

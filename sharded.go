@@ -286,36 +286,50 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 }
 
 // load splits t's content into the engine's first shard set, fenced along
-// the tree's page boundaries. The caller publishes it.
+// the tree's page boundaries. A load that comes out as one shard — a
+// single-shard store, or data that cannot be split — wraps t as it stands:
+// draining it only to bulk-load the same run again would re-run the
+// segmentation over every key for nothing. The caller publishes the set.
 func (e *shardEngine[K, V]) load(t *Tree[K, V]) (*shardSet[K, V], error) {
-	keys := make([]K, 0, t.Len())
-	vals := make([]V, 0, t.Len())
-	t.Ascend(func(k K, v V) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return true
-	})
-	starts, weights := t.PageBounds()
-	e.rebalancedAt.Store(int64(len(keys)))
-	return e.newShardSet(keys, vals, balancedFences(keys, starts, weights, e.want), 0)
+	e.rebalancedAt.Store(int64(t.Len()))
+	var keys, bounds []K
+	var vals []V
+	if e.want > 1 {
+		keys, vals = make([]K, 0, t.Len()), make([]V, 0, t.Len())
+		t.Ascend(func(k K, v V) bool {
+			keys = append(keys, k)
+			vals = append(vals, v)
+			return true
+		})
+		starts, weights := t.PageBounds()
+		bounds = balancedFences(keys, starts, weights, e.want)
+	}
+	if len(bounds) == 0 {
+		return e.shardSetOf(nil, []*Tree[K, V]{t}, 0), nil
+	}
+	return e.newShardSet(keys, vals, bounds, 0)
 }
 
 // newShardSet partitions the sorted (keys, vals) run along bounds and
-// bulk-loads one shard per range.
+// bulk-loads one shard per range, the shards side by side on up to
+// GOMAXPROCS goroutines (each build reads its own sub-run and shares
+// nothing): it is the first load and the rebalance's rebuild, during which
+// writers wait. The error reported is the lowest failing shard's.
 func (e *shardEngine[K, V]) newShardSet(keys []K, vals []V, bounds []K, versionBase uint64) (*shardSet[K, V], error) {
 	trees := make([]*Tree[K, V], len(bounds)+1)
-	lo := 0
-	for i := range trees {
-		hi := len(keys)
-		if i < len(bounds) {
-			hi, _ = slices.BinarySearch(keys, bounds[i]) // keys >= fence belong right of the cut
-		}
-		tr, err := BulkLoad(keys[lo:hi], vals[lo:hi], e.opts)
+	errs := make([]error, len(trees))
+	cuts := make([]int, len(trees)+1)
+	cuts[len(trees)] = len(keys)
+	for i, b := range bounds {
+		cuts[i+1], _ = slices.BinarySearch(keys, b) // keys >= fence belong right of the cut
+	}
+	fanOut(len(trees), func(i int) {
+		trees[i], errs[i] = BulkLoad(keys[cuts[i]:cuts[i+1]], vals[cuts[i]:cuts[i+1]], e.opts)
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
 		}
-		trees[i] = tr
-		lo = hi
 	}
 	return e.shardSetOf(bounds, trees, versionBase), nil
 }
@@ -406,7 +420,7 @@ func (e *shardEngine[K, V]) SetAutoTune(enabled bool) {
 func (e *shardEngine[K, V]) SyncFlush() {
 	e.reshape.RLock()
 	defer e.reshape.RUnlock()
-	forEachShardParallel(e.set.Load().shards, func(sh *Optimistic[K, V]) { sh.SyncFlush() })
+	forEachShardParallel(e.set.Load().shards, func(_ int, sh *Optimistic[K, V]) { sh.SyncFlush() })
 }
 
 // Close drains every shard's flush pipeline and disables asynchronous
@@ -420,22 +434,36 @@ func (s *Sharded[K, V]) Close() {
 	s.set.Load().quiesce()
 }
 
-// forEachShardParallel runs fn over shards concurrently and waits for all
-// of them; a single shard runs inline.
-func forEachShardParallel[K Key, V any](shards []*Optimistic[K, V], fn func(*Optimistic[K, V])) {
-	if len(shards) == 1 {
-		fn(shards[0])
-		return
+// runParallel runs fn(0) … fn(n-1) on the given number of goroutines, the
+// caller being one, and returns when all have.
+func runParallel(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
 	var wg sync.WaitGroup
-	for _, sh := range shards {
+	for ; workers > 1; workers-- {
 		wg.Add(1)
-		go func(sh *Optimistic[K, V]) {
+		go func() {
 			defer wg.Done()
-			fn(sh)
-		}(sh)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
+}
+
+// fanOut is runParallel on min(GOMAXPROCS, n) goroutines: for CPU-bound
+// pieces (one processor runs them inline, in order).
+func fanOut(n int, fn func(i int)) { runParallel(min(runtime.GOMAXPROCS(0), n), n, fn) }
+
+// forEachShardParallel runs fn over every shard at once, whatever the
+// processor count — the shards wait on flush workers and fsyncs — and
+// returns when all have; a single shard runs inline.
+func forEachShardParallel[K Key, V any](shards []*Optimistic[K, V], fn func(i int, sh *Optimistic[K, V])) {
+	runParallel(len(shards), len(shards), func(i int) { fn(i, shards[i]) })
 }
 
 // SetRebalanceFactor sets the skew threshold: a boundary rebuild is
@@ -740,7 +768,7 @@ func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) rebalanceReason {
 // flushing off on them: afterwards no background worker is live and every
 // shard's state is its clean base tree. Shards drain in parallel.
 func (ss *shardSet[K, V]) quiesce() {
-	forEachShardParallel(ss.shards, func(sh *Optimistic[K, V]) { sh.Close() })
+	forEachShardParallel(ss.shards, func(_ int, sh *Optimistic[K, V]) { sh.Close() })
 }
 
 // rebalance is the one re-partition: quiesce, collect, re-segment, weigh,
@@ -829,66 +857,39 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	return nil
 }
 
-// parallelCollectMin is the total element count below which collectStates
-// stays sequential: the per-state goroutine and the extra concatenation
-// copy only pay off once the drains are substantial.
-const parallelCollectMin = 1 << 15
-
 // collectStates drains the given shard states into one sorted run, pending
 // deltas folded in (the same fold a flush applies — frozen layer below
-// the active one). With several states and enough elements the drains run
-// in parallel, one goroutine per state: states are immutable, shards
-// partition the key space, and each drain is exactly the flush fold for
-// its shard, so a rebalance (or EncodeSharded) effectively flushes all
-// shards concurrently instead of one after another.
+// the active one). The drains run side by side (fanOut): states are
+// immutable, shards partition the key space, and each drain is exactly the
+// flush fold for its shard, so a rebalance (or EncodeSharded) effectively
+// flushes all shards concurrently instead of one after another; the runs
+// are then concatenated in fence order, which preserves global key order.
 func collectStates[K Key, V any](states []*ostate[K, V]) ([]K, []V) {
-	total := 0
-	for _, st := range states {
-		total += st.size
-	}
-	if len(states) > 1 && total >= parallelCollectMin {
-		return collectStatesParallel(states, total)
-	}
-	keys := make([]K, 0, total)
-	vals := make([]V, 0, total)
-	for _, st := range states {
-		if lo, hi, ok := st.bounds(); ok {
-			st.ascendRange(lo, hi, func(k K, v V) bool {
-				keys = append(keys, k)
-				vals = append(vals, v)
-				return true
-			})
-		}
-	}
-	return keys, vals
-}
-
-// collectStatesParallel drains every state concurrently into per-state
-// runs and concatenates them in fence order, preserving global key order.
-func collectStatesParallel[K Key, V any](states []*ostate[K, V], total int) ([]K, []V) {
 	type run struct {
 		keys []K
 		vals []V
 	}
 	runs := make([]run, len(states))
-	var wg sync.WaitGroup
-	for i, st := range states {
-		wg.Add(1)
-		go func(i int, st *ostate[K, V]) {
-			defer wg.Done()
-			ks := make([]K, 0, st.size)
-			vs := make([]V, 0, st.size)
-			if lo, hi, ok := st.bounds(); ok {
-				st.ascendRange(lo, hi, func(k K, v V) bool {
-					ks = append(ks, k)
-					vs = append(vs, v)
-					return true
-				})
-			}
-			runs[i] = run{keys: ks, vals: vs}
-		}(i, st)
+	total := 0
+	fanOut(len(states), func(i int) {
+		st := states[i]
+		ks := make([]K, 0, st.size)
+		vs := make([]V, 0, st.size)
+		if lo, hi, ok := st.bounds(); ok {
+			st.ascendRange(lo, hi, func(k K, v V) bool {
+				ks = append(ks, k)
+				vs = append(vs, v)
+				return true
+			})
+		}
+		runs[i] = run{keys: ks, vals: vs}
+	})
+	if len(runs) == 1 {
+		return runs[0].keys, runs[0].vals
 	}
-	wg.Wait()
+	for _, r := range runs {
+		total += len(r.keys)
+	}
 	keys := make([]K, 0, total)
 	vals := make([]V, 0, total)
 	for _, r := range runs {
