@@ -5,6 +5,7 @@ package fitingtree_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,9 +425,11 @@ func BenchmarkParallelLookupCPU(b *testing.B) {
 	})
 }
 
-// BenchmarkLookupBatch compares batched lookups — in random probe order
-// (answered key by key), presorted (one router descent per page run) and
-// random behind four shards — against the same probes issued one by one.
+// BenchmarkLookupBatch compares batched lookups through the staged batch
+// kernel — in random probe order, presorted (a key is located on the
+// previous key's page when the next page starts above it) and random behind
+// four shards — against the same probes issued one by one. The dataset fits
+// the cache; BenchmarkLookupBatchCold is the one where lookups miss.
 func BenchmarkLookupBatch(b *testing.B) {
 	keys := benchKeys()
 	vals := benchVals(len(keys))
@@ -464,6 +467,56 @@ func BenchmarkLookupBatch(b *testing.B) {
 			s.LookupBatch(probes)
 		}
 	})
+}
+
+// BenchmarkLookupBatchCold is BenchmarkLookupBatch where lookups miss the
+// cache: 4 M keys (64 MB of rows) and a million probes taken 256 a call, so
+// no call finds the lines of the one before. Presorted batches come sparse
+// (the random probes of a call, sorted) and dense (256 probes inside 4096
+// consecutive keys: a range-restricted join).
+func BenchmarkLookupBatchCold(b *testing.B) {
+	const n, batchSize, pool = 4_000_000, 256, 1 << 20
+	keys := workload.Weblogs(n, 1)
+	t, err := fitingtree.BulkLoad(keys, benchVals(len(keys)), fitingtree.Options{Error: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	probes := bench.Probes(keys, pool, 12)
+	sparse := append([]uint64(nil), probes...)
+	dense := make([]uint64, pool)
+	rng := rand.New(rand.NewSource(13))
+	for at := 0; at < pool; at += batchSize {
+		sortU64(sparse[at : at+batchSize])
+		from := rng.Intn(len(keys) - 4096)
+		for i := at; i < at+batchSize; i++ {
+			dense[i] = keys[from+rng.Intn(4096)]
+		}
+		sortU64(dense[at : at+batchSize])
+	}
+	batches := func(probes []uint64, batch func([]uint64) ([]uint64, []bool)) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i += batchSize {
+				at := i % pool
+				batch(probes[at : at+batchSize])
+			}
+		}
+	}
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t.Lookup(probes[i%pool])
+		}
+	})
+	b.Run("batch", batches(probes, t.LookupBatch))
+	b.Run("batch-presorted-sparse", batches(sparse, t.LookupBatch))
+	b.Run("batch-presorted-dense", batches(dense, t.LookupBatch))
+	// Last: NewSharded takes the tree over.
+	s, err := fitingtree.NewSharded(t, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.Run("sharded-batch", batches(probes, s.LookupBatch))
+	b.Run("sharded-batch-presorted-sparse", batches(sparse, s.LookupBatch))
 }
 
 // BenchmarkExtIOPageReads measures disk-backed lookups through the buffer

@@ -153,7 +153,7 @@ func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
 				go func(seed int64) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
-					probes := make([]uint64, 64)
+					probes := make([]uint64, 4*batchGroup+5) // unsorted, several kernel groups and a short last one
 					for {
 						select {
 						case <-stop:

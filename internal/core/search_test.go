@@ -100,8 +100,10 @@ func TestRejectInvalidStrategy(t *testing.T) {
 }
 
 // Property: the three in-page search primitives return sort.Search's lower
-// bound on random sorted slices, probe points and starting positions, over
-// the whole slice and over any window that contains the answer.
+// bound on random sorted slices (empty, one key and duplicates included),
+// probe points and starting positions, over the whole slice and over any
+// window that contains the answer; the two upper bounds — branching and
+// branch-free — agree with it and with each other.
 func TestQuickSearchPrimitivesAgree(t *testing.T) {
 	f := func(raw []uint16, probesRaw []uint16, atRaw, loRaw, hiRaw uint16) bool {
 		keys := make([]uint64, len(raw))
@@ -131,6 +133,13 @@ func TestQuickSearchPrimitivesAgree(t *testing.T) {
 			}
 			if upperBound(keys, k) != sort.Search(n, func(i int) bool { return keys[i] > k }) {
 				return false
+			}
+			// The batch kernel's branch-free bound is the same function,
+			// on the whole slice and on its empty and one-key prefixes.
+			for _, m := range []int{0, min(1, n), n} {
+				if boundFree(keys[:m], k) != upperBound(keys[:m], k) {
+					return false
+				}
 			}
 		}
 		return true

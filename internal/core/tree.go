@@ -667,19 +667,11 @@ func (t *Tree[K, V]) eachMatch(cu cursor[K, V], k K, fn func(v V) bool) bool {
 // the model is monotone, so the lower bound of any key, present or not,
 // lies within w of that key's prediction rounded to nearest (rounding, not
 // truncating, leaves half a position of slack on both sides for a slope on
-// the cone's edge). Keys the model sends far outside the page clamp to its
-// ends before any conversion to int.
+// the cone's edge); pageHead.window computes it.
 func (t *Tree[K, V]) seek(cu cursor[K, V], k K) (int, bool) {
 	h := &cu.c.heads[cu.pi]
 	n := len(h.keys)
-	at := 0
-	if pred := (num.Approx(k) - h.x0) * h.slope; pred > 0 {
-		at = n
-		if pred < float64(n) {
-			at = int(pred + 0.5)
-		}
-	}
-	lo, hi := max(at-h.w, 0), min(at+h.w+1, n)
+	lo, hi, at := h.window(num.Approx(k))
 	if h.flags&headPrefix != 0 {
 		return cu.page().seekPrefix(any(h.keys).([]string), lo, hi, at, any(k).(string), t.strat)
 	}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+
+	"fitingtree/internal/workload"
 )
 
 // plantTwoRegions installs a hand-made plan: tight bounds below mid,
@@ -259,5 +263,52 @@ func TestChunkLoadsReflectCounters(t *testing.T) {
 	}
 	if elems != tr.Len() {
 		t.Fatalf("ChunkLoads elements %d, tree has %d", elems, tr.Len())
+	}
+}
+
+// TestLookupBatchCountsSampledReads: the batch kernel answers a key on a
+// sampled page through the counting point path, not around it — the same
+// probes add to every page's read counter exactly what a Lookup loop adds,
+// whether the batch is unsorted or ascends.
+func TestLookupBatchCountsSampledReads(t *testing.T) {
+	keys := workload.Weblogs(200_000, 3)
+	tr, err := BulkLoad(keys, make([]uint64, len(keys)), Options{Error: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func() (out []uint64, total uint64) {
+		for _, c := range tr.chunks {
+			for _, p := range c.pages {
+				out = append(out, atomic.LoadUint64(&p.reads))
+				total += out[len(out)-1]
+			}
+		}
+		return out, total
+	}
+	rng := rand.New(rand.NewSource(9))
+	probes := make([]uint64, 20_000)
+	for i := range probes {
+		probes[i] = keys[rng.Intn(len(keys))] + uint64(rng.Intn(2)) // hits and misses
+	}
+	for _, k := range probes {
+		tr.Lookup(k)
+	}
+	loop, sampled := reads()
+	if sampled == 0 {
+		t.Fatal("no sampled page was read: the test proves nothing")
+	}
+	for pass, order := range []string{"unsorted", "ascending"} {
+		if order == "ascending" {
+			slices.Sort(probes)
+		}
+		for at := 0; at < len(probes); at += 250 {
+			tr.LookupBatch(probes[at : at+250])
+		}
+		got, _ := reads()
+		for i := range got {
+			if want := loop[i] * uint64(pass+2); got[i] != want {
+				t.Fatalf("%s batches: page %d counts %d reads, the Lookup loop's rate gives %d", order, i, got[i], want)
+			}
+		}
 	}
 }

@@ -440,19 +440,31 @@ func (o *Optimistic[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 
 // LookupBatch looks up every element of keys against one consistent
 // snapshot, returning values and found flags parallel to keys: the base
-// tree answers the batch (see Tree.LookupBatch), and only keys some delta
-// layer mentions are resolved again through the layer stack.
+// tree answers the batch through the staged batch kernel (see
+// Tree.LookupBatch), and only keys some delta layer mentions are resolved
+// again through the layer stack.
 func (o *Optimistic[K, V]) LookupBatch(keys []K) ([]V, []bool) {
-	st := o.state.Load()
-	vals, found := st.tree.LookupBatch(keys)
-	if st.delta == nil && len(st.frozen) == 0 {
-		return vals, found
+	return lookupBatchStates(nil, []*ostate[K, V]{o.state.Load()}, keys)
+}
+
+// lookupBatchStates answers keys from states, the snapshots of range
+// shards cut at fences (one state, no fence: a lone Optimistic): the batch
+// kernel over their base trees, then the overlay pass over the keys a
+// delta layer of their shard mentions.
+func lookupBatchStates[K Key, V any](fences []K, states []*ostate[K, V], keys []K) ([]V, []bool) {
+	vals := make([]V, len(keys))
+	found := make([]bool, len(keys))
+	var buf [16]*Tree[K, V] // the usual shard counts stay off the heap
+	trees, layered := buf[:0], false
+	for _, st := range states {
+		trees = append(trees, st.tree)
+		layered = layered || st.delta != nil || len(st.frozen) > 0
 	}
-	for i, k := range keys {
-		if !st.inAnyLayer(k) {
-			continue // the base-tree batch result stands
+	core.LookupFenced(fences, trees, keys, vals, found)
+	for i := 0; layered && i < len(keys); i++ { // the overlay pass
+		if st := states[upperBoundKeys(fences, keys[i])]; st.inAnyLayer(keys[i]) {
+			vals[i], found[i] = st.lookup(keys[i])
 		}
-		vals[i], found[i] = st.lookup(k)
 	}
 	return vals, found
 }
@@ -896,15 +908,6 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 		panic("fitingtree: compacted ops out of order: " + err.Error())
 	}
 	return d
-}
-
-// get is a point read against this state: Lookup's branch for a caller
-// that already holds the snapshot.
-func (st *ostate[K, V]) get(k K) (V, bool) {
-	if st.delta == nil && len(st.frozen) == 0 {
-		return st.tree.Lookup(k)
-	}
-	return st.lookup(k)
 }
 
 // lookup resolves a point read against this state's full layer stack.

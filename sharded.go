@@ -61,8 +61,8 @@ type Sharded[K Key, V any] struct {
 // end to end: they load the shard set through an atomic pointer and then
 // run Optimistic's snapshot protocol inside the owning shard(s), taking no
 // lock and never blocking. AscendRange stitches per-shard snapshots in
-// fence order; LookupBatch reads each shard through one snapshot, cutting
-// an ascending batch at the fences and routing any other key by key.
+// fence order; LookupBatch reads each shard through one snapshot and runs
+// the batch kernel across the shards' base trees, the tree chosen per key.
 //
 // Writes route to one shard and run that shard's writer section
 // (Optimistic.apply) under its writer mutex — the only per-shard lock — so
@@ -610,46 +610,17 @@ func (e *shardEngine[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
 }
 
 // LookupBatch looks up every element of keys, returning values and found
-// flags parallel to keys; latch-free. Each shard is read through one
-// snapshot for the whole call. Shards partition the key space, so an
-// ascending batch is cut at the fences into one contiguous, still
-// ascending sub-batch per shard (see Tree.LookupBatch's chain walk); any
-// other order routes key by key like Lookup, loading a shard's state the
-// first time a key lands on it.
+// flags parallel to keys; latch-free. Every shard's state is loaded up
+// front, so each shard is read through one snapshot for the whole call;
+// the keys then go through the batch kernel as one batch, each routed to
+// its own shard's base tree (see Optimistic.LookupBatch).
 func (e *shardEngine[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 	ss := e.set.Load()
-	if len(ss.shards) == 1 {
-		return ss.shards[0].LookupBatch(keys)
-	}
-	vals := make([]V, len(keys))
-	found := make([]bool, len(keys))
-	if slices.IsSorted(keys) {
-		for si, b := 0, 0; b < len(keys); si++ {
-			end := len(keys)
-			if si < len(ss.bounds) {
-				n, _ := slices.BinarySearch(keys[b:], ss.bounds[si]) // keys >= fence belong to later shards
-				end = b + n
-			}
-			if end > b {
-				sv, sf := ss.shards[si].LookupBatch(keys[b:end])
-				copy(vals[b:], sv)
-				copy(found[b:], sf)
-				b = end
-			}
-		}
-		return vals, found
-	}
 	states := make([]*ostate[K, V], len(ss.shards))
-	for i, k := range keys {
-		si := ss.shardFor(k)
-		st := states[si]
-		if st == nil {
-			st = ss.shards[si].state.Load()
-			states[si] = st
-		}
-		vals[i], found[i] = st.get(k)
+	for i, sh := range ss.shards {
+		states[i] = sh.state.Load()
 	}
-	return vals, found
+	return lookupBatchStates(ss.bounds, states, keys)
 }
 
 // write is the one routed write: it runs op through the owning shard's
