@@ -243,3 +243,71 @@ func TestQuickFixedMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestYardstickShapePinned pins the structure of the two B+-tree baselines
+// every paper figure is measured against: node counts, height and the
+// paper's size accounting of NewFull and NewFixed over one fixed dataset,
+// after the bulk load and again after a seeded insert stream that splits
+// leaves and inner nodes. A change to internal/btree that moves any of
+// these numbers has changed the yardstick, not just the code.
+func TestYardstickShapePinned(t *testing.T) {
+	keys := workload.Weblogs(200_000, 1)
+	vals := make([]int, len(keys))
+	for i := range vals {
+		vals[i] = i
+	}
+	full, err := NewFull(keys, vals, btree.DefaultOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := NewFixed(keys, vals, 100, btree.DefaultOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, wantFull, wantIdx btree.Stats, wantPages, wantSplits int) {
+		t.Helper()
+		if got := full.Stats(); got != wantFull {
+			t.Errorf("%s: Full.Stats() = %+v, want %+v", stage, got, wantFull)
+		}
+		if got := full.SizeBytes(); got != wantFull.SizeBytes {
+			t.Errorf("%s: Full.SizeBytes() = %d, want %d", stage, got, wantFull.SizeBytes)
+		}
+		if got := fixed.idx.Stats(); got != wantIdx {
+			t.Errorf("%s: Fixed index Stats() = %+v, want %+v", stage, got, wantIdx)
+		}
+		if got := fixed.SizeBytes(); got != wantIdx.SizeBytes {
+			t.Errorf("%s: Fixed.SizeBytes() = %d, want %d", stage, got, wantIdx.SizeBytes)
+		}
+		if got := fixed.Pages(); got != wantPages {
+			t.Errorf("%s: Fixed.Pages() = %d, want %d", stage, got, wantPages)
+		}
+		if got := fixed.Splits(); got != wantSplits {
+			t.Errorf("%s: Fixed.Splits() = %d, want %d", stage, got, wantSplits)
+		}
+	}
+	check("bulk load",
+		btree.Stats{Len: 200000, Height: 5, InnerNodes: 836, LeafNodes: 12500, SizeBytes: 3406672},
+		btree.Stats{Len: 2000, Height: 3, InnerNodes: 9, LeafNodes: 125, SizeBytes: 34056},
+		2000, 0)
+
+	rng := rand.New(rand.NewSource(7))
+	lo, span := keys[0], keys[len(keys)-1]-keys[0]
+	for i := 0; i < 10_000; i++ {
+		// Every other insert lands in the first 1/64 of the key range, so
+		// the fixed index splits pages (and its inner tree grows) too.
+		w := span
+		if i%2 == 1 {
+			w = span / 64
+		}
+		k := lo + uint64(rng.Int63n(int64(w)))
+		full.Insert(k, -i)
+		fixed.Insert(k, -i)
+	}
+	check("after 10000 inserts",
+		btree.Stats{Len: 210000, Height: 5, InnerNodes: 1695, LeafNodes: 16777, SizeBytes: 3641976},
+		btree.Stats{Len: 2053, Height: 3, InnerNodes: 10, LeafNodes: 130, SizeBytes: 34992},
+		2053, 58)
+	if err := fixed.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
