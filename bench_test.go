@@ -15,8 +15,6 @@ import (
 	"fitingtree/internal/bench"
 	"fitingtree/internal/btree"
 	"fitingtree/internal/costmodel"
-	"fitingtree/internal/diskindex"
-	"fitingtree/internal/pager"
 	"fitingtree/internal/segment"
 	"fitingtree/internal/workload"
 )
@@ -517,33 +515,4 @@ func BenchmarkLookupBatchCold(b *testing.B) {
 	defer s.Close()
 	b.Run("sharded-batch", batches(probes, s.LookupBatch))
 	b.Run("sharded-batch-presorted-sparse", batches(sparse, s.LookupBatch))
-}
-
-// BenchmarkExtIOPageReads measures disk-backed lookups through the buffer
-// pool and reports page reads per operation.
-func BenchmarkExtIOPageReads(b *testing.B) {
-	keys := workload.Weblogs(100_000, 1)
-	pool := pager.NewPool(pager.NewDisk(), 64)
-	col, err := diskindex.StoreColumn(pool, keys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ft, err := diskindex.NewFITing(col, 100, keys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probes := bench.Probes(keys, 1<<14, 10)
-	mask := len(probes) - 1
-	pool.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ft.Lookup(probes[i&mask]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := pool.Stats()
-	if st.Hits+st.Misses > 0 {
-		b.ReportMetric(float64(st.Misses)/float64(b.N), "reads/op")
-	}
 }

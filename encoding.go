@@ -80,8 +80,7 @@ func (st *ostate[K, V]) bounds() (lo, hi K, ok bool) {
 		if d == nil {
 			continue
 		}
-		dlo, _, _ := d.m.Min()
-		dhi, _, _ := d.m.Max()
+		dlo, dhi, _ := d.m.Bounds()
 		if !ok || dlo < lo {
 			lo = dlo
 		}

@@ -433,7 +433,6 @@ var Experiments = []Experiment{
 	tables("fig11", Fig11),
 	tables("fig12", Fig12),
 	tables("fig13", Fig13),
-	tables("extio", ExtIO),
 	tables("extrange", ExtRange),
 	tables("extablation", ExtAblation),
 	points("parallel", ExtParallel),

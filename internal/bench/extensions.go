@@ -1,83 +1,14 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
 	"fitingtree/internal/baseline"
 	"fitingtree/internal/btree"
 	"fitingtree/internal/core"
-	"fitingtree/internal/diskindex"
-	"fitingtree/internal/pager"
 	"fitingtree/internal/workload"
 )
-
-// ExtIO is an extension experiment beyond the paper: the sorted column is
-// stored in 4 KiB heap pages behind a small LRU buffer pool, and the
-// measured quantity is buffer-pool misses (page reads) per lookup. It
-// shows the paper's trade-off transposed to storage: FITing-Tree's bounded
-// window costs about one page read per lookup at a fraction of the sparse
-// index's memory, while index-free binary search pays a page read per
-// probe.
-func ExtIO(w io.Writer, cfg Config) {
-	cfg = cfg.withDefaults()
-	keys := workload.Weblogs(cfg.N, cfg.Seed)
-	probeCount := num2(cfg.Probes, 20_000)
-	probes := Probes(keys, probeCount, cfg.Seed+31)
-	frames := 256 // 1 MiB pool vs an 8*N-byte column
-
-	t := NewTable(fmt.Sprintf("Extension: page reads per lookup (disk-backed column, %d-frame pool)", frames),
-		"Approach", "error", "memory", "reads/lookup")
-
-	errs := []int{10, 100, 1000, 10000}
-	if cfg.Quick {
-		errs = []int{100}
-	}
-	runProbes := func(pool *pager.Pool, lookup func(uint64) (bool, error)) float64 {
-		pool.ResetStats()
-		for _, k := range probes {
-			if _, err := lookup(k); err != nil {
-				panic(err)
-			}
-		}
-		return float64(pool.Stats().Misses) / float64(len(probes))
-	}
-	for _, e := range errs {
-		pool := pager.NewPool(pager.NewDisk(), frames)
-		col, err := diskindex.StoreColumn(pool, keys)
-		if err != nil {
-			panic(err)
-		}
-		ft, err := diskindex.NewFITing(col, e, keys)
-		if err != nil {
-			panic(err)
-		}
-		t.Add("FITing", e, HumanBytes(ft.MemoryBytes()), runProbes(pool, ft.Lookup))
-	}
-	{
-		pool := pager.NewPool(pager.NewDisk(), frames)
-		col, err := diskindex.StoreColumn(pool, keys)
-		if err != nil {
-			panic(err)
-		}
-		sp, err := diskindex.NewSparse(col, keys)
-		if err != nil {
-			panic(err)
-		}
-		t.Add("Sparse", "-", HumanBytes(sp.MemoryBytes()), runProbes(pool, sp.Lookup))
-	}
-	{
-		pool := pager.NewPool(pager.NewDisk(), frames)
-		col, err := diskindex.StoreColumn(pool, keys)
-		if err != nil {
-			panic(err)
-		}
-		bs := diskindex.NewBinSearch(col)
-		t.Add("BinSearch", "-", HumanBytes(0), runProbes(pool, bs.Lookup))
-	}
-	t.Print(w)
-}
 
 // ExtRange is an extension experiment for Section 4.2's range queries:
 // throughput of range scans of growing selectivity for FITing-Tree, the

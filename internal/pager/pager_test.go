@@ -1,9 +1,6 @@
 package pager
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestDiskAllocateReadWrite(t *testing.T) {
 	d := NewDisk()
@@ -31,196 +28,5 @@ func TestDiskAllocateReadWrite(t *testing.T) {
 	}
 	if err := d.Write(PageID(99), buf); err == nil {
 		t.Fatal("write of unallocated page succeeded")
-	}
-}
-
-func TestPoolHitAndMiss(t *testing.T) {
-	d := NewDisk()
-	a, b := d.Allocate(), d.Allocate()
-	p := NewPool(d, 2)
-	f1, err := p.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1.Unpin()
-	f2, err := p.Get(a) // hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2.Unpin()
-	f3, err := p.Get(b) // miss
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3.Unpin()
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestPoolEvictionLRU(t *testing.T) {
-	d := NewDisk()
-	ids := []PageID{d.Allocate(), d.Allocate(), d.Allocate()}
-	p := NewPool(d, 2)
-	get := func(id PageID) {
-		f, err := p.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Unpin()
-	}
-	get(ids[0])
-	get(ids[1])
-	get(ids[0]) // 0 is now MRU; 1 is LRU
-	get(ids[2]) // evicts 1
-	p.ResetStats()
-	get(ids[0]) // must still be resident
-	if p.Stats().Misses != 0 {
-		t.Fatal("page 0 was evicted, expected page 1")
-	}
-	get(ids[1]) // miss
-	if p.Stats().Misses != 1 {
-		t.Fatalf("stats = %+v", p.Stats())
-	}
-}
-
-func TestPoolWritebackOnEviction(t *testing.T) {
-	d := NewDisk()
-	a, b := d.Allocate(), d.Allocate()
-	p := NewPool(d, 1)
-	f, err := p.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Data()[7] = 0x77
-	f.MarkDirty()
-	f.Unpin()
-	if _, err := p.Get(b); err != nil { // evicts dirty a
-		t.Fatal(err)
-	}
-	if p.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d", p.Stats().Writebacks)
-	}
-	out := make([]byte, PageSize)
-	if err := d.Read(a, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[7] != 0x77 {
-		t.Fatal("dirty page not written back")
-	}
-}
-
-func TestPoolAllPinned(t *testing.T) {
-	d := NewDisk()
-	a, b := d.Allocate(), d.Allocate()
-	p := NewPool(d, 1)
-	f, err := p.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Get(b); err == nil {
-		t.Fatal("Get succeeded with all frames pinned")
-	}
-	f.Unpin()
-	if _, err := p.Get(b); err != nil {
-		t.Fatalf("Get after unpin: %v", err)
-	}
-}
-
-func TestPinCountsNested(t *testing.T) {
-	d := NewDisk()
-	a := d.Allocate()
-	b := d.Allocate()
-	p := NewPool(d, 1)
-	f1, _ := p.Get(a)
-	f2, _ := p.Get(a) // second pin of same page
-	f1.Unpin()
-	// Still pinned once: eviction must fail.
-	if _, err := p.Get(b); err == nil {
-		t.Fatal("evicted a pinned page")
-	}
-	f2.Unpin()
-	if _, err := p.Get(b); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnpinPanicsWhenUnpinned(t *testing.T) {
-	d := NewDisk()
-	a := d.Allocate()
-	p := NewPool(d, 1)
-	f, _ := p.Get(a)
-	f.Unpin()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double unpin did not panic")
-		}
-	}()
-	f.Unpin()
-}
-
-func TestFlushAll(t *testing.T) {
-	d := NewDisk()
-	a := d.Allocate()
-	p := NewPool(d, 4)
-	f, _ := p.Get(a)
-	f.Data()[0] = 0x42
-	f.MarkDirty()
-	f.Unpin()
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	d.Read(a, out)
-	if out[0] != 0x42 {
-		t.Fatal("FlushAll did not persist dirty page")
-	}
-}
-
-// TestPoolRandomConsistency hammers the pool with random page traffic and
-// verifies contents always match a reference image of the disk.
-func TestPoolRandomConsistency(t *testing.T) {
-	d := NewDisk()
-	const pages = 64
-	ref := make([][]byte, pages)
-	var ids []PageID
-	for i := 0; i < pages; i++ {
-		ids = append(ids, d.Allocate())
-		ref[i] = make([]byte, PageSize)
-	}
-	p := NewPool(d, 8)
-	rng := rand.New(rand.NewSource(9))
-	for op := 0; op < 20_000; op++ {
-		i := rng.Intn(pages)
-		f, err := p.Get(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rng.Intn(2) == 0 {
-			off := rng.Intn(PageSize)
-			v := byte(rng.Intn(256))
-			f.Data()[off] = v
-			ref[i][off] = v
-			f.MarkDirty()
-		} else {
-			off := rng.Intn(PageSize)
-			if f.Data()[off] != ref[i][off] {
-				t.Fatalf("op %d: page %d byte %d = %x, want %x", op, i, off, f.Data()[off], ref[i][off])
-			}
-		}
-		f.Unpin()
-	}
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	for i := 0; i < pages; i++ {
-		d.Read(ids[i], out)
-		for off := 0; off < PageSize; off++ {
-			if out[off] != ref[i][off] {
-				t.Fatalf("disk page %d byte %d = %x, want %x", i, off, out[off], ref[i][off])
-			}
-		}
 	}
 }

@@ -209,30 +209,6 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolOverFaultDevice(t *testing.T) {
-	d := NewFaultDevice(NewDisk())
-	for i := 0; i < 4; i++ {
-		d.Allocate()
-	}
-	p := NewPool(d, 2)
-	f, err := p.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Unpin()
-	d.SetReadTrip(0)
-	if _, err := p.Get(3); !errors.Is(err, ErrInjected) {
-		t.Fatalf("pool miss over failing device: %v", err)
-	}
-	// The pool must stay usable for resident pages.
-	d.SetReadTrip(-1)
-	f2, err := p.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2.Unpin()
-}
-
 // readCounter counts Read calls; it deliberately has no PageView, so every
 // page a walk touches is one Read.
 type readCounter struct {

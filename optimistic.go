@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/core"
+	"fitingtree/internal/delta"
 )
 
 // DefaultFlushEvery is the floor of the default flush threshold: the
@@ -184,13 +184,14 @@ type ostate[K Key, V any] struct {
 // (anonymous deletes travel inside it as Any entries so recording order is
 // preserved) and Dels is 0. delN counts tombstones across both forms.
 //
-// The map is a path-copied B+ tree: a write clones the published version
-// in O(1) and copies only the nodes on one descent, so publishing a write
-// costs O(log pending) however large the delta has grown, and every older
-// version stays intact for the readers still holding it. Entries are
-// shared between versions and never mutated; a nil delta is empty.
+// The map is persistent (internal/delta): a write derives a new version
+// that copies only the nodes on one descent and shares the rest, so
+// publishing a write costs O(log pending) however large the delta has
+// grown, and every older version stays intact for the readers still
+// holding it. Entries are shared between versions and never mutated; a nil
+// delta is empty.
 type odelta[K Key, V any] struct {
-	m    *btree.Tree[K, *core.MergeOp[K, V]]
+	m    delta.Map[K, *core.MergeOp[K, V]]
 	addN int // total pending inserts
 	delN int // total pending deletions
 }
@@ -218,17 +219,14 @@ func (d *odelta[K, V]) entry(k K) core.MergeOp[K, V] {
 // with nothing pending is dropped, and a delta left with no entry is nil.
 func (d *odelta[K, V]) with(e *core.MergeOp[K, V], addN, delN int) *odelta[K, V] {
 	nd := &odelta[K, V]{addN: addN, delN: delN}
-	if d == nil {
-		nd.m = btree.New[K, *core.MergeOp[K, V]](btree.DefaultOrder)
-	} else {
-		nd.m, nd.addN, nd.delN = d.m.CloneCOW(), d.addN+addN, d.delN+delN
+	if d != nil {
+		nd.m, nd.addN, nd.delN = d.m, d.addN+addN, d.delN+delN
 	}
 	if len(e.Adds) > 0 || e.Dels > 0 || len(e.Tombs) > 0 {
-		nd.m.Insert(e.Key, e)
+		nd.m = nd.m.With(e.Key, e)
 		return nd
 	}
-	nd.m.Delete(e.Key)
-	if nd.m.Len() == 0 {
+	if nd.m = nd.m.Without(e.Key); nd.m.Len() == 0 {
 		return nil
 	}
 	return nd
@@ -896,7 +894,7 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 	if len(ops) == 0 {
 		return nil
 	}
-	d := &odelta[K, V]{m: btree.New[K, *core.MergeOp[K, V]](btree.DefaultOrder)}
+	d := &odelta[K, V]{}
 	keys := make([]K, len(ops))
 	ents := make([]*core.MergeOp[K, V], len(ops))
 	for i := range ops {
@@ -904,9 +902,7 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 		d.addN += len(ops[i].Adds)
 		d.delN += ops[i].Dels + len(ops[i].Tombs)
 	}
-	if err := d.m.BulkLoad(keys, ents, 1); err != nil {
-		panic("fitingtree: compacted ops out of order: " + err.Error())
-	}
+	d.m = delta.FromSorted(keys, ents)
 	return d
 }
 
@@ -1082,7 +1078,7 @@ func overlayScan[K Key, V any](base scanFn[K, V], d *odelta[K, V]) scanFn[K, V] 
 		// The cursor walks the delta's entries from lo on, only as far as
 		// the scan gets: a scan stopped early pays for the entries it
 		// passed, not for the range it named.
-		var it btree.Iter[K, *core.MergeOp[K, V]]
+		var it delta.Iter[K, *core.MergeOp[K, V]]
 		it.SeekGE(d.m, lo)
 		// emitDeltaTo flushes pending inserts for delta keys up to bound
 		// (exclusive, or inclusive when incl), reporting false on early stop.
