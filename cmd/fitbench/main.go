@@ -87,8 +87,8 @@ func main() {
 }
 
 // report is the machine-readable envelope around one experiment's points
-// (BENCH_pr1.json parallel, BENCH_pr8.json strings, BENCH_pr10.json
-// adaptive), so a later run can be compared against a recorded one.
+// (BENCH_pr1.json parallel, BENCH_pr8.json strings), so a later run can
+// be compared against a recorded one.
 type report struct {
 	Experiment string `json:"experiment"`
 	N          int    `json:"n"`

@@ -246,8 +246,8 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, s
 	}
 	rec.SetAutoCheckpoint(false)
 	// Structural check first: every recovered page must respect its own
-	// recorded error bound (werr), so a checkpoint written under a tuned
-	// per-region plan survives any fault trip with its layout intact.
+	// recorded error bound (werr), so a checkpoint whose pages carry
+	// different bounds survives any fault trip with its layout intact.
 	for i, tree := range shardTrees(rec) {
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("%s: recovered shard %d invariants: %v", label, i, err)

@@ -64,12 +64,13 @@ import (
 )
 
 // Key is the constraint on indexable key types: every ordered numeric Go
-// type (integers of any width and floats).
+// type (integers of any width and floats) plus ~string, ordered byte-wise.
+// The keycodec package encodes composite and other keys as such strings.
 type Key = num.Key
 
 // Options configures a FITing-Tree; see core.Options for field docs. The
-// zero value selects Error 100, BufferSize Error/2 is chosen with
-// BufferSize: -1; BufferSize 0 disables buffering.
+// zero value selects Error 100 (DefaultError) with no insert buffer;
+// BufferSize -1 selects the paper's buffer of Error/2.
 type Options = core.Options
 
 // DefaultError is the error threshold used when Options.Error is zero.
@@ -97,11 +98,6 @@ type Stats = core.Stats
 
 // Counters reports maintenance activity (inserts, merges, pages created).
 type Counters = core.Counters
-
-// RegionStat describes one self-tuner region: its per-region error
-// threshold and chunk-size target plus the sampled load that produced
-// them. Reported by Stats.Regions and by Optimistic.Retune.
-type RegionStat = core.RegionStat
 
 // BulkLoad builds a FITing-Tree over sorted keys (duplicates allowed) and
 // parallel values using the paper's one-pass segmentation. The input is

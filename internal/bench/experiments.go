@@ -420,7 +420,7 @@ type Experiment struct {
 
 // Experiments is the one ordered list of experiments: the paper's Section
 // 7 in paper order, the extensions that reuse its harness (disk I/O,
-// range scans, ablations), then the three system experiments the
+// range scans, ablations), then the two system experiments the
 // canonical benchmark (benchmark/README.md) has no column for yet.
 var Experiments = []Experiment{
 	tables("table1", Table1),
@@ -437,7 +437,6 @@ var Experiments = []Experiment{
 	tables("extablation", ExtAblation),
 	points("parallel", ExtParallel),
 	points("strings", ExtStrings),
-	points("adaptive", ExtAdaptive),
 }
 
 func tables(name string, run func(io.Writer, Config)) Experiment {

@@ -100,7 +100,7 @@ func (r *router[K, V]) route(group []probe[K, V], keys []K) {
 
 // predict reads every located page's head and computes the model's window.
 // A key outside the kernel's shape — its page's head has a flag set (the
-// page counts its reads, has buffered inserts or string keys), it equals
+// page has buffered inserts or string keys), it equals
 // its page's start (matches may sit in earlier pages), or its tree is empty
 // — is answered here, by lookupAt, and leaves the group (nil head).
 func predict[K num.Key, V any](group []probe[K, V], keys []K, vals []V, found []bool) {

@@ -26,10 +26,10 @@ type PageSnap[K num.Key, V any] struct {
 	BufVals []V
 	Deletes int
 	// WErr is the segmentation error bound the page was built under
-	// (page.werr); persisting it is what lets recovery reproduce a
-	// region-retuned layout exactly. Zero in snapshots taken before the
-	// field existed; assembly then falls back to the options' global
-	// bound, which is what those pages were built with.
+	// (page.werr); persisting it is what lets recovery reproduce exactly a
+	// layout whose pages carry different bounds. Zero in snapshots taken
+	// before the field existed; assembly then falls back to the options'
+	// global bound, which is what those pages were built with.
 	WErr int
 }
 
@@ -133,7 +133,7 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree[K, V]{opts: o, strat: o.Search, tune: &tuneState[K]{}}
+	t := &Tree[K, V]{opts: o, strat: o.Search}
 	chunks := make([]*chunk[K, V], 0, len(snaps))
 	var prevStart K
 	havePrev := false

@@ -94,7 +94,6 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		opts:     t.opts,
 		strat:    t.strat,
 		counters: t.counters,
-		tune:     t.tune, // shared, not copied: one tuning state per lineage
 	}
 
 	addN := 0
@@ -118,7 +117,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		nt.npages = stampIDs([][]*page[K, V]{pages})
 		var run pageRun[K, V]
 		run.add(pages...)
-		nt.setChunks(cutChunks(run, nil))
+		nt.setChunks(cutChunks(run))
 	} else {
 		ivs := t.dirtyIntervals(ops)
 
@@ -151,7 +150,6 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 // chunk indices of pending clusters stay valid.
 func (t *Tree[K, V]) spliceClusters(ivs []cowInterval, rebuilt [][]*page[K, V]) []*chunk[K, V] {
 	chunks := t.chunks
-	plan := t.tune.planOf()
 	limit := len(t.chunks) // chunks at/after this index belong to an already-spliced cluster
 	hi := len(ivs)
 	for hi > 0 {
@@ -192,7 +190,7 @@ func (t *Tree[K, V]) spliceClusters(ivs []cowInterval, rebuilt [][]*page[K, V]) 
 			ci, pi = ivs[j].hiCI, ivs[j].hiPI+1
 		}
 		carryTo(cHi, len(t.chunks[cHi].pages))
-		chunks = splice(chunks, cLo, cHi-cLo+1, cutChunks(run, plan))
+		chunks = splice(chunks, cLo, cHi-cLo+1, cutChunks(run))
 		limit = cLo
 		hi = lo
 	}
@@ -279,81 +277,65 @@ func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], s *regio
 		}
 	}
 	pages := t.buildPages(s.keys, s.vals, only, moved, ctr)
-	// Feed the tuner: the rebuilt pages inherit the region's decayed load
-	// counters plus this batch's op count.
-	var sr, sw uint64
-	t.eachRegionPage(iv, func(p *page[K, V]) {
-		sr += atomic.LoadUint64(&p.reads)
-		sw += atomic.LoadUint64(&p.writes)
-	})
+	// The rebuilt pages inherit the region's decayed write counters plus
+	// this batch's op count.
+	var sw uint64
+	t.eachRegionPage(iv, func(p *page[K, V]) { sw += p.writes })
 	opN := 0
 	for _, op := range ops {
 		opN += len(op.Adds) + op.Dels + len(op.Tombs)
 	}
-	carryLoad(sr, sw, opN, pages)
+	carryLoad(sw, opN, pages)
 	return pages, deleted
 }
 
-// buildPages turns a sorted merged run into fresh pages, counting the work
-// in ctr. The run is only read: every page copies its share out of it.
-// Under a region plan the run is split at region boundaries and each piece
-// built under its region's error bound — the lazy-retarget protocol: a
-// plan change costs nothing until a rebuild was going to happen anyway.
-// only is the page the run replaces when the dirty region was that one
-// page (nil otherwise) and moved the position before which the run is that
-// page's data unmoved; see buildPagesErr for what they buy.
-func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
-	if len(keys) == 0 {
-		return nil
+// carryLoad seeds the write counters of freshly built pages, before they
+// can be reached from any tree, from the pages they replace: half the
+// accumulated total (exponential decay, so stale traffic fades across
+// rebuilds) plus the op count of the batch that triggered the rebuild,
+// spread evenly. Every rebuilt page registers at least one write, so a
+// write-hot region shows in ChunkLoads before its counters accumulate.
+func carryLoad[K num.Key, V any](srcWrites uint64, ops int, rebuilt []*page[K, V]) {
+	if len(rebuilt) == 0 {
+		return
 	}
-	ctr.Merges++
-	plan := t.tune.planOf()
-	if plan == nil || len(plan.targets) == 0 {
-		return t.buildPagesErr(keys, vals, t.opts.segError(), only, moved, ctr)
+	w := max(1, (srcWrites/2+uint64(ops))/uint64(len(rebuilt)))
+	for _, p := range rebuilt {
+		p.writes = w
 	}
-	var pages []*page[K, V]
-	for lo := 0; lo < len(keys); {
-		ri := plan.regionOf(keys[lo])
-		hi := len(keys)
-		if ri+1 < len(plan.targets) {
-			// First key of the next region; keys[lo] precedes that region's
-			// start, so the sub-run is never empty.
-			if at, _ := findKey(keys, plan.targets[ri+1].Start); at > lo {
-				hi = at
-			}
-		}
-		keep := only
-		if hi-lo < len(keys) {
-			keep = nil // the run straddles a region boundary: no one model to keep
-		}
-		pages = append(pages, t.buildPagesErr(keys[lo:hi], vals[lo:hi], plan.segErrAt(ri, t.opts.BufferSize), keep, moved, ctr)...)
-		lo = hi
-	}
-	return pages
 }
 
-// buildPagesErr builds the pages of one sorted run under a single error
-// bound, stamping the bound on every page it cuts. Every page gets arrays
-// of its own, exactly its size (ownCopy): the run is a worker's scratch,
-// and a page that shared an array with its siblings would keep all of it
-// alive for as long as any one of them survives.
+// buildPages turns a sorted merged run into fresh pages under the tree's
+// segmentation bound, stamping the bound on every page it cuts and counting
+// the work in ctr. The run is only read, and every page gets arrays of its
+// own, exactly its size (ownCopy): the run is a worker's scratch, and a page
+// that shared an array with its siblings would keep all of it alive for as
+// long as any one of them survives.
 //
-// Refit before re-segmenting: when the run replaces one page (only) built
-// under this same bound, and that page's own line — same start, same
-// slope — still predicts every key of the run within the bound, the run
-// stays one page under the old model (counted in Refits). What the paper
-// guarantees is the bound, and the bound is checked here key by key; the
-// cone is only the way a slope is found when none is known. A few inserts
-// rarely push a page out of its bound, while the greedy cone re-run on
-// slightly denser data routinely splits a page the old slope still
-// covers, so skipping it saves the segmentation pass and the page growth.
-// A page whose region was retuned to another bound is re-segmented.
+// only is the page the run replaces when the dirty region was that one
+// page (nil otherwise), and moved the position before which the run is that
+// page's data unmoved. They buy a refit before re-segmenting: when only was
+// built under the tree's bound, and its own line — same start, same slope —
+// still predicts every key of the run within the bound, the run stays one
+// page under the old model (counted in Refits). What the paper guarantees
+// is the bound, and the bound is checked here key by key; the cone is only
+// the way a slope is found when none is known. A few inserts rarely push a
+// page out of its bound, while the greedy cone re-run on slightly denser
+// data routinely splits a page the old slope still covers, so skipping it
+// saves the segmentation pass and the page growth. A page recorded under
+// another bound (restored from a store that chose bounds per region) is
+// re-segmented, and comes out at the tree's.
 //
 // The check starts at moved: the elements before it are the old page's,
 // at the positions they had under the very (start, slope, bound) that
 // accepted them when that page was built, so only what the batch moved —
 // everything from its first op's position on — is tested.
-func (t *Tree[K, V]) buildPagesErr(keys []K, vals []V, segErr int, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
+func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
+	if len(keys) == 0 {
+		return nil
+	}
+	ctr.Merges++
+	segErr := t.opts.segError()
 	if only != nil && only.werr == segErr && only.start() <= keys[0] &&
 		segment.FitsFrom(keys, moved, only.start(), only.seg.Slope, segErr) {
 		ctr.PagesMade++

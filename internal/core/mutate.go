@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"fitingtree/internal/num"
 	"fitingtree/internal/segment"
@@ -21,8 +20,8 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 	if len(t.chunks) == 0 {
 		// Empty tree: create the initial page and chunk.
 		var run pageRun[K, V]
-		run.add(newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.segErrFor(k)))
-		t.setChunks(cutChunks(run, nil))
+		run.add(newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.opts.segError()))
+		t.setChunks(cutChunks(run))
 		t.npages = 1
 		return
 	}
@@ -159,7 +158,7 @@ func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
 	case n == 0:
 		t.setChunks(splice(t.chunks, cu.ci, 1, nil))
 	case n > chunkMax:
-		t.setChunks(splice(t.chunks, cu.ci, 1, cutChunks(c.pageRun, t.tune.planOf())))
+		t.setChunks(splice(t.chunks, cu.ci, 1, cutChunks(c.pageRun)))
 	default:
 		t.starts[cu.ci] = c.start()
 	}
@@ -176,9 +175,7 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 		t.splicePages(cu, nil)
 		return
 	}
-	// The run spans a single page's key range, so one region target
-	// applies; a retuned region takes effect here on the next merge.
-	segErr := t.segErrFor(mergedKeys[0])
+	segErr := t.opts.segError()
 	segs := segment.ShrinkingCone(mergedKeys, segErr)
 	t.counters.PagesMade += len(segs)
 
@@ -195,8 +192,7 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 			segErr,
 		)
 	}
-	carryLoad(atomic.LoadUint64(&p.reads), atomic.LoadUint64(&p.writes),
-		len(p.bufKeys)+p.deletes, pages)
+	carryLoad(p.writes, len(p.bufKeys)+p.deletes, pages)
 	t.splicePages(cu, pages)
 }
 

@@ -62,9 +62,10 @@ func TestRefitKeepsOrSplits(t *testing.T) {
 // out as more pages than ShrinkingCone alone makes of the same merged run,
 // and the fold kept exactly the pages a reference that runs the full Fits
 // over every merged run keeps (refitReference) — the suffix check the fold
-// really runs decides every region the same way. Then a plan retargets the
-// upper half of the key space to another ε: regions there must re-segment
-// under the new bound, never refit.
+// really runs decides every region the same way. Then the upper half's
+// pages are recorded under a looser bound, as a store restored from one that
+// chose bounds per region carries them: regions there must re-segment under
+// the tree's bound, never refit.
 func TestRefitRandomized(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { testRefitRandomized(t, func(k uint64) uint64 { return k * 3 }) })
 	// The first 8 bytes are shared by 10 000 consecutive keys, so Approx is
@@ -147,13 +148,12 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 		}
 		refits += tr.Counters().Refits
 
-		// Retarget the upper half: a page there has werr != the target.
+		// Loosen the upper half's recorded bounds, as a store written when
+		// bounds were chosen per region carries them: a page there has
+		// werr != the tree's bound, so a fold must re-segment it, never refit
+		// it, and the pages it builds come out at the tree's bound.
 		mid := stream[len(stream)/2].k
-		target := 2 * opts.Error
-		tr.tune.plan.Store(&regionPlan[K]{targets: []RegionTarget[K]{
-			{Start: tr.chunks[0].start(), RegionStat: RegionStat{Epsilon: opts.Error, ChunkTarget: chunkTarget}},
-			{Start: mk(mid), RegionStat: RegionStat{Epsilon: target, ChunkTarget: chunkTarget}},
-		}})
+		loosenFrom(tr, mk(mid), 2*opts.segError())
 		var upper []pair
 		for _, p := range stream {
 			if p.k >= mid {
@@ -176,17 +176,17 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 		want := was + refitReference(t, tr, convert(rawOps))
 		tr = tr.MergeCOW(convert(rawOps))
 		stream = applyTombOpsModel(stream, rawOps)
-		check("retuned batch")
+		check("loosened batch")
 		if len(rawOps) > 0 && tr.Counters().Refits != was {
-			t.Fatalf("round %d: %d refits in a region retuned to another bound", round, tr.Counters().Refits-was)
+			t.Fatalf("round %d: %d refits of pages recorded under another bound", round, tr.Counters().Refits-was)
 		}
 		if want != was {
-			t.Fatalf("round %d: the full-check reference keeps %d pages of a retuned region", round, want-was)
+			t.Fatalf("round %d: the full-check reference keeps %d pages recorded under another bound", round, want-was)
 		}
 		for _, c := range tr.chunks {
 			for _, p := range c.pages {
-				if !before[p] && p.firstKey() >= mk(mid) && p.werr != target {
-					t.Fatalf("round %d: page at %v rebuilt under bound %d in a region retuned to %d", round, p.start(), p.werr, target)
+				if !before[p] && p.werr != opts.segError() {
+					t.Fatalf("round %d: page at %v rebuilt under bound %d, the tree's is %d", round, p.start(), p.werr, opts.segError())
 				}
 			}
 		}
@@ -198,8 +198,8 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 
 // refitReference returns how many dirty regions of ops a fold of tr must
 // keep as one page under the old model, decided the slow way: the full Fits
-// over every merged run that replaces one page built under the bound in
-// force. Where the fold is entitled to check a suffix only — the page has
+// over every merged run that replaces one page built under the tree's
+// bound. Where the fold is entitled to check a suffix only — the page has
 // neither insert buffer nor in-place deletes — it also requires the run's
 // head to be the old page's, unmoved, and the suffix check to agree.
 func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[K, uint64]) int {
@@ -216,10 +216,7 @@ func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[
 		if len(s.keys) == 0 {
 			continue
 		}
-		segErr := tr.segErrFor(s.keys[0])
-		if segErr != tr.segErrFor(s.keys[len(s.keys)-1]) {
-			continue // the run straddles a retuned boundary
-		}
+		segErr := tr.opts.segError()
 		full := only.werr == segErr && only.start() <= s.keys[0] &&
 			segment.Fits(s.keys, only.start(), only.seg.Slope, segErr)
 		if full {

@@ -225,12 +225,9 @@ type Stats struct {
 	IndexSize int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
 	DataSize  int64 // bytes of table data incl. buffers (not part of the index)
 
-	// Self-tuning observability (see tuner.go). Regions is the current
-	// per-region plan — targets plus the load sample that produced them —
-	// empty until the first Retune. UnderfullChunks counts chunks below
-	// the re-merge threshold (fewer than chunkTarget/underfullDiv pages);
-	// fold-time absorption keeps it bounded under delete-heavy load.
-	Regions         []RegionStat
+	// UnderfullChunks counts chunks below the re-merge threshold (fewer
+	// than chunkTarget/underfullDiv pages); fold-time absorption keeps it
+	// bounded under delete-heavy load.
 	UnderfullChunks int
 }
 
@@ -255,13 +252,43 @@ func (t *Tree[K, V]) Stats() Stats {
 		SizeBytes: 16 * int64(s.Pages+s.Chunks)}
 	s.Height = s.Inner.Height
 	s.IndexSize = s.Inner.SizeBytes + int64(s.Pages)*24
-	if plan := t.tune.planOf(); plan != nil {
-		s.Regions = make([]RegionStat, len(plan.targets))
-		for i, rt := range plan.targets {
-			s.Regions[i] = rt.RegionStat
+	return s
+}
+
+// PageErrorBounds returns every page's recorded error bound (page.werr)
+// in chain order: the persisted quantity recovery must reproduce.
+// Observability for tools and tests.
+func (t *Tree[K, V]) PageErrorBounds() []int {
+	out := make([]int, 0, t.NumPages())
+	for _, c := range t.chunks {
+		for _, p := range c.pages {
+			out = append(out, p.werr)
 		}
 	}
-	return s
+	return out
+}
+
+// ChunkLoad is one chunk's position, size and write load, the feed for
+// skew-aware shard fence placement.
+type ChunkLoad[K num.Key] struct {
+	Start    K
+	Pages    int
+	Elements int
+	Writes   uint64
+}
+
+// ChunkLoads returns every chunk's load in chain order.
+func (t *Tree[K, V]) ChunkLoads() []ChunkLoad[K] {
+	loads := make([]ChunkLoad[K], 0, len(t.chunks))
+	for _, c := range t.chunks {
+		l := ChunkLoad[K]{Start: c.start(), Pages: len(c.pages)}
+		for _, p := range c.pages {
+			l.Elements += len(p.keys) + len(p.bufKeys)
+			l.Writes += p.writes
+		}
+		loads = append(loads, l)
+	}
+	return loads
 }
 
 // CheckInvariants validates the tree's structural invariants; tests drive
@@ -342,8 +369,8 @@ func (t *Tree[K, V]) CheckInvariants() error {
 			}
 			// Error bound: every data element within the page's build-time
 			// bound + pending deletes of its predicted position. The bound
-			// is per page — regions retuned to different ε coexist — and
-			// must be recorded, or the lookup window would be undefined.
+			// is per page — a restored store may mix bounds — and must be
+			// recorded, or the lookup window would be undefined.
 			if p.werr < 1 {
 				return fmt.Errorf("fitingtree: page %v carries no error bound", p.start())
 			}

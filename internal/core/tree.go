@@ -121,20 +121,15 @@ var pageSeq atomic.Uint64
 // insert buffer. Pages carry no chain links — their position is a property
 // of the chunk holding them, not of the page — so a page is a value that
 // can appear in several trees at once. A page reachable from more than one
-// tree (published by MergeCOW) must never be mutated — with one carve-out:
-// reads and writes are load counters touched only through sync/atomic, the
-// self-tuning feedback signal (see tuner.go), and carry no structural
-// meaning. A page is the cold side of its pageHead: a lookup that hits
-// reads the head alone.
+// tree (published by MergeCOW) must never be mutated, so a lookup writes no
+// shared memory. A page is the cold side of its pageHead: a lookup that
+// hits reads the head alone.
+//
+// werr is per page, not per tree, because a checkpoint records it per page
+// and a store may carry pages built under another bound (one written when
+// the bound was chosen region by region): each page is searched and checked
+// under its own bound until a fold re-segments it under the tree's.
 type page[K num.Key, V any] struct {
-	// reads and writes lead the struct so the 64-bit atomic accesses stay
-	// aligned on 32-bit platforms. reads approximates lookups served by
-	// this page (sampled: 1 in readSamplePages pages counts, scaled back
-	// up); writes approximates merge ops folded into the page's region,
-	// carried forward with decay across rebuilds (see carryLoad).
-	reads  uint64
-	writes uint64
-
 	id      uint64             // process-unique identity, for sharing diagnostics
 	seg     segment.Segment[K] // prediction model over keys as of last (re)build
 	werr    int                // segmentation error bound this page was built under (>= 1)
@@ -145,6 +140,10 @@ type page[K num.Key, V any] struct {
 	bufKeys []K                // sorted insert buffer
 	bufVals []V
 	deletes int // elements removed from keys since last rebuild
+	// writes approximates the merge ops folded into the page's region,
+	// carried forward with decay across rebuilds; set when the page is
+	// built, before anything can reach it (see carryLoad).
+	writes uint64
 }
 
 // newPage allocates a page over the given segment data, built under
@@ -218,18 +217,17 @@ func (p *page[K, V]) start() K { return p.seg.Start }
 
 // pageHead flags.
 const (
-	headSampled = 1 << iota // the page counts its lookups (see readSamplePages)
-	headBuffer              // the page has buffered inserts
-	headPrefix              // string keys: the page carries a prefix sidecar
+	headBuffer = 1 << iota // the page has buffered inserts
+	headPrefix             // string keys: the page carries a prefix sidecar
 )
 
 // pageHead is the hot side of a page, held by value in its chunk: what a
 // lookup that hits reads and nothing else — the model with its origin
 // already projected, the window half-width, the data slices, and one word
-// saying whether anything behind the *page (load counter, insert buffer,
-// prefix sidecar) needs touching at all. It is derived from the page
-// (headOf) whenever the page is built or edited in place, and
-// CheckInvariants holds every head to that derivation.
+// saying whether anything behind the *page (insert buffer, prefix sidecar)
+// needs touching at all. It is derived from the page (headOf) whenever the
+// page is built or edited in place, and CheckInvariants holds every head to
+// that derivation.
 type pageHead[K num.Key, V any] struct {
 	x0    float64 // num.Approx of the page's start key
 	slope float64
@@ -239,13 +237,10 @@ type pageHead[K num.Key, V any] struct {
 	flags uint
 }
 
-// headOf derives p's head. p must carry its identity already.
+// headOf derives p's head.
 func headOf[K num.Key, V any](p *page[K, V]) pageHead[K, V] {
 	h := pageHead[K, V]{x0: num.Approx(p.seg.Start), slope: p.seg.Slope,
 		keys: p.keys, vals: p.vals, w: p.werr + p.deletes}
-	if p.id&(readSamplePages-1) == 0 {
-		h.flags |= headSampled
-	}
 	if len(p.bufKeys) > 0 {
 		h.flags |= headBuffer
 	}
@@ -264,6 +259,18 @@ const (
 	chunkTarget = 64
 	chunkMax    = 2 * chunkTarget
 )
+
+// underfullDiv sets the under-full threshold: a chunk with fewer than
+// chunkTarget/underfullDiv pages is absorbed into the next fold that
+// rebuilds an adjacent region, bounding the degenerate chunks a
+// delete-heavy run can accumulate.
+const underfullDiv = 4
+
+// underfull reports whether a chunk has decayed below the re-merge
+// threshold.
+func underfull[K num.Key, V any](c *chunk[K, V]) bool {
+	return len(c.pages) < chunkTarget/underfullDiv
+}
 
 // pageRun is a stretch of consecutive pages with their start keys and heads
 // in parallel arrays: what a chunk is made of, and what the splices
@@ -322,25 +329,16 @@ func newChunk[K num.Key, V any](run pageRun[K, V]) *chunk[K, V] {
 // start returns the chunk's first routing key. Chunks are never empty.
 func (c *chunk[K, V]) start() K { return c.starts[0] }
 
-// cutChunks groups run into fresh chunks: each chunk's page-count target
-// is the tuner's target for the region holding the chunk's first page
-// (chunkTarget when plan is nil or the region has no override). Smaller
-// targets in write-hot regions shrink the width of future re-cuts; larger
-// ones in cold regions shrink the top-level spine copy a publication pays.
-func cutChunks[K num.Key, V any](run pageRun[K, V], plan *regionPlan[K]) []*chunk[K, V] {
+// cutChunks groups run into fresh chunks of chunkTarget pages, the last
+// one taking the remainder.
+func cutChunks[K num.Key, V any](run pageRun[K, V]) []*chunk[K, V] {
 	n := len(run.pages)
 	if n == 0 {
 		return nil
 	}
 	chunks := make([]*chunk[K, V], 0, (n+chunkTarget-1)/chunkTarget)
-	for at := 0; at < n; {
-		target := chunkTarget
-		if plan != nil {
-			target = plan.chunkTargetFor(run.starts[at])
-		}
-		end := min(at+target, n)
-		chunks = append(chunks, newChunk(run.slice(at, end)))
-		at = end
+	for at := 0; at < n; at += chunkTarget {
+		chunks = append(chunks, newChunk(run.slice(at, min(at+chunkTarget, n))))
 	}
 	return chunks
 }
@@ -371,7 +369,7 @@ type Counters struct {
 	// Refits counts the PagesMade that kept their predecessor's line: a
 	// copy-on-write merge rebuilt one page and its start and slope still
 	// predicted every merged key within the page's error bound, so the
-	// region was not re-segmented (see buildPagesErr).
+	// region was not re-segmented (see buildPages).
 	Refits int
 }
 
@@ -397,12 +395,6 @@ type Tree[K num.Key, V any] struct {
 	strat  SearchStrategy // opts.Search
 
 	counters Counters
-
-	// tune is the self-tuning state shared by every tree in a MergeCOW
-	// lineage (the pointer is carried, not copied, across publications):
-	// the per-region layout plan. See tuner.go. May be nil for trees built
-	// by internal surgery; all tuner entry points tolerate that.
-	tune *tuneState[K]
 }
 
 // setChunks installs chunks as the tree's chain and derives the top-level
@@ -436,7 +428,7 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 			return nil, fmt.Errorf("fitingtree: keys not sorted at index %d", i)
 		}
 	}
-	t := &Tree[K, V]{opts: o, size: len(keys), strat: o.Search, tune: &tuneState[K]{}}
+	t := &Tree[K, V]{opts: o, size: len(keys), strat: o.Search}
 	var run pageRun[K, V]
 	for _, s := range segment.ShrinkingCone(keys, o.segError()) {
 		run.add(newPage(
@@ -447,7 +439,7 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 			o.segError(),
 		))
 	}
-	t.setChunks(cutChunks(run, nil))
+	t.setChunks(cutChunks(run))
 	t.npages = len(run.pages)
 	return t, nil
 }
@@ -601,12 +593,6 @@ func (t *Tree[K, V]) Lookup(k K) (V, bool) {
 
 // lookupAt is Lookup from cu, the page locate returned for k.
 func (t *Tree[K, V]) lookupAt(cu cursor[K, V], k K) (V, bool) {
-	// Read-load sampling for the tuner: 1 in readSamplePages pages (by
-	// identity, a flag in the head) counts its lookups, scaled back up.
-	// Pages off the sample never touch shared memory here.
-	if cu.c.heads[cu.pi].flags&headSampled != 0 {
-		atomic.AddUint64(&cu.page().reads, readSamplePages)
-	}
 	v, found := t.searchPage(cu, k)
 	if found || cu.start() != k {
 		// A hit, or an exact miss: the pages before cu end at or below its

@@ -1,6 +1,5 @@
-// An external test package: core now imports costmodel (the tuner builds
-// per-region models), so a test that builds real trees must live outside
-// package costmodel to keep the test binary acyclic.
+// An external test package: it checks the model's predictions against real
+// trees built by package core.
 package costmodel_test
 
 import (

@@ -85,17 +85,6 @@ func Learn[K num.Key](keys []K, errs []int, c float64, fanout int, fill, bufferF
 	return m, nil
 }
 
-// NewFromSamples builds a model from precomputed (error, segments) samples,
-// ascending by error.
-func NewFromSamples(errs, segs []int, c float64, fanout int, fill, bufferFrac float64) (*Model, error) {
-	if len(errs) != len(segs) || len(errs) == 0 {
-		return nil, fmt.Errorf("costmodel: bad samples: %d errors, %d counts", len(errs), len(segs))
-	}
-	m := &Model{C: c, Fanout: fanout, Fill: fill, BufferFrac: bufferFrac,
-		errs: append([]int(nil), errs...), segs: append([]int(nil), segs...)}
-	return m, nil
-}
-
 // Segments predicts S_e for an arbitrary error threshold by log-log
 // interpolation between the learned samples (clamped at the ends).
 func (m *Model) Segments(e int) float64 {
@@ -212,7 +201,7 @@ func (m *Model) PickForSpace(budgetBytes int64, candidates []int) (e int, ok boo
 // cacheMiss memoizes the pointer-chase measurement process-wide: the cost
 // of a random access is a property of the host, not of any one tree, and
 // the chase itself walks a 64MB buffer for about a hundred milliseconds —
-// far too expensive to repeat per Tune call or per background retune.
+// far too expensive to repeat per Tune call.
 // ns <= 0 means "not yet measured".
 var cacheMiss struct {
 	mu sync.Mutex

@@ -17,6 +17,12 @@ func learned(t *testing.T) *Model {
 	return m
 }
 
+// fromSamples builds a model over given (error, segments) samples,
+// ascending by error, where Learn would segment a dataset for them.
+func fromSamples(errs, segs []int, c float64, fanout int, fill, bufferFrac float64) *Model {
+	return &Model{C: c, Fanout: fanout, Fill: fill, BufferFrac: bufferFrac, errs: errs, segs: segs}
+}
+
 func TestLearnValidation(t *testing.T) {
 	keys := []uint64{1, 2, 3}
 	if _, err := Learn(keys, nil, 50, 16, 0.5, 0.5); err == nil {
@@ -52,10 +58,7 @@ func TestSegmentsMonotoneNonIncreasing(t *testing.T) {
 }
 
 func TestSegmentsInterpolatesExactSamples(t *testing.T) {
-	m, err := NewFromSamples([]int{10, 100}, []int{5000, 300}, 50, 16, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fromSamples([]int{10, 100}, []int{5000, 300}, 50, 16, 0.5, 0.5)
 	if got := m.Segments(10); got != 5000 {
 		t.Fatalf("Segments(10) = %f", got)
 	}
@@ -137,10 +140,7 @@ func TestPickForSpace(t *testing.T) {
 }
 
 func TestLatencyIncludesAllPhases(t *testing.T) {
-	m, err := NewFromSamples([]int{10, 1000}, []int{100_000, 1000}, 100, 16, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fromSamples([]int{10, 1000}, []int{100_000, 1000}, 100, 16, 0.5, 0.5)
 	// With c=100, e=1000: tree = log_16(1000) ~ 2.49, segment = log2(1000)
 	// ~ 9.97, buffer = log2(500) ~ 8.97 -> ~2140ns.
 	got := m.Latency(1000)
@@ -161,15 +161,9 @@ func TestInsertLatencyShape(t *testing.T) {
 	// Throughput improves (latency falls) with larger buffers at a fixed
 	// huge segment size: mirror Figure 12 by comparing two models that
 	// differ only in buffer fraction at a large error.
-	lo, err := NewFromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lo := fromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.001)
 	lo.Elements = 1_000_000
-	hi, err := NewFromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hi := fromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.5)
 	hi.Elements = 1_000_000
 	if hi.InsertLatency(20000) >= lo.InsertLatency(20000) {
 		t.Fatalf("bigger buffer should amortize splits: %f vs %f",

@@ -11,9 +11,9 @@ import (
 // hot range covering a hotSpan fraction of the elements and starting at
 // the hotAt element quantile; the remaining draws are uniform over all
 // of base. hotFrac 1 yields hot-range-only draws, hotFrac 0 pure
-// uniform. It models the concentrated access patterns the self-tuner
-// exploits (most lookups against a small working set over a large cold
-// key space). Deterministic per seed.
+// uniform. It models concentrated access patterns (most lookups against
+// a small working set over a large cold key space). Deterministic per
+// seed.
 func HotCold[K num.Key](base []K, n int, hotAt, hotSpan, hotFrac float64, seed int64) []K {
 	rng := rand.New(rand.NewSource(seed))
 	lo, hi := HotRange(len(base), hotAt, hotSpan)

@@ -47,13 +47,6 @@ const FlushBackpressureFactor = 4
 // bound) is folded into the base tree instead.
 const compactTierFactor = 4
 
-// tuneFoldsEvery is how many base-tree folds pass between automatic
-// retunes when self-tuning is enabled (SetAutoTune): each fold feeds
-// fresh load samples into the page counters, so retuning on every fold
-// would chase noise while retuning too rarely leaves stale ε targets in
-// place across workload shifts.
-const tuneFoldsEvery = 4
-
 // Optimistic is a concurrency facade over a Tree with latch-free reads
 // under a single-writer model, the regime the FB+-tree line of work calls
 // optimistic lock coupling: Lookup, Contains, Each, AscendRange and
@@ -138,12 +131,6 @@ type Optimistic[K Key, V any] struct {
 	// flushHook, when set, is called after every publication that installs
 	// a new base tree (see SetFlushHook).
 	flushHook atomic.Pointer[func()]
-
-	// autoTune enables the self-tuning loop (SetAutoTune): a cost-model
-	// retune every tuneFoldsEvery base-tree folds. Off by default.
-	// tuneFolds counts folds.
-	autoTune  atomic.Bool
-	tuneFolds atomic.Uint64
 
 	// log, when non-nil, is the commit log a durable store plugged into
 	// this shard: the writer section appends every op to it before
@@ -308,36 +295,6 @@ func (o *Optimistic[K, V]) SetAsyncFlush(enabled bool) {
 	o.asyncOff.Store(!enabled)
 }
 
-// SetAutoTune enables or disables cost-model-driven self-tuning
-// (disabled by default). Enabled, every tuneFoldsEvery-th base-tree fold
-// re-derives the per-region layout plan from the pages' sampled load
-// counters (Tree.Retune) — tight error bounds
-// where lookups dominate, loose bounds and small chunks where inserts
-// dominate. Plans apply lazily as folds rebuild dirty regions, so
-// enabling it never triggers a rebuild by itself. Safe to toggle at any
-// time.
-func (o *Optimistic[K, V]) SetAutoTune(enabled bool) { o.autoTune.Store(enabled) }
-
-// Retune immediately derives and publishes a fresh per-region layout plan
-// from the base tree's load counters, returning the plan's regions (nil
-// when the tree is empty). The plan takes effect lazily on subsequent
-// flushes; call SyncFlush first for counters that include all pending
-// writes. Useful for deterministic tests and for workloads with known
-// phase changes; the automatic loop (SetAutoTune) calls the same
-// machinery.
-func (o *Optimistic[K, V]) Retune() []RegionStat {
-	return o.state.Load().tree.Retune()
-}
-
-// tuneBeforeFold runs the self-tuning hook ahead of a fold into the base
-// tree: a retune every tuneFoldsEvery folds, so the fold itself applies
-// fresh region targets to the pages it was going to rebuild anyway.
-func (o *Optimistic[K, V]) tuneBeforeFold(t *Tree[K, V]) {
-	if o.autoTune.Load() && o.tuneFolds.Add(1)%tuneFoldsEvery == 0 {
-		t.Retune()
-	}
-}
-
 // Counters returns the base tree's maintenance counters (inserts, merges,
 // pages rebuilt) accumulated since the build. Pending deltas are not
 // reflected until they fold; call SyncFlush first for an exact cut.
@@ -370,7 +327,6 @@ func (o *Optimistic[K, V]) SyncFlush() {
 	if len(st.frozen) == 0 && st.delta == nil {
 		return
 	}
-	o.tuneBeforeFold(st.tree)
 	o.publish(&ostate[K, V]{tree: st.fold(), size: st.size})
 }
 
@@ -721,7 +677,6 @@ func (o *Optimistic[K, V]) maybeFlush(st *ostate[K, V]) *ostate[K, V] {
 		// synchronously so pending state cannot grow without limit.
 		o.bpFolds.Add(1)
 	}
-	o.tuneBeforeFold(st.tree)
 	return &ostate[K, V]{tree: st.fold(), size: st.size}
 }
 
@@ -849,7 +804,6 @@ func (st *ostate[K, V]) compactLayers(i int) *odelta[K, V] {
 // foldBottom merges the ladder's bottom layer into the base tree off-lock
 // and publishes the result, identified by layer pointer like compactPair.
 func (o *Optimistic[K, V]) foldBottom(st *ostate[K, V]) {
-	o.tuneBeforeFold(st.tree)
 	merged := st.tree.MergeCOW(st.frozen[0].ops())
 	o.publishRound(func(cur *ostate[K, V]) *ostate[K, V] {
 		if cur.tree != st.tree || len(cur.frozen) == 0 || cur.frozen[0] != st.frozen[0] {

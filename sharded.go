@@ -93,7 +93,6 @@ type shardEngine[K Key, V any] struct {
 	flushAt      atomic.Int64  // pinned by SetFlushEvery (0 = not pinned), then forwarded to every shard, current and future
 	maxFrozen    atomic.Int64  // forwarded to every shard, current and future
 	asyncOff     atomic.Bool   // forwarded to every shard, current and future
-	autoTuneOn   atomic.Bool   // forwarded to every shard, current and future
 	factor       atomic.Uint64 // rebalance skew factor (math.Float64bits)
 	writes       atomic.Uint64 // write counter gating the skew check
 	rebalancedAt atomic.Int64  // total elements when fences were last computed
@@ -132,7 +131,7 @@ type shardSet[K Key, V any] struct {
 
 // balancedFences picks the fence keys for a shard split of the sorted
 // element run. Segment/page start keys (weighted by element count, and
-// optionally boosted by sampled write rate — see writeBoostedWeights) are
+// optionally boosted by write rate — see writeBoostedWeights) are
 // the preferred cut points — they are the distribution summary the tree
 // already maintains, so skewed data naturally gets narrow hot shards and
 // wide cold ones. But the segmentation can be too coarse to balance on:
@@ -172,13 +171,13 @@ func balancedFences[K Key](keys []K, starts []K, weights []int, want int) []K {
 	return quantileFences(keys, want)
 }
 
-// writeBoostedWeights scales each fence candidate's weight by the sampled
-// write rate of the chunk covering it: weight × (1 + min(shardWriteBoostMax,
+// writeBoostedWeights scales each fence candidate's weight by the write
+// rate of the chunk covering it: weight × (1 + min(shardWriteBoostMax,
 // ⌊4·writes/element⌋)). Heavier candidates make the partitioner cut hot
 // ranges narrower, spreading a write hotspot across several shard mutexes
 // while cold ranges widen to keep element totals sane. loads must be
 // ascending by Start (ChunkLoads output, concatenated in fence order);
-// with no load samples the weights pass through unchanged.
+// with no loads the weights pass through unchanged.
 func writeBoostedWeights[K Key](starts []K, weights []int, loads []core.ChunkLoad[K]) []int {
 	if len(loads) == 0 {
 		return weights
@@ -345,7 +344,6 @@ func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V], versionB
 		}
 		o.SetMaxFrozenLayers(int(e.maxFrozen.Load()))
 		o.SetAsyncFlush(!e.asyncOff.Load())
-		o.SetAutoTune(e.autoTuneOn.Load())
 		shards[i] = o
 	}
 	return &shardSet[K, V]{bounds: bounds, shards: shards, versionBase: versionBase,
@@ -395,19 +393,6 @@ func (e *shardEngine[K, V]) SetMaxFrozenLayers(n int) {
 func (e *shardEngine[K, V]) SetAsyncFlush(enabled bool) {
 	e.asyncOff.Store(!enabled)
 	e.forward(func(sh *Optimistic[K, V]) { sh.SetAsyncFlush(enabled) })
-}
-
-// SetAutoTune enables or disables cost-model-driven self-tuning on every
-// shard (see Optimistic.SetAutoTune; disabled by default). Shard writes
-// additionally feed the skew-aware fence picker: a rebalance boosts the
-// fence weights of write-hot regions, so hot ranges get narrower shards.
-// On a durable store retuned layouts persist: checkpoints record each
-// page's error bound, so recovery reassembles the tuned layout exactly.
-// Safe to call at any time; shards created by later rebalances inherit
-// the value.
-func (e *shardEngine[K, V]) SetAutoTune(enabled bool) {
-	e.autoTuneOn.Store(enabled)
-	e.forward(func(sh *Optimistic[K, V]) { sh.SetAutoTune(enabled) })
 }
 
 // SyncFlush synchronously folds every shard's pending writes — frozen
@@ -791,9 +776,9 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 		// Unreachable: e.opts was normalized at construction.
 		panic(fmt.Sprintf("fitingtree: rebalance segmentation: %v", err))
 	}
-	// Feed the outgoing shards' sampled write rates into the fence picker:
-	// the drained base trees carry per-page write counters (seeded across
-	// rebuilds by carryLoad), so a write-hot key range boosts its fence
+	// Feed the outgoing shards' write rates into the fence picker: the
+	// drained base trees carry per-page write counters (set when a fold
+	// builds a page, by carryLoad), so a write-hot key range boosts its fence
 	// weights and comes out split across narrower shards. Loads concatenate
 	// in fence order, matching the ascending starts.
 	var loads []core.ChunkLoad[K]

@@ -126,7 +126,6 @@ func TestDurableWriteSkewRebalance(t *testing.T) {
 	d.SetAutoCheckpoint(false)
 	d.SetAsyncFlush(false)
 	d.SetSyncEvery(256)
-	d.SetAutoTune(true)
 	before := d.Bounds()
 	if len(before) != 3 {
 		t.Fatalf("store starts with fences %v, want 3", before)
