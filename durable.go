@@ -1,9 +1,10 @@
 package fitingtree
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -189,26 +190,31 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 // write at a time: a long tail pushed through the ordinary insert path
 // trips the flush threshold once per DefaultFlushEvery records and
 // re-segments the same hot pages over and over, which dominates recovery.
-// The buffer applies the write path's op semantics per key — an anonymous
-// delete consumes the newest still-buffered insert for its key, else
-// tombstones one more pre-existing match in scan order; a value delete
-// consumes the newest still-buffered insert carrying its value, else
-// records a value tombstone (every logged delete had a live victim when it
-// was logged, and the WAL tail is a prefix-exact record of the ops that
-// created it, so the tombstones can never exceed the checkpoint tree's
-// matches) — then folds into the checkpoint tree with a single
-// page-granular MergeCOW pass. Which of several distinct-valued duplicates
-// an anonymous delete victimizes may differ from the original run's
-// flush-timing-dependent choice; that choice was never acknowledged state
-// (see Optimistic.Delete). A value delete replays exactly: its record
-// names the victim. Records with LSN < replayFrom are skipped — they are
-// covered by the checkpoint and survive only because the truncation after
-// it didn't land (crash between superblock commit and truncate).
+// The records are sorted by key, in log order within a key, and each key's
+// run applies the write path's op semantics — an anonymous delete consumes
+// the newest still-pending insert for its key, else tombstones one more
+// pre-existing match in scan order; a value delete consumes the newest
+// still-pending insert carrying its value, else records a value tombstone
+// (every logged delete had a live victim when it was logged, and the WAL
+// tail is a prefix-exact record of the ops that created it, so the
+// tombstones can never exceed the checkpoint tree's matches) — then the
+// runs fold into the checkpoint tree with a single page-granular MergeCOW
+// pass. Which of several distinct-valued duplicates an anonymous delete
+// victimizes may differ from the original run's flush-timing-dependent
+// choice; that choice was never acknowledged state (see Optimistic.Delete).
+// A value delete replays exactly: its record names the victim. Records with
+// LSN < replayFrom are skipped — they are covered by the checkpoint and
+// survive only because the truncation after it didn't land (crash between
+// superblock commit and truncate).
 func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
 	records []wal.Record, replayFrom uint64) (*Tree[K, V], error) {
-	adds := make(map[K][]V)
-	tombs := make(map[K][]core.Tomb[V])
-	replayed := 0
+	type record struct {
+		lsn uint64
+		op  byte
+		k   K
+		v   V
+	}
+	recs := make([]record, 0, len(records))
 	for _, r := range records {
 		if r.LSN < replayFrom {
 			continue
@@ -217,62 +223,61 @@ func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
 		if err != nil {
 			return nil, fmt.Errorf("fitingtree: wal replay lsn %d: %w", r.LSN, err)
 		}
-		switch op {
-		case walOpInsert:
-			adds[k] = append(adds[k], v)
-		case walOpDelete:
-			if a := adds[k]; len(a) > 0 {
-				adds[k] = a[:len(a)-1]
-			} else {
-				tombs[k] = append(tombs[k], core.Tomb[V]{Any: true})
-			}
-		default: // walOpDeleteValue
-			a := adds[k]
-			consumed := false
-			for j := len(a) - 1; j >= 0; j-- {
-				if any(a[j]) == any(v) {
-					adds[k] = append(a[:j:j], a[j+1:]...)
-					consumed = true
-					break
-				}
-			}
-			if !consumed {
-				tombs[k] = append(tombs[k], core.Tomb[V]{Val: v})
-			}
-		}
-		replayed++
+		recs = append(recs, record{r.LSN, op, k, v})
 	}
-	if replayed == 0 {
+	if len(recs) == 0 {
 		return tree, nil
 	}
-	keys := make([]K, 0, len(adds)+len(tombs))
-	for k, a := range adds {
-		if len(a) > 0 || len(tombs[k]) > 0 {
-			keys = append(keys, k)
+	slices.SortFunc(recs, func(a, b record) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
 		}
-	}
-	for k := range tombs {
-		if _, ok := adds[k]; !ok {
-			keys = append(keys, k)
+		return cmp.Compare(a.lsn, b.lsn)
+	})
+	var ops []core.MergeOp[K, V]
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].k == recs[0].k {
+			n++
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ops := make([]core.MergeOp[K, V], len(keys))
-	for i, k := range keys {
-		ops[i] = core.MergeOp[K, V]{Key: k, Adds: adds[k]}
-		// Pure-anonymous lists collapse to the counted fast path.
-		anyOnly := true
-		for _, t := range tombs[k] {
-			if !t.Any {
-				anyOnly = false
-				break
+		run := recs[:n]
+		recs = recs[n:]
+		var adds []V
+		var tombs []core.Tomb[V]
+		// Keys equal under == may differ in bits (±0): the op carries those
+		// of the run's last record that touched its inserts, else of its
+		// last record.
+		key := run[n-1].k
+		for _, r := range run {
+			// j is the pending insert r would consume: the newest, or for a
+			// value delete the newest carrying its value; -1 if none.
+			j := len(adds) - 1
+			if r.op == walOpDeleteValue {
+				for j >= 0 && any(adds[j]) != any(r.v) {
+					j--
+				}
 			}
+			switch {
+			case r.op == walOpInsert:
+				adds = append(adds, r.v)
+			case j < 0:
+				tombs = append(tombs, core.Tomb[V]{Any: r.op == walOpDelete, Val: r.v})
+				continue
+			default:
+				adds = slices.Delete(adds, j, j+1)
+			}
+			key = r.k
 		}
-		if anyOnly {
-			ops[i].Dels = len(tombs[k])
+		if len(adds) == 0 && len(tombs) == 0 {
+			continue // every insert was consumed
+		}
+		op := core.MergeOp[K, V]{Key: key, Adds: adds}
+		if slices.ContainsFunc(tombs, func(t core.Tomb[V]) bool { return !t.Any }) {
+			op.Tombs = tombs
 		} else {
-			ops[i].Tombs = tombs[k]
+			op.Dels = len(tombs) // pure-anonymous lists take the counted fast path
 		}
+		ops = append(ops, op)
 	}
 	return tree.MergeCOW(ops), nil
 }

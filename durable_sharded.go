@@ -434,11 +434,11 @@ func loadShardManifest(store *pager.Store, head pager.PageID) (core.ShardManifes
 }
 
 // encodeFences encodes fence keys into the manifest's opaque byte-string
-// form via the WAL key codec.
+// form: one key's element form each.
 func encodeFences[K Key, V any](c *opCodec[K, V], bounds []K) [][]byte {
 	fences := make([][]byte, len(bounds))
 	for i, b := range bounds {
-		fences[i] = c.appendKey(nil, b)
+		fences[i] = c.key.Append(nil, b)
 	}
 	return fences
 }
@@ -449,7 +449,7 @@ func encodeFences[K Key, V any](c *opCodec[K, V], bounds []K) [][]byte {
 func decodeFences[K Key, V any](c *opCodec[K, V], fences [][]byte) ([]K, error) {
 	bounds := make([]K, len(fences))
 	for i, f := range fences {
-		k, rest, err := c.decodeKey(f)
+		k, rest, err := c.key.Decode(f)
 		if err != nil {
 			return nil, fmt.Errorf("fitingtree: manifest fence %d: %w", i, err)
 		}

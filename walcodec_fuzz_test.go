@@ -9,8 +9,10 @@ import (
 
 // FuzzOpCodec feeds arbitrary bytes to the WAL op codec — the only record
 // decoder on the only recovery path. The input is read as a sequence of
-// one-byte-length-prefixed record payloads, under both a numeric and a
-// string instantiation. The contract under fuzzing: decodeOp either
+// one-byte-length-prefixed record payloads, under instantiations that
+// reach every form of the element codec: (uint64, uint64), (string,
+// string), (int8, bool), (float32, float32) and a named uint64 key with a
+// named string value. The contract under fuzzing: decodeOp either
 // errors or yields a record that re-encodes to the identical bytes (so it
 // never invents or over-allocates state the payload does not carry) —
 // never a panic — and the decodable records, replayed as a WAL tail onto
@@ -30,22 +32,36 @@ func FuzzOpCodec(f *testing.F) {
 		return p
 	}
 	nums, strs := newOpCodec[uint64, uint64](), newOpCodec[string, string]()
-	numSeeds := [][]byte{
+	narrow, floats := newOpCodec[int8, bool](), newOpCodec[float32, float32]()
+	named := newOpCodec[goldenU64, goldenStr]()
+	seeds := [][][]byte{{
 		must(nums.encodeOp(nil, walOpInsert, 40, 7)),
 		must(nums.encodeOp(nil, walOpDelete, 40, 0)),
 		must(nums.encodeOp(nil, walOpDeleteValue, 80, 80)),
-	}
-	strSeeds := [][]byte{
+	}, {
 		must(strs.encodeOp(nil, walOpInsert, "k040", "seven")),
 		must(strs.encodeOp(nil, walOpDelete, "k040", "")),
 		must(strs.encodeOp(nil, walOpDeleteValue, "k080", "k080")),
-	}
+	}, {
+		must(narrow.encodeOp(nil, walOpInsert, -3, true)),
+		must(narrow.encodeOp(nil, walOpDelete, -3, false)),
+		must(narrow.encodeOp(nil, walOpDeleteValue, 5, false)),
+	}, {
+		must(floats.encodeOp(nil, walOpInsert, -0.1, 2.5)),
+		must(floats.encodeOp(nil, walOpDelete, -0.1, 0)),
+		must(floats.encodeOp(nil, walOpDeleteValue, 8, 8)),
+	}, {
+		must(named.encodeOp(nil, walOpInsert, 40, "seven")),
+		must(named.encodeOp(nil, walOpDelete, 40, "")),
+		must(named.encodeOp(nil, walOpDeleteValue, 80, "k080")),
+	}}
 	f.Add([]byte(nil))
-	for _, p := range append(numSeeds, strSeeds...) {
-		f.Add(frame(p))
+	for _, set := range seeds {
+		for _, p := range set {
+			f.Add(frame(p))
+		}
+		f.Add(frame(set...))
 	}
-	f.Add(frame(numSeeds...))
-	f.Add(frame(strSeeds...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
@@ -58,6 +74,10 @@ func FuzzOpCodec(f *testing.F) {
 		fuzzOpCodec(t, nums, payloads, numKeys, numKeys)
 		strKeys := []string{"", "k040", "k080", "k080", "zz"}
 		fuzzOpCodec(t, strs, payloads, strKeys, strKeys)
+		fuzzOpCodec(t, narrow, payloads, []int8{-128, -3, 5, 5, 127}, []bool{true, false, false, true, true})
+		floatKeys := []float32{-1e30, -0.1, 8, 8, 3.4e38}
+		fuzzOpCodec(t, floats, payloads, floatKeys, floatKeys)
+		fuzzOpCodec(t, named, payloads, []goldenU64{0, 40, 80, 80, 1 << 40}, []goldenStr{"", "k040", "k080", "k080", "zz"})
 	})
 }
 
