@@ -284,6 +284,24 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSharded measures splitting a bulk-loaded 1 M-key tree into
+// four shards: fences picked from the page starts, the page chain cut at
+// them. Splitting only reads the tree, so one tree serves every iteration.
+func BenchmarkNewSharded(b *testing.B) {
+	keys := workload.Weblogs(1_000_000, 1)
+	t, err := fitingtree.BulkLoad(keys, benchVals(len(keys)), fitingtree.Options{Error: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fitingtree.NewSharded(t, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRangeScan measures 1000-element range scans.
 func BenchmarkRangeScan(b *testing.B) {
 	keys := benchKeys()

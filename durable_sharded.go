@@ -257,8 +257,10 @@ func CreateDurable[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V]) (
 // atomically when it is a readable sharded store: the new store's first
 // cut is built under the next generation (fresh log names, old pages
 // shielded), so until that cut commits a crash still recovers the old
-// store in full, and only afterwards are its files swept. The tree must
-// not be used directly afterwards; the facade owns it.
+// store in full, and only afterwards are its files swept. The tree's pages
+// become the shards' pages — only a page a fence cuts through is rebuilt —
+// so the tree must not be used directly afterwards: the facade owns its
+// content, and an edit through the tree would corrupt a shard.
 func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V], shards int) (*DurableSharded[K, V], error) {
 	d, err := newDurableSharded[K, V](fsys, dev, t.Options(), shards)
 	if err != nil {
@@ -309,10 +311,7 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 
 	d.epoch = super.Epoch
 	d.generation = gen
-	set, err := d.load(t)
-	if err != nil {
-		return nil, err
-	}
+	set := d.load(t)
 	logs, err := createShardLogs(fsys, gen, len(set.shards))
 	if err != nil {
 		return nil, err
@@ -783,10 +782,10 @@ func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) (err e
 	}
 	d.attach(next, logs)
 
-	// 3. The commit point: a full cut of the new shards (their trees are
-	// freshly built, so every chunk is written; the collected content
-	// already includes everything the old logs held) under the new
-	// generation, flipped in with epoch+1. Crash before the flip:
+	// 3. The commit point: a full cut of the new shards (their chunks are
+	// freshly cut, so every chunk is written; the quiesced content already
+	// includes everything the old logs held) under the new generation,
+	// flipped in with epoch+1. Crash before the flip:
 	// recovery discards the migration; after: recovery loads it — either
 	// way one coherent whole.
 	if _, err := d.checkpointLocked(next, newGen); err != nil {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"sort"
+
 	"fitingtree/internal/num"
-	"fitingtree/internal/segment"
 )
 
 // PageBounds returns, per page in chain order, the page's routing start key
@@ -23,37 +24,12 @@ func (t *Tree[K, V]) PageBounds() (starts []K, weights []int) {
 	return starts, weights
 }
 
-// SegmentBoundsOf runs the error-bounded segmentation over a sorted key
-// slice and returns the same (start key, element count) pairs PageBounds
-// would report for a tree freshly bulk-loaded from those keys — without
-// building any pages. It lets a partitioner pick distribution-aware cut
-// points for data it holds only as a sorted run (e.g. during a shard
-// rebalance). The keys must be sorted and NaN-free; opts is normalized the
-// way BulkLoad normalizes it.
-func SegmentBoundsOf[K num.Key](keys []K, opts Options) (starts []K, weights []int, err error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(keys) == 0 {
-		return nil, nil, nil
-	}
-	segs := segment.ShrinkingCone(keys, o.segError())
-	starts = make([]K, len(segs))
-	weights = make([]int, len(segs))
-	for i, s := range segs {
-		starts[i] = s.Start
-		weights[i] = s.Count
-	}
-	return starts, weights, nil
-}
-
 // PartitionByWeight picks up to n-1 strictly increasing fence keys from the
 // candidate cut points starts (sorted, parallel to weights) so that the n
 // ranges they induce carry near-equal total weight. Cutting is restricted
 // to candidate starts, so a fence never splits a candidate's weight — for
-// candidates produced by PageBounds or SegmentBoundsOf that means a fence
-// never lands inside a page, and every key compares into exactly one range.
+// candidates produced by PageBounds that means a fence never lands inside a
+// page, and every key compares into exactly one range.
 // Duplicate candidate starts (equal-start page runs) are never chosen
 // twice. Fewer than n-1 fences are returned when the candidates cannot
 // support n non-empty ranges.
@@ -89,4 +65,122 @@ func PartitionByWeight[K num.Key](starts []K, weights []int, n int) []K {
 		acc += w
 	}
 	return fences
+}
+
+// QuantileFences cuts the chain the trees form (read in order as one, as
+// for Cut) at element-count quantiles: fence i is the key at position
+// i·n/want of the n elements in key order. A cut landing inside a
+// duplicate run advances past it (fences must be strictly increasing and
+// every key must compare into one range), so heavy duplicates can yield
+// fewer than want-1 fences. Positions are found from page weights, so only
+// the pages a cut lands in are read.
+func QuantileFences[K num.Key, V any](trees []*Tree[K, V], want int) []K {
+	var pages []*page[K, V]
+	cum := []int{0} // cum[i] elements precede pages[i]
+	for _, t := range trees {
+		for _, c := range t.chunks {
+			for _, p := range c.pages {
+				pages = append(pages, p)
+				cum = append(cum, cum[len(cum)-1]+len(p.keys)+len(p.bufKeys))
+			}
+		}
+	}
+	n := cum[len(pages)]
+	keyAt := func(pos int) K {
+		pi := sort.Search(len(pages), func(i int) bool { return cum[i+1] > pos })
+		keys, _ := mergeSorted(pages[pi].keys, pages[pi].vals, pages[pi].bufKeys, pages[pi].bufVals)
+		return keys[pos-cum[pi]]
+	}
+	var fences []K
+	for i := 1; i < want; i++ {
+		pos := i * n / want
+		if pos <= 0 || pos >= n {
+			continue
+		}
+		f := keyAt(pos)
+		if keyAt(pos-1) == f {
+			pi := sort.Search(len(pages), func(i int) bool { return pages[i].lastKey() > f })
+			if pi == len(pages) {
+				continue
+			}
+			p := pages[pi]
+			f = keyAt(cum[pi] + upperBound(p.keys, f) + upperBound(p.bufKeys, f))
+		}
+		if len(fences) > 0 && f <= fences[len(fences)-1] {
+			continue
+		}
+		fences = append(fences, f)
+	}
+	return fences
+}
+
+// Cut splits the chain the trees form — their chains read in order as one,
+// so they must partition the key space in that order, as a shard set's
+// base trees do — at strictly increasing fences, and returns one tree per
+// fence range: tree i holds exactly the elements in [fences[i-1],
+// fences[i]), the first and last ranges open-ended. A page that lies wholly
+// in one range moves into that tree by reference, its start and head
+// copied. A page a fence straddles — the fence falls inside its keys, or
+// the fence key spills from a duplicate run into the page's tail — has its
+// data and buffer merged and each side of every fence inside it
+// re-segmented under the tree's bound, its write counter split over the
+// pages it becomes. A cut therefore costs O(pages) plus the straddling
+// pages' elements, never a pass over every key. Every output is cut into
+// fresh chunks from its first page, exactly as BulkLoad cuts them, so on a
+// freshly bulk-loaded chain a fence at a page start whose key the page
+// before does not hold yields BulkLoad's pages and chunks on both sides:
+// ShrinkingCone restarted at a segment start reproduces the segments that
+// follow. The inputs are only read, but they share their pages with the
+// outputs, so they must not be edited in place afterwards. With one input
+// and no fences the input itself is returned.
+func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
+	if len(trees) == 1 && len(fences) == 0 {
+		return trees
+	}
+	out := make([]*Tree[K, V], 0, len(fences)+1)
+	var run pageRun[K, V]
+	size := 0
+	next := func() { // closes the tree being assembled and opens the next
+		o := trees[0].opts
+		t := &Tree[K, V]{opts: o, strat: o.Search, size: size, npages: len(run.pages)}
+		t.setChunks(cutChunks(run))
+		out, run, size = append(out, t), pageRun[K, V]{}, 0
+	}
+	for _, tr := range trees {
+		for _, c := range tr.chunks {
+			for pi, p := range c.pages {
+				for len(out) < len(fences) && p.firstKey() >= fences[len(out)] {
+					next()
+				}
+				if len(out) == len(fences) || p.lastKey() < fences[len(out)] {
+					run.carry(c, pi, pi+1)
+					size += len(p.keys) + len(p.bufKeys)
+					continue
+				}
+				keys, vals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
+				var made []*page[K, V]
+				for len(keys) > 0 {
+					n := len(keys)
+					if len(out) < len(fences) {
+						n = lowerBound(keys, 0, n, fences[len(out)])
+					}
+					pages := tr.buildPages(keys[:n], vals[:n], nil, 0, new(Counters))
+					stampIDs([][]*page[K, V]{pages})
+					run.add(pages...)
+					made, size = append(made, pages...), size+n
+					if n < len(keys) {
+						next()
+					}
+					keys, vals = keys[n:], vals[n:]
+				}
+				for _, q := range made {
+					q.writes = p.writes / uint64(len(made))
+				}
+			}
+		}
+	}
+	for len(out) <= len(fences) {
+		next()
+	}
+	return out
 }

@@ -37,40 +37,6 @@ func TestPageBoundsSumToLen(t *testing.T) {
 	}
 }
 
-func TestSegmentBoundsOfMatchesFreshTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	keys := make([]uint64, 0, 20000)
-	k := uint64(0)
-	for len(keys) < cap(keys) {
-		k += uint64(rng.Intn(50) + 1)
-		keys = append(keys, k)
-	}
-	opts := Options{Error: 64, BufferSize: 16}
-	tr, err := BulkLoad(keys, keys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, tw := tr.PageBounds()
-	ss, sw, err := SegmentBoundsOf(keys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss) != len(ts) {
-		t.Fatalf("SegmentBoundsOf yields %d segments, fresh tree has %d pages", len(ss), len(ts))
-	}
-	for i := range ss {
-		if ss[i] != ts[i] || sw[i] != tw[i] {
-			t.Fatalf("bound %d: (%d,%d) vs tree (%d,%d)", i, ss[i], sw[i], ts[i], tw[i])
-		}
-	}
-	if _, _, err := SegmentBoundsOf[uint64](nil, opts); err != nil {
-		t.Fatalf("empty keys: %v", err)
-	}
-	if _, _, err := SegmentBoundsOf(keys, Options{Error: -1}); err == nil {
-		t.Fatal("invalid options accepted")
-	}
-}
-
 func TestPartitionByWeightBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	starts := make([]uint64, 400)

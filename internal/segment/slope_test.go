@@ -103,3 +103,40 @@ func TestSlopeInsideCone(t *testing.T) {
 		}
 	}
 }
+
+// windowShares returns, per segment of keys under bound e and sorted, the
+// share of its 2e+1 window its keys actually use: (eLo + eHi) / 2e, where
+// eLo and eHi are its largest over- and under-prediction. It fails the test
+// if a segment needs more than its bound either way.
+func windowShares[K num.Key](t *testing.T, keys []K, e int) []float64 {
+	segs := segment.ShrinkingCone(keys, e)
+	shares := make([]float64, len(segs))
+	for si, s := range segs {
+		var lo, hi float64
+		for i, k := range keys[s.StartPos:s.EndPos()] {
+			d := s.Predict(k) - float64(i)
+			lo, hi = max(lo, d), max(hi, -d)
+		}
+		if lo > float64(e)+1e-6 || hi > float64(e)+1e-6 {
+			t.Fatalf("segment %d under bound %d over-predicts by %.2f, under-predicts by %.2f", si, e, lo, hi)
+		}
+		shares[si] = (lo + hi) / float64(2*e)
+	}
+	sort.Float64s(shares)
+	return shares
+}
+
+// TestRealisedWindowShare logs the distribution over pages of the window a
+// page's keys actually need, as a share of the one its bound allows — the
+// measurement behind ROADMAP item 3 (search the error a page has, not the
+// error it was allowed). It asserts only the bound itself.
+func TestRealisedWindowShare(t *testing.T) {
+	weblogs, iot, maps := workload.Weblogs(200_000, 3), workload.IoT(200_000, 4), workload.MapsLongitude(200_000, 5)
+	for _, e := range []int{10, 100, 1000} {
+		for i, shares := range [][]float64{windowShares(t, weblogs, e), windowShares(t, iot, e), windowShares(t, maps, e)} {
+			n := len(shares)
+			t.Logf("%s ε=%d: %d pages, (eLo+eHi)/2ε p10 %.2f, median %.2f, p90 %.2f",
+				[]string{"weblogs", "iot", "maps"}[i], e, n, shares[n/10], shares[n/2], shares[n*9/10])
+		}
+	}
+}

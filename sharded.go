@@ -76,11 +76,12 @@ type Sharded[K Key, V any] struct {
 //
 // When one shard's size — or its share of the write traffic — drifts past
 // a configurable factor of the mean (SetRebalanceFactor), the engine
-// re-partitions: all shard contents are collected under the exclusive
-// lock, fresh fences are computed from the merged data's segment
-// boundaries, the durability backend (if any) commits the new generation,
-// and a new shard set is published atomically. Readers holding the old set
-// keep complete, consistent snapshots.
+// re-partitions under the exclusive lock: fresh fences are picked from the
+// shards' page boundaries, the shards' page chain is cut at them — whole
+// pages move to their new shard by reference — the durability backend (if
+// any) commits the new generation, and a new shard set is published
+// atomically. Readers holding the old set keep complete, consistent
+// snapshots.
 type shardEngine[K Key, V any] struct {
 	// reshape is held shared by writers (writes on different shards still
 	// run concurrently) and exclusively by rebalance, coherent multi-shard
@@ -124,26 +125,37 @@ type shardSet[K Key, V any] struct {
 	shardWrites []atomic.Uint64
 	// skewSettled disarms the write-skew trigger for this set: a
 	// write-skew rebalance recomputed the fences and they did not move, so
-	// the hot range cannot be split and repeating the O(n) work every
-	// minSkewWrites writes would buy nothing.
+	// the hot range cannot be split and repeating the quiesce and fence
+	// pick every minSkewWrites writes would buy nothing.
 	skewSettled atomic.Bool
 }
 
-// balancedFences picks the fence keys for a shard split of the sorted
-// element run. Segment/page start keys (weighted by element count, and
-// optionally boosted by write rate — see writeBoostedWeights) are
-// the preferred cut points — they are the distribution summary the tree
+// balancedFences picks the fence keys for a shard split of the chain the
+// trees form, read in order as one (a shard set's base trees, or the one
+// tree a store is built from). The chain's page start keys, weighted by
+// element count and boosted by the write rate of loads (see
+// writeBoostedWeights; nil leaves the counts as they are), are the
+// preferred cut points — they are the distribution summary the tree
 // already maintains, so skewed data naturally gets narrow hot shards and
-// wide cold ones. But the segmentation can be too coarse to balance on:
-// near-linear data collapses into a handful of huge segments (one, in the
-// limit), leaving no candidate anywhere near the even share. The balance
-// check runs in weight space — each range's summed weight against 1.5×
-// the even weight share — so boosted weights stay honored: a write-hot
-// range is allowed to hold fewer elements by design. When the
-// segment-start fences cannot balance the weights, the partitioner falls
-// back to element-count quantiles of the run itself, advancing each cut
-// past its duplicate run so every key still routes to exactly one shard.
-func balancedFences[K Key](keys []K, starts []K, weights []int, want int) []K {
+// wide cold ones, and a fence there moves whole pages. But the
+// segmentation can be too coarse to balance on: near-linear data collapses
+// into a handful of huge segments (one, in the limit), leaving no candidate
+// anywhere near the even share. The balance check runs in weight space —
+// each range's summed weight against 1.5× the even weight share — so
+// boosted weights stay honored: a write-hot range is allowed to hold fewer
+// elements by design. When the page-start fences cannot balance the
+// weights, the partitioner falls back to element-count quantiles, found
+// from page weights and in-page offsets (core.QuantileFences), each cut
+// advanced past its duplicate run so every key still routes to exactly one
+// shard.
+func balancedFences[K Key, V any](trees []*Tree[K, V], loads []core.ChunkLoad[K], want int) []K {
+	var starts []K
+	var weights []int
+	for _, t := range trees {
+		s, w := t.PageBounds()
+		starts, weights = append(starts, s...), append(weights, w...)
+	}
+	weights = writeBoostedWeights(starts, weights, loads)
 	bounds := core.PartitionByWeight(starts, weights, want)
 	if len(bounds) == want-1 {
 		total := 0
@@ -168,7 +180,7 @@ func balancedFences[K Key](keys []K, starts []K, weights []int, want int) []K {
 			return bounds
 		}
 	}
-	return quantileFences(keys, want)
+	return core.QuantileFences(trees, want)
 }
 
 // writeBoostedWeights scales each fence candidate's weight by the write
@@ -201,33 +213,6 @@ func writeBoostedWeights[K Key](starts []K, weights []int, loads []core.ChunkLoa
 	return out
 }
 
-// quantileFences cuts the sorted run at element-count quantiles. A cut
-// landing inside a duplicate run advances past it (fences must be strictly
-// increasing and every key must compare into one range), so heavy
-// duplicates can yield fewer than want-1 fences.
-func quantileFences[K Key](keys []K, want int) []K {
-	var fences []K
-	for i := 1; i < want; i++ {
-		pos := i * len(keys) / want
-		if pos <= 0 || pos >= len(keys) {
-			continue
-		}
-		f := keys[pos]
-		if keys[pos-1] == f {
-			pos = upperBoundKeys(keys, f)
-			if pos >= len(keys) {
-				continue
-			}
-			f = keys[pos]
-		}
-		if len(fences) > 0 && f <= fences[len(fences)-1] {
-			continue
-		}
-		fences = append(fences, f)
-	}
-	return fences
-}
-
 // upperBoundKeys returns the index of the first key > k in a sorted slice.
 func upperBoundKeys[K Key](keys []K, k K) int {
 	lo, hi := 0, len(keys)
@@ -255,18 +240,16 @@ func (ss *shardSet[K, V]) shardFor(k K) int {
 // balancedFences), so the initial shards are balanced for the data's
 // actual distribution. Fewer shards are created when the data cannot
 // support the requested count (e.g. one giant duplicate run); the facade
-// grows toward the target as data arrives. The tree must not be used
-// directly afterwards: the facade owns its content.
+// grows toward the target as data arrives. The tree's pages become the
+// shards' pages — only a page a fence cuts through is rebuilt — so the
+// tree must not be used directly afterwards: the facade owns its content,
+// and an edit through the tree would corrupt a shard.
 func NewSharded[K Key, V any](t *Tree[K, V], shards int) (*Sharded[K, V], error) {
 	s := &Sharded[K, V]{}
 	if err := s.init(t.Options(), shards); err != nil {
 		return nil, err
 	}
-	ss, err := s.load(t)
-	if err != nil {
-		return nil, err
-	}
-	s.set.Store(ss)
+	s.set.Store(s.load(t))
 	return s, nil
 }
 
@@ -284,53 +267,15 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 	return nil
 }
 
-// load splits t's content into the engine's first shard set, fenced along
-// the tree's page boundaries. A load that comes out as one shard — a
-// single-shard store, or data that cannot be split — wraps t as it stands:
-// draining it only to bulk-load the same run again would re-run the
-// segmentation over every key for nothing. The caller publishes the set.
-func (e *shardEngine[K, V]) load(t *Tree[K, V]) (*shardSet[K, V], error) {
+// load cuts t into the engine's first shard set, fenced along the tree's
+// page boundaries (core.Cut: whole pages move by reference, and a load
+// that comes out as one shard wraps t as it stands). The caller publishes
+// the set.
+func (e *shardEngine[K, V]) load(t *Tree[K, V]) *shardSet[K, V] {
 	e.rebalancedAt.Store(int64(t.Len()))
-	var keys, bounds []K
-	var vals []V
-	if e.want > 1 {
-		keys, vals = make([]K, 0, t.Len()), make([]V, 0, t.Len())
-		t.Ascend(func(k K, v V) bool {
-			keys = append(keys, k)
-			vals = append(vals, v)
-			return true
-		})
-		starts, weights := t.PageBounds()
-		bounds = balancedFences(keys, starts, weights, e.want)
-	}
-	if len(bounds) == 0 {
-		return e.shardSetOf(nil, []*Tree[K, V]{t}, 0), nil
-	}
-	return e.newShardSet(keys, vals, bounds, 0)
-}
-
-// newShardSet partitions the sorted (keys, vals) run along bounds and
-// bulk-loads one shard per range, the shards side by side on up to
-// GOMAXPROCS goroutines (each build reads its own sub-run and shares
-// nothing): it is the first load and the rebalance's rebuild, during which
-// writers wait. The error reported is the lowest failing shard's.
-func (e *shardEngine[K, V]) newShardSet(keys []K, vals []V, bounds []K, versionBase uint64) (*shardSet[K, V], error) {
-	trees := make([]*Tree[K, V], len(bounds)+1)
-	errs := make([]error, len(trees))
-	cuts := make([]int, len(trees)+1)
-	cuts[len(trees)] = len(keys)
-	for i, b := range bounds {
-		cuts[i+1], _ = slices.BinarySearch(keys, b) // keys >= fence belong right of the cut
-	}
-	fanOut(len(trees), func(i int) {
-		trees[i], errs[i] = BulkLoad(keys[cuts[i]:cuts[i+1]], vals[cuts[i]:cuts[i+1]], e.opts)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
-		}
-	}
-	return e.shardSetOf(bounds, trees, versionBase), nil
+	trees := []*Tree[K, V]{t}
+	bounds := balancedFences(trees, nil, e.want)
+	return e.shardSetOf(bounds, core.Cut(trees, bounds), 0)
 }
 
 // shardSetOf wraps one tree per fence range into a shard set, every shard
@@ -673,7 +618,7 @@ const (
 )
 
 // needsRebalance reports whether the shard set has drifted enough to
-// warrant an O(n) re-partition. Size drift: the store is under its target
+// warrant a re-partition. Size drift: the store is under its target
 // shard count, or the largest shard exceeds the skew factor times the
 // mean — behind an amortization guard that requires the total size to have
 // moved by at least a quarter since fences were last computed, so repeated
@@ -727,9 +672,10 @@ func (ss *shardSet[K, V]) quiesce() {
 	forEachShardParallel(ss.shards, func(_ int, sh *Optimistic[K, V]) { sh.Close() })
 }
 
-// rebalance is the one re-partition: quiesce, collect, re-segment, weigh,
-// fence, build, commit, publish. Writers are excluded for the duration
-// (exclusive reshape lock); readers keep running against the old set,
+// rebalance is the one re-partition: quiesce, weigh, fence, cut, commit,
+// publish. Writers are excluded for the duration (exclusive reshape lock),
+// which drains nothing: past the quiesce it costs O(pages) plus the pages
+// a fence cuts through (core.Cut). Readers keep running against the old set,
 // which stays a complete, consistent snapshot. Unless forced it re-checks
 // the trigger under the lock (another writer may have rebalanced between
 // the check and the lock). Commit is the durability backend's step and the
@@ -764,28 +710,22 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	// parallel, and leaves the retired set permanently clean for readers
 	// still holding it.
 	ss.quiesce()
-	states := make([]*ostate[K, V], len(ss.shards))
+	trees := make([]*Tree[K, V], len(ss.shards))
 	base := ss.versionBase + 2 // keep Version monotone (and even) across the swap
+	total := 0
+	// Feed the outgoing shards' write rates into the fence picker: the base
+	// trees carry per-page write counters (set when a fold builds a page, by
+	// carryLoad), so a write-hot key range boosts its fence weights and
+	// comes out split across narrower shards. Loads concatenate in fence
+	// order, matching the chain's ascending page starts.
+	var loads []core.ChunkLoad[K]
 	for i, sh := range ss.shards {
 		base += sh.Version()
-		states[i] = sh.state.Load()
+		trees[i] = foldState(sh.state.Load())
+		total += trees[i].Len()
+		loads = append(loads, trees[i].ChunkLoads()...)
 	}
-	keys, vals := collectStates(states)
-	starts, weights, err := core.SegmentBoundsOf(keys, e.opts)
-	if err != nil {
-		// Unreachable: e.opts was normalized at construction.
-		panic(fmt.Sprintf("fitingtree: rebalance segmentation: %v", err))
-	}
-	// Feed the outgoing shards' write rates into the fence picker: the
-	// drained base trees carry per-page write counters (set when a fold
-	// builds a page, by carryLoad), so a write-hot key range boosts its fence
-	// weights and comes out split across narrower shards. Loads concatenate
-	// in fence order, matching the ascending starts.
-	var loads []core.ChunkLoad[K]
-	for _, st := range states {
-		loads = append(loads, st.tree.ChunkLoads()...)
-	}
-	bounds := balancedFences(keys, starts, writeBoostedWeights(starts, weights, loads), e.want)
+	bounds := balancedFences(trees, loads, e.want)
 	if why == rebalanceWriteSkew && slices.Equal(bounds, ss.bounds) {
 		// The hot range cannot be split (one scorching key, or no load
 		// samples to boost with): rebuilding would republish the same
@@ -798,18 +738,14 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 		}
 		return nil
 	}
-	ns, err := e.newShardSet(keys, vals, bounds, base)
-	if err != nil {
-		// Unreachable: the collected run is sorted and NaN-free.
-		panic(fmt.Sprintf("fitingtree: rebalance: %v", err))
-	}
+	ns := e.shardSetOf(bounds, core.Cut(trees, bounds), base)
 	if e.durable != nil {
 		if err := e.durable.commitRebalance(ss, ns); err != nil {
 			return err
 		}
 	}
 	e.set.Store(ns)
-	e.rebalancedAt.Store(int64(len(keys)))
+	e.rebalancedAt.Store(int64(total))
 	return nil
 }
 
@@ -817,8 +753,8 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 // deltas folded in (the same fold a flush applies — frozen layer below
 // the active one). The drains run side by side (fanOut): states are
 // immutable, shards partition the key space, and each drain is exactly the
-// flush fold for its shard, so a rebalance (or EncodeSharded) effectively
-// flushes all shards concurrently instead of one after another; the runs
+// flush fold for its shard, so EncodeSharded effectively flushes all
+// shards concurrently instead of one after another; the runs
 // are then concatenated in fence order, which preserves global key order.
 func collectStates[K Key, V any](states []*ostate[K, V]) ([]K, []V) {
 	type run struct {

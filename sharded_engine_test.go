@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
@@ -497,5 +498,114 @@ func TestShardedLookupBatchLayers(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRebalanceCarriesPages pins what a rebalance moves: a forced
+// rebalance of a 4-shard store cuts the shards' page chain at the new
+// fences, so every page no new fence straddles reaches its new shard by
+// identity and only the straddling ones are rebuilt — and the migration
+// still commits and recovers the same content. It also pins the one
+// observable difference from rebuilding the shards: a carried page keeps
+// its decayed write counter, so the new set's ChunkLoads still report the
+// writes of every old chunk whose pages all moved (rebuilt pages used to
+// start at zero).
+func TestRebalanceCarriesPages(t *testing.T) {
+	mem, dev := wal.NewMemFS(), pager.NewDisk()
+	d, err := CreateDurableSharded(mem, dev, bumpyTree(t, 100_000), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(d)
+	// Skew the first shard, with duplicate runs long enough to spill across
+	// the pages the folds cut.
+	hi := d.Bounds()[0]
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 4000; i++ {
+		k := rng.Intn(hi)
+		for dup := 0; dup < 1+i%24; dup++ {
+			if err := d.Insert(k, -dup); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.SyncFlush()
+	type span struct {
+		id          uint64
+		first, last int
+	}
+	var pages []span
+	var loads []core.ChunkLoad[int]
+	for _, tr := range shardTrees(d) {
+		ids := tr.PageIDs()
+		for ci := 0; ci < tr.NumChunks(); ci++ {
+			for _, p := range tr.ChunkSnap(ci).Pages {
+				first, last := p.Keys[0], p.Keys[len(p.Keys)-1]
+				pages = append(pages, span{id: ids[0], first: first, last: last})
+				ids = ids[1:]
+			}
+		}
+		loads = append(loads, tr.ChunkLoads()...)
+	}
+	before, want := d.Bounds(), dump(d)
+	if err := d.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	fences := d.Bounds()
+	if slices.Equal(fences, before) {
+		t.Fatalf("the skew did not move the fences %v", fences)
+	}
+	carried := map[uint64]bool{}
+	var after uint64
+	for _, tr := range shardTrees(d) {
+		for _, id := range tr.PageIDs() {
+			carried[id] = true
+		}
+		for _, l := range tr.ChunkLoads() {
+			after += l.Writes
+		}
+	}
+	straddlers := 0
+	for _, p := range pages {
+		i, _ := slices.BinarySearch(fences, p.first+1)
+		straddles := i < len(fences) && fences[i] <= p.last
+		if carried[p.id] == straddles {
+			t.Fatalf("page [%d, %d] under fences %v: straddles %v, carried %v", p.first, p.last, fences, straddles, carried[p.id])
+		}
+		if straddles {
+			straddlers++
+		}
+	}
+	if straddlers == 0 || straddlers > len(fences) {
+		t.Fatalf("%d of %d pages straddle the %d new fences; the test wants some, and a fence straddles at most one", straddlers, len(pages), len(fences))
+	}
+	var kept uint64
+	at := 0
+	for _, l := range loads {
+		whole := true
+		for _, p := range pages[at : at+l.Pages] {
+			whole = whole && carried[p.id]
+		}
+		if whole {
+			kept += l.Writes
+		}
+		at += l.Pages
+	}
+	if kept == 0 || after < kept {
+		t.Fatalf("the new shards report %d writes, the wholly carried chunks held %d", after, kept)
+	}
+	if got := dump(d); !pairsEqual(got, want) {
+		t.Fatalf("the rebalance changed the content: %d pairs, want %d", len(got), len(want))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openStore(t, mem, dev, 4)
+	defer re.Close()
+	if got := re.Bounds(); !slices.Equal(got, fences) {
+		t.Fatalf("recovered fences %v, want %v", got, fences)
+	}
+	if got := dump(re); !pairsEqual(got, want) {
+		t.Fatalf("recovered %d pairs, want %d", len(got), len(want))
 	}
 }
