@@ -276,33 +276,7 @@ func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], s *regio
 			moved, _ = findKey(only.keys, ops[0].Key)
 		}
 	}
-	pages := t.buildPages(s.keys, s.vals, only, moved, ctr)
-	// The rebuilt pages inherit the region's decayed write counters plus
-	// this batch's op count.
-	var sw uint64
-	t.eachRegionPage(iv, func(p *page[K, V]) { sw += p.writes })
-	opN := 0
-	for _, op := range ops {
-		opN += len(op.Adds) + op.Dels + len(op.Tombs)
-	}
-	carryLoad(sw, opN, pages)
-	return pages, deleted
-}
-
-// carryLoad seeds the write counters of freshly built pages, before they
-// can be reached from any tree, from the pages they replace: half the
-// accumulated total (exponential decay, so stale traffic fades across
-// rebuilds) plus the op count of the batch that triggered the rebuild,
-// spread evenly. Every rebuilt page registers at least one write, so a
-// write-hot region shows in ChunkLoads before its counters accumulate.
-func carryLoad[K num.Key, V any](srcWrites uint64, ops int, rebuilt []*page[K, V]) {
-	if len(rebuilt) == 0 {
-		return
-	}
-	w := max(1, (srcWrites/2+uint64(ops))/uint64(len(rebuilt)))
-	for _, p := range rebuilt {
-		p.writes = w
-	}
+	return t.buildPages(s.keys, s.vals, only, moved, ctr), deleted
 }
 
 // buildPages turns a sorted merged run into fresh pages under the tree's

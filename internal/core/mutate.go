@@ -192,7 +192,6 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 			segErr,
 		)
 	}
-	carryLoad(p.writes, len(p.bufKeys)+p.deletes, pages)
 	t.splicePages(cu, pages)
 }
 

@@ -123,16 +123,15 @@ func QuantileFences[K num.Key, V any](trees []*Tree[K, V], want int) []K {
 // copied. A page a fence straddles — the fence falls inside its keys, or
 // the fence key spills from a duplicate run into the page's tail — has its
 // data and buffer merged and each side of every fence inside it
-// re-segmented under the tree's bound, its write counter split over the
-// pages it becomes. A cut therefore costs O(pages) plus the straddling
-// pages' elements, never a pass over every key. Every output is cut into
-// fresh chunks from its first page, exactly as BulkLoad cuts them, so on a
-// freshly bulk-loaded chain a fence at a page start whose key the page
-// before does not hold yields BulkLoad's pages and chunks on both sides:
-// ShrinkingCone restarted at a segment start reproduces the segments that
-// follow. The inputs are only read, but they share their pages with the
-// outputs, so they must not be edited in place afterwards. With one input
-// and no fences the input itself is returned.
+// re-segmented under the tree's bound. A cut therefore costs O(pages) plus
+// the straddling pages' elements, never a pass over every key. Every output
+// is cut into fresh chunks from its first page, exactly as BulkLoad cuts
+// them, so on a freshly bulk-loaded chain a fence at a page start whose key
+// the page before does not hold yields BulkLoad's pages and chunks on both
+// sides: ShrinkingCone restarted at a segment start reproduces the segments
+// that follow. The inputs are only read, but they share their pages with
+// the outputs, so they must not be edited in place afterwards. With one
+// input and no fences the input itself is returned.
 func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 	if len(trees) == 1 && len(fences) == 0 {
 		return trees
@@ -158,7 +157,6 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 					continue
 				}
 				keys, vals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
-				var made []*page[K, V]
 				for len(keys) > 0 {
 					n := len(keys)
 					if len(out) < len(fences) {
@@ -167,14 +165,11 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 					pages := tr.buildPages(keys[:n], vals[:n], nil, 0, new(Counters))
 					stampIDs([][]*page[K, V]{pages})
 					run.add(pages...)
-					made, size = append(made, pages...), size+n
+					size += n
 					if n < len(keys) {
 						next()
 					}
 					keys, vals = keys[n:], vals[n:]
-				}
-				for _, q := range made {
-					q.writes = p.writes / uint64(len(made))
 				}
 			}
 		}

@@ -268,29 +268,6 @@ func (t *Tree[K, V]) PageErrorBounds() []int {
 	return out
 }
 
-// ChunkLoad is one chunk's position, size and write load, the feed for
-// skew-aware shard fence placement.
-type ChunkLoad[K num.Key] struct {
-	Start    K
-	Pages    int
-	Elements int
-	Writes   uint64
-}
-
-// ChunkLoads returns every chunk's load in chain order.
-func (t *Tree[K, V]) ChunkLoads() []ChunkLoad[K] {
-	loads := make([]ChunkLoad[K], 0, len(t.chunks))
-	for _, c := range t.chunks {
-		l := ChunkLoad[K]{Start: c.start(), Pages: len(c.pages)}
-		for _, p := range c.pages {
-			l.Elements += len(p.keys) + len(p.bufKeys)
-			l.Writes += p.writes
-		}
-		loads = append(loads, l)
-	}
-	return loads
-}
-
 // CheckInvariants validates the tree's structural invariants; tests drive
 // random workloads through the tree and call this afterwards.
 func (t *Tree[K, V]) CheckInvariants() error {

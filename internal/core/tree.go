@@ -140,10 +140,6 @@ type page[K num.Key, V any] struct {
 	bufKeys []K                // sorted insert buffer
 	bufVals []V
 	deletes int // elements removed from keys since last rebuild
-	// writes approximates the merge ops folded into the page's region,
-	// carried forward with decay across rebuilds; set when the page is
-	// built, before anything can reach it (see carryLoad).
-	writes uint64
 }
 
 // newPage allocates a page over the given segment data, built under

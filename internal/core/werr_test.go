@@ -123,52 +123,3 @@ func TestSnapCodecRoundTripsWErr(t *testing.T) {
 		}
 	}
 }
-
-// TestChunkLoadsReflectCounters: ChunkLoads reports every chunk in chain
-// order with its pages' write counters, and its element counts sum to the
-// tree's length — also when pages carry in-place deletes, which have
-// already left the page's keys.
-func TestChunkLoadsReflectCounters(t *testing.T) {
-	tr, keys := buildJagged(t, 20_000)
-	mid := keys[len(keys)/2]
-	for _, c := range tr.chunks {
-		for _, p := range c.pages {
-			p.writes = 10
-			if p.start() >= mid {
-				p.writes = 1_000_000
-			}
-		}
-	}
-	eroded, err := BulkLoad(keys, keys, Options{Error: 16, BufferSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(keys); i += 7 {
-		eroded.Delete(keys[i])
-	}
-	if eroded.Stats().Deletes == 0 {
-		t.Fatal("no page carries an in-place delete: the test proves nothing")
-	}
-	check := func(tr *Tree[int, int], written bool) {
-		t.Helper()
-		loads := tr.ChunkLoads()
-		if len(loads) != tr.NumChunks() {
-			t.Fatalf("ChunkLoads returned %d entries for %d chunks", len(loads), tr.NumChunks())
-		}
-		elems := 0
-		for i, l := range loads {
-			if i > 0 && loads[i-1].Start >= l.Start {
-				t.Fatalf("chunk starts not ascending at %d", i)
-			}
-			if written && l.Writes == 0 {
-				t.Fatalf("chunk %d lost its write counters", i)
-			}
-			elems += l.Elements
-		}
-		if elems != tr.Len() {
-			t.Fatalf("ChunkLoads elements %d, tree has %d", elems, tr.Len())
-		}
-	}
-	check(tr, true)
-	check(eroded, false)
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,16 +26,6 @@ const (
 	// below want*minShardElements total elements the facade never
 	// re-partitions.
 	minShardElements = 64
-	// minSkewWrites is the write-tally floor for the write-skew rebalance
-	// trigger: fences only move for write imbalance once this many writes
-	// have accumulated on the current shard set, so a freshly published
-	// set cannot be re-partitioned on a handful of samples.
-	minSkewWrites = 4096
-	// shardWriteBoostMax caps the extra fence weight a write-hot region
-	// can earn: a segment's weight is multiplied by at most
-	// 1+shardWriteBoostMax, narrowing hot shards without letting one
-	// scorching chunk dominate the whole partitioning.
-	shardWriteBoostMax = 7
 )
 
 // Sharded is the range-partitioned multi-writer store, in memory: a
@@ -74,8 +63,8 @@ type Sharded[K Key, V any] struct {
 // read mode for the duration of a write; its exclusive side is taken only
 // by rebalances and coherent multi-shard snapshots, which are rare.
 //
-// When one shard's size — or its share of the write traffic — drifts past
-// a configurable factor of the mean (SetRebalanceFactor), the engine
+// When one shard's size drifts past a configurable factor of the mean
+// (SetRebalanceFactor), or the store is under its shard target, the engine
 // re-partitions under the exclusive lock: fresh fences are picked from the
 // shards' page boundaries, the shards' page chain is cut at them — whole
 // pages move to their new shard by reference — the durability backend (if
@@ -117,45 +106,28 @@ type shardSet[K Key, V any] struct {
 	bounds      []K
 	shards      []*Optimistic[K, V]
 	versionBase uint64 // accumulated Version() sum of retired shard sets
-	// shardWrites tallies writes routed to each shard since this set was
-	// published, feeding the write-skew rebalance trigger: a shard
-	// absorbing an outsized share of the traffic serializes its writers
-	// even when element counts are balanced. Reset naturally when a
-	// rebalance publishes a fresh set.
-	shardWrites []atomic.Uint64
-	// skewSettled disarms the write-skew trigger for this set: a
-	// write-skew rebalance recomputed the fences and they did not move, so
-	// the hot range cannot be split and repeating the quiesce and fence
-	// pick every minSkewWrites writes would buy nothing.
-	skewSettled atomic.Bool
 }
 
 // balancedFences picks the fence keys for a shard split of the chain the
 // trees form, read in order as one (a shard set's base trees, or the one
 // tree a store is built from). The chain's page start keys, weighted by
-// element count and boosted by the write rate of loads (see
-// writeBoostedWeights; nil leaves the counts as they are), are the
-// preferred cut points — they are the distribution summary the tree
-// already maintains, so skewed data naturally gets narrow hot shards and
-// wide cold ones, and a fence there moves whole pages. But the
-// segmentation can be too coarse to balance on: near-linear data collapses
-// into a handful of huge segments (one, in the limit), leaving no candidate
-// anywhere near the even share. The balance check runs in weight space —
-// each range's summed weight against 1.5× the even weight share — so
-// boosted weights stay honored: a write-hot range is allowed to hold fewer
-// elements by design. When the page-start fences cannot balance the
-// weights, the partitioner falls back to element-count quantiles, found
-// from page weights and in-page offsets (core.QuantileFences), each cut
-// advanced past its duplicate run so every key still routes to exactly one
-// shard.
-func balancedFences[K Key, V any](trees []*Tree[K, V], loads []core.ChunkLoad[K], want int) []K {
+// element count, are the preferred cut points — they are the distribution
+// summary the tree already maintains, so skewed data naturally gets narrow
+// hot shards and wide cold ones, and a fence there moves whole pages. But
+// the segmentation can be too coarse to balance on: near-linear data
+// collapses into a handful of huge segments (one, in the limit), leaving no
+// candidate anywhere near the even share. When some range of the
+// page-start fences holds more than 1.5× the even share, the partitioner
+// falls back to element-count quantiles, found from page weights and
+// in-page offsets (core.QuantileFences), each cut advanced past its
+// duplicate run so every key still routes to exactly one shard.
+func balancedFences[K Key, V any](trees []*Tree[K, V], want int) []K {
 	var starts []K
 	var weights []int
 	for _, t := range trees {
 		s, w := t.PageBounds()
 		starts, weights = append(starts, s...), append(weights, w...)
 	}
-	weights = writeBoostedWeights(starts, weights, loads)
 	bounds := core.PartitionByWeight(starts, weights, want)
 	if len(bounds) == want-1 {
 		total := 0
@@ -181,36 +153,6 @@ func balancedFences[K Key, V any](trees []*Tree[K, V], loads []core.ChunkLoad[K]
 		}
 	}
 	return core.QuantileFences(trees, want)
-}
-
-// writeBoostedWeights scales each fence candidate's weight by the write
-// rate of the chunk covering it: weight × (1 + min(shardWriteBoostMax,
-// ⌊4·writes/element⌋)). Heavier candidates make the partitioner cut hot
-// ranges narrower, spreading a write hotspot across several shard mutexes
-// while cold ranges widen to keep element totals sane. loads must be
-// ascending by Start (ChunkLoads output, concatenated in fence order);
-// with no loads the weights pass through unchanged.
-func writeBoostedWeights[K Key](starts []K, weights []int, loads []core.ChunkLoad[K]) []int {
-	if len(loads) == 0 {
-		return weights
-	}
-	out := make([]int, len(weights))
-	li := 0
-	for i, st := range starts {
-		for li+1 < len(loads) && loads[li+1].Start <= st {
-			li++
-		}
-		boost := 1
-		if l := loads[li]; l.Elements > 0 {
-			b := int(4 * float64(l.Writes) / float64(l.Elements))
-			if b > shardWriteBoostMax {
-				b = shardWriteBoostMax
-			}
-			boost += b
-		}
-		out[i] = weights[i] * boost
-	}
-	return out
 }
 
 // upperBoundKeys returns the index of the first key > k in a sorted slice.
@@ -274,7 +216,7 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 func (e *shardEngine[K, V]) load(t *Tree[K, V]) *shardSet[K, V] {
 	e.rebalancedAt.Store(int64(t.Len()))
 	trees := []*Tree[K, V]{t}
-	bounds := balancedFences(trees, nil, e.want)
+	bounds := balancedFences(trees, e.want)
 	return e.shardSetOf(bounds, core.Cut(trees, bounds), 0)
 }
 
@@ -291,8 +233,7 @@ func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V], versionB
 		o.SetAsyncFlush(!e.asyncOff.Load())
 		shards[i] = o
 	}
-	return &shardSet[K, V]{bounds: bounds, shards: shards, versionBase: versionBase,
-		shardWrites: make([]atomic.Uint64, len(shards))}
+	return &shardSet[K, V]{bounds: bounds, shards: shards, versionBase: versionBase}
 }
 
 // forward applies a knob change to every current shard. The caller stores
@@ -398,9 +339,8 @@ func forEachShardParallel[K Key, V any](shards []*Optimistic[K, V], fn func(i in
 
 // SetRebalanceFactor sets the skew threshold: a boundary rebuild is
 // considered once the largest shard exceeds factor times the mean shard
-// size (or the busiest shard factor times the mean write share). Values
-// below 1.5 (including NaN) are clamped to 1.5; +Inf disables rebalancing.
-// Safe to call at any time.
+// size. Values below 1.5 (including NaN) are clamped to 1.5; +Inf disables
+// rebalancing. Safe to call at any time.
 func (e *shardEngine[K, V]) SetRebalanceFactor(factor float64) {
 	if factor != factor || factor < minRebalanceFactor {
 		factor = minRebalanceFactor
@@ -464,6 +404,7 @@ func (e *shardEngine[K, V]) Stats() Stats {
 		agg.Elements += st.Elements
 		agg.Pages += st.Pages
 		agg.Chunks += st.Chunks
+		agg.UnderfullChunks += st.UnderfullChunks
 		agg.Buffered += st.Buffered
 		agg.Deletes += st.Deletes
 		if st.FrozenLayers > agg.FrozenLayers {
@@ -556,16 +497,14 @@ func (e *shardEngine[K, V]) LookupBatch(keys []K) ([]V, []bool) {
 // write is the one routed write: it runs op through the owning shard's
 // writer section (Optimistic.apply — victim decision, commit-log append
 // when durable, publication, group-commit barrier, all under that shard's
-// writer mutex and nothing else), tallies it for the write-skew trigger and
-// gives the skew check its turn. The error is always nil in memory. Panics
-// on a NaN key, before any lock is taken.
+// writer mutex and nothing else) and gives the skew check its turn. The
+// error is always nil in memory. Panics on a NaN key, before any lock is
+// taken.
 func (e *shardEngine[K, V]) write(op byte, k K, v V) (bool, error) {
 	mustNotBeNaN(op, k)
 	e.reshape.RLock()
 	ss := e.set.Load()
-	si := ss.shardFor(k)
-	ok, err := ss.shards[si].apply(op, k, v)
-	ss.shardWrites[si].Add(1)
+	ok, err := ss.shards[ss.shardFor(k)].apply(op, k, v)
 	e.reshape.RUnlock()
 	if ok && err == nil {
 		e.maybeRebalance()
@@ -603,35 +542,23 @@ func (e *shardEngine[K, V]) maybeRebalance() {
 	if e.writes.Add(1)%shardSkewCheckEvery != 0 {
 		return
 	}
-	if e.needsRebalance(e.set.Load()) != rebalanceNone {
+	if e.needsRebalance(e.set.Load()) {
 		_ = e.rebalance(false) // a failed commit poisoned the store; Err reports it
 	}
 }
 
-// rebalanceReason says what drift, if any, warrants a re-partition.
-type rebalanceReason int
-
-const (
-	rebalanceNone      rebalanceReason = iota
-	rebalanceSize                      // under the shard target, or element-count skew (also: forced)
-	rebalanceWriteSkew                 // one shard absorbs an outsized share of the writes
-)
-
 // needsRebalance reports whether the shard set has drifted enough to
-// warrant a re-partition. Size drift: the store is under its target
-// shard count, or the largest shard exceeds the skew factor times the
-// mean — behind an amortization guard that requires the total size to have
-// moved by at least a quarter since fences were last computed, so repeated
-// checks against an unsplittable distribution (e.g. one giant duplicate
-// run) stay cheap. Write skew: one shard absorbing more than factor times
-// the mean write share serializes its writers even when element counts are
-// balanced; a pure-update workload never moves the total element count, so
-// this term sits outside the size guard and is instead disarmed per shard
-// set once a rebalance finds it cannot move the fences (skewSettled).
-func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) rebalanceReason {
+// warrant a re-partition: the store is under its target shard count, or
+// the largest shard exceeds the skew factor times the mean — behind an
+// amortization guard that requires the total size to have moved by at
+// least a quarter since fences were last computed, so repeated checks
+// against an unsplittable distribution (e.g. one giant duplicate run) stay
+// cheap, and a pure-update workload, which never moves the total, never
+// re-partitions.
+func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) bool {
 	factor := math.Float64frombits(e.factor.Load())
 	if math.IsInf(factor, 1) {
-		return rebalanceNone
+		return false
 	}
 	total, maxSize := 0, 0
 	for _, sh := range ss.shards {
@@ -642,27 +569,12 @@ func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) rebalanceReason {
 		}
 	}
 	if total < e.want*minShardElements {
-		return rebalanceNone
+		return false
 	}
-	if at := int(e.rebalancedAt.Load()); at <= 0 || total >= at+at/4 || total <= at/2 {
-		if len(ss.shards) < e.want || float64(maxSize) > factor*float64(total)/float64(len(ss.shards)) {
-			return rebalanceSize
-		}
+	if at := int(e.rebalancedAt.Load()); at > 0 && total < at+at/4 && total > at/2 {
+		return false
 	}
-	if len(ss.shardWrites) > 1 && !ss.skewSettled.Load() {
-		var totW, maxW uint64
-		for i := range ss.shardWrites {
-			w := ss.shardWrites[i].Load()
-			totW += w
-			if w > maxW {
-				maxW = w
-			}
-		}
-		if totW >= minSkewWrites && float64(maxW) > factor*float64(totW)/float64(len(ss.shardWrites)) {
-			return rebalanceWriteSkew
-		}
-	}
-	return rebalanceNone
+	return len(ss.shards) < e.want || float64(maxSize) > factor*float64(total)/float64(len(ss.shards))
 }
 
 // quiesce drains every shard's flush pipeline and leaves asynchronous
@@ -693,11 +605,8 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 		defer end()
 	}
 	ss := e.set.Load()
-	why := rebalanceSize
-	if !force {
-		if why = e.needsRebalance(ss); why == rebalanceNone {
-			return nil
-		}
+	if !force && !e.needsRebalance(ss) {
+		return nil
 	}
 	// Quiesce the outgoing shards' flush pipelines before reading their
 	// version stamps: background flush workers publish under only the
@@ -713,31 +622,12 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	trees := make([]*Tree[K, V], len(ss.shards))
 	base := ss.versionBase + 2 // keep Version monotone (and even) across the swap
 	total := 0
-	// Feed the outgoing shards' write rates into the fence picker: the base
-	// trees carry per-page write counters (set when a fold builds a page, by
-	// carryLoad), so a write-hot key range boosts its fence weights and
-	// comes out split across narrower shards. Loads concatenate in fence
-	// order, matching the chain's ascending page starts.
-	var loads []core.ChunkLoad[K]
 	for i, sh := range ss.shards {
 		base += sh.Version()
 		trees[i] = foldState(sh.state.Load())
 		total += trees[i].Len()
-		loads = append(loads, trees[i].ChunkLoads()...)
 	}
-	bounds := balancedFences(trees, loads, e.want)
-	if why == rebalanceWriteSkew && slices.Equal(bounds, ss.bounds) {
-		// The hot range cannot be split (one scorching key, or no load
-		// samples to boost with): rebuilding would republish the same
-		// partitioning — and on a durable store write a full checkpoint —
-		// every minSkewWrites writes. Keep the set, re-arm its pipelines
-		// and stop asking until a size rebalance publishes a fresh one.
-		ss.skewSettled.Store(true)
-		for _, sh := range ss.shards {
-			sh.SetAsyncFlush(!e.asyncOff.Load())
-		}
-		return nil
-	}
+	bounds := balancedFences(trees, e.want)
 	ns := e.shardSetOf(bounds, core.Cut(trees, bounds), base)
 	if e.durable != nil {
 		if err := e.durable.commitRebalance(ss, ns); err != nil {
