@@ -51,127 +51,125 @@ func checkBatchMatchesLookup[K fitingtree.Key](t *testing.T, what string, tr bat
 }
 
 // TestLookupBatchMatchesLookup checks LookupBatch against per-key Lookup
-// over duplicate-heavy data, all three window searches, and post-churn trees
+// over duplicate-heavy data and post-churn trees
 // whose page chains have buffered inserts, tombstoned pages and duplicate
 // runs — in probe order and ascending, at every length around the batch
 // kernel's group size — then over string keys (prefix sidecar, fixed-width
 // and not) and float keys with a NaN probe.
 func TestLookupBatchMatchesLookup(t *testing.T) {
-	for _, search := range []fitingtree.SearchStrategy{fitingtree.SearchBinary, fitingtree.SearchLinear, fitingtree.SearchExponential} {
-		rng := rand.New(rand.NewSource(int64(search) + 5))
-		keys := make([]uint64, 5000)
-		for i := range keys {
-			keys[i] = uint64(rng.Intn(1500) * 3) // dense duplicates
-		}
-		sortU64(keys)
-		tr, err := fitingtree.BulkLoad(keys, append([]uint64(nil), keys...),
-			fitingtree.Options{Error: 24, BufferSize: 8, Search: search})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		checkBatch := func(probes []uint64) {
-			t.Helper()
-			vals, found := tr.LookupBatch(probes)
-			if len(vals) != len(probes) || len(found) != len(probes) {
-				t.Fatalf("search=%d: result lengths %d/%d for %d probes", search, len(vals), len(found), len(probes))
-			}
-			for i, k := range probes {
-				wv, wok := tr.Lookup(k)
-				if found[i] != wok || (wok && vals[i] != wv) {
-					t.Fatalf("search=%d: batch[%d] key %d = (%d,%v), Lookup = (%d,%v)",
-						search, i, k, vals[i], found[i], wv, wok)
-				}
-			}
-		}
-
-		// Mixed hits and misses, unsorted, with repeats.
-		probes := make([]uint64, 700)
-		for i := range probes {
-			probes[i] = uint64(rng.Intn(4800))
-		}
-		checkBatch(probes)
-		presorted := append([]uint64(nil), probes...)
-		sortU64(presorted)
-		checkBatch(presorted)
-		checkBatch(nil)
-		checkBatch([]uint64{keys[0], keys[len(keys)-1], keys[0]})
-		checkBatchMatchesLookup(t, fmt.Sprintf("search=%d bulk-loaded", search), tr, probes)
-
-		// Every page's start — inside the duplicate runs, a key whose
-		// matches spill into the pages before the one it is routed to —
-		// shuffled between keys below the first start and above the last.
-		starts, _ := tr.PageBounds()
-		edges := append([]uint64{0, 1, keys[len(keys)-1] + 1, math.MaxUint64}, starts...)
-		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		checkBatchMatchesLookup(t, fmt.Sprintf("search=%d page starts", search), tr, edges)
-
-		// The walk-back: a page that still starts at a key it no longer
-		// holds, while the tail of the page before it does. Distinct values
-		// let DeleteValue take the matches out of the later page only.
-		byIndex := make([]uint64, len(keys))
-		for i := range byIndex {
-			byIndex[i] = uint64(i)
-		}
-		spill, err := fitingtree.BulkLoad(keys, byIndex, fitingtree.Options{Error: 24, BufferSize: 8, Search: search})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eroded []uint64
-		starts, weights := spill.PageBounds()
-		for j, at := 1, weights[0]; j < len(starts); at, j = at+weights[j], j+1 {
-			k := starts[j]
-			if keys[at-1] != k || (j+1 < len(starts) && starts[j+1] == k) || keys[at+weights[j]-1] == k {
-				continue // no spill, not the run's last page, or nothing but k in it
-			}
-			for i := at; keys[i] == k; i++ {
-				if !spill.DeleteValue(k, uint64(i)) {
-					t.Fatalf("search=%d: DeleteValue(%d, %d) found nothing", search, k, i)
-				}
-			}
-			eroded = append(eroded, k)
-		}
-		if len(eroded) == 0 {
-			t.Fatalf("search=%d: no page starts inside a duplicate run", search)
-		}
-		if err := spill.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		checkBatchMatchesLookup(t, fmt.Sprintf("search=%d eroded page starts", search), spill, append(eroded, probes...))
-		_, found := spill.LookupBatch(eroded)
-		for i, ok := range found {
-			if !ok {
-				t.Fatalf("search=%d: key %d, still in the page before the one it starts, not found", search, eroded[i])
-			}
-		}
-
-		// Churn the tree so batches traverse buffers and rebuilt pages.
-		for i := 0; i < 2000; i++ {
-			k := uint64(rng.Intn(4800))
-			if rng.Intn(3) == 0 {
-				tr.Delete(k)
-			} else {
-				tr.Insert(k, k)
-			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		checkBatch(probes)
-		checkBatch(presorted)
-		// Buffered inserts, windows widened by in-place deletes, and the
-		// page starts of the churned chain.
-		checkBatchMatchesLookup(t, fmt.Sprintf("search=%d churned", search), tr, probes)
-		starts, _ = tr.PageBounds()
-		checkBatchMatchesLookup(t, fmt.Sprintf("search=%d churned page starts", search), tr, starts)
-
-		// Sparse probes force the chain walk to give up and re-descend.
-		sparse := make([]uint64, 64)
-		for i := range sparse {
-			sparse[i] = uint64(i * 997)
-		}
-		checkBatch(sparse)
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]uint64, 5000)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(1500) * 3) // dense duplicates
 	}
+	sortU64(keys)
+	tr, err := fitingtree.BulkLoad(keys, append([]uint64(nil), keys...),
+		fitingtree.Options{Error: 24, BufferSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	checkBatch := func(probes []uint64) {
+		t.Helper()
+		vals, found := tr.LookupBatch(probes)
+		if len(vals) != len(probes) || len(found) != len(probes) {
+			t.Fatalf("result lengths %d/%d for %d probes", len(vals), len(found), len(probes))
+		}
+		for i, k := range probes {
+			wv, wok := tr.Lookup(k)
+			if found[i] != wok || (wok && vals[i] != wv) {
+				t.Fatalf("batch[%d] key %d = (%d,%v), Lookup = (%d,%v)",
+					i, k, vals[i], found[i], wv, wok)
+			}
+		}
+	}
+
+	// Mixed hits and misses, unsorted, with repeats.
+	probes := make([]uint64, 700)
+	for i := range probes {
+		probes[i] = uint64(rng.Intn(4800))
+	}
+	checkBatch(probes)
+	presorted := append([]uint64(nil), probes...)
+	sortU64(presorted)
+	checkBatch(presorted)
+	checkBatch(nil)
+	checkBatch([]uint64{keys[0], keys[len(keys)-1], keys[0]})
+	checkBatchMatchesLookup(t, "bulk-loaded", tr, probes)
+
+	// Every page's start — inside the duplicate runs, a key whose
+	// matches spill into the pages before the one it is routed to —
+	// shuffled between keys below the first start and above the last.
+	starts, _ := tr.PageBounds()
+	edges := append([]uint64{0, 1, keys[len(keys)-1] + 1, math.MaxUint64}, starts...)
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	checkBatchMatchesLookup(t, "page starts", tr, edges)
+
+	// The walk-back: a page that still starts at a key it no longer
+	// holds, while the tail of the page before it does. Distinct values
+	// let DeleteValue take the matches out of the later page only.
+	byIndex := make([]uint64, len(keys))
+	for i := range byIndex {
+		byIndex[i] = uint64(i)
+	}
+	spill, err := fitingtree.BulkLoad(keys, byIndex, fitingtree.Options{Error: 24, BufferSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eroded []uint64
+	starts, weights := spill.PageBounds()
+	for j, at := 1, weights[0]; j < len(starts); at, j = at+weights[j], j+1 {
+		k := starts[j]
+		if keys[at-1] != k || (j+1 < len(starts) && starts[j+1] == k) || keys[at+weights[j]-1] == k {
+			continue // no spill, not the run's last page, or nothing but k in it
+		}
+		for i := at; keys[i] == k; i++ {
+			if !spill.DeleteValue(k, uint64(i)) {
+				t.Fatalf("DeleteValue(%d, %d) found nothing", k, i)
+			}
+		}
+		eroded = append(eroded, k)
+	}
+	if len(eroded) == 0 {
+		t.Fatal("no page starts inside a duplicate run")
+	}
+	if err := spill.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkBatchMatchesLookup(t, "eroded page starts", spill, append(eroded, probes...))
+	_, found := spill.LookupBatch(eroded)
+	for i, ok := range found {
+		if !ok {
+			t.Fatalf("key %d, still in the page before the one it starts, not found", eroded[i])
+		}
+	}
+
+	// Churn the tree so batches traverse buffers and rebuilt pages.
+	for i := 0; i < 2000; i++ {
+		k := uint64(rng.Intn(4800))
+		if rng.Intn(3) == 0 {
+			tr.Delete(k)
+		} else {
+			tr.Insert(k, k)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(probes)
+	checkBatch(presorted)
+	// Buffered inserts, windows widened by in-place deletes, and the
+	// page starts of the churned chain.
+	checkBatchMatchesLookup(t, "churned", tr, probes)
+	starts, _ = tr.PageBounds()
+	checkBatchMatchesLookup(t, "churned page starts", tr, starts)
+
+	// Sparse probes force the chain walk to give up and re-descend.
+	sparse := make([]uint64, 64)
+	for i := range sparse {
+		sparse[i] = uint64(i * 997)
+	}
+	checkBatch(sparse)
 
 	// String keys: every page carries a prefix sidecar, which the batch
 	// kernel leaves to the point path — keycodec encodings (fixed 8 bytes,

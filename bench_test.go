@@ -321,33 +321,24 @@ func BenchmarkRangeScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchStrategies is the Section 4.1.2 ablation: in-segment
-// search algorithm at a small and a large error threshold.
-func BenchmarkSearchStrategies(b *testing.B) {
+// BenchmarkWindowSearch times a point lookup, whose in-page search covers
+// the 2E+1 window (Section 4.1.2), at a small and a large error threshold.
+func BenchmarkWindowSearch(b *testing.B) {
 	keys := benchKeys()
 	vals := benchVals(len(keys))
 	probes := bench.Probes(keys, 1<<15, 8)
 	mask := len(probes) - 1
 	for _, e := range []int{10, 1000} {
-		for _, s := range []struct {
-			name  string
-			strat fitingtree.SearchStrategy
-		}{
-			{"binary", fitingtree.SearchBinary},
-			{"linear", fitingtree.SearchLinear},
-			{"exponential", fitingtree.SearchExponential},
-		} {
-			b.Run(fmt.Sprintf("e=%d/%s", e, s.name), func(b *testing.B) {
-				t, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: e, Search: s.strat})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t.Lookup(probes[i&mask])
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("e=%d", e), func(b *testing.B) {
+			t, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: e})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Lookup(probes[i&mask])
+			}
+		})
 	}
 }
 

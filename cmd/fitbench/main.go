@@ -1,7 +1,8 @@
 // Command fitbench is the paper reproduction: it runs the FITing-Tree
 // paper's evaluation (Section 7) — Table 1 and Figures 1, 6, 7, 8, 9, 10,
-// 11, 12 and 13 — plus the extension experiments registered in
-// internal/bench, each printing the rows or series the paper reports.
+// 11, 12 and 13 — plus the two system experiments (parallel, strings)
+// registered in internal/bench, each printing the rows or series the
+// paper reports.
 // System numbers (throughput, latency, memory, durability) are not
 // measured here: they are the canonical benchmark's, see
 // benchmark/README.md.

@@ -76,16 +76,6 @@ type Options = core.Options
 // DefaultError is the error threshold used when Options.Error is zero.
 const DefaultError = core.DefaultError
 
-// SearchStrategy selects the in-segment search algorithm (Section 4.1.2).
-type SearchStrategy = core.SearchStrategy
-
-// In-segment search strategies.
-const (
-	SearchBinary      = core.SearchBinary      // binary search of the 2E+1 window (default)
-	SearchLinear      = core.SearchLinear      // outward scan from the prediction; wins at tiny E
-	SearchExponential = core.SearchExponential // galloping bracket + binary search
-)
-
 // Tree is a clustered FITing-Tree index from K to V. Build one with
 // BulkLoad; an empty tree from BulkLoad(nil, nil, opts) accepts inserts.
 // Not safe for concurrent use — see Optimistic.

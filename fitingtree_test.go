@@ -2,6 +2,8 @@ package fitingtree_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"math/rand"
 	"sort"
 	"sync"
@@ -125,6 +127,73 @@ func TestEncodeDecode(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := fitingtree.Decode[uint64, int](bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("decoded garbage")
+	}
+}
+
+// TestDecodeStreamWithRetiredSearch pins that a snapshot stream whose
+// header's Options carries the retired Search field (hand-encoded here with
+// Search = 2, what a build with SearchExponential wrote) still decodes: gob
+// skips a field the receiving struct lacks, so Decode, DecodeOptimistic and
+// DecodeSharded each rebuild the same content, and each re-encodes to the
+// stream of the same tree saved without the field.
+func TestDecodeStreamWithRetiredSearch(t *testing.T) {
+	type options struct{ Error, BufferSize, Search int }
+	type snapshotHeader struct {
+		Version, Elements int
+		Options           options
+	}
+	keys := workload.Weblogs(5_000, 3)
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	var old bytes.Buffer
+	enc := gob.NewEncoder(&old)
+	for _, part := range []any{snapshotHeader{1, len(keys), options{64, 16, 2}}, keys, vals} {
+		if err := enc.Encode(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 64, BufferSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := fitingtree.Encode(tr, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, roundTrip := range map[string]func(r io.Reader, w io.Writer) error{
+		"Decode": func(r io.Reader, w io.Writer) error {
+			back, err := fitingtree.Decode[uint64, uint64](r)
+			if err != nil {
+				return err
+			}
+			return fitingtree.Encode(back, w)
+		},
+		"DecodeOptimistic": func(r io.Reader, w io.Writer) error {
+			back, err := fitingtree.DecodeOptimistic[uint64, uint64](r)
+			if err != nil {
+				return err
+			}
+			defer back.Close()
+			return fitingtree.EncodeOptimistic(back, w)
+		},
+		"DecodeSharded": func(r io.Reader, w io.Writer) error {
+			back, err := fitingtree.DecodeSharded[uint64, uint64](r, 3)
+			if err != nil {
+				return err
+			}
+			defer back.Close()
+			return fitingtree.EncodeSharded(back, w)
+		},
+	} {
+		var got bytes.Buffer
+		if err := roundTrip(bytes.NewReader(old.Bytes()), &got); err != nil {
+			t.Fatalf("%s of a stream with the retired Search field: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: the stream with the retired Search field rebuilt different content", name)
+		}
 	}
 }
 

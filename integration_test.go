@@ -85,37 +85,30 @@ func TestIndexSizeOrdering(t *testing.T) {
 }
 
 // TestErrorBoundEndToEnd drives the public API through a bulk load plus a
-// heavy mixed workload under every search strategy and verifies
-// the invariants (including the paper's error bound) still hold.
+// heavy mixed workload and verifies the invariants (including the paper's
+// error bound) still hold.
 func TestErrorBoundEndToEnd(t *testing.T) {
-	combos := []fitingtree.Options{
-		{Error: 30, BufferSize: 10},
-		{Error: 30, BufferSize: 10, Search: fitingtree.SearchLinear},
-		{Error: 30, BufferSize: 10, Search: fitingtree.SearchExponential},
-	}
 	base := workload.IoT(20_000, 54)
 	vals := make([]uint64, len(base))
-	for ci, opts := range combos {
-		tr, err := fitingtree.BulkLoad(base, vals, opts)
-		if err != nil {
-			t.Fatalf("combo %d: %v", ci, err)
+	tr, err := fitingtree.BulkLoad(base, vals, fitingtree.Options{Error: 30, BufferSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(55))
+	maxKey := base[len(base)-1]
+	for i := 0; i < 10_000; i++ {
+		k := uint64(rng.Int63n(int64(maxKey)))
+		switch i % 3 {
+		case 0:
+			tr.Insert(k, uint64(i))
+		case 1:
+			tr.Delete(k)
+		default:
+			tr.Lookup(k)
 		}
-		rng := rand.New(rand.NewSource(int64(55 + ci)))
-		maxKey := base[len(base)-1]
-		for i := 0; i < 10_000; i++ {
-			k := uint64(rng.Int63n(int64(maxKey)))
-			switch i % 3 {
-			case 0:
-				tr.Insert(k, uint64(i))
-			case 1:
-				tr.Delete(k)
-			default:
-				tr.Lookup(k)
-			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("combo %d: %v", ci, err)
-		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -123,6 +123,14 @@ func InsertThroughput[K num.Key](fn func(K), keys []K) float64 {
 	return float64(len(keys)) / elapsed
 }
 
+// num2 returns a if positive, else b.
+func num2(a, b int) int {
+	if a > 0 {
+		return a
+	}
+	return b
+}
+
 // Probes draws count keys uniformly from keys (with replacement), so
 // lookup measurements mix hot and cold regions the way the paper's random
 // point queries do.

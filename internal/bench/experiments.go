@@ -419,9 +419,8 @@ type Experiment struct {
 }
 
 // Experiments is the one ordered list of experiments: the paper's Section
-// 7 in paper order, the extensions that reuse its harness (disk I/O,
-// range scans, ablations), then the two system experiments the
-// canonical benchmark (benchmark/README.md) has no column for yet.
+// 7 in paper order, then the two system experiments the canonical
+// benchmark (benchmark/README.md) has no column for yet.
 var Experiments = []Experiment{
 	tables("table1", Table1),
 	tables("fig1", Fig1),
@@ -433,8 +432,6 @@ var Experiments = []Experiment{
 	tables("fig11", Fig11),
 	tables("fig12", Fig12),
 	tables("fig13", Fig13),
-	tables("extrange", ExtRange),
-	tables("extablation", ExtAblation),
 	points("parallel", ExtParallel),
 	points("strings", ExtStrings),
 }

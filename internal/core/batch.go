@@ -147,7 +147,7 @@ func finish[K num.Key, V any](group []probe[K, V], keys []K, vals []V, found []b
 		if p.near < k {
 			lo, hi, at = p.at+1, p.hi, p.at+1
 		}
-		p.at = windowSeek(p.h.keys, lo, hi, at, k, p.t.strat)
+		p.at = windowSeek(p.h.keys, lo, hi, at, k)
 		if p.at == len(p.h.keys) || p.h.keys[p.at] != k {
 			vals[i], found[i], p.h = *new(V), false, nil
 		}

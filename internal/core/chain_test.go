@@ -131,7 +131,7 @@ func checkChain(t *testing.T, tr *Tree[uint64, uint64], m multimap, what string)
 func TestChainLocateOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial, n := range []int{0, 1, 3, 40, 900, 6_000, 25_000, 25_000} {
-		opts := Options{Error: 3 + rng.Intn(10), Search: SearchStrategy(trial % 3)}
+		opts := Options{Error: 3 + rng.Intn(10)}
 		opts.BufferSize = rng.Intn(opts.Error)
 		// Long duplicate runs: at this error a page holds a handful of
 		// copies, so a run of hundreds is an equal-start run of dozens of
@@ -237,7 +237,7 @@ func TestChainLocateOracle(t *testing.T) {
 
 // TestAbsentLookupWalksNothing pins the exact miss test: a key that is not
 // in its page and is not the page's start is absent, decided from the start
-// arrays — no preceding page is consulted, whatever the search strategy.
+// arrays — no preceding page is consulted.
 func TestAbsentLookupWalksNothing(t *testing.T) {
 	keys := make([]uint64, 50_000)
 	for i := range keys {
@@ -246,44 +246,39 @@ func TestAbsentLookupWalksNothing(t *testing.T) {
 	backUps := 0
 	onBackUp = func() { backUps++ }
 	defer func() { onBackUp = nil }()
-	for _, s := range strategies {
-		tr, err := BulkLoad(keys, make([]int, len(keys)), Options{Error: 16, Search: s})
-		if err != nil {
-			t.Fatal(err)
+	tr, err := BulkLoad(keys, make([]int, len(keys)), Options{Error: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, ok := tr.Lookup(k + 1); ok {
+			t.Fatalf("absent key %d found", k+1)
 		}
-		for _, k := range keys {
-			if _, ok := tr.Lookup(k + 1); ok {
-				t.Fatalf("absent key %d found", k+1)
-			}
-			if _, ok := tr.Lookup(k); !ok {
-				t.Fatalf("present key %d not found", k)
-			}
+		if _, ok := tr.Lookup(k); !ok {
+			t.Fatalf("present key %d not found", k)
 		}
-		if backUps != 0 {
-			t.Fatalf("%d lookups consulted a preceding page; none had to", backUps)
-		}
+	}
+	if backUps != 0 {
+		t.Fatalf("%d lookups consulted a preceding page; none had to", backUps)
 	}
 }
 
 // TestFarKeysAreAbsent probes keys the model sends far outside any page —
 // the ends of the key type, where an unclamped float-to-int conversion is
-// undefined — under all three strategies: they are absent, match nothing
-// and start no scan.
+// undefined: they are absent, match nothing and start no scan.
 func TestFarKeysAreAbsent(t *testing.T) {
-	for name, s := range strategies {
-		u := make([]uint64, 20_000)
-		i64 := make([]int64, len(u))
-		f := make([]float64, len(u))
-		for i := range u {
-			u[i] = 1<<40 + uint64(i)*7
-			i64[i] = int64(i)*7 - 70_000
-			f[i] = float64(i)*0.5 - 1e6
-		}
-		opts := Options{Error: 32, BufferSize: 4, Search: s}
-		farKeysAbsent(t, name, u, opts, 0, 1, 1<<63, math.MaxUint64-1, math.MaxUint64)
-		farKeysAbsent(t, name, i64, opts, math.MinInt64, math.MinInt64+1, math.MaxInt64)
-		farKeysAbsent(t, name, f, opts, math.Inf(-1), -math.MaxFloat64, math.MaxFloat64, math.Inf(1))
+	u := make([]uint64, 20_000)
+	i64 := make([]int64, len(u))
+	f := make([]float64, len(u))
+	for i := range u {
+		u[i] = 1<<40 + uint64(i)*7
+		i64[i] = int64(i)*7 - 70_000
+		f[i] = float64(i)*0.5 - 1e6
 	}
+	opts := Options{Error: 32, BufferSize: 4}
+	farKeysAbsent(t, "uint64", u, opts, 0, 1, 1<<63, math.MaxUint64-1, math.MaxUint64)
+	farKeysAbsent(t, "int64", i64, opts, math.MinInt64, math.MinInt64+1, math.MaxInt64)
+	farKeysAbsent(t, "float64", f, opts, math.Inf(-1), -math.MaxFloat64, math.MaxFloat64, math.Inf(1))
 }
 
 func farKeysAbsent[K num.Key](t *testing.T, name string, keys []K, opts Options, far ...K) {
@@ -319,7 +314,7 @@ func farKeysAbsent[K num.Key](t *testing.T, name string, keys []K, opts Options,
 // a page's model bounds the lower bound of any key, stored or not, inside
 // the page's range or out of it, so seek over the window equals findKey
 // over the whole page — with duplicates, in-place deletes, signed and
-// string keys, under every strategy.
+// string keys.
 func TestSeekMatchesFindKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	n := 30_000
@@ -338,13 +333,11 @@ func TestSeekMatchesFindKey(t *testing.T) {
 		free[i] = fmt.Sprintf("user/%07d/%s", k/3, []string{"", "a", "profile"}[k%3])
 	}
 	slices.Sort(free)
-	for name, s := range strategies {
-		opts := Options{Error: 24, BufferSize: 6, Search: s}
-		seekMatchesFindKey(t, name+"/uint64", u, opts, func(k uint64) []uint64 { return []uint64{k - 1, k + 1, k + 1<<40} })
-		seekMatchesFindKey(t, name+"/int64", i64, opts, func(k int64) []int64 { return []int64{k - 1, k + 1, -k, math.MinInt64} })
-		seekMatchesFindKey(t, name+"/string8", fixed, opts, func(k string) []string { return []string{k[:7], k + "0", "99999999"} })
-		seekMatchesFindKey(t, name+"/string", free, opts, func(k string) []string { return []string{k[:len(k)-1], k + "!", "user/", "v"} })
-	}
+	opts := Options{Error: 24, BufferSize: 6}
+	seekMatchesFindKey(t, "uint64", u, opts, func(k uint64) []uint64 { return []uint64{k - 1, k + 1, k + 1<<40} })
+	seekMatchesFindKey(t, "int64", i64, opts, func(k int64) []int64 { return []int64{k - 1, k + 1, -k, math.MinInt64} })
+	seekMatchesFindKey(t, "string8", fixed, opts, func(k string) []string { return []string{k[:7], k + "0", "99999999"} })
+	seekMatchesFindKey(t, "string", free, opts, func(k string) []string { return []string{k[:len(k)-1], k + "!", "user/", "v"} })
 }
 
 func seekMatchesFindKey[K num.Key](t *testing.T, name string, keys []K, opts Options, near func(K) []K) {

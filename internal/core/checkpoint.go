@@ -133,7 +133,7 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree[K, V]{opts: o, strat: o.Search}
+	t := &Tree[K, V]{opts: o}
 	chunks := make([]*chunk[K, V], 0, len(snaps))
 	var prevStart K
 	havePrev := false

@@ -92,7 +92,6 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 	}
 	nt := &Tree[K, V]{
 		opts:     t.opts,
-		strat:    t.strat,
 		counters: t.counters,
 	}
 

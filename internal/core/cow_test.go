@@ -95,26 +95,7 @@ func buildCOWBase(t *testing.T, keys []uint64, opts Options) *Tree[uint64, uint6
 	return tr
 }
 
-// searchKinds is the second dimension of the randomized model matrix: every
-// model runs under the default window search and under the galloping one, so
-// both seek paths face duplicate runs, tombstones and folds. The labels are
-// the ones the dimension carried while it selected a router kind; the test
-// floor tracks subtests by name, so they stay.
-var searchKinds = []struct {
-	name   string
-	search SearchStrategy
-}{
-	{"btree", SearchBinary},
-	{"implicit", SearchExponential},
-}
-
 func TestMergeCOWMatchesModel(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) { testMergeCOWMatchesModel(t, rk.search) })
-	}
-}
-
-func testMergeCOWMatchesModel(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		n := 200 + rng.Intn(3000)
@@ -134,7 +115,7 @@ func testMergeCOWMatchesModel(t *testing.T, search SearchStrategy) {
 			}
 			keys[i] = k
 		}
-		opts := Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search}
+		opts := Options{Error: 8 + rng.Intn(24), BufferSize: 4}
 		base := buildCOWBase(t, keys, opts)
 		before := contents(base)
 
@@ -459,12 +440,6 @@ func benchOps(tr *Tree[uint64, uint64], delta int) []MergeOp[uint64, uint64] {
 // MergeCOW's physical fold — the contract the Optimistic facade's
 // frozen/active delta pair relies on.
 func TestMergeCOW2Layering(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) { testMergeCOW2Layering(t, rk.search) })
-	}
-}
-
-func testMergeCOW2Layering(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(137))
 	genOps := func(stream []pair, maxKey uint64) []MergeOp[uint64, uint64] {
 		opKeys := map[uint64]bool{}
@@ -507,7 +482,7 @@ func testMergeCOW2Layering(t *testing.T, search SearchStrategy) {
 			}
 			keys[i] = k
 		}
-		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search})
+		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4})
 		before := contents(base)
 
 		first := genOps(before, k)

@@ -12,7 +12,7 @@ import (
 
 // buildShareBase builds a deep tree (many segments, many chunks) for
 // structural-sharing assertions.
-func buildShareBase(t *testing.T, n int, search SearchStrategy) *Tree[uint64, uint64] {
+func buildShareBase(t *testing.T, n int) *Tree[uint64, uint64] {
 	t.Helper()
 	keys := make([]uint64, n)
 	rng := rand.New(rand.NewSource(17))
@@ -21,7 +21,7 @@ func buildShareBase(t *testing.T, n int, search SearchStrategy) *Tree[uint64, ui
 		k += uint64(1 + rng.Intn(13))
 		keys[i] = k
 	}
-	return buildCOWBase(t, keys, Options{Error: 8, BufferSize: 2, Search: search})
+	return buildCOWBase(t, keys, Options{Error: 8, BufferSize: 2})
 }
 
 // tightOps builds a small op cluster around the middle of the key space.
@@ -40,7 +40,7 @@ func tightOps(tr *Tree[uint64, uint64]) []MergeOp[uint64, uint64] {
 // chunk of the published tree is pointer-identical (same chunk identity)
 // with the parent's.
 func TestMergeCOWSharesChunks(t *testing.T) {
-	base := buildShareBase(t, 300_000, SearchBinary)
+	base := buildShareBase(t, 300_000)
 	baseChunks := base.ChunkIDs()
 	if len(baseChunks) < 20 {
 		t.Fatalf("want a deep chunked chain, got %d chunks", len(baseChunks))
@@ -81,7 +81,7 @@ func TestMergeCOWSharesChunks(t *testing.T) {
 // head arrays are the parent's very arrays, and the heads of carried pages
 // in a re-cut chunk still point at the parent's key and value arrays.
 func TestMergeCOWSharesHeadArrays(t *testing.T) {
-	base := buildShareBase(t, 100_000, SearchBinary)
+	base := buildShareBase(t, 100_000)
 	merged := base.MergeCOW(tightOps(base))
 	if err := merged.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -139,138 +139,130 @@ func TestMergeCOWSharesHeadArrays(t *testing.T) {
 // writes into structure a published tree shares (chunks, their start and
 // head arrays, pages).
 func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) {
-			base := buildShareBase(t, 120_000, rk.search)
-			var cur atomic.Pointer[Tree[uint64, uint64]]
-			cur.Store(base)
-			maxKey, _, _ := base.Max()
+	base := buildShareBase(t, 120_000)
+	var cur atomic.Pointer[Tree[uint64, uint64]]
+	cur.Store(base)
+	maxKey, _, _ := base.Max()
 
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					probes := make([]uint64, 4*batchGroup+5) // unsorted, several kernel groups and a short last one
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						tr := cur.Load()
-						k := uint64(rng.Int63n(int64(maxKey)))
-						tr.Lookup(k)
-						for i := range probes {
-							probes[i] = uint64(rng.Int63n(int64(maxKey)))
-						}
-						tr.LookupBatch(probes)
-						n := 0
-						tr.AscendRange(k, k+200, func(uint64, uint64) bool {
-							n++
-							return n < 64
-						})
-					}
-				}(int64(100 + r))
-			}
-
-			rng := rand.New(rand.NewSource(7))
-			for flush := 0; flush < 60; flush++ {
-				tr := cur.Load()
-				seen := map[uint64]bool{}
-				var ops []MergeOp[uint64, uint64]
-				for len(ops) < 32 {
-					k := uint64(rng.Int63n(int64(maxKey)))
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					op := MergeOp[uint64, uint64]{Key: k}
-					if rng.Intn(4) == 0 && tr.Contains(k) {
-						op.Dels = 1
-					} else {
-						op.Adds = []uint64{k}
-					}
-					ops = append(ops, op)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			probes := make([]uint64, 4*batchGroup+5) // unsorted, several kernel groups and a short last one
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
-				cur.Store(tr.MergeCOW(ops))
+				tr := cur.Load()
+				k := uint64(rng.Int63n(int64(maxKey)))
+				tr.Lookup(k)
+				for i := range probes {
+					probes[i] = uint64(rng.Int63n(int64(maxKey)))
+				}
+				tr.LookupBatch(probes)
+				n := 0
+				tr.AscendRange(k, k+200, func(uint64, uint64) bool {
+					n++
+					return n < 64
+				})
 			}
-			close(stop)
-			wg.Wait()
-			if err := cur.Load().CheckInvariants(); err != nil {
-				t.Fatal(err)
+		}(int64(100 + r))
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for flush := 0; flush < 60; flush++ {
+		tr := cur.Load()
+		seen := map[uint64]bool{}
+		var ops []MergeOp[uint64, uint64]
+		for len(ops) < 32 {
+			k := uint64(rng.Int63n(int64(maxKey)))
+			if seen[k] {
+				continue
 			}
-		})
+			seen[k] = true
+			op := MergeOp[uint64, uint64]{Key: k}
+			if rng.Intn(4) == 0 && tr.Contains(k) {
+				op.Dels = 1
+			} else {
+				op.Adds = []uint64{k}
+			}
+			ops = append(ops, op)
+		}
+		sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
+		cur.Store(tr.MergeCOW(ops))
+	}
+	close(stop)
+	wg.Wait()
+	if err := cur.Load().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestLookupBatchUnsortedMatchesLookup is the randomized equivalence test
 // for the grouped unsorted-probe fast path: on trees with duplicate runs
 // and buffered inserts, a shuffled probe set must answer exactly like
-// per-key Lookup calls, under both window searches.
+// per-key Lookup calls.
 func TestLookupBatchUnsortedMatchesLookup(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(53))
-			for trial := 0; trial < 12; trial++ {
-				n := 2_000 + rng.Intn(20_000)
-				keys := workload.Weblogs(n, int64(trial+1))
-				vals := make([]uint64, n)
-				for i := range vals {
-					vals[i] = uint64(i)
-				}
-				tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8, Search: rk.search})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Buffered inserts and a few deletes so pages carry every
-				// kind of content the search paths distinguish.
-				maxKey := keys[len(keys)-1] + 100
-				for i := 0; i < 500; i++ {
-					tr.Insert(uint64(rng.Int63n(int64(maxKey))), uint64(1_000_000+i))
-				}
-				for i := 0; i < 100; i++ {
-					tr.Delete(uint64(rng.Int63n(int64(maxKey))))
-				}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 12; trial++ {
+		n := 2_000 + rng.Intn(20_000)
+		keys := workload.Weblogs(n, int64(trial+1))
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = uint64(i)
+		}
+		tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Buffered inserts and a few deletes so pages carry every
+		// kind of content the search paths distinguish.
+		maxKey := keys[len(keys)-1] + 100
+		for i := 0; i < 500; i++ {
+			tr.Insert(uint64(rng.Int63n(int64(maxKey))), uint64(1_000_000+i))
+		}
+		for i := 0; i < 100; i++ {
+			tr.Delete(uint64(rng.Int63n(int64(maxKey))))
+		}
 
-				probes := make([]uint64, 700)
-				for i := range probes {
-					if rng.Intn(3) == 0 && len(keys) > 0 {
-						probes[i] = keys[rng.Intn(len(keys))] // mostly hits
-					} else {
-						probes[i] = uint64(rng.Int63n(int64(maxKey)))
-					}
-				}
-				// A genuinely unsorted order (the grouped path), including
-				// clustered stretches that exercise group reuse.
-				rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+		probes := make([]uint64, 700)
+		for i := range probes {
+			if rng.Intn(3) == 0 && len(keys) > 0 {
+				probes[i] = keys[rng.Intn(len(keys))] // mostly hits
+			} else {
+				probes[i] = uint64(rng.Int63n(int64(maxKey)))
+			}
+		}
+		// A genuinely unsorted order (the grouped path), including
+		// clustered stretches that exercise group reuse.
+		rng.Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
 
-				bv, bf := tr.LookupBatch(probes)
-				for i, k := range probes {
-					v, ok := tr.Lookup(k)
-					if bf[i] != ok {
-						t.Fatalf("trial %d: found[%d] for key %d = %v, Lookup says %v", trial, i, k, bf[i], ok)
+		bv, bf := tr.LookupBatch(probes)
+		for i, k := range probes {
+			v, ok := tr.Lookup(k)
+			if bf[i] != ok {
+				t.Fatalf("trial %d: found[%d] for key %d = %v, Lookup says %v", trial, i, k, bf[i], ok)
+			}
+			if ok && bv[i] != v {
+				// Both must return a live value for k; with duplicates
+				// any match is legal, so validate via Each.
+				legal := false
+				tr.Each(k, func(x uint64) bool {
+					if x == bv[i] {
+						legal = true
+						return false
 					}
-					if ok && bv[i] != v {
-						// Both must return a live value for k; with duplicates
-						// any match is legal, so validate via Each.
-						legal := false
-						tr.Each(k, func(x uint64) bool {
-							if x == bv[i] {
-								legal = true
-								return false
-							}
-							return true
-						})
-						if !legal {
-							t.Fatalf("trial %d: batch value %d for key %d is not a live match", trial, bv[i], k)
-						}
-					}
+					return true
+				})
+				if !legal {
+					t.Fatalf("trial %d: batch value %d for key %d is not a live match", trial, bv[i], k)
 				}
 			}
-		})
+		}
 	}
 }

@@ -99,13 +99,13 @@ func takeU64(data []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(data), data[8:], nil
 }
 
-// appendOptions appends the tree options as six fixed u64 fields. Words 2,
-// 3 and 5 are reserved: they held the retired Fanout, FillFactor and Router
-// options, stay in place so the format does not move, are written as zero
-// and are ignored on read (a store saved with those options set still
-// opens).
+// appendOptions appends the tree options as six fixed u64 fields. Words 2
+// to 5 are reserved: they held the retired Fanout, FillFactor, Search and
+// Router options, stay in place so the format does not move, are written
+// as zero and are ignored on read (a store saved with those options set
+// still opens).
 func appendOptions(buf []byte, o Options) []byte {
-	for _, w := range [6]int{o.Error, o.BufferSize, 0, 0, int(o.Search), 0} {
+	for _, w := range [6]int{o.Error, o.BufferSize, 0, 0, 0, 0} {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(w)))
 	}
 	return buf
@@ -125,7 +125,6 @@ func decodeOptions(data []byte) (Options, []byte, error) {
 	o := Options{
 		Error:      int(int64(raw[0])),
 		BufferSize: int(int64(raw[1])),
-		Search:     SearchStrategy(int64(raw[4])),
 	}
 	if _, err := o.withDefaults(); err != nil {
 		return Options{}, nil, fmt.Errorf("core: manifest options invalid: %w", err)

@@ -9,9 +9,9 @@ import (
 )
 
 // reservedOptionWords are the byte offsets, in an encoded manifest, of the
-// option words that held the retired Fanout, FillFactor and Router options
-// (after the u32 magic and the u64 generation, words 2, 3 and 5 of six).
-var reservedOptionWords = [3]int{12 + 2*8, 12 + 3*8, 12 + 5*8}
+// option words that held the retired Fanout, FillFactor, Search and Router
+// options (after the u32 magic and the u64 generation, words 2 to 5 of six).
+var reservedOptionWords = [4]int{12 + 2*8, 12 + 3*8, 12 + 4*8, 12 + 5*8}
 
 // zeroReserved returns data with its reserved option words cleared: the
 // canonical form of a manifest a parent build may have written.
@@ -24,10 +24,11 @@ func zeroReserved(data []byte) []byte {
 }
 
 // TestManifestReservedOptionWords pins that old stores still decode: a
-// manifest whose option block carries Fanout = 32, FillFactor = 0.5 and
-// Router = 1 (hand-encoded here; what a build with those options wrote)
-// decodes to the same manifest as one without them, and re-encodes with the
-// three words zero and every other byte in place.
+// manifest whose option block carries Fanout = 32, FillFactor = 0.5,
+// Router = 1 and Search = 1 or 2 (SearchLinear or SearchExponential;
+// hand-encoded here, what a build with those options wrote) decodes to the
+// same manifest as one without them, and re-encodes with the four words
+// zero and every other byte in place.
 func TestManifestReservedOptionWords(t *testing.T) {
 	want := sampleManifest()
 	canon := EncodeShardManifest(want)
@@ -36,19 +37,22 @@ func TestManifestReservedOptionWords(t *testing.T) {
 			t.Fatalf("encoder wrote a non-zero reserved word at offset %d", at)
 		}
 	}
-	old := append([]byte(nil), canon...)
-	binary.LittleEndian.PutUint64(old[reservedOptionWords[0]:], 32)
-	binary.LittleEndian.PutUint64(old[reservedOptionWords[1]:], math.Float64bits(0.5))
-	binary.LittleEndian.PutUint64(old[reservedOptionWords[2]:], 1)
-	got, err := DecodeShardManifest(old)
-	if err != nil {
-		t.Fatalf("decode of a manifest with the retired options set: %v", err)
-	}
-	if plain, _ := DecodeShardManifest(canon); got.Options != want.Options || !reflect.DeepEqual(got, plain) {
-		t.Fatalf("retired option words changed the decoded manifest: got %+v want %+v", got, plain)
-	}
-	if !bytes.Equal(EncodeShardManifest(got), canon) {
-		t.Fatal("re-encoding did not produce the canonical manifest")
+	for _, search := range []uint64{1, 2} {
+		old := append([]byte(nil), canon...)
+		binary.LittleEndian.PutUint64(old[reservedOptionWords[0]:], 32)
+		binary.LittleEndian.PutUint64(old[reservedOptionWords[1]:], math.Float64bits(0.5))
+		binary.LittleEndian.PutUint64(old[reservedOptionWords[2]:], search)
+		binary.LittleEndian.PutUint64(old[reservedOptionWords[3]:], 1)
+		got, err := DecodeShardManifest(old)
+		if err != nil {
+			t.Fatalf("decode of a manifest with the retired options set (Search %d): %v", search, err)
+		}
+		if plain, _ := DecodeShardManifest(canon); got.Options != want.Options || !reflect.DeepEqual(got, plain) {
+			t.Fatalf("retired option words changed the decoded manifest: got %+v want %+v", got, plain)
+		}
+		if !bytes.Equal(EncodeShardManifest(got), canon) {
+			t.Fatal("re-encoding did not produce the canonical manifest")
+		}
 	}
 }
 
@@ -58,7 +62,6 @@ func sampleManifest() ShardManifest {
 		Options: Options{
 			Error:      64,
 			BufferSize: 8,
-			Search:     SearchExponential,
 		},
 		Fences: [][]byte{{0, 0, 1}, {0, 0, 9, 255}},
 		Shards: []ShardCut{
@@ -200,7 +203,7 @@ func TestRebalanceIntentRejectsCorruption(t *testing.T) {
 // FuzzManifest drives both top-level decoders with arbitrary bytes: neither
 // may panic or over-allocate, and anything DecodeShardManifest accepts must
 // re-encode to the identical byte string (the codec is canonical) — up to
-// the three reserved option words, which are ignored on read and written as
+// the four reserved option words, which are ignored on read and written as
 // zero.
 func FuzzManifest(f *testing.F) {
 	f.Add(EncodeShardManifest(sampleManifest()))

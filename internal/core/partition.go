@@ -140,8 +140,7 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 	var run pageRun[K, V]
 	size := 0
 	next := func() { // closes the tree being assembled and opens the next
-		o := trees[0].opts
-		t := &Tree[K, V]{opts: o, strat: o.Search, size: size, npages: len(run.pages)}
+		t := &Tree[K, V]{opts: trees[0].opts, size: size, npages: len(run.pages)}
 		t.setChunks(cutChunks(run))
 		out, run, size = append(out, t), pageRun[K, V]{}, 0
 	}

@@ -192,16 +192,6 @@ func (t *Tree[K, V]) LookupBreakdown(k K) (v V, ok bool, treeNs, pageNs int64) {
 	return v, ok, treeNs, pageNs
 }
 
-// InnerStats describes the index over the pages in B+-tree terms, the
-// shape the paper's size accounting is written in.
-type InnerStats struct {
-	Len        int // entries: one per page
-	Height     int // levels
-	InnerNodes int
-	LeafNodes  int
-	SizeBytes  int64 // 8 bytes per key and per pointer, the paper's accounting
-}
-
 // Stats describes the size and shape of a FITing-Tree.
 type Stats struct {
 	Elements int // total stored elements, including buffered ones
@@ -216,12 +206,10 @@ type Stats struct {
 	// top. Both are facade-level: Tree.Stats leaves them zero.
 	FrozenLayers int
 	LayerPending []int
-	// Inner describes the index over the pages as the height-2 tree it is:
-	// one root (the tree's array of chunk start keys) over one leaf per
-	// chunk (the chunk's array of page start keys), a key and a pointer
-	// per entry.
-	Inner     InnerStats
-	Height    int   // inner tree height
+	// Height is the inner tree's: 2, a root (the tree's array of chunk
+	// start keys) over one leaf per chunk (the chunk's array of page start
+	// keys).
+	Height    int
 	IndexSize int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
 	DataSize  int64 // bytes of table data incl. buffers (not part of the index)
 
@@ -248,10 +236,8 @@ func (t *Tree[K, V]) Stats() Stats {
 			s.DataSize += int64(len(p.keys)+len(p.bufKeys)) * 16
 		}
 	}
-	s.Inner = InnerStats{Len: s.Pages, Height: 2, InnerNodes: 1, LeafNodes: s.Chunks,
-		SizeBytes: 16 * int64(s.Pages+s.Chunks)}
-	s.Height = s.Inner.Height
-	s.IndexSize = s.Inner.SizeBytes + int64(s.Pages)*24
+	s.Height = 2
+	s.IndexSize = 16*int64(s.Pages+s.Chunks) + 24*int64(s.Pages)
 	return s
 }
 

@@ -5,104 +5,51 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"fitingtree/internal/workload"
 )
 
-var strategies = map[string]SearchStrategy{
-	"binary":      SearchBinary,
-	"linear":      SearchLinear,
-	"exponential": SearchExponential,
-}
-
-func TestSearchStrategiesAgree(t *testing.T) {
-	keys := workload.IoT(30_000, 21)
-	vals := make([]int, len(keys))
-	for i := range vals {
-		vals[i] = i
-	}
-	trees := map[string]*Tree[uint64, int]{}
-	for name, s := range strategies {
-		tr, err := BulkLoad(keys, vals, Options{Error: 50, Search: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees[name] = tr
-	}
-	probeMax := keys[len(keys)-1] + 100
-	rng := rand.New(rand.NewSource(22))
-	for i := 0; i < 50_000; i++ {
-		var k uint64
-		if i%2 == 0 {
-			k = keys[rng.Intn(len(keys))]
-		} else {
-			k = uint64(rng.Int63n(int64(probeMax)))
-		}
-		_, okB := trees["binary"].Lookup(k)
-		_, okL := trees["linear"].Lookup(k)
-		_, okE := trees["exponential"].Lookup(k)
-		if okB != okL || okB != okE {
-			t.Fatalf("strategies disagree on %d: binary=%v linear=%v exp=%v", k, okB, okL, okE)
-		}
-	}
-}
-
 func TestSearchStrategiesWithMutations(t *testing.T) {
-	for name, s := range strategies {
-		t.Run(name, func(t *testing.T) {
-			keys := make([]uint64, 5000)
-			for i := range keys {
-				keys[i] = uint64(i * 3)
+	keys := make([]uint64, 5000)
+	for i := range keys {
+		keys[i] = uint64(i * 3)
+	}
+	vals := make([]int, len(keys))
+	tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	present := map[uint64]int{}
+	for _, k := range keys {
+		present[k]++
+	}
+	for i := 0; i < 20_000; i++ {
+		k := uint64(rng.Intn(20_000))
+		switch i % 3 {
+		case 0:
+			tr.Insert(k, i)
+			present[k]++
+		case 1:
+			if tr.Delete(k) != (present[k] > 0) {
+				t.Fatalf("delete mismatch at %d", k)
 			}
-			vals := make([]int, len(keys))
-			tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8, Search: s})
-			if err != nil {
-				t.Fatal(err)
+			if present[k] > 0 {
+				present[k]--
 			}
-			rng := rand.New(rand.NewSource(23))
-			present := map[uint64]int{}
-			for _, k := range keys {
-				present[k]++
+		case 2:
+			if _, ok := tr.Lookup(k); ok != (present[k] > 0) {
+				t.Fatalf("lookup mismatch at %d", k)
 			}
-			for i := 0; i < 20_000; i++ {
-				k := uint64(rng.Intn(20_000))
-				switch i % 3 {
-				case 0:
-					tr.Insert(k, i)
-					present[k]++
-				case 1:
-					if tr.Delete(k) != (present[k] > 0) {
-						t.Fatalf("delete mismatch at %d", k)
-					}
-					if present[k] > 0 {
-						present[k]--
-					}
-				case 2:
-					if _, ok := tr.Lookup(k); ok != (present[k] > 0) {
-						t.Fatalf("lookup mismatch at %d", k)
-					}
-				}
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestRejectInvalidStrategy(t *testing.T) {
-	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{Search: SearchStrategy(99)}); err == nil {
-		t.Fatal("accepted invalid strategy")
-	}
-	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{Search: SearchStrategy(-1)}); err == nil {
-		t.Fatal("accepted negative strategy")
-	}
-}
-
-// Property: the three in-page search primitives return sort.Search's lower
-// bound on random sorted slices (empty, one key and duplicates included),
-// probe points and starting positions, over the whole slice and over any
-// window that contains the answer; the two upper bounds — branching and
+// Property: the in-page search primitives return sort.Search's lower bound
+// on random sorted slices (empty, one key and duplicates included), probe
+// points and starting positions, over the whole slice and over any window
+// that contains the answer; the two upper bounds — branching and
 // branch-free — agree with it and with each other.
 func TestQuickSearchPrimitivesAgree(t *testing.T) {
 	f := func(raw []uint16, probesRaw []uint16, atRaw, loRaw, hiRaw uint16) bool {
@@ -122,10 +69,8 @@ func TestQuickSearchPrimitivesAgree(t *testing.T) {
 				if lowerBound(keys, w[0], w[1], k) != want {
 					return false
 				}
-				for _, s := range strategies {
-					if windowSeek(keys, w[0], w[1], at, k, s) != want {
-						return false
-					}
+				if windowSeek(keys, w[0], w[1], at, k) != want {
+					return false
 				}
 			}
 			if i, ok := findKey(keys, k); i != want || ok != (want < n && keys[want] == k) {

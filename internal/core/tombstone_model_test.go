@@ -129,12 +129,6 @@ func applyTombOpsModel(base []pair, ops []MergeOp[uint64, uint64]) []pair {
 // generated under the write path's relativity rule (each layer's
 // tombstones have live victims in the view beneath it).
 func TestValueTombstonesRandomized(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) { testValueTombstonesRandomized(t, rk.search) })
-	}
-}
-
-func testValueTombstonesRandomized(t *testing.T, search SearchStrategy) {
 	rng := rand.New(rand.NewSource(1291))
 	for trial := 0; trial < 30; trial++ {
 		n := 200 + rng.Intn(1200)
@@ -146,7 +140,7 @@ func testValueTombstonesRandomized(t *testing.T, search SearchStrategy) {
 			}
 			keys[i] = k
 		}
-		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4, Search: search})
+		base := buildCOWBase(t, keys, Options{Error: 8 + rng.Intn(24), BufferSize: 4})
 		before := contents(base)
 
 		lower := genTombOps(rng, before, k)

@@ -47,30 +47,12 @@ import (
 // DefaultError is the error threshold used when Options.Error is zero.
 const DefaultError = 100
 
-// SearchStrategy selects how a lookup locates a key inside its segment's
-// error window (Section 4.1.2: "it is possible to utilize any well-known
-// search algorithm, including linear search, binary search, or exponential
-// search").
-type SearchStrategy int
-
-const (
-	// SearchBinary binary-searches the 2E+1 window (the paper's default),
-	// seeded at the prediction: it strides from the predicted slot toward
-	// the key a sixteenth of the window at a time — the realised error is
-	// a fraction of the bound, and consecutive strides are consecutive
-	// cache lines — and bisects the stride that brackets the key.
-	SearchBinary SearchStrategy = iota
-	// SearchLinear scans outward from the predicted position; the paper
-	// notes it can win for very small error thresholds.
-	SearchLinear
-	// SearchExponential gallops from the predicted position, doubling the
-	// step until the key is bracketed, then binary-searches the bracket.
-	SearchExponential
-)
-
-// Options configures a FITing-Tree: the error threshold, the insert buffer
-// it is shared with, and the in-page search. The inner structure has no
-// knobs — it is the page chain's own two-level start arrays.
+// Options configures a FITing-Tree by the paper's two knobs: the error
+// threshold and the insert buffer it is shared with. Neither the in-page
+// search nor the inner structure has a knob: the search is one strided
+// binary search of the error window (Section 4.1.2), the one the §6 cost
+// model prices, and the inner structure is the page chain's own two-level
+// start arrays.
 type Options struct {
 	// Error is the maximum distance E between an element's predicted and
 	// true position, including elements resident in insert buffers. The
@@ -83,10 +65,6 @@ type Options struct {
 	// A negative value selects the paper's default of Error/2; zero means
 	// no buffering (every insert merges immediately).
 	BufferSize int
-
-	// Search selects the in-segment search algorithm; defaults to
-	// SearchBinary.
-	Search SearchStrategy
 }
 
 // withDefaults normalizes opts, returning an error for invalid settings.
@@ -102,9 +80,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.BufferSize >= o.Error {
 		return o, fmt.Errorf("fitingtree: BufferSize %d must be < Error %d", o.BufferSize, o.Error)
-	}
-	if o.Search < SearchBinary || o.Search > SearchExponential {
-		return o, fmt.Errorf("fitingtree: unknown search strategy %d", o.Search)
 	}
 	return o, nil
 }
@@ -388,7 +363,6 @@ type Tree[K num.Key, V any] struct {
 	starts []K            // the chunks' start keys, parallel to chunks: the index's top level
 	npages int            // pages in the chain, maintained by every splice
 	size   int            // total elements (pages + buffers)
-	strat  SearchStrategy // opts.Search
 
 	counters Counters
 }
@@ -424,7 +398,7 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 			return nil, fmt.Errorf("fitingtree: keys not sorted at index %d", i)
 		}
 	}
-	t := &Tree[K, V]{opts: o, size: len(keys), strat: o.Search}
+	t := &Tree[K, V]{opts: o, size: len(keys)}
 	var run pageRun[K, V]
 	for _, s := range segment.ShrinkingCone(keys, o.segError()) {
 		run.add(newPage(
@@ -655,44 +629,28 @@ func (t *Tree[K, V]) seek(cu cursor[K, V], k K) (int, bool) {
 	n := len(h.keys)
 	lo, hi, at := h.window(num.Approx(k))
 	if h.flags&headPrefix != 0 {
-		return cu.page().seekPrefix(any(h.keys).([]string), lo, hi, at, any(k).(string), t.strat)
+		return cu.page().seekPrefix(any(h.keys).([]string), lo, hi, at, any(k).(string))
 	}
-	i := windowSeek(h.keys, lo, hi, at, k, t.strat)
+	i := windowSeek(h.keys, lo, hi, at, k)
 	return i, i < n && h.keys[i] == k
 }
 
-// windowSeek returns k's lower bound within keys[lo:hi) under strat; at,
-// in [lo, hi], is the model's prediction, where every strategy starts.
-func windowSeek[K num.Key](keys []K, lo, hi, at int, k K, strat SearchStrategy) int {
-	switch strat {
-	case SearchLinear:
-		for at < hi && keys[at] < k {
-			at++
-		}
-		for at > lo && keys[at-1] >= k {
-			at--
-		}
-		return at
-	case SearchExponential:
-		return gallopSeek(keys, lo, hi, at, k, 1, 1)
-	}
-	return gallopSeek(keys, lo, hi, at, k, max(2, (hi-lo)>>4), 0)
-}
-
-// gallopSeek returns k's lower bound within keys[lo:hi): it steps from at
-// toward k until k is bracketed — step slots at a time, the step doubling
-// after each one when grow is 1 and constant when it is 0 — then bisects
-// the bracket.
-func gallopSeek[K num.Key](keys []K, lo, hi, at int, k K, step, grow int) int {
+// windowSeek returns k's lower bound within keys[lo:hi); at, in [lo, hi],
+// is the model's prediction. It strides from at toward k a sixteenth of
+// the window at a time (at least two slots) — the realised error is a
+// fraction of the bound, and consecutive strides are consecutive cache
+// lines — until k is bracketed, then bisects the stride that brackets it.
+func windowSeek[K num.Key](keys []K, lo, hi, at int, k K) int {
+	step := max(2, (hi-lo)>>4)
 	if at < hi && keys[at] < k {
-		for ; ; step <<= grow {
+		for {
 			lo = at + 1
 			if at = min(at+step, hi); at == hi || keys[at] >= k {
 				return lowerBound(keys, lo, at, k)
 			}
 		}
 	}
-	for ; at > lo; step <<= grow {
+	for at > lo {
 		hi = at
 		if at = max(at-step, lo); keys[at] < k {
 			return lowerBound(keys, at+1, hi, k)
@@ -709,9 +667,9 @@ func gallopSeek[K num.Key](keys []K, lo, hi, at int, k K, step, grow int) int {
 // the sidecar is a lossless image of the key column and the search never
 // touches string data at all, which is what keeps string-keyed lookups
 // within small-constant reach of native numeric ones.
-func (p *page[K, V]) seekPrefix(keys []string, lo, hi, at int, k string, strat SearchStrategy) (int, bool) {
+func (p *page[K, V]) seekPrefix(keys []string, lo, hi, at int, k string) (int, bool) {
 	kp := num.StringPrefix(k)
-	i := windowSeek(p.pref, lo, hi, at, kp, strat)
+	i := windowSeek(p.pref, lo, hi, at, kp)
 	if p.fixed8 && len(k) == 8 {
 		return i, i < len(keys) && p.pref[i] == kp
 	}

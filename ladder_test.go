@@ -244,26 +244,15 @@ func TestLadderSchedulerPick(t *testing.T) {
 // duplicate anywhere in the N-layer accounting shows up as a value-id
 // mismatch.
 func TestLadderModelRandomizedPump(t *testing.T) {
-	for _, rk := range searchKinds {
-		for _, depth := range []int{1, 2, 4, 8} {
-			rk, depth := rk, depth
-			t.Run(rk.name+"/depth="+string(rune('0'+depth)), func(t *testing.T) {
-				testLadderModelRandomizedPump(t, rk.search, depth)
-			})
-		}
+	for _, depth := range []int{1, 2, 4, 8} {
+		depth := depth
+		t.Run("depth="+string(rune('0'+depth)), func(t *testing.T) {
+			testLadderModelRandomizedPump(t, depth)
+		})
 	}
 }
 
-// searchKinds is the second dimension of the randomized models in this
-// package: each runs under the default window search and under the galloping
-// one. The labels are the ones the dimension carried while it selected a
-// router kind; the test floor tracks subtests by name, so they stay.
-var searchKinds = []struct {
-	name   string
-	search SearchStrategy
-}{{"btree", SearchBinary}, {"implicit", SearchExponential}}
-
-func testLadderModelRandomizedPump(t *testing.T, search SearchStrategy, depth int) {
+func testLadderModelRandomizedPump(t *testing.T, depth int) {
 	const flushAt = 8
 	rng := rand.New(rand.NewSource(int64(depth)*1009 + 7))
 	base := make([]uint64, 800)
@@ -279,7 +268,7 @@ func testLadderModelRandomizedPump(t *testing.T, search SearchStrategy, depth in
 	}
 	build := func() *Optimistic[uint64, uint64] {
 		tr, err := BulkLoad(append([]uint64(nil), base...), append([]uint64(nil), vals...),
-			Options{Error: 24, BufferSize: 8, Search: search})
+			Options{Error: 24, BufferSize: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,10 +124,10 @@ func snapshotPages(t *testing.T, dev pager.Device) []byte {
 }
 
 // TestStoreWithRetiredOptionsOpens is the other side of the format
-// contract: a store whose manifest carries the retired Fanout, FillFactor
-// and Router options (hand-encoded into the option block's reserved words,
-// what a build with `Fanout: 32, FillFactor: 0.5, Router: 1` wrote) is
-// not a legacy store. It scrubs clean, opens with every row, takes writes
+// contract: a store whose manifest carries the retired Fanout, FillFactor,
+// Search and Router options (hand-encoded into the option block's reserved
+// words, what a build with `Fanout: 32, FillFactor: 0.5, Search: 2,
+// Router: 1` wrote) is not a legacy store. It scrubs clean, opens with every row, takes writes
 // and checkpoints — and the checkpoint writes those words back as zero.
 func TestStoreWithRetiredOptionsOpens(t *testing.T) {
 	mem := wal.NewMemFS()
@@ -160,8 +160,8 @@ func TestStoreWithRetiredOptionsOpens(t *testing.T) {
 	checkpointAndClose(d)
 
 	// The option block follows the u32 magic and the u64 generation; its
-	// words 2, 3 and 5 are the retired ones.
-	retired := map[int]uint64{12 + 2*8: 32, 12 + 3*8: math.Float64bits(0.5), 12 + 5*8: 1}
+	// words 2 to 5 are the retired ones.
+	retired := map[int]uint64{12 + 2*8: 32, 12 + 3*8: math.Float64bits(0.5), 12 + 4*8: 2, 12 + 5*8: 1}
 	manifest := func() []byte {
 		t.Helper()
 		sup, ok, err := pager.ReadSuper(dev)

@@ -412,13 +412,6 @@ func (e *shardEngine[K, V]) Stats() Stats {
 		}
 		agg.IndexSize += st.IndexSize
 		agg.DataSize += st.DataSize
-		agg.Inner.Len += st.Inner.Len
-		agg.Inner.InnerNodes += st.Inner.InnerNodes
-		agg.Inner.LeafNodes += st.Inner.LeafNodes
-		agg.Inner.SizeBytes += st.Inner.SizeBytes
-		if st.Inner.Height > agg.Inner.Height {
-			agg.Inner.Height = st.Inner.Height
-		}
 		if st.Height > agg.Height {
 			agg.Height = st.Height
 		}

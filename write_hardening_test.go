@@ -408,12 +408,6 @@ func TestOptimisticModelRandomized(t *testing.T) {
 // found flags, and that every surviving value was genuinely inserted (or
 // bulk-loaded) under its key.
 func TestOptimisticModelRandomizedAsync(t *testing.T) {
-	for _, rk := range searchKinds {
-		t.Run(rk.name, func(t *testing.T) { testOptimisticModelRandomizedAsync(t, rk.search) })
-	}
-}
-
-func testOptimisticModelRandomizedAsync(t *testing.T, search fitingtree.SearchStrategy) {
 	for _, flushAt := range []int{1, 2, 13, 64} {
 		rng := rand.New(rand.NewSource(int64(flushAt) * 101))
 		nextVal := uint64(1 << 32)
@@ -432,7 +426,7 @@ func testOptimisticModelRandomizedAsync(t *testing.T, search fitingtree.SearchSt
 			}
 			everVals[base[i]][baseVals[i]] = true
 		}
-		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8, Search: search})
+		tr, err := fitingtree.BulkLoad(base, baseVals, fitingtree.Options{Error: 32, BufferSize: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
