@@ -253,27 +253,29 @@ func driveStringModel(t *testing.T, idx stringIndex, seed int64) {
 // truncated-prefix Approx for interpolation only) must leave every
 // observation identical to a numeric-keyed tree's.
 func TestStringKeyedLadderModel(t *testing.T) {
-	for _, depth := range []int{1, 2, 4, 8} {
-		for _, async := range []bool{false, true} {
-			mode := "inline"
-			if async {
-				mode = "async"
-			}
-			depth, async := depth, async
-			t.Run(fmt.Sprintf("depth=%d/%s", depth, mode), func(t *testing.T) {
-				for _, flushAt := range []int{2, 13} {
-					tr, err := fitingtree.BulkLoad[string, uint64](nil, nil,
-						fitingtree.Options{Error: 32, BufferSize: 8})
-					if err != nil {
-						t.Fatal(err)
-					}
-					o := fitingtree.NewOptimistic(tr)
-					o.SetAsyncFlush(async)
-					o.SetMaxFrozenLayers(depth)
-					o.SetFlushEvery(flushAt)
-					driveStringModel(t, o, int64(depth)*1009+int64(flushAt))
+	for _, ms := range modelSeeds {
+		for _, depth := range []int{1, 2, 4, 8} {
+			for _, async := range []bool{false, true} {
+				mode := "inline"
+				if async {
+					mode = "async"
 				}
-			})
+				ms, depth, async := ms, depth, async
+				t.Run(fmt.Sprintf("%s/depth=%d/%s", ms.name, depth, mode), func(t *testing.T) {
+					for _, flushAt := range []int{2, 13} {
+						tr, err := fitingtree.BulkLoad[string, uint64](nil, nil,
+							fitingtree.Options{Error: 32, BufferSize: 8})
+						if err != nil {
+							t.Fatal(err)
+						}
+						o := fitingtree.NewOptimistic(tr)
+						o.SetAsyncFlush(async)
+						o.SetMaxFrozenLayers(depth)
+						o.SetFlushEvery(flushAt)
+						driveStringModel(t, o, int64(depth)*1009+int64(flushAt)+ms.shift)
+					}
+				})
+			}
 		}
 	}
 }

@@ -135,7 +135,13 @@ func compactGenOps(rng *rand.Rand, stream []pair, maxKey uint64) []MergeOp[uint6
 // view after lower). It also pins MergeCOW against the sequential fold
 // at depth three and its receiver-identity degenerate cases.
 func TestCompactOpsRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(977))
+	for _, ms := range modelSeeds {
+		t.Run(ms.name, func(t *testing.T) { testCompactOpsRandomized(t, ms.shift) })
+	}
+}
+
+func testCompactOpsRandomized(t *testing.T, shift int64) {
+	rng := rand.New(rand.NewSource(977 + shift))
 	for trial := 0; trial < 30; trial++ {
 		n := 200 + rng.Intn(1500)
 		keys := make([]uint64, n)

@@ -139,6 +139,12 @@ func TestMergeCOWSharesHeadArrays(t *testing.T) {
 // writes into structure a published tree shares (chunks, their start and
 // head arrays, pages).
 func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
+	for _, ms := range modelSeeds {
+		t.Run(ms.name, func(t *testing.T) { testMergeCOWPublicationConcurrentReaders(t, ms.shift) })
+	}
+}
+
+func testMergeCOWPublicationConcurrentReaders(t *testing.T, shift int64) {
 	base := buildShareBase(t, 120_000)
 	var cur atomic.Pointer[Tree[uint64, uint64]]
 	cur.Store(base)
@@ -171,10 +177,10 @@ func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
 					return n < 64
 				})
 			}
-		}(int64(100 + r))
+		}(int64(100+r) + shift)
 	}
 
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(7 + shift))
 	for flush := 0; flush < 60; flush++ {
 		tr := cur.Load()
 		seen := map[uint64]bool{}
@@ -208,10 +214,16 @@ func TestMergeCOWPublicationConcurrentReaders(t *testing.T) {
 // and buffered inserts, a shuffled probe set must answer exactly like
 // per-key Lookup calls.
 func TestLookupBatchUnsortedMatchesLookup(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
+	for _, ms := range modelSeeds {
+		t.Run(ms.name, func(t *testing.T) { testLookupBatchUnsortedMatchesLookup(t, ms.shift) })
+	}
+}
+
+func testLookupBatchUnsortedMatchesLookup(t *testing.T, shift int64) {
+	rng := rand.New(rand.NewSource(53 + shift))
 	for trial := 0; trial < 12; trial++ {
 		n := 2_000 + rng.Intn(20_000)
-		keys := workload.Weblogs(n, int64(trial+1))
+		keys := workload.Weblogs(n, int64(trial+1)+shift)
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = uint64(i)

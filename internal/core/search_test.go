@@ -7,13 +7,28 @@ import (
 	"testing/quick"
 )
 
+// TestSearchStrategiesWithMutations drives the one window search through
+// inserts, deletes and lookups at three error bounds. A window holds about
+// 2ε+1 keys, so windowSeek strides by its minimum step of 2 at ε 16 and by
+// width/16, about 8 and 32 keys, at ε 64 and 256. The subtests keep the
+// names of the retired search strategies; the test floor tracks them by
+// name.
 func TestSearchStrategiesWithMutations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  int
+	}{{"binary", 16}, {"linear", 64}, {"exponential", 256}} {
+		t.Run(c.name, func(t *testing.T) { testSearchWithMutations(t, c.err) })
+	}
+}
+
+func testSearchWithMutations(t *testing.T, errBound int) {
 	keys := make([]uint64, 5000)
 	for i := range keys {
 		keys[i] = uint64(i * 3)
 	}
 	vals := make([]int, len(keys))
-	tr, err := BulkLoad(keys, vals, Options{Error: 16, BufferSize: 8})
+	tr, err := BulkLoad(keys, vals, Options{Error: errBound, BufferSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,13 @@ func applyTombOpsModel(base []pair, ops []MergeOp[uint64, uint64]) []pair {
 // generated under the write path's relativity rule (each layer's
 // tombstones have live victims in the view beneath it).
 func TestValueTombstonesRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(1291))
+	for _, ms := range modelSeeds {
+		t.Run(ms.name, func(t *testing.T) { testValueTombstonesRandomized(t, ms.shift) })
+	}
+}
+
+func testValueTombstonesRandomized(t *testing.T, shift int64) {
+	rng := rand.New(rand.NewSource(1291 + shift))
 	for trial := 0; trial < 30; trial++ {
 		n := 200 + rng.Intn(1200)
 		keys := make([]uint64, n)

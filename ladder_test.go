@@ -244,17 +244,30 @@ func TestLadderSchedulerPick(t *testing.T) {
 // duplicate anywhere in the N-layer accounting shows up as a value-id
 // mismatch.
 func TestLadderModelRandomizedPump(t *testing.T) {
-	for _, depth := range []int{1, 2, 4, 8} {
-		depth := depth
-		t.Run("depth="+string(rune('0'+depth)), func(t *testing.T) {
-			testLadderModelRandomizedPump(t, depth)
-		})
+	for _, ms := range modelSeeds {
+		for _, depth := range []int{1, 2, 4, 8} {
+			ms, depth := ms, depth
+			t.Run(ms.name+"/depth="+string(rune('0'+depth)), func(t *testing.T) {
+				testLadderModelRandomizedPump(t, ms.shift, depth)
+			})
+		}
 	}
 }
 
-func testLadderModelRandomizedPump(t *testing.T, depth int) {
+// modelSeeds is the second dimension of the randomized models in this
+// package: each model runs on the seed it has always run and again on a
+// shifted one, so the one window search faces a second op history. The
+// labels are the ones the dimension carried while it selected a router kind
+// and then a window search; the test floor tracks subtests by name, so they
+// stay.
+var modelSeeds = []struct {
+	name  string
+	shift int64
+}{{"btree", 0}, {"implicit", 1 << 20}}
+
+func testLadderModelRandomizedPump(t *testing.T, shift int64, depth int) {
 	const flushAt = 8
-	rng := rand.New(rand.NewSource(int64(depth)*1009 + 7))
+	rng := rand.New(rand.NewSource(int64(depth)*1009 + 7 + shift))
 	base := make([]uint64, 800)
 	for i := range base {
 		base[i] = uint64(rng.Intn(200) * 4)

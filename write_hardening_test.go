@@ -408,8 +408,14 @@ func TestOptimisticModelRandomized(t *testing.T) {
 // found flags, and that every surviving value was genuinely inserted (or
 // bulk-loaded) under its key.
 func TestOptimisticModelRandomizedAsync(t *testing.T) {
+	for _, ms := range modelSeeds {
+		t.Run(ms.name, func(t *testing.T) { testOptimisticModelRandomizedAsync(t, ms.shift) })
+	}
+}
+
+func testOptimisticModelRandomizedAsync(t *testing.T, shift int64) {
 	for _, flushAt := range []int{1, 2, 13, 64} {
-		rng := rand.New(rand.NewSource(int64(flushAt) * 101))
+		rng := rand.New(rand.NewSource(int64(flushAt)*101 + shift))
 		nextVal := uint64(1 << 32)
 		base := make([]uint64, 1500)
 		baseVals := make([]uint64, 1500)
