@@ -271,16 +271,33 @@ func BenchmarkFig13Breakdown(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoad measures end-to-end index construction (segmentation +
-// page build + inner tree bulk load).
+// BenchmarkBulkLoad measures end-to-end index construction on Weblogs keys:
+// the segmentation and the page copies, both spread over GOMAXPROCS, then
+// the chunk cut. The 4 M-key row is the size the canonical benchmark loads.
 func BenchmarkBulkLoad(b *testing.B) {
-	keys := benchKeys()
-	vals := benchVals(len(keys))
+	for _, n := range []int{benchN, 4_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			keys := workload.Weblogs(n, 1)
+			vals := benchVals(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 100}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShrinkingCone measures the segmentation alone on
+// BenchmarkBulkLoad's 4 M keys at its ε (100, no insert buffer).
+func BenchmarkShrinkingCone(b *testing.B) {
+	keys := workload.Weblogs(4_000_000, 1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 100}); err != nil {
-			b.Fatal(err)
-		}
+		segment.ShrinkingCone(keys, 100)
 	}
 }
 

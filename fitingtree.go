@@ -91,7 +91,8 @@ type Counters = core.Counters
 
 // BulkLoad builds a FITing-Tree over sorted keys (duplicates allowed) and
 // parallel values using the paper's one-pass segmentation. The input is
-// copied.
+// copied. The segmentation and the copies are spread over GOMAXPROCS
+// processors; the tree built does not depend on how many there are.
 func BulkLoad[K Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], error) {
 	return core.BulkLoad(keys, vals, opts)
 }

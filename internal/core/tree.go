@@ -38,6 +38,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"fitingtree/internal/num"
@@ -379,7 +380,10 @@ func (t *Tree[K, V]) setChunks(chunks []*chunk[K, V]) {
 
 // BulkLoad builds a FITing-Tree over sorted keys (duplicates allowed) and
 // their parallel values using the one-pass ShrinkingCone segmentation
-// (Section 3). The input slices are copied into per-segment pages.
+// (Section 3). The input slices are copied into per-segment pages. The
+// segmentation and the page copies are spread over the processors the way
+// segment.ShrinkingCone spreads its pass. The layout does not depend on
+// GOMAXPROCS, and page identities run consecutively in chain order.
 func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -388,29 +392,49 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 	if len(keys) != len(vals) {
 		return nil, fmt.Errorf("fitingtree: %d keys but %d values", len(keys), len(vals))
 	}
-	for i := range keys {
-		// NaN float keys compare false against everything, so they would
-		// slip through the sortedness check and corrupt routing.
-		if keys[i] != keys[i] {
-			return nil, fmt.Errorf("fitingtree: NaN key at index %d", i)
+	// Every part checks all of its range and keeps its first bad key, so the
+	// first part holding one holds the input's first.
+	parts := segment.Parts(len(keys))
+	bad := make([]error, parts)
+	segment.ForParts(parts, len(keys), func(p, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// NaN float keys compare false against everything, so they would
+			// slip through the sortedness check and corrupt routing.
+			if keys[i] != keys[i] {
+				bad[p] = fmt.Errorf("fitingtree: NaN key at index %d", i)
+				return
+			}
+			if i > 0 && keys[i] < keys[i-1] {
+				bad[p] = fmt.Errorf("fitingtree: keys not sorted at index %d", i)
+				return
+			}
 		}
-		if i > 0 && keys[i] < keys[i-1] {
-			return nil, fmt.Errorf("fitingtree: keys not sorted at index %d", i)
+	})
+	for _, err := range bad {
+		if err != nil {
+			return nil, err
 		}
 	}
-	t := &Tree[K, V]{opts: o, size: len(keys)}
-	var run pageRun[K, V]
-	for _, s := range segment.ShrinkingCone(keys, o.segError()) {
-		run.add(newPage(
-			pageSeq.Add(1),
-			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
-			append([]K(nil), keys[s.StartPos:s.EndPos()]...),
-			append([]V(nil), vals[s.StartPos:s.EndPos()]...),
-			o.segError(),
-		))
-	}
+	segs := segment.ShrinkingCone(keys, o.segError())
+	pages := make([]*page[K, V], len(segs))
+	segment.ForParts(parts, len(keys), func(_, lo, hi int) {
+		// This part copies the segments that start in [lo, hi).
+		j := sort.Search(len(segs), func(j int) bool { return segs[j].StartPos >= lo })
+		for ; j < len(segs) && segs[j].StartPos < hi; j++ {
+			s := segs[j]
+			pages[j] = newPage(0,
+				segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
+				append([]K(nil), keys[s.StartPos:s.EndPos()]...),
+				append([]V(nil), vals[s.StartPos:s.EndPos()]...),
+				o.segError(),
+			)
+		}
+	})
+	stampIDs([][]*page[K, V]{pages})
+	run := makeRun[K, V](len(pages))
+	run.add(pages...)
+	t := &Tree[K, V]{opts: o, size: len(keys), npages: len(pages)}
 	t.setChunks(cutChunks(run))
-	t.npages = len(run.pages)
 	return t, nil
 }
 

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"fitingtree/internal/segment"
 	"fitingtree/internal/workload"
 )
 
@@ -67,6 +70,57 @@ func TestBulkLoadRejectsBadInput(t *testing.T) {
 	}
 	if _, err := BulkLoad([]uint64{1}, []int{0}, Options{Error: 10, BufferSize: 10}); err == nil {
 		t.Fatal("accepted BufferSize >= Error")
+	}
+	// On an input a parallel load splits, the errors still name the first
+	// offending index.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	keys := make([]float64, 300_000)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	keys[250_001] = math.NaN()
+	keys[200_000], keys[150_000] = 0, 0
+	vals := make([]int, len(keys))
+	if _, err := BulkLoad(keys, vals, Options{}); err == nil || err.Error() != "fitingtree: keys not sorted at index 150000" {
+		t.Fatalf("unsorted at 150000 and 200000: %v", err)
+	}
+	keys[150_000], keys[200_000] = 150_000, 200_000
+	keys[100_000] = math.NaN()
+	if _, err := BulkLoad(keys, vals, Options{}); err == nil || err.Error() != "fitingtree: NaN key at index 100000" {
+		t.Fatalf("NaN at 100000 and 250001: %v", err)
+	}
+}
+
+// TestBulkLoadLayoutIndependentOfProcs pins a bulk load's layout to the
+// serial build's: at GOMAXPROCS 1 and 4 the same chunks with the same pages,
+// and page identities consecutive in chain order.
+func TestBulkLoadLayoutIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	keys := workload.Weblogs(300_000, 9)
+	var snaps [][]ChunkSnap[uint64, int]
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if p := segment.Parts(len(keys)); p != procs {
+			t.Fatalf("GOMAXPROCS %d: %d parts", procs, p)
+		}
+		tr := load(t, keys, Options{})
+		var cs []ChunkSnap[uint64, int]
+		for i := range tr.NumChunks() {
+			cs = append(cs, tr.ChunkSnap(i))
+		}
+		snaps = append(snaps, cs)
+		ids := tr.PageIDs()
+		for i, id := range ids {
+			if id != ids[0]+uint64(i) {
+				t.Fatalf("GOMAXPROCS %d: page %d has id %d, page 0 %d", procs, i, id, ids[0])
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Fatal("the chunks at GOMAXPROCS 4 differ from the serial build's")
 	}
 }
 

@@ -50,6 +50,8 @@ package segment
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"fitingtree/internal/num"
 )
@@ -183,10 +185,41 @@ func (c *cone) slope() float64 {
 // to nothing, small enough for the block to live on the stack.
 const approxBlock = 256
 
+// minPart is the fewest keys a part of a parallel pass gets: ~0.3 ms of cone
+// work, far more than starting a goroutine costs.
+const minPart = 1 << 15
+
+// Parts returns how many parts a parallel pass over n keys is split into:
+// one per processor, each of at least minPart keys, and at least one.
+func Parts(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/minPart)) }
+
+// ForParts splits [0, n) into parts even ranges and calls fn(i, lo, hi) for
+// range i, side by side, the caller's goroutine taking range 0; it returns
+// once every call has. fn must not panic: on any goroutine but the caller's
+// that kills the process.
+func ForParts(parts, n int, fn func(i, lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(parts - 1)
+	for i := 1; i < parts; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i, i*n/parts, (i+1)*n/parts)
+		}()
+	}
+	fn(0, 0, n/parts)
+	wg.Wait()
+}
+
 // ShrinkingCone partitions sorted keys into segments using the paper's
 // greedy one-pass algorithm (Algorithm 2) with error threshold err.
 // keys must be sorted ascending (duplicates allowed); err must be >= 1.
 // The returned segments are disjoint, contiguous, and cover all of keys.
+//
+// The pass is spread over the processors: Parts(len(keys)) parts each start
+// it at an even split point, and the stitch grows the chain one segment at a
+// time until it lands on a start the next part found, then takes that part's
+// segments. A segment depends only on its start and the keys after it, so the
+// result is the serial pass's at any GOMAXPROCS.
 func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 	if err < 1 {
 		panic(fmt.Sprintf("segment: error threshold %d < 1", err))
@@ -195,19 +228,66 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 		return nil
 	}
 	e := float64(err)
-	segs := make([]Segment[K], 0, 16)
+	parts := Parts(len(keys))
+	if parts == 1 {
+		// No fan-out for one part: a fold re-segments many small regions,
+		// and it would cost each of them three allocations.
+		segs, _, bad := greedyFrom(make([]Segment[K], 0, 16), keys, e, 0, len(keys))
+		mustBeSorted(bad)
+		return segs
+	}
+	type part struct {
+		segs            []Segment[K]
+		next, bad, stop int
+	}
+	ps := make([]part, parts)
+	ForParts(parts, len(keys), func(i, lo, hi int) {
+		p := &ps[i]
+		p.segs, p.next, p.bad = greedyFrom(make([]Segment[K], 0, 16), keys, e, lo, hi)
+		p.stop = hi
+	})
+	for _, p := range ps {
+		// A part checks every key past its split point up to where it stops,
+		// which is past the next split point unless it met an unsorted key, so
+		// the first part to report one reports the first in the array.
+		mustBeSorted(p.bad)
+	}
+	segs, pos := ps[0].segs, ps[0].next
+	for _, p := range ps[1:] {
+		for j := 0; pos < p.stop; {
+			for j < len(p.segs) && p.segs[j].StartPos < pos {
+				j++
+			}
+			if j < len(p.segs) && p.segs[j].StartPos == pos {
+				segs, pos = append(segs, p.segs[j:]...), p.next
+				break
+			}
+			segs, pos, _ = greedyFrom(segs, keys, e, pos, pos+1)
+		}
+	}
+	return segs
+}
+
+// mustBeSorted panics naming bad as the first unsorted index, unless it is -1.
+func mustBeSorted(bad int) {
+	if bad >= 0 {
+		panic(fmt.Sprintf("segment: keys not sorted at index %d", bad))
+	}
+}
+
+// greedyFrom runs Algorithm 2 from position from, taken as a segment start,
+// and appends every segment that starts in [from, stop); next is the start of
+// the one after them. It runs on worker goroutines, where a panic would kill
+// the process, so it returns the first unsorted index in bad, else -1.
+func greedyFrom[K num.Key](segs []Segment[K], keys []K, e float64, from, stop int) (_ []Segment[K], next, bad int) {
 	var buf [approxBlock]float64
-	var c cone
-	start := 0
-	for base := 0; base < len(keys); base += approxBlock {
+	c := newCone(num.Approx(keys[from]), from)
+	start := from
+	for base := from + 1; base < len(keys); base += approxBlock {
 		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {
 			i := base + j
-			if i == 0 {
-				c = newCone(x, 0)
-				continue
-			}
 			if keys[i] < keys[i-1] {
-				panic(fmt.Sprintf("segment: keys not sorted at index %d", i))
+				return segs, i, i
 			}
 			if c.absorb(x, i, e) {
 				continue
@@ -218,6 +298,9 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 				Count:    i - start,
 				Slope:    c.slope(),
 			})
+			if i >= stop {
+				return segs, i, -1
+			}
 			start = i
 			c = newCone(x, i)
 		}
@@ -228,7 +311,7 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 		Count:    len(keys) - start,
 		Slope:    c.slope(),
 	})
-	return segs
+	return segs, len(keys), -1
 }
 
 // Fits reports whether the line anchored at start with the given slope

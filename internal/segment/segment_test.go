@@ -1,8 +1,11 @@
 package segment
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -50,6 +53,36 @@ func TestShrinkingConePanicsOnBadInput(t *testing.T) {
 	assertPanics(t, func() { ShrinkingCone([]uint64{1, 2}, 0) }, "error threshold 0")
 	assertPanics(t, func() { ShrinkingCone([]uint64{2, 1}, 10) }, "unsorted keys")
 	assertPanics(t, func() { OptimalCount([]uint64{2, 1}, 10) }, "unsorted keys (optimal)")
+}
+
+// TestShrinkingConeUnsortedAcrossParts puts unsorted pairs on and beside
+// the part boundaries of a parallel pass: the panic is raised on the
+// caller's goroutine, where the test recovers it, and names the first
+// unsorted index, the one the serial pass names.
+func TestShrinkingConeUnsortedAcrossParts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 4 * minPart
+	if p := Parts(n); p != 4 {
+		t.Fatalf("%d keys at GOMAXPROCS 4: %d parts", n, p)
+	}
+	for _, bad := range [][]int{{n / 4}, {n / 2}, {n/2 + 1, n / 4}, {3 * n / 4, n/4 - 1}, {n - 1, 3*n/4 + 7}} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i) * 3
+		}
+		for _, b := range bad {
+			keys[b] = keys[b-1] - 1
+		}
+		want := fmt.Sprintf("segment: keys not sorted at index %d", slices.Min(bad))
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("unsorted at %v: recovered %v, want %q", bad, r, want)
+				}
+			}()
+			ShrinkingCone(keys, 10)
+		}()
+	}
 }
 
 func assertPanics(t *testing.T, fn func(), what string) {

@@ -1119,20 +1119,12 @@ func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
 	// The new tombstone needs a live match in the layered view beneath
 	// the active delta: surviving base matches, then each frozen layer's
 	// surviving adds, bottom to top, after this entry's existing
-	// tombstones. Frozen layers are immutable (a background merge may be
-	// reading them), so even when the victim is a frozen add the delete is
-	// recorded as one more active tombstone — the accounting reaches down
-	// through every layer.
-	ts := core.NewTombSet(e.Dels, e.Tombs)
-	alive := false
-	st.beneathActive()(k, func(v V) bool {
-		if ts.Consume(v) {
-			return true
-		}
-		alive = true
-		return false
-	})
-	if !alive {
+	// tombstones. With no active adds that is exactly a live element of k,
+	// which lookup finds. Frozen layers are immutable (a background merge
+	// may be reading them), so even when the victim is a frozen add the
+	// delete is recorded as one more active tombstone — the accounting
+	// reaches down through every layer.
+	if _, alive := st.lookup(k); !alive {
 		return nil, false
 	}
 	if e.Tombs != nil {
