@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
@@ -225,7 +226,7 @@ type openImage struct {
 	pairs    [][2]int
 	starts   [][]int
 	weights  [][]int
-	werrs    [][]int
+	snaps    [][]core.ChunkSnap[int, int]
 	lens     []int
 	walStats []wal.OpenStats
 	free     int
@@ -245,7 +246,7 @@ func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) 
 	for _, tr := range shardTrees(d) {
 		st, w := tr.PageBounds()
 		img.starts, img.weights = append(img.starts, st), append(img.weights, w)
-		img.werrs = append(img.werrs, tr.PageErrorBounds())
+		img.snaps = append(img.snaps, chunkSnaps(tr))
 		img.lens = append(img.lens, tr.Len())
 	}
 	st, err := d.Checkpoint()
@@ -261,8 +262,8 @@ func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) 
 
 // TestParallelOpenEqualsSerial: the same crashed image reopened on one
 // processor (everything inline) and on four (decode workers, one replay
-// goroutine per shard) yields the same store down to page boundaries,
-// per-page error bounds, log statistics, freelist and first cut.
+// goroutine per shard) yields the same store down to every chunk's
+// snapshot, log statistics, freelist and first cut.
 func TestParallelOpenEqualsSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 5} {
 		mem, dev := tailedStore(t, shards)

@@ -25,11 +25,12 @@ type PageSnap[K num.Key, V any] struct {
 	BufKeys []K
 	BufVals []V
 	Deletes int
-	// WErr is the segmentation error bound the page was built under
-	// (page.werr); persisting it is what lets recovery reproduce exactly a
-	// layout whose pages carry different bounds. Zero in snapshots taken
-	// before the field existed; assembly then falls back to the options'
-	// global bound, which is what those pages were built with.
+	// WErr is the segmentation error bound the page was cut under: the
+	// tree's, which is what ChunkSnap writes. Zero in snapshots taken
+	// before the field existed. Assembly takes a WErr up to the tree's
+	// bound as it is, and adds a larger one's excess to Deletes: a page
+	// built under a looser bound is searched under a window widened by the
+	// excess until a fold re-segments it at the tree's.
 	WErr int
 }
 
@@ -54,6 +55,7 @@ func (t *Tree[K, V]) NumChunks() int { return len(t.chunks) }
 // tree.
 func (t *Tree[K, V]) ChunkSnap(i int) ChunkSnap[K, V] {
 	c := t.chunks[i]
+	segErr := t.opts.segError()
 	snap := ChunkSnap[K, V]{Pages: make([]PageSnap[K, V], len(c.pages))}
 	for j, p := range c.pages {
 		snap.Pages[j] = PageSnap[K, V]{
@@ -63,7 +65,7 @@ func (t *Tree[K, V]) ChunkSnap(i int) ChunkSnap[K, V] {
 			BufKeys: p.bufKeys,
 			BufVals: p.bufVals,
 			Deletes: p.deletes,
-			WErr:    p.werr,
+			WErr:    segErr,
 		}
 	}
 	return snap
@@ -127,13 +129,15 @@ func validateSnap[K num.Key, V any](ci int, snap ChunkSnap[K, V]) error {
 // verbatim, so no re-segmentation runs: the cost is decoding plus
 // deriving each page's start and head — this is what makes recovery scale
 // with the checkpoint's size rather than re-running ShrinkingCone over
-// every key.
+// every key. A page recorded under a looser bound than the tree's keeps
+// its model, its window widened by the excess (see PageSnap.WErr).
 func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*Tree[K, V], error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	t := &Tree[K, V]{opts: o}
+	segErr := o.segError()
 	chunks := make([]*chunk[K, V], 0, len(snaps))
 	var prevStart K
 	havePrev := false
@@ -150,23 +154,18 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 				return nil, fmt.Errorf("fitingtree: checkpoint chunk %d page %d: start keys not sorted", ci, pi)
 			}
 			prevStart, havePrev = ps.Seg.Start, true
-			werr := ps.WErr
-			if werr == 0 {
-				werr = o.segError() // pre-WErr snapshot: global bound applied
-			}
 			backing[pi] = page[K, V]{
 				id:      pageSeq.Add(1),
 				seg:     ps.Seg,
-				werr:    werr,
 				keys:    ps.Keys,
 				vals:    ps.Vals,
 				pref:    stringPrefixes(ps.Keys),
 				fixed8:  allLen8(ps.Keys),
 				bufKeys: ps.BufKeys,
 				bufVals: ps.BufVals,
-				deletes: ps.Deletes,
+				deletes: ps.Deletes + max(0, ps.WErr-segErr),
 			}
-			run.add(&backing[pi])
+			run.add(segErr, &backing[pi])
 			t.size += len(ps.Keys) + len(ps.BufKeys)
 		}
 		chunks = append(chunks, newChunk(run))

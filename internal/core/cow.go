@@ -115,7 +115,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		pages := t.buildPages(keys, vals, nil, 0, &nt.counters)
 		nt.npages = stampIDs([][]*page[K, V]{pages})
 		var run pageRun[K, V]
-		run.add(pages...)
+		run.add(t.opts.segError(), pages...)
 		nt.setChunks(cutChunks(run))
 	} else {
 		ivs := t.dirtyIntervals(ops)
@@ -185,7 +185,7 @@ func (t *Tree[K, V]) spliceClusters(ivs []cowInterval, rebuilt [][]*page[K, V]) 
 		}
 		for j := lo; j < hi; j++ {
 			carryTo(ivs[j].loCI, ivs[j].loPI)
-			run.add(rebuilt[j]...)
+			run.add(t.opts.segError(), rebuilt[j]...)
 			ci, pi = ivs[j].hiCI, ivs[j].hiPI+1
 		}
 		carryTo(cHi, len(t.chunks[cHi].pages))
@@ -279,25 +279,22 @@ func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], s *regio
 }
 
 // buildPages turns a sorted merged run into fresh pages under the tree's
-// segmentation bound, stamping the bound on every page it cuts and counting
-// the work in ctr. The run is only read, and every page gets arrays of its
-// own, exactly its size (ownCopy): the run is a worker's scratch, and a page
-// that shared an array with its siblings would keep all of it alive for as
-// long as any one of them survives.
+// segmentation bound, counting the work in ctr. The run is only read, and
+// every page gets arrays of its own, exactly its size (ownCopy): the run is
+// a worker's scratch, and a page that shared an array with its siblings
+// would keep all of it alive for as long as any one of them survives.
 //
 // only is the page the run replaces when the dirty region was that one
 // page (nil otherwise), and moved the position before which the run is that
-// page's data unmoved. They buy a refit before re-segmenting: when only was
-// built under the tree's bound, and its own line — same start, same slope —
-// still predicts every key of the run within the bound, the run stays one
-// page under the old model (counted in Refits). What the paper guarantees
-// is the bound, and the bound is checked here key by key; the cone is only
-// the way a slope is found when none is known. A few inserts rarely push a
-// page out of its bound, while the greedy cone re-run on slightly denser
-// data routinely splits a page the old slope still covers, so skipping it
-// saves the segmentation pass and the page growth. A page recorded under
-// another bound (restored from a store that chose bounds per region) is
-// re-segmented, and comes out at the tree's.
+// page's data unmoved. They buy a refit before re-segmenting: when only's
+// own line — same start, same slope — still predicts every key of the run
+// within the tree's bound, the run stays one page under the old model
+// (counted in Refits). What the paper guarantees is the bound, and the
+// bound is checked here key by key; the cone is only the way a slope is
+// found when none is known. A few inserts rarely push a page out of its
+// bound, while the greedy cone re-run on slightly denser data routinely
+// splits a page the old slope still covers, so skipping it saves the
+// segmentation pass and the page growth.
 //
 // The check starts at moved: the elements before it are the old page's,
 // at the positions they had under the very (start, slope, bound) that
@@ -309,12 +306,12 @@ func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int,
 	}
 	ctr.Merges++
 	segErr := t.opts.segError()
-	if only != nil && only.werr == segErr && only.start() <= keys[0] &&
+	if only != nil && only.start() <= keys[0] &&
 		segment.FitsFrom(keys, moved, only.start(), only.seg.Slope, segErr) {
 		ctr.PagesMade++
 		ctr.Refits++
 		seg := segment.Segment[K]{Start: only.start(), Count: len(keys), Slope: only.seg.Slope}
-		return []*page[K, V]{newPage(0, seg, ownCopy(keys), ownCopy(vals), segErr)}
+		return []*page[K, V]{newPage(0, seg, ownCopy(keys), ownCopy(vals))}
 	}
 	segs := segment.ShrinkingCone(keys, segErr)
 	ctr.PagesMade += len(segs)
@@ -325,7 +322,6 @@ func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int,
 			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
 			ownCopy(keys[s.StartPos:s.EndPos()]),
 			ownCopy(vals[s.StartPos:s.EndPos()]),
-			segErr,
 		)
 	}
 	return pages

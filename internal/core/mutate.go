@@ -20,7 +20,7 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 	if len(t.chunks) == 0 {
 		// Empty tree: create the initial page and chunk.
 		var run pageRun[K, V]
-		run.add(newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}, t.opts.segError()))
+		run.add(t.opts.segError(), newPage(pageSeq.Add(1), segment.Segment[K]{Start: k, Count: 1, Slope: 0}, []K{k}, []V{v}))
 		t.setChunks(cutChunks(run))
 		t.npages = 1
 		return
@@ -34,13 +34,15 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 		t.merge(cu)
 		return
 	}
-	cu.rehead()
+	t.rehead(cu)
 }
 
 // rehead re-derives the head of the page at cu after an in-place edit —
 // the one way a head follows its page (legal only on chunks the tree owns
 // exclusively; see chunk).
-func (cu cursor[K, V]) rehead() { cu.c.heads[cu.pi] = headOf(cu.page()) }
+func (t *Tree[K, V]) rehead(cu cursor[K, V]) {
+	cu.c.heads[cu.pi] = headOf(cu.page(), t.opts.segError())
+}
 
 // runHead rewinds cu, the page locate returned for k, to the page Insert
 // buffers k into: the first page that starts exactly at k, else cu itself —
@@ -127,7 +129,7 @@ func (t *Tree[K, V]) afterDelete(cu cursor[K, V]) {
 		// budget, rebuild the page's model.
 		t.merge(cu)
 	default:
-		cu.rehead()
+		t.rehead(cu)
 	}
 }
 
@@ -150,7 +152,7 @@ func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
 	c := cu.c
 	t.npages += len(pages) - 1
 	var repl pageRun[K, V]
-	repl.add(pages...)
+	repl.add(t.opts.segError(), pages...)
 	c.pages = slices.Replace(c.pages, cu.pi, cu.pi+1, repl.pages...)
 	c.starts = slices.Replace(c.starts, cu.pi, cu.pi+1, repl.starts...)
 	c.heads = slices.Replace(c.heads, cu.pi, cu.pi+1, repl.heads...)
@@ -175,8 +177,7 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 		t.splicePages(cu, nil)
 		return
 	}
-	segErr := t.opts.segError()
-	segs := segment.ShrinkingCone(mergedKeys, segErr)
+	segs := segment.ShrinkingCone(mergedKeys, t.opts.segError())
 	t.counters.PagesMade += len(segs)
 
 	pages := make([]*page[K, V], len(segs))
@@ -189,7 +190,6 @@ func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 			// own window of the backing array.
 			mergedKeys[s.StartPos:s.EndPos():s.EndPos()],
 			mergedVals[s.StartPos:s.EndPos():s.EndPos()],
-			segErr,
 		)
 	}
 	t.splicePages(cu, pages)

@@ -163,7 +163,7 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 					}
 					pages := tr.buildPages(keys[:n], vals[:n], nil, 0, new(Counters))
 					stampIDs([][]*page[K, V]{pages})
-					run.add(pages...)
+					run.add(tr.opts.segError(), pages...)
 					size += n
 					if n < len(keys) {
 						next()

@@ -36,8 +36,8 @@ func TestRefitKeepsOrSplits(t *testing.T) {
 		t.Fatalf("counters after a fitting merge: %+v, want one merge, one page, one refit", c)
 	}
 	p := kept.chunks[0].pages[0]
-	if p == old || p.seg.Start != old.seg.Start || p.seg.Slope != old.seg.Slope || p.werr != old.werr || len(p.keys) != len(keys)+2 {
-		t.Fatalf("refit page: start %d slope %g werr %d with %d keys", p.seg.Start, p.seg.Slope, p.werr, len(p.keys))
+	if p == old || p.seg.Start != old.seg.Start || p.seg.Slope != old.seg.Slope || len(p.keys) != len(keys)+2 {
+		t.Fatalf("refit page: start %d slope %g with %d keys", p.seg.Start, p.seg.Slope, len(p.keys))
 	}
 
 	// 100 keys where the line expects 1: positions after them are off by ~99.
@@ -57,15 +57,12 @@ func TestRefitKeepsOrSplits(t *testing.T) {
 // TestRefitRandomized drives randomized pages × op batches through the
 // fold — duplicates, counted and value tombstones, an op below the chain's
 // first key, numeric keys and string keys whose 8-byte projection collides
-// — and checks after every batch: invariants hold (every page within its
-// own bound), content matches the reference model, no dirty region comes
+// — and checks after every batch: invariants hold (every page within the
+// tree's bound), content matches the reference model, no dirty region comes
 // out as more pages than ShrinkingCone alone makes of the same merged run,
 // and the fold kept exactly the pages a reference that runs the full Fits
 // over every merged run keeps (refitReference) — the suffix check the fold
-// really runs decides every region the same way. Then the upper half's
-// pages are recorded under a looser bound, as a store restored from one that
-// chose bounds per region carries them: regions there must re-segment under
-// the tree's bound, never refit.
+// really runs decides every region the same way.
 func TestRefitRandomized(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) { testRefitRandomized(t, func(k uint64) uint64 { return k * 3 }) })
 	// The first 8 bytes are shared by 10 000 consecutive keys, so Approx is
@@ -147,49 +144,6 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 			}
 		}
 		refits += tr.Counters().Refits
-
-		// Loosen the upper half's recorded bounds, as a store written when
-		// bounds were chosen per region carries them: a page there has
-		// werr != the tree's bound, so a fold must re-segment it, never refit
-		// it, and the pages it builds come out at the tree's bound.
-		mid := stream[len(stream)/2].k
-		loosenFrom(tr, mk(mid), 2*opts.segError())
-		var upper []pair
-		for _, p := range stream {
-			if p.k >= mid {
-				upper = append(upper, p)
-			}
-		}
-		var rawOps []MergeOp[uint64, uint64]
-		for _, op := range genTombOps(rng, upper, maxKey) {
-			if op.Key >= mid {
-				rawOps = append(rawOps, op)
-			}
-		}
-		before := map[*page[K, uint64]]bool{}
-		for _, c := range tr.chunks {
-			for _, p := range c.pages {
-				before[p] = true
-			}
-		}
-		was := tr.Counters().Refits
-		want := was + refitReference(t, tr, convert(rawOps))
-		tr = tr.MergeCOW(convert(rawOps))
-		stream = applyTombOpsModel(stream, rawOps)
-		check("loosened batch")
-		if len(rawOps) > 0 && tr.Counters().Refits != was {
-			t.Fatalf("round %d: %d refits of pages recorded under another bound", round, tr.Counters().Refits-was)
-		}
-		if want != was {
-			t.Fatalf("round %d: the full-check reference keeps %d pages recorded under another bound", round, want-was)
-		}
-		for _, c := range tr.chunks {
-			for _, p := range c.pages {
-				if !before[p] && p.werr != opts.segError() {
-					t.Fatalf("round %d: page at %v rebuilt under bound %d, the tree's is %d", round, p.start(), p.werr, opts.segError())
-				}
-			}
-		}
 	}
 	if refits == 0 {
 		t.Fatal("no batch kept a page by refit: the rule went untested")
@@ -198,10 +152,10 @@ func testRefitRandomized[K num.Key](t *testing.T, mk func(uint64) K) {
 
 // refitReference returns how many dirty regions of ops a fold of tr must
 // keep as one page under the old model, decided the slow way: the full Fits
-// over every merged run that replaces one page built under the tree's
-// bound. Where the fold is entitled to check a suffix only — the page has
-// neither insert buffer nor in-place deletes — it also requires the run's
-// head to be the old page's, unmoved, and the suffix check to agree.
+// over every merged run that replaces one page. Where the fold is entitled
+// to check a suffix only — the page has neither insert buffer nor in-place
+// deletes — it also requires the run's head to be the old page's, unmoved,
+// and the suffix check to agree.
 func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[K, uint64]) int {
 	t.Helper()
 	keep := 0
@@ -217,7 +171,7 @@ func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[
 			continue
 		}
 		segErr := tr.opts.segError()
-		full := only.werr == segErr && only.start() <= s.keys[0] &&
+		full := only.start() <= s.keys[0] &&
 			segment.Fits(s.keys, only.start(), only.seg.Slope, segErr)
 		if full {
 			keep++
@@ -229,7 +183,7 @@ func refitReference[K num.Key](t *testing.T, tr *Tree[K, uint64], ops []MergeOp[
 		if !slices.Equal(s.keys[:moved], only.keys[:moved]) || !slices.Equal(s.vals[:moved], only.vals[:moved]) {
 			t.Fatalf("page at %v: the run's first %d elements are not the old page's", only.start(), moved)
 		}
-		suffix := only.werr == segErr && only.start() <= s.keys[0] &&
+		suffix := only.start() <= s.keys[0] &&
 			segment.FitsFrom(s.keys, moved, only.start(), only.seg.Slope, segErr)
 		if suffix != full {
 			t.Fatalf("page at %v: suffix check from %d says %v, full check %v", only.start(), moved, suffix, full)

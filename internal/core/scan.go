@@ -198,7 +198,10 @@ type Stats struct {
 	Pages    int // number of variable-sized table pages (= segments)
 	Chunks   int // number of chain chunks the pages are grouped into
 	Buffered int // elements currently in insert buffers
-	Deletes  int // in-place deletions pending re-segmentation
+	// Deletes is the pages' window widening pending re-segmentation:
+	// in-place deletions, plus the excess bound of pages restored from a
+	// store that recorded a looser one.
+	Deletes int
 	// FrozenLayers is the current depth of a concurrency facade's frozen
 	// merge ladder (0 for a bare tree or a facade with no flush in
 	// flight); LayerPending holds each frozen layer's pending op count
@@ -241,19 +244,6 @@ func (t *Tree[K, V]) Stats() Stats {
 	return s
 }
 
-// PageErrorBounds returns every page's recorded error bound (page.werr)
-// in chain order: the persisted quantity recovery must reproduce.
-// Observability for tools and tests.
-func (t *Tree[K, V]) PageErrorBounds() []int {
-	out := make([]int, 0, t.NumPages())
-	for _, c := range t.chunks {
-		for _, p := range c.pages {
-			out = append(out, p.werr)
-		}
-	}
-	return out
-}
-
 // CheckInvariants validates the tree's structural invariants; tests drive
 // random workloads through the tree and call this afterwards.
 func (t *Tree[K, V]) CheckInvariants() error {
@@ -262,6 +252,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	}
 	count := 0
 	walked := 0
+	segErr := t.opts.segError()
 	var prev *page[K, V]
 	for ci, c := range t.chunks {
 		walked += len(c.pages)
@@ -289,7 +280,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 			}
 			// The start and head arrays are the index: they must equal what
 			// their page derives, or lookups read a stale model.
-			h, want := c.heads[pi], headOf(p)
+			h, want := c.heads[pi], headOf(p, segErr)
 			if c.starts[pi] != p.start() || h.x0 != want.x0 || h.slope != want.slope ||
 				h.w != want.w || h.flags != want.flags ||
 				len(h.keys) != len(p.keys) || len(h.vals) != len(p.vals) ||
@@ -330,22 +321,17 @@ func (t *Tree[K, V]) CheckInvariants() error {
 			if len(p.bufKeys) > num.MaxInt(1, t.opts.BufferSize) {
 				return fmt.Errorf("fitingtree: buffer overflow (%d) at %v", len(p.bufKeys), p.start())
 			}
-			// Error bound: every data element within the page's build-time
-			// bound + pending deletes of its predicted position. The bound
-			// is per page — a restored store may mix bounds — and must be
-			// recorded, or the lookup window would be undefined.
-			if p.werr < 1 {
-				return fmt.Errorf("fitingtree: page %v carries no error bound", p.start())
-			}
+			// Error bound: every data element within the tree's bound +
+			// the page's deletes of its predicted position.
 			for i := range p.keys {
 				pred := p.seg.Predict(p.keys[i])
 				dev := pred - float64(i)
 				if dev < 0 {
 					dev = -dev
 				}
-				if dev > float64(p.werr+p.deletes)+1e-6 {
+				if dev > float64(segErr+p.deletes)+1e-6 {
 					return fmt.Errorf("fitingtree: error bound violated at page %v offset %d: |%.2f| > %d",
-						p.start(), i, dev, p.werr+p.deletes)
+						p.start(), i, dev, segErr+p.deletes)
 				}
 			}
 			// Chain order.

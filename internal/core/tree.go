@@ -99,31 +99,27 @@ var pageSeq atomic.Uint64
 // can appear in several trees at once. A page reachable from more than one
 // tree (published by MergeCOW) must never be mutated, so a lookup writes no
 // shared memory. A page is the cold side of its pageHead: a lookup that
-// hits reads the head alone.
-//
-// werr is per page, not per tree, because a checkpoint records it per page
-// and a store may carry pages built under another bound (one written when
-// the bound was chosen region by region): each page is searched and checked
-// under its own bound until a fold re-segments it under the tree's.
+// hits reads the head alone. A page carries no error bound of its own:
+// every page is cut under the tree's (Options.segError), and its window is
+// that bound widened by deletes.
 type page[K num.Key, V any] struct {
 	id      uint64             // process-unique identity, for sharing diagnostics
 	seg     segment.Segment[K] // prediction model over keys as of last (re)build
-	werr    int                // segmentation error bound this page was built under (>= 1)
 	keys    []K                // sorted segment data
 	vals    []V                // parallel to keys
 	pref    []uint64           // string keys only: parallel 8-byte ordering prefixes
 	fixed8  bool               // string keys only: every key is exactly 8 bytes
 	bufKeys []K                // sorted insert buffer
 	bufVals []V
-	deletes int // elements removed from keys since last rebuild
+	deletes int // window widening since last rebuild: in-place deletes, excess bound at open
 }
 
-// newPage allocates a page over the given segment data, built under
-// segmentation error bound werr. id is its identity, a fresh pageSeq value
-// — or 0 from a builder that stamps a whole batch of pages afterwards
-// (stampIDs), before any of them can be reached from a tree.
-func newPage[K num.Key, V any](id uint64, seg segment.Segment[K], keys []K, vals []V, werr int) *page[K, V] {
-	return &page[K, V]{id: id, seg: seg, werr: werr, keys: keys, vals: vals,
+// newPage allocates a page over the given segment data. id is its
+// identity, a fresh pageSeq value — or 0 from a builder that stamps a whole
+// batch of pages afterwards (stampIDs), before any of them can be reached
+// from a tree.
+func newPage[K num.Key, V any](id uint64, seg segment.Segment[K], keys []K, vals []V) *page[K, V] {
+	return &page[K, V]{id: id, seg: seg, keys: keys, vals: vals,
 		pref: stringPrefixes(keys), fixed8: allLen8(keys)}
 }
 
@@ -205,14 +201,14 @@ type pageHead[K num.Key, V any] struct {
 	slope float64
 	keys  []K
 	vals  []V
-	w     int // window half-width: werr + deletes
+	w     int // window half-width: the tree's bound + deletes
 	flags uint
 }
 
-// headOf derives p's head.
-func headOf[K num.Key, V any](p *page[K, V]) pageHead[K, V] {
+// headOf derives p's head in a tree whose segmentation bound is segErr.
+func headOf[K num.Key, V any](p *page[K, V], segErr int) pageHead[K, V] {
 	h := pageHead[K, V]{x0: num.Approx(p.seg.Start), slope: p.seg.Slope,
-		keys: p.keys, vals: p.vals, w: p.werr + p.deletes}
+		keys: p.keys, vals: p.vals, w: segErr + p.deletes}
 	if len(p.bufKeys) > 0 {
 		h.flags |= headBuffer
 	}
@@ -259,12 +255,13 @@ func makeRun[K num.Key, V any](n int) pageRun[K, V] {
 	return pageRun[K, V]{make([]*page[K, V], 0, n), make([]K, 0, n), make([]pageHead[K, V], 0, n)}
 }
 
-// add appends pages, deriving their starts and heads.
-func (r *pageRun[K, V]) add(pages ...*page[K, V]) {
+// add appends pages, deriving their starts and heads under the tree's
+// segmentation bound segErr.
+func (r *pageRun[K, V]) add(segErr int, pages ...*page[K, V]) {
 	for _, p := range pages {
 		r.pages = append(r.pages, p)
 		r.starts = append(r.starts, p.start())
-		r.heads = append(r.heads, headOf(p))
+		r.heads = append(r.heads, headOf(p, segErr))
 	}
 }
 
@@ -426,13 +423,12 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 				segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
 				append([]K(nil), keys[s.StartPos:s.EndPos()]...),
 				append([]V(nil), vals[s.StartPos:s.EndPos()]...),
-				o.segError(),
 			)
 		}
 	})
 	stampIDs([][]*page[K, V]{pages})
 	run := makeRun[K, V](len(pages))
-	run.add(pages...)
+	run.add(o.segError(), pages...)
 	t := &Tree[K, V]{opts: o, size: len(keys), npages: len(pages)}
 	t.setChunks(cutChunks(run))
 	return t, nil
@@ -643,11 +639,11 @@ func (t *Tree[K, V]) eachMatch(cu cursor[K, V], k K, fn func(v V) bool) bool {
 // prefix sidecar is a lossless image of its keys). It is the one in-page
 // search — point lookups test the element it lands on, scans start from
 // it — and it reads only the 2w+1 window around the model's prediction:
-// every element sits within w = werr + deletes of its own prediction and
-// the model is monotone, so the lower bound of any key, present or not,
-// lies within w of that key's prediction rounded to nearest (rounding, not
-// truncating, leaves half a position of slack on both sides for a slope on
-// the cone's edge); pageHead.window computes it.
+// every element sits within w = the tree's bound + deletes of its own
+// prediction and the model is monotone, so the lower bound of any key,
+// present or not, lies within w of that key's prediction rounded to
+// nearest (rounding, not truncating, leaves half a position of slack on
+// both sides for a slope on the cone's edge); pageHead.window computes it.
 func (t *Tree[K, V]) seek(cu cursor[K, V], k K) (int, bool) {
 	h := &cu.c.heads[cu.pi]
 	n := len(h.keys)

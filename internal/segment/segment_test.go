@@ -49,6 +49,23 @@ func TestShrinkingConeEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// TestShrinkingConeHugeKeysExactStart: start keys above 2^53 come back
+// exactly — they are taken from the input, not reconstructed from the cone's
+// float origin.
+func TestShrinkingConeHugeKeysExactStart(t *testing.T) {
+	base := uint64(1)<<60 + 12345
+	keys := []uint64{base, base + 1, base + 2, base + 3, base + 1<<40 + 7, base + 1<<40 + 8}
+	segs := ShrinkingCone(keys, 2)
+	if len(segs) < 2 || segs[0].Start != base {
+		t.Fatalf("segments %+v, want at least two, the first starting at %d", segs, base)
+	}
+	for _, s := range segs {
+		if s.Start != keys[s.StartPos] {
+			t.Fatalf("segment at %d starts at %d, its first key is %d", s.StartPos, s.Start, keys[s.StartPos])
+		}
+	}
+}
+
 func TestShrinkingConePanicsOnBadInput(t *testing.T) {
 	assertPanics(t, func() { ShrinkingCone([]uint64{1, 2}, 0) }, "error threshold 0")
 	assertPanics(t, func() { ShrinkingCone([]uint64{2, 1}, 10) }, "unsorted keys")

@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fitingtree/internal/pager"
@@ -220,4 +222,123 @@ func TestStoreWithRetiredOptionsOpens(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLegacyStoreWithLooserPagesOpens: a store whose chunks were cut under
+// a looser error bound than its manifest records — what the retired
+// per-region tuner could leave behind, made here by lowering the recorded
+// Error from 128 to 32 — scrubs clean and opens with every key, each page
+// searched under a window widened by the excess. Writes touching every page
+// then rebuild them all at the store's bound, and the next checkpoint and
+// reopen carry no widening.
+func TestLegacyStoreWithLooserPagesOpens(t *testing.T) {
+	const rows, shards = 6000, 3
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]int, rows)
+	for i, k := 0, 0; i < rows; i++ {
+		// Bursty gaps: a few pages at Error 128, several times as many at 32.
+		k += 2
+		if rng.Intn(10) == 0 {
+			k += 200
+		}
+		keys[i] = k
+	}
+	tree, err := BulkLoad(keys, keys, Options{Error: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, dev := wal.NewMemFS(), pager.NewDisk()
+	d, err := CreateDurableSharded(mem, dev, tree, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Option word 0, past the u32 magic and the u64 generation, is Error.
+	sup, ok, err := pager.ReadSuper(dev)
+	if err != nil || !ok {
+		t.Fatalf("no committed superblock: %v", err)
+	}
+	blob, err := pager.NewStore(dev).Get(sup.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(blob[12:], 32)
+	head, err := pager.NewStore(dev).Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pager.WriteSuper(dev, pager.Super{Epoch: sup.Epoch + 1, Manifest: head}); err != nil {
+		t.Fatal(err)
+	}
+
+	scrub := func(want int) {
+		t.Helper()
+		if rep, err := Scrub[int, int](dev); err != nil || rep.Elements != want {
+			t.Fatalf("scrub: %d elements, %v; want %d", rep.Elements, err, want)
+		}
+	}
+	open := func() *DurableSharded[int, int] {
+		t.Helper()
+		d, err := OpenDurableSharded[int, int](mem, dev, Options{}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetAutoCheckpoint(false)
+		return d
+	}
+	widening := func(d *DurableSharded[int, int]) (pages, deletes int) {
+		for _, tr := range shardTrees(d) {
+			st := tr.Stats()
+			pages, deletes = pages+st.Pages, deletes+st.Deletes
+		}
+		return pages, deletes
+	}
+	scrub(rows)
+	d = open()
+	if e := shardTrees(d)[0].Options().Error; e != 32 {
+		t.Fatalf("opened under Error %d, want the manifest's 32", e)
+	}
+	pages, deletes := widening(d)
+	if deletes != pages*(128-32) {
+		t.Fatalf("%d pages carry %d of widening, want %d", pages, deletes, pages*(128-32))
+	}
+	for _, k := range keys {
+		if v, ok := d.Lookup(k); !ok || v != k {
+			t.Fatalf("Lookup(%d) = (%d, %v) in the loosened store", k, v, ok)
+		}
+	}
+	n := rows
+	for i := 0; i < rows; i += 4 {
+		if err := d.Insert(keys[i]+1, -i); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if i%16 == 8 {
+			if ok, err := d.Delete(keys[i]); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %v, %v", keys[i], ok, err)
+			}
+			n--
+		}
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := dump(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scrub(n)
+	d = open()
+	defer d.Close()
+	if got := dump(d); !slices.Equal(got, want) || len(got) != n {
+		t.Fatalf("reopened with %d pairs, want %d", len(got), n)
+	}
+	after, left := widening(d)
+	if left != 0 {
+		t.Fatalf("%d pages still carry %d of widening after writes touched every page", after, left)
+	}
+	t.Logf("%d pages with %d of widening became %d pages with %d", pages, deletes, after, left)
 }

@@ -25,7 +25,8 @@ type ScrubChunk struct {
 	// decoded payload size.
 	Pages int
 	Bytes int
-	// Elements is the number of (key, value) pairs the chunk carries.
+	// Elements is the number of (key, value) pairs the chunk carries,
+	// buffered ones included.
 	Elements int
 }
 
@@ -107,7 +108,7 @@ func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 			snaps[i] = snap
 			n := 0
 			for _, p := range snap.Pages {
-				n += len(p.Keys)
+				n += len(p.Keys) + len(p.BufKeys)
 			}
 			rep.Chunks = append(rep.Chunks, ScrubChunk{
 				Shard:    shard,

@@ -104,6 +104,43 @@ func TestScrubSingleTree(t *testing.T) {
 	}
 }
 
+// TestScrubChunkElementsCountBuffers: a store created from a tree whose
+// pages still hold buffered inserts carries those pairs in its chunks, and
+// the per-chunk element counts add up to the report's total.
+func TestScrubChunkElementsCountBuffers(t *testing.T) {
+	keys := make([]int, 5160)
+	for i := range keys {
+		keys[i] = i * 4
+	}
+	tree, err := BulkLoad(keys, keys, Options{Error: 64, BufferSize: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		tree.Insert(i*500+1, -i)
+	}
+	if st := tree.Stats(); st.Buffered != 40 {
+		t.Fatalf("the fixture buffers %d inserts, want 40", st.Buffered)
+	}
+	dev := pager.NewDisk()
+	d, err := CreateDurable(wal.NewMemFS(), dev, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rep, err := Scrub[int, int](dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	for _, c := range rep.Chunks {
+		sum += c.Elements
+	}
+	if rep.Elements != 5200 || sum != rep.Elements {
+		t.Fatalf("chunks carry %d elements, the report %d, want 5200", sum, rep.Elements)
+	}
+}
+
 // TestScrubEmptyDevice verifies the auditor reports a store with no
 // committed checkpoint as an error, with both slots marked invalid.
 func TestScrubEmptyDevice(t *testing.T) {

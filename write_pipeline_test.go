@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"fitingtree/internal/core"
 	"fitingtree/internal/workload"
 )
 
@@ -269,13 +270,13 @@ func TestFoldBoundBurstDiscardsNoRound(t *testing.T) {
 // TestParallelFoldDeterministic folds the same write stream on one
 // processor and on four: every fold dirties far more regions than the
 // fan-out threshold, and the resulting trees must agree page for page —
-// error bounds, page starts and sizes, statistics, maintenance counters
+// chunk snapshots, page starts and sizes, statistics, maintenance counters
 // and content — whichever worker's merge scratch a region went through
 // and however many regions that scratch had served before.
 func TestParallelFoldDeterministic(t *testing.T) {
 	u := distinctWeblogs(150_000, 9)
 	type result struct {
-		bounds   []int
+		snaps    []core.ChunkSnap[uint64, uint64]
 		starts   []uint64
 		sizes    []int
 		stats    Stats
@@ -319,7 +320,7 @@ func TestParallelFoldDeterministic(t *testing.T) {
 		if err := st.tree.CheckInvariants(); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		r.bounds, r.stats, r.counters = st.tree.PageErrorBounds(), o.Stats(), o.Counters()
+		r.snaps, r.stats, r.counters = chunkSnaps(st.tree), o.Stats(), o.Counters()
 		r.starts, r.sizes = st.tree.PageBounds()
 		o.AscendRange(0, ^uint64(0), func(k, v uint64) bool { r.scan = append(r.scan, [2]uint64{k, v}); return true })
 		return r
@@ -337,8 +338,8 @@ func TestParallelFoldDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(one.stats, four.stats) {
 		t.Fatalf("Stats differ:\n1 proc  %+v\n4 procs %+v", one.stats, four.stats)
 	}
-	if !reflect.DeepEqual(one.bounds, four.bounds) {
-		t.Fatal("PageErrorBounds differ between 1 and 4 processors")
+	if !reflect.DeepEqual(one.snaps, four.snaps) {
+		t.Fatal("chunk snapshots differ between 1 and 4 processors")
 	}
 	if !reflect.DeepEqual(one.starts, four.starts) || !reflect.DeepEqual(one.sizes, four.sizes) {
 		t.Fatal("page starts or sizes differ between 1 and 4 processors")
