@@ -191,14 +191,13 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 // trips the flush threshold once per DefaultFlushEvery records and
 // re-segments the same hot pages over and over, which dominates recovery.
 // The records are sorted by key, in log order within a key, and each key's
-// run applies the write path's op semantics — an anonymous delete consumes
-// the newest still-pending insert for its key, else tombstones one more
-// pre-existing match in scan order; a value delete consumes the newest
-// still-pending insert carrying its value, else records a value tombstone
-// (every logged delete had a live victim when it was logged, and the WAL
+// run applies the write path's op rule through the same helpers: a delete
+// consumes the newest still-pending insert it may take (consumeAdd), else
+// records one more tombstone on the checkpoint tree's matches (addTomb).
+// Every logged delete had a live victim when it was logged, and the WAL
 // tail is a prefix-exact record of the ops that created it, so the
-// tombstones can never exceed the checkpoint tree's matches) — then the
-// runs fold into the checkpoint tree with a single page-granular MergeCOW
+// tombstones can never exceed the checkpoint tree's matches. The runs then
+// fold into the checkpoint tree with a single page-granular MergeCOW
 // pass. Which of several distinct-valued duplicates an anonymous delete
 // victimizes may differ from the original run's flush-timing-dependent
 // choice; that choice was never acknowledged state (see Optimistic.Delete).
@@ -242,54 +241,25 @@ func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
 		}
 		run := recs[:n]
 		recs = recs[n:]
-		var adds []V
-		var tombs []core.Tomb[V]
 		// Keys equal under == may differ in bits (±0): the op carries those
 		// of the run's last record that touched its inserts, else of its
 		// last record.
-		key := run[n-1].k
+		op := core.MergeOp[K, V]{Key: run[n-1].k}
 		for _, r := range run {
-			// j is the pending insert r would consume: the newest, or for a
-			// value delete the newest carrying its value; -1 if none.
-			j := len(adds) - 1
-			if r.op == walOpDeleteValue {
-				for j >= 0 && any(adds[j]) != any(r.v) {
-					j--
-				}
-			}
-			switch {
-			case r.op == walOpInsert:
-				adds = append(adds, r.v)
-			case j < 0:
-				tombs = append(tombs, core.Tomb[V]{Any: r.op == walOpDelete, Val: r.v})
+			if r.op == walOpInsert {
+				op.Adds = append(op.Adds, r.v)
+			} else if !consumeAdd(&op, r.op, r.v) {
+				addTomb(&op, r.op, r.v)
 				continue
-			default:
-				adds = slices.Delete(adds, j, j+1)
 			}
-			key = r.k
+			op.Key = r.k
 		}
-		if len(adds) == 0 && len(tombs) == 0 {
+		if len(op.Adds) == 0 && op.Dels == 0 && len(op.Tombs) == 0 {
 			continue // every insert was consumed
-		}
-		op := core.MergeOp[K, V]{Key: key, Adds: adds}
-		if slices.ContainsFunc(tombs, func(t core.Tomb[V]) bool { return !t.Any }) {
-			op.Tombs = tombs
-		} else {
-			op.Dels = len(tombs) // pure-anonymous lists take the counted fast path
 		}
 		ops = append(ops, op)
 	}
 	return tree.MergeCOW(ops), nil
-}
-
-// foldState returns the tree equivalent to st with every pending layer
-// folded in, sharing untouched chunks with st.tree. The fold reads only
-// immutable published structures and costs O(pending).
-func foldState[K Key, V any](st *ostate[K, V]) *Tree[K, V] {
-	if len(st.frozen) > 0 || st.delta != nil {
-		return st.fold()
-	}
-	return st.tree
 }
 
 // encodeAhead is how many encoded chunks may wait for the single-threaded

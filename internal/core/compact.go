@@ -16,17 +16,16 @@ import "fitingtree/internal/num"
 // split between "more base tombstones" and "drop lower's pending adds"
 // depends on the live base matches beneath lower. eachBeneath streams
 // those matches for a key, in scan order, until fn returns false; it is
-// consulted only for such ambiguous keys. In the counted form the
-// composition only needs the number of matches (capped, so the callback
-// stops early); when either layer carries value tombstones (MergeOp.Tombs)
-// it applies lower's list to the materialized matches and streams upper's
-// list over survivors-then-adds, cancelling each upper entry that lands
-// on a lower add against that add and appending the entries that land on
-// base to the composed list — preserving the recorded order of lower's
-// tombstones before upper's. When lower has no adds, every upper
-// tombstone must land on a base match — the write path only records a
-// tombstone when a live victim exists beneath it, and compactions
-// preserve content — so no enumeration is needed.
+// consulted only for such ambiguous keys, and the run it yields is read
+// whole. Both layers' tombstones are taken in list form (a count becomes
+// that many Any entries): lower's list is applied to the base matches,
+// and upper's is streamed over survivors-then-adds, cancelling each upper
+// entry that lands on a lower add against that add and appending the
+// entries that land on base to the composed list — preserving the
+// recorded order of lower's tombstones before upper's. When lower has no
+// adds, every upper tombstone must land on a base match — the write path
+// only records a tombstone when a live victim exists beneath it, and
+// compactions preserve content — so no enumeration is needed.
 //
 // Keys whose composed entry carries no adds and no tombstones (an insert
 // fully cancelled by a later delete) are dropped from the result.
@@ -45,13 +44,7 @@ func CompactOps[K num.Key, V any](lower, upper []MergeOp[K, V], eachBeneath func
 			lo, up := lower[i], upper[j]
 			i++
 			j++
-			var op MergeOp[K, V]
-			if len(lo.Tombs) > 0 || len(up.Tombs) > 0 {
-				op = composeTombs(lo, up, eachBeneath)
-			} else {
-				op = composeCounts(lo, up, eachBeneath)
-			}
-			if op.Dels > 0 || len(op.Tombs) > 0 || len(op.Adds) > 0 {
+			if op := compose(lo, up, eachBeneath); op.Dels > 0 || len(op.Tombs) > 0 || len(op.Adds) > 0 {
 				out = append(out, op)
 			}
 		}
@@ -59,51 +52,11 @@ func CompactOps[K num.Key, V any](lower, upper []MergeOp[K, V], eachBeneath func
 	return out
 }
 
-// composeCounts composes one key's entries when both layers use the
-// counted tombstone form; the result stays in counted form.
-func composeCounts[K num.Key, V any](lo, up MergeOp[K, V], eachBeneath func(k K, fn func(V) bool)) MergeOp[K, V] {
-	// consumed is how many of upper's tombstones land on base matches
-	// (they add to the composed tombstone count); the excess lands on
-	// lower's oldest pending adds instead.
-	consumed := up.Dels
-	excess := 0
-	if up.Dels > 0 && len(lo.Adds) > 0 {
-		limit := lo.Dels + up.Dels
-		base := 0
-		eachBeneath(lo.Key, func(V) bool {
-			base++
-			return base < limit
-		})
-		survivors := base - lo.Dels
-		if survivors < 0 {
-			survivors = 0
-		}
-		if consumed > survivors {
-			consumed = survivors
-		}
-		excess = up.Dels - consumed
-		if excess > len(lo.Adds) {
-			// More tombstones than victims would violate the write path's
-			// victim-exists invariant; clamp so a malformed input cannot
-			// panic the slice below.
-			excess = len(lo.Adds)
-		}
-	}
-	adds := lo.Adds[excess:]
-	if len(up.Adds) > 0 {
-		merged := make([]V, 0, len(adds)+len(up.Adds))
-		merged = append(merged, adds...)
-		merged = append(merged, up.Adds...)
-		adds = merged
-	}
-	return MergeOp[K, V]{Key: lo.Key, Adds: adds, Dels: lo.Dels + consumed}
-}
-
-// composeTombs composes one key's entries when either layer carries value
-// tombstones; the result uses the list form (counted entries are folded
-// in as Any entries, preserving recording order: lower's tombstones
-// before upper's).
-func composeTombs[K num.Key, V any](lo, up MergeOp[K, V], eachBeneath func(k K, fn func(V) bool)) MergeOp[K, V] {
+// compose composes one key's entries in the list form: counted entries
+// are folded in as Any entries, preserving recording order (lower's
+// tombstones before upper's), and a result whose entries are all Any goes
+// back to the counted form.
+func compose[K num.Key, V any](lo, up MergeOp[K, V], eachBeneath func(k K, fn func(V) bool)) MergeOp[K, V] {
 	upList := asTombList(up)
 	composed := asTombList(lo)
 	adds := lo.Adds

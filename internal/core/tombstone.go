@@ -92,15 +92,6 @@ func (s *TombSet[V]) Consume(v V) bool {
 	return false
 }
 
-// tombCount returns the total number of tombstones an op carries in
-// either representation.
-func tombCount[K num.Key, V any](op MergeOp[K, V]) int {
-	if len(op.Tombs) > 0 {
-		return len(op.Tombs)
-	}
-	return op.Dels
-}
-
 // applyTombs filters a key's live matches (vals, scan order) through a
 // tombstone list under the streaming rule, appending survivors to out and
 // returning it with the number of matches consumed.

@@ -484,15 +484,6 @@ func (c *freeCone) absorb(x float64, y int, err float64) bool {
 	return true
 }
 
-// midSlope returns a slope from the final free cone (the midpoint centers
-// the worst-case deviation).
-func (c *freeCone) midSlope() float64 {
-	if math.IsInf(c.high, 1) {
-		return c.low
-	}
-	return (c.low + c.high) / 2
-}
-
 // freeReach returns the largest index r such that keys[j..r] admits some
 // single origin-anchored line within err (free-slope semantics).
 func freeReach[K num.Key](keys []K, j int, err float64) int {

@@ -2,7 +2,6 @@ package fitingtree
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -499,13 +498,10 @@ func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 	}
 	st := o.state.Load()
 	delta, size, ok := st.delta, st.size-1, true
-	switch op {
-	case walOpInsert:
+	if op == walOpInsert {
 		delta, size = st.delta.withInsert(k, v), st.size+1
-	case walOpDelete:
-		delta, ok = st.withDelete(k)
-	default:
-		delta, ok = st.withDeleteValue(k, v)
+	} else {
+		delta, ok = st.withDelete(op, k, v)
 	}
 	if !ok {
 		return false, nil
@@ -786,17 +782,11 @@ func (o *Optimistic[K, V]) compactPair(st *ostate[K, V], i int) {
 
 // compactLayers composes frozen layers i and i+1 into one delta whose
 // tombstone accounting is relative to the view beneath layer i, using
-// CompactOps. The beneath-view match count it needs for tombstone-spill
-// decisions is computed against tree ⊕ frozen[0..i-1], the exact view
-// layer i's own tombstones are relative to.
+// CompactOps. The beneath-view matches it needs for tombstone-spill
+// decisions are the per-key pass over tree ⊕ frozen[0..i-1], the exact
+// view layer i's own tombstones are relative to.
 func (st *ostate[K, V]) compactLayers(i int) *odelta[K, V] {
-	eachBeneath := func(k K, fn func(V) bool) {
-		f := st.tree.Each
-		for _, d := range st.frozen[:i] {
-			f = overlayEach(f, d)
-		}
-		f(k, fn)
-	}
+	eachBeneath := func(k K, fn func(V) bool) { st.eachIn(i, k, fn) }
 	ops := core.CompactOps(st.frozen[i].ops(), st.frozen[i+1].ops(), eachBeneath)
 	return deltaFromOps(ops)
 }
@@ -860,158 +850,72 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 	return d
 }
 
-// lookup resolves a point read against this state's full layer stack.
-func (st *ostate[K, V]) lookup(k K) (V, bool) {
-	// Collect the per-layer entries for k, bottom (oldest frozen layer)
-	// to top (active delta); nil where a layer does not mention k. Most
-	// lookups miss every layer and fall through to the plain tree read
-	// without leaving the stack: the buffer covers the default ladder.
-	var buf [DefaultMaxFrozenLayers + 1]*core.MergeOp[K, V]
-	entries := buf[:0]
-	for _, d := range st.frozen {
-		entries = append(entries, d.find(k))
-	}
-	if st.delta != nil {
-		entries = append(entries, st.delta.find(k))
-	}
-	totalDels := 0
-	hasList := false
-	hit := false
-	for _, e := range entries {
-		if e != nil {
-			hit = true
-			totalDels += e.Dels + len(e.Tombs)
-			hasList = hasList || len(e.Tombs) > 0
-		}
-	}
-	if !hit {
+// lookup resolves a point read against this state's full layer stack: a
+// key no layer mentions is the tree's to answer, and otherwise the answer
+// is the first live match in Each order.
+func (st *ostate[K, V]) lookup(k K) (v V, ok bool) {
+	if !st.inAnyLayer(k) {
 		return st.tree.Lookup(k)
 	}
-	// The newest add of the top layer survives unconditionally: no
-	// tombstone sits above it.
-	if top := entries[len(entries)-1]; top != nil && len(top.Adds) > 0 {
-		return top.Adds[len(top.Adds)-1], true
-	}
-	// General path: materialize only the base matches tombstones can
-	// reach — consumption across all layers is at most totalDels, so
-	// totalDels+1 matches pin the first survivor — then replay each layer
-	// bottom to top. A layer's tombstones consume base survivors first,
-	// then the oldest surviving adds of the layers beneath (scan order);
-	// its own adds stack on top, out of reach of anything below.
-	limit := totalDels + 1
-	if hasList {
-		// A value tombstone skips past non-matching duplicates, so whether
-		// it lands on a base match or on a lower layer's add can depend on
-		// matches arbitrarily deep in the run; materialize them all.
-		limit = int(^uint(0) >> 1)
-	}
-	base := make([]V, 0, min(totalDels+1, 4))
-	st.tree.Each(k, func(v V) bool {
-		base = append(base, v)
-		return len(base) < limit
+	st.each(k, func(x V) bool {
+		v, ok = x, true
+		return false
 	})
-	var adds []V
-	for _, e := range entries {
-		if e == nil {
-			continue
-		}
-		if len(e.Tombs) > 0 {
-			ts := core.NewTombSet(0, e.Tombs)
-			nb := make([]V, 0, len(base))
-			for _, v := range base {
-				if !ts.Consume(v) {
-					nb = append(nb, v)
-				}
-			}
-			base = nb
-			na := make([]V, 0, len(adds))
-			for _, v := range adds {
-				if !ts.Consume(v) {
-					na = append(na, v)
-				}
-			}
-			adds = na
-		} else {
-			drop := e.Dels
-			if c := min(drop, len(base)); c > 0 {
-				base = base[c:]
-				drop -= c
-			}
-			if drop > 0 {
-				adds = adds[min(drop, len(adds)):]
-			}
-		}
-		if len(e.Adds) > 0 {
-			adds = append(adds[:len(adds):len(adds)], e.Adds...)
-		}
-	}
-	if len(adds) > 0 {
-		return adds[len(adds)-1], true
-	}
-	if len(base) > 0 {
-		return base[0], true
-	}
-	var zero V
-	return zero, false
-}
-
-// eachFn yields every match of one key in scan order.
-type eachFn[K Key, V any] func(k K, fn func(v V) bool)
-
-// overlayEach layers one delta over a per-key match sequence: counted
-// tombstones skip the head of the base sequence, value tombstones skip
-// the first equal-valued match, and pending inserts append after it.
-// Applying it once per layer, bottom to top, yields the facade's full
-// N-layer read protocol.
-func overlayEach[K Key, V any](base eachFn[K, V], d *odelta[K, V]) eachFn[K, V] {
-	if d == nil {
-		return base
-	}
-	return func(k K, fn func(v V) bool) {
-		var ts core.TombSet[V]
-		var adds []V
-		if e := d.find(k); e != nil {
-			ts, adds = core.NewTombSet(e.Dels, e.Tombs), e.Adds
-		}
-		stopped := false
-		base(k, func(v V) bool {
-			if ts.Consume(v) {
-				return true
-			}
-			if !fn(v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-		for _, v := range adds {
-			if !fn(v) {
-				return
-			}
-		}
-	}
-}
-
-// beneathActive returns the match enumerator of the layer stack below the
-// active delta: surviving base-tree matches first, then each frozen
-// layer's surviving adds, bottom to top. It is the view the active
-// delta's tombstone counts are relative to.
-func (st *ostate[K, V]) beneathActive() eachFn[K, V] {
-	f := st.tree.Each
-	for _, d := range st.frozen {
-		f = overlayEach(f, d)
-	}
-	return f
+	return v, ok
 }
 
 // each visits every live element with key k: surviving base matches, then
 // each frozen layer's pending inserts bottom to top, then active pending
 // inserts.
 func (st *ostate[K, V]) each(k K, fn func(v V) bool) {
-	overlayEach(st.beneathActive(), st.delta)(k, fn)
+	st.eachIn(len(st.frozen)+1, k, fn)
+}
+
+// eachIn is the per-key pass through the bottom n layers (the frozen
+// ladder, then the active delta): it streams k's tree matches, then each
+// layer's adds bottom to top, and offers every match to the tombstones of
+// the layers above where it came from, lowest first. A layer's tombstones
+// address the scan order of the view beneath it, which is exactly the
+// order in which matches reach them, so one loop applies the whole stack.
+func (st *ostate[K, V]) eachIn(n int, k K, fn func(v V) bool) {
+	type layer struct {
+		ts   core.TombSet[V]
+		adds []V
+	}
+	// Only the layers that mention k take part; the buffer covers the
+	// default ladder.
+	var buf [DefaultMaxFrozenLayers + 1]layer
+	ls := buf[:0]
+	for i := 0; i < n; i++ {
+		d := st.delta
+		if i < len(st.frozen) {
+			d = st.frozen[i]
+		}
+		if e := d.find(k); e != nil {
+			ls = append(ls, layer{core.NewTombSet(e.Dels, e.Tombs), e.Adds})
+		}
+	}
+	// live reports whether v survives the tombstones of ls[from:].
+	live := func(from int, v V) bool {
+		for j := from; j < len(ls); j++ {
+			if ls[j].ts.Consume(v) {
+				return false
+			}
+		}
+		return true
+	}
+	stopped := false
+	st.tree.Each(k, func(v V) bool {
+		stopped = live(0, v) && !fn(v)
+		return !stopped
+	})
+	for j := 0; j < len(ls) && !stopped; j++ {
+		for _, v := range ls[j].adds {
+			if live(j+1, v) && !fn(v) {
+				return
+			}
+		}
+	}
 }
 
 // scanFn is an ordered range scan: it calls fn for every element with
@@ -1022,8 +926,8 @@ type scanFn[K Key, V any] func(lo, hi K, fn func(k K, v V) bool)
 // entry's tombstones consume matches of the underlying run (counted ones
 // its head, value ones each their first equal-valued match) and pending
 // inserts are emitted after it, with delta-only keys merged in key order.
-// Like overlayEach, one application per layer produces the N-layer
-// protocol.
+// One application per layer produces the N-layer protocol: the range form
+// of eachIn.
 func overlayScan[K Key, V any](base scanFn[K, V], d *odelta[K, V]) scanFn[K, V] {
 	if d == nil {
 		return base
@@ -1103,83 +1007,76 @@ func (d *odelta[K, V]) withInsert(k K, v V) *odelta[K, V] {
 }
 
 // withDelete returns a version of the state's active delta with one
-// element of key k removed, or ok=false when no live element with key k
-// exists. A pending insert in the active delta is consumed first;
-// otherwise one more match of the layered view beneath the active delta
-// (base tree, then each frozen layer's adds, bottom to top) is tombstoned.
-func (st *ostate[K, V]) withDelete(k K) (*odelta[K, V], bool) {
+// element of key k removed by a delete op (anonymous, or for a value
+// delete one whose value equals v), or ok=false when no such live element
+// exists. A pending insert in the active delta is consumed first (see
+// consumeAdd); otherwise the delete needs a live victim in the layered
+// view beneath the active delta — surviving base matches, then each frozen
+// layer's surviving adds, bottom to top, after this entry's existing
+// tombstones — and is recorded as one more active tombstone (see addTomb).
+// With no active add that can be the victim, such a victim is exactly a
+// live element of the full stack: lookup finds one for an anonymous
+// delete, and the per-key pass looks for v. Frozen layers are immutable (a
+// background merge may be reading them), so even when the victim is a
+// frozen add the tombstone goes on the active delta — the accounting
+// reaches down through every layer.
+func (st *ostate[K, V]) withDelete(op byte, k K, v V) (*odelta[K, V], bool) {
 	d := st.delta
 	e := d.entry(k)
-	if n := len(e.Adds); n > 0 {
-		// The shorter slice shares the old entry's array, which nobody
-		// writes: every append to an entry's adds copies.
-		e.Adds = e.Adds[: n-1 : n-1]
+	if consumeAdd(&e, op, v) {
 		return d.with(&e, -1, 0), true
 	}
-	// The new tombstone needs a live match in the layered view beneath
-	// the active delta: surviving base matches, then each frozen layer's
-	// surviving adds, bottom to top, after this entry's existing
-	// tombstones. With no active adds that is exactly a live element of k,
-	// which lookup finds. Frozen layers are immutable (a background merge
-	// may be reading them), so even when the victim is a frozen add the
-	// delete is recorded as one more active tombstone — the accounting
-	// reaches down through every layer.
-	if _, alive := st.lookup(k); !alive {
-		return nil, false
-	}
-	if e.Tombs != nil {
-		// List form: anonymous deletes join the list so ordering against
-		// the entry's value tombstones is preserved. The cap trim forces
-		// the append to copy, never mutating the shared list.
-		e.Tombs = append(e.Tombs[:len(e.Tombs):len(e.Tombs)], core.Tomb[V]{Any: true})
-	} else {
-		e.Dels++
-	}
-	return d.with(&e, 0, 1), true
-}
-
-// withDeleteValue returns a version of the state's active delta with one
-// element of key k whose value equals v removed, or ok=false when no such
-// live element exists. The newest equal-valued pending insert in the
-// active delta is consumed first; otherwise a value tombstone is recorded
-// after verifying an equal-valued match survives in the layered view
-// beneath the active delta, switching the entry to the ordered-list
-// tombstone form.
-func (st *ostate[K, V]) withDeleteValue(k K, v V) (*odelta[K, V], bool) {
-	d := st.delta
-	e := d.entry(k)
-	for j := len(e.Adds) - 1; j >= 0; j-- {
-		if any(e.Adds[j]) == any(v) {
-			e.Adds = slices.Delete(slices.Clone(e.Adds), j, j+1)
-			return d.with(&e, -1, 0), true
-		}
-	}
-	ts := core.NewTombSet(e.Dels, e.Tombs)
 	alive := false
-	st.beneathActive()(k, func(w V) bool {
-		if ts.Consume(w) {
-			return true
-		}
-		if any(w) == any(v) {
-			alive = true
-			return false
-		}
-		return true
-	})
+	if op == walOpDelete {
+		_, alive = st.lookup(k)
+	} else {
+		st.each(k, func(w V) bool {
+			alive = any(w) == any(v)
+			return !alive
+		})
+	}
 	if !alive {
 		return nil, false
 	}
-	list := e.Tombs
-	if list == nil && e.Dels > 0 {
-		// Switch the entry to list form: existing anonymous tombstones
-		// become Any entries ahead of the new value entry, preserving
-		// recording order.
-		list = make([]core.Tomb[V], e.Dels)
-		for j := range list {
-			list[j].Any = true
+	addTomb(&e, op, v)
+	return d.with(&e, 0, 1), true
+}
+
+// consumeAdd removes from e the pending insert a delete op takes: the
+// newest, or for a value delete the newest carrying v. It reports whether
+// there was one. Entries are shared between delta versions, so the
+// shortened adds either reslice (the newest goes) or copy, never writing
+// the shared array.
+func consumeAdd[K Key, V any](e *core.MergeOp[K, V], op byte, v V) bool {
+	j := len(e.Adds) - 1
+	if op == walOpDeleteValue {
+		for j >= 0 && any(e.Adds[j]) != any(v) {
+			j--
+		}
+	}
+	if j < 0 {
+		return false
+	}
+	e.Adds = append(e.Adds[:j:j], e.Adds[j+1:]...)
+	return true
+}
+
+// addTomb records one more tombstone on e for a delete op: counted while
+// every tombstone is anonymous, the ordered list form from the first value
+// delete on, with the anonymous ones carried as Any entries so recording
+// order is preserved. The cap trim makes the append copy, never writing a
+// shared list.
+func addTomb[K Key, V any](e *core.MergeOp[K, V], op byte, v V) {
+	if op == walOpDelete && e.Tombs == nil {
+		e.Dels++
+		return
+	}
+	if e.Tombs == nil {
+		e.Tombs = make([]core.Tomb[V], e.Dels)
+		for j := range e.Tombs {
+			e.Tombs[j].Any = true
 		}
 		e.Dels = 0
 	}
-	e.Tombs = append(list[:len(list):len(list)], core.Tomb[V]{Val: v})
-	return d.with(&e, 0, 1), true
+	e.Tombs = append(e.Tombs[:len(e.Tombs):len(e.Tombs)], core.Tomb[V]{Any: op == walOpDelete, Val: v})
 }

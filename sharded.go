@@ -617,7 +617,7 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	total := 0
 	for i, sh := range ss.shards {
 		base += sh.Version()
-		trees[i] = foldState(sh.state.Load())
+		trees[i] = sh.state.Load().fold()
 		total += trees[i].Len()
 	}
 	bounds := balancedFences(trees, e.want)

@@ -79,12 +79,19 @@ type stateView struct {
 	scan   [][2]uint64
 }
 
-func viewOf(st *ostate[uint64, uint64], span uint64) stateView {
+// viewOf also pins the lookup rule: a key some layer mentions reads as the
+// first match Each yields for it.
+func viewOf(t *testing.T, st *ostate[uint64, uint64], span uint64) stateView {
+	t.Helper()
 	v := stateView{each: map[uint64][]uint64{}, lookup: map[uint64]uint64{}}
 	for k := uint64(0); k < span; k++ {
 		st.each(k, func(x uint64) bool { v.each[k] = append(v.each[k], x); return true })
-		if x, ok := st.lookup(k); ok {
+		x, ok := st.lookup(k)
+		if ok {
 			v.lookup[k] = x
+		}
+		if st.inAnyLayer(k) && (ok != (len(v.each[k]) > 0) || ok && x != v.each[k][0]) {
+			t.Fatalf("lookup(%d) = %d,%v, want the first of Each's %v", k, x, ok, v.each[k])
 		}
 	}
 	st.ascendRange(0, span, func(k, x uint64) bool { v.scan = append(v.scan, [2]uint64{k, x}); return true })
@@ -113,19 +120,19 @@ func TestDeltaSnapshotIsolation(t *testing.T) {
 	if len(held.frozen) != 2 || held.delta == nil {
 		t.Fatalf("fixture: %d frozen layers, active=%v", len(held.frozen), held.delta != nil)
 	}
-	before := viewOf(held, span)
+	before := viewOf(t, held, span)
 
 	randomWrites(o, rng, 1000, span)
 	if o.state.Load() == held {
 		t.Fatal("no write was published")
 	}
-	if after := viewOf(held, span); !reflect.DeepEqual(before, after) {
+	if after := viewOf(t, held, span); !reflect.DeepEqual(before, after) {
 		t.Fatal("a held state changed under later writes")
 	}
 	// And the live state still agrees with its own fold.
-	live := viewOf(o.state.Load(), span)
+	live := viewOf(t, o.state.Load(), span)
 	o.SyncFlush()
-	if folded := viewOf(o.state.Load(), span); !reflect.DeepEqual(live.scan, folded.scan) {
+	if folded := viewOf(t, o.state.Load(), span); !reflect.DeepEqual(live.scan, folded.scan) {
 		t.Fatal("layered read and folded read disagree")
 	}
 }
@@ -195,6 +202,58 @@ func TestOverlayMissAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("overlay miss path allocates %.1f times per pair of lookups, want 0", allocs)
+	}
+
+	// A hit: keys the layers mention — an add in the bottom layer, an add in
+	// the active delta, a base match the active delta tombstones — read
+	// through the per-key pass without a heap allocation.
+	o.Delete(40_002)
+	st = o.state.Load()
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, k := range []uint64{1, k - 2} {
+			if v, ok := st.lookup(k); !ok || v != k {
+				t.Fatalf("lookup(%d) = %d,%v", k, v, ok)
+			}
+			n := 0
+			st.each(k, func(uint64) bool { n++; return true })
+			if n != 1 {
+				t.Fatalf("each(%d) yields %d matches, want 1", k, n)
+			}
+		}
+		if _, ok := st.lookup(40_002); ok {
+			t.Fatal("lookup found a deleted key")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("overlay hit path allocates %.1f times per round, want 0", allocs)
+	}
+
+	// A ladder deeper than the default: the miss path still reaches the
+	// tree without a heap allocation.
+	deep := pipelineFixture(t, 50_000)
+	deep.SetMaxFrozenLayers(8)
+	deep.flusher.Store(true)
+	defer deep.flusher.Store(false)
+	for layer := 0; layer <= 8; layer++ {
+		deep.Insert(uint64(2*layer+1), 0)
+		if layer < 8 {
+			freezeActive(deep)
+		}
+	}
+	st = deep.state.Load()
+	if len(st.frozen) != 8 || st.delta == nil {
+		t.Fatalf("deep fixture: %d frozen layers, active=%v", len(st.frozen), st.delta != nil)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if v, ok := st.lookup(present); !ok || v != present {
+			t.Fatalf("deep lookup(%d) = %d,%v", present, v, ok)
+		}
+		if _, ok := st.lookup(absent); ok {
+			t.Fatalf("deep lookup(%d) found an absent key", absent)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("overlay miss path through 8 frozen layers allocates %.1f times per pair of lookups, want 0", allocs)
 	}
 }
 
