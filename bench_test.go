@@ -542,3 +542,69 @@ func BenchmarkLookupBatchCold(b *testing.B) {
 	b.Run("sharded-batch", batches(probes, s.LookupBatch))
 	b.Run("sharded-batch-presorted-sparse", batches(sparse, s.LookupBatch))
 }
+
+// BenchmarkLayeredLookup is the in-process cost of reading through the
+// merge ladder: an Optimistic over 1 M distinct Weblogs keys with the
+// default four frozen layers at the flush threshold and a half-full active
+// delta ("layered"), then the same content folded ("folded"). Probes are
+// random and interleaved, half hits and half misses (held-out keys never
+// inserted); Lookup and LookupBatch report ns per key.
+func BenchmarkLayeredLookup(b *testing.B) {
+	const batchSize, pool = 256, 1 << 16
+	raw := workload.Weblogs(1_000_000, 1)
+	var base, held []uint64
+	for i, k := range raw {
+		switch {
+		case i > 0 && k == raw[i-1]:
+		case i%64 == 63:
+			held = append(held, k)
+		default:
+			base = append(base, k)
+		}
+	}
+	t, err := fitingtree.BulkLoad(base, base, fitingtree.Options{Error: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := fitingtree.NewOptimistic(t)
+	o.SetAsyncFlush(true)
+	fitingtree.HoldFlushWorker(o) // pushed layers stay on the ladder
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+	next := 0
+	insert := func() {
+		o.Insert(held[next], held[next])
+		next++
+	}
+	for o.Stats().FrozenLayers < fitingtree.DefaultMaxFrozenLayers {
+		insert()
+	}
+	for half := o.Stats().LayerPending[0] / 2; half > 0; half-- {
+		insert()
+	}
+	present := append(base[:len(base):len(base)], held[:next]...)
+	probes := make([]uint64, pool)
+	for i := range probes {
+		if i%2 == 0 {
+			probes[i] = present[rng.Intn(len(present))]
+		} else {
+			probes[i] = held[next+rng.Intn(len(held)-next)]
+		}
+	}
+	run := func(name string) {
+		b.Run(name+"/lookup", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o.Lookup(probes[i%pool])
+			}
+		})
+		b.Run(name+"/batch", func(b *testing.B) {
+			for i := 0; i < b.N; i += batchSize {
+				at := i % pool
+				o.LookupBatch(probes[at : at+batchSize])
+			}
+		})
+	}
+	run("layered")
+	o.SyncFlush()
+	run("folded")
+}

@@ -176,40 +176,62 @@ type ostate[K Key, V any] struct {
 // grown, and every older version stays intact for the readers still
 // holding it. Entries are shared between versions and never mutated; a nil
 // delta is empty.
+//
+// f is the layer's membership filter (see keyFilter), probed with the key's
+// keyHash before the map is descended. The active delta's versions share
+// one: with sets the written key's bits in the parent's filter, and builds
+// a larger one from the new version's map once the entries outgrow it.
+// Bits are never cleared, so consumed adds and dropped entries only leave
+// false positives. A nil filter, as in hand-built layers, means "probe".
 type odelta[K Key, V any] struct {
 	m    delta.Map[K, *core.MergeOp[K, V]]
+	f    keyFilter
 	addN int // total pending inserts
 	delN int // total pending deletions
 }
 
-// find returns the entry for k, or nil; nil-safe.
-func (d *odelta[K, V]) find(k K) *core.MergeOp[K, V] {
-	if d == nil {
+// onDescend, when a test sets it, is called with every layer whose map a
+// find descends: the filter let the probe through.
+var onDescend func(layer any)
+
+// find returns the entry for k, whose keyHash is h, or nil; nil-safe.
+func (d *odelta[K, V]) find(k K, h uint64) *core.MergeOp[K, V] {
+	if d == nil || !d.f.mayHave(h) {
 		return nil
+	}
+	if onDescend != nil {
+		onDescend(d)
 	}
 	e, _ := d.m.Get(k)
 	return e
 }
 
-// entry returns a copy of the entry for k for the caller to edit — an
-// empty one when the delta has none; nil-safe.
-func (d *odelta[K, V]) entry(k K) core.MergeOp[K, V] {
-	if old := d.find(k); old != nil {
+// entry returns a copy of the entry for k (hashing to h) for the caller to
+// edit — an empty one when the delta has none; nil-safe.
+func (d *odelta[K, V]) entry(k K, h uint64) core.MergeOp[K, V] {
+	if old := d.find(k, h); old != nil {
 		return *old
 	}
 	return core.MergeOp[K, V]{Key: k}
 }
 
 // with returns a version of the delta (nil-safe) in which e is the entry
-// for e.Key and the pending counts moved by addN and delN. An entry left
-// with nothing pending is dropped, and a delta left with no entry is nil.
-func (d *odelta[K, V]) with(e *core.MergeOp[K, V], addN, delN int) *odelta[K, V] {
+// for e.Key, whose keyHash is h, and the pending counts moved by addN and
+// delN. An entry left with nothing pending is dropped, and a delta left
+// with no entry is nil. Versions derive in a line under the writer mutex,
+// so the filter growth (to twice the entries) is amortised O(1) per write.
+func (d *odelta[K, V]) with(e *core.MergeOp[K, V], h uint64, addN, delN int) *odelta[K, V] {
 	nd := &odelta[K, V]{addN: addN, delN: delN}
 	if d != nil {
-		nd.m, nd.addN, nd.delN = d.m, d.addN+addN, d.delN+delN
+		nd.m, nd.f, nd.addN, nd.delN = d.m, d.f, d.addN+addN, d.delN+delN
 	}
 	if len(e.Adds) > 0 || e.Dels > 0 || len(e.Tombs) > 0 {
 		nd.m = nd.m.With(e.Key, e)
+		if n := nd.m.Len(); n > nd.f.capacity() {
+			nd.f = filterOf(nd.m, max(minFilterKeys, 2*n))
+		} else {
+			nd.f.add(h)
+		}
 		return nd
 	}
 	if nd.m = nd.m.Without(e.Key); nd.m.Len() == 0 {
@@ -415,22 +437,23 @@ func lookupBatchStates[K Key, V any](fences []K, states []*ostate[K, V], keys []
 	}
 	core.LookupFenced(fences, trees, keys, vals, found)
 	for i := 0; layered && i < len(keys); i++ { // the overlay pass
-		if st := states[upperBoundKeys(fences, keys[i])]; st.inAnyLayer(keys[i]) {
-			vals[i], found[i] = st.lookup(keys[i])
+		k, h := keys[i], keyHash(keys[i])
+		if st := states[upperBoundKeys(fences, k)]; st.inAnyLayer(k, h) {
+			vals[i], found[i] = st.first(k, h)
 		}
 	}
 	return vals, found
 }
 
-// inAnyLayer reports whether any delta layer has an entry for k. The
-// active delta is probed first: under a write-heavy load it is the layer
-// most likely to mention a recently touched key.
-func (st *ostate[K, V]) inAnyLayer(k K) bool {
-	if st.delta.find(k) != nil {
+// inAnyLayer reports whether any delta layer has an entry for k, whose
+// keyHash is h. The active delta is probed first: under a write-heavy load
+// it is the layer most likely to mention a recently touched key.
+func (st *ostate[K, V]) inAnyLayer(k K, h uint64) bool {
+	if st.delta.find(k, h) != nil {
 		return true
 	}
 	for _, d := range st.frozen {
-		if d.find(k) != nil {
+		if d.find(k, h) != nil {
 			return true
 		}
 	}
@@ -786,7 +809,7 @@ func (o *Optimistic[K, V]) compactPair(st *ostate[K, V], i int) {
 // decisions are the per-key pass over tree ⊕ frozen[0..i-1], the exact
 // view layer i's own tombstones are relative to.
 func (st *ostate[K, V]) compactLayers(i int) *odelta[K, V] {
-	eachBeneath := func(k K, fn func(V) bool) { st.eachIn(i, k, fn) }
+	eachBeneath := func(k K, fn func(V) bool) { st.eachIn(i, k, keyHash(k), fn) }
 	ops := core.CompactOps(st.frozen[i].ops(), st.frozen[i+1].ops(), eachBeneath)
 	return deltaFromOps(ops)
 }
@@ -833,7 +856,8 @@ func (d *odelta[K, V]) ops() []core.MergeOp[K, V] {
 }
 
 // deltaFromOps bulk-loads a delta from a sorted op list (CompactOps
-// output), whose elements become the entries; nil when the list is empty.
+// output), whose elements become the entries, with a filter sized for
+// them; nil when the list is empty.
 func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 	if len(ops) == 0 {
 		return nil
@@ -847,17 +871,33 @@ func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 		d.delN += ops[i].Dels + len(ops[i].Tombs)
 	}
 	d.m = delta.FromSorted(keys, ents)
+	d.f = filterOf(d.m, len(keys))
 	return d
+}
+
+// filterOf returns a filter sized for capacity keys holding every key of m.
+func filterOf[K Key, V any](m delta.Map[K, V], capacity int) keyFilter {
+	f := make(keyFilter, (capacity+3)/4)
+	m.Ascend(func(k K, _ V) bool {
+		f.add(keyHash(k))
+		return true
+	})
+	return f
 }
 
 // lookup resolves a point read against this state's full layer stack: a
 // key no layer mentions is the tree's to answer, and otherwise the answer
 // is the first live match in Each order.
 func (st *ostate[K, V]) lookup(k K) (v V, ok bool) {
-	if !st.inAnyLayer(k) {
-		return st.tree.Lookup(k)
+	if h := keyHash(k); st.inAnyLayer(k, h) {
+		return st.first(k, h)
 	}
-	st.each(k, func(x V) bool {
+	return st.tree.Lookup(k)
+}
+
+// first returns the first live match of k (hashing to h) in Each order.
+func (st *ostate[K, V]) first(k K, h uint64) (v V, ok bool) {
+	st.eachIn(len(st.frozen)+1, k, h, func(x V) bool {
 		v, ok = x, true
 		return false
 	})
@@ -868,7 +908,7 @@ func (st *ostate[K, V]) lookup(k K) (v V, ok bool) {
 // each frozen layer's pending inserts bottom to top, then active pending
 // inserts.
 func (st *ostate[K, V]) each(k K, fn func(v V) bool) {
-	st.eachIn(len(st.frozen)+1, k, fn)
+	st.eachIn(len(st.frozen)+1, k, keyHash(k), fn)
 }
 
 // eachIn is the per-key pass through the bottom n layers (the frozen
@@ -877,7 +917,8 @@ func (st *ostate[K, V]) each(k K, fn func(v V) bool) {
 // the layers above where it came from, lowest first. A layer's tombstones
 // address the scan order of the view beneath it, which is exactly the
 // order in which matches reach them, so one loop applies the whole stack.
-func (st *ostate[K, V]) eachIn(n int, k K, fn func(v V) bool) {
+// h is k's keyHash, shared by the layers' probes.
+func (st *ostate[K, V]) eachIn(n int, k K, h uint64, fn func(v V) bool) {
 	type layer struct {
 		ts   core.TombSet[V]
 		adds []V
@@ -891,7 +932,7 @@ func (st *ostate[K, V]) eachIn(n int, k K, fn func(v V) bool) {
 		if i < len(st.frozen) {
 			d = st.frozen[i]
 		}
-		if e := d.find(k); e != nil {
+		if e := d.find(k, h); e != nil {
 			ls = append(ls, layer{core.NewTombSet(e.Dels, e.Tombs), e.Adds})
 		}
 	}
@@ -1001,9 +1042,10 @@ func (st *ostate[K, V]) ascendRange(lo, hi K, fn func(k K, v V) bool) {
 // under k. Entries are shared between versions, so the touched entry is
 // rebuilt, its adds copied by the cap-trimmed append.
 func (d *odelta[K, V]) withInsert(k K, v V) *odelta[K, V] {
-	e := d.entry(k)
+	h := keyHash(k)
+	e := d.entry(k, h)
 	e.Adds = append(e.Adds[:len(e.Adds):len(e.Adds)], v)
-	return d.with(&e, 1, 0)
+	return d.with(&e, h, 1, 0)
 }
 
 // withDelete returns a version of the state's active delta with one
@@ -1015,23 +1057,24 @@ func (d *odelta[K, V]) withInsert(k K, v V) *odelta[K, V] {
 // layer's surviving adds, bottom to top, after this entry's existing
 // tombstones — and is recorded as one more active tombstone (see addTomb).
 // With no active add that can be the victim, such a victim is exactly a
-// live element of the full stack: lookup finds one for an anonymous
-// delete, and the per-key pass looks for v. Frozen layers are immutable (a
-// background merge may be reading them), so even when the victim is a
-// frozen add the tombstone goes on the active delta — the accounting
-// reaches down through every layer.
+// live element of the full stack: for an anonymous delete of a key no
+// layer mentions the tree's lookup finds one, and otherwise the per-key
+// pass looks for one (carrying v, for a value delete). Frozen layers are
+// immutable (a background merge may be reading them), so even when the
+// victim is a frozen add the tombstone goes on the active delta — the
+// accounting reaches down through every layer.
 func (st *ostate[K, V]) withDelete(op byte, k K, v V) (*odelta[K, V], bool) {
-	d := st.delta
-	e := d.entry(k)
+	d, h := st.delta, keyHash(k)
+	e := d.entry(k, h)
 	if consumeAdd(&e, op, v) {
-		return d.with(&e, -1, 0), true
+		return d.with(&e, h, -1, 0), true
 	}
 	alive := false
-	if op == walOpDelete {
-		_, alive = st.lookup(k)
+	if op == walOpDelete && !st.inAnyLayer(k, h) {
+		_, alive = st.tree.Lookup(k)
 	} else {
-		st.each(k, func(w V) bool {
-			alive = any(w) == any(v)
+		st.eachIn(len(st.frozen)+1, k, h, func(w V) bool {
+			alive = op == walOpDelete || any(w) == any(v)
 			return !alive
 		})
 	}
@@ -1039,7 +1082,7 @@ func (st *ostate[K, V]) withDelete(op byte, k K, v V) (*odelta[K, V], bool) {
 		return nil, false
 	}
 	addTomb(&e, op, v)
-	return d.with(&e, 0, 1), true
+	return d.with(&e, h, 0, 1), true
 }
 
 // consumeAdd removes from e the pending insert a delete op takes: the

@@ -90,7 +90,7 @@ func viewOf(t *testing.T, st *ostate[uint64, uint64], span uint64) stateView {
 		if ok {
 			v.lookup[k] = x
 		}
-		if st.inAnyLayer(k) && (ok != (len(v.each[k]) > 0) || ok && x != v.each[k][0]) {
+		if st.inAnyLayer(k, keyHash(k)) && (ok != (len(v.each[k]) > 0) || ok && x != v.each[k][0]) {
 			t.Fatalf("lookup(%d) = %d,%v, want the first of Each's %v", k, x, ok, v.each[k])
 		}
 	}
