@@ -2,6 +2,7 @@ package pager
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -25,7 +26,9 @@ type Device interface {
 	// Read copies page id into buf (len >= PageSize).
 	Read(id PageID, buf []byte) error
 	// Write copies buf into page id. The write is not durable until the
-	// next successful Sync.
+	// next successful Sync. A device may buffer it, so a failure to store
+	// it can surface at a later call instead — at the latest at Sync,
+	// which then fails: no Sync succeeds over a lost write.
 	Write(id PageID, buf []byte) error
 	// Sync makes all preceding writes durable.
 	Sync() error
@@ -38,12 +41,26 @@ func (d *Disk) Sync() error { return nil }
 // offset i*PageSize. Allocation only grows the logical page count; a page
 // materializes in the file on its first write, and reads past the current
 // end of file return zeroes, so Allocate itself cannot fail.
+//
+// Full-page writes to consecutive page ids are gathered into a run of up to
+// runPages pages and handed to the file with one write, whose writeback
+// then starts without being waited for. Any other write, and every Read,
+// Sync and Close, hands the run over first. A failed hand-over is sticky:
+// the call that triggered it and every later Read, Write and Sync return
+// its error, so a write error surfaces at a later call — at the latest at
+// Sync.
 type FileDisk struct {
-	f      *os.File
-	pages  int
-	reads  int64
-	writes int64
+	f        *os.File
+	pages    int
+	reads    int64
+	writes   int64
+	run      []byte // buffered full pages, from runStart on
+	runStart PageID
+	err      error // the first failed hand-over
 }
+
+// runPages is the most pages one hand-over writes (256 KiB).
+const runPages = 64
 
 // OpenFileDisk opens (or creates) the page file at path. An existing
 // file's page count is its size rounded up to whole pages.
@@ -58,7 +75,7 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		return nil, err
 	}
 	pages := int((st.Size() + PageSize - 1) / PageSize)
-	return &FileDisk{f: f, pages: pages}, nil
+	return &FileDisk{f: f, pages: pages, run: make([]byte, 0, runPages*PageSize)}, nil
 }
 
 // Allocate extends the device by one zero page.
@@ -70,11 +87,28 @@ func (d *FileDisk) Allocate() PageID {
 // NumPages returns the number of allocated pages.
 func (d *FileDisk) NumPages() int { return d.pages }
 
+// flush hands the buffered run to the file and starts its writeback.
+func (d *FileDisk) flush() error {
+	if d.err != nil || len(d.run) == 0 {
+		return d.err
+	}
+	off, n := int64(d.runStart)*PageSize, int64(len(d.run))
+	_, d.err = d.f.WriteAt(d.run, off)
+	d.run = d.run[:0]
+	if d.err == nil {
+		writeBehind(d.f, off, n)
+	}
+	return d.err
+}
+
 // Read copies page id into buf, zero-filling any part past the file's
 // current end.
 func (d *FileDisk) Read(id PageID, buf []byte) error {
 	if int(id) >= d.pages {
-		return errors.New("pager: read of unallocated page")
+		return fmt.Errorf("pager: read of unallocated page %d", id)
+	}
+	if err := d.flush(); err != nil {
+		return err
 	}
 	d.reads++
 	buf = buf[:PageSize]
@@ -88,25 +122,44 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 	return nil
 }
 
-// Write copies buf into page id.
+// Write copies buf into page id. A full page that extends the buffered run
+// joins it; a shorter buf is written in place after the run is handed over.
 func (d *FileDisk) Write(id PageID, buf []byte) error {
 	if int(id) >= d.pages {
-		return errors.New("pager: write of unallocated page")
+		return fmt.Errorf("pager: write of unallocated page %d", id)
 	}
 	d.writes++
-	if len(buf) > PageSize {
-		buf = buf[:PageSize]
+	if len(buf) < PageSize {
+		if err := d.flush(); err != nil {
+			return err
+		}
+		_, err := d.f.WriteAt(buf, int64(id)*PageSize)
+		return err
 	}
-	_, err := d.f.WriteAt(buf, int64(id)*PageSize)
-	return err
+	if n := len(d.run) / PageSize; n == 0 || id != d.runStart+PageID(n) {
+		if err := d.flush(); err != nil {
+			return err
+		}
+		d.runStart = id
+	}
+	d.run = append(d.run, buf[:PageSize]...)
+	if len(d.run) == cap(d.run) {
+		return d.flush()
+	}
+	return nil
 }
 
-// Sync fsyncs the page file.
-func (d *FileDisk) Sync() error { return d.f.Sync() }
+// Sync hands over the buffered run and fsyncs the page file.
+func (d *FileDisk) Sync() error {
+	if err := d.flush(); err != nil {
+		return err
+	}
+	return d.f.Sync()
+}
 
 // Close releases the file handle after a final sync.
 func (d *FileDisk) Close() error {
-	err := d.f.Sync()
+	err := d.Sync()
 	if cerr := d.f.Close(); err == nil {
 		err = cerr
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 )
 
@@ -136,7 +137,7 @@ func ReadSuper(dev Device) (s Super, ok bool, err error) {
 // on the goroutine that called it; the checkpointer serializes access.
 type Store struct {
 	dev     Device
-	free    []PageID // reusable now
+	free    []PageID // reusable now, descending: alloc pops the lowest
 	pending []PageID // freed by the in-flight checkpoint; reusable after Commit
 	scratch []byte   // the one page buffer of chain walks and Put (Store is single-threaded)
 	ids     []PageID // Put's page list, reused across blobs
@@ -151,8 +152,8 @@ type Store struct {
 }
 
 // NewStore returns a blob store over dev, reserving the superblock pages.
-// Its freelist starts empty; after recovery, call SetFree with the pages
-// not reachable from the live checkpoint.
+// Its freelist starts empty; after recovery, call RebuildFree with the
+// pages reachable from the live checkpoint.
 func NewStore(dev Device) *Store {
 	for dev.NumPages() < 2 {
 		dev.Allocate()
@@ -162,14 +163,6 @@ func NewStore(dev Device) *Store {
 
 // Device returns the underlying device (for superblock I/O and counters).
 func (s *Store) Device() Device { return s.dev }
-
-// SetFree replaces the freelist, typically with the allocated-minus-
-// reachable set computed during recovery.
-func (s *Store) SetFree(ids []PageID) {
-	s.free = append(s.free[:0], ids...)
-	s.pending = s.pending[:0]
-	s.forget(s.free)
-}
 
 // FreePages returns the number of immediately reusable pages.
 func (s *Store) FreePages() int { return len(s.free) }
@@ -194,7 +187,8 @@ func (s *Store) readPage(id PageID) ([]byte, error) {
 	return s.scratch, nil
 }
 
-// alloc returns a reusable page, extending the device when none is free.
+// alloc returns the lowest free page, extending the device when none is
+// free.
 func (s *Store) alloc() PageID {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
@@ -352,7 +346,21 @@ func (s *Store) Free(head PageID) error {
 // which a crash would fall back to.
 func (s *Store) Commit() {
 	s.forget(s.pending)
-	s.free = append(s.free, s.pending...)
+	// Merge the sorted frees into the freelist, which stays descending as
+	// RebuildFree builds it: alloc pops the lowest free page, so a blob
+	// lands in ascending runs the device can write together. A merge, not
+	// a sort of the whole list, so the cost follows the pages freed.
+	slices.Sort(s.pending)
+	i, k := len(s.free)-1, len(s.free)+len(s.pending)
+	s.free = slices.Grow(s.free, len(s.pending))[:k]
+	for _, id := range s.pending {
+		for ; i >= 0 && s.free[i] < id; i-- {
+			k--
+			s.free[k] = s.free[i]
+		}
+		k--
+		s.free[k] = id
+	}
 	s.pending = s.pending[:0]
 	s.staged = s.staged[:0]
 }
@@ -386,7 +394,7 @@ func (s *Store) RebuildFree(reachable []PageID) {
 	s.free = s.free[:0]
 	s.pending = s.pending[:0]
 	// Descending, so that alloc (which pops the tail) reuses low pages
-	// first and a long-lived store stays compact.
+	// first and a long-lived store stays compact; Commit keeps the order.
 	for i := len(used) - 1; i >= 2; i-- {
 		if !used[i] {
 			s.free = append(s.free, PageID(i))

@@ -172,6 +172,56 @@ func TestFaultDeviceReadPath(t *testing.T) {
 	}
 }
 
+// TestCommitReusesLowPagesFirst: pages freed over two commits — the second
+// freeing two chains out of order into a non-empty freelist — come back
+// lowest first, so the next blob lands in one ascending run over the freed
+// range, the order RebuildFree over the same live set hands out.
+func TestCommitReusesLowPagesFirst(t *testing.T) {
+	d := NewDisk()
+	s := NewStore(d)
+	var heads [4]PageID
+	for i := range heads {
+		var err error
+		if heads[i], err = s.Put(make([]byte, 3*BlobPayload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := s.Chain(heads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, freed := range [][]PageID{{heads[3]}, {heads[2], heads[1]}} {
+		for _, head := range freed {
+			if err := s.Free(head); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Commit()
+	}
+	ref := NewStore(d)
+	ref.RebuildFree(live)
+	var want []PageID
+	for range 9 {
+		want = append(want, ref.alloc())
+	}
+	head, err := s.Put(make([]byte, 9*BlobPayload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Chain(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Put after Commit took pages %v, RebuildFree hands out %v", got, want)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[i-1]+1 {
+			t.Fatalf("Put after Commit took pages %v, want one ascending run", got)
+		}
+	}
+}
+
 func TestFileDiskRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
 	d, err := OpenFileDisk(path)
