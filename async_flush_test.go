@@ -70,59 +70,63 @@ func TestAsyncFlushFreezePublish(t *testing.T) {
 
 // TestAsyncFlushBackpressure pins the backpressure fallback
 // deterministically by claiming the worker slot (flusher=true with no
-// worker running) so the frozen delta can never drain in the background:
-// writers keep absorbing into the active delta until it reaches
-// FlushBackpressureFactor times the threshold, then the tripping writer
-// folds both deltas inline.
+// worker running) so the frozen ladder can never drain in the background:
+// with all maxFrozenLayers slots staged, writers keep absorbing into the
+// active delta until it reaches FlushBackpressureFactor times the
+// threshold, then the tripping writer folds the whole ladder inline.
 func TestAsyncFlushBackpressure(t *testing.T) {
 	o := asyncFixture(t, 20_000)
 	const flushAt = 16
 	o.SetFlushEvery(flushAt)
-	// Depth 1 pins the single-slot pipeline this test was written for:
-	// with a deeper ladder the absorb phase would push more layers
-	// instead of backpressuring.
-	o.SetMaxFrozenLayers(1)
 	base := o.Len()
 
-	// Stage a frozen delta by hand and hold the worker slot.
-	for i := uint64(0); i < flushAt-1; i++ {
-		o.Insert(i*2+1, i)
+	// Stage a full ladder by hand, one below-threshold delta per layer,
+	// and hold the worker slot.
+	o.flusher.Store(true) // no worker is running: the frozen ladder is now stuck
+	for layer := uint64(0); layer < maxFrozenLayers; layer++ {
+		for i := uint64(0); i < flushAt-1; i++ {
+			o.Insert(layer*flushAt*2+i*2+1, i)
+		}
+		st := o.state.Load()
+		if st.delta == nil || len(st.frozen) != int(layer) {
+			t.Fatalf("staging layer %d expected a pure active delta over %d frozen, got delta=%v frozen=%d",
+				layer, layer, st.delta != nil, len(st.frozen))
+		}
+		frozen := append(st.frozen[:len(st.frozen):len(st.frozen)], st.delta)
+		o.state.Store(&ostate[uint64, uint64]{tree: st.tree, frozen: frozen, size: st.size})
 	}
-	st := o.state.Load()
-	if st.delta == nil || st.frozen != nil {
-		t.Fatalf("staging expected a pure active delta, got delta=%v frozen=%v", st.delta != nil, st.frozen != nil)
-	}
-	o.flusher.Store(true) // no worker is running: the frozen slot is now stuck
-	o.state.Store(&ostate[uint64, uint64]{tree: st.tree, frozen: []*odelta[uint64, uint64]{st.delta}, size: st.size})
+	const staged = maxFrozenLayers * (flushAt - 1)
 
 	// Writers absorb past the trip threshold without flushing...
 	limit := flushAt*FlushBackpressureFactor - 1
 	for i := 0; i < limit; i++ {
 		o.Insert(uint64(100_000+i*2+1), uint64(i))
 		cur := o.state.Load()
-		if cur.frozen == nil {
-			t.Fatalf("frozen slot drained with the worker slot held (insert %d)", i)
+		if len(cur.frozen) != maxFrozenLayers {
+			t.Fatalf("frozen ladder drained to %d with the worker slot held (insert %d)", len(cur.frozen), i)
 		}
 		if cur.delta == nil || cur.delta.addN != i+1 {
 			t.Fatalf("active delta not absorbing: insert %d", i)
 		}
 	}
-	// ...until the write that crosses the backpressure bound folds both
-	// deltas synchronously.
+	// ...until the write that crosses the backpressure bound folds the
+	// ladder and the active delta synchronously.
 	o.Insert(999_999, 0)
 	cur := o.state.Load()
 	if cur.frozen != nil || cur.delta != nil {
 		t.Fatalf("backpressure crossing did not fold: frozen=%v delta=%v", cur.frozen != nil, cur.delta != nil)
 	}
 	o.flusher.Store(false) // release the artificially held worker slot
-	want := base + (flushAt - 1) + limit + 1
+	want := base + staged + limit + 1
 	if o.Len() != want {
 		t.Fatalf("Len = %d, want %d", o.Len(), want)
 	}
-	// Every write from every stage survived the two-layer fold.
-	for i := uint64(0); i < flushAt-1; i++ {
-		if v, ok := o.Lookup(i*2 + 1); !ok || v != i {
-			t.Fatalf("staged write %d lost: %d,%v", i, v, ok)
+	// Every write from every stage survived the five-layer fold.
+	for layer := uint64(0); layer < maxFrozenLayers; layer++ {
+		for i := uint64(0); i < flushAt-1; i++ {
+			if v, ok := o.Lookup(layer*flushAt*2 + i*2 + 1); !ok || v != i {
+				t.Fatalf("staged write %d of layer %d lost: %d,%v", i, layer, v, ok)
+			}
 		}
 	}
 	for i := 0; i < limit; i++ {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fitingtree"
@@ -317,13 +318,13 @@ func TestShardedLookupBatchParallel(t *testing.T) {
 	s.Close()
 }
 
-// TestShardedVersionMonotoneAsync pins the aggregate Version contract
-// against the flush pipeline: with background flushers publishing on
-// shards right up to a rebalance, a monitor goroutine must never observe
-// the stamp decreasing — the rebalance quiesces the outgoing shards
-// before reading their version stamps, so retired-shard workers cannot
-// publish past the swap's headroom.
-func TestShardedVersionMonotoneAsync(t *testing.T) {
+// TestShardedAckedWritesVisibleAsync pins the one-load read against the
+// flush pipeline and the rebalance: with background flushers publishing
+// on shards right up to eager rebalances, a reader must find every key
+// whose insert returned before the read began. A rebalance quiesces the
+// outgoing shards first, so no retired-shard worker publishes a write
+// the new set lacks.
+func TestShardedAckedWritesVisibleAsync(t *testing.T) {
 	s, err := fitingtree.NewSharded(mustTree(t, nil), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -331,43 +332,48 @@ func TestShardedVersionMonotoneAsync(t *testing.T) {
 	s.SetFlushEvery(8) // frequent freezes keep workers in flight
 	s.SetAsyncFlush(true)
 	s.SetRebalanceFactor(1.5) // rebalance eagerly
+	// The i-th write of a skewed writer: it triggers growth and skew
+	// rebalances while the per-shard flushers churn.
+	key := func(i int) uint64 {
+		if i > 6000 {
+			return uint64(i) // shift the distribution to force re-fencing
+		}
+		return uint64(i % 3000 * 7)
+	}
+	var acked atomic.Int64 // writes whose Insert has returned
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for m := 0; m < 2; m++ {
+	for r := 0; r < 2; r++ {
 		wg.Add(1)
-		go func() {
+		go func(seed int64) {
 			defer wg.Done()
-			last := uint64(0)
+			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if v := s.Version(); v < last {
-					t.Errorf("Version went backwards: %d -> %d", last, v)
+				n := acked.Load()
+				if n == 0 {
+					continue
+				}
+				k := key(rng.Intn(int(n)))
+				if v, ok := s.Lookup(k); !ok || v != k {
+					t.Errorf("Lookup(%d) = %d,%v after its insert was acknowledged", k, v, ok)
 					return
-				} else {
-					last = v
 				}
 			}
-		}()
+		}(int64(r))
 	}
-	// A skewed writer: triggers growth and skew rebalances while the
-	// per-shard flushers churn.
 	for i := 0; i < 12_000; i++ {
-		k := uint64(i % 3000 * 7)
-		if i > 6000 {
-			k = uint64(i) // shift the distribution to force re-fencing
-		}
+		k := key(i)
 		s.Insert(k, k)
+		acked.Store(int64(i + 1))
 	}
 	close(stop)
 	wg.Wait()
 	s.Close()
-	if v := s.Version(); v%2 != 0 {
-		t.Fatalf("Version %d odd at rest", v)
-	}
 }
 
 // TestSetFlushEveryPanics pins the documented guard on both facades: a

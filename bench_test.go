@@ -576,7 +576,7 @@ func BenchmarkLayeredLookup(b *testing.B) {
 		o.Insert(held[next], held[next])
 		next++
 	}
-	for o.Stats().FrozenLayers < fitingtree.DefaultMaxFrozenLayers {
+	for o.Stats().FrozenLayers < fitingtree.MaxFrozenLayers {
 		insert()
 	}
 	for half := o.Stats().LayerPending[0] / 2; half > 0; half-- {

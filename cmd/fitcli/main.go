@@ -276,7 +276,7 @@ func cmdPump(args []string) error {
 		start      = fs.Uint64("start", 0, "first key")
 		count      = fs.Int("count", 10_000, "number of keys to insert")
 		syncEvery  = fs.Int("sync-every", 1, "group-commit batch size")
-		flushEvery = fs.Int("flush-every", 256, "delta flush threshold")
+		flushEvery = fs.Int("flush-every", 0, "pin the delta flush threshold (0: follow the tree's page count)")
 	)
 	fs.Parse(args)
 	if *dir == "" {
@@ -292,7 +292,9 @@ func cmdPump(args []string) error {
 		return err
 	}
 	d.SetSyncEvery(*syncEvery)
-	d.SetFlushEvery(*flushEvery)
+	if *flushEvery > 0 {
+		d.SetFlushEvery(*flushEvery)
+	}
 	out := bufio.NewWriter(os.Stdout)
 	pending := 0
 	for i := 0; i < *count; i++ {

@@ -133,32 +133,3 @@ func TestOptimisticStress(t *testing.T) {
 	o.SetFlushEvery(256) // several flushes over the writer's op stream
 	stressIndex(t, o, 4)
 }
-
-// TestOptimisticVersionParity checks the seqlock-style stamp: even at
-// rest, advancing by exactly two per published write, and unchanged by
-// reads and no-op deletes.
-func TestOptimisticVersionParity(t *testing.T) {
-	keys, vals := stressKeys()
-	tr, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := fitingtree.NewOptimistic(tr)
-	v0 := o.Version()
-	if v0%2 != 0 {
-		t.Fatalf("initial version %d odd", v0)
-	}
-	o.Lookup(4)
-	o.Delete(3) // absent: no publication
-	if v := o.Version(); v != v0 {
-		t.Fatalf("version moved to %d on reads/no-ops", v)
-	}
-	o.Insert(3, 3)
-	if v := o.Version(); v != v0+2 {
-		t.Fatalf("version %d after one write, want %d", v, v0+2)
-	}
-	o.Delete(3)
-	if v := o.Version(); v != v0+4 {
-		t.Fatalf("version %d after two writes, want %d", v, v0+4)
-	}
-}

@@ -38,7 +38,7 @@ func pumpLadder(o *Optimistic[int, int]) int {
 		return true
 	}
 	step()
-	for len(o.state.Load().frozen) >= int(o.maxFrozen.Load()) {
+	for len(o.state.Load().frozen) >= maxFrozenLayers {
 		if !step() {
 			break
 		}
@@ -116,7 +116,6 @@ func TestDurableLadderCheckpointStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetAsyncFlush(true)
-	d.SetMaxFrozenLayers(4)
 	d.SetFlushEvery(16)
 	d.SetSyncEvery(8)
 	d.SetAutoCheckpoint(true)

@@ -229,7 +229,7 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		}
 		total += trees[i].Len()
 	}
-	set := d.shardSetOf(bounds, trees, 0)
+	set := d.shardSetOf(bounds, trees)
 	d.attach(set, logs)
 	d.set.Store(set)
 	d.rebalancedAt.Store(int64(total))

@@ -191,7 +191,6 @@ func (ms matrixStore) open(t testing.TB, fsys wal.FS, dev pager.Device) (*Durabl
 	if ms.ladder {
 		d.SetAsyncFlush(true)
 		d.SetFlushEvery(4)
-		d.SetMaxFrozenLayers(3)
 		for _, o := range d.set.Load().shards {
 			o.flusher.Store(true) // the script is the scheduler
 		}

@@ -68,30 +68,6 @@ func EncodeOptimistic[K Key, V any](o *Optimistic[K, V], w io.Writer) error {
 	return encodeSnapshot(w, st.tree.Options(), keys, vals)
 }
 
-// bounds returns the smallest and largest key across the base tree and
-// every pending delta layer, reporting false when the state is empty.
-func (st *ostate[K, V]) bounds() (lo, hi K, ok bool) {
-	if st.tree.Len() > 0 {
-		lo, _, _ = st.tree.Min()
-		hi, _, _ = st.tree.Max()
-		ok = true
-	}
-	for _, d := range append(append([]*odelta[K, V]{}, st.frozen...), st.delta) {
-		if d == nil {
-			continue
-		}
-		dlo, dhi, _ := d.m.Bounds()
-		if !ok || dlo < lo {
-			lo = dlo
-		}
-		if !ok || dhi > hi {
-			hi = dhi
-		}
-		ok = true
-	}
-	return lo, hi, ok
-}
-
 // Decode reads a snapshot produced by Encode or EncodeOptimistic and
 // bulk-loads a tree from it. The stream is treated as untrusted: the
 // header's element count and version are validated before any slice is

@@ -57,38 +57,6 @@ func ExampleOptimistic_Delete() {
 	// third
 }
 
-// ExampleOptimistic_SetMaxFrozenLayers shows the merge-ladder knobs for
-// bursty writers: a deeper ladder absorbs write bursts as O(1) frozen
-// layers (the background compactor size-tiers and folds them), so
-// tripping writers fall back to an inline fold only when the ladder is
-// genuinely full — counted by BackpressureFolds.
-func ExampleOptimistic_SetMaxFrozenLayers() {
-	keys := []uint64{10, 20, 30, 40, 50}
-	vals := []uint64{1, 2, 3, 4, 5}
-	tr, _ := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 16, BufferSize: 4})
-
-	idx := fitingtree.NewOptimistic(tr)
-	idx.SetAsyncFlush(true)   // ladder applies to the background pipeline
-	idx.SetFlushEvery(4)      // push a frozen layer every 4 writes
-	idx.SetMaxFrozenLayers(8) // hold a burst of up to 8 layers
-
-	for i := uint64(0); i < 32; i++ { // a burst of 8 trips
-		idx.Insert(i*2+1, i)
-	}
-	fmt.Println(idx.Len())
-	s := idx.Stats()
-	fmt.Println(s.FrozenLayers <= 8) // however far the compactor got
-	fmt.Println(idx.BackpressureFolds())
-
-	idx.Close() // drain every layer
-	fmt.Println(idx.Stats().FrozenLayers)
-	// Output:
-	// 37
-	// true
-	// 0
-	// 0
-}
-
 // ExampleNewSharded splits a tree into range shards with boundaries drawn
 // from the data's distribution; writes to different shards take different
 // locks, reads stay latch-free, and range scans stitch across shards in

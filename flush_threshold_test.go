@@ -83,37 +83,43 @@ func TestFlushThresholdFollowsTree(t *testing.T) {
 
 // TestFlushThresholdPinned pins what SetFlushEvery pins, over a tree whose
 // derived threshold would be thousands: the delta freezes at exactly n
-// pending writes, the writer absorbs up to FlushBackpressureFactor·n with
-// the ladder full and folds inline on the write that reaches it, and the
-// compaction scheduler's bound is the same multiple of n.
+// pending writes, four times over until the ladder is full, the writer
+// then absorbs up to FlushBackpressureFactor·n and folds inline on the
+// write that reaches it, and the compaction scheduler's bound is the same
+// multiple of n.
 func TestFlushThresholdPinned(t *testing.T) {
 	tr, hold := manyPages(t, 200_000, 4)
 	o := NewOptimistic(tr)
 	o.SetAsyncFlush(true)
 	const n = 16
 	o.SetFlushEvery(n)
-	o.SetMaxFrozenLayers(1)
 	if got := o.threshold(tr); got != n {
 		t.Fatalf("pinned threshold = %d, want %d", got, n)
 	}
 	o.flusher.Store(true) // hold the worker slot: nothing drains in the background
-	for i := 0; i < n-1; i++ {
-		o.Insert(hold[i], 0)
-	}
-	if st := o.state.Load(); st.frozen != nil || st.delta.pending() != n-1 {
-		t.Fatalf("%d pending writes already froze the delta", n-1)
-	}
-	o.Insert(hold[n-1], 0)
-	if st := o.state.Load(); len(st.frozen) != 1 || st.delta != nil {
-		t.Fatalf("the %d-th pending write did not freeze the delta", n)
+	next := 0
+	for layer := 0; layer < maxFrozenLayers; layer++ {
+		for i := 0; i < n-1; i++ {
+			o.Insert(hold[next], 0)
+			next++
+		}
+		if st := o.state.Load(); len(st.frozen) != layer || st.delta.pending() != n-1 {
+			t.Fatalf("%d pending writes already froze the delta over %d layers", n-1, layer)
+		}
+		o.Insert(hold[next], 0)
+		next++
+		if st := o.state.Load(); len(st.frozen) != layer+1 || st.delta != nil {
+			t.Fatalf("the %d-th pending write did not freeze the delta onto %d layers", n, layer)
+		}
 	}
 	for i := 0; i < n*FlushBackpressureFactor-1; i++ {
-		o.Insert(hold[n+i], 0)
+		o.Insert(hold[next], 0)
+		next++
 	}
-	if st := o.state.Load(); len(st.frozen) != 1 || st.delta.pending() != n*FlushBackpressureFactor-1 || o.BackpressureFolds() != 0 {
+	if st := o.state.Load(); len(st.frozen) != maxFrozenLayers || st.delta.pending() != n*FlushBackpressureFactor-1 || o.BackpressureFolds() != 0 {
 		t.Fatal("the writer folded before the pinned backpressure bound")
 	}
-	o.Insert(hold[n+n*FlushBackpressureFactor-1], 0)
+	o.Insert(hold[next], 0)
 	if st := o.state.Load(); st.frozen != nil || st.delta != nil || o.BackpressureFolds() != 1 {
 		t.Fatalf("the write reaching %d×%d did not fold inline", FlushBackpressureFactor, n)
 	}

@@ -128,7 +128,7 @@ func NewFixed[K num.Key, V any](keys []K, vals []V, pageSize, fanout int) (*Fixe
 	}
 	f := &Fixed[K, V]{
 		pageSize: pageSize,
-		bufSize:  num.MaxInt(1, pageSize/2),
+		bufSize:  max(1, pageSize/2),
 		idx:      btree.New[K, *fpage[K, V]](fanout),
 		size:     len(keys),
 	}
@@ -136,7 +136,7 @@ func NewFixed[K num.Key, V any](keys []K, vals []V, pageSize, fanout int) (*Fixe
 	var treeVals []*fpage[K, V]
 	var prev *fpage[K, V]
 	for at := 0; at < len(keys); at += pageSize {
-		end := num.MinInt(at+pageSize, len(keys))
+		end := min(at+pageSize, len(keys))
 		p := &fpage[K, V]{
 			start: keys[at],
 			keys:  append([]K(nil), keys[at:end]...),
@@ -261,7 +261,7 @@ func (f *Fixed[K, V]) split(p *fpage[K, V]) {
 
 	var pages []*fpage[K, V]
 	for at := 0; at < len(mergedK); at += f.pageSize {
-		end := num.MinInt(at+f.pageSize, len(mergedK))
+		end := min(at+f.pageSize, len(mergedK))
 		np := &fpage[K, V]{
 			start: mergedK[at],
 			keys:  mergedK[at:end:end],

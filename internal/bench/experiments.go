@@ -95,13 +95,13 @@ func Table1(w io.Writer, cfg Config) {
 func addTable1Row[K num.Key](t *Table, name string, e int, keys []K) {
 	greedy := len(segment.ShrinkingCone(keys, e))
 	opt := segment.OptimalCount(keys, e)
-	t.Add(name, e, len(keys), greedy, opt, float64(greedy)/float64(num.MaxInt(1, opt)))
+	t.Add(name, e, len(keys), greedy, opt, float64(greedy)/float64(max(1, opt)))
 }
 
 // Fig1 emits the key->position mapping of the IoT dataset (Figure 1).
 func Fig1(w io.Writer, cfg Config) {
 	cfg = cfg.withDefaults()
-	keys := workload.IoT(num.MinInt(cfg.N, 200_000), cfg.Seed)
+	keys := workload.IoT(min(cfg.N, 200_000), cfg.Seed)
 	ks, pos := workload.KeyPositionSeries(keys, 60)
 	t := NewTable("Figure 1: IoT timestamp -> position mapping", "Timestamp(ms)", "Position")
 	for i := range ks {
@@ -370,7 +370,7 @@ func Fig13(w io.Writer, cfg Config) {
 	cfg = cfg.withDefaults()
 	keys := workload.Weblogs(cfg.N, cfg.Seed)
 	vals := positions(len(keys))
-	probes := Probes(keys, num.MinInt(cfg.Probes, 50_000), cfg.Seed+29)
+	probes := Probes(keys, min(cfg.Probes, 50_000), cfg.Seed+29)
 	t := NewTable("Figure 13: lookup time breakdown (tree% / page%)",
 		"error/page", "FITing tree%", "FITing page%", "Fixed tree%", "Fixed page%")
 	errs := []int{10, 100, 1_000, 10_000, 100_000}

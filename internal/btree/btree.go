@@ -389,7 +389,7 @@ func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 	// Build the leaf level.
 	var leaves []*node[K, V]
 	for at := 0; at < len(keys); at += perLeaf {
-		end := num.MinInt(at+perLeaf, len(keys))
+		end := min(at+perLeaf, len(keys))
 		leaves = append(leaves, &node[K, V]{
 			keys: append([]K(nil), keys[at:end]...),
 			vals: append([]V(nil), vals[at:end]...),
@@ -399,11 +399,11 @@ func (t *Tree[K, V]) BulkLoad(keys []K, vals []V, fill float64) error {
 	// Build inner levels until a single root remains.
 	level := leaves
 	height := 1
-	perInner := num.MaxInt(2, int(float64(t.order)*fill))
+	perInner := max(2, int(float64(t.order)*fill))
 	for len(level) > 1 {
 		var parents []*node[K, V]
 		for at := 0; at < len(level); {
-			end := num.MinInt(at+perInner, len(level))
+			end := min(at+perInner, len(level))
 			// Never leave a trailing singleton group: an inner node with a
 			// single child would break rebalancing during later deletes.
 			if len(level)-end == 1 {

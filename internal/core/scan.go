@@ -318,7 +318,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 					}
 				}
 			}
-			if len(p.bufKeys) > num.MaxInt(1, t.opts.BufferSize) {
+			if len(p.bufKeys) > max(1, t.opts.BufferSize) {
 				return fmt.Errorf("fitingtree: buffer overflow (%d) at %v", len(p.bufKeys), p.start())
 			}
 			// Error bound: every data element within the tree's bound +

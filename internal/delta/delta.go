@@ -103,18 +103,6 @@ func (m Map[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Bounds returns the smallest and the largest key.
-func (m Map[K, V]) Bounds() (lo, hi K, ok bool) {
-	if m.root == nil {
-		return lo, hi, false
-	}
-	l, r := m.root, m.root
-	for !l.leaf() {
-		l, r = l.children[0], r.children[len(r.children)-1]
-	}
-	return l.keys[0], r.keys[len(r.keys)-1], true
-}
-
 // With returns the version in which k maps to v.
 func (m Map[K, V]) With(k K, v V) Map[K, V] {
 	if m.root == nil {

@@ -359,10 +359,6 @@ func (v version[K]) verify(t *testing.T, gen, op int) {
 	if n != len(v.want) || v.m.Len() != n {
 		t.Fatalf("version %d after op %d: %d entries, Len %d, model %d", gen, op, n, v.m.Len(), len(v.want))
 	}
-	lo, hi, ok := v.m.Bounds()
-	if ok != (n > 0) || (ok && (lo != v.want[0].k || hi != v.want[n-1].k)) {
-		t.Fatalf("version %d after op %d: Bounds = %v,%v,%v with %d entries", gen, op, lo, hi, ok, n)
-	}
 }
 
 // probe checks Get and SeekGE for k against the model.
@@ -494,9 +490,6 @@ func TestWithoutEmptiesLeavesInnerNodesAndRoot(t *testing.T) {
 	}
 	if m.root != nil || m.Len() != 0 {
 		t.Fatalf("drained map keeps root %v, Len %d", m.root, m.Len())
-	}
-	if _, _, ok := m.Bounds(); ok {
-		t.Fatal("Bounds on a drained map reported a hit")
 	}
 	if got := m.With(7, 7); got.Len() != 1 || checkInvariants(got) != nil {
 		t.Fatal("drained map does not take a write")

@@ -50,15 +50,11 @@ type Numeric interface {
 		~float32 | ~float64
 }
 
-// ToFloat converts a numeric key to float64 for exact-value arithmetic.
-func ToFloat[K Numeric](k K) float64 { return float64(k) }
-
 // Approx projects a key to float64 for slope and interpolation
 // arithmetic. The projection is weakly monotone: a <= b implies
 // Approx(a) <= Approx(b). For numeric keys it is the exact float64
-// conversion (so the numeric fast path behaves exactly as ToFloat did);
-// for string keys it is StringApprox of the leading bytes. Collisions are
-// harmless by the package contract above.
+// conversion; for string keys it is StringApprox of the leading bytes.
+// Collisions are harmless by the package contract above.
 func Approx[K Key](k K) float64 {
 	switch v := any(k).(type) {
 	case int:
@@ -175,39 +171,4 @@ func stringPrefixShort(s string) uint64 {
 		u |= uint64(s[i]) << (56 - 8*i)
 	}
 	return u
-}
-
-// MaxInt returns the larger of two ints.
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt returns the smaller of two ints.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ClampInt limits v to the inclusive range [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// AbsInt returns the absolute value of an int.
-func AbsInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

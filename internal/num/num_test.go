@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-func TestToFloat(t *testing.T) {
-	if ToFloat(uint64(42)) != 42.0 {
-		t.Fatal("uint64 conversion")
-	}
-	if ToFloat(int32(-7)) != -7.0 {
-		t.Fatal("int32 conversion")
-	}
-	if ToFloat(1.5) != 1.5 {
-		t.Fatal("float64 conversion")
-	}
-	// Documented precision limit: exact below 2^53.
-	if ToFloat(uint64(1)<<53) != math.Pow(2, 53) {
-		t.Fatal("2^53 conversion")
-	}
-}
-
-func TestMinMaxClampAbs(t *testing.T) {
-	if MaxInt(3, 5) != 5 || MaxInt(5, 3) != 5 {
-		t.Fatal("MaxInt")
-	}
-	if MinInt(3, 5) != 3 || MinInt(5, 3) != 3 {
-		t.Fatal("MinInt")
-	}
-	if ClampInt(7, 0, 5) != 5 || ClampInt(-2, 0, 5) != 0 || ClampInt(3, 0, 5) != 3 {
-		t.Fatal("ClampInt")
-	}
-	if AbsInt(-9) != 9 || AbsInt(9) != 9 || AbsInt(0) != 0 {
-		t.Fatal("AbsInt")
-	}
-}
-
 // approxIntoMatches checks ApproxInto against Approx key by key.
 func approxIntoMatches[K Key](t *testing.T, keys []K) {
 	t.Helper()

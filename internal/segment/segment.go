@@ -83,8 +83,8 @@ func (s Segment[K]) Predict(k K) float64 {
 // position widened by the error bound and clamped to the segment.
 func (s Segment[K]) Window(k K, err int) (lo, hi int) {
 	p := s.Predict(k)
-	lo = num.ClampInt(int(math.Floor(p))-err, 0, s.Count-1)
-	hi = num.ClampInt(int(math.Ceil(p))+err, 0, s.Count-1)
+	lo = max(0, min(int(math.Floor(p))-err, s.Count-1))
+	hi = max(0, min(int(math.Ceil(p))+err, s.Count-1))
 	return lo, hi
 }
 
@@ -595,8 +595,7 @@ func Verify[K num.Key](keys []K, segs []Segment[K], err int) error {
 func MaxSegmentsBound(distinctKeys, totalElems, err int) int {
 	a := (distinctKeys + 1) / 2
 	b := (totalElems + err) / (err + 1)
-	bound := num.MinInt(a, b)
-	return num.MaxInt(1, bound)
+	return max(1, min(a, b))
 }
 
 // Adversarial generates the Appendix A.3 input on which ShrinkingCone is

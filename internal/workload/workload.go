@@ -366,7 +366,7 @@ func KeyPositionSeries[K num.Key](keys []K, points int) (ks []float64, positions
 	if len(keys) == 0 || points <= 0 {
 		return nil, nil
 	}
-	step := num.MaxInt(1, len(keys)/points)
+	step := max(1, len(keys)/points)
 	for i := 0; i < len(keys); i += step {
 		ks = append(ks, num.Approx(keys[i]))
 		positions = append(positions, i)

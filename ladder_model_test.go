@@ -1,16 +1,16 @@
 package fitingtree_test
 
-// Satellite of the frozen-layer merge ladder: a depth-parametrized
-// randomized model test running a live background compactor. The
-// white-box pump harness (ladder_test.go) pins exact value sequences with
-// a hand-driven scheduler; this black-box variant races a real worker —
-// pushes, size-tiered compactions and bottom folds interleave freely with
-// the writer — so it checks the flush-timing-invariant contract (as
-// TestOptimisticModelRandomizedAsync does for depth-1 pipelines): Delete
-// outcomes, total and per-key live counts, globally ordered scans, batch
-// found flags, and that every surviving value id was genuinely stored
-// under its key. Distinct value ids make any tombstone miscount or
-// duplicate reordering across compactions observable.
+// Satellite of the frozen-layer merge ladder: a randomized model test
+// running a live background compactor. The white-box pump harness
+// (ladder_test.go) pins exact value sequences with a hand-driven
+// scheduler; this black-box variant races a real worker — pushes,
+// size-tiered compactions and bottom folds interleave freely with the
+// writer — so it checks the flush-timing-invariant contract (as
+// TestOptimisticModelRandomizedAsync does): Delete outcomes, total and
+// per-key live counts, globally ordered scans, batch found flags, and that
+// every surviving value id was genuinely stored under its key. Distinct
+// value ids make any tombstone miscount or duplicate reordering across
+// compactions observable.
 
 import (
 	"fmt"
@@ -31,6 +31,8 @@ var modelSeeds = []struct {
 	shift int64
 }{{"btree", 0}, {"implicit", 1 << 20}}
 
+// TestLadderModelRandomizedDepths runs the model on eight op streams. The
+// depth labels only offset the seed and keep the subtest names stable.
 func TestLadderModelRandomizedDepths(t *testing.T) {
 	for _, ms := range modelSeeds {
 		for _, depth := range []int{1, 2, 4, 8} {
@@ -41,16 +43,16 @@ func TestLadderModelRandomizedDepths(t *testing.T) {
 				}
 				ms, depth, async := ms, depth, async
 				t.Run(fmt.Sprintf("%s/depth=%d/%s", ms.name, depth, mode), func(t *testing.T) {
-					testLadderModelDepth(t, ms.shift, depth, async)
+					testLadderModel(t, ms.shift+int64(depth), async)
 				})
 			}
 		}
 	}
 }
 
-func testLadderModelDepth(t *testing.T, shift int64, depth int, async bool) {
+func testLadderModel(t *testing.T, seed int64, async bool) {
 	for _, flushAt := range []int{2, 13} {
-		rng := rand.New(rand.NewSource(int64(flushAt)*977 + int64(depth) + shift))
+		rng := rand.New(rand.NewSource(int64(flushAt)*977 + seed))
 		nextVal := uint64(1 << 32)
 		base := make([]uint64, 1200)
 		baseVals := make([]uint64, 1200)
@@ -73,7 +75,6 @@ func testLadderModelDepth(t *testing.T, shift int64, depth int, async bool) {
 		}
 		o := fitingtree.NewOptimistic(tr)
 		o.SetAsyncFlush(async)
-		o.SetMaxFrozenLayers(depth)
 		o.SetFlushEvery(flushAt)
 		m := newOptModel(base, baseVals, flushAt)
 
@@ -83,9 +84,9 @@ func testLadderModelDepth(t *testing.T, shift int64, depth int, async bool) {
 				t.Fatalf("flushAt=%d phase %d: Len %d, model %d", flushAt, phase, o.Len(), m.len())
 			}
 			s := o.Stats()
-			if s.FrozenLayers > depth || len(s.LayerPending) != s.FrozenLayers {
+			if s.FrozenLayers > fitingtree.MaxFrozenLayers || len(s.LayerPending) != s.FrozenLayers {
 				t.Fatalf("flushAt=%d phase %d: Stats reports %d layers (pending %v), depth cap %d",
-					flushAt, phase, s.FrozenLayers, s.LayerPending, depth)
+					flushAt, phase, s.FrozenLayers, s.LayerPending, fitingtree.MaxFrozenLayers)
 			}
 			var wantK []uint64
 			for _, k := range m.liveKeys() {

@@ -29,7 +29,6 @@ func TestLadderPushAbsorbBackpressure(t *testing.T) {
 	}
 	o := NewOptimistic(tr)
 	o.SetAsyncFlush(true)
-	o.SetMaxFrozenLayers(3)
 	o.SetFlushEvery(4)
 	o.flusher.Store(true) // hold the worker slot: no background draining
 
@@ -41,8 +40,8 @@ func TestLadderPushAbsorbBackpressure(t *testing.T) {
 		}
 	}
 
-	// Three trips push three layers; each trip leaves an empty active delta.
-	for layer := 1; layer <= 3; layer++ {
+	// Four trips push four layers; each trip leaves an empty active delta.
+	for layer := 1; layer <= maxFrozenLayers; layer++ {
 		insert(4)
 		st := o.state.Load()
 		if len(st.frozen) != layer || st.delta != nil {
@@ -50,21 +49,21 @@ func TestLadderPushAbsorbBackpressure(t *testing.T) {
 		}
 	}
 	s := o.Stats()
-	if s.FrozenLayers != 3 {
-		t.Fatalf("Stats.FrozenLayers = %d, want 3", s.FrozenLayers)
+	if s.FrozenLayers != 4 {
+		t.Fatalf("Stats.FrozenLayers = %d, want 4", s.FrozenLayers)
 	}
-	if len(s.LayerPending) != 3 || s.LayerPending[0] != 4 || s.LayerPending[1] != 4 || s.LayerPending[2] != 4 {
-		t.Fatalf("Stats.LayerPending = %v, want [4 4 4]", s.LayerPending)
+	if len(s.LayerPending) != 4 || s.LayerPending[0] != 4 || s.LayerPending[1] != 4 || s.LayerPending[2] != 4 || s.LayerPending[3] != 4 {
+		t.Fatalf("Stats.LayerPending = %v, want [4 4 4 4]", s.LayerPending)
 	}
-	if s.Buffered != 12 {
-		t.Fatalf("Stats.Buffered = %d, want 12 (all frozen layers summed)", s.Buffered)
+	if s.Buffered != 16 {
+		t.Fatalf("Stats.Buffered = %d, want 16 (all frozen layers summed)", s.Buffered)
 	}
 
 	// Ladder full: the next trips absorb into the active delta instead of
-	// pushing a fourth layer or folding.
+	// pushing a fifth layer or folding.
 	insert(15)
 	st := o.state.Load()
-	if len(st.frozen) != 3 || st.delta == nil || st.delta.pending() != 15 {
+	if len(st.frozen) != 4 || st.delta == nil || st.delta.pending() != 15 {
 		t.Fatalf("absorb phase: frozen=%d delta pending=%v", len(st.frozen), st.delta)
 	}
 	if got := o.BackpressureFolds(); got != 0 {
@@ -109,7 +108,6 @@ func TestLadderLayeredSemantics(t *testing.T) {
 	}
 	o := NewOptimistic(tr)
 	o.SetAsyncFlush(true)
-	o.SetMaxFrozenLayers(4)
 	o.SetFlushEvery(2)
 	o.flusher.Store(true)
 
@@ -242,13 +240,14 @@ func TestLadderSchedulerPick(t *testing.T) {
 // exactly at all times, whatever interleaving of compactions and folds
 // the pump chooses. A wrong tombstone-spill decision or a reordered
 // duplicate anywhere in the N-layer accounting shows up as a value-id
-// mismatch.
+// mismatch. The ladder is maxFrozenLayers deep; the depth labels only
+// offset the seed and keep the subtest names stable.
 func TestLadderModelRandomizedPump(t *testing.T) {
 	for _, ms := range modelSeeds {
 		for _, depth := range []int{1, 2, 4, 8} {
 			ms, depth := ms, depth
 			t.Run(ms.name+"/depth="+string(rune('0'+depth)), func(t *testing.T) {
-				testLadderModelRandomizedPump(t, ms.shift, depth)
+				testLadderModelRandomizedPump(t, ms.shift+int64(depth)*1009)
 			})
 		}
 	}
@@ -265,9 +264,9 @@ var modelSeeds = []struct {
 	shift int64
 }{{"btree", 0}, {"implicit", 1 << 20}}
 
-func testLadderModelRandomizedPump(t *testing.T, shift int64, depth int) {
+func testLadderModelRandomizedPump(t *testing.T, seed int64) {
 	const flushAt = 8
-	rng := rand.New(rand.NewSource(int64(depth)*1009 + 7 + shift))
+	rng := rand.New(rand.NewSource(seed + 7))
 	base := make([]uint64, 800)
 	for i := range base {
 		base[i] = uint64(rng.Intn(200) * 4)
@@ -289,7 +288,6 @@ func testLadderModelRandomizedPump(t *testing.T, shift int64, depth int) {
 	}
 	lad := build()
 	lad.SetAsyncFlush(true)
-	lad.SetMaxFrozenLayers(depth)
 	lad.SetFlushEvery(flushAt)
 	lad.flusher.Store(true) // the test is the scheduler
 	ref := build()
@@ -378,7 +376,7 @@ func testLadderModelRandomizedPump(t *testing.T, shift int64, depth int) {
 		// Keep the ladder below capacity so writers never absorb past the
 		// trip point (the reference folds exactly at it), plus random
 		// extra scheduler rounds so checks land on every ladder shape.
-		for len(lad.state.Load().frozen) >= depth {
+		for len(lad.state.Load().frozen) >= maxFrozenLayers {
 			pump()
 		}
 		if rng.Intn(4) == 0 {
@@ -388,8 +386,8 @@ func testLadderModelRandomizedPump(t *testing.T, shift int64, depth int) {
 			compare(step)
 		}
 	}
-	if depth >= 2 && compactions == 0 {
-		t.Fatalf("depth %d run never compacted (folds=%d)", depth, folds)
+	if compactions == 0 {
+		t.Fatalf("seed %d run never compacted (folds=%d)", seed, folds)
 	}
 	lad.flusher.Store(false)
 	lad.SyncFlush()
@@ -403,49 +401,6 @@ func sortU64s(s []uint64) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {
 			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// TestShardedLadderInheritance pins the Sharded plumbing: the configured
-// ladder depth applies to every current shard and is inherited by shards
-// a rebalance creates.
-func TestShardedLadderInheritance(t *testing.T) {
-	keys := make([]uint64, 2048)
-	vals := make([]uint64, 2048)
-	for i := range keys {
-		keys[i] = uint64(i * 3)
-		vals[i] = uint64(i)
-	}
-	tr, err := BulkLoad(keys, vals, Options{Error: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(tr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetAsyncFlush(false) // deterministic: no workers during the check
-	s.SetMaxFrozenLayers(2)
-	ss := s.set.Load()
-	for i, sh := range ss.shards {
-		if got := sh.maxFrozen.Load(); got != 2 {
-			t.Fatalf("shard %d maxFrozen = %d, want 2", i, got)
-		}
-	}
-	// Skew one end until a rebalance publishes a fresh shard set.
-	s.SetRebalanceFactor(1.5)
-	for i := 0; i < 8192 && s.set.Load() == ss; i++ {
-		k := uint64(1 << 40)
-		s.Insert(k+uint64(i), uint64(i))
-	}
-	ns := s.set.Load()
-	if ns == ss {
-		t.Fatal("skewed inserts never triggered a rebalance")
-	}
-	for i, sh := range ns.shards {
-		if got := sh.maxFrozen.Load(); got != 2 {
-			t.Fatalf("rebalanced shard %d maxFrozen = %d, want 2", i, got)
 		}
 	}
 }
@@ -466,7 +421,6 @@ func TestLadderCompactionStress(t *testing.T) {
 	}
 	o := NewOptimistic(tr)
 	o.SetAsyncFlush(true)
-	o.SetMaxFrozenLayers(4)
 	o.SetFlushEvery(32)
 	baseLen := o.Len()
 

@@ -21,6 +21,10 @@ import (
 // external benchmarks read through a full ladder held still.
 func HoldFlushWorker[K Key, V any](o *Optimistic[K, V]) { o.flusher.Store(true) }
 
+// MaxFrozenLayers exports the merge ladder's depth to the external tests
+// and benchmarks.
+const MaxFrozenLayers = maxFrozenLayers
+
 type namedKey uint64
 
 // TestLayerFilterNoFalseNegatives holds every state an Optimistic publishes
@@ -197,7 +201,7 @@ func TestLayerFilterConcurrentGrowth(t *testing.T) {
 	}
 }
 
-// TestLayeredMissSkipsLayers: on a full default ladder, at most 5 % of
+// TestLayeredMissSkipsLayers: on a full ladder, at most 5 % of
 // absent keys descend into any layer's map, and a key a layer mentions
 // still descends into that layer.
 func TestLayeredMissSkipsLayers(t *testing.T) {
@@ -207,17 +211,17 @@ func TestLayeredMissSkipsLayers(t *testing.T) {
 	o.flusher.Store(true)
 	defer o.flusher.Store(false)
 	next := uint64(1)
-	for layer := 0; layer <= DefaultMaxFrozenLayers; layer++ {
+	for layer := 0; layer <= maxFrozenLayers; layer++ {
 		for i := 0; i < 64; i++ {
 			o.Insert(next, next)
 			next += 2
 		}
-		if layer < DefaultMaxFrozenLayers {
+		if layer < maxFrozenLayers {
 			freezeActive(o)
 		}
 	}
 	st := o.state.Load()
-	if len(st.frozen) != DefaultMaxFrozenLayers || st.delta == nil {
+	if len(st.frozen) != maxFrozenLayers || st.delta == nil {
 		t.Fatalf("fixture: %d frozen layers, active=%v", len(st.frozen), st.delta != nil)
 	}
 	descents := 0

@@ -19,10 +19,12 @@ import (
 // tree pays nearly one whole page per write.
 const DefaultFlushEvery = 1024
 
-// DefaultMaxFrozenLayers is the default depth of the frozen merge ladder:
-// how many tripped deltas may queue for background merging before writers
-// feel backpressure. See SetMaxFrozenLayers.
-const DefaultMaxFrozenLayers = 4
+// maxFrozenLayers is the depth of the frozen merge ladder: how many
+// tripped deltas may queue for background merging before writers feel
+// backpressure. A burst pushes up to this many deltas in O(1) each and
+// leaves the merging to the background compactor; a ladder one deep costs
+// the canonical write median about 17 %.
+const maxFrozenLayers = 4
 
 // FlushBackpressureFactor bounds the asynchronous flush pipeline's lag.
 // While the frozen ladder is full, writers keep absorbing new writes into
@@ -57,14 +59,12 @@ const compactTierFactor = 4
 // Writers (Insert, Delete) are serialized by an internal mutex and publish
 // every change as a new immutable state: the bulk-loaded base tree plus a
 // small sorted delta of pending inserts and deletions — a path-copied
-// ordered map, so a publication costs O(log pending). A seqlock-style
-// version stamp is bumped to odd before and even after each publication;
-// point reads validate it afterwards and re-read once if a publication
-// raced them. Unlike a C-style seqlock, correctness never depends on that
-// validation — readers can only ever observe fully published immutable
-// states (Go's atomics give the needed happens-before edge), so the stamp
-// buys freshness, not safety, and torn reads are impossible. Old states
-// are reclaimed by the garbage collector once the last reader drops them,
+// ordered map, so a publication costs O(log pending) and is one atomic
+// store. A read loads the published state once and answers from it: a
+// state is never changed after publication (Go's atomics give the needed
+// happens-before edge), so that one load is a consistent snapshot and
+// torn reads are impossible, with nothing to validate. Old states are
+// reclaimed by the garbage collector once the last reader drops them,
 // which is what makes the scheme safe without epoch bookkeeping.
 //
 // Once the delta reaches the flush threshold (derived from the base tree's
@@ -86,9 +86,9 @@ const compactTierFactor = 4
 // folding the bottom layer into the base tree — so writer tail latency
 // tracks delta-append cost rather than merge cost even across write
 // bursts that outrun a single in-flight merge. Reads consult tree ⊕
-// frozen[0..n] ⊕ active through the same snapshot protocol; backpressure
-// (FlushBackpressureFactor) applies only when the ladder is full
-// (SetMaxFrozenLayers); SyncFlush and Close drain the pipeline;
+// frozen[0..n] ⊕ active through the same one-load snapshot; backpressure
+// (FlushBackpressureFactor) applies only when the ladder, which is four
+// layers deep, is full; SyncFlush and Close drain the pipeline;
 // SetAsyncFlush(false) restores the fully inline flush.
 //
 // Scans and batch lookups run against one consistent snapshot: writes
@@ -97,13 +97,11 @@ type Optimistic[K Key, V any] struct {
 	// mu serializes writers: it is the shard's one writer lock. Everything
 	// a write does — victim decision, commit-log append, publication,
 	// group-commit barrier — happens under it (see apply).
-	mu      sync.Mutex
-	version atomic.Uint64
-	state   atomic.Pointer[ostate[K, V]]
+	mu    sync.Mutex
+	state atomic.Pointer[ostate[K, V]]
 	// flushAt is the flush threshold SetFlushEvery pinned; 0 means nobody
 	// did, and the threshold follows the base tree (see threshold).
-	flushAt   atomic.Int64
-	maxFrozen atomic.Int64
+	flushAt atomic.Int64
 
 	// asyncOff disables the background flush pipeline; flushes then run
 	// inline on the tripping writer. The zero value means async is on.
@@ -251,7 +249,6 @@ func (d *odelta[K, V]) pending() int { return d.addN + d.delN }
 // writer's timeslice; SetAsyncFlush overrides the default either way.
 func NewOptimistic[K Key, V any](t *Tree[K, V]) *Optimistic[K, V] {
 	o := &Optimistic[K, V]{}
-	o.maxFrozen.Store(DefaultMaxFrozenLayers)
 	o.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
 	o.roundDone.L = &o.mu
 	o.state.Store(&ostate[K, V]{tree: t, size: t.Len()})
@@ -287,23 +284,6 @@ func (o *Optimistic[K, V]) threshold(t *Tree[K, V]) int64 {
 	return max(DefaultFlushEvery, int64(t.NumPages()/4))
 }
 
-// SetMaxFrozenLayers sets the frozen merge ladder's depth: how many
-// tripped deltas may queue for background merging at once. Depth 1
-// reproduces the single-frozen-slot pipeline (one in-flight merge;
-// writers that outrun it absorb into the active delta and then hit
-// backpressure), while deeper ladders let a write burst push several
-// deltas in O(1) each and leave the merging entirely to the background
-// compactor — backpressure applies only when all n slots are occupied.
-// The default is DefaultMaxFrozenLayers. Safe to change at any time; a
-// lowered depth drains naturally (existing layers still merge, new
-// pushes respect the new bound). Panics if n < 1.
-func (o *Optimistic[K, V]) SetMaxFrozenLayers(n int) {
-	if n < 1 {
-		panic("fitingtree: SetMaxFrozenLayers depth must be >= 1")
-	}
-	o.maxFrozen.Store(int64(n))
-}
-
 // SetAsyncFlush enables or disables the asynchronous flush pipeline
 // (enabled by default on a multi-processor runtime; see NewOptimistic).
 // Enabled, the writer that trips the flush threshold freezes the delta
@@ -329,8 +309,8 @@ func (o *Optimistic[K, V]) Counters() Counters {
 // forcing the writer to run the whole fold synchronously. A writer at the
 // bound lets a background round in flight publish first and then usually
 // finds a free slot, so the count rises only when the worker was not
-// merging. A bursty workload that keeps this counter flat at a given
-// ladder depth is being absorbed entirely by the background pipeline.
+// merging. A bursty workload that keeps this counter flat is being
+// absorbed entirely by the background pipeline.
 func (o *Optimistic[K, V]) BackpressureFolds() uint64 { return o.bpFolds.Load() }
 
 // SyncFlush synchronously folds every pending write — what is left of the
@@ -363,31 +343,16 @@ func (o *Optimistic[K, V]) Close() {
 	o.workers.Wait()
 }
 
-// Version returns the current write stamp. It is even when no publication
-// is in flight and increases by two per published write.
-func (o *Optimistic[K, V]) Version() uint64 { return o.version.Load() }
-
 // Lookup returns a value stored under k. When k has duplicates, an
 // arbitrary match is returned; use Each for all of them.
 func (o *Optimistic[K, V]) Lookup(k K) (V, bool) {
-	v1 := o.version.Load()
 	st := o.state.Load()
 	// The no-delta branch stays inline: st.lookup is too large to inline
 	// and the extra call costs measurable latency on the hottest path.
-	var val V
-	var ok bool
 	if st.delta == nil && len(st.frozen) == 0 {
-		val, ok = st.tree.Lookup(k)
-	} else {
-		val, ok = st.lookup(k)
+		return st.tree.Lookup(k)
 	}
-	if o.version.Load() != v1 {
-		// A publication raced this read. The result above is still a
-		// consistent snapshot read; re-reading once returns the freshest
-		// published state instead.
-		val, ok = o.state.Load().lookup(k)
-	}
-	return val, ok
+	return st.lookup(k)
 }
 
 // Contains reports whether k is present.
@@ -604,14 +569,11 @@ func (o *Optimistic[K, V]) SetFlushHook(fn func()) {
 	o.flushHook.Store(&fn)
 }
 
-// publish installs next as the current state, bumping the version stamp to
-// odd for the duration of the store, and fires the flush hook when the
-// base tree changed. Callers hold o.mu.
+// publish installs next as the current state and fires the flush hook
+// when the base tree changed. Callers hold o.mu.
 func (o *Optimistic[K, V]) publish(next *ostate[K, V]) {
 	prev := o.state.Load()
-	o.version.Add(1)
 	o.state.Store(next)
-	o.version.Add(1)
 	if next.tree != prev.tree {
 		if h := o.flushHook.Load(); h != nil {
 			(*h)()
@@ -643,7 +605,7 @@ const (
 // flushPlan decides what a write leaving st's active delta with extra more
 // pending ops does. In asynchronous mode (the default) a delta that
 // reaches the flush threshold is pushed onto the frozen ladder; only when
-// the ladder is full (SetMaxFrozenLayers) do writers keep absorbing writes
+// the ladder is full (maxFrozenLayers) do writers keep absorbing writes
 // into the active delta, and only past the backpressure bound does the
 // tripping writer fold the whole ladder itself. In inline mode
 // (SetAsyncFlush(false)) the fold always runs on the tripping writer. One
@@ -661,7 +623,7 @@ func (o *Optimistic[K, V]) flushPlan(st *ostate[K, V], extra int) int {
 		return flushNone
 	case o.asyncOff.Load():
 		return flushFold
-	case len(st.frozen) < int(o.maxFrozen.Load()):
+	case len(st.frozen) < maxFrozenLayers:
 		return flushPush
 	case pending < flushAt*FlushBackpressureFactor:
 		return flushNone
@@ -924,8 +886,8 @@ func (st *ostate[K, V]) eachIn(n int, k K, h uint64, fn func(v V) bool) {
 		adds []V
 	}
 	// Only the layers that mention k take part; the buffer covers the
-	// default ladder.
-	var buf [DefaultMaxFrozenLayers + 1]layer
+	// whole ladder.
+	var buf [maxFrozenLayers + 1]layer
 	ls := buf[:0]
 	for i := 0; i < n; i++ {
 		d := st.delta

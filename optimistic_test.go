@@ -72,9 +72,6 @@ func TestOptimisticBasic(t *testing.T) {
 			t.Fatalf("deleted key %d still present", i*3)
 		}
 	}
-	if v := o.Version(); v%2 != 0 {
-		t.Fatalf("version %d odd at rest", v)
-	}
 	st := o.Stats()
 	if st.Elements != 1250 {
 		t.Fatalf("Stats.Elements = %d, want 1250", st.Elements)

@@ -81,7 +81,6 @@ type shardEngine[K Key, V any] struct {
 	opts         Options       // every shard's tree options; fixed once the first set is built
 	want         int           // target shard count
 	flushAt      atomic.Int64  // pinned by SetFlushEvery (0 = not pinned), then forwarded to every shard, current and future
-	maxFrozen    atomic.Int64  // forwarded to every shard, current and future
 	asyncOff     atomic.Bool   // forwarded to every shard, current and future
 	factor       atomic.Uint64 // rebalance skew factor (math.Float64bits)
 	writes       atomic.Uint64 // write counter gating the skew check
@@ -103,9 +102,8 @@ type shardSet[K Key, V any] struct {
 	// bounds holds len(shards)-1 strictly increasing fence keys: shard i
 	// owns keys in [bounds[i-1], bounds[i]), with the first and last
 	// ranges open-ended.
-	bounds      []K
-	shards      []*Optimistic[K, V]
-	versionBase uint64 // accumulated Version() sum of retired shard sets
+	bounds []K
+	shards []*Optimistic[K, V]
 }
 
 // balancedFences picks the fence keys for a shard split of the chain the
@@ -201,7 +199,6 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 		return fmt.Errorf("fitingtree: shard count %d, must be >= 1", want)
 	}
 	e.opts, e.want = opts, want
-	e.maxFrozen.Store(DefaultMaxFrozenLayers)
 	// Same adaptive default as NewOptimistic: async flushing needs a spare
 	// core to run the background merges on.
 	e.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
@@ -217,23 +214,22 @@ func (e *shardEngine[K, V]) load(t *Tree[K, V]) *shardSet[K, V] {
 	e.rebalancedAt.Store(int64(t.Len()))
 	trees := []*Tree[K, V]{t}
 	bounds := balancedFences(trees, e.want)
-	return e.shardSetOf(bounds, core.Cut(trees, bounds), 0)
+	return e.shardSetOf(bounds, core.Cut(trees, bounds))
 }
 
 // shardSetOf wraps one tree per fence range into a shard set, every shard
 // carrying the engine's current knob values.
-func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V], versionBase uint64) *shardSet[K, V] {
+func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V]) *shardSet[K, V] {
 	shards := make([]*Optimistic[K, V], len(trees))
 	for i, tr := range trees {
 		o := NewOptimistic(tr)
 		if n := e.flushAt.Load(); n > 0 {
 			o.SetFlushEvery(int(n))
 		}
-		o.SetMaxFrozenLayers(int(e.maxFrozen.Load()))
 		o.SetAsyncFlush(!e.asyncOff.Load())
 		shards[i] = o
 	}
-	return &shardSet[K, V]{bounds: bounds, shards: shards, versionBase: versionBase}
+	return &shardSet[K, V]{bounds: bounds, shards: shards}
 }
 
 // forward applies a knob change to every current shard. The caller stores
@@ -259,17 +255,6 @@ func (e *shardEngine[K, V]) SetFlushEvery(n int) {
 	}
 	e.flushAt.Store(int64(n))
 	e.forward(func(sh *Optimistic[K, V]) { sh.SetFlushEvery(n) })
-}
-
-// SetMaxFrozenLayers sets the per-shard frozen merge ladder depth (see
-// Optimistic.SetMaxFrozenLayers). Safe to call at any time; shards created
-// by later rebalances inherit the value. Panics if n < 1.
-func (e *shardEngine[K, V]) SetMaxFrozenLayers(n int) {
-	if n < 1 {
-		panic("fitingtree: SetMaxFrozenLayers depth must be >= 1")
-	}
-	e.maxFrozen.Store(int64(n))
-	e.forward(func(sh *Optimistic[K, V]) { sh.SetMaxFrozenLayers(n) })
 }
 
 // SetAsyncFlush enables or disables the asynchronous flush pipeline on
@@ -369,19 +354,6 @@ func (e *shardEngine[K, V]) ShardSizes() []int {
 // strictly increasing): shard i owns keys in [bounds[i-1], bounds[i]).
 func (e *shardEngine[K, V]) Bounds() []K {
 	return append([]K(nil), e.set.Load().bounds...)
-}
-
-// Version returns an aggregate write stamp: the sum of every shard's
-// version plus the accumulated versions of shard sets retired by
-// rebalances. It is even when no publication is in flight and increases
-// with every published write and every rebalance.
-func (s *Sharded[K, V]) Version() uint64 {
-	ss := s.set.Load()
-	v := ss.versionBase
-	for _, sh := range ss.shards {
-		v += sh.Version()
-	}
-	return v
 }
 
 // Len returns the total number of stored elements across all shards,
@@ -601,27 +573,22 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	if !force && !e.needsRebalance(ss) {
 		return nil
 	}
-	// Quiesce the outgoing shards' flush pipelines before reading their
-	// version stamps: background flush workers publish under only the
-	// shard mutex, not the reshape lock, so without this drain a worker
-	// could publish between the Version() reads below and the shard-set
-	// swap and push the observable aggregate past the fixed +2 headroom —
-	// Version would go backwards across the swap. The drain also ensures
-	// no worker goroutine outlives its retired shard. It folds only
+	// Quiesce the outgoing shards' flush pipelines first: background flush
+	// workers publish under only the shard mutex, not the reshape lock, so
+	// without this drain a worker could outlive its retired shard or
+	// publish into it after the states below were read. It folds only
 	// pending deltas (page-granular, O(pending) per shard), runs shards in
 	// parallel, and leaves the retired set permanently clean for readers
 	// still holding it.
 	ss.quiesce()
 	trees := make([]*Tree[K, V], len(ss.shards))
-	base := ss.versionBase + 2 // keep Version monotone (and even) across the swap
 	total := 0
 	for i, sh := range ss.shards {
-		base += sh.Version()
 		trees[i] = sh.state.Load().fold()
 		total += trees[i].Len()
 	}
 	bounds := balancedFences(trees, e.want)
-	ns := e.shardSetOf(bounds, core.Cut(trees, bounds), base)
+	ns := e.shardSetOf(bounds, core.Cut(trees, bounds))
 	if e.durable != nil {
 		if err := e.durable.commitRebalance(ss, ns); err != nil {
 			return err
@@ -632,13 +599,13 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	return nil
 }
 
-// collectStates drains the given shard states into one sorted run, pending
-// deltas folded in (the same fold a flush applies — frozen layer below
-// the active one). The drains run side by side (fanOut): states are
-// immutable, shards partition the key space, and each drain is exactly the
-// flush fold for its shard, so EncodeSharded effectively flushes all
-// shards concurrently instead of one after another; the runs
-// are then concatenated in fence order, which preserves global key order.
+// collectStates drains the given shard states into one sorted run: each
+// state is folded (the fold a flush applies — frozen layers below the
+// active one) and its tree read in order. The drains run side by side
+// (fanOut): states are immutable and shards partition the key space, so
+// EncodeSharded effectively flushes all shards concurrently instead of one
+// after another; the runs are then concatenated in fence order, which
+// preserves global key order.
 func collectStates[K Key, V any](states []*ostate[K, V]) ([]K, []V) {
 	type run struct {
 		keys []K
@@ -650,13 +617,11 @@ func collectStates[K Key, V any](states []*ostate[K, V]) ([]K, []V) {
 		st := states[i]
 		ks := make([]K, 0, st.size)
 		vs := make([]V, 0, st.size)
-		if lo, hi, ok := st.bounds(); ok {
-			st.ascendRange(lo, hi, func(k K, v V) bool {
-				ks = append(ks, k)
-				vs = append(vs, v)
-				return true
-			})
-		}
+		st.fold().Ascend(func(k K, v V) bool {
+			ks = append(ks, k)
+			vs = append(vs, v)
+			return true
+		})
 		runs[i] = run{keys: ks, vals: vs}
 	})
 	if len(runs) == 1 {

@@ -89,9 +89,6 @@ func TestShardedBasic(t *testing.T) {
 			t.Fatalf("Lookup(%d) after churn = %d, %v", k, v, ok)
 		}
 	}
-	if v := s.Version(); v%2 != 0 {
-		t.Fatalf("version %d odd at rest", v)
-	}
 	st := s.Stats()
 	if st.Elements != want {
 		t.Fatalf("Stats.Elements = %d, want %d", st.Elements, want)
@@ -312,7 +309,6 @@ func TestShardedRebalance(t *testing.T) {
 	keys := seqKeys(4000, 10)
 	s := buildSharded(t, keys, 4, 32)
 	s.SetRebalanceFactor(2)
-	v0 := s.Version()
 
 	// Hammer one narrow range: the owning shard balloons until the skew
 	// check re-partitions.
@@ -337,12 +333,6 @@ func TestShardedRebalance(t *testing.T) {
 	// fired and spread the load.
 	if float64(maxSize) > 2.5*mean {
 		t.Fatalf("rebalance never fired: sizes %v", sizes)
-	}
-	if s.Version() <= v0 {
-		t.Fatalf("Version did not advance across rebalance: %d -> %d", v0, s.Version())
-	}
-	if v := s.Version(); v%2 != 0 {
-		t.Fatalf("version %d odd at rest", v)
 	}
 
 	// Nothing was lost or duplicated.

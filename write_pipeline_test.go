@@ -171,24 +171,24 @@ func TestDeltaPublishCost(t *testing.T) {
 }
 
 // TestOverlayMissAllocatesNothing: a lookup of a key no layer mentions,
-// through a full default ladder and an active delta, reaches the tree
-// without a heap allocation.
+// through a full ladder and an active delta, reaches the tree without a
+// heap allocation.
 func TestOverlayMissAllocatesNothing(t *testing.T) {
 	o := pipelineFixture(t, 50_000)
 	o.flusher.Store(true)
 	defer o.flusher.Store(false)
 	k := uint64(1)
-	for layer := 0; layer <= DefaultMaxFrozenLayers; layer++ {
+	for layer := 0; layer <= maxFrozenLayers; layer++ {
 		for i := 0; i < 64; i++ {
 			o.Insert(k, k)
 			k += 2
 		}
-		if layer < DefaultMaxFrozenLayers {
+		if layer < maxFrozenLayers {
 			freezeActive(o)
 		}
 	}
 	st := o.state.Load()
-	if len(st.frozen) != DefaultMaxFrozenLayers || st.delta == nil {
+	if len(st.frozen) != maxFrozenLayers || st.delta == nil {
 		t.Fatalf("fixture: %d frozen layers, active=%v", len(st.frozen), st.delta != nil)
 	}
 	present, absent := uint64(40_000), uint64(90_001)
@@ -227,41 +227,13 @@ func TestOverlayMissAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("overlay hit path allocates %.1f times per round, want 0", allocs)
 	}
-
-	// A ladder deeper than the default: the miss path still reaches the
-	// tree without a heap allocation.
-	deep := pipelineFixture(t, 50_000)
-	deep.SetMaxFrozenLayers(8)
-	deep.flusher.Store(true)
-	defer deep.flusher.Store(false)
-	for layer := 0; layer <= 8; layer++ {
-		deep.Insert(uint64(2*layer+1), 0)
-		if layer < 8 {
-			freezeActive(deep)
-		}
-	}
-	st = deep.state.Load()
-	if len(st.frozen) != 8 || st.delta == nil {
-		t.Fatalf("deep fixture: %d frozen layers, active=%v", len(st.frozen), st.delta != nil)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if v, ok := st.lookup(present); !ok || v != present {
-			t.Fatalf("deep lookup(%d) = %d,%v", present, v, ok)
-		}
-		if _, ok := st.lookup(absent); ok {
-			t.Fatalf("deep lookup(%d) found an absent key", absent)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("overlay miss path through 8 frozen layers allocates %.1f times per pair of lookups, want 0", allocs)
-	}
 }
 
 // TestFoldBoundBurstDiscardsNoRound drives writers faster than the
-// background worker can fold (tiny threshold, shallow ladder, a second
-// goroutine forcing SyncFlush) and requires that no round's merge was
-// thrown away: whoever folds the ladder inline waits for the open round
-// first, so the two never pay for the same layer. Content is checked
+// background worker can fold (tiny threshold, a second goroutine forcing
+// SyncFlush) and requires that no round's merge was thrown away: whoever
+// folds the ladder inline waits for the open round first, so the two
+// never pay for the same layer. Content is checked
 // against the oracle at the end.
 func TestFoldBoundBurstDiscardsNoRound(t *testing.T) {
 	u := distinctWeblogs(120_000, 5)
@@ -280,7 +252,6 @@ func TestFoldBoundBurstDiscardsNoRound(t *testing.T) {
 	o := NewOptimistic(tr)
 	o.SetAsyncFlush(true)
 	o.SetFlushEvery(32)
-	o.SetMaxFrozenLayers(2)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
