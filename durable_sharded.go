@@ -3,7 +3,6 @@ package fitingtree
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"sync"
 
@@ -12,14 +11,16 @@ import (
 	"fitingtree/internal/wal"
 )
 
-// IntentName is the rebalance intent record's file name inside a durable
-// store's file system.
-const IntentName = "rebalance.intent"
-
 // legacyLogName is the log file of the retired single-tree store format,
 // which also rooted its checkpoints in a gob manifest instead of the
 // checksummed FSHM record.
 const legacyLogName = "wal.log"
+
+// legacyIntentName is the rebalance intent record earlier builds wrote
+// before every migration (and its atomic-write sibling, with ".tmp"). The
+// manifest flip alone commits a migration, so open removes a leftover one
+// unread.
+const legacyIntentName = "rebalance.intent"
 
 // errLegacyStore rejects a store in the retired format: its log would be
 // ignored and its manifest cannot be decoded, so opening it could only
@@ -74,16 +75,12 @@ func ShardWALName(gen uint64, i int) string {
 //     past its cursor: O(checkpoint + tail), never a full bulk rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; the engine's rebalance becomes atomic through
-//     its commit step (commitRebalance): a fence-change intent record
-//     (old fences, new fences, source epoch) first, the new generation's
-//     logs on the side, and everything committed with the next manifest
-//     flip.
-//     A crash at any point resolves wholesale at the next open: a
-//     committed manifest still carrying a generation below the intent's
-//     means the flip never landed — the migration is discarded and the
-//     old generation recovered; at or past it means it committed — only
-//     leftover files remain to sweep. See RebalanceIntent in
-//     internal/core.
+//     its commit step (commitRebalance): the new generation's logs on the
+//     side, then everything committed with the next manifest flip, which
+//     carries the new generation. Log names embed their generation, so
+//     the committed manifest alone decides a crash at any point, wholesale:
+//     the next open recovers whichever generation it names and sweeps the
+//     logs of the generations on either side (sweepGeneration).
 //
 // Any WAL or device error on the write path poisons the store (see
 // shardLog): Err turns sticky, every later write and Checkpoint fails fast
@@ -136,11 +133,11 @@ type CheckpointStats struct {
 }
 
 // OpenDurableSharded opens (or creates) a sharded durable facade over
-// fsys (per-shard WALs plus the rebalance intent) and dev (checkpoint
-// pages). An existing store recovers from its newest committed epoch: an
-// in-flight migration is resolved first (replayed wholesale if its
-// manifest flip landed, discarded wholesale otherwise), then every
-// shard's checkpoint chunks are loaded and its WAL tail replayed. The
+// fsys (per-shard WALs) and dev (checkpoint pages). An existing store
+// recovers from its newest committed epoch: an in-flight migration
+// resolves wholesale (kept if its manifest flip landed, its logs swept
+// otherwise), then every shard's checkpoint chunks are loaded and its WAL
+// tail replayed. The
 // manifest's recorded options and fences override opts; a fresh store
 // starts one empty shard with opts and grows toward the shards target as
 // data arrives. A store in the retired single-tree format (gob checkpoint
@@ -168,14 +165,13 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	var m core.ShardManifest
 	var mchain []pager.PageID
 	if haveCkpt {
-		// The manifest is loaded before the intent is settled: its
-		// generation — not the superblock's epoch — is what classifies an
-		// in-flight migration (see resolveIntent).
+		// The manifest's generation — not the superblock's epoch — is what
+		// tells a committed migration from one whose flip never landed.
 		if m, mchain, err = loadShardManifest(store, super.Manifest); err != nil {
 			return nil, err
 		}
 	}
-	if err := resolveIntent(fsys, m.Generation, haveCkpt); err != nil {
+	if err := sweepGeneration(fsys, m.Generation); err != nil {
 		return nil, err
 	}
 
@@ -271,7 +267,7 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	// on the device: the epoch so the new superblock outranks the stale
 	// one in the other slot, the generation so the fresh logs below never
 	// truncate the previous store's. That store — superblock, pages, WAL
-	// tails, intent — stays the untouched recovery target until the first
+	// tails — stays the untouched recovery target until the first
 	// cut commits; destroying any of it earlier would lose its
 	// acknowledged writes on a crash inside this function even though the
 	// supersede never committed.
@@ -325,18 +321,16 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 		closeLogs(logs)
 		return nil, err
 	}
-	// Committed: the previous store and any stale rebalance intent are
-	// dead. The sweep is best-effort — a leftover intent resolves
-	// harmlessly at the next open (its generation is at most gen, so it
-	// can never condemn this store's logs), and old-generation log files
-	// are never opened again (log names embed the generation). A retired-
-	// format log goes too, or the next open would reject this store.
-	for i := 0; i < oldShards; i++ {
+	// Committed: the previous store is dead. The sweep is best-effort and
+	// runs in reverse index order, so whatever a crash leaves is an index
+	// prefix the next open's sweep finds; old-generation log files are
+	// never opened again anyway (log names embed the generation). A
+	// retired-format log goes too, or the next open would reject this
+	// store.
+	for i := oldShards - 1; i >= 0; i-- {
 		d.fsys.Remove(ShardWALName(gen-1, i))
 	}
 	d.fsys.Remove(legacyLogName)
-	d.fsys.Remove(IntentName)
-	d.fsys.Remove(IntentName + ".tmp")
 	d.SetAutoCheckpoint(true)
 	return d, nil
 }
@@ -377,8 +371,9 @@ func (d *DurableSharded[K, V]) attach(set *shardSet[K, V], logs []*wal.Log) {
 }
 
 // createShardLogs creates count fresh, empty, synced logs for generation
-// gen. Create truncates, so a stale leftover from an earlier discarded
-// migration to the same generation cannot leak records into this one.
+// gen, in index order (sweepGeneration relies on it). Create truncates, so
+// a stale leftover from an earlier discarded migration to the same
+// generation cannot leak records into this one.
 func createShardLogs(fsys wal.FS, gen uint64, count int) ([]*wal.Log, error) {
 	logs := make([]*wal.Log, count)
 	for i := range logs {
@@ -463,85 +458,43 @@ func decodeFences[K Key, V any](c *opCodec[K, V], fences [][]byte) ([]K, error) 
 	return bounds, nil
 }
 
-// readFSFile returns the full content of name inside fsys.
-func readFSFile(fsys wal.FS, name string) ([]byte, error) {
-	r, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
+// sweepGeneration removes the logs a crash can leave beside the committed
+// generation gen: those of gen+1 (a migration or CreateDurableSharded
+// whose manifest flip never landed) and those of gen-1 (a committed
+// migration whose sweep did not finish). Neither can hold an acknowledged
+// write the committed cut lacks. Logs are created in index order and
+// swept in reverse, so a generation's leftovers are always an index
+// prefix: the probe counts up from wal-<g>-0.log to the first missing
+// name, and the removal runs backwards to keep that true if it is cut
+// short. A rebalance intent record left by an earlier build goes too,
+// unread.
+func sweepGeneration(fsys wal.FS, gen uint64) error {
+	stale := []uint64{gen + 1}
+	if gen > 0 {
+		stale = append(stale, gen-1)
 	}
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// writeFileAtomic replaces name's content via the write-sibling, sync,
-// rename protocol, so a crash leaves either the old or the new content.
-func writeFileAtomic(fsys wal.FS, name string, data []byte) error {
-	tmp := name + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, name)
-}
-
-// resolveIntent settles a rebalance intent left behind by a crash. The
-// migration's commit point is the manifest flip carrying the intent's
-// new Generation, so the committed manifest's generation decides
-// wholesale: still below the intent's (or no checkpoint at all) means
-// the flip never landed — the migration's logs are garbage and the old
-// generation recovers; at or past it means it landed — only the source
-// generation's logs remain to sweep. Epochs deliberately play no part
-// in the comparison: they advance with every checkpoint, skip past
-// failed superblock writes, and restart relative to a superseded store
-// after CreateDurableSharded — any of which could make a stale intent
-// look committed and condemn a live generation's logs, while the
-// generation sequence moves only with committed migrations (and Create
-// continues it). A torn or corrupt intent record is impossible for an
-// in-flight migration (the record is written atomically and synced
-// before any migration work), so it is discarded as a stale leftover.
-// Always removed afterwards, along with the atomic-write sibling.
-func resolveIntent(fsys wal.FS, gen uint64, haveCkpt bool) error {
-	data, err := readFSFile(fsys, IntentName)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fsys.Remove(IntentName + ".tmp")
-		}
-		return err
-	}
-	if it, derr := core.DecodeRebalanceIntent(data); derr == nil {
-		if !haveCkpt || gen < it.Generation {
-			// Never committed: discard the migration's logs.
-			for i := 0; i <= len(it.NewFences); i++ {
-				if err := fsys.Remove(ShardWALName(it.Generation, i)); err != nil {
-					return err
-				}
+	for _, g := range stale {
+		n := 0
+		for ; ; n++ {
+			r, err := fsys.Open(ShardWALName(g, n))
+			if errors.Is(err, fs.ErrNotExist) {
+				break
 			}
-		} else {
-			// Committed: sweep the source generation's logs (dead even
-			// when later generations have committed since — log names
-			// embed the generation, so the live one is never touched).
-			for i := 0; i <= len(it.OldFences); i++ {
-				if err := fsys.Remove(ShardWALName(it.Generation-1, i)); err != nil {
-					return err
-				}
+			if err != nil {
+				return err
+			}
+			r.Close()
+		}
+		for i := n - 1; i >= 0; i-- {
+			if err := fsys.Remove(ShardWALName(g, i)); err != nil {
+				return err
 			}
 		}
 	}
-	if err := fsys.Remove(IntentName); err != nil {
+	if err := fsys.Remove(legacyIntentName); err != nil {
 		return err
 	}
-	return fsys.Remove(IntentName + ".tmp")
+	return fsys.Remove(legacyIntentName + ".tmp")
 }
 
 // Insert adds (k, v), durably once the owning shard's covering Sync
@@ -606,9 +559,10 @@ func (d *DurableSharded[K, V]) Sync() error {
 // serialized); the whole cut commits with one superblock write. Safe to
 // call concurrently with reads and writes; checkpoints and rebalances
 // serialize. A poisoned facade fails fast without cutting, like Close:
-// after a failed rebalance in particular, committing a new epoch under
-// the old generation would strand the durable state between the intent
-// record and the migration it describes.
+// after a failed rebalance in particular, the failed flip's superblock
+// may have landed, naming the new generation, so which generation is
+// durable is for the next open to read, not for a new epoch under the
+// old generation to overrule.
 func (d *DurableSharded[K, V]) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
@@ -730,7 +684,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 // this store's commit step). Writers are excluded for the duration;
 // readers keep the old set. An error leaves the old generation live in
 // memory but poisons the store (the migration's durable state is
-// ambiguous until the next open, which discards it wholesale).
+// ambiguous until the next open, which resolves it wholesale).
 func (d *DurableSharded[K, V]) Rebalance() error { return d.rebalance(true) }
 
 // beginRebalance excludes cuts for the duration of a rebalance — it holds
@@ -759,30 +713,17 @@ func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) (err e
 	}()
 	newGen := d.generation + 1
 
-	// 1. Intent first: once it is durable, a crash anywhere in the
-	// migration resolves deterministically at the next open — discarded
-	// while the committed manifest still carries the old generation,
-	// replayed (and swept) once the flip below has landed.
-	intent := core.EncodeRebalanceIntent(core.RebalanceIntent{
-		SourceEpoch: d.epoch,
-		Generation:  newGen,
-		OldFences:   encodeFences(&d.codec, old.bounds),
-		NewFences:   encodeFences(&d.codec, next.bounds),
-	})
-	if err := writeFileAtomic(d.fsys, IntentName, intent); err != nil {
-		return err
-	}
-
-	// 2. Fresh empty logs for the new generation's shards (their names
+	// 1. Fresh empty logs for the new generation's shards (their names
 	// carry newGen, so nothing can replay them through old fences). The
-	// old generation's durable state is untouched throughout.
+	// old generation's durable state is untouched throughout; a crash
+	// before the flip leaves these logs to the next open's sweep.
 	logs, err := createShardLogs(d.fsys, newGen, len(next.shards))
 	if err != nil {
 		return err
 	}
 	d.attach(next, logs)
 
-	// 3. The commit point: a full cut of the new shards (their chunks are
+	// 2. The commit point: a full cut of the new shards (their chunks are
 	// freshly cut, so every chunk is written; the quiesced content already
 	// includes everything the old logs held) under the new generation,
 	// flipped in with epoch+1. Crash before the flip:
@@ -795,14 +736,13 @@ func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) (err e
 	oldGen := d.generation
 	d.generation = newGen
 
-	// 4. Sweep: the old generation's logs and the intent are garbage.
-	// Best effort — a failure here leaves files the next open removes
-	// via the intent resolution (or ignores via generation-named opens).
-	for i, sh := range old.shards {
-		sh.log.wal.Close()
+	// 3. Sweep: the old generation's logs are garbage. Best effort, in
+	// reverse index order — a failure here leaves an index prefix that
+	// the next open's sweep removes (and generation-named opens ignore).
+	for i := len(old.shards) - 1; i >= 0; i-- {
+		old.shards[i].log.wal.Close()
 		d.fsys.Remove(ShardWALName(oldGen, i))
 	}
-	d.fsys.Remove(IntentName)
 	return nil
 }
 
@@ -921,14 +861,4 @@ func (d *DurableSharded[K, V]) Generation() uint64 {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	return d.generation
-}
-
-// Epoch returns the checkpoint epoch sequence's current position (0
-// before the first cut). It normally reads as the last committed cut's
-// epoch, but failed commit attempts advance it too (see
-// checkpointLocked), so the sequence may skip values.
-func (d *DurableSharded[K, V]) Epoch() uint64 {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	return d.epoch
 }

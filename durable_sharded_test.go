@@ -3,7 +3,6 @@ package fitingtree
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"strings"
 	"testing"
@@ -117,12 +116,14 @@ func TestCreateDurableSharded(t *testing.T) {
 }
 
 // TestDurableShardedRebalance checks the happy-path migration: fences
-// move, the generation advances, old logs disappear, data survives a
-// post-migration crash and recovery.
+// move, the generation advances, old logs disappear, no file but the logs
+// and the device is written, and data survives a post-migration crash and
+// recovery.
 func TestDurableShardedRebalance(t *testing.T) {
 	mem := wal.NewMemFS()
+	faulty := wal.NewFaultFS(mem)
 	dev := pager.NewDisk()
-	d := openStore(t, mem, dev, 3)
+	d := openStore(t, faulty, dev, 3)
 	// Heavily skewed load: everything lands in the last shard's range.
 	for i := 0; i < 1000; i++ {
 		if err := d.Insert(i, i); err != nil {
@@ -132,8 +133,14 @@ func TestDurableShardedRebalance(t *testing.T) {
 	if g := d.Generation(); g != 0 {
 		t.Fatalf("generation %d before any rebalance", g)
 	}
+	// Count only what the migration does to names outside the logs.
+	faulty.SetNameFilter(func(name string) bool { return !strings.HasPrefix(name, "wal-") })
+	faulty.SetTrip(-1)
 	if err := d.Rebalance(); err != nil {
 		t.Fatal(err)
+	}
+	if n := faulty.Ops(); n != 0 {
+		t.Fatalf("the migration made %d operations on files other than the logs", n)
 	}
 	if g := d.Generation(); g != 1 {
 		t.Fatalf("generation %d after rebalance, want 1", g)
@@ -147,9 +154,9 @@ func TestDurableShardedRebalance(t *testing.T) {
 			t.Fatalf("shard %d still skewed after rebalance: %v", i, sizes)
 		}
 	}
-	// The old generation's logs and the intent are gone.
+	// The old generation's logs are gone.
 	for _, name := range mem.Names() {
-		if strings.HasPrefix(name, "wal-0-") || name == IntentName {
+		if strings.HasPrefix(name, "wal-0-") {
 			t.Fatalf("stale file %q survived the migration", name)
 		}
 	}
@@ -205,7 +212,7 @@ func TestDurableShardedAutoRebalance(t *testing.T) {
 // TestOneShardNeverMigrates pins the single-writer contract: under a
 // skewed load that drives a multi-shard store through migrations, a
 // one-shard store stays at one shard and generation 0 and never touches
-// the rebalance intent.
+// a generation-1 log.
 func TestOneShardNeverMigrates(t *testing.T) {
 	faulty := wal.NewFaultFS(wal.NewMemFS())
 	d, err := OpenDurable[int, int](faulty, pager.NewDisk(), Options{})
@@ -215,8 +222,8 @@ func TestOneShardNeverMigrates(t *testing.T) {
 	d.SetAutoCheckpoint(false)
 	d.SetAsyncFlush(false)
 	d.SetSyncEvery(256)
-	// Count only intent traffic from here on (Open swept a stale sibling).
-	faulty.SetNameFilter(func(name string) bool { return strings.HasPrefix(name, IntentName) })
+	// Count only generation-1 log traffic from here on.
+	faulty.SetNameFilter(func(name string) bool { return strings.HasPrefix(name, "wal-1-") })
 	faulty.SetTrip(-1)
 	for i := 0; i < 20_000; i++ {
 		if err := d.Insert(i, i); err != nil {
@@ -232,7 +239,7 @@ func TestOneShardNeverMigrates(t *testing.T) {
 		t.Fatalf("one-shard store reshaped: %d shards, generation %d", n, g)
 	}
 	if n := faulty.Ops(); n != 0 {
-		t.Fatalf("one-shard store touched the rebalance intent %d times", n)
+		t.Fatalf("one-shard store touched a generation-1 log %d times", n)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -304,11 +311,11 @@ func TestShardedCrashMatrixOneShard(t *testing.T) {
 }
 
 // TestShardedCrashMatrixRebalance kills storage at every fault point of a
-// migration — intent write, new-generation log creation, the committing
-// cut's every page, the sweep — crashes, and asserts recovery resolves
-// the intent wholesale: the data always equals the full pre-migration
-// model (a fence move changes layout, never content), the intent file is
-// gone, and the store keeps working.
+// migration — new-generation log creation, the committing cut's every
+// page, the sweep — crashes, and asserts recovery resolves the migration
+// wholesale: the data always equals the full pre-migration model (a fence
+// move changes layout, never content), only the recovered generation's
+// logs remain, and the store keeps working.
 func TestShardedCrashMatrixRebalance(t *testing.T) {
 	const shards = 3
 	const n = 600
@@ -352,9 +359,12 @@ func TestShardedCrashMatrixRebalance(t *testing.T) {
 		if got := dump(rec); !pairsEqual(got, wantPairs) {
 			t.Fatalf("%s: recovered %d pairs, want %d — a migration fault changed the data", label, len(got), n)
 		}
-		// The intent never outlives a recovery, whichever way it resolved.
-		if _, err := mem.Open(IntentName); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("%s: intent file survived recovery: %v", label, err)
+		// Recovery swept the other generation, whichever way it resolved.
+		live := fmt.Sprintf("wal-%d-", rec.Generation())
+		for _, name := range mem.Names() {
+			if !strings.HasPrefix(name, live) {
+				t.Fatalf("%s: %q survived a recovery at generation %d", label, name, rec.Generation())
+			}
 		}
 		// The recovered store accepts writes and a checkpoint: no
 		// generation/name collision with migration leftovers.
@@ -602,11 +612,11 @@ func TestShardedCheckpointRetryParity(t *testing.T) {
 }
 
 // TestShardedPoisonedCheckpointFailsFast pins the poison contract for
-// checkpoints: after a rebalance fails with its intent record already
-// durable, Checkpoint must refuse to commit — a fresh epoch under the old
-// generation would leave the durable state stranded between the intent
-// and the migration it describes — and recovery must still see every
-// acknowledged write under the old generation.
+// checkpoints: after a rebalance fails with a new-generation log already
+// on disk, Checkpoint must refuse to commit — which generation is durable
+// is the next open's to decide — and recovery must still see every
+// acknowledged write under the old generation and sweep the failed
+// migration's log.
 func TestShardedPoisonedCheckpointFailsFast(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { poisonedCheckpointFailsFast(t, shards) })
@@ -635,15 +645,15 @@ func poisonedCheckpointFailsFast(t *testing.T, shards int) {
 	if err != nil || !ok {
 		t.Fatalf("ReadSuper = (%v, %v)", ok, err)
 	}
-	// Fail the migration after its intent record is durable: the first
-	// touch of any new-generation log file trips.
+	// Fail the migration once its first new-generation log exists: the
+	// sync after the create trips.
 	faulty.SetNameFilter(func(name string) bool { return strings.HasPrefix(name, "wal-1-") })
-	faulty.SetTrip(0)
+	faulty.SetTrip(1)
 	if err := d.Rebalance(); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("rebalance = %v, want injected fault", err)
 	}
-	if mem.Bytes(IntentName) == nil {
-		t.Fatal("rebalance died after the intent write but left no intent record")
+	if _, err := mem.Open(ShardWALName(1, 0)); err != nil {
+		t.Fatalf("rebalance died after its first log create but left no log: %v", err)
 	}
 	if _, err := d.Checkpoint(); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("checkpoint on a poisoned facade = %v, want the sticky fault", err)
@@ -661,8 +671,10 @@ func poisonedCheckpointFailsFast(t *testing.T, shards int) {
 	if g := rec.Generation(); g != 0 {
 		t.Fatalf("recovered generation %d, want 0 (the migration never committed)", g)
 	}
-	if mem.Bytes(IntentName) != nil {
-		t.Fatal("recovery left the stale intent record behind")
+	for _, name := range mem.Names() {
+		if strings.HasPrefix(name, "wal-1-") {
+			t.Fatalf("recovery left the failed migration's %q behind", name)
+		}
 	}
 }
 
@@ -671,7 +683,8 @@ func poisonedCheckpointFailsFast(t *testing.T, shards int) {
 // must still recover the previous store in full — checkpointed base and
 // acknowledged WAL tail alike — and a committed supersede continues the
 // old store's generation sequence, sweeping its log files only after the
-// commit.
+// commit. The logs of a supersede that never committed are swept by the
+// next open.
 func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 	mem := wal.NewMemFS()
 	disk := pager.NewDisk()
@@ -717,6 +730,12 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 	}
 	if g := rec.Generation(); g != 0 {
 		t.Fatalf("recovered generation %d, want 0", g)
+	}
+	// The failed supersede's logs never committed: the open swept them.
+	for _, name := range mem.Names() {
+		if strings.HasPrefix(name, "wal-1-") {
+			t.Fatalf("the failed supersede's log %s survived the reopen", name)
+		}
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

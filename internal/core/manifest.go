@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // This file is the top-level manifest codec for the sharded durability
@@ -19,15 +18,12 @@ import (
 // integers are little-endian; every variable-length field carries a
 // length prefix that the decoder bounds-checks before allocating, so a
 // corrupted or adversarial manifest is rejected instead of driving a
-// multi-gigabyte allocation. The rebalance intent record shares the
-// fence-list wire format and adds a CRC-32C of its own because it lives
-// in a bare file, not inside a checksummed blob page.
+// multi-gigabyte allocation. The manifest is the only record of a
+// rebalance: the flip that commits it carries the new Generation, and
+// nothing else on disk says whether a migration landed.
 
 // shardManifestMagic marks a sharded manifest blob ("FSHM").
 const shardManifestMagic = 0x4653484d
-
-// intentMagic marks a rebalance intent record ("FINT").
-const intentMagic = 0x46494e54
 
 // manifestMaxShards bounds the decoded shard count; it exists only to cap
 // allocations on corrupt input (real deployments run a few dozen shards).
@@ -38,9 +34,6 @@ const manifestMaxChunks = 1 << 24
 
 // manifestMaxFence bounds one encoded fence key's byte length.
 const manifestMaxFence = 1 << 20
-
-// manifestCRC is the Castagnoli table used by the intent record.
-var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ShardCut is one shard's slice of a cross-shard checkpoint cut.
 type ShardCut struct {
@@ -212,99 +205,4 @@ func DecodeShardManifest(data []byte) (ShardManifest, error) {
 		return m, fmt.Errorf("core: manifest carries %d trailing bytes", len(data))
 	}
 	return m, nil
-}
-
-// RebalanceIntent is the durable record a sharded facade writes before
-// migrating keys between shards: the fence layouts on both sides of the
-// migration and the generation it creates. The migration commits only
-// with the next manifest flip, which carries Generation, so a recovery
-// that finds an intent whose Generation is still above the committed
-// manifest's knows the migration never landed and discards it
-// wholesale; an intent at or below the committed generation is a
-// committed migration's leftover. (Epochs are not compared: they
-// advance with every checkpoint, skip past failed commit attempts, and
-// restart relative to a superseded store, so they cannot classify a
-// stale intent safely.)
-type RebalanceIntent struct {
-	// SourceEpoch is the in-memory checkpoint epoch the migration
-	// started from — diagnostic only; recovery classifies the intent by
-	// Generation.
-	SourceEpoch uint64
-	// Generation is the fence generation the migration creates (the
-	// manifest flip that commits the migration carries it).
-	Generation uint64
-	// OldFences and NewFences are the encoded fence keys before and after
-	// the migration.
-	OldFences [][]byte
-	NewFences [][]byte
-}
-
-// EncodeRebalanceIntent serializes the intent with a CRC-32C trailer: the
-// record lives in a bare file with no page checksums around it, so a torn
-// intent write must be detectable on its own.
-func EncodeRebalanceIntent(it RebalanceIntent) []byte {
-	buf := make([]byte, 0, 64)
-	buf = binary.LittleEndian.AppendUint32(buf, intentMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, it.SourceEpoch)
-	buf = binary.LittleEndian.AppendUint64(buf, it.Generation)
-	for _, fences := range [2][][]byte{it.OldFences, it.NewFences} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fences)))
-		for _, f := range fences {
-			buf = appendBytes(buf, f)
-		}
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, manifestCRC))
-}
-
-// DecodeRebalanceIntent parses and checksum-verifies an intent record. A
-// torn or corrupted record returns an error; recovery treats that the
-// same as a missing intent (the migration cannot have committed, because
-// the intent is synced before any migration work starts).
-func DecodeRebalanceIntent(data []byte) (RebalanceIntent, error) {
-	var it RebalanceIntent
-	if len(data) < 8 {
-		return it, fmt.Errorf("core: intent record of %d bytes is too short", len(data))
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.Checksum(body, manifestCRC) {
-		return it, fmt.Errorf("core: intent record failed checksum")
-	}
-	if binary.LittleEndian.Uint32(body) != intentMagic {
-		return it, fmt.Errorf("core: not an intent record (bad magic)")
-	}
-	body = body[4:]
-	var err error
-	if it.SourceEpoch, body, err = takeU64(body); err != nil {
-		return it, err
-	}
-	if it.Generation, body, err = takeU64(body); err != nil {
-		return it, err
-	}
-	for side := 0; side < 2; side++ {
-		if len(body) < 4 {
-			return it, fmt.Errorf("core: intent truncated in fence count")
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if n > manifestMaxShards {
-			return it, fmt.Errorf("core: intent claims %d fences", n)
-		}
-		fences := make([][]byte, n)
-		for i := range fences {
-			var f []byte
-			if f, body, err = takeBytes(body, manifestMaxFence); err != nil {
-				return it, err
-			}
-			fences[i] = append([]byte(nil), f...)
-		}
-		if side == 0 {
-			it.OldFences = fences
-		} else {
-			it.NewFences = fences
-		}
-	}
-	if len(body) != 0 {
-		return it, fmt.Errorf("core: intent carries %d trailing bytes", len(body))
-	}
-	return it, nil
 }

@@ -148,81 +148,23 @@ func TestShardManifestRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestRebalanceIntentRoundTrip(t *testing.T) {
-	want := RebalanceIntent{
-		SourceEpoch: 9,
-		Generation:  3,
-		OldFences:   [][]byte{{1}, {2, 2}},
-		NewFences:   [][]byte{{1, 5}},
-	}
-	got, err := DecodeRebalanceIntent(EncodeRebalanceIntent(want))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch: got %+v want %+v", got, want)
-	}
-}
-
-func TestRebalanceIntentEmptyFences(t *testing.T) {
-	// A 1-shard <-> N-shard migration has an empty fence list on one side.
-	want := RebalanceIntent{SourceEpoch: 1, Generation: 2, NewFences: [][]byte{{7}}}
-	got, err := DecodeRebalanceIntent(EncodeRebalanceIntent(want))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got.OldFences) != 0 || len(got.NewFences) != 1 {
-		t.Fatalf("round trip mismatch: got %+v", got)
-	}
-}
-
-func TestRebalanceIntentRejectsCorruption(t *testing.T) {
-	good := EncodeRebalanceIntent(RebalanceIntent{
-		SourceEpoch: 2,
-		Generation:  5,
-		OldFences:   [][]byte{{9}},
-		NewFences:   [][]byte{{4}, {8}},
-	})
-	if _, err := DecodeRebalanceIntent(nil); err == nil {
-		t.Errorf("decode accepted empty intent")
-	}
-	if _, err := DecodeRebalanceIntent(good[:len(good)-1]); err == nil {
-		t.Errorf("decode accepted truncated intent")
-	}
-	// Every single-byte flip must be caught by the CRC (the record lives in
-	// a bare file with no page checksums around it).
-	for i := range good {
-		mut := append([]byte(nil), good...)
-		mut[i] ^= 0x40
-		if _, err := DecodeRebalanceIntent(mut); err == nil {
-			t.Errorf("flip byte %d: decode accepted corrupt intent", i)
-		}
-	}
-}
-
-// FuzzManifest drives both top-level decoders with arbitrary bytes: neither
-// may panic or over-allocate, and anything DecodeShardManifest accepts must
+// FuzzManifest drives the manifest decoder with arbitrary bytes: it may
+// not panic or over-allocate, and anything DecodeShardManifest accepts must
 // re-encode to the identical byte string (the codec is canonical) — up to
 // the four reserved option words, which are ignored on read and written as
 // zero.
 func FuzzManifest(f *testing.F) {
 	f.Add(EncodeShardManifest(sampleManifest()))
-	f.Add(EncodeRebalanceIntent(RebalanceIntent{
-		SourceEpoch: 3,
-		Generation:  1,
-		OldFences:   [][]byte{{1}},
-		NewFences:   [][]byte{{2}, {3}},
+	// A single-writer store's manifest: one shard, no fences.
+	f.Add(EncodeShardManifest(ShardManifest{
+		Options: Options{Error: 64, BufferSize: 8},
+		Shards:  []ShardCut{{ReplayFrom: 5, Chunks: []uint64{1}}},
 	}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, err := DecodeShardManifest(data); err == nil {
 			if !bytes.Equal(EncodeShardManifest(m), zeroReserved(data)) {
 				t.Fatalf("manifest decode/encode not canonical")
-			}
-		}
-		if it, err := DecodeRebalanceIntent(data); err == nil {
-			if !bytes.Equal(EncodeRebalanceIntent(it), data) {
-				t.Fatalf("intent decode/encode not canonical")
 			}
 		}
 	})

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"fitingtree/internal/pager"
@@ -341,4 +345,89 @@ func TestLegacyStoreWithLooserPagesOpens(t *testing.T) {
 		t.Fatalf("%d pages still carry %d of widening after writes touched every page", after, left)
 	}
 	t.Logf("%d pages with %d of widening became %d pages with %d", pages, deletes, after, left)
+}
+
+// TestLegacyStoreIntentAndStaleLogsOpen: a directory an earlier build left
+// behind at committed generation G — with that build's rebalance intent
+// record and its write sibling, the logs of an uncommitted migration to
+// G+1 and those of G-1, whose sweep never finished — opens at G with every
+// acknowledged write and is left holding only generation G's logs. The
+// stale logs carry real records: replaying either set would duplicate
+// keys.
+func TestLegacyStoreIntentAndStaleLogsOpen(t *testing.T) {
+	const shards = 3
+	mem, dev := wal.NewMemFS(), pager.NewDisk()
+	d := openStore(t, mem, dev, shards)
+	var want [][2]int
+	insert := func(from, to int) {
+		for k := from; k < to; k += 3 {
+			if err := d.Insert(k, -k); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, [2]int{k, -k})
+		}
+	}
+	logsOf := func(gen uint64) map[string][]byte {
+		logs := make(map[string][]byte)
+		for i := 0; i < shards; i++ {
+			name := ShardWALName(gen, i)
+			logs[name] = mem.Bytes(name)
+		}
+		return logs
+	}
+	insert(0, 1800)
+	if err := d.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	insert(1, 1800) // generation 1's log tails
+	below := logsOf(1)
+	if err := d.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	insert(2, 1800) // generation 2's acknowledged, never-checkpointed tails
+	const gen = 2
+	if g := d.Generation(); g != gen {
+		t.Fatalf("store at generation %d, want %d", g, gen)
+	}
+	above := make(map[string][]byte)
+	for i := 0; i < shards; i++ {
+		above[ShardWALName(gen+1, i)] = mem.Bytes(ShardWALName(gen, i))
+	}
+
+	// The intent record as earlier builds wrote it: magic "FINT", source
+	// epoch, the migration's generation, old and new fence lists (empty
+	// here), CRC-32C.
+	intent := binary.LittleEndian.AppendUint32(nil, 0x46494e54)
+	intent = binary.LittleEndian.AppendUint64(intent, 9)
+	intent = binary.LittleEndian.AppendUint64(intent, gen+1)
+	intent = binary.LittleEndian.AppendUint32(intent, 0)
+	intent = binary.LittleEndian.AppendUint32(intent, 0)
+	intent = binary.LittleEndian.AppendUint32(intent, crc32.Checksum(intent, crc32.MakeTable(crc32.Castagnoli)))
+	mem.SetBytes("rebalance.intent", intent)
+	mem.SetBytes("rebalance.intent.tmp", intent[:len(intent)/2])
+	for _, logs := range []map[string][]byte{below, above} {
+		for name, data := range logs {
+			if data == nil {
+				t.Fatalf("log %s to plant is empty", name)
+			}
+			mem.SetBytes(name, data)
+		}
+	}
+	mem.Crash()
+
+	rec := openStore(t, mem, dev, shards)
+	defer rec.Close()
+	sort.Slice(want, func(a, b int) bool { return want[a][0] < want[b][0] })
+	if got := dump(rec); !pairsEqual(got, want) {
+		t.Fatalf("reopened with %d pairs, want %d", len(got), len(want))
+	}
+	if g := rec.Generation(); g != gen {
+		t.Fatalf("reopened at generation %d, want %d", g, gen)
+	}
+	live := fmt.Sprintf("wal-%d-", gen)
+	for _, name := range mem.Names() {
+		if !strings.HasPrefix(name, live) {
+			t.Fatalf("%q survived the open", name)
+		}
+	}
 }
