@@ -146,15 +146,14 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 			return nil, err
 		}
 		run := makeRun[K, V](len(snap.Pages))
-		// One backing array per chunk instead of one allocation per page;
-		// recovery assembles tens of thousands of pages.
-		backing := make([]page[K, V], len(snap.Pages))
 		for pi, ps := range snap.Pages {
 			if havePrev && ps.Seg.Start < prevStart {
 				return nil, fmt.Errorf("fitingtree: checkpoint chunk %d page %d: start keys not sorted", ci, pi)
 			}
 			prevStart, havePrev = ps.Seg.Start, true
-			backing[pi] = page[K, V]{
+			// Each page is its own allocation: a shared per-chunk array
+			// would be pinned whole by one page a later fold carries over.
+			p := &page[K, V]{
 				id:      pageSeq.Add(1),
 				seg:     ps.Seg,
 				keys:    ps.Keys,
@@ -165,7 +164,7 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 				bufVals: ps.BufVals,
 				deletes: ps.Deletes + max(0, ps.WErr-segErr),
 			}
-			run.add(segErr, &backing[pi])
+			run.add(segErr, p)
 			t.size += len(ps.Keys) + len(ps.BufKeys)
 		}
 		chunks = append(chunks, newChunk(run))

@@ -82,9 +82,6 @@ func (e Elem[T]) IsString() bool { return e.kind == elemString }
 // IsBool reports whether T is of bool kind.
 func (e Elem[T]) IsBool() bool { return e.kind == elemBool }
 
-// fixed reports whether T's raw form is one 8-byte word.
-func (e Elem[T]) fixed() bool { return e.Raw() && e.kind != elemString }
-
 // Append appends v's raw form to buf. T must have one.
 func (e Elem[T]) Append(buf []byte, v T) []byte {
 	one := [1]T{v}

@@ -163,6 +163,91 @@ func TestFoldReleasesReplacedArrays(t *testing.T) {
 	runtime.KeepAlive(tr)
 }
 
+// TestRecoveryReleasesDecodedArrays runs recovery's core on a checkpoint:
+// every chunk of a bulk-loaded tree is encoded, decoded and assembled into
+// pages with arrays of exactly their size, and one replay-sized fold
+// (about four adds per page) rebuilds most pages while some assembled
+// pages survive it, in nearly every chunk. With every other tree and blob
+// dropped, what is left must be about the data: a surviving page may keep
+// alive its own arrays and nothing else, not the decoded arrays of the
+// pages the fold replaced.
+func TestRecoveryReleasesDecodedArrays(t *testing.T) {
+	const n = 1_000_000
+	before := liveHeap()
+	tr := func() *Tree[uint64, uint64] {
+		keys := workload.Weblogs(n, 11)
+		base := buildCOWBase(t, keys, Options{})
+		codec := NewSnapCodec[uint64, uint64]()
+		snaps := make([]ChunkSnap[uint64, uint64], base.NumChunks())
+		for i := range snaps {
+			blob, err := codec.Encode(base.ChunkSnap(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snaps[i], err = codec.Decode(blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded, err := AssembleChunks(snaps, base.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, built := range map[string]*Tree[uint64, uint64]{"bulk-loaded": base, "assembled": loaded} {
+			for _, c := range built.chunks {
+				for _, p := range c.pages {
+					if cap(p.keys) != len(p.keys) || cap(p.vals) != len(p.vals) {
+						t.Fatalf("%s page at %d has %d keys in cap %d, %d values in cap %d",
+							what, p.start(), len(p.keys), cap(p.keys), len(p.vals), cap(p.vals))
+					}
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(11))
+		tail := make([]uint64, 4*loaded.NumPages())
+		for i := range tail {
+			tail[i] = keys[rng.Intn(len(keys))] + 1 + uint64(rng.Intn(5))
+		}
+		slices.Sort(tail)
+		tail = slices.Compact(tail)
+		ops := make([]MergeOp[uint64, uint64], len(tail))
+		for i, k := range tail {
+			ops[i] = MergeOp[uint64, uint64]{Key: k, Adds: []uint64{k}}
+		}
+		tr := loaded.MergeCOW(ops)
+		kept := map[*page[uint64, uint64]]bool{}
+		for _, c := range tr.chunks {
+			for _, p := range c.pages {
+				kept[p] = true
+			}
+		}
+		survivors, pinning := 0, 0 // surviving pages, chunks with one
+		for _, c := range loaded.chunks {
+			had := survivors
+			for _, p := range c.pages {
+				if kept[p] {
+					survivors++
+				}
+			}
+			if survivors > had {
+				pinning++
+			}
+		}
+		if survivors*5 > loaded.NumPages() || pinning < loaded.NumChunks()*9/10 {
+			t.Fatalf("%d of %d assembled pages survived the fold, in %d of %d chunks: the scenario proves nothing",
+				survivors, loaded.NumPages(), pinning, loaded.NumChunks())
+		}
+		t.Logf("%d of %d assembled pages survived the fold, in %d of %d chunks",
+			survivors, loaded.NumPages(), pinning, loaded.NumChunks())
+		return tr
+	}()
+	after := liveHeap()
+	data := uint64(tr.Len()) * 16
+	if held := after - before; held > data*3/2 {
+		t.Fatalf("%d elements hold %d bytes of heap, %.2fx their data", tr.Len(), held, float64(held)/float64(data))
+	}
+	runtime.KeepAlive(tr)
+}
+
 // TestNumPagesMatchesChain compares the carried page count with a walk of
 // the chain after each kind of operation that splices pages: bare-tree
 // inserts and deletes (buffer merges, splits, emptied pages), folds, and a

@@ -172,35 +172,14 @@ func (c *SnapCodec[K, V]) Decode(data []byte) (ChunkSnap[K, V], error) {
 		return snap, fmt.Errorf("fitingtree: chunk snapshot claims %d pages in %d bytes", nPages, len(data))
 	}
 	snap.Pages = make([]PageSnap[K, V], nPages)
-	// For fixed-width keys and values a pre-scan sums the element counts so
-	// every page's key and value slices can be carved from two arena
-	// allocations — recovery decodes thousands of pages, and four small
-	// allocations per page dominated its profile. The carved slices are
-	// capacity-capped so a later append on one page reallocates instead
-	// of stomping its arena neighbor.
-	var keyArena []K
-	var valArena []V
-	arena := false
-	if c.key.fixed() && c.val.fixed() {
-		if total, ok := rawSnapTotal(data, nPages, tail); ok {
-			keyArena, valArena, arena = make([]K, total), make([]V, total), true
-		}
-	}
-	// run decodes one counted run of keys and values, checking key order
-	// and NaNs as it fills.
+	// run decodes one counted run of keys and values into arrays of their
+	// own, checking key order and NaNs as it fills.
 	run := func(data []byte) ([]K, []V, []byte, error) {
 		n, data, err := c.decCount(data)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		var ks []K
-		var vs []V
-		if arena {
-			ks, vs = keyArena[:n:n], valArena[:n:n]
-			keyArena, valArena = keyArena[n:], valArena[n:]
-		} else {
-			ks, vs = make([]K, n), make([]V, n)
-		}
+		ks, vs := make([]K, n), make([]V, n)
 		if data, err = c.key.decodeInto(ks, data); err != nil {
 			return nil, nil, nil, err
 		}
@@ -249,42 +228,6 @@ func (c *SnapCodec[K, V]) Decode(data []byte) (ChunkSnap[K, V], error) {
 	// run checked ordering and NaNs for every page on this path.
 	snap.KeysVerified = true
 	return snap, nil
-}
-
-// rawSnapTotal walks a raw snapshot body (past the page count) assuming
-// the fixed 8-byte value encoding and returns the total element count
-// across all pages, sorted plus buffered. tail is the per-page trailer
-// size (4 for format 1, 8 for format 3). ok is false when the walk runs
-// off the data — the caller then falls back to the per-page path, whose
-// bounds checks produce the precise error.
-func rawSnapTotal(data []byte, nPages, tail int) (total int, ok bool) {
-	for i := 0; i < nPages; i++ {
-		if len(data) < 36 {
-			return 0, false
-		}
-		n := int(binary.LittleEndian.Uint32(data[32:]))
-		data = data[36:]
-		if n > len(data)/16 {
-			return 0, false
-		}
-		data = data[16*n:]
-		total += n
-		if len(data) < 4 {
-			return 0, false
-		}
-		n = int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if n > len(data)/16 {
-			return 0, false
-		}
-		data = data[16*n:]
-		total += n
-		if len(data) < tail {
-			return 0, false
-		}
-		data = data[tail:]
-	}
-	return total, len(data) == 0
 }
 
 // decCount reads one u32 element count, bounding it by the remaining

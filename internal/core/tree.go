@@ -421,8 +421,8 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 			s := segs[j]
 			pages[j] = newPage(0,
 				segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
-				append([]K(nil), keys[s.StartPos:s.EndPos()]...),
-				append([]V(nil), vals[s.StartPos:s.EndPos()]...),
+				ownCopy(keys[s.StartPos:s.EndPos()]),
+				ownCopy(vals[s.StartPos:s.EndPos()]),
 			)
 		}
 	})
