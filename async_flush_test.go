@@ -72,7 +72,7 @@ func TestAsyncFlushFreezePublish(t *testing.T) {
 // deterministically by claiming the worker slot (flusher=true with no
 // worker running) so the frozen ladder can never drain in the background:
 // with all maxFrozenLayers slots staged, writers keep absorbing into the
-// active delta until it reaches FlushBackpressureFactor times the
+// active delta until it reaches backpressureFactor times the
 // threshold, then the tripping writer folds the whole ladder inline.
 func TestAsyncFlushBackpressure(t *testing.T) {
 	o := asyncFixture(t, 20_000)
@@ -98,7 +98,7 @@ func TestAsyncFlushBackpressure(t *testing.T) {
 	const staged = maxFrozenLayers * (flushAt - 1)
 
 	// Writers absorb past the trip threshold without flushing...
-	limit := flushAt*FlushBackpressureFactor - 1
+	limit := flushAt*backpressureFactor - 1
 	for i := 0; i < limit; i++ {
 		o.Insert(uint64(100_000+i*2+1), uint64(i))
 		cur := o.state.Load()

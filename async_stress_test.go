@@ -375,27 +375,3 @@ func TestShardedAckedWritesVisibleAsync(t *testing.T) {
 	wg.Wait()
 	s.Close()
 }
-
-// TestSetFlushEveryPanics pins the documented guard on both facades: a
-// threshold below 1 is a caller bug, not a clamp.
-func TestSetFlushEveryPanics(t *testing.T) {
-	o := buildOpt(t, seqKeys(100, 2), 0)
-	expectPanic(t, "Optimistic.SetFlushEvery(0)", func() { o.SetFlushEvery(0) })
-	expectPanic(t, "Optimistic.SetFlushEvery(-5)", func() { o.SetFlushEvery(-5) })
-	tr, err := fitingtree.BulkLoad(seqKeys(100, 2), seqKeys(100, 2), fitingtree.Options{Error: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := fitingtree.NewSharded(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectPanic(t, "Sharded.SetFlushEvery(0)", func() { s.SetFlushEvery(0) })
-	expectPanic(t, "Sharded.SetFlushEvery(-1)", func() { s.SetFlushEvery(-1) })
-	// The guarded facades still work.
-	o.Insert(1, 1)
-	s.Insert(1, 1)
-	if !o.Contains(1) || !s.Contains(1) {
-		t.Fatal("facade broken after SetFlushEvery panics")
-	}
-}

@@ -186,7 +186,7 @@ func BenchmarkFig10CostModel(b *testing.B) {
 	keys := benchKeys()
 	vals := benchVals(len(keys))
 	const e = 1000
-	m, err := costmodel.Learn(keys, []int{10, 100, 1000, 10000}, 50, btree.DefaultOrder, 0.5, 0.5)
+	m, err := costmodel.Learn(keys, []int{10, 100, 1000, 10000}, 50)
 	if err != nil {
 		b.Fatal(err)
 	}

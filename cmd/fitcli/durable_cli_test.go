@@ -72,13 +72,14 @@ func TestCLICrashRecovery(t *testing.T) {
 		t.Fatalf("save: %v\n%s", err, out)
 	}
 
-	// Pump far more keys than we will let finish, flushing aggressively so
-	// the kill can land mid-insert, mid-flush, or mid-checkpoint.
+	// Pump far more keys than we will let finish, and read acks past
+	// several flushes at the tree's own threshold (1024 pending writes on
+	// a store this small), so the kill can land mid-insert, mid-flush, or
+	// mid-checkpoint.
 	const start, count = uint64(1 << 40), 200000
 	pump := exec.Command(bin, "pump", "-dir", dir,
 		"-start", strconv.FormatUint(start, 10),
-		"-count", strconv.Itoa(count),
-		"-flush-every", "64")
+		"-count", strconv.Itoa(count))
 	stdout, err := pump.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestCLICrashRecovery(t *testing.T) {
 	}
 	var acked []uint64
 	sc := bufio.NewScanner(stdout)
-	for sc.Scan() && len(acked) < 700 {
+	for sc.Scan() && len(acked) < 4000 {
 		var k uint64
 		if _, err := fmt.Sscanf(sc.Text(), "acked %d", &k); err != nil {
 			t.Fatalf("bad pump line %q: %v", sc.Text(), err)

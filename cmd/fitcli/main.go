@@ -23,6 +23,10 @@
 //	fitcli recover -dir store                       recover, checkpoint, report
 //	fitcli pump -dir store -start 0 -count 10000    append keys, ack each
 //	fitcli scrub -dir store                         verify checkpoint integrity
+//
+// pump acknowledges a key once its group commit (-sync-every N writes) is
+// durable; its delta flushes at the tree's own threshold, which is derived
+// from the page count and has no flag.
 package main
 
 import (
@@ -272,11 +276,10 @@ func cmdScrub(args []string) error {
 func cmdPump(args []string) error {
 	fs := flag.NewFlagSet("pump", flag.ExitOnError)
 	var (
-		dir        = fs.String("dir", "", "store directory (required)")
-		start      = fs.Uint64("start", 0, "first key")
-		count      = fs.Int("count", 10_000, "number of keys to insert")
-		syncEvery  = fs.Int("sync-every", 1, "group-commit batch size")
-		flushEvery = fs.Int("flush-every", 0, "pin the delta flush threshold (0: follow the tree's page count)")
+		dir       = fs.String("dir", "", "store directory (required)")
+		start     = fs.Uint64("start", 0, "first key")
+		count     = fs.Int("count", 10_000, "number of keys to insert")
+		syncEvery = fs.Int("sync-every", 1, "group-commit batch size")
 	)
 	fs.Parse(args)
 	if *dir == "" {
@@ -292,9 +295,6 @@ func cmdPump(args []string) error {
 		return err
 	}
 	d.SetSyncEvery(*syncEvery)
-	if *flushEvery > 0 {
-		d.SetFlushEvery(*flushEvery)
-	}
 	out := bufio.NewWriter(os.Stdout)
 	pending := 0
 	for i := 0; i < *count; i++ {

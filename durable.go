@@ -188,8 +188,8 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 
 // replayTail folds a WAL tail into tree as one batch instead of one facade
 // write at a time: a long tail pushed through the ordinary insert path
-// trips the flush threshold once per DefaultFlushEvery records and
-// re-segments the same hot pages over and over, which dominates recovery.
+// trips the flush threshold (at least 1024 pending writes) again and again
+// and re-segments the same hot pages each time, which dominates recovery.
 // The records are sorted by key, in log order within a key, and each key's
 // run applies the write path's op rule through the same helpers: a delete
 // consumes the newest still-pending insert it may take (consumeAdd), else

@@ -16,18 +16,18 @@ func ExampleOptimistic() {
 	tr, _ := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 16, BufferSize: 4})
 
 	idx := fitingtree.NewOptimistic(tr)
-	idx.SetFlushEvery(2) // fold the delta into the tree every 2 writes
 
 	v, ok := idx.Lookup(30) // latch-free read of the published state
 	fmt.Println(v, ok)
 
-	idx.Insert(35, "f") // 1st write: pending in the delta, already visible
+	idx.Insert(35, "f") // pending in the delta, already visible
 	fmt.Println(idx.Lookup(35))
 
-	idx.Insert(45, "g") // 2nd write: trips the page-granular COW flush
+	idx.Insert(45, "g")
+	idx.SyncFlush() // fold the delta into the tree: a page-granular COW merge
 	fmt.Println(idx.Lookup(45))
 	fmt.Println(idx.Len())
-	idx.Close() // drain: on multi-core runtimes the flush runs in the background
+	idx.Close() // drain: on multi-core runtimes flushes run in the background
 	// Output:
 	// c true
 	// f true

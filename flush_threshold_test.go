@@ -22,18 +22,18 @@ func manyPages(t *testing.T, n, segErr int) (tr *Tree[uint64, uint64], hold []ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived(tr.NumPages()) < DefaultFlushEvery*3/2 {
+	if derived(tr.NumPages()) < flushFloor*3/2 {
 		t.Fatalf("fixture has %d pages: the derived threshold is at or near its floor", tr.NumPages())
 	}
 	return tr, hold
 }
 
 // derived is the documented default threshold over a tree of pages pages.
-func derived(pages int) int64 { return max(DefaultFlushEvery, int64(pages/4)) }
+func derived(pages int) int64 { return max(flushFloor, int64(pages/4)) }
 
 // TestFlushThresholdFollowsTree pins the data-aware default: with nothing
 // pinned the threshold is a quarter of the base tree's page count (at least
-// DefaultFlushEvery), each fold trips on exactly the write that reaches the
+// flushFloor), each fold trips on exactly the write that reaches the
 // threshold of the tree then in force, and the next tree's page count sets
 // the next threshold.
 func TestFlushThresholdFollowsTree(t *testing.T) {
@@ -42,8 +42,8 @@ func TestFlushThresholdFollowsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := NewOptimistic(small).threshold(small); got != DefaultFlushEvery {
-		t.Fatalf("threshold over a %d-page tree = %d, want the floor %d", small.NumPages(), got, DefaultFlushEvery)
+	if got := NewOptimistic(small).threshold(small); got != flushFloor {
+		t.Fatalf("threshold over a %d-page tree = %d, want the floor %d", small.NumPages(), got, flushFloor)
 	}
 
 	tr, hold := manyPages(t, 200_000, 4)
@@ -84,7 +84,7 @@ func TestFlushThresholdFollowsTree(t *testing.T) {
 // TestFlushThresholdPinned pins what SetFlushEvery pins, over a tree whose
 // derived threshold would be thousands: the delta freezes at exactly n
 // pending writes, four times over until the ladder is full, the writer
-// then absorbs up to FlushBackpressureFactor·n and folds inline on the
+// then absorbs up to backpressureFactor·n and folds inline on the
 // write that reaches it, and the compaction scheduler's bound is the same
 // multiple of n.
 func TestFlushThresholdPinned(t *testing.T) {
@@ -112,16 +112,16 @@ func TestFlushThresholdPinned(t *testing.T) {
 			t.Fatalf("the %d-th pending write did not freeze the delta onto %d layers", n, layer)
 		}
 	}
-	for i := 0; i < n*FlushBackpressureFactor-1; i++ {
+	for i := 0; i < n*backpressureFactor-1; i++ {
 		o.Insert(hold[next], 0)
 		next++
 	}
-	if st := o.state.Load(); len(st.frozen) != maxFrozenLayers || st.delta.pending() != n*FlushBackpressureFactor-1 || o.BackpressureFolds() != 0 {
+	if st := o.state.Load(); len(st.frozen) != maxFrozenLayers || st.delta.pending() != n*backpressureFactor-1 || o.BackpressureFolds() != 0 {
 		t.Fatal("the writer folded before the pinned backpressure bound")
 	}
 	o.Insert(hold[next], 0)
 	if st := o.state.Load(); st.frozen != nil || st.delta != nil || o.BackpressureFolds() != 1 {
-		t.Fatalf("the write reaching %d×%d did not fold inline", FlushBackpressureFactor, n)
+		t.Fatalf("the write reaching %d×%d did not fold inline", backpressureFactor, n)
 	}
 	o.flusher.Store(false)
 
@@ -163,7 +163,7 @@ func TestFlushThresholdShards(t *testing.T) {
 			base := sh.state.Load().tree
 			want := pinned
 			if pinned == 0 {
-				if want = derived(base.NumPages()); want == DefaultFlushEvery {
+				if want = derived(base.NumPages()); want == flushFloor {
 					t.Fatalf("%s: shard %d has %d pages: the derived threshold is at its floor", what, i, base.NumPages())
 				}
 			}

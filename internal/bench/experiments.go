@@ -276,7 +276,7 @@ func Fig10(w io.Writer, cfg Config) {
 		c = costmodel.MeasureCacheMissNs(64<<20, 2_000_000)
 	}
 	sampleErrs := []int{10, 32, 100, 316, 1000, 3162, 10000, 31623, 100000}
-	m, err := costmodel.Learn(keys, sampleErrs, c, btree.DefaultOrder, 0.5, 0.5)
+	m, err := costmodel.Learn(keys, sampleErrs, c)
 	if err != nil {
 		panic(err)
 	}

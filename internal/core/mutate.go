@@ -167,31 +167,14 @@ func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
 }
 
 // merge combines the page at cu with its buffer into one sorted run,
-// re-segments it with the bulk-loading algorithm, and splices the
-// resulting page(s) into the chain in place of it (Algorithm 4 lines 5-9).
+// re-segments it with the bulk-loading algorithm (buildPages, the fold's
+// page builder, so every page owns its arrays), and splices the resulting
+// page(s) into the chain in place of it (Algorithm 4 lines 5-9).
 func (t *Tree[K, V]) merge(cu cursor[K, V]) {
-	t.counters.Merges++
 	p := cu.page()
-	mergedKeys, mergedVals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
-	if len(mergedKeys) == 0 {
-		t.splicePages(cu, nil)
-		return
-	}
-	segs := segment.ShrinkingCone(mergedKeys, t.opts.segError())
-	t.counters.PagesMade += len(segs)
-
-	pages := make([]*page[K, V], len(segs))
-	for i, s := range segs {
-		pages[i] = newPage(
-			pageSeq.Add(1),
-			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
-			// Sub-slicing the merged run is safe: pages never grow their
-			// data in place, and in-place deletions stay within a page's
-			// own window of the backing array.
-			mergedKeys[s.StartPos:s.EndPos():s.EndPos()],
-			mergedVals[s.StartPos:s.EndPos():s.EndPos()],
-		)
-	}
+	keys, vals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
+	pages := t.buildPages(keys, vals, nil, 0, &t.counters)
+	stampIDs([][]*page[K, V]{pages})
 	t.splicePages(cu, pages)
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"fitingtree/internal/segment"
 	"fitingtree/internal/workload"
 )
 
@@ -107,6 +108,106 @@ func TestFoldPagesOwnTheirArrays(t *testing.T) {
 			}
 		}
 		tr = next
+	}
+}
+
+// TestInsertMergePagesOwnTheirArrays pins what bare Tree's buffer merge
+// (Algorithm 4) hands the pages it makes: arrays of exactly each page's
+// size, cut from no run a sibling shares (a page's keys and values never
+// both continue its predecessor's), and the segments ShrinkingCone draws
+// over the merged run. The counters follow the one rule: a merge counts
+// once and adds the pages it makes.
+func TestInsertMergePagesOwnTheirArrays(t *testing.T) {
+	keys := workload.Weblogs(40_000, 7)
+	var bulk, held []uint64
+	for i, k := range keys {
+		if i%4 == 3 {
+			held = append(held, k)
+		} else {
+			bulk = append(bulk, k)
+		}
+	}
+	opts := Options{Error: 16, BufferSize: 8}
+	tr, err := BulkLoad(bulk, bulk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func() []*page[uint64, uint64] {
+		var ps []*page[uint64, uint64]
+		for _, c := range tr.chunks {
+			ps = append(ps, c.pages...)
+		}
+		return ps
+	}
+	rng := rand.New(rand.NewSource(11))
+	var want Counters
+	split := 0
+	for n, i := range rng.Perm(len(held)) {
+		burst := 1
+		if n%16 == 0 {
+			burst = 24 // duplicates that split their page
+		}
+		for b := 0; b < burst; b++ {
+			k := held[i]
+			want.Inserts++
+			p := tr.runHead(tr.locate(k), k).page()
+			if len(p.bufKeys)+1 < opts.BufferSize {
+				tr.Insert(k, k)
+				continue
+			}
+			at, _ := findKey(p.bufKeys, k)
+			runK, runV := mergeSorted(p.keys, p.vals,
+				insertAt(slices.Clone(p.bufKeys), at, k), insertAt(slices.Clone(p.bufVals), at, k))
+			segs := segment.ShrinkingCone(runK, opts.segError())
+			want.Merges++
+			want.PagesMade += len(segs)
+			old := map[*page[uint64, uint64]]bool{}
+			for _, q := range chain() {
+				old[q] = true
+			}
+			tr.Insert(k, k)
+			var made []*page[uint64, uint64]
+			for _, q := range chain() {
+				if !old[q] {
+					made = append(made, q)
+				}
+			}
+			if len(made) != len(segs) {
+				t.Fatalf("insert %d: the merge made %d pages, ShrinkingCone draws %d", n, len(made), len(segs))
+			}
+			for j, q := range made {
+				s := segs[j]
+				if q.seg.Start != s.Start || q.seg.StartPos != 0 || q.seg.Count != s.Count || q.seg.Slope != s.Slope ||
+					!slices.Equal(q.keys, runK[s.StartPos:s.EndPos()]) || !slices.Equal(q.vals, runV[s.StartPos:s.EndPos()]) {
+					t.Fatalf("insert %d: page %d of the merge is %+v, ShrinkingCone draws %+v", n, j, q.seg, s)
+				}
+				if cap(q.keys) != len(q.keys) || cap(q.vals) != len(q.vals) {
+					t.Fatalf("insert %d: page %d has %d keys in cap %d, %d values in cap %d",
+						n, j, len(q.keys), cap(q.keys), len(q.vals), cap(q.vals))
+				}
+			}
+			if len(made) > 1 {
+				split++
+			}
+		}
+	}
+	if got := tr.Counters(); got != want {
+		t.Fatalf("Counters %+v, want %+v", got, want)
+	}
+	if want.Merges < 500 || split < 50 {
+		t.Fatalf("%d merges, %d of them split: the stream exercises too little", want.Merges, split)
+	}
+	end := func(s []uint64) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(s))) + uintptr(len(s))*8 }
+	start := func(s []uint64) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(s))) }
+	ps := chain()
+	for j := 1; j < len(ps); j++ {
+		p, q := ps[j-1], ps[j]
+		if end(p.keys) == start(q.keys) && end(p.vals) == start(q.vals) {
+			t.Fatalf("pages at %d and %d sit back to back in one key array and one value array", p.start(), q.start())
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

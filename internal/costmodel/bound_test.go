@@ -5,7 +5,6 @@ package costmodel_test
 import (
 	"testing"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/core"
 	"fitingtree/internal/costmodel"
 	"fitingtree/internal/workload"
@@ -15,7 +14,7 @@ import (
 // is pessimistic, i.e. at least the measured index size.
 func TestSizeIsUpperBoundOfActual(t *testing.T) {
 	keys := workload.Weblogs(200_000, 1)
-	m, err := costmodel.Learn(keys, []int{10, 32, 100, 316, 1000, 3162, 10000}, 50, btree.DefaultOrder, 0.5, 0.5)
+	m, err := costmodel.Learn(keys, []int{10, 32, 100, 316, 1000, 3162, 10000}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,21 +36,14 @@ func TestSizeIsUpperBoundOfActual(t *testing.T) {
 	}
 }
 
-// TestCacheMissNsMemoized pins the process-wide memoization: an override
-// is returned verbatim (no measurement runs) and the restore function
-// re-exposes the prior state.
+// TestCacheMissNsMemoized pins the process-wide memoization: the host is
+// measured once, so a second call returns the first call's value.
 func TestCacheMissNsMemoized(t *testing.T) {
-	restore := costmodel.SetCacheMissNsForTest(42)
-	defer restore()
-	if got := costmodel.CacheMissNs(); got != 42 {
-		t.Fatalf("CacheMissNs() = %f with override 42", got)
+	first := costmodel.CacheMissNs()
+	if first <= 0 {
+		t.Fatalf("CacheMissNs() = %f", first)
 	}
-	inner := costmodel.SetCacheMissNsForTest(7)
-	if got := costmodel.CacheMissNs(); got != 7 {
-		t.Fatalf("CacheMissNs() = %f with override 7", got)
-	}
-	inner()
-	if got := costmodel.CacheMissNs(); got != 42 {
-		t.Fatalf("CacheMissNs() = %f after restore, want 42", got)
+	if got := costmodel.CacheMissNs(); got != first {
+		t.Fatalf("CacheMissNs() = %f, then %f", first, got)
 	}
 }

@@ -32,23 +32,23 @@ import (
 	"fitingtree/internal/segment"
 )
 
-// Model predicts lookup latency, insert latency, and index size per error
-// threshold.
-type Model struct {
-	// Elements is the dataset size the model was learned from; it feeds
-	// the amortized split term of the insert model.
-	Elements int
+// The model's fixed parameters: every caller models the paper's setup.
+const (
+	// fanout is b, the inner B+ tree's fanout: btree.DefaultOrder, the
+	// order of the trees the model is checked against.
+	fanout = 16
+	// fill is f, the inner tree's fill factor (the paper's example uses 0.5).
+	fill = 0.5
+	// bufferFrac is the insert-buffer fraction of the error threshold (0.5
+	// matches the evaluation setup: buffer = e/2).
+	bufferFrac = 0.5
+)
 
+// Model predicts lookup latency and index size per error threshold.
+type Model struct {
 	// C is the cost of a random memory access in nanoseconds (the paper
 	// uses 50ns measured with a memory benchmark; see MeasureCacheMissNs).
 	C float64
-	// Fanout b of the inner B+ tree.
-	Fanout int
-	// Fill factor f of the inner tree (the paper's example uses 0.5).
-	Fill float64
-	// BufferFrac is the insert-buffer fraction of the error threshold
-	// (0.5 matches the evaluation setup: buffer = e/2).
-	BufferFrac float64
 
 	// samples of (error, segments), ascending by error.
 	errs []int
@@ -56,21 +56,19 @@ type Model struct {
 }
 
 // Learn builds a model for a dataset by segmenting it at each error in
-// errs (which must be ascending, >= 1).
-func Learn[K num.Key](keys []K, errs []int, c float64, fanout int, fill, bufferFrac float64) (*Model, error) {
+// errs (which must be ascending, >= 1), charging c nanoseconds per random
+// access.
+func Learn[K num.Key](keys []K, errs []int, c float64) (*Model, error) {
 	if len(errs) == 0 {
 		return nil, fmt.Errorf("costmodel: no error thresholds to sample")
 	}
 	if !sort.IntsAreSorted(errs) {
 		return nil, fmt.Errorf("costmodel: error thresholds must be ascending")
 	}
-	if fanout < 3 || fill <= 0 || fill > 1 || c <= 0 {
-		return nil, fmt.Errorf("costmodel: invalid parameters c=%f fanout=%d fill=%f", c, fanout, fill)
+	if c <= 0 {
+		return nil, fmt.Errorf("costmodel: invalid cache-miss cost c=%f", c)
 	}
-	if bufferFrac < 0 || bufferFrac >= 1 {
-		return nil, fmt.Errorf("costmodel: bufferFrac %f must be in [0, 1)", bufferFrac)
-	}
-	m := &Model{Elements: len(keys), C: c, Fanout: fanout, Fill: fill, BufferFrac: bufferFrac}
+	m := &Model{C: c}
 	for _, e := range errs {
 		if e < 1 {
 			return nil, fmt.Errorf("costmodel: error threshold %d < 1", e)
@@ -107,19 +105,14 @@ func (m *Model) Segments(e int) float64 {
 	return math.Exp(y0+t*(y1-y0)) - 1
 }
 
-// bufferSize returns the modeled insert-buffer capacity for error e.
-func (m *Model) bufferSize(e int) float64 {
-	return float64(e) * m.BufferFrac
-}
-
 // Latency predicts the lookup latency in nanoseconds for error threshold e
 // (Section 6.1 Equation 1).
 func (m *Model) Latency(e int) float64 {
 	se := math.Max(1, m.Segments(e))
-	tree := math.Log(se) / math.Log(float64(m.Fanout)) // log_b(S_e)
+	tree := math.Log(se) / math.Log(fanout) // log_b(S_e)
 	seg := math.Log2(math.Max(2, float64(e)))
 	buf := 0.0
-	if bu := m.bufferSize(e); bu >= 2 {
+	if bu := float64(e) * bufferFrac; bu >= 2 { // the modeled buffer's capacity
 		buf = math.Log2(bu)
 	}
 	return m.C * (tree + seg + buf)
@@ -130,35 +123,13 @@ func (m *Model) Latency(e int) float64 {
 // metadata per segment.
 func (m *Model) Size(e int) int64 {
 	se := math.Max(1, m.Segments(e))
-	logb := math.Log(se) / math.Log(float64(m.Fanout))
+	logb := math.Log(se) / math.Log(fanout)
 	if logb < 1 {
 		// Even a single-level tree stores each entry once.
 		logb = 1
 	}
-	tree := m.Fill * se * logb * 16
+	tree := fill * se * logb * 16
 	return int64(tree + se*24)
-}
-
-// entriesPerLine is how many 16-byte index entries share a 64-byte cache
-// line; sequential moves during merges are charged one miss per line.
-const entriesPerLine = 4
-
-// InsertLatency predicts the insert latency in nanoseconds for error
-// threshold e. The paper sketches this model in Section 6.1: an insert (1)
-// walks the tree to the owning segment, (2) adds the key to the sorted
-// buffer (binary search for the slot; the shift stays inside the cached
-// buffer and is not charged a miss), and (3) pays the amortized cost of
-// splitting a full segment — one sequential rewrite of the whole segment
-// (data plus buffer, one miss per cache line) every bu inserts. The
-// amortized term shrinking with the buffer is Figure 12's measured effect.
-func (m *Model) InsertLatency(e int) float64 {
-	se := math.Max(1, m.Segments(e))
-	tree := math.Log(se) / math.Log(float64(m.Fanout))
-	bu := math.Max(1, m.bufferSize(e))
-	buffer := math.Log2(math.Max(2, bu))
-	segLen := float64(m.Elements)/se + bu
-	amortSplit := segLen / entriesPerLine / bu
-	return m.C * (tree + buffer + amortSplit)
 }
 
 // PickForLatency returns the error threshold among candidates with the
@@ -194,10 +165,6 @@ func (m *Model) PickForSpace(budgetBytes int64, candidates []int) (e int, ok boo
 	return e, ok
 }
 
-// MeasureCacheMissNs estimates the cost c of a random memory access by
-// timing a dependent pointer chase through a buffer much larger than the
-// CPU caches. This is the same methodology the paper uses to pick c = 50ns
-// for its hardware.
 // cacheMiss memoizes the pointer-chase measurement process-wide: the cost
 // of a random access is a property of the host, not of any one tree, and
 // the chase itself walks a 64MB buffer for about a hundred milliseconds —
@@ -210,8 +177,8 @@ var cacheMiss struct {
 
 // CacheMissNs returns the host's measured random-access cost in
 // nanoseconds, running MeasureCacheMissNs on first use and caching the
-// result for the life of the process. Tests override it with
-// SetCacheMissNsForTest to stay fast and deterministic.
+// result for the life of the process. Callers that need a fixed cost pass
+// their own instead (TuneRequest.CacheMissNs).
 func CacheMissNs() float64 {
 	cacheMiss.mu.Lock()
 	defer cacheMiss.mu.Unlock()
@@ -221,21 +188,10 @@ func CacheMissNs() float64 {
 	return cacheMiss.ns
 }
 
-// SetCacheMissNsForTest pins the memoized cache-miss cost, skipping the
-// measurement. It returns a restore function; tests call it as
-// `defer SetCacheMissNsForTest(50)()`.
-func SetCacheMissNsForTest(ns float64) func() {
-	cacheMiss.mu.Lock()
-	prev := cacheMiss.ns
-	cacheMiss.ns = ns
-	cacheMiss.mu.Unlock()
-	return func() {
-		cacheMiss.mu.Lock()
-		cacheMiss.ns = prev
-		cacheMiss.mu.Unlock()
-	}
-}
-
+// MeasureCacheMissNs estimates the cost c of a random memory access by
+// timing a dependent pointer chase through a buffer much larger than the
+// CPU caches. This is the same methodology the paper uses to pick c = 50ns
+// for its hardware.
 func MeasureCacheMissNs(bufBytes int, steps int) float64 {
 	n := bufBytes / 8
 	if n < 1024 {

@@ -10,7 +10,7 @@ import (
 func learned(t *testing.T) *Model {
 	t.Helper()
 	keys := workload.Weblogs(200_000, 1)
-	m, err := Learn(keys, []int{10, 32, 100, 316, 1000, 3162, 10000}, 50, btree.DefaultOrder, 0.5, 0.5)
+	m, err := Learn(keys, []int{10, 32, 100, 316, 1000, 3162, 10000}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,29 +19,31 @@ func learned(t *testing.T) *Model {
 
 // fromSamples builds a model over given (error, segments) samples,
 // ascending by error, where Learn would segment a dataset for them.
-func fromSamples(errs, segs []int, c float64, fanout int, fill, bufferFrac float64) *Model {
-	return &Model{C: c, Fanout: fanout, Fill: fill, BufferFrac: bufferFrac, errs: errs, segs: segs}
+func fromSamples(errs, segs []int, c float64) *Model {
+	return &Model{C: c, errs: errs, segs: segs}
+}
+
+// TestFanoutIsBTreeOrder pins the modeled inner-tree fanout to the order
+// of the B+ trees the model's predictions are checked against.
+func TestFanoutIsBTreeOrder(t *testing.T) {
+	if fanout != btree.DefaultOrder {
+		t.Fatalf("modeled fanout %d, B+ tree order %d", fanout, btree.DefaultOrder)
+	}
 }
 
 func TestLearnValidation(t *testing.T) {
 	keys := []uint64{1, 2, 3}
-	if _, err := Learn(keys, nil, 50, 16, 0.5, 0.5); err == nil {
+	if _, err := Learn(keys, nil, 50); err == nil {
 		t.Fatal("accepted empty thresholds")
 	}
-	if _, err := Learn(keys, []int{100, 10}, 50, 16, 0.5, 0.5); err == nil {
+	if _, err := Learn(keys, []int{100, 10}, 50); err == nil {
 		t.Fatal("accepted descending thresholds")
 	}
-	if _, err := Learn(keys, []int{0}, 50, 16, 0.5, 0.5); err == nil {
+	if _, err := Learn(keys, []int{0}, 50); err == nil {
 		t.Fatal("accepted threshold 0")
 	}
-	if _, err := Learn(keys, []int{10}, -1, 16, 0.5, 0.5); err == nil {
+	if _, err := Learn(keys, []int{10}, -1); err == nil {
 		t.Fatal("accepted negative c")
-	}
-	if _, err := Learn(keys, []int{10}, 50, 2, 0.5, 0.5); err == nil {
-		t.Fatal("accepted fanout 2")
-	}
-	if _, err := Learn(keys, []int{10}, 50, 16, 0.5, 1.0); err == nil {
-		t.Fatal("accepted bufferFrac 1.0")
 	}
 }
 
@@ -58,7 +60,7 @@ func TestSegmentsMonotoneNonIncreasing(t *testing.T) {
 }
 
 func TestSegmentsInterpolatesExactSamples(t *testing.T) {
-	m := fromSamples([]int{10, 100}, []int{5000, 300}, 50, 16, 0.5, 0.5)
+	m := fromSamples([]int{10, 100}, []int{5000, 300}, 50)
 	if got := m.Segments(10); got != 5000 {
 		t.Fatalf("Segments(10) = %f", got)
 	}
@@ -140,7 +142,7 @@ func TestPickForSpace(t *testing.T) {
 }
 
 func TestLatencyIncludesAllPhases(t *testing.T) {
-	m := fromSamples([]int{10, 1000}, []int{100_000, 1000}, 100, 16, 0.5, 0.5)
+	m := fromSamples([]int{10, 1000}, []int{100_000, 1000}, 100)
 	// With c=100, e=1000: tree = log_16(1000) ~ 2.49, segment = log2(1000)
 	// ~ 9.97, buffer = log2(500) ~ 8.97 -> ~2140ns.
 	got := m.Latency(1000)
@@ -153,27 +155,5 @@ func TestMeasureCacheMissNs(t *testing.T) {
 	c := MeasureCacheMissNs(1<<22, 200_000) // 4MB buffer keeps the test fast
 	if c <= 0 || c > 10_000 {
 		t.Fatalf("implausible cache miss estimate: %f ns", c)
-	}
-}
-
-func TestInsertLatencyShape(t *testing.T) {
-	m := learned(t)
-	// Throughput improves (latency falls) with larger buffers at a fixed
-	// huge segment size: mirror Figure 12 by comparing two models that
-	// differ only in buffer fraction at a large error.
-	lo := fromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.001)
-	lo.Elements = 1_000_000
-	hi := fromSamples([]int{20000}, []int{10}, 50, 16, 0.5, 0.5)
-	hi.Elements = 1_000_000
-	if hi.InsertLatency(20000) >= lo.InsertLatency(20000) {
-		t.Fatalf("bigger buffer should amortize splits: %f vs %f",
-			hi.InsertLatency(20000), lo.InsertLatency(20000))
-	}
-	// Sanity: positive and finite across the sweep.
-	for _, e := range []int{10, 100, 1000, 10000} {
-		v := m.InsertLatency(e)
-		if v <= 0 || v > 1e9 {
-			t.Fatalf("InsertLatency(%d) = %f", e, v)
-		}
 	}
 }

@@ -62,8 +62,7 @@ type Log struct {
 	name    string
 	f       File
 	nextLSN uint64
-	synced  uint64 // highest LSN covered by a completed Sync
-	records int    // records currently in the file
+	records int // records currently in the file
 }
 
 // Open opens (or creates) the log called name inside fsys, replaying every
@@ -98,7 +97,6 @@ func Open(fsys FS, name string) (*Log, []Record, OpenStats, error) {
 	l := &Log{fs: fsys, name: name, f: f, records: len(records)}
 	if n := len(records); n > 0 {
 		l.nextLSN = records[n-1].LSN + 1
-		l.synced = records[n-1].LSN
 	}
 	return l, records, stats, nil
 }
@@ -219,19 +217,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // Sync is the group-commit barrier: after it returns nil, every record
 // appended so far survives a crash.
 func (l *Log) Sync() error {
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	if l.nextLSN > 0 {
-		l.synced = l.nextLSN - 1
-	}
-	return nil
+	return l.f.Sync()
 }
-
-// SyncedLSN returns the highest LSN covered by a completed Sync (0 when
-// nothing has been synced; LSNs start at 0, so pair it with Len to
-// disambiguate the empty log).
-func (l *Log) SyncedLSN() uint64 { return l.synced }
 
 // NextLSN returns the LSN the next append will use.
 func (l *Log) NextLSN() uint64 { return l.nextLSN }
@@ -242,10 +229,7 @@ func (l *Log) NextLSN() uint64 { return l.nextLSN }
 // with the checkpoint's replay cursor so fresh appends never reuse an LSN
 // the replay filter would skip.
 func (l *Log) SetNextLSN(n uint64) {
-	if n > l.nextLSN {
-		l.nextLSN = n
-		l.synced = n - 1
-	}
+	l.nextLSN = max(l.nextLSN, n)
 }
 
 // Len returns the number of records currently in the log file.

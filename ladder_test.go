@@ -17,7 +17,7 @@ import (
 // TestLadderPushAbsorbBackpressure pins the writer-side ladder protocol
 // deterministically (worker slot held): tripping writers push layers in
 // O(1) until the ladder is full, then absorb into the active delta, and
-// only past FlushBackpressureFactor × flushAt does the tripping writer
+// only past backpressureFactor × flushAt does the tripping writer
 // fold everything inline — counted by BackpressureFolds. Stats must
 // report the ladder: Buffered summing every frozen layer's pending
 // inserts (the pre-ladder code counted exactly one frozen slot) plus the
@@ -69,7 +69,7 @@ func TestLadderPushAbsorbBackpressure(t *testing.T) {
 	if got := o.BackpressureFolds(); got != 0 {
 		t.Fatalf("BackpressureFolds = %d during absorb, want 0", got)
 	}
-	// The write crossing FlushBackpressureFactor×flushAt = 16 folds inline.
+	// The write crossing backpressureFactor×flushAt = 16 folds inline.
 	insert(1)
 	st = o.state.Load()
 	if len(st.frozen) != 0 || st.delta != nil {
@@ -212,7 +212,7 @@ func TestLadderSchedulerPick(t *testing.T) {
 		}
 		return out
 	}
-	const flushAt = 4 // bound = FlushBackpressureFactor*4 = 16
+	const flushAt = 4 // bound = backpressureFactor*4 = 16
 	cases := []struct {
 		ns   []int
 		want int

@@ -9,15 +9,14 @@ import (
 	"fitingtree/internal/delta"
 )
 
-// DefaultFlushEvery is the floor of the default flush threshold: the
-// number of pending writes that triggers an Optimistic facade's delta
-// flush (merge into a freshly built tree) while the base tree is small.
-// Unless SetFlushEvery pinned it, the threshold follows the tree — a
-// quarter of its page count once that exceeds this floor — because a fold
-// rebuilds every page a pending write falls into: B writes over P pages
-// rebuild P·(1−e^(−B/P)) of them, so a batch that does not grow with the
-// tree pays nearly one whole page per write.
-const DefaultFlushEvery = 1024
+// flushFloor is the floor of the flush threshold: the number of pending
+// writes that triggers an Optimistic facade's delta flush (merge into a
+// freshly built tree) while the base tree is small. Past it the threshold
+// follows the tree — a quarter of its page count — because a fold rebuilds
+// every page a pending write falls into: B writes over P pages rebuild
+// P·(1−e^(−B/P)) of them, so a batch that does not grow with the tree pays
+// nearly one whole page per write.
+const flushFloor = 1024
 
 // maxFrozenLayers is the depth of the frozen merge ladder: how many
 // tripped deltas may queue for background merging before writers feel
@@ -26,20 +25,19 @@ const DefaultFlushEvery = 1024
 // the canonical write median about 17 %.
 const maxFrozenLayers = 4
 
-// FlushBackpressureFactor bounds the asynchronous flush pipeline's lag.
+// backpressureFactor bounds the asynchronous flush pipeline's lag.
 // While the frozen ladder is full, writers keep absorbing new writes into
-// the active delta; once the active delta reaches FlushBackpressureFactor
-// times the flush threshold, the next writer waits for the background
-// round in flight to publish — which frees a ladder slot — and only if the
-// ladder is still full then (no round was open) falls back to a
-// synchronous inline fold of the whole ladder. The same factor bounds the
-// compaction scheduler's layer growth: adjacent frozen layers are merged
-// into each other only while the combined layer stays within
-// FlushBackpressureFactor × the flush threshold, so a fold into the base
-// tree batches about that many deltas. With the default, tree-derived
-// threshold (see DefaultFlushEvery) both bounds come to about one pending
-// write per page of the base tree.
-const FlushBackpressureFactor = 4
+// the active delta; once the active delta reaches backpressureFactor times
+// the flush threshold, the next writer waits for the background round in
+// flight to publish — which frees a ladder slot — and only if the ladder is
+// still full then (no round was open) falls back to a synchronous inline
+// fold of the whole ladder. The same factor bounds the compaction
+// scheduler's layer growth: adjacent frozen layers are merged into each
+// other only while the combined layer stays within backpressureFactor ×
+// the flush threshold, so a fold into the base tree batches about that
+// many deltas. With the tree-derived threshold (see flushFloor) both bounds
+// come to about one pending write per page of the base tree.
+const backpressureFactor = 4
 
 // compactTierFactor is the ladder scheduler's size-tiering ratio: the
 // bottom-most adjacent pair of frozen layers is compacted when the lower
@@ -68,14 +66,13 @@ const compactTierFactor = 4
 // which is what makes the scheme safe without epoch bookkeeping.
 //
 // Once the delta reaches the flush threshold (derived from the base tree's
-// page count unless SetFlushEvery pinned it), it is folded into the base
-// tree with a page-granular copy-on-write merge (Tree.MergeCOW): only the
-// pages the delta's keys fall into are rebuilt,
-// and the published tree shares every untouched page with its predecessor,
-// so flush cost scales with the delta size, not the tree size. Readers
-// holding the old state keep a complete, consistent tree; the shared pages
-// are immutable and the unshared ones are reclaimed by the garbage
-// collector with the old state.
+// page count), it is folded into the base tree with a page-granular
+// copy-on-write merge (Tree.MergeCOW): only the pages the delta's keys
+// fall into are rebuilt, and the published tree shares every untouched
+// page with its predecessor, so flush cost scales with the delta size, not
+// the tree size. Readers holding the old state keep a complete, consistent
+// tree; the shared pages are immutable and the unshared ones are reclaimed
+// by the garbage collector with the old state.
 //
 // With the asynchronous pipeline enabled (the default when GOMAXPROCS > 1
 // at construction; see NewOptimistic and SetAsyncFlush), the merge itself
@@ -87,9 +84,9 @@ const compactTierFactor = 4
 // tracks delta-append cost rather than merge cost even across write
 // bursts that outrun a single in-flight merge. Reads consult tree ⊕
 // frozen[0..n] ⊕ active through the same one-load snapshot; backpressure
-// (FlushBackpressureFactor) applies only when the ladder, which is four
-// layers deep, is full; SyncFlush and Close drain the pipeline;
-// SetAsyncFlush(false) restores the fully inline flush.
+// applies only when the ladder, which is four layers deep, is full;
+// SyncFlush and Close drain the pipeline; SetAsyncFlush(false) restores
+// the fully inline flush.
 //
 // Scans and batch lookups run against one consistent snapshot: writes
 // published during a scan are not observed by it.
@@ -99,13 +96,10 @@ type Optimistic[K Key, V any] struct {
 	// group-commit barrier — happens under it (see apply).
 	mu    sync.Mutex
 	state atomic.Pointer[ostate[K, V]]
-	// flushAt is the flush threshold SetFlushEvery pinned; 0 means nobody
-	// did, and the threshold follows the base tree (see threshold).
-	flushAt atomic.Int64
+	// flushSettings is the facade's own, or for a shard its store's: one
+	// value every shard of the store reads.
+	*flushSettings
 
-	// asyncOff disables the background flush pipeline; flushes then run
-	// inline on the tripping writer. The zero value means async is on.
-	asyncOff atomic.Bool
 	// flusher is true while a background flush worker goroutine is live;
 	// it is the spawn guard, so at most one worker runs per facade.
 	flusher atomic.Bool
@@ -133,6 +127,18 @@ type Optimistic[K Key, V any] struct {
 	// this shard: the writer section appends every op to it before
 	// publishing. Attached before the shard is published; guarded by mu.
 	log *shardLog[K, V]
+}
+
+// flushSettings is the flush pipeline's one settings value. A standalone
+// Optimistic owns one; every shard of a sharded store points at its
+// store's, so one atomic write to it reaches current and future shards.
+type flushSettings struct {
+	// asyncOff disables the background flush pipeline; flushes then run
+	// inline on the tripping writer. The zero value means async is on.
+	asyncOff atomic.Bool
+	// flushAt pins the flush threshold; only tests set it. 0 means the
+	// threshold follows the base tree (see threshold).
+	flushAt atomic.Int64
 }
 
 // ostate is one immutable published state. Neither the tree nor any delta
@@ -248,40 +254,30 @@ func (d *odelta[K, V]) pending() int { return d.addN + d.delN }
 // background merge has no spare core to run on and only steals the
 // writer's timeslice; SetAsyncFlush overrides the default either way.
 func NewOptimistic[K Key, V any](t *Tree[K, V]) *Optimistic[K, V] {
-	o := &Optimistic[K, V]{}
-	o.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
+	fs := &flushSettings{}
+	fs.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
+	return newOptimistic(t, fs)
+}
+
+// newOptimistic wraps t in a facade that reads the flush settings fs.
+func newOptimistic[K Key, V any](t *Tree[K, V], fs *flushSettings) *Optimistic[K, V] {
+	o := &Optimistic[K, V]{flushSettings: fs}
 	o.roundDone.L = &o.mu
 	o.state.Store(&ostate[K, V]{tree: t, size: t.Len()})
 	return o
 }
 
-// SetFlushEvery pins the number of pending writes that triggers a delta
-// flush to n, and with it the backpressure and compaction bounds
-// (FlushBackpressureFactor × n), replacing the default that follows the
-// base tree's page count (see DefaultFlushEvery). The threshold is an
-// atomic, so it is safe to change at any time, including while readers
-// and writers are active; the new value applies from the next write. It
-// panics if n < 1: a non-positive threshold has no meaning (every write
-// would both trip and not satisfy it), and silently clamping hid caller
-// bugs.
-func (o *Optimistic[K, V]) SetFlushEvery(n int) {
-	if n < 1 {
-		panic("fitingtree: SetFlushEvery threshold must be >= 1")
-	}
-	o.flushAt.Store(int64(n))
-}
-
-// threshold returns the flush threshold in force over base tree t: the
-// pinned value if SetFlushEvery set one, else a quarter of t's page count,
-// at least DefaultFlushEvery. A fold copies every page some pending write
-// falls into, so its cost per write is set by pending writes per page;
-// sizing the batch by the tree holds that ratio (and the pages rebuilt per
-// write) steady however large the tree grows.
+// threshold returns the flush threshold in force over base tree t: a
+// quarter of t's page count, at least flushFloor, unless a test pinned it.
+// A fold copies every page some pending write falls into, so its cost per
+// write is set by pending writes per page; sizing the batch by the tree
+// holds that ratio (and the pages rebuilt per write) steady however large
+// the tree grows.
 func (o *Optimistic[K, V]) threshold(t *Tree[K, V]) int64 {
 	if n := o.flushAt.Load(); n > 0 {
 		return n
 	}
-	return max(DefaultFlushEvery, int64(t.NumPages()/4))
+	return max(flushFloor, int64(t.NumPages()/4))
 }
 
 // SetAsyncFlush enables or disables the asynchronous flush pipeline
@@ -339,6 +335,14 @@ func (o *Optimistic[K, V]) SyncFlush() {
 // must not race a concurrent SetAsyncFlush(true).
 func (o *Optimistic[K, V]) Close() {
 	o.asyncOff.Store(true)
+	o.drain()
+}
+
+// drain folds every pending write and waits for the background flusher
+// (if any) to exit. It leaves the flush settings alone, so the caller must
+// keep writers out or switch async off first: a write during the drain
+// could start a new worker.
+func (o *Optimistic[K, V]) drain() {
 	o.SyncFlush()
 	o.workers.Wait()
 }
@@ -610,8 +614,9 @@ const (
 // tripping writer fold the whole ladder itself. In inline mode
 // (SetAsyncFlush(false)) the fold always runs on the tripping writer. One
 // load of the threshold serves both the trip check and the backpressure
-// check: with two, a concurrent SetFlushEvery could yield a bound
-// inconsistent with the threshold that tripped.
+// check: with two, a threshold re-pinned in between (tests re-pin live
+// facades) could yield a bound inconsistent with the threshold that
+// tripped.
 func (o *Optimistic[K, V]) flushPlan(st *ostate[K, V], extra int) int {
 	flushAt := o.threshold(st.tree)
 	pending := int64(extra)
@@ -625,7 +630,7 @@ func (o *Optimistic[K, V]) flushPlan(st *ostate[K, V], extra int) int {
 		return flushFold
 	case len(st.frozen) < maxFrozenLayers:
 		return flushPush
-	case pending < flushAt*FlushBackpressureFactor:
+	case pending < flushAt*backpressureFactor:
 		return flushNone
 	}
 	return flushBackpressure
@@ -731,7 +736,7 @@ func (o *Optimistic[K, V]) publishRound(next func(cur *ostate[K, V]) *ostate[K, 
 // or the pair would exceed the backpressure bound, folding is the better
 // deal.
 func compactPick[K Key, V any](frozen []*odelta[K, V], flushAt int64) int {
-	limit := int(flushAt) * FlushBackpressureFactor
+	limit := int(flushAt) * backpressureFactor
 	for i := 0; i+1 < len(frozen); i++ {
 		lo, up := frozen[i].pending(), frozen[i+1].pending()
 		if lo <= compactTierFactor*up && lo+up <= limit {

@@ -10,15 +10,11 @@ import (
 	"fitingtree/internal/core"
 )
 
-// DefaultRebalanceFactor is the skew factor at which a Sharded facade
-// recomputes its shard boundaries: a rebalance is considered once the
-// largest shard holds more than this factor times the mean shard size.
-const DefaultRebalanceFactor = 3.0
-
 const (
-	// minRebalanceFactor floors SetRebalanceFactor: below it the facade
-	// would re-partition on ordinary jitter between shard sizes.
-	minRebalanceFactor = 1.5
+	// rebalanceFactor is the skew factor at which a sharded store
+	// recomputes its shard boundaries: a rebalance is considered once the
+	// largest shard holds more than this factor times the mean shard size.
+	rebalanceFactor = 3.0
 	// shardSkewCheckEvery gates the O(shards) skew check to one write in
 	// this many, keeping it off the per-write hot path.
 	shardSkewCheckEvery = 64
@@ -31,7 +27,7 @@ const (
 // Sharded is the range-partitioned multi-writer store, in memory: a
 // shardEngine with no durability backend. DurableSharded is the same
 // engine with one plugged in; everything declared on the engine — reads,
-// knobs, diagnostics — reaches both types by method promotion.
+// flush control, diagnostics — reaches both types by method promotion.
 //
 // Every key routes to exactly one Optimistic shard, so per-key semantics —
 // duplicate ordering, tombstone accounting, flush behavior — are exactly
@@ -63,11 +59,11 @@ type Sharded[K Key, V any] struct {
 // read mode for the duration of a write; its exclusive side is taken only
 // by rebalances and coherent multi-shard snapshots, which are rare.
 //
-// When one shard's size drifts past a configurable factor of the mean
-// (SetRebalanceFactor), or the store is under its shard target, the engine
-// re-partitions under the exclusive lock: fresh fences are picked from the
-// shards' page boundaries, the shards' page chain is cut at them — whole
-// pages move to their new shard by reference — the durability backend (if
+// When one shard's size drifts past a factor of the mean (rebalanceFactor),
+// or the store is under its shard target, the engine re-partitions under
+// the exclusive lock: fresh fences are picked from the shards' page
+// boundaries, the shards' page chain is cut at them — whole pages move to
+// their new shard by reference — the durability backend (if
 // any) commits the new generation, and a new shard set is published
 // atomically. Readers holding the old set keep complete, consistent
 // snapshots.
@@ -80,11 +76,13 @@ type shardEngine[K Key, V any] struct {
 
 	opts         Options       // every shard's tree options; fixed once the first set is built
 	want         int           // target shard count
-	flushAt      atomic.Int64  // pinned by SetFlushEvery (0 = not pinned), then forwarded to every shard, current and future
-	asyncOff     atomic.Bool   // forwarded to every shard, current and future
-	factor       atomic.Uint64 // rebalance skew factor (math.Float64bits)
+	factor       float64       // rebalance skew factor: rebalanceFactor, unless a test set another before writing
 	writes       atomic.Uint64 // write counter gating the skew check
 	rebalancedAt atomic.Int64  // total elements when fences were last computed
+
+	// flushSettings is the one value every shard, current and future,
+	// reads its flush settings from.
+	flushSettings
 
 	// durable is the durability plug — the store this engine is embedded
 	// in — or nil for an in-memory store. Shards built for it carry commit
@@ -202,7 +200,7 @@ func (e *shardEngine[K, V]) init(opts Options, want int) error {
 	// Same adaptive default as NewOptimistic: async flushing needs a spare
 	// core to run the background merges on.
 	e.asyncOff.Store(runtime.GOMAXPROCS(0) <= 1)
-	e.factor.Store(math.Float64bits(DefaultRebalanceFactor))
+	e.factor = rebalanceFactor
 	return nil
 }
 
@@ -218,52 +216,21 @@ func (e *shardEngine[K, V]) load(t *Tree[K, V]) *shardSet[K, V] {
 }
 
 // shardSetOf wraps one tree per fence range into a shard set, every shard
-// carrying the engine's current knob values.
+// reading the engine's flush settings.
 func (e *shardEngine[K, V]) shardSetOf(bounds []K, trees []*Tree[K, V]) *shardSet[K, V] {
 	shards := make([]*Optimistic[K, V], len(trees))
 	for i, tr := range trees {
-		o := NewOptimistic(tr)
-		if n := e.flushAt.Load(); n > 0 {
-			o.SetFlushEvery(int(n))
-		}
-		o.SetAsyncFlush(!e.asyncOff.Load())
-		shards[i] = o
+		shards[i] = newOptimistic(tr, &e.flushSettings)
 	}
 	return &shardSet[K, V]{bounds: bounds, shards: shards}
 }
 
-// forward applies a knob change to every current shard. The caller stores
-// the engine-level value first; the shared reshape lock then orders the
-// loop against rebalance: a rebalance that ran before it published the set
-// this loop patches, and one that runs after it reads the stored value
-// when building its shards.
-func (e *shardEngine[K, V]) forward(fn func(*Optimistic[K, V])) {
-	e.reshape.RLock()
-	defer e.reshape.RUnlock()
-	for _, sh := range e.set.Load().shards {
-		fn(sh)
-	}
-}
-
-// SetFlushEvery pins the per-shard delta flush threshold (see
-// Optimistic.SetFlushEvery); until it is called every shard's threshold
-// follows that shard's own base tree. Safe to call at any time; shards
-// created by later rebalances inherit the value. Panics if n < 1.
-func (e *shardEngine[K, V]) SetFlushEvery(n int) {
-	if n < 1 {
-		panic("fitingtree: SetFlushEvery threshold must be >= 1")
-	}
-	e.flushAt.Store(int64(n))
-	e.forward(func(sh *Optimistic[K, V]) { sh.SetFlushEvery(n) })
-}
-
 // SetAsyncFlush enables or disables the asynchronous flush pipeline on
 // every shard (see Optimistic.SetAsyncFlush; enabled by default on a
-// multi-processor runtime). Safe to call at any time; shards created by
-// later rebalances inherit the value.
+// multi-processor runtime). Safe to call at any time; every shard reads
+// the one value, so shards created by later rebalances see it too.
 func (e *shardEngine[K, V]) SetAsyncFlush(enabled bool) {
 	e.asyncOff.Store(!enabled)
-	e.forward(func(sh *Optimistic[K, V]) { sh.SetAsyncFlush(enabled) })
 }
 
 // SyncFlush synchronously folds every shard's pending writes — frozen
@@ -320,17 +287,6 @@ func fanOut(n int, fn func(i int)) { runParallel(min(runtime.GOMAXPROCS(0), n), 
 // returns when all have; a single shard runs inline.
 func forEachShardParallel[K Key, V any](shards []*Optimistic[K, V], fn func(i int, sh *Optimistic[K, V])) {
 	runParallel(len(shards), len(shards), func(i int) { fn(i, shards[i]) })
-}
-
-// SetRebalanceFactor sets the skew threshold: a boundary rebuild is
-// considered once the largest shard exceeds factor times the mean shard
-// size. Values below 1.5 (including NaN) are clamped to 1.5; +Inf disables
-// rebalancing. Safe to call at any time.
-func (e *shardEngine[K, V]) SetRebalanceFactor(factor float64) {
-	if factor != factor || factor < minRebalanceFactor {
-		factor = minRebalanceFactor
-	}
-	e.factor.Store(math.Float64bits(factor))
 }
 
 // Shards returns the current number of shards. It can be lower than the
@@ -521,8 +477,7 @@ func (e *shardEngine[K, V]) maybeRebalance() {
 // cheap, and a pure-update workload, which never moves the total, never
 // re-partitions.
 func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) bool {
-	factor := math.Float64frombits(e.factor.Load())
-	if math.IsInf(factor, 1) {
+	if math.IsInf(e.factor, 1) {
 		return false
 	}
 	total, maxSize := 0, 0
@@ -539,14 +494,15 @@ func (e *shardEngine[K, V]) needsRebalance(ss *shardSet[K, V]) bool {
 	if at := int(e.rebalancedAt.Load()); at > 0 && total < at+at/4 && total > at/2 {
 		return false
 	}
-	return len(ss.shards) < e.want || float64(maxSize) > factor*float64(total)/float64(len(ss.shards))
+	return len(ss.shards) < e.want || float64(maxSize) > e.factor*float64(total)/float64(len(ss.shards))
 }
 
-// quiesce drains every shard's flush pipeline and leaves asynchronous
-// flushing off on them: afterwards no background worker is live and every
-// shard's state is its clean base tree. Shards drain in parallel.
+// quiesce drains every shard's flush pipeline (Optimistic.drain):
+// afterwards no background worker is live and every shard's state is its
+// clean base tree. The caller keeps writers out or has switched async off.
+// Shards drain in parallel.
 func (ss *shardSet[K, V]) quiesce() {
-	forEachShardParallel(ss.shards, func(_ int, sh *Optimistic[K, V]) { sh.Close() })
+	forEachShardParallel(ss.shards, func(_ int, sh *Optimistic[K, V]) { sh.drain() })
 }
 
 // rebalance is the one re-partition: quiesce, weigh, fence, cut, commit,

@@ -537,3 +537,74 @@ func TestRebalanceCarriesPages(t *testing.T) {
 		t.Fatalf("recovered %d pairs, want %d", len(got), len(want))
 	}
 }
+
+// TestShardedFlushSettingsShared pins the one home of a sharded store's
+// flush settings: every shard, current and built by a rebalance, reads its
+// engine's value, so one SetAsyncFlush reaches all of them; and a
+// rebalance drains the outgoing shards without switching async off, since
+// the flag it would switch is the one the incoming shards read.
+func TestShardedFlushSettingsShared(t *testing.T) {
+	keys := make([]int, 4000)
+	for i := range keys {
+		keys[i] = 2 * i
+	}
+	build := func() *Tree[int, int] {
+		tr, err := BulkLoad(keys, keys, Options{Error: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	s, err := NewSharded(build(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d, err := CreateDurableSharded(wal.NewMemFS(), pager.NewDisk(), build(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for name, e := range map[string]*shardEngine[int, int]{"memory": &s.shardEngine, "durable": &d.shardEngine} {
+		shared := func(when string) *shardSet[int, int] {
+			t.Helper()
+			ss := e.set.Load()
+			for i, sh := range ss.shards {
+				if sh.flushSettings != &e.flushSettings {
+					t.Fatalf("%s %s: shard %d has flush settings of its own", name, when, i)
+				}
+			}
+			return ss
+		}
+		e.SetAsyncFlush(true)
+		e.SetFlushEvery(8)
+		for i := 0; i < 2000; i++ {
+			if _, err := e.write(walOpInsert, 2*i+1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old := shared("after load")
+		if err := e.rebalance(true); err != nil {
+			t.Fatal(err)
+		}
+		if e.set.Load() == old {
+			t.Fatalf("%s: the forced rebalance published no new set", name)
+		}
+		shared("after rebalance")
+		if e.asyncOff.Load() {
+			t.Fatalf("%s: the rebalance switched async flushing off", name)
+		}
+		for i, sh := range old.shards {
+			if st := sh.state.Load(); len(st.frozen) > 0 || st.delta != nil || sh.flusher.Load() {
+				t.Fatalf("%s: retired shard %d not drained (%d frozen, worker live %v)",
+					name, i, len(st.frozen), sh.flusher.Load())
+			}
+		}
+		e.SetAsyncFlush(false)
+		for i, sh := range e.set.Load().shards {
+			if !sh.asyncOff.Load() {
+				t.Fatalf("%s: SetAsyncFlush(false) did not reach shard %d", name, i)
+			}
+		}
+	}
+}

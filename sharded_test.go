@@ -737,7 +737,7 @@ func BenchmarkShardWrite(b *testing.B) {
 			run(b, o.Insert)
 		})
 		b.Run(fmt.Sprintf("sharded/writers=%d", writers), func(b *testing.B) {
-			s := buildSharded(b, base, writers, fitingtree.DefaultFlushEvery)
+			s := buildSharded(b, base, writers, 0) // the tree's own threshold, as above
 			run(b, s.Insert)
 		})
 	}

@@ -3,7 +3,6 @@ package fitingtree
 import (
 	"fmt"
 
-	"fitingtree/internal/btree"
 	"fitingtree/internal/costmodel"
 )
 
@@ -48,7 +47,7 @@ func Tune[K Key](keys []K, req TuneRequest) (TuneResult, error) {
 	if c <= 0 {
 		c = costmodel.CacheMissNs()
 	}
-	m, err := costmodel.Learn(keys, cands, c, btree.DefaultOrder, 0.5, 0.5)
+	m, err := costmodel.Learn(keys, cands, c)
 	if err != nil {
 		return res, err
 	}
