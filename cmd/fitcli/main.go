@@ -191,9 +191,10 @@ func cmdLoad(args []string) error {
 	return d.Close()
 }
 
-// cmdRecover opens a durable store (running checkpoint-load + WAL replay),
-// reports what recovery found, and checkpoints so the next open starts
-// from a clean, truncated log.
+// cmdRecover opens a durable store (checkpoint load, then each shard's WAL
+// tail composed into one frozen layer), reports what recovery found, folds
+// the tails and checkpoints so the next open starts from a clean,
+// truncated log.
 func cmdRecover(args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ExitOnError)
 	dir := fs.String("dir", "", "store directory (required)")
@@ -212,6 +213,9 @@ func cmdRecover(args []string) error {
 	}
 	tail := d.WALRecords()
 	ws := d.WALOpenStats()
+	// Fold the tails first: a cut folds pending layers without publishing
+	// them, so Close's cut would fold and write the same chunks again.
+	d.SyncFlush()
 	stats, err := d.Checkpoint()
 	if err != nil {
 		d.Close()

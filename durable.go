@@ -15,8 +15,9 @@ import (
 
 // This file holds the per-shard halves of the durability protocol: the
 // commit log a durable store plugs into each shard's writer section,
-// loading one shard's checkpoint chunks, replaying its WAL tail, folding
-// its pending layers for a cut, and writing or releasing its chunk blobs.
+// loading one shard's checkpoint chunks, composing its WAL tail into one
+// frozen layer, folding its pending layers for a cut, and writing or
+// releasing its chunk blobs.
 // The store that drives them — cross-shard cut, rebalance commit, recovery
 // — is DurableSharded (durable_sharded.go); a one-shard store is the same
 // code with one shard.
@@ -186,27 +187,29 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 	return trees, order, reachable, nil
 }
 
-// replayTail folds a WAL tail into tree as one batch instead of one facade
-// write at a time: a long tail pushed through the ordinary insert path
-// trips the flush threshold (at least 1024 pending writes) again and again
-// and re-segments the same hot pages each time, which dominates recovery.
-// The records are sorted by key, in log order within a key, and each key's
-// run applies the write path's op rule through the same helpers: a delete
-// consumes the newest still-pending insert it may take (consumeAdd), else
-// records one more tombstone on the checkpoint tree's matches (addTomb).
-// Every logged delete had a live victim when it was logged, and the WAL
-// tail is a prefix-exact record of the ops that created it, so the
-// tombstones can never exceed the checkpoint tree's matches. The runs then
-// fold into the checkpoint tree with a single page-granular MergeCOW
-// pass. Which of several distinct-valued duplicates an anonymous delete
-// victimizes may differ from the original run's flush-timing-dependent
-// choice; that choice was never acknowledged state (see Optimistic.Delete).
-// A value delete replays exactly: its record names the victim. Records with
-// LSN < replayFrom are skipped — they are covered by the checkpoint and
-// survive only because the truncation after it didn't land (crash between
-// superblock commit and truncate).
-func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
-	records []wal.Record, replayFrom uint64) (*Tree[K, V], error) {
+// replayTail composes a WAL tail into one frozen delta layer instead of
+// pushing it through the facade one write at a time: a long tail pushed
+// through the ordinary insert path trips the flush threshold (at least
+// 1024 pending writes) again and again and re-segments the same hot pages
+// each time, which dominates recovery. The records are sorted by key, in
+// log order within a key, and each key's run applies the write path's op
+// rule through the same helpers: a delete consumes the newest
+// still-pending insert it may take (consumeAdd), else records one more
+// tombstone on the checkpoint tree's matches (addTomb). Every logged
+// delete had a live victim when it was logged, and the WAL tail is a
+// prefix-exact record of the ops that created it, so the tombstones can
+// never exceed the checkpoint tree's matches. The runs become the entries
+// of one frozen layer (deltaFromOps; nil for an empty tail) that the
+// shard's first flush folds into the checkpoint tree with a single
+// page-granular MergeCOW pass. Which of several distinct-valued duplicates an anonymous
+// delete victimizes may differ from the original run's
+// flush-timing-dependent choice; that choice was never acknowledged state
+// (see Optimistic.Delete). A value delete replays exactly: its record
+// names the victim. Records with LSN < replayFrom are skipped — they are
+// covered by the checkpoint and survive only because the truncation after
+// it didn't land (crash between superblock commit and truncate).
+func replayTail[K Key, V any](codec opCodec[K, V], records []wal.Record,
+	replayFrom uint64) (*odelta[K, V], error) {
 	type record struct {
 		lsn uint64
 		op  byte
@@ -223,9 +226,6 @@ func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
 			return nil, fmt.Errorf("fitingtree: wal replay lsn %d: %w", r.LSN, err)
 		}
 		recs = append(recs, record{r.LSN, op, k, v})
-	}
-	if len(recs) == 0 {
-		return tree, nil
 	}
 	slices.SortFunc(recs, func(a, b record) int {
 		if c := cmp.Compare(a.k, b.k); c != 0 {
@@ -259,7 +259,7 @@ func replayTail[K Key, V any](tree *Tree[K, V], codec opCodec[K, V],
 		}
 		ops = append(ops, op)
 	}
-	return tree.MergeCOW(ops), nil
+	return deltaFromOps(ops), nil
 }
 
 // encodeAhead is how many encoded chunks may wait for the single-threaded

@@ -221,16 +221,35 @@ func tailedStore(t testing.TB, shards int) (*wal.MemFS, *pager.Disk) {
 	return mem, dev
 }
 
-// openImage is everything TestParallelOpenEqualsSerial compares.
+// openImage is everything TestParallelOpenEqualsSerial compares: the
+// store as opened (shard trees still without their WAL tails), its trees
+// once SyncFlush has folded the tails, and the first cut.
 type openImage struct {
 	pairs    [][2]int
-	starts   [][]int
-	weights  [][]int
-	snaps    [][]core.ChunkSnap[int, int]
-	lens     []int
+	opened   treesImage
+	flushed  treesImage
 	walStats []wal.OpenStats
 	free     int
 	firstCut int
+}
+
+// treesImage is the layout of every shard tree of a store.
+type treesImage struct {
+	starts  [][]int
+	weights [][]int
+	snaps   [][]core.ChunkSnap[int, int]
+	lens    []int
+}
+
+func treesImageOf(d *DurableSharded[int, int]) treesImage {
+	var img treesImage
+	for _, tr := range shardTrees(d) {
+		st, w := tr.PageBounds()
+		img.starts, img.weights = append(img.starts, st), append(img.weights, w)
+		img.snaps = append(img.snaps, chunkSnaps(tr))
+		img.lens = append(img.lens, tr.Len())
+	}
+	return img
 }
 
 func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) openImage {
@@ -242,13 +261,9 @@ func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) 
 		t.Fatal(err)
 	}
 	d.SetAutoCheckpoint(false)
-	img := openImage{pairs: dump(d), walStats: d.WALOpenStats(), free: d.store.FreePages()}
-	for _, tr := range shardTrees(d) {
-		st, w := tr.PageBounds()
-		img.starts, img.weights = append(img.starts, st), append(img.weights, w)
-		img.snaps = append(img.snaps, chunkSnaps(tr))
-		img.lens = append(img.lens, tr.Len())
-	}
+	img := openImage{pairs: dump(d), opened: treesImageOf(d), walStats: d.WALOpenStats(), free: d.store.FreePages()}
+	d.SyncFlush()
+	img.flushed = treesImageOf(d)
 	st, err := d.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -263,19 +278,20 @@ func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) 
 // TestParallelOpenEqualsSerial: the same crashed image reopened on one
 // processor (everything inline) and on four (decode workers, one replay
 // goroutine per shard) yields the same store down to every chunk's
-// snapshot, log statistics, freelist and first cut.
+// snapshot — as opened and once the tails are folded — log statistics,
+// freelist and first cut.
 func TestParallelOpenEqualsSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 5} {
 		mem, dev := tailedStore(t, shards)
 		serial := imageOf(t, mem, dev, shards, 1)
-		if len(serial.lens) != shards || serial.walStats[0].Records == 0 || serial.firstCut == 0 {
+		if len(serial.opened.lens) != shards || serial.walStats[0].Records == 0 || serial.firstCut == 0 {
 			t.Fatalf("%d shards: the image has %d shards, %d tail records in shard 0, a first cut of %d chunks",
-				shards, len(serial.lens), serial.walStats[0].Records, serial.firstCut)
+				shards, len(serial.opened.lens), serial.walStats[0].Records, serial.firstCut)
 		}
 		parallel := imageOf(t, mem, dev, shards, 4)
 		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("%d shards: an open on 4 processors differs from one on 1:\nlens %v vs %v\nfree %d vs %d, first cut %d vs %d, wal %v vs %v",
-				shards, serial.lens, parallel.lens, serial.free, parallel.free,
+			t.Fatalf("%d shards: an open on 4 processors differs from one on 1:\nlens %v vs %v (flushed %v vs %v)\nfree %d vs %d, first cut %d vs %d, wal %v vs %v",
+				shards, serial.opened.lens, parallel.opened.lens, serial.flushed.lens, parallel.flushed.lens, serial.free, parallel.free,
 				serial.firstCut, parallel.firstCut, serial.walStats, parallel.walStats)
 		}
 	}

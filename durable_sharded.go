@@ -72,7 +72,8 @@ func ShardWALName(gen uint64, i int) string {
 //   - Recovery. Open loads the newest committed epoch — all shards from
 //     cut N, never a mix (checksummed chunk blobs, start and head arrays
 //     derived per page, no re-segmentation) — and replays each shard's WAL tail
-//     past its cursor: O(checkpoint + tail), never a full bulk rebuild.
+//     past its cursor into one frozen layer that the shard's first flush
+//     folds: O(checkpoint + tail), never a full bulk rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; the engine's rebalance becomes atomic through
 //     its commit step (commitRebalance): the new generation's logs on the
@@ -137,8 +138,9 @@ type CheckpointStats struct {
 // recovers from its newest committed epoch: an in-flight migration
 // resolves wholesale (kept if its manifest flip landed, its logs swept
 // otherwise), then every shard's checkpoint chunks are loaded and its WAL
-// tail replayed. The
-// manifest's recorded options and fences override opts; a fresh store
+// tail composed into one frozen delta layer over them, which the shard's
+// first flush folds (the open itself folds nothing). The manifest's
+// recorded options and fences override opts; a fresh store
 // starts one empty shard with opts and grows toward the shards target as
 // data arrives. A store in the retired single-tree format (gob checkpoint
 // root and/or a wal.log) is rejected with an error naming it, untouched.
@@ -202,8 +204,8 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 
 	// The logs are opened one after another on this goroutine (wal.FS
 	// promises nothing about concurrent calls); the tails' replays — op
-	// decode, the per-key compose, one MergeCOW, no I/O — then run side by
-	// side, and the lowest failing shard is the one reported.
+	// decode, the per-key sort and compose into one layer, no I/O — then
+	// run side by side, and the lowest failing shard is the one reported.
 	logs := make([]*wal.Log, len(trees))
 	tails := make([][]wal.Record, len(trees))
 	d.walStats = make([]wal.OpenStats, len(trees))
@@ -216,16 +218,26 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		logs[i].SetNextLSN(m.Shards[i].ReplayFrom)
 		opened++
 	}
-	fanOut(opened, func(i int) { trees[i], errs[i] = replayTail(trees[i], d.codec, tails[i], m.Shards[i].ReplayFrom) })
-	total := 0
+	layers := make([]*odelta[K, V], len(trees))
+	fanOut(opened, func(i int) { layers[i], errs[i] = replayTail(d.codec, tails[i], m.Shards[i].ReplayFrom) })
 	for i, err := range errs {
 		if err != nil {
 			closeLogs(logs)
 			return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
 		}
-		total += trees[i].Len()
 	}
+	// A shard with a tail opens with it as its one frozen layer, unfolded:
+	// its first write's publication starts the flush worker that folds it,
+	// and SyncFlush, a rebalance or Close fold it too. No worker starts
+	// here, so the open publishes no fold and fires no flush hook.
 	set := d.shardSetOf(bounds, trees)
+	total := 0
+	for i, sh := range set.shards {
+		if l := layers[i]; l != nil {
+			sh.state.Store(&ostate[K, V]{tree: trees[i], frozen: []*odelta[K, V]{l}, size: trees[i].Len() + l.addN - l.delN})
+		}
+		total += sh.state.Load().size
+	}
 	d.attach(set, logs)
 	d.set.Store(set)
 	d.rebalancedAt.Store(int64(total))

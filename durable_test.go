@@ -247,7 +247,8 @@ func runScript(d *DurableSharded[int, int], m *dmodel, ops []dOp, ckptAt, rebalA
 
 // verifyRecovery reopens the (injector-free) store and asserts the
 // recovered state equals the model after some prefix of at least the
-// acknowledged ops.
+// acknowledged ops, both as opened (the WAL tail still a frozen layer) and
+// after SyncFlush has folded that tail into the shard trees.
 func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, shards, acked int, states []*dmodel) {
 	t.Helper()
 	rec, err := OpenDurableSharded[int, int](fsys, dev, Options{}, shards)
@@ -255,6 +256,17 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, s
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	rec.SetAutoCheckpoint(false)
+	m := verifyRecoveredState(t, label+" (opened)", rec, acked, states)
+	rec.SyncFlush()
+	if flushed := verifyRecoveredState(t, label+" (flushed)", rec, acked, states); flushed != m {
+		t.Fatalf("%s: the tail fold changed the recovered prefix from %d to %d ops", label, m, flushed)
+	}
+}
+
+// verifyRecoveredState checks rec's shard trees structurally and returns
+// the op prefix, at least acked long, whose model state rec holds.
+func verifyRecoveredState(t *testing.T, label string, rec *DurableSharded[int, int], acked int, states []*dmodel) int {
+	t.Helper()
 	// Structural check first: every recovered page must respect the tree's
 	// error bound widened by its deletes, so a checkpoint survives any fault
 	// trip with its layout intact.
@@ -269,10 +281,11 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, s
 			if m < acked {
 				t.Fatalf("%s: recovered only %d ops but %d were acknowledged", label, m, acked)
 			}
-			return
+			return m
 		}
 	}
 	t.Fatalf("%s: recovered state (%d pairs) matches no op prefix (acked %d)", label, len(got), acked)
+	return -1
 }
 
 // --- crash matrix --------------------------------------------------------

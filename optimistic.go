@@ -153,7 +153,9 @@ type ostate[K Key, V any] struct {
 	// lower layer's surviving adds, bottom to top] in scan order. The
 	// slice itself is immutable — ladder changes publish a fresh slice —
 	// so layer pointers at stable indices identify in-flight merge
-	// inputs.
+	// inputs. A recovered durable shard opens with its WAL tail as one
+	// frozen layer and no worker live until its first write (see
+	// OpenDurableSharded).
 	frozen []*odelta[K, V]
 	// delta is the active delta taking new writes. Its tombstone counts
 	// are relative to tree ⊕ frozen, the same relativity rule the frozen
@@ -588,8 +590,9 @@ func (o *Optimistic[K, V]) publish(next *ostate[K, V]) {
 // publishWrite publishes a writer's next state and, when it carries
 // frozen layers, makes sure a background flush worker is live to drain
 // them. The kick must follow the publish: a worker spawned first could
-// load the pre-freeze state, find an empty ladder, and exit. Callers hold
-// o.mu.
+// load the pre-freeze state, find an empty ladder, and exit. A recovered
+// durable shard's tail layer waits for this kick: the open starts no
+// worker. Callers hold o.mu.
 func (o *Optimistic[K, V]) publishWrite(next *ostate[K, V]) {
 	o.publish(next)
 	if len(next.frozen) > 0 {

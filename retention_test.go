@@ -21,9 +21,10 @@ func liveHeap() uint64 {
 
 // TestRecoveredStoreHoldsItsDataOnce reopens a sharded store whose
 // checkpoint was cut several times and whose WAL tail touches most pages,
-// and weighs the reopened facade: the heap it holds must be about its data
-// (16 bytes per element), not a second copy of the checkpoint pinned by
-// the decode, the assembly or the open's wiring around them.
+// folds the tail, and weighs the reopened facade: the heap it holds must
+// be about its data (16 bytes per element), not a second copy of the
+// checkpoint pinned by the decode, the assembly, the open's wiring around
+// them or the fold that carried decoded pages over.
 func TestRecoveredStoreHoldsItsDataOnce(t *testing.T) {
 	const n = 1_000_000
 	mem := wal.NewMemFS()
@@ -69,8 +70,10 @@ func TestRecoveredStoreHoldsItsDataOnce(t *testing.T) {
 	if rec.WALRecords() < 4000 {
 		t.Fatalf("the reopened store replayed %d records: the scenario proves nothing", rec.WALRecords())
 	}
-	// Cut now, so the Close below writes nothing and the device weighs the
-	// same in both readings.
+	// The open left each tail a frozen layer: fold it, then cut, so the
+	// Close below writes nothing and the device weighs the same in both
+	// readings.
+	rec.SyncFlush()
 	if _, err := rec.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,12 @@ func fuzzOpCodec[K Key, V any](t *testing.T, codec opCodec[K, V], payloads [][]b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree, err = replayTail(tree, codec, records, 0); err != nil {
+	layer, err := replayTail(codec, records, 0)
+	if err != nil {
 		t.Fatalf("replay of decodable records: %v", err)
+	}
+	if layer != nil {
+		tree = tree.MergeCOW(layer.ops())
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatalf("replayed tree: %v", err)
