@@ -49,6 +49,10 @@ func TestCLISaveLoadRoundTrip(t *testing.T) {
 	if !strings.Contains(s, "elements=20001") || !strings.Contains(s, "key 42 -> value 0") {
 		t.Fatalf("shell replies wrong: %s", s)
 	}
+	// A durable store's stats line carries the maintenance counters too.
+	if !strings.Contains(s, "pages_made=") {
+		t.Fatalf("durable stats line lacks the counters: %s", s)
+	}
 
 	// The shell insert must be durable: reopen and check.
 	load = exec.Command(bin, "load", "-dir", dir)
@@ -108,7 +112,7 @@ func TestCLICrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "recovered ") {
+	if !strings.Contains(string(out), "recovered ") || !strings.Contains(string(out), "wal open: ") {
 		t.Fatalf("recover output: %s", out)
 	}
 

@@ -186,7 +186,7 @@ func cmdLoad(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("opened %s: %d elements, wal tail %d records\n", *dir, d.Len(), d.WALRecords())
+	fmt.Printf("opened %s: %d elements, wal tail %d records\n", *dir, d.Len(), d.Stats().WALRecords)
 	runShell(d, os.Stdin, os.Stdout)
 	return d.Close()
 }
@@ -211,8 +211,7 @@ func cmdRecover(args []string) error {
 	if err != nil {
 		return err
 	}
-	tail := d.WALRecords()
-	ws := d.WALOpenStats()
+	opened := d.Stats()
 	// Fold the tails first: a cut folds pending layers without publishing
 	// them, so Close's cut would fold and write the same chunks again.
 	d.SyncFlush()
@@ -221,16 +220,14 @@ func cmdRecover(args []string) error {
 		d.Close()
 		return err
 	}
-	fmt.Printf("recovered %d elements from %s (wal tail %d records)\n", d.Len(), *dir, tail)
-	for i, st := range ws {
-		fmt.Printf("wal open, shard %d: %d records, %d corrupt frames", i, st.Records, st.CorruptFrames)
-		if st.TornBytes > 0 {
-			fmt.Printf(", repaired by cutting %d trailing bytes", st.TornBytes)
-		}
-		fmt.Println()
+	fmt.Printf("recovered %d elements from %s (wal tail %d records)\n", d.Len(), *dir, opened.WALRecords)
+	fmt.Printf("wal open: %d records, %d corrupt frames", opened.WALReplayed, opened.WALCorruptFrames)
+	if opened.WALTornBytes > 0 {
+		fmt.Printf(", repaired by cutting %d trailing bytes", opened.WALTornBytes)
 	}
+	fmt.Println()
 	fmt.Printf("checkpoint: %d chunks written, %d reused, wal now %d records\n",
-		stats.ChunksWritten, stats.ChunksReused, d.WALRecords())
+		stats.ChunksWritten, stats.ChunksReused, d.Stats().WALRecords)
 	return d.Close()
 }
 
@@ -341,12 +338,10 @@ type shellIndex interface {
 	Delete(k uint64) (bool, error)
 }
 
-// durableIndex is the durable store's extras: the checkpoint command, the
-// wal= field of stats, and writes that can actually fail.
+// durableIndex is the durable store's extra: the checkpoint command.
 type durableIndex interface {
 	shellIndex
 	Checkpoint() (fitingtree.CheckpointStats, error)
-	WALRecords() int
 }
 
 // treeIndex adapts a bare tree, whose writes cannot fail.
@@ -448,18 +443,15 @@ func runShell(idx shellIndex, in io.Reader, out io.Writer) {
 				stats.ChunksWritten, stats.ChunksReused)
 		case "stats":
 			st := idx.Stats()
-			fmt.Fprintf(out, "elements=%d pages=%d buffered=%d height=%d index=%dB data=%dB",
-				st.Elements, st.Pages, st.Buffered, st.Height, st.IndexSize, st.DataSize)
+			fmt.Fprintf(out, "elements=%d pages=%d buffered=%d index=%dB data=%dB",
+				st.Elements, st.Pages, st.Buffered, st.IndexSize, st.DataSize)
 			if durable != nil {
-				fmt.Fprintf(out, " wal=%d", durable.WALRecords())
+				fmt.Fprintf(out, " wal=%d", st.WALRecords)
 			}
-			// Maintenance counters, where the index keeps them: refits over
-			// pages_made is the share of rebuilt pages that kept their line.
-			if c, ok := idx.(interface{ Counters() fitingtree.Counters }); ok {
-				ctr := c.Counters()
-				fmt.Fprintf(out, " merges=%d pages_made=%d refits=%d", ctr.Merges, ctr.PagesMade, ctr.Refits)
-			}
-			fmt.Fprintln(out)
+			// Refits over pages_made is the share of rebuilt pages that kept
+			// their line.
+			fmt.Fprintf(out, " merges=%d pages_made=%d refits=%d\n",
+				st.Counters.Merges, st.Counters.PagesMade, st.Counters.Refits)
 		case "quit", "exit":
 			return
 		default:

@@ -278,7 +278,7 @@ func TestRecoveryDefersTailFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer again.Close()
-			for i, ws := range again.WALOpenStats() {
+			for i, ws := range again.walStats {
 				if ws.Records != 0 {
 					t.Fatalf("shard %d: the reopen after Close found %d tail records", i, ws.Records)
 				}

@@ -261,7 +261,7 @@ func imageOf(t testing.TB, mem *wal.MemFS, dev pager.Device, shards, procs int) 
 		t.Fatal(err)
 	}
 	d.SetAutoCheckpoint(false)
-	img := openImage{pairs: dump(d), opened: treesImageOf(d), walStats: d.WALOpenStats(), free: d.store.FreePages()}
+	img := openImage{pairs: dump(d), opened: treesImageOf(d), walStats: d.walStats, free: d.store.FreePages()}
 	d.SyncFlush()
 	img.flushed = treesImageOf(d)
 	st, err := d.Checkpoint()

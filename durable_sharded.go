@@ -841,30 +841,25 @@ func (d *DurableSharded[K, V]) Close() error {
 	return cerr
 }
 
-// WALRecords returns the total number of records across every shard's
-// log — the replay tail the next recovery would process (plus any
-// not-yet-truncated checkpointed prefix).
-func (d *DurableSharded[K, V]) WALRecords() int {
+// Stats is the engine's aggregate plus the logs: WALRecords counts every
+// shard's log now (under the reshape read lock, then each shard's writer
+// mutex in turn), and the WAL open fields sum what recovery found in the
+// generation that was opened (later rebalances do not change them).
+func (d *DurableSharded[K, V]) Stats() Stats {
 	d.reshape.RLock()
 	defer d.reshape.RUnlock()
-	n := 0
+	s := d.shardEngine.Stats()
 	for _, sh := range d.set.Load().shards {
 		sh.mu.Lock()
-		n += sh.log.wal.Len()
+		s.WALRecords += sh.log.wal.Len()
 		sh.mu.Unlock()
 	}
-	return n
-}
-
-// WALOpenStats returns what recovery found when it opened each shard's
-// log: replayed record counts and, for cut files, whether the discarded
-// tail looked like a torn append (TornBytes without CorruptFrames) or like
-// corruption (CorruptFrames > 0); zero values mean a clean shutdown. It
-// describes the generation that was opened, in that generation's shard
-// order — later rebalances do not change it — and is nil for a facade
-// built by CreateDurableSharded, which opened nothing.
-func (d *DurableSharded[K, V]) WALOpenStats() []wal.OpenStats {
-	return append([]wal.OpenStats(nil), d.walStats...)
+	for _, ws := range d.walStats {
+		s.WALReplayed += ws.Records
+		s.WALTornBytes += ws.TornBytes
+		s.WALCorruptFrames += ws.CorruptFrames
+	}
+	return s
 }
 
 // Generation returns the current fence generation (increments with every

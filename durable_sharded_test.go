@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"fitingtree/internal/pager"
@@ -28,7 +29,7 @@ func TestDurableShardedBasic(t *testing.T) {
 	if _, err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.WALRecords(); n != 0 {
+	if n := d.Stats().WALRecords; n != 0 {
 		t.Fatalf("WAL holds %d records after checkpoint", n)
 	}
 	for i := 500; i < 600; i++ {
@@ -49,7 +50,7 @@ func TestDurableShardedBasic(t *testing.T) {
 		t.Fatalf("recovered %d pairs, want %d", len(got), len(want))
 	}
 	// Close checkpointed, so the reopened logs were empty.
-	for i, st := range rec.WALOpenStats() {
+	for i, st := range rec.walStats {
 		if st.Records != 0 {
 			t.Fatalf("shard %d log held %d records after Close", i, st.Records)
 		}
@@ -82,10 +83,10 @@ func TestCreateDurableSharded(t *testing.T) {
 	if n := d.Shards(); n != 4 {
 		t.Fatalf("bulk import built %d shards, want 4", n)
 	}
-	if n := d.WALRecords(); n != 0 {
+	if n := d.Stats().WALRecords; n != 0 {
 		t.Fatalf("bulk import appended %d WAL records", n)
 	}
-	if ws := d.WALOpenStats(); ws != nil {
+	if ws := d.walStats; ws != nil {
 		t.Fatalf("a created store opened no log, yet reports open stats %v", ws)
 	}
 	sizes := d.ShardSizes()
@@ -101,7 +102,7 @@ func TestCreateDurableSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := openStore(t, mem, dev, 4)
-	if ws := rec.WALOpenStats(); len(ws) != 4 {
+	if ws := rec.walStats; len(ws) != 4 {
 		t.Fatalf("reopened 4 shard logs, open stats cover %d", len(ws))
 	}
 	if rec.Len() != len(keys)+1 {
@@ -173,6 +174,80 @@ func TestDurableShardedRebalance(t *testing.T) {
 	}
 	if g := rec.Generation(); g != 1 {
 		t.Fatalf("recovered generation %d, want 1", g)
+	}
+}
+
+// TestDurableStatsUnderLoad polls Stats — which takes the reshape read
+// lock and then each shard's writer mutex to count the logs — on a 3-shard
+// store while writers run, a rebalance is forced and checkpoints commit.
+// Once the writers stop, Elements must equal Len, and after the final
+// checkpoint the logs must be empty.
+func TestDurableStatsUnderLoad(t *testing.T) {
+	const bulk, writers, perWriter = 30_000, 2, 3000
+	d, err := CreateDurableSharded(wal.NewMemFS(), pager.NewDisk(), bumpyTree(t, bulk), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		defer func() { polled <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Every writer deletes only keys it inserted, so no shard's
+			// published size ever drops below its bulk share.
+			if st := d.Stats(); st.Elements < bulk || st.Pages == 0 || st.WALRecords < 0 {
+				t.Errorf("Stats mid-run: %+v", st)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := -(i*writers + w + 1) // below the bulk range: one shard takes them all
+				if err := d.Insert(k, k); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 9 {
+					if _, err := d.Delete(k); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	if err := d.Rebalance(); err != nil {
+		t.Error(err)
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-polled; n == 0 || d.Generation() == 0 {
+		t.Errorf("Stats polled %d times, generation %d: the run raced nothing", n, d.Generation())
+	}
+	if st := d.Stats(); st.Elements != d.Len() || st.Elements != bulk+writers*perWriter*9/10 {
+		t.Fatalf("Stats().Elements = %d once the writers stopped, Len() = %d, want %d",
+			st.Elements, d.Len(), bulk+writers*perWriter*9/10)
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().WALRecords; n != 0 {
+		t.Fatalf("Stats().WALRecords = %d after the final checkpoint", n)
 	}
 }
 

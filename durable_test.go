@@ -479,7 +479,7 @@ func TestIncrementalCheckpointIsODirty(t *testing.T) {
 		t.Fatal("checkpoint reused no chunks")
 	}
 	// And the WAL prefix is gone.
-	if n := d.WALRecords(); n != 0 {
+	if n := d.Stats().WALRecords; n != 0 {
 		t.Fatalf("WAL holds %d records after checkpoint", n)
 	}
 }
@@ -646,7 +646,7 @@ func concurrentStress(t *testing.T, shards, writers, perWriter int) {
 	}
 	// Close ran a final checkpoint, so recovery should have replayed an
 	// empty (or truncated) tail.
-	if n := rec.WALRecords(); n != 0 {
+	if n := rec.Stats().WALRecords; n != 0 {
 		t.Fatalf("WAL holds %d records after Close", n)
 	}
 }
@@ -669,7 +669,7 @@ func TestCreateDurableSkipsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := d.WALRecords(); n != 0 {
+	if n := d.Stats().WALRecords; n != 0 {
 		t.Fatalf("bulk import appended %d WAL records", n)
 	}
 	if err := d.Insert(6, 60); err != nil {

@@ -61,7 +61,7 @@ func main() {
 	count2 := 0
 	t.AscendRange(lo, hi, func(k uint64, v float64) bool { count2++; return true })
 	fmt.Printf("after 10k live inserts the same window holds %d events\n", count2)
-	fmt.Printf("maintenance: %+v\n", t.Counters())
+	fmt.Printf("maintenance: %+v\n", t.Stats().Counters)
 }
 
 func max(a, b int) int {

@@ -81,12 +81,14 @@ const DefaultError = core.DefaultError
 // Not safe for concurrent use — see Optimistic.
 type Tree[K Key, V any] = core.Tree[K, V]
 
-// Stats describes a tree's size and shape; IndexSize follows the paper's
-// byte accounting (inner tree — the chain's start arrays, 16 bytes per page
-// and per chunk — + 24 bytes per segment).
+// Stats is every index's one metrics surface, read from carried counts:
+// size and shape — IndexSize follows the paper's byte accounting (inner
+// tree — the chain's start arrays, 16 bytes per page and per chunk — + 24
+// bytes per segment) — maintenance counters, and the facades' facts.
 type Stats = core.Stats
 
-// Counters reports maintenance activity (inserts, merges, pages created).
+// Counters reports maintenance activity (inserts, merges, pages created),
+// as Stats().Counters.
 type Counters = core.Counters
 
 // BulkLoad builds a FITing-Tree over sorted keys (duplicates allowed) and

@@ -166,6 +166,8 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 			}
 			run.add(segErr, p)
 			t.size += len(ps.Keys) + len(ps.BufKeys)
+			t.buffered += len(ps.BufKeys)
+			t.deletes += p.deletes
 		}
 		chunks = append(chunks, newChunk(run))
 		t.npages += len(run.pages)

@@ -123,11 +123,15 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		// Rebuild the dirty regions' content (reads only the receiver).
 		rebuilt := make([][]*page[K, V], len(ivs))
 		deleted = t.rebuildRegions(ivs, ops, rebuilt, &nt.counters)
-		dirty := 0
+		// Rebuilt pages carry no buffer and no deletes: the sums lose the dirty pages'.
+		dirty, buffered, deletes := 0, 0, 0
 		for _, iv := range ivs {
-			dirty += t.regionLen(iv)
+			t.eachRegionPage(iv, func(p *page[K, V]) {
+				dirty, buffered, deletes = dirty+1, buffered+len(p.bufKeys), deletes+p.deletes
+			})
 		}
 		nt.npages = t.npages - dirty + stampIDs(rebuilt)
+		nt.buffered, nt.deletes = t.buffered-buffered, t.deletes-deletes
 		nt.setChunks(t.spliceClusters(ivs, rebuilt))
 	}
 

@@ -30,6 +30,7 @@ func (t *Tree[K, V]) Insert(k K, v V) {
 	i, _ := findKey(p.bufKeys, k)
 	p.bufKeys = insertAt(p.bufKeys, i, k)
 	p.bufVals = insertAt(p.bufVals, i, v)
+	t.buffered++
 	if len(p.bufKeys) >= max(1, t.opts.BufferSize) {
 		t.merge(cu)
 		return
@@ -90,6 +91,7 @@ func (t *Tree[K, V]) DeleteWhere(k K, pred func(V) bool) bool {
 			if pred(p.bufVals[j]) {
 				p.bufKeys = removeAt(p.bufKeys, j)
 				p.bufVals = removeAt(p.bufVals, j)
+				t.buffered--
 				t.afterDelete(cu)
 				return true
 			}
@@ -104,6 +106,7 @@ func (t *Tree[K, V]) DeleteWhere(k K, pred func(V) bool) bool {
 					p.pref = removeAt(p.pref, j)
 				}
 				p.deletes++
+				t.deletes++
 				t.afterDelete(cu)
 				return true
 			}
@@ -141,16 +144,19 @@ func splice[T any](s []T, at, removed int, repl []T) []T {
 	return append(out, s[at+removed:]...)
 }
 
-// splicePages replaces the page at cu with pages (possibly none). The
-// chain's arrays are the index, so the edit is the whole of it: the chunk's
-// pages, starts and heads are edited together, in place (legal only because
-// the plain Tree owns its chunks exclusively — published chunks are never
-// spliced, see chunk); a chunk that outgrows chunkMax is then re-cut into
-// fresh chunks, one left empty is dropped from the chain, and otherwise the
+// splicePages replaces the page at cu with pages (possibly none), fresh
+// from buildPages: no buffer, no deletes. The chain's arrays are the
+// index, so the edit is the whole of it: the chunk's pages, starts and
+// heads are edited together, in place (legal only because the plain Tree
+// owns its chunks exclusively — published chunks are never spliced, see
+// chunk); a chunk that outgrows chunkMax is then re-cut into fresh
+// chunks, one left empty is dropped from the chain, and otherwise the
 // tree's start array follows the chunk's first page.
 func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
 	c := cu.c
 	t.npages += len(pages) - 1
+	t.buffered -= len(cu.page().bufKeys)
+	t.deletes -= cu.page().deletes
 	var repl pageRun[K, V]
 	repl.add(t.opts.segError(), pages...)
 	c.pages = slices.Replace(c.pages, cu.pi, cu.pi+1, repl.pages...)

@@ -138,11 +138,13 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 	}
 	out := make([]*Tree[K, V], 0, len(fences)+1)
 	var run pageRun[K, V]
-	size := 0
+	// The run's sums; re-cut pages bring no buffer and no deletes.
+	size, buffered, deletes := 0, 0, 0
 	next := func() { // closes the tree being assembled and opens the next
-		t := &Tree[K, V]{opts: trees[0].opts, size: size, npages: len(run.pages)}
+		t := &Tree[K, V]{opts: trees[0].opts, size: size, npages: len(run.pages),
+			buffered: buffered, deletes: deletes}
 		t.setChunks(cutChunks(run))
-		out, run, size = append(out, t), pageRun[K, V]{}, 0
+		out, run, size, buffered, deletes = append(out, t), pageRun[K, V]{}, 0, 0, 0
 	}
 	for _, tr := range trees {
 		for _, c := range tr.chunks {
@@ -153,6 +155,8 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 				if len(out) == len(fences) || p.lastKey() < fences[len(out)] {
 					run.carry(c, pi, pi+1)
 					size += len(p.keys) + len(p.bufKeys)
+					buffered += len(p.bufKeys)
+					deletes += p.deletes
 					continue
 				}
 				keys, vals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)

@@ -192,7 +192,8 @@ func (t *Tree[K, V]) LookupBreakdown(k K) (v V, ok bool, treeNs, pageNs int64) {
 	return v, ok, treeNs, pageNs
 }
 
-// Stats describes the size and shape of a FITing-Tree.
+// Stats describes the size and shape of a FITing-Tree and what the facades
+// around it have done, every field read from a carried count.
 type Stats struct {
 	Elements int // total stored elements, including buffered ones
 	Pages    int // number of variable-sized table pages (= segments)
@@ -209,39 +210,37 @@ type Stats struct {
 	// top. Both are facade-level: Tree.Stats leaves them zero.
 	FrozenLayers int
 	LayerPending []int
-	// Height is the inner tree's: 2, a root (the tree's array of chunk
-	// start keys) over one leaf per chunk (the chunk's array of page start
-	// keys).
-	Height    int
-	IndexSize int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
-	DataSize  int64 // bytes of table data incl. buffers (not part of the index)
+	IndexSize    int64 // bytes: the start arrays (16 B per page and per chunk) + 24 B/segment metadata (paper's accounting)
+	DataSize     int64 // bytes of table data incl. buffers (not part of the index)
 
-	// UnderfullChunks counts chunks below the re-merge threshold (fewer
-	// than chunkTarget/underfullDiv pages); fold-time absorption keeps it
-	// bounded under delete-heavy load.
-	UnderfullChunks int
+	// Counters is the base trees' maintenance activity since the build,
+	// summed over shards; pending deltas count once they fold.
+	Counters Counters
+
+	// The rest is facade-level (Tree.Stats leaves it zero). BackpressureFolds
+	// counts writers that found the frozen ladder full and the active delta
+	// past its bound, and ran the whole fold inline; flat means the
+	// background pipeline absorbs the load.
+	BackpressureFolds uint64
+	// WALRecords counts the records in a durable store's logs now: the next
+	// recovery's replay tail plus any checkpointed prefix not yet truncated.
+	WALRecords int
+	// WALReplayed, WALTornBytes and WALCorruptFrames sum what the store's
+	// open found in its logs: records replayed, bytes cut as a torn append
+	// (a crash), frames failing checksum or LSN order (corruption).
+	WALReplayed      int
+	WALTornBytes     int
+	WALCorruptFrames int
 }
 
-// Stats traverses the tree and returns its statistics. The IndexSize
-// accounting matches the paper's SIZE(e) cost model: the inner tree's keys
-// and pointers — here the chain's two levels of start arrays — plus 24
-// bytes of metadata (start key, slope, page address) per segment.
+// Stats returns the tree's statistics in O(1), from counts the tree
+// carries. The IndexSize accounting matches the paper's SIZE(e) cost
+// model: the inner tree's keys and pointers — here the chain's two levels
+// of start arrays — plus 24 bytes of metadata (start key, slope, page
+// address) per segment. DataSize is 16 bytes per element.
 func (t *Tree[K, V]) Stats() Stats {
-	s := Stats{Elements: t.size, Chunks: len(t.chunks)}
-	for _, c := range t.chunks {
-		if underfull(c) {
-			s.UnderfullChunks++
-		}
-		for _, p := range c.pages {
-			s.Pages++
-			s.Buffered += len(p.bufKeys)
-			s.Deletes += p.deletes
-			s.DataSize += int64(len(p.keys)+len(p.bufKeys)) * 16
-		}
-	}
-	s.Height = 2
-	s.IndexSize = 16*int64(s.Pages+s.Chunks) + 24*int64(s.Pages)
-	return s
+	return Stats{Elements: t.size, Pages: t.npages, Chunks: len(t.chunks), Buffered: t.buffered, Deletes: t.deletes,
+		IndexSize: 16*int64(t.npages+len(t.chunks)) + 24*int64(t.npages), DataSize: 16 * int64(t.size), Counters: t.counters}
 }
 
 // CheckInvariants validates the tree's structural invariants; tests drive
@@ -250,8 +249,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	if len(t.starts) != len(t.chunks) {
 		return fmt.Errorf("fitingtree: %d chunk starts for %d chunks", len(t.starts), len(t.chunks))
 	}
-	count := 0
-	walked := 0
+	count, walked, buffered, deletes := 0, 0, 0, 0
 	segErr := t.opts.segError()
 	var prev *page[K, V]
 	for ci, c := range t.chunks {
@@ -352,14 +350,17 @@ func (t *Tree[K, V]) CheckInvariants() error {
 				}
 			}
 			count += len(p.keys) + len(p.bufKeys)
+			buffered += len(p.bufKeys)
+			deletes += p.deletes
 			prev = p
 		}
 	}
 	if count != t.size {
 		return fmt.Errorf("fitingtree: size %d but %d elements found", t.size, count)
 	}
-	if walked != t.npages {
-		return fmt.Errorf("fitingtree: page count %d but %d pages in the chain", t.npages, walked)
+	if walked != t.npages || buffered != t.buffered || deletes != t.deletes {
+		return fmt.Errorf("fitingtree: carried pages/buffered/deletes %d/%d/%d but the chain holds %d/%d/%d",
+			t.npages, t.buffered, t.deletes, walked, buffered, deletes)
 	}
 	return nil
 }

@@ -356,11 +356,13 @@ func (c *Counters) add(o Counters) {
 // Build one with BulkLoad. The zero value is not usable. Tree is not safe
 // for concurrent use; wrap it or serialize access externally.
 type Tree[K num.Key, V any] struct {
-	opts   Options
-	chunks []*chunk[K, V] // chunked page chain in ascending key order
-	starts []K            // the chunks' start keys, parallel to chunks: the index's top level
-	npages int            // pages in the chain, maintained by every splice
-	size   int            // total elements (pages + buffers)
+	opts     Options
+	chunks   []*chunk[K, V] // chunked page chain in ascending key order
+	starts   []K            // the chunks' start keys, parallel to chunks: the index's top level
+	npages   int            // pages in the chain, maintained by every splice
+	size     int            // total elements (pages + buffers)
+	buffered int            // Σ len(bufKeys) over the chain's pages, carried like npages
+	deletes  int            // Σ pages' deletes, carried like npages
 
 	counters Counters
 }
@@ -440,7 +442,8 @@ func (t *Tree[K, V]) Options() Options { return t.opts }
 // Len returns the number of stored elements, including buffered inserts.
 func (t *Tree[K, V]) Len() int { return t.size }
 
-// Counters returns maintenance counters accumulated since the build.
+// Counters returns maintenance counters accumulated since the build, the
+// same as Stats().Counters.
 func (t *Tree[K, V]) Counters() Counters { return t.counters }
 
 // NumPages returns the number of pages (segments) in the chain in O(1):

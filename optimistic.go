@@ -116,7 +116,7 @@ type Optimistic[K Key, V any] struct {
 	discarded atomic.Uint64
 	// bpFolds counts inline backpressure folds: writers that tripped the
 	// threshold with the ladder full and the active delta past the bound,
-	// and paid the merge themselves. See BackpressureFolds.
+	// and paid the merge themselves. See Stats.BackpressureFolds.
 	bpFolds atomic.Uint64
 
 	// flushHook, when set, is called after every publication that installs
@@ -294,21 +294,7 @@ func (o *Optimistic[K, V]) SetAsyncFlush(enabled bool) {
 	o.asyncOff.Store(!enabled)
 }
 
-// Counters returns the base tree's maintenance counters (inserts, merges,
-// pages rebuilt) accumulated since the build. Pending deltas are not
-// reflected until they fold; call SyncFlush first for an exact cut.
-func (o *Optimistic[K, V]) Counters() Counters {
-	return o.state.Load().tree.Counters()
-}
-
-// BackpressureFolds returns the number of inline backpressure folds so
-// far: writes that tripped the flush threshold while the frozen ladder
-// was full and the active delta had grown past the backpressure bound,
-// forcing the writer to run the whole fold synchronously. A writer at the
-// bound lets a background round in flight publish first and then usually
-// finds a free slot, so the count rises only when the worker was not
-// merging. A bursty workload that keeps this counter flat is being
-// absorbed entirely by the background pipeline.
+// BackpressureFolds is Stats().BackpressureFolds, read alone.
 func (o *Optimistic[K, V]) BackpressureFolds() uint64 { return o.bpFolds.Load() }
 
 // SyncFlush synchronously folds every pending write — what is left of the
@@ -435,14 +421,16 @@ func (st *ostate[K, V]) inAnyLayer(k K, h uint64) bool {
 func (o *Optimistic[K, V]) Len() int { return o.state.Load().size }
 
 // Stats returns the base tree's statistics with Elements and Buffered
-// adjusted for pending delta writes across every layer: Buffered sums the
-// pending inserts of the whole frozen ladder plus the active delta,
-// FrozenLayers reports the ladder's current depth, and LayerPending each
-// frozen layer's pending op count, bottom to top.
+// adjusted for pending delta writes across every layer, in O(layers):
+// Buffered sums the pending inserts of the whole frozen ladder plus the
+// active delta, FrozenLayers reports the ladder's current depth,
+// LayerPending each frozen layer's pending op count, bottom to top, and
+// BackpressureFolds the inline folds so far.
 func (o *Optimistic[K, V]) Stats() Stats {
 	st := o.state.Load()
 	s := st.tree.Stats()
 	s.Elements = st.size
+	s.BackpressureFolds = o.bpFolds.Load()
 	s.FrozenLayers = len(st.frozen)
 	if len(st.frozen) > 0 {
 		s.LayerPending = make([]int, len(st.frozen))

@@ -67,8 +67,8 @@ func TestRecoveredStoreHoldsItsDataOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.SetAutoCheckpoint(false)
-	if rec.WALRecords() < 4000 {
-		t.Fatalf("the reopened store replayed %d records: the scenario proves nothing", rec.WALRecords())
+	if rec.Stats().WALRecords < 4000 {
+		t.Fatalf("the reopened store replayed %d records: the scenario proves nothing", rec.Stats().WALRecords)
 	}
 	// The open left each tail a frozen layer: fold it, then cut, so the
 	// Close below writes nothing and the device weighs the same in both

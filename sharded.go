@@ -322,9 +322,10 @@ func (e *shardEngine[K, V]) Len() int {
 	return n
 }
 
-// Stats aggregates the shards' statistics: counts and sizes sum, heights
-// and the frozen-ladder depth take the maximum (per-layer pending counts
-// are per-shard and left unset — see Optimistic.Stats for them).
+// Stats aggregates the shards' statistics in O(shards): counts, sizes
+// and counters sum, the frozen-ladder depth takes the maximum (per-layer
+// pending counts are per-shard and left unset — see Optimistic.Stats for
+// them).
 func (e *shardEngine[K, V]) Stats() Stats {
 	var agg Stats
 	for _, sh := range e.set.Load().shards {
@@ -332,17 +333,17 @@ func (e *shardEngine[K, V]) Stats() Stats {
 		agg.Elements += st.Elements
 		agg.Pages += st.Pages
 		agg.Chunks += st.Chunks
-		agg.UnderfullChunks += st.UnderfullChunks
 		agg.Buffered += st.Buffered
 		agg.Deletes += st.Deletes
-		if st.FrozenLayers > agg.FrozenLayers {
-			agg.FrozenLayers = st.FrozenLayers
-		}
+		agg.FrozenLayers = max(agg.FrozenLayers, st.FrozenLayers)
 		agg.IndexSize += st.IndexSize
 		agg.DataSize += st.DataSize
-		if st.Height > agg.Height {
-			agg.Height = st.Height
-		}
+		agg.Counters.Inserts += st.Counters.Inserts
+		agg.Counters.Deletes += st.Counters.Deletes
+		agg.Counters.Merges += st.Counters.Merges
+		agg.Counters.PagesMade += st.Counters.PagesMade
+		agg.Counters.Refits += st.Counters.Refits
+		agg.BackpressureFolds += st.BackpressureFolds
 	}
 	return agg
 }

@@ -83,32 +83,6 @@ func TestPureUpdatesNeverRebalance(t *testing.T) {
 	})
 }
 
-// TestShardedStatsSumUnderfullChunks: both sharded stores report the sum of
-// their shards' under-full chunks. A fresh 3-shard store has at least one
-// (each shard's chain ends in a partial chunk), so a dropped field shows.
-func TestShardedStatsSumUnderfullChunks(t *testing.T) {
-	build := func() *Tree[int, int] { return bumpyTree(t, 100_000) }
-	s, err := NewSharded(build(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	d, err := CreateDurableSharded(wal.NewMemFS(), pager.NewDisk(), build(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for name, e := range map[string]*shardEngine[int, int]{"Sharded": &s.shardEngine, "DurableSharded": &d.shardEngine} {
-		sum := 0
-		for _, sh := range e.set.Load().shards {
-			sum += sh.Stats().UnderfullChunks
-		}
-		if got := e.Stats().UnderfullChunks; got != sum || sum == 0 {
-			t.Fatalf("%s: Stats().UnderfullChunks = %d, its shards hold %d (want equal and > 0)", name, got, sum)
-		}
-	}
-}
-
 // rangeContent collects an AscendRange as (key, value) pairs.
 func rangeContent(scan func(lo, hi int, fn func(k, v int) bool), lo, hi int) [][2]int {
 	var out [][2]int
@@ -253,14 +227,14 @@ func TestEngineDifferential(t *testing.T) {
 	compare("at the end")
 
 	t.Run("absent delete logs nothing", func(t *testing.T) {
-		before := d.WALRecords()
+		before := d.Stats().WALRecords
 		if found, err := d.Delete(maxKey + 1); found || err != nil {
 			t.Fatalf("Delete of an absent key = %v, %v", found, err)
 		}
 		if found, err := d.DeleteValue(keys[0], -1); found || err != nil {
 			t.Fatalf("DeleteValue of an absent value = %v, %v", found, err)
 		}
-		if got := d.WALRecords(); got != before {
+		if got := d.Stats().WALRecords; got != before {
 			t.Fatalf("WALRecords %d after two no-op deletes, want %d", got, before)
 		}
 	})

@@ -350,7 +350,7 @@ func TestParallelFoldDeterministic(t *testing.T) {
 		if err := st.tree.CheckInvariants(); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		r.snaps, r.stats, r.counters = chunkSnaps(st.tree), o.Stats(), o.Counters()
+		r.snaps, r.stats, r.counters = chunkSnaps(st.tree), o.Stats(), o.Stats().Counters
 		r.starts, r.sizes = st.tree.PageBounds()
 		o.AscendRange(0, ^uint64(0), func(k, v uint64) bool { r.scan = append(r.scan, [2]uint64{k, v}); return true })
 		return r
