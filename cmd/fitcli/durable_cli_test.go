@@ -35,6 +35,17 @@ func TestCLISaveLoadRoundTrip(t *testing.T) {
 	if !strings.Contains(string(out), "saved 20000 iot keys") {
 		t.Fatalf("save output: %s", out)
 	}
+	// The saved store audits clean: the create's cut and the close's cut
+	// fill both superblock slots.
+	out, err = exec.Command(bin, "scrub", "-dir", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("scrub: %v\n%s", err, out)
+	}
+	for _, want := range []string{"superblock 0: ok, epoch ", "superblock 1: ok, epoch ", " 1 shards, ", " 20000 elements\n", " live pages verified "} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("scrub output lacks %q: %s", want, out)
+		}
+	}
 
 	load := exec.Command(bin, "load", "-dir", dir)
 	load.Stdin = strings.NewReader("insert 42\nget 42\nstats\nquit\n")
@@ -114,6 +125,20 @@ func TestCLICrashRecovery(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "recovered ") || !strings.Contains(string(out), "wal open: ") {
 		t.Fatalf("recover output: %s", out)
+	}
+	// The store recover closed audits clean and holds what it recovered.
+	var recovered int
+	if _, err := fmt.Sscanf(string(out), "recovered %d elements", &recovered); err != nil {
+		t.Fatalf("parse recover output: %v\n%s", err, out)
+	}
+	out, err = exec.Command(bin, "scrub", "-dir", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("scrub after recovery: %v\n%s", err, out)
+	}
+	audit := string(out)
+	want := fmt.Sprintf(" 1 shards, %d chunks, %d elements\n", strings.Count(audit, "  shard 0 chunk "), recovered)
+	if !strings.Contains(audit, want) || !strings.Contains(audit, " live pages verified ") {
+		t.Fatalf("scrub after recovery lacks %q: %s", want, audit)
 	}
 
 	// Every acknowledged key must be present, alongside the saved dataset.

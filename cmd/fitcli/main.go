@@ -158,7 +158,7 @@ func cmdSave(args []string) error {
 		return err
 	}
 	defer dev.Close()
-	d, err := fitingtree.CreateDurable(fsys, dev, t)
+	d, err := fitingtree.CreateDurableSharded(fsys, dev, t, 1)
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func cmdLoad(args []string) error {
 		return err
 	}
 	defer dev.Close()
-	d, err := fitingtree.OpenDurable[uint64, uint64](fsys, dev, fitingtree.Options{})
+	d, err := fitingtree.OpenDurableSharded[uint64, uint64](fsys, dev, fitingtree.Options{}, 1)
 	if err != nil {
 		return err
 	}
@@ -207,7 +207,7 @@ func cmdRecover(args []string) error {
 		return err
 	}
 	defer dev.Close()
-	d, err := fitingtree.OpenDurable[uint64, uint64](fsys, dev, fitingtree.Options{})
+	d, err := fitingtree.OpenDurableSharded[uint64, uint64](fsys, dev, fitingtree.Options{}, 1)
 	if err != nil {
 		return err
 	}
@@ -291,7 +291,7 @@ func cmdPump(args []string) error {
 		return err
 	}
 	defer dev.Close()
-	d, err := fitingtree.OpenDurable[uint64, uint64](fsys, dev, fitingtree.Options{})
+	d, err := fitingtree.OpenDurableSharded[uint64, uint64](fsys, dev, fitingtree.Options{}, 1)
 	if err != nil {
 		return err
 	}

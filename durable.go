@@ -96,11 +96,16 @@ func (l *shardLog[K, V]) sync() error {
 	return nil
 }
 
-// loadCheckpoint decodes every shard's chunk blobs (cuts: the manifest's
-// shard entries) and assembles one tree per shard, registering the fresh
-// chunk id -> blob head pairs in heads (chunk ids are process-unique, so one
-// map serves the store) and returning the ids in (shard, chain) order with
-// every chain page read (the reachable set).
+// loadCheckpoint is the one loader of a stored cut: it decodes every
+// shard's chunk blobs (c's manifest entries) and assembles one tree per
+// shard, checking each non-empty shard's keys against its fences — the
+// persisted routing, so a shard holding another shard's keys is rejected
+// rather than loaded where no lookup would find them. It registers the
+// fresh chunk id -> blob head pairs in heads (chunk ids are
+// process-unique, so one map serves the store) and returns the ids in
+// (shard, chain) order, every page the cut reaches (the manifest's chain
+// and every chunk's: the reachable set), and each chunk's pages, bytes and
+// elements.
 //
 // The calling goroutine makes every store (hence device) call: it reads the
 // blobs in order — page CRCs, payload lengths and the chain bound are
@@ -111,12 +116,13 @@ func (l *shardLog[K, V]) sync() error {
 // the error is the lowest failing (shard, chunk)'s whatever the schedule:
 // chunks are handed out in order and each one handed out is decoded. One
 // processor runs everything inline.
-func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V], cuts []core.ShardCut,
-	opts Options, heads map[uint64]pager.PageID) (trees []*Tree[K, V], order []uint64, reachable []pager.PageID, err error) {
+func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V], c storedCut[K],
+	heads map[uint64]pager.PageID) (trees []*Tree[K, V], order []uint64, reachable []pager.PageID, chunks []ScrubChunk, err error) {
 	var chunkHeads []pager.PageID // every shard's, flattened
-	for _, cut := range cuts {
-		for _, c := range cut.Chunks {
-			chunkHeads = append(chunkHeads, pager.PageID(c))
+	for s, cut := range c.m.Shards {
+		for i, h := range cut.Chunks {
+			chunkHeads = append(chunkHeads, pager.PageID(h))
+			chunks = append(chunks, ScrubChunk{Shard: s, Index: i})
 		}
 	}
 	snaps := make([]core.ChunkSnap[K, V], len(chunkHeads))
@@ -138,6 +144,9 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 		if snaps[j.i], errs[j.i] = snapCodec.Decode(j.blob); errs[j.i] != nil {
 			failed.Store(true)
 		}
+		for _, p := range snaps[j.i].Pages {
+			chunks[j.i].Elements += len(p.Keys) + len(p.BufKeys)
+		}
 		ring <- j.blob[:0]
 	}
 	var wg sync.WaitGroup
@@ -150,12 +159,14 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 			}
 		}()
 	}
+	reachable = c.mchain
 	for i := 0; i < len(chunkHeads) && !failed.Load(); i++ {
 		blob, chain, err := store.GetChain(chunkHeads[i], <-ring, reachable)
 		if err != nil {
 			errs[i] = err
 			break
 		}
+		chunks[i].Pages, chunks[i].Bytes = len(chain)-len(reachable), len(blob)
 		reachable = chain
 		if workers > 1 {
 			jobs <- job{i, blob}
@@ -165,16 +176,21 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 	}
 	close(jobs)
 	wg.Wait()
-	trees = make([]*Tree[K, V], len(cuts))
-	for s, at := 0, 0; s < len(cuts); s++ {
-		n := len(cuts[s].Chunks)
+	trees = make([]*Tree[K, V], len(c.m.Shards))
+	for s, at := 0, 0; s < len(trees); s++ {
+		n := len(c.m.Shards[s].Chunks)
 		for i, err := range errs[at : at+n] {
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("fitingtree: shard %d: checkpoint chunk %d: %w", s, i, err)
+				return nil, nil, nil, nil, fmt.Errorf("fitingtree: shard %d: checkpoint chunk %d: %w", s, i, err)
 			}
 		}
-		if trees[s], err = core.AssembleChunks(snaps[at:at+n], opts); err != nil {
-			return nil, nil, nil, fmt.Errorf("fitingtree: shard %d: %w", s, err)
+		if trees[s], err = core.AssembleChunks(snaps[at:at+n], c.m.Options); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("fitingtree: shard %d: %w", s, err)
+		}
+		if lo, _, ok := trees[s].Min(); ok {
+			if hi, _, _ := trees[s].Max(); (s > 0 && lo < c.bounds[s-1]) || (s < len(c.bounds) && hi >= c.bounds[s]) {
+				return nil, nil, nil, nil, fmt.Errorf("fitingtree: shard %d holds keys [%v, %v], outside its fences", s, lo, hi)
+			}
 		}
 		// Assembly creates one chunk per snapshot in order, so the fresh
 		// chunk ids pair positionally with the manifest's blob heads.
@@ -184,7 +200,7 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 		}
 		at += n
 	}
-	return trees, order, reachable, nil
+	return trees, order, reachable, chunks, nil
 }
 
 // replayTail composes a WAL tail into one frozen delta layer instead of

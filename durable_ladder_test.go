@@ -58,7 +58,7 @@ func pumpLadder(o *Optimistic[int, int]) int {
 func TestRecoveryBatchedReplay(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRecoveryBatchedReplay(t *testing.T) {
 	}
 	mem.Crash() // no checkpoint ever ran: recovery is pure tail replay
 
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
+	rec, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestRecoveryDefersTailFold(t *testing.T) {
 func TestDurableLadderCheckpointStress(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestDurableLadderCheckpointStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
+	rec, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

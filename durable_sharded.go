@@ -28,13 +28,13 @@ const legacyIntentName = "rebalance.intent"
 var errLegacyStore = errors.New("fitingtree: store is in the retired single-tree format " +
 	"(gob checkpoint root, wal.log); it was left untouched and must be rebuilt")
 
-// ShardWALName returns the log file name of shard i under fence
+// shardWALName returns the log file name of shard i under fence
 // generation gen. The generation is baked into the name so recovery can
 // never replay one generation's records through another generation's
 // fences: a migration switches every shard to fresh logs, and the old
 // generation's logs are deleted only after — or discarded along with —
 // the manifest flip that commits the move.
-func ShardWALName(gen uint64, i int) string {
+func shardWALName(gen uint64, i int) string {
 	return fmt.Sprintf("wal-%d-%d.log", gen, i)
 }
 
@@ -44,8 +44,9 @@ func ShardWALName(gen uint64, i int) string {
 // in. Every shard carries a private write-ahead log its writer section
 // appends to, and the base trees are persisted by incremental
 // copy-on-write checkpoints committing one atomic cross-shard cut. A
-// single-writer store is the same thing with one shard (OpenDurable,
-// CreateDurable): one log, a fence-less manifest, never a migration.
+// single-writer store is the same thing with one shard (shards = 1 to
+// OpenDurableSharded or CreateDurableSharded): one log, a fence-less
+// manifest, never a migration.
 //
 // The protocol has four moving parts:
 //
@@ -71,14 +72,18 @@ func ShardWALName(gen uint64, i int) string {
 //     truncated up to its covered LSN.
 //   - Recovery. Open loads the newest committed epoch — all shards from
 //     cut N, never a mix (checksummed chunk blobs, start and head arrays
-//     derived per page, no re-segmentation) — and replays each shard's WAL tail
-//     past its cursor into one frozen layer that the shard's first flush
-//     folds: O(checkpoint + tail), never a full bulk rebuild.
+//     derived per page, no re-segmentation, every shard's keys checked
+//     inside its fences) — and replays each shard's WAL tail past its
+//     cursor into one frozen layer that the shard's first flush folds:
+//     O(checkpoint + tail), never a full bulk rebuild. Open, Create and
+//     Scrub read the commit record through one reader (readCut); Open and
+//     Scrub load it through one loader (loadCheckpoint).
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; the engine's rebalance becomes atomic through
-//     its commit step (commitRebalance): the new generation's logs on the
-//     side, then everything committed with the next manifest flip, which
-//     carries the new generation. Log names embed their generation, so
+//     its commit step, the one generation switch a supersede makes too
+//     (switchGeneration): the new generation's logs on the side, then
+//     everything committed with the next manifest flip, which carries the
+//     new generation. Log names embed their generation, so
 //     the committed manifest alone decides a crash at any point, wholesale:
 //     the next open recovers whichever generation it names and sweeps the
 //     logs of the generations on either side (sweepGeneration).
@@ -135,20 +140,21 @@ type CheckpointStats struct {
 
 // OpenDurableSharded opens (or creates) a sharded durable facade over
 // fsys (per-shard WALs) and dev (checkpoint pages). An existing store
-// recovers from its newest committed epoch: an in-flight migration
-// resolves wholesale (kept if its manifest flip landed, its logs swept
-// otherwise), then every shard's checkpoint chunks are loaded and its WAL
-// tail composed into one frozen delta layer over them, which the shard's
-// first flush folds (the open itself folds nothing). The manifest's
-// recorded options and fences override opts; a fresh store
-// starts one empty shard with opts and grows toward the shards target as
-// data arrives. A store in the retired single-tree format (gob checkpoint
-// root and/or a wal.log) is rejected with an error naming it, untouched.
+// recovers from its newest committed epoch: every shard's checkpoint
+// chunks are loaded and checked against the shard's fences, an in-flight
+// migration resolves wholesale (kept if its manifest flip landed, its logs
+// swept otherwise), and every shard's WAL tail is composed into one frozen
+// delta layer over its tree, which the shard's first flush folds (the open
+// itself folds nothing). The manifest's recorded options and fences
+// override opts; a fresh store starts one empty shard with opts and grows
+// toward the shards target as data arrives. A store that fails to load —
+// the retired single-tree format (gob checkpoint root and/or a wal.log)
+// among them, rejected with an error naming it — is left untouched.
 // Automatic checkpointing starts enabled.
 func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, shards int) (*DurableSharded[K, V], error) {
 	// Checked before anything is touched, so a retired-format store stays
-	// byte-identical (the gob root is caught by loadShardManifest below,
-	// also ahead of every write).
+	// byte-identical (the gob root is caught by readCut below, also ahead
+	// of every write).
 	if r, err := fsys.Open(legacyLogName); err == nil {
 		r.Close()
 		return nil, fmt.Errorf("%w: found %s", errLegacyStore, legacyLogName)
@@ -159,48 +165,32 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	if err != nil {
 		return nil, err
 	}
-	store := d.store
-	super, haveCkpt, err := pager.ReadSuper(dev)
+	c, haveCkpt, err := readCut(d.store, &d.codec)
 	if err != nil {
-		return nil, fmt.Errorf("fitingtree: read superblock: %w", err)
-	}
-	var m core.ShardManifest
-	var mchain []pager.PageID
-	if haveCkpt {
-		// The manifest's generation — not the superblock's epoch — is what
-		// tells a committed migration from one whose flip never landed.
-		if m, mchain, err = loadShardManifest(store, super.Manifest); err != nil {
-			return nil, err
-		}
-	}
-	if err := sweepGeneration(fsys, m.Generation); err != nil {
 		return nil, err
 	}
-
 	var trees []*Tree[K, V]
-	var bounds []K
 	var reachable []pager.PageID
 	if haveCkpt {
-		d.opts = m.Options
-		if bounds, err = decodeFences(&d.codec, m.Fences); err != nil {
+		if trees, d.order, reachable, _, err = loadCheckpoint(d.store, d.snap, c, d.heads); err != nil {
 			return nil, err
 		}
-		if trees, d.order, reachable, err = loadCheckpoint(store, d.snap, m.Shards, d.opts, d.heads); err != nil {
-			return nil, err
-		}
-		reachable = append(reachable, mchain...)
-		d.epoch = super.Epoch
-		d.generation = m.Generation
-		d.manifestHead = super.Manifest
-		d.haveCkpt = true
+		d.opts = c.m.Options
+		d.epoch, d.generation = c.super.Epoch, c.m.Generation
+		d.manifestHead, d.haveCkpt = c.super.Manifest, true
 	} else {
 		tr, err := core.BulkLoad[K, V](nil, nil, opts)
 		if err != nil {
 			return nil, err
 		}
-		trees, m.Shards = []*Tree[K, V]{tr}, make([]core.ShardCut, 1) // one empty shard, replayed from LSN 0
+		trees, c.m.Shards = []*Tree[K, V]{tr}, make([]core.ShardCut, 1) // one empty shard, replayed from LSN 0
 	}
-	store.RebuildFree(reachable)
+	// The manifest's generation — not the superblock's epoch — is what
+	// tells a committed migration from one whose flip never landed.
+	if err := sweepGeneration(fsys, d.generation); err != nil {
+		return nil, err
+	}
+	d.store.RebuildFree(reachable)
 
 	// The logs are opened one after another on this goroutine (wal.FS
 	// promises nothing about concurrent calls); the tails' replays — op
@@ -212,14 +202,14 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	errs := make([]error, len(trees))
 	opened := 0
 	for i := range trees {
-		if logs[i], tails[i], d.walStats[i], errs[i] = wal.Open(fsys, ShardWALName(d.generation, i)); errs[i] != nil {
+		if logs[i], tails[i], d.walStats[i], errs[i] = wal.Open(fsys, shardWALName(d.generation, i)); errs[i] != nil {
 			break
 		}
-		logs[i].SetNextLSN(m.Shards[i].ReplayFrom)
+		logs[i].SetNextLSN(c.m.Shards[i].ReplayFrom)
 		opened++
 	}
 	layers := make([]*odelta[K, V], len(trees))
-	fanOut(opened, func(i int) { layers[i], errs[i] = replayTail(d.codec, tails[i], m.Shards[i].ReplayFrom) })
+	fanOut(opened, func(i int) { layers[i], errs[i] = replayTail(d.codec, tails[i], c.m.Shards[i].ReplayFrom) })
 	for i, err := range errs {
 		if err != nil {
 			closeLogs(logs)
@@ -230,7 +220,7 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	// its first write's publication starts the flush worker that folds it,
 	// and SyncFlush, a rebalance or Close fold it too. No worker starts
 	// here, so the open publishes no fold and fires no flush hook.
-	set := d.shardSetOf(bounds, trees)
+	set := d.shardSetOf(c.bounds, trees)
 	total := 0
 	for i, sh := range set.shards {
 		if l := layers[i]; l != nil {
@@ -245,103 +235,65 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	return d, nil
 }
 
-// OpenDurable opens (or creates) a single-writer durable store: the
-// one-shard case of OpenDurableSharded, which never migrates.
-func OpenDurable[K Key, V any](fsys wal.FS, dev pager.Device, opts Options) (*DurableSharded[K, V], error) {
-	return OpenDurableSharded[K, V](fsys, dev, opts, 1)
-}
-
-// CreateDurable initializes a single-writer durable store from an
-// already-built tree: the one-shard case of CreateDurableSharded.
-func CreateDurable[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V]) (*DurableSharded[K, V], error) {
-	return CreateDurableSharded(fsys, dev, t, 1)
-}
-
 // CreateDurableSharded initializes a sharded durable facade from an
 // already-built tree: t is split into at most shards balanced range
-// partitions (Sharded's fence policy) and a full cross-shard checkpoint
-// is committed before returning, so the bulk-loaded data never passes
-// through the logs. Any previous content of fsys and dev is superseded —
-// atomically when it is a readable sharded store: the new store's first
-// cut is built under the next generation (fresh log names, old pages
-// shielded), so until that cut commits a crash still recovers the old
-// store in full, and only afterwards are its files swept. The tree's pages
-// become the shards' pages — only a page a fence cuts through is rebuilt —
-// so the tree must not be used directly afterwards: the facade owns its
-// content, and an edit through the tree would corrupt a shard.
+// partitions (Sharded's fence policy) and switched in as the next
+// generation with a full cross-shard checkpoint before returning, so the
+// bulk-loaded data never passes through the logs. Any previous content of
+// fsys and dev is superseded — atomically when it is a readable store: its
+// pages are shielded and the switch is the one a migration makes
+// (switchGeneration), so until the new cut commits a crash still recovers
+// the old store in full. The tree's pages become the shards' pages — only
+// a page a fence cuts through is rebuilt — so the tree must not be used
+// directly afterwards: the facade owns its content, and an edit through
+// the tree would corrupt a shard.
 func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V], shards int) (*DurableSharded[K, V], error) {
 	d, err := newDurableSharded[K, V](fsys, dev, t.Options(), shards)
 	if err != nil {
 		return nil, err
 	}
-	store := d.store
 	// Continue the epoch and generation sequences past any previous store
 	// on the device: the epoch so the new superblock outranks the stale
-	// one in the other slot, the generation so the fresh logs below never
-	// truncate the previous store's. That store — superblock, pages, WAL
-	// tails — stays the untouched recovery target until the first
-	// cut commits; destroying any of it earlier would lose its
-	// acknowledged writes on a crash inside this function even though the
-	// supersede never committed.
-	super, haveCkpt, err := pager.ReadSuper(dev)
-	if err != nil {
+	// one in the other slot, the generation so the fresh logs never
+	// truncate the previous store's. A previous store whose commit record
+	// does not read (corrupt, or the retired single-tree format) was
+	// unrecoverable by this facade anyway; it gets plain destructive
+	// supersede semantics.
+	c, found, err := readCut(d.store, &d.codec)
+	if err != nil && !found {
 		return nil, err
 	}
 	gen := uint64(0)
-	oldShards := 0
+	var old []*wal.Log // the previous generation's logs, none of them opened
 	var reachable []pager.PageID
-	if haveCkpt {
-		// A previous store whose manifest no longer decodes (corrupt, or
-		// the retired single-tree format) was unrecoverable by this
-		// facade anyway; it gets plain destructive supersede semantics.
-		if m, mchain, merr := loadShardManifest(store, super.Manifest); merr == nil {
-			gen = m.Generation + 1
-			oldShards = len(m.Shards)
-			reachable = mchain
-		shield:
-			for _, cut := range m.Shards {
-				for _, c := range cut.Chunks {
-					chain, cerr := store.Chain(pager.PageID(c))
-					if cerr != nil {
-						// A partially unreadable old store cannot be
-						// recovered after a crash either way; stop
-						// shielding its pages (the fresh generation's
-						// log names still cost nothing).
-						reachable = nil
-						break shield
-					}
-					reachable = append(reachable, chain...)
+	if found && err == nil {
+		gen, old, reachable = c.m.Generation+1, make([]*wal.Log, len(c.m.Shards)), c.mchain
+	shield:
+		for _, cut := range c.m.Shards {
+			for _, h := range cut.Chunks {
+				chain, cerr := d.store.Chain(pager.PageID(h))
+				if cerr != nil {
+					// A partially unreadable old store cannot be recovered
+					// after a crash either way; stop shielding its pages.
+					reachable = nil
+					break shield
 				}
+				reachable = append(reachable, chain...)
 			}
 		}
 	}
-	store.RebuildFree(reachable)
-
-	d.epoch = super.Epoch
-	d.generation = gen
+	d.store.RebuildFree(reachable)
+	d.epoch = c.super.Epoch
 	set := d.load(t)
-	logs, err := createShardLogs(fsys, gen, len(set.shards))
-	if err != nil {
-		return nil, err
-	}
-	d.attach(set, logs)
-	d.set.Store(set)
 	d.ckptMu.Lock()
-	_, err = d.checkpointLocked(set, gen)
+	err = d.switchGeneration(set, gen, old)
 	d.ckptMu.Unlock()
 	if err != nil {
-		closeLogs(logs)
 		return nil, err
 	}
-	// Committed: the previous store is dead. The sweep is best-effort and
-	// runs in reverse index order, so whatever a crash leaves is an index
-	// prefix the next open's sweep finds; old-generation log files are
-	// never opened again anyway (log names embed the generation). A
-	// retired-format log goes too, or the next open would reject this
+	d.set.Store(set)
+	// A retired-format log goes too, or the next open would reject this
 	// store.
-	for i := oldShards - 1; i >= 0; i-- {
-		d.fsys.Remove(ShardWALName(gen-1, i))
-	}
 	d.fsys.Remove(legacyLogName)
 	d.SetAutoCheckpoint(true)
 	return d, nil
@@ -389,7 +341,7 @@ func (d *DurableSharded[K, V]) attach(set *shardSet[K, V], logs []*wal.Log) {
 func createShardLogs(fsys wal.FS, gen uint64, count int) ([]*wal.Log, error) {
 	logs := make([]*wal.Log, count)
 	for i := range logs {
-		name := ShardWALName(gen, i)
+		name := shardWALName(gen, i)
 		f, err := fsys.Create(name)
 		if err != nil {
 			closeLogs(logs[:i])
@@ -421,6 +373,36 @@ func closeLogs(logs []*wal.Log) {
 			l.Close()
 		}
 	}
+}
+
+// storedCut is one commit record as readCut reads it: the superblock, the
+// manifest it names with the manifest blob's own chain pages, and the
+// manifest's fences decoded.
+type storedCut[K Key] struct {
+	super  pager.Super
+	m      core.ShardManifest
+	mchain []pager.PageID
+	bounds []K
+}
+
+// readCut is the one reader of a store's commit record: the newest valid
+// superblock, the manifest it names (checksummed, decoded) and the
+// manifest's fences (decoded, strictly increasing). found is false when no
+// slot holds a valid superblock — nothing was ever committed — and err then
+// reports only a device failure; a superblock that is found is returned in
+// c even when its manifest or fences fail.
+func readCut[K Key, V any](store *pager.Store, codec *opCodec[K, V]) (c storedCut[K], found bool, err error) {
+	if c.super, found, err = pager.ReadSuper(store.Device()); err != nil || !found {
+		if err != nil {
+			err = fmt.Errorf("fitingtree: read superblock: %w", err)
+		}
+		return c, found, err
+	}
+	if c.m, c.mchain, err = loadShardManifest(store, c.super.Manifest); err != nil {
+		return c, true, err
+	}
+	c.bounds, err = decodeFences(codec, c.m.Fences)
+	return c, true, err
 }
 
 // loadShardManifest reads, checksum-verifies, and decodes the top-level
@@ -488,7 +470,7 @@ func sweepGeneration(fsys wal.FS, gen uint64) error {
 	for _, g := range stale {
 		n := 0
 		for ; ; n++ {
-			r, err := fsys.Open(ShardWALName(g, n))
+			r, err := fsys.Open(shardWALName(g, n))
 			if errors.Is(err, fs.ErrNotExist) {
 				break
 			}
@@ -498,7 +480,7 @@ func sweepGeneration(fsys wal.FS, gen uint64) error {
 			r.Close()
 		}
 		for i := n - 1; i >= 0; i-- {
-			if err := fsys.Remove(ShardWALName(g, i)); err != nil {
+			if err := fsys.Remove(shardWALName(g, i)); err != nil {
 				return err
 			}
 		}
@@ -712,48 +694,61 @@ func (d *DurableSharded[K, V]) beginRebalance() (func(), error) {
 	return d.ckptMu.Unlock, nil
 }
 
-// commitRebalance is the durable step of the engine's rebalance: it makes
-// next — built from old's collected content, writers excluded, not yet
-// published — the store's new generation. On error nothing was committed,
-// the store is poisoned, and the engine keeps old published. Callers hold
+// commitRebalance is the durable step of the engine's rebalance: it
+// switches the store to next — built from old's collected content, writers
+// excluded, not yet published — as the next generation. On error the
+// store is poisoned and the engine keeps old published. Callers hold
 // reshape (exclusive) and ckptMu.
-func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) (err error) {
-	defer func() {
-		if err != nil {
-			d.poison(err)
-		}
-	}()
-	newGen := d.generation + 1
+func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) error {
+	logs := make([]*wal.Log, len(old.shards))
+	for i, sh := range old.shards {
+		logs[i] = sh.log.wal
+	}
+	if err := d.switchGeneration(next, d.generation+1, logs); err != nil {
+		d.poison(err)
+		return err
+	}
+	return nil
+}
 
-	// 1. Fresh empty logs for the new generation's shards (their names
-	// carry newGen, so nothing can replay them through old fences). The
-	// old generation's durable state is untouched throughout; a crash
-	// before the flip leaves these logs to the next open's sweep.
-	logs, err := createShardLogs(d.fsys, newGen, len(next.shards))
+// switchGeneration is the one generation switch, a migration's
+// (commitRebalance) and a supersede's (CreateDurableSharded): it makes
+// next — built, not yet published — the store's generation gen, retiring
+// generation gen-1, whose logs old lists in index order (nil for a log
+// this process never opened).
+//
+//  1. Fresh empty logs for next's shards. Their names carry gen, so
+//     nothing can replay them through another generation's fences; the
+//     old generation's durable state is untouched throughout, and a crash
+//     before step 2's flip leaves these logs to the next open's sweep.
+//  2. The commit point: a full cut of next under gen (its chunks are
+//     freshly cut, so every one is written; its content already includes
+//     everything the old logs held), flipped in with the next epoch. A
+//     crash before the flip recovers the old generation whole, after it
+//     the new one.
+//  3. The old generation's logs are garbage: closed and removed, best
+//     effort, in reverse index order, so a failure leaves an index prefix
+//     that the next open's sweep removes (and generation-named opens
+//     ignore meanwhile).
+//
+// On error nothing was committed and gen's logs are closed. Callers hold
+// ckptMu.
+func (d *DurableSharded[K, V]) switchGeneration(next *shardSet[K, V], gen uint64, old []*wal.Log) error {
+	logs, err := createShardLogs(d.fsys, gen, len(next.shards))
 	if err != nil {
 		return err
 	}
 	d.attach(next, logs)
-
-	// 2. The commit point: a full cut of the new shards (their chunks are
-	// freshly cut, so every chunk is written; the quiesced content already
-	// includes everything the old logs held) under the new generation,
-	// flipped in with epoch+1. Crash before the flip:
-	// recovery discards the migration; after: recovery loads it — either
-	// way one coherent whole.
-	if _, err := d.checkpointLocked(next, newGen); err != nil {
+	if _, err := d.checkpointLocked(next, gen); err != nil {
 		closeLogs(logs)
 		return err
 	}
-	oldGen := d.generation
-	d.generation = newGen
-
-	// 3. Sweep: the old generation's logs are garbage. Best effort, in
-	// reverse index order — a failure here leaves an index prefix that
-	// the next open's sweep removes (and generation-named opens ignore).
-	for i := len(old.shards) - 1; i >= 0; i-- {
-		old.shards[i].log.wal.Close()
-		d.fsys.Remove(ShardWALName(oldGen, i))
+	d.generation = gen
+	for i := len(old) - 1; i >= 0; i-- {
+		if old[i] != nil {
+			old[i].Close()
+		}
+		d.fsys.Remove(shardWALName(gen-1, i))
 	}
 	return nil
 }

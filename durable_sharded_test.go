@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
@@ -290,7 +292,7 @@ func TestDurableShardedAutoRebalance(t *testing.T) {
 // a generation-1 log.
 func TestOneShardNeverMigrates(t *testing.T) {
 	faulty := wal.NewFaultFS(wal.NewMemFS())
-	d, err := OpenDurable[int, int](faulty, pager.NewDisk(), Options{})
+	d, err := OpenDurableSharded[int, int](faulty, pager.NewDisk(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestShardedCrashMatrixOneShard(t *testing.T) {
 	ms := matrixStore{shards: shards}
 
 	for victim := 0; victim < shards; victim++ {
-		victimName := ShardWALName(0, victim)
+		victimName := shardWALName(0, victim)
 		filter := func(name string) bool { return name == victimName }
 
 		probeFS := wal.NewFaultFS(wal.NewMemFS())
@@ -727,7 +729,7 @@ func poisonedCheckpointFailsFast(t *testing.T, shards int) {
 	if err := d.Rebalance(); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("rebalance = %v, want injected fault", err)
 	}
-	if _, err := mem.Open(ShardWALName(1, 0)); err != nil {
+	if _, err := mem.Open(shardWALName(1, 0)); err != nil {
 		t.Fatalf("rebalance died after its first log create but left no log: %v", err)
 	}
 	if _, err := d.Checkpoint(); !errors.Is(err, wal.ErrInjected) {
@@ -852,5 +854,102 @@ func TestCreateDurableShardedSupersedeCrash(t *testing.T) {
 	}
 	if g := rec2.Generation(); g != 1 {
 		t.Fatalf("recovered generation %d, want 1", g)
+	}
+}
+
+// liveCut returns dev's committed superblock and manifest and every page
+// the committed cut reaches: the manifest's chain and every chunk's.
+func liveCut(t testing.TB, dev pager.Device) (pager.Super, core.ShardManifest, []pager.PageID) {
+	t.Helper()
+	sup, ok, err := pager.ReadSuper(dev)
+	if err != nil || !ok {
+		t.Fatalf("no committed superblock: %v", err)
+	}
+	store := pager.NewStore(dev)
+	m, live, err := loadShardManifest(store, sup.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range m.Shards {
+		for _, h := range cut.Chunks {
+			chain, err := store.Chain(pager.PageID(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, chain...)
+		}
+	}
+	return sup, m, live
+}
+
+// recommit commits blob as dev's manifest at the epoch after sup's, placed
+// on pages outside live, so the cut it supersedes stays intact.
+func recommit(t testing.TB, dev pager.Device, sup pager.Super, live []pager.PageID, blob []byte) {
+	t.Helper()
+	store := pager.NewStore(dev)
+	store.RebuildFree(live)
+	head, err := store.Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Commit()
+	if err := pager.WriteSuper(dev, pager.Super{Epoch: sup.Epoch + 1, Manifest: head}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryRejectsMisroutedShards: a manifest whose checksums are all
+// valid but whose two shards' chunk lists are swapped puts every key in a
+// shard its fences do not route it to, where no lookup would find it.
+// Recovery and Scrub must both reject it, naming the first misrouted
+// shard, and the rejected open must leave the directory as it found it.
+func TestRecoveryRejectsMisroutedShards(t *testing.T) {
+	const n = 4000
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i * 3
+	}
+	tree, err := BulkLoad(keys, keys, Options{Error: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, dev := wal.NewMemFS(), pager.NewDisk()
+	d, err := CreateDurableSharded(mem, dev, tree, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sup, m, live := liveCut(t, dev)
+	if len(m.Shards) != 2 {
+		t.Fatalf("the fixture has %d shards, want 2", len(m.Shards))
+	}
+	m.Shards[0].Chunks, m.Shards[1].Chunks = m.Shards[1].Chunks, m.Shards[0].Chunks
+	recommit(t, dev, sup, live, core.EncodeShardManifest(m))
+	// An uncommitted migration's leftover log, which an open that loaded
+	// the cut would sweep.
+	mem.SetBytes(shardWALName(m.Generation+1, 0), nil)
+
+	names := mem.Names()
+	rec, err := OpenDurableSharded[int, int](mem, dev, Options{}, 2)
+	if err == nil {
+		missed := 0
+		for _, k := range keys {
+			if _, ok := rec.Lookup(k); !ok {
+				missed++
+			}
+		}
+		rec.Close()
+		t.Fatalf("a store with swapped shard contents opened; %d of %d lookups missed", missed, n)
+	}
+	if !strings.Contains(err.Error(), "shard 0 ") {
+		t.Fatalf("open of a misrouted store = %v, want an error naming shard 0", err)
+	}
+	if got := mem.Names(); !slices.Equal(got, names) {
+		t.Fatalf("a rejected open changed the directory: %v -> %v", names, got)
+	}
+	if _, err := Scrub[int, int](dev); err == nil || !strings.Contains(err.Error(), "shard 0 ") {
+		t.Fatalf("scrub of a misrouted store = %v, want an error naming shard 0", err)
 	}
 }

@@ -397,7 +397,7 @@ func TestShardedCrashMatrixCheckpointLadder(t *testing.T) {
 func TestRecoveryRejectsCorruptedBlobs(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestRecoveryRejectsCorruptedBlobs(t *testing.T) {
 	if err := dev.Write(sup.Manifest, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable[int, int](mem, dev, Options{}); err == nil {
+	if _, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1); err == nil {
 		t.Fatal("recovery loaded a corrupted checkpoint without error")
 	}
 }
@@ -451,7 +451,7 @@ func TestIncrementalCheckpointIsODirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CreateDurable(mem, dev, tree)
+	d, err := CreateDurableSharded(mem, dev, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestIncrementalCheckpointIsODirty(t *testing.T) {
 func TestDurableGroupCommit(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestDurableGroupCommit(t *testing.T) {
 		}
 	}
 	mem.Crash()
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
+	rec, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestDurableGroupCommit(t *testing.T) {
 func TestDurableStringValues(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[uint32, string](mem, dev, Options{})
+	d, err := OpenDurableSharded[uint32, string](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestDurableStringValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec, err := OpenDurable[uint32, string](mem, dev, Options{})
+	rec, err := OpenDurableSharded[uint32, string](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestDurableStringValues(t *testing.T) {
 
 	type rec2 struct{ A, B int }
 	mem2 := wal.NewMemFS()
-	d2, err := OpenDurable[int, rec2](mem2, pager.NewDisk(), Options{})
+	d2, err := OpenDurableSharded[int, rec2](mem2, pager.NewDisk(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestDurableStringValues(t *testing.T) {
 	for _, name := range mem2.Names() {
 		mem3.SetBytes(name, mem2.Bytes(name))
 	}
-	r2, err := OpenDurable[int, rec2](mem3, pager.NewDisk(), Options{})
+	r2, err := OpenDurableSharded[int, rec2](mem3, pager.NewDisk(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ func TestCreateDurableSkipsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CreateDurable(mem, dev, tree)
+	d, err := CreateDurableSharded(mem, dev, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +678,7 @@ func TestCreateDurableSkipsWAL(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := OpenDurable[int, int](mem, dev, Options{})
+	rec, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func TestDurableShardedStickyError(t *testing.T) { stickyError(t, 3) }
 func TestDurableFaultInjectionReturnsErrors(t *testing.T) {
 	mem := wal.NewMemFS()
 	faulty := wal.NewFaultFS(mem)
-	d, err := OpenDurable[int, int](faulty, pager.NewDisk(), Options{})
+	d, err := OpenDurableSharded[int, int](faulty, pager.NewDisk(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

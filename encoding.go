@@ -58,7 +58,7 @@ func Encode[K Key, V any](t *Tree[K, V], w io.Writer) error {
 // snapshot. Pending delta writes (inserts and tombstones, in the frozen
 // delta of an in-flight background flush as well as the active delta) are
 // folded into the stream, and the format matches Encode's, so the result
-// decodes with either Decode (as a bare Tree) or DecodeOptimistic. The
+// decodes with Decode (wrap the tree in NewOptimistic for a facade). The
 // fold at encode time applies the same layering the background flusher
 // applies physically, so encoding mid-flush yields bytes identical to
 // encoding after a SyncFlush.
@@ -116,37 +116,15 @@ func Decode[K Key, V any](r io.Reader) (*Tree[K, V], error) {
 	return t, nil
 }
 
-// DecodeOptimistic reads a snapshot produced by Encode or EncodeOptimistic
-// and returns a fresh Optimistic facade over the rebuilt tree, with an
-// empty delta.
-func DecodeOptimistic[K Key, V any](r io.Reader) (*Optimistic[K, V], error) {
-	t, err := Decode[K, V](r)
-	if err != nil {
-		return nil, err
-	}
-	return NewOptimistic(t), nil
-}
-
 // EncodeSharded writes a snapshot of the whole sharded facade to w. The
 // cut is coherent across shards: writers are excluded only while one state
 // pointer per shard is loaded (O(shards) atomic loads), then the immutable
 // states are encoded without blocking anyone. Shards partition the key
 // space, so concatenating them in fence order yields the same
 // key-ordered stream Encode produces — pending per-shard deltas folded in
-// — and the result decodes with Decode, DecodeOptimistic, or
-// DecodeSharded.
+// — and the result decodes with Decode (NewSharded re-partitions the
+// tree).
 func EncodeSharded[K Key, V any](s *Sharded[K, V], w io.Writer) error {
 	keys, vals := collectStates(s.snapshotAll())
 	return encodeSnapshot(w, s.opts, keys, vals)
-}
-
-// DecodeSharded reads a snapshot produced by any of the encoders and
-// returns a fresh sharded facade over the rebuilt data, re-partitioned
-// into at most the requested number of shards with empty deltas.
-func DecodeSharded[K Key, V any](r io.Reader, shards int) (*Sharded[K, V], error) {
-	t, err := Decode[K, V](r)
-	if err != nil {
-		return nil, err
-	}
-	return NewSharded(t, shards)
 }

@@ -100,10 +100,11 @@ func ExampleEncodeOptimistic() {
 	if err := fitingtree.EncodeOptimistic(idx, &buf); err != nil {
 		panic(err)
 	}
-	restored, err := fitingtree.DecodeOptimistic[uint64, string](&buf)
+	back, err := fitingtree.Decode[uint64, string](&buf)
 	if err != nil {
 		panic(err)
 	}
+	restored := fitingtree.NewOptimistic(back)
 	fmt.Println(restored.Len())
 	fmt.Println(restored.Lookup(4))
 	// Output:

@@ -46,12 +46,12 @@
 // are rebalanced automatically. OpenDurableSharded is the same engine
 // with crash safety plugged in — per-shard write-ahead logs appended
 // inside each shard's writer section, incremental checkpoints committing
-// one atomic cross-shard cut — and OpenDurable is its one-shard,
-// single-writer case.
-// Use Encode/Decode to snapshot a tree to and from a stream,
-// EncodeOptimistic/DecodeOptimistic to snapshot a live Optimistic facade
-// without blocking its writers, and EncodeSharded/DecodeSharded for a
-// coherent cut across all shards in the same stream format.
+// one atomic cross-shard cut — and its one-shard case (shards = 1) is the
+// single-writer store. Use Encode/Decode to snapshot a tree to and from a
+// stream, EncodeOptimistic to snapshot a live Optimistic facade without
+// blocking its writers, and EncodeSharded for a coherent cut across all
+// shards in the same stream format; Decode reads any of them back as a
+// tree, for NewOptimistic or NewSharded to wrap.
 //
 // docs/ARCHITECTURE.md in the repository describes the layer map, the
 // snapshot+delta read protocol, the copy-on-write flush, and the

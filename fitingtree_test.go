@@ -133,9 +133,9 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // TestDecodeStreamWithRetiredSearch pins that a snapshot stream whose
 // header's Options carries the retired Search field (hand-encoded here with
 // Search = 2, what a build with SearchExponential wrote) still decodes: gob
-// skips a field the receiving struct lacks, so Decode, DecodeOptimistic and
-// DecodeSharded each rebuild the same content, and each re-encodes to the
-// stream of the same tree saved without the field.
+// skips a field the receiving struct lacks, so Decode rebuilds the same
+// content as a bare tree, an Optimistic and a Sharded, and each re-encodes
+// to the stream of the same tree saved without the field.
 func TestDecodeStreamWithRetiredSearch(t *testing.T) {
 	type options struct{ Error, BufferSize, Search int }
 	type snapshotHeader struct {
@@ -170,16 +170,21 @@ func TestDecodeStreamWithRetiredSearch(t *testing.T) {
 			}
 			return fitingtree.Encode(back, w)
 		},
-		"DecodeOptimistic": func(r io.Reader, w io.Writer) error {
-			back, err := fitingtree.DecodeOptimistic[uint64, uint64](r)
+		"NewOptimistic": func(r io.Reader, w io.Writer) error {
+			tr, err := fitingtree.Decode[uint64, uint64](r)
 			if err != nil {
 				return err
 			}
+			back := fitingtree.NewOptimistic(tr)
 			defer back.Close()
 			return fitingtree.EncodeOptimistic(back, w)
 		},
-		"DecodeSharded": func(r io.Reader, w io.Writer) error {
-			back, err := fitingtree.DecodeSharded[uint64, uint64](r, 3)
+		"NewSharded": func(r io.Reader, w io.Writer) error {
+			tr, err := fitingtree.Decode[uint64, uint64](r)
+			if err != nil {
+				return err
+			}
+			back, err := fitingtree.NewSharded(tr, 3)
 			if err != nil {
 				return err
 			}

@@ -370,7 +370,7 @@ func TestLegacyStoreIntentAndStaleLogsOpen(t *testing.T) {
 	logsOf := func(gen uint64) map[string][]byte {
 		logs := make(map[string][]byte)
 		for i := 0; i < shards; i++ {
-			name := ShardWALName(gen, i)
+			name := shardWALName(gen, i)
 			logs[name] = mem.Bytes(name)
 		}
 		return logs
@@ -391,7 +391,7 @@ func TestLegacyStoreIntentAndStaleLogsOpen(t *testing.T) {
 	}
 	above := make(map[string][]byte)
 	for i := 0; i < shards; i++ {
-		above[ShardWALName(gen+1, i)] = mem.Bytes(ShardWALName(gen, i))
+		above[shardWALName(gen+1, i)] = mem.Bytes(shardWALName(gen, i))
 	}
 
 	// The intent record as earlier builds wrote it: magic "FINT", source

@@ -99,7 +99,7 @@ func TestOptimisticFlushSharesPages(t *testing.T) {
 	}
 }
 
-// TestOptimisticSnapshotRoundTrip covers EncodeOptimistic/DecodeOptimistic
+// TestOptimisticSnapshotRoundTrip covers EncodeOptimistic/Decode
 // including a state with a non-empty delta (pending inserts AND pending
 // tombstones), and cross-decoding with the bare-Tree Decode.
 func TestOptimisticSnapshotRoundTrip(t *testing.T) {
@@ -140,10 +140,11 @@ func TestOptimisticSnapshotRoundTrip(t *testing.T) {
 	}
 	wantK, wantV := collect(o)
 
-	o2, err := DecodeOptimistic[uint64, uint64](bytes.NewReader(stream))
+	back, err := Decode[uint64, uint64](bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
+	o2 := NewOptimistic(back)
 	if o2.Len() != o.Len() {
 		t.Fatalf("decoded Len = %d, want %d", o2.Len(), o.Len())
 	}
@@ -170,10 +171,11 @@ func TestOptimisticSnapshotRoundTrip(t *testing.T) {
 	if err := Encode(t2, &buf); err != nil {
 		t.Fatal(err)
 	}
-	o3, err := DecodeOptimistic[uint64, uint64](&buf)
+	back, err = Decode[uint64, uint64](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o3 := NewOptimistic(back)
 	if o3.Len() != o.Len() {
 		t.Fatalf("cross decode Len = %d, want %d", o3.Len(), o.Len())
 	}

@@ -52,79 +52,42 @@ type ScrubReport struct {
 }
 
 // Scrub verifies a checkpoint store end to end without opening it for
-// writing: both superblock slots are checksum-validated, the newest
-// committed manifest is decoded, every live chunk's blob
-// page chain is walked with its per-page CRCs checked, every chunk is
-// decoded, and each shard's tree is reassembled and run through the full
+// writing: both superblock slots are checksum-validated, and the newest
+// commit record is read and loaded by recovery's own reader and loader
+// (readCut, loadCheckpoint) — the manifest and its fences decoded and
+// checked, every live chunk's blob page chain walked with its per-page
+// CRCs checked, every chunk decoded, each shard's tree reassembled and
+// checked against its fences — and every tree is run through the full
 // structural invariant check. The WAL is not consulted: Scrub audits
 // exactly the state a recovery would load before tail replay. The type
 // parameters must match the store's key and value types.
 func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 	var rep ScrubReport
-	var slots [2]pager.Super
-	for slot := 0; slot < 2; slot++ {
+	for slot := range rep.Supers {
 		s, ok, err := pager.ReadSuperAt(dev, pager.PageID(slot))
 		if err != nil {
 			return nil, fmt.Errorf("fitingtree: scrub superblock %d: %w", slot, err)
 		}
 		rep.Supers[slot] = ScrubSuper{Valid: ok, Epoch: s.Epoch}
-		slots[slot] = s
 	}
-	var super pager.Super
-	have := false
-	for slot := 0; slot < 2; slot++ {
-		if rep.Supers[slot].Valid && (!have || slots[slot].Epoch > super.Epoch) {
-			super = slots[slot]
-			have = true
-		}
-	}
-	if !have {
+	if !rep.Supers[0].Valid && !rep.Supers[1].Valid {
 		return &rep, fmt.Errorf("fitingtree: scrub: no valid superblock")
 	}
-	rep.Epoch = super.Epoch
-
-	store := pager.NewStore(dev)
-	m, mchain, err := loadShardManifest(store, super.Manifest)
+	store, codec := pager.NewStore(dev), newOpCodec[K, V]()
+	c, _, err := readCut(store, &codec)
+	rep.Epoch = c.super.Epoch
 	if err != nil {
-		return &rep, fmt.Errorf("fitingtree: scrub: %w", err)
+		return &rep, err
 	}
-	rep.ManifestPages = len(mchain)
-	rep.LivePages = len(mchain)
-	rep.Generation = m.Generation
-	rep.Shards = len(m.Shards)
-
-	snapCodec := core.NewSnapCodec[K, V]()
-	for shard, cut := range m.Shards {
-		snaps := make([]core.ChunkSnap[K, V], len(cut.Chunks))
-		for i, head := range cut.Chunks {
-			blob, chain, err := store.GetChain(pager.PageID(head), nil, nil)
-			if err != nil {
-				return &rep, fmt.Errorf("fitingtree: scrub shard %d chunk %d: %w", shard, i, err)
-			}
-			snap, err := snapCodec.Decode(blob)
-			if err != nil {
-				return &rep, fmt.Errorf("fitingtree: scrub shard %d chunk %d: %w", shard, i, err)
-			}
-			snaps[i] = snap
-			n := 0
-			for _, p := range snap.Pages {
-				n += len(p.Keys) + len(p.BufKeys)
-			}
-			rep.Chunks = append(rep.Chunks, ScrubChunk{
-				Shard:    shard,
-				Index:    i,
-				Pages:    len(chain),
-				Bytes:    len(blob),
-				Elements: n,
-			})
-			rep.LivePages += len(chain)
-		}
-		tree, err := core.AssembleChunks(snaps, m.Options)
-		if err != nil {
-			return &rep, fmt.Errorf("fitingtree: scrub shard %d: %w", shard, err)
-		}
+	rep.Generation, rep.Shards, rep.ManifestPages = c.m.Generation, len(c.m.Shards), len(c.mchain)
+	trees, _, reachable, chunks, err := loadCheckpoint(store, core.NewSnapCodec[K, V](), c, map[uint64]pager.PageID{})
+	if err != nil {
+		return &rep, err
+	}
+	rep.Chunks, rep.LivePages = chunks, len(reachable)
+	for s, tree := range trees {
 		if err := tree.CheckInvariants(); err != nil {
-			return &rep, fmt.Errorf("fitingtree: scrub shard %d: %w", shard, err)
+			return &rep, fmt.Errorf("fitingtree: scrub shard %d: %w", s, err)
 		}
 		rep.Elements += tree.Len()
 	}

@@ -79,7 +79,7 @@ func TestScrubSharded(t *testing.T) {
 func TestScrubSingleTree(t *testing.T) {
 	mem := wal.NewMemFS()
 	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
+	d, err := OpenDurableSharded[int, int](mem, dev, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestScrubChunkElementsCountBuffers(t *testing.T) {
 		t.Fatalf("the fixture buffers %d inserts, want 40", st.Buffered)
 	}
 	dev := pager.NewDisk()
-	d, err := CreateDurable(wal.NewMemFS(), dev, tree)
+	d, err := CreateDurableSharded(wal.NewMemFS(), dev, tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -401,15 +401,20 @@ func TestShardedEncodeDecode(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	// All three decoders accept the stream.
-	s2, err := fitingtree.DecodeSharded[uint64, uint64](bytes.NewReader(blob), 4)
+	// Decode accepts the stream, as a tree and under both facades.
+	back, err := fitingtree.Decode[uint64, uint64](bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := fitingtree.DecodeOptimistic[uint64, uint64](bytes.NewReader(blob))
+	s2, err := fitingtree.NewSharded(back, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back, err = fitingtree.Decode[uint64, uint64](bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2 := fitingtree.NewOptimistic(back)
 	t2, err := fitingtree.Decode[uint64, uint64](bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -430,17 +435,21 @@ func TestShardedEncodeDecode(t *testing.T) {
 		}
 	}
 
-	// And DecodeSharded accepts plain Encode streams.
+	// And a plain Encode stream re-partitions into a sharded facade.
 	var tb bytes.Buffer
 	if err := fitingtree.Encode(mustTree(t, keys), &tb); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := fitingtree.DecodeSharded[uint64, uint64](&tb, 3)
+	back, err = fitingtree.Decode[uint64, uint64](&tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := fitingtree.NewSharded(back, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s3.Len() != len(keys) {
-		t.Fatalf("DecodeSharded of Encode stream: Len %d, want %d", s3.Len(), len(keys))
+		t.Fatalf("NewSharded of a decoded Encode stream: Len %d, want %d", s3.Len(), len(keys))
 	}
 }
 
