@@ -305,8 +305,8 @@ func cmdPump(args []string) error {
 		}
 		pending++
 		if pending >= *syncEvery {
-			// Insert's internal group commit has synced by now; every key
-			// inserted so far is durable and can be acknowledged.
+			// Sync is the acknowledgment point: once it returns nil every
+			// key inserted so far is durable and can be acknowledged.
 			if err := d.Sync(); err != nil {
 				return err
 			}

@@ -23,23 +23,12 @@ import (
 // code with one shard.
 
 // walShared is what every shard log of one durable store shares: the op
-// codec, the group-commit batch and the sticky write-path poison.
+// codec, the group-commit batch, and the logs' group — its background
+// barriers in flight and the sticky write-path poison (first error wins).
 type walShared[K Key, V any] struct {
 	codec     opCodec[K, V]
 	syncEvery atomic.Int64 // group-commit batch, per shard
-	failed    atomic.Pointer[error]
-}
-
-// poison makes err the store's sticky write-path failure (first error
-// wins).
-func (w *walShared[K, V]) poison(err error) { w.failed.CompareAndSwap(nil, &err) }
-
-// failedErr returns the sticky write-path poison, nil when healthy.
-func (w *walShared[K, V]) failedErr() error {
-	if p := w.failed.Load(); p != nil {
-		return *p
-	}
-	return nil
+	group     wal.Group
 }
 
 // shardLog is one shard's commit log: its private WAL plus the
@@ -53,7 +42,7 @@ func (w *walShared[K, V]) failedErr() error {
 type shardLog[K Key, V any] struct {
 	*walShared[K, V]
 	wal      *wal.Log
-	unsynced int    // appends since the last barrier
+	unsynced int    // appends since the last barrier began
 	buf      []byte // the record being appended; the log copies it into its frame
 }
 
@@ -67,29 +56,40 @@ func (l *shardLog[K, V]) append(op byte, k K, v V) error {
 	}
 	l.buf = payload
 	if _, err := l.wal.Append(payload); err != nil {
-		l.poison(err)
+		l.group.Fail(err)
 		return err
 	}
 	return nil
 }
 
 // commit counts one appended-and-applied op against the group-commit
-// batch, running the barrier when the batch is full.
+// batch. A full batch of one syncs on the writer; a larger one starts a
+// background barrier, or grows while the shard's last one is in flight.
 func (l *shardLog[K, V]) commit() error {
 	l.unsynced++
-	if l.unsynced < int(l.syncEvery.Load()) {
+	n := int(l.syncEvery.Load())
+	if l.unsynced < n {
 		return nil
 	}
-	return l.sync()
+	if n == 1 {
+		return l.sync()
+	}
+	started, err := l.wal.SyncBehind() // a failed barrier poisoned already
+	if started {
+		l.unsynced = 0
+	}
+	return err
 }
 
-// sync runs the shard's fsync barrier if anything is pending.
+// sync waits for the shard's background barrier, then runs its own if
+// anything came after.
 func (l *shardLog[K, V]) sync() error {
-	if l.unsynced == 0 {
-		return nil
+	err := l.wal.Wait()
+	if err == nil && l.unsynced > 0 {
+		err = l.wal.Sync()
 	}
-	if err := l.wal.Sync(); err != nil {
-		l.poison(err)
+	if err != nil {
+		l.group.Fail(err)
 		return err
 	}
 	l.unsynced = 0

@@ -56,7 +56,8 @@ func shardWALName(gen uint64, i int) string {
 //     mutex (see Optimistic.apply) — so writers on different shards append
 //     and fsync concurrently. SetSyncEvery batches the fsync barrier; a
 //     write is acknowledged — promised to survive a crash — once its
-//     shard's Sync barrier covers it.
+//     shard's Sync barrier covers it. A batch above one fsyncs in the
+//     background, so a Sync (or Close) returning nil acknowledges it.
 //   - Incremental, atomic checkpoints. A checkpointer (background by
 //     default, triggered by the flush pipeline's publications; or explicit
 //     via Checkpoint) captures every shard's (state, WAL replay cursor)
@@ -329,6 +330,7 @@ func (d *DurableSharded[K, V]) attach(set *shardSet[K, V], logs []*wal.Log) {
 		}
 	}
 	for i, sh := range set.shards {
+		logs[i].Share(&d.group)
 		sh.log = &shardLog[K, V]{walShared: &d.walShared, wal: logs[i]}
 		sh.SetFlushHook(kick)
 	}
@@ -491,10 +493,10 @@ func sweepGeneration(fsys wal.FS, gen uint64) error {
 	return fsys.Remove(legacyIntentName + ".tmp")
 }
 
-// Insert adds (k, v), durably once the owning shard's covering Sync
-// barrier completes (immediately with the default SetSyncEvery(1)).
-// Inserts to different shards append to — and fsync — different logs
-// concurrently. Panics on a NaN key.
+// Insert adds (k, v), durably before it returns with the default
+// SetSyncEvery(1), and with a larger batch once a later Sync (or Close)
+// returns nil. Inserts to different shards append to — and fsync —
+// different logs concurrently. Panics on a NaN key.
 func (d *DurableSharded[K, V]) Insert(k K, v V) error {
 	_, err := d.write(walOpInsert, k, v)
 	return err
@@ -517,8 +519,9 @@ func (d *DurableSharded[K, V]) DeleteValue(k K, v V) (bool, error) {
 }
 
 // SetSyncEvery sets the per-shard group-commit batch: each shard's WAL is
-// fsynced every n of that shard's writes instead of every write. Panics
-// if n < 1.
+// fsynced every n (or more) of that shard's writes instead of every write.
+// With n > 1 the fsync runs in the background, appends coalesce meanwhile,
+// and a later Sync (or Close) returning nil acknowledges. Panics if n < 1.
 func (d *DurableSharded[K, V]) SetSyncEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetSyncEvery batch must be >= 1")
@@ -528,10 +531,14 @@ func (d *DurableSharded[K, V]) SetSyncEvery(n int) {
 
 // Sync is the explicit cross-shard group-commit barrier: after it
 // returns nil, every write accepted so far — on every shard — survives a
-// crash. Shards sync in parallel.
+// crash (with SetSyncEvery(n > 1), the acknowledgment point). Shards sync
+// in parallel. A poisoned store returns the poison and syncs nothing.
 func (d *DurableSharded[K, V]) Sync() error {
 	d.reshape.RLock()
 	defer d.reshape.RUnlock()
+	if err := d.group.Err(); err != nil {
+		return err
+	}
 	ss := d.set.Load()
 	errs := make([]error, len(ss.shards))
 	forEachShardParallel(ss.shards, func(i int, sh *Optimistic[K, V]) {
@@ -560,7 +567,7 @@ func (d *DurableSharded[K, V]) Sync() error {
 func (d *DurableSharded[K, V]) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if err := d.failedErr(); err != nil {
+	if err := d.group.Err(); err != nil {
 		return CheckpointStats{}, err
 	}
 	stats, err := d.checkpointLocked(d.set.Load(), d.generation)
@@ -687,7 +694,7 @@ func (d *DurableSharded[K, V]) Rebalance() error { return d.rebalance(true) }
 // one on a poisoned store. Callers hold reshape exclusively.
 func (d *DurableSharded[K, V]) beginRebalance() (func(), error) {
 	d.ckptMu.Lock()
-	if err := d.failedErr(); err != nil {
+	if err := d.group.Err(); err != nil {
 		d.ckptMu.Unlock()
 		return nil, err
 	}
@@ -705,7 +712,7 @@ func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) error 
 		logs[i] = sh.log.wal
 	}
 	if err := d.switchGeneration(next, d.generation+1, logs); err != nil {
-		d.poison(err)
+		d.group.Fail(err)
 		return err
 	}
 	return nil
@@ -796,7 +803,7 @@ func (d *DurableSharded[K, V]) checkpointLoop(stop chan struct{}) {
 // since has failed fast — else the most recent checkpoint error (nil
 // after a successful cut).
 func (d *DurableSharded[K, V]) Err() error {
-	if err := d.failedErr(); err != nil {
+	if err := d.group.Err(); err != nil {
 		return err
 	}
 	d.ckptMu.Lock()
@@ -818,7 +825,7 @@ func (d *DurableSharded[K, V]) Close() error {
 		sh.SetFlushHook(nil)
 	}
 	ss.quiesce()
-	cerr := d.failedErr()
+	cerr := d.group.Err()
 	if cerr == nil {
 		d.ckptMu.Lock()
 		_, cerr = d.checkpointLocked(ss, d.generation)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"sync/atomic"
 
 	"errors"
 )
@@ -56,14 +57,41 @@ type OpenStats struct {
 }
 
 // Log is an append-only record log. It is not safe for concurrent use;
-// the owning facade serializes writers.
+// the owning facade serializes writers. While a barrier of its Group is in
+// flight, appends are held, so no File is used from two goroutines.
 type Log struct {
 	fs      FS
 	name    string
 	f       File
 	nextLSN uint64
-	records int // records currently in the file
+	records int // records appended, held ones included
+
+	group *Group
+	buf   []byte     // framed records not yet written
+	spare []byte     // the other buffer; the in-flight barrier writes from it
+	done  chan error // the in-flight barrier's result; nil when none is
 }
+
+// Group is what the logs of one store share: their background barriers in
+// flight, and the first failure one of them (or the owner) recorded.
+type Group struct {
+	inflight atomic.Int32
+	failed   atomic.Pointer[error]
+}
+
+// Fail records err unless a failure is recorded already.
+func (g *Group) Fail(err error) { g.failed.CompareAndSwap(nil, &err) }
+
+// Err returns the first recorded failure, nil when none.
+func (g *Group) Err() error {
+	if p := g.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Share makes l one of g's logs. Until then every Append writes through.
+func (l *Log) Share(g *Group) { l.group = g }
 
 // Open opens (or creates) the log called name inside fsys, replaying every
 // intact record. A torn tail — trailing bytes that do not parse into a
@@ -196,28 +224,89 @@ func rewrite(fsys FS, name string, data []byte) error {
 	return fsys.Rename(tmp, name)
 }
 
-// Append writes one record with the next LSN and returns that LSN. The
-// record is not durable until the next successful Sync. A failed append
-// may leave a torn frame at the file's tail; the next Open cuts it off, so
-// the in-memory LSN is not advanced.
+// Append frames one record with the next LSN into the log's buffer, written
+// at once (held records first) unless a barrier of its Group is in flight,
+// and returns that LSN. A failed append may leave a torn frame at the
+// file's tail; the next Open cuts it off, so the LSN is not advanced.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) > maxRecordSize {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), maxRecordSize)
 	}
 	lsn := l.nextLSN
-	frame := appendFrame(make([]byte, 0, recordHeader+len(payload)), lsn, payload)
-	if _, err := l.f.Write(frame); err != nil {
-		return 0, err
+	l.buf = appendFrame(l.buf, lsn, payload)
+	if l.group == nil || l.group.inflight.Load() == 0 {
+		if err := l.flush(); err != nil {
+			return 0, err
+		}
 	}
 	l.nextLSN = lsn + 1
 	l.records++
 	return lsn, nil
 }
 
+// flush waits for the log's barrier, then writes the held records with
+// one Write. After a failure they are dropped: nothing is acknowledged.
+func (l *Log) flush() error {
+	err := l.Wait()
+	if err == nil && len(l.buf) > 0 {
+		_, err = l.f.Write(l.buf)
+	}
+	l.buf = l.buf[:0]
+	return err
+}
+
+// Wait waits for the log's background barrier, if any, and returns its
+// error.
+func (l *Log) Wait() error {
+	if l.done == nil {
+		return nil
+	}
+	err := <-l.done
+	l.done = nil
+	return err
+}
+
 // Sync is the group-commit barrier: after it returns nil, every record
-// appended so far survives a crash.
+// appended so far survives a crash. A failed background barrier is
+// returned without a new fsync.
 func (l *Log) Sync() error {
+	if err := l.flush(); err != nil {
+		return err
+	}
 	return l.f.Sync()
+}
+
+// SyncBehind starts a background barrier (one Write of the held records,
+// one fsync) and returns. While the log's last one is in flight it starts
+// nothing and reports false; if that one failed, it returns its error.
+func (l *Log) SyncBehind() (bool, error) {
+	if l.done != nil && len(l.done) == 0 {
+		return false, nil
+	}
+	if err := l.Wait(); err != nil {
+		return false, err
+	}
+	l.buf, l.spare, l.done = l.spare[:0], l.buf, make(chan error, 1)
+	l.group.inflight.Add(1)
+	go barrier(l.f, l.spare, l.group, l.done)
+	return true, nil
+}
+
+// barrier runs a background barrier. The count drops after the result is
+// sent, so an append that sees none in flight may reuse file and buffer.
+func barrier(f File, buf []byte, g *Group, done chan<- error) {
+	var err error
+	if len(buf) > 0 {
+		_, err = f.Write(buf)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		g.Fail(err)
+	}
+	done <- err
+	g.inflight.Add(-1)
 }
 
 // NextLSN returns the LSN the next append will use.
@@ -232,7 +321,7 @@ func (l *Log) SetNextLSN(n uint64) {
 	l.nextLSN = max(l.nextLSN, n)
 }
 
-// Len returns the number of records currently in the log file.
+// Len returns the number of records in the log, held ones included.
 func (l *Log) Len() int { return l.records }
 
 // Truncate drops every record with LSN <= upTo: the surviving tail is
@@ -243,6 +332,9 @@ func (l *Log) Len() int { return l.records }
 // continues appending after the tail; on failure the old file remains
 // intact and the log stays usable.
 func (l *Log) Truncate(upTo uint64) error {
+	if err := l.flush(); err != nil {
+		return fmt.Errorf("wal: truncate flush: %w", err)
+	}
 	data, err := readAll(l.fs, l.name)
 	if err != nil {
 		return fmt.Errorf("wal: truncate read: %w", err)

@@ -474,7 +474,7 @@ func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 		o.roundDone.Wait()
 	}
 	if o.log != nil {
-		if err := o.log.failedErr(); err != nil {
+		if err := o.log.group.Err(); err != nil {
 			return false, err
 		}
 	}
