@@ -1,53 +1,53 @@
 // Package delta implements the persistent ordered map behind an
 // Optimistic facade's pending writes.
 //
-// Every version of the map is an immutable value. With and Without return
-// a new version and leave the receiver exactly as it was: they copy the
-// nodes of one root-to-leaf descent — unconditionally, so there is no
-// ownership to track and no usage rule to break — and share every other
-// node, and every key slice the write did not change, with the version
-// they started from. A writer publishes the new version; readers holding
-// an older one keep a complete map for as long as they hold it, and the
-// garbage collector reclaims what no version references any more.
+// Every version is an immutable value: With and Without copy the nodes of
+// one root-to-leaf descent, unconditionally (there is no ownership to
+// track), and share every other node, so a reader keeps the version it
+// holds intact. The structure is a B+ tree of order 16 without sibling
+// links (a node reachable from two versions cannot point sideways). A
+// layer lives for one flush interval, so removal does not rebalance:
+// Without drops an emptied leaf, and an inner node left with no child.
 //
-// The structure is a B+ tree without sibling links (a node reachable from
-// two versions cannot point sideways), of order 16. A layer lives for one
-// flush interval, so removal does not rebalance: Without drops an emptied
-// leaf — and an inner node left with no child — from its parent, and
-// under-full nodes stay as they are. All leaves are at one depth, no
-// leaf is empty, and every inner node has at least one child.
+// A node is one fixed-size struct, so a copy is one allocation: a leaf
+// holds n keys and values in [order] arrays, an inner node n separators
+// and n+1 children. Slots at or past n are zero, so a vacated value or
+// child keeps nothing alive. Children are unsafe.Pointers, and Map carries
+// the height, which tells a descent whether they are leaves or inner
+// nodes: an interface child costs two words a slot and a type check a
+// level, and one node type for both is 416 bytes and slower at every size.
 package delta
 
 import (
-	"slices"
+	"unsafe"
 
 	"fitingtree/internal/num"
 )
 
-// order is the maximum number of keys per node; a node splits when a
-// write takes it past that.
+// order is the maximum number of keys per node.
 const order = 16
 
-// Map is one version of the map. The zero value is the empty map; copying
-// a Map copies two words and shares the structure.
+// Map is one version of the map; the zero value is the empty map.
 type Map[K num.Key, V any] struct {
-	root *node[K, V] // nil when empty
-	size int
+	root   unsafe.Pointer // *leaf[K, V] at height 1, *inner[K] above; nil when empty
+	height int            // levels from root to leaf, 0 when empty
+	size   int
 }
 
-// node is either a leaf (children == nil) or an inner node, and is never
-// written after the call that built it returns.
-//
-// Inner node invariant: len(children) == len(keys)+1 and subtree
-// children[i] holds keys k with keys[i-1] <= k < keys[i] (boundary keys
-// omitted at the ends).
-type node[K num.Key, V any] struct {
-	keys     []K
-	vals     []V           // leaf only, parallel to keys
-	children []*node[K, V] // inner only
+// leaf holds n entries. Nodes are never written once built.
+type leaf[K num.Key, V any] struct {
+	n    int
+	keys [order]K
+	vals [order]V
 }
 
-func (n *node[K, V]) leaf() bool { return n.children == nil }
+// inner holds n separators and n+1 children: subtree kids[i] holds keys k
+// with keys[i-1] <= k < keys[i] (boundary keys omitted at the ends).
+type inner[K num.Key] struct {
+	n    int
+	keys [order]K
+	kids [order + 1]unsafe.Pointer
+}
 
 // Len returns the number of entries.
 func (m Map[K, V]) Len() int { return m.size }
@@ -91,13 +91,9 @@ func searchString(keys []string, k string) int {
 
 // Get returns the value stored for k.
 func (m Map[K, V]) Get(k K) (V, bool) {
-	if n := m.root; n != nil {
-		for !n.leaf() {
-			n = n.children[search(n.keys, k)]
-		}
-		if i := search(n.keys, k) - 1; i >= 0 && n.keys[i] == k {
-			return n.vals[i], true
-		}
+	var it Iter[K, V]
+	if it.SeekGE(m, k); it.Valid() && it.Key() == k {
+		return it.Value(), true
 	}
 	var zero V
 	return zero, false
@@ -106,54 +102,74 @@ func (m Map[K, V]) Get(k K) (V, bool) {
 // With returns the version in which k maps to v.
 func (m Map[K, V]) With(k K, v V) Map[K, V] {
 	if m.root == nil {
-		return Map[K, V]{root: &node[K, V]{keys: []K{k}, vals: []V{v}}, size: 1}
+		return Map[K, V]{root: newLeaf([]K{k}, []V{v}), height: 1, size: 1}
 	}
-	root, sep, right, added := m.root.with(k, v)
+	root, sep, right, added := with(m.root, m.height, k, v)
 	if right != nil {
-		root = &node[K, V]{keys: []K{sep}, children: []*node[K, V]{root, right}}
+		root = newInner([]K{sep}, []unsafe.Pointer{root, right})
+		m.height++
 	}
 	if added {
 		m.size++
 	}
-	return Map[K, V]{root: root, size: m.size}
+	m.root = root
+	return m
 }
 
-// with returns a copy of the subtree at n in which k maps to v, and
-// whether k is new to it. A copy past the order comes back split: right
-// is then its upper half and sep the key separating the two. The halves
-// of a split share one backing array, which nothing writes again.
-func (n *node[K, V]) with(k K, v V) (left *node[K, V], sep K, right *node[K, V], added bool) {
-	i := search(n.keys, k)
-	if n.leaf() {
-		if i > 0 && n.keys[i-1] == k {
-			vals := slices.Clone(n.vals)
-			vals[i-1] = v
-			return &node[K, V]{keys: n.keys, vals: vals}, sep, nil, false
+// with returns a copy of the subtree of height h at p in which k maps to
+// v, and whether k is new to it. A copy past the order comes back split
+// into left, sep and right.
+func with[K num.Key, V any](p unsafe.Pointer, h int, k K, v V) (left unsafe.Pointer, sep K, right unsafe.Pointer, added bool) {
+	if h == 1 {
+		l := (*leaf[K, V])(p)
+		i := search(l.keys[:l.n], k)
+		if i > 0 && l.keys[i-1] == k {
+			c := *l
+			c.vals[i-1] = v
+			return unsafe.Pointer(&c), sep, nil, false
 		}
-		left = &node[K, V]{keys: insertAt(n.keys, i, k), vals: insertAt(n.vals, i, v)}
-		if len(left.keys) > order {
-			mid := len(left.keys) / 2
-			right = &node[K, V]{keys: left.keys[mid:], vals: left.vals[mid:]}
-			left.keys, left.vals = left.keys[:mid], left.vals[:mid]
-			sep = right.keys[0]
+		var kb [order + 1]K
+		var vb [order + 1]V
+		keys := append(append(append(kb[:0], l.keys[:i]...), k), l.keys[i:l.n]...)
+		vals := append(append(append(vb[:0], l.vals[:i]...), v), l.vals[i:l.n]...)
+		if len(keys) <= order {
+			return newLeaf(keys, vals), sep, nil, true
 		}
-		return left, sep, right, true
+		return newLeaf(keys[:order/2], vals[:order/2]), keys[order/2], newLeaf(keys[order/2:], vals[order/2:]), true
 	}
-	child, childSep, sibling, added := n.children[i].with(k, v)
+	in := (*inner[K])(p)
+	i := search(in.keys[:in.n], k)
+	c, childSep, sibling, added := with[K, V](in.kids[i], h-1, k, v)
 	if sibling == nil {
-		left = &node[K, V]{keys: n.keys, children: slices.Clone(n.children)}
-		left.children[i] = child
-		return left, sep, nil, added
+		cp := *in
+		cp.kids[i] = c
+		return unsafe.Pointer(&cp), sep, nil, added
 	}
-	left = &node[K, V]{keys: insertAt(n.keys, i, childSep), children: insertAt(n.children, i+1, sibling)}
-	left.children[i] = child
-	if len(left.keys) > order {
-		mid := len(left.keys) / 2 // the middle key moves up
-		sep = left.keys[mid]
-		right = &node[K, V]{keys: left.keys[mid+1:], children: left.children[mid+1:]}
-		left.keys, left.children = left.keys[:mid], left.children[:mid+1]
+	// c stays at i, its sibling goes in at i+1; a split lifts the middle key.
+	var kb [order + 1]K
+	var cb [order + 2]unsafe.Pointer
+	keys := append(append(append(kb[:0], in.keys[:i]...), childSep), in.keys[i:in.n]...)
+	kids := append(append(append(cb[:0], in.kids[:i]...), c, sibling), in.kids[i+1:in.n+1]...)
+	if len(keys) <= order {
+		return newInner(keys, kids), sep, nil, added
 	}
-	return left, sep, right, added
+	return newInner(keys[:order/2], kids[:order/2+1]), keys[order/2], newInner(keys[order/2+1:], kids[order/2+1:]), added
+}
+
+// newLeaf returns a leaf holding a copy of keys and vals.
+func newLeaf[K num.Key, V any](keys []K, vals []V) unsafe.Pointer {
+	l := &leaf[K, V]{n: len(keys)}
+	copy(l.keys[:], keys)
+	copy(l.vals[:], vals)
+	return unsafe.Pointer(l)
+}
+
+// newInner returns an inner node holding a copy of keys and kids.
+func newInner[K num.Key](keys []K, kids []unsafe.Pointer) unsafe.Pointer {
+	in := &inner[K]{n: len(keys)}
+	copy(in.keys[:], keys)
+	copy(in.kids[:], kids)
+	return unsafe.Pointer(in)
 }
 
 // Without returns the version with no entry for k: the receiver itself
@@ -162,48 +178,57 @@ func (m Map[K, V]) Without(k K) Map[K, V] {
 	if m.root == nil {
 		return m
 	}
-	root := m.root.without(k)
-	if root == m.root {
+	switch root := without[K, V](m.root, m.height, k); root {
+	case m.root:
 		return m
+	case nil:
+		return Map[K, V]{}
+	default:
+		// A root left with one child is a pass-through level.
+		for ; m.height > 1 && (*inner[K])(root).n == 0; m.height-- {
+			root = (*inner[K])(root).kids[0]
+		}
+		return Map[K, V]{root: root, height: m.height, size: m.size - 1}
 	}
-	// A root left with one child is a pass-through level.
-	for root != nil && !root.leaf() && len(root.children) == 1 {
-		root = root.children[0]
-	}
-	return Map[K, V]{root: root, size: m.size - 1}
 }
 
-// without returns a copy of the subtree at n without k: n itself when k
-// is not in it, nil when k was its last entry.
-func (n *node[K, V]) without(k K) *node[K, V] {
-	i := search(n.keys, k)
-	if n.leaf() {
-		switch {
-		case i == 0 || n.keys[i-1] != k:
-			return n
-		case len(n.keys) == 1:
-			return nil
+// without returns a copy of the subtree of height h at p without k: p
+// itself when k is not in it, nil when k was its last entry.
+func without[K num.Key, V any](p unsafe.Pointer, h int, k K) unsafe.Pointer {
+	if h == 1 {
+		l := (*leaf[K, V])(p)
+		switch i := search(l.keys[:l.n], k) - 1; {
+		case i < 0 || l.keys[i] != k:
+			return p
+		case l.n > 1:
+			c := &leaf[K, V]{n: l.n - 1}
+			removeAt(c.keys[:c.n], l.keys[:l.n], i)
+			removeAt(c.vals[:c.n], l.vals[:l.n], i)
+			return unsafe.Pointer(c)
 		}
-		return &node[K, V]{keys: removeAt(n.keys, i-1), vals: removeAt(n.vals, i-1)}
+		return nil
 	}
-	child := n.children[i].without(k)
-	switch {
-	case child == n.children[i]:
-		return n
-	case child != nil:
-		c := &node[K, V]{keys: n.keys, children: slices.Clone(n.children)}
-		c.children[i] = child
-		return c
-	case len(n.children) == 1:
+	in := (*inner[K])(p)
+	i := search(in.keys[:in.n], k)
+	switch c := without[K, V](in.kids[i], h-1, k); {
+	case c == in.kids[i]:
+		return p
+	case c != nil:
+		cp := *in
+		cp.kids[i] = c
+		return unsafe.Pointer(&cp)
+	case in.n == 0:
 		return nil
 	}
 	// The emptied child leaves with a separator beside it.
-	return &node[K, V]{keys: removeAt(n.keys, max(i-1, 0)), children: removeAt(n.children, i)}
+	cp := &inner[K]{n: in.n - 1}
+	removeAt(cp.keys[:cp.n], in.keys[:in.n], max(i-1, 0))
+	removeAt(cp.kids[:cp.n+1], in.kids[:in.n+1], i)
+	return unsafe.Pointer(cp)
 }
 
 // FromSorted builds a map bottom-up from strictly ascending keys and
-// their values. It keeps both slices — the leaves are cut from them — so
-// the caller must not write to either afterwards.
+// their values, copying both into the map's leaves.
 func FromSorted[K num.Key, V any](keys []K, vals []V) Map[K, V] {
 	if len(keys) != len(vals) {
 		panic("delta: FromSorted: keys and values differ in length")
@@ -216,99 +241,80 @@ func FromSorted[K num.Key, V any](keys []K, vals []V) Map[K, V] {
 	if len(keys) == 0 {
 		return Map[K, V]{}
 	}
-	// firsts[i] is the smallest key under level[i]: a parent's separators
-	// are a slice of it.
-	var level []*node[K, V]
+	// firsts[i] is the smallest key under level[i]; parents overwrite both.
+	var level []unsafe.Pointer
 	var firsts []K
 	for at := 0; at < len(keys); at += order {
 		end := min(at+order, len(keys))
-		level = append(level, &node[K, V]{keys: keys[at:end], vals: vals[at:end]})
-		firsts = append(firsts, keys[at])
+		level, firsts = append(level, newLeaf(keys[at:end], vals[at:end])), append(firsts, keys[at])
 	}
-	for len(level) > 1 {
-		var parents []*node[K, V]
-		var parentFirsts []K
-		for at := 0; at < len(level); at += order {
+	h := 1
+	for ; len(level) > 1; h++ {
+		j := 0
+		for at := 0; at < len(level); at, j = at+order, j+1 {
 			end := min(at+order, len(level))
-			parents = append(parents, &node[K, V]{keys: firsts[at+1 : end], children: level[at:end]})
-			parentFirsts = append(parentFirsts, firsts[at])
+			level[j], firsts[j] = newInner(firsts[at+1:end], level[at:end]), firsts[at]
 		}
-		level, firsts = parents, parentFirsts
+		level, firsts = level[:j], firsts[:j]
 	}
-	return Map[K, V]{root: level[0], size: len(keys)}
+	return Map[K, V]{root: level[0], height: h, size: len(keys)}
 }
 
 // Ascend calls fn for every entry in ascending key order, stopping early
 // if fn returns false.
 func (m Map[K, V]) Ascend(fn func(k K, v V) bool) {
-	if m.root != nil {
-		m.root.ascend(fn)
+	it := Iter[K, V]{m: m, leaf: leftmost[K, V](m.root, m.height)}
+	for ; it.Valid() && fn(it.Key(), it.Value()); it.Next() {
 	}
 }
 
-// ascend walks the subtree at n left to right; it reports false when fn
-// requested a stop.
-func (n *node[K, V]) ascend(fn func(k K, v V) bool) bool {
-	for i := range n.vals {
-		if !fn(n.keys[i], n.vals[i]) {
-			return false
-		}
+// leftmost returns the first leaf of the subtree of height h at p, or nil.
+func leftmost[K num.Key, V any](p unsafe.Pointer, h int) *leaf[K, V] {
+	for ; p != nil && h > 1; h-- {
+		p = (*inner[K])(p).kids[0]
 	}
-	for _, c := range n.children {
-		if !c.ascend(fn) {
-			return false
-		}
-	}
-	return true
+	return (*leaf[K, V])(p)
 }
 
-// Iter is a forward cursor over one version: the pull-style counterpart
-// of Ascend, for callers that merge a map's entries into another ordered
-// stream and cannot hand control to a callback. Leaves carry no sibling
-// links, so a cursor that runs off its leaf descends again for the key
-// after the last one it was on. The zero value is an exhausted cursor.
+// Iter is a forward cursor over one version, for callers that merge the
+// map into another ordered stream. A cursor that runs off its leaf
+// descends again for the key after the last one it was on. The zero value
+// is an exhausted cursor.
 type Iter[K num.Key, V any] struct {
-	root, leaf *node[K, V] // leaf is nil when exhausted
-	i          int         // the current entry's index in leaf
+	m    Map[K, V]
+	leaf *leaf[K, V] // nil when exhausted
+	i    int         // the current entry's index in leaf
 }
 
 // SeekGE positions the cursor on the first entry of m with key >= k.
 func (it *Iter[K, V]) SeekGE(m Map[K, V], k K) {
-	it.root = m.root
+	it.m = m
 	it.seek(k, true)
 }
 
 // seek positions the cursor on the first entry with key > k, or on k's
 // own when it has one and orEqual is set.
 func (it *Iter[K, V]) seek(k K, orEqual bool) {
-	it.leaf = nil
-	n := it.root
-	if n == nil {
+	if it.leaf = nil; it.m.root == nil {
 		return
 	}
-	var right *node[K, V] // root of the nearest subtree right of the path
-	for !n.leaf() {
-		i := search(n.keys, k)
-		if i < len(n.keys) {
-			right = n.children[i+1]
+	p, right, rightH := it.m.root, unsafe.Pointer(nil), 0 // right: the nearest subtree right of the path
+	for h := it.m.height; h > 1; h-- {
+		in := (*inner[K])(p)
+		i := search(in.keys[:in.n], k)
+		if p = in.kids[i]; i < in.n {
+			right, rightH = in.kids[i+1], h-1
 		}
-		n = n.children[i]
 	}
-	i := search(n.keys, k)
-	if orEqual && i > 0 && n.keys[i-1] == k {
+	l := (*leaf[K, V])(p)
+	i := search(l.keys[:l.n], k)
+	if orEqual && i > 0 && l.keys[i-1] == k {
 		i--
 	}
-	if i == len(n.keys) {
-		// Nothing left in this leaf: the answer is the first entry of the
-		// subtree to its right. Leaves are never empty.
-		if n, i = right, 0; n == nil {
-			return
-		}
-		for !n.leaf() {
-			n = n.children[0]
-		}
+	if i == l.n { // the answer is the first entry right of this leaf
+		l, i = leftmost[K, V](right, rightH), 0
 	}
-	it.leaf, it.i = n, i
+	it.leaf, it.i = l, i
 }
 
 // Valid reports whether the cursor is on an entry.
@@ -322,19 +328,13 @@ func (it *Iter[K, V]) Value() V { return it.leaf.vals[it.i] }
 
 // Next advances to the next entry in key order; the cursor must be Valid.
 func (it *Iter[K, V]) Next() {
-	if it.i++; it.i == len(it.leaf.keys) {
+	if it.i++; it.i == it.leaf.n {
 		it.seek(it.leaf.keys[it.i-1], false)
 	}
 }
 
-// insertAt returns a copy of s with v inserted at index i.
-func insertAt[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
+// removeAt writes src without its element at index i into dst, one shorter.
+func removeAt[T any](dst, src []T, i int) {
+	copy(dst, src[:i])
+	copy(dst[i:], src[i+1:])
 }
-
-// removeAt returns a copy of s without the element at index i.
-func removeAt[T any](s []T, i int) []T { return slices.Delete(slices.Clone(s), i, i+1) }

@@ -4,72 +4,101 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"fitingtree/internal/num"
 )
 
 // checkInvariants validates one version's structure: keys ascending within
-// and across nodes and inside their separators' bounds, no empty leaf, no
-// childless inner node, all leaves at one depth, size equal to the count.
+// and across nodes and inside their separators' bounds, 1 <= n <= order in
+// every leaf and n <= order in every inner node, every slot at or past n
+// the zero value (a vacated value or child must keep nothing alive), size
+// equal to the count. The height puts all leaves at one depth.
 func checkInvariants[K num.Key, V any](m Map[K, V]) error {
 	if m.root == nil {
-		if m.size != 0 {
-			return fmt.Errorf("empty map with size %d", m.size)
+		if m.size != 0 || m.height != 0 {
+			return fmt.Errorf("empty map with size %d, height %d", m.size, m.height)
 		}
 		return nil
 	}
-	count, leafDepth := 0, -1
+	if m.height < 1 {
+		return fmt.Errorf("non-empty map with height %d", m.height)
+	}
+	var zeroK K
+	count := 0
 	var prev *K
-	var walk func(n *node[K, V], depth int, lo, hi *K) error
-	walk = func(n *node[K, V], depth int, lo, hi *K) error {
-		for i, k := range n.keys {
-			if i > 0 && k <= n.keys[i-1] {
+	checkKeys := func(keys []K, n, depth int, lo, hi *K) error {
+		for i, k := range keys[:n] {
+			if i > 0 && k <= keys[i-1] {
 				return fmt.Errorf("node keys out of order at depth %d", depth)
 			}
 			if (lo != nil && k < *lo) || (hi != nil && k >= *hi) {
 				return fmt.Errorf("key %v outside its separators at depth %d", k, depth)
 			}
 		}
-		if n.leaf() {
-			if len(n.keys) == 0 || len(n.keys) != len(n.vals) || len(n.keys) > order {
-				return fmt.Errorf("leaf with %d keys, %d values", len(n.keys), len(n.vals))
+		for i := n; i < len(keys); i++ {
+			if keys[i] != zeroK {
+				return fmt.Errorf("key slot %d of %d at depth %d holds %v", i, n, depth, keys[i])
 			}
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("leaves at depths %d and %d", leafDepth, depth)
+		}
+		return nil
+	}
+	var walk func(p unsafe.Pointer, h, depth int, lo, hi *K) error
+	walk = func(p unsafe.Pointer, h, depth int, lo, hi *K) error {
+		if h == 1 {
+			l := (*leaf[K, V])(p)
+			if l.n < 1 || l.n > order {
+				return fmt.Errorf("leaf with %d keys at depth %d", l.n, depth)
 			}
-			for i := range n.keys {
-				if prev != nil && n.keys[i] <= *prev {
-					return fmt.Errorf("global key order violated at %v", n.keys[i])
+			if err := checkKeys(l.keys[:], l.n, depth, lo, hi); err != nil {
+				return err
+			}
+			for i := l.n; i < order; i++ {
+				if !reflect.ValueOf(&l.vals[i]).Elem().IsZero() {
+					return fmt.Errorf("value slot %d of %d at depth %d holds %v", i, l.n, depth, l.vals[i])
 				}
-				prev = &n.keys[i]
+			}
+			for i := range l.n {
+				if prev != nil && l.keys[i] <= *prev {
+					return fmt.Errorf("global key order violated at %v", l.keys[i])
+				}
+				prev = &l.keys[i]
 				count++
 			}
 			return nil
 		}
-		if n.vals != nil || len(n.children) != len(n.keys)+1 || len(n.keys) > order {
-			return fmt.Errorf("inner node with %d keys, %d children", len(n.keys), len(n.children))
+		in := (*inner[K])(p)
+		if in.n < 0 || in.n > order {
+			return fmt.Errorf("inner node with %d keys at depth %d", in.n, depth)
 		}
-		for i, c := range n.children {
+		if err := checkKeys(in.keys[:], in.n, depth, lo, hi); err != nil {
+			return err
+		}
+		for i, c := range in.kids {
+			if (c == nil) != (i > in.n) {
+				return fmt.Errorf("inner node with %d keys has child slot %d = %v at depth %d", in.n, i, c, depth)
+			}
+		}
+		for i, c := range in.kids[:in.n+1] {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = &n.keys[i-1]
+				clo = &in.keys[i-1]
 			}
-			if i < len(n.keys) {
-				chi = &n.keys[i]
+			if i < in.n {
+				chi = &in.keys[i]
 			}
-			if err := walk(c, depth+1, clo, chi); err != nil {
+			if err := walk(c, h-1, depth+1, clo, chi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(m.root, 1, nil, nil); err != nil {
+	if err := walk(m.root, m.height, 1, nil, nil); err != nil {
 		return err
 	}
 	if count != m.size {
@@ -79,17 +108,20 @@ func checkInvariants[K num.Key, V any](m Map[K, V]) error {
 }
 
 // nodes collects every node of a version.
-func nodes[K num.Key, V any](m Map[K, V]) map[*node[K, V]]bool {
-	set := map[*node[K, V]]bool{}
-	var walk func(n *node[K, V])
-	walk = func(n *node[K, V]) {
-		set[n] = true
-		for _, c := range n.children {
-			walk(c)
+func nodes[K num.Key, V any](m Map[K, V]) map[unsafe.Pointer]bool {
+	set := map[unsafe.Pointer]bool{}
+	var walk func(p unsafe.Pointer, h int)
+	walk = func(p unsafe.Pointer, h int) {
+		set[p] = true
+		if h > 1 {
+			in := (*inner[K])(p)
+			for _, c := range in.kids[:in.n+1] {
+				walk(c, h-1)
+			}
 		}
 	}
 	if m.root != nil {
-		walk(m.root)
+		walk(m.root, m.height)
 	}
 	return set
 }
@@ -107,16 +139,7 @@ func sharedNodes[K num.Key, V any](m, o Map[K, V]) int {
 }
 
 // height returns the number of levels of a version, 0 when empty.
-func height[K num.Key, V any](m Map[K, V]) int {
-	if m.root == nil {
-		return 0
-	}
-	h := 1
-	for n := m.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
-}
+func height[K num.Key, V any](m Map[K, V]) int { return m.height }
 
 // entry is one key/value pair of a reference model.
 type entry[K num.Key] struct {
@@ -604,6 +627,166 @@ func TestReadersWalkOldVersionsWhileWriterDerives(t *testing.T) {
 	if err := checkInvariants(m); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWithAllocatesOneObjectPerLevel pins the fixed-array node: a write
+// that splits nothing copies one node per level, and each copy is one
+// allocation — a fresh key, an overwrite and a removal alike.
+func TestWithAllocatesOneObjectPerLevel(t *testing.T) {
+	for _, n := range []int{8, 64, 4096, 65_536} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var m Map[uint64, *uint64]
+		for m.Len() < n {
+			m = m.With(uint64(rng.Intn(8*n))*2, new(uint64))
+		}
+		// A fresh odd key whose leaf has room, and an even key to overwrite
+		// and remove from a leaf that keeps other entries.
+		var fresh, old uint64
+		for fresh = uint64(rng.Intn(8*n))*2 + 1; leafOf(m, fresh).n == order; fresh += 2 {
+		}
+		m.Ascend(func(k uint64, _ *uint64) bool { old = k; return leafOf(m, k).n == 1 })
+		v := new(uint64)
+		for name, write := range map[string]func() Map[uint64, *uint64]{
+			"fresh key": func() Map[uint64, *uint64] { return m.With(fresh, v) },
+			"overwrite": func() Map[uint64, *uint64] { return m.With(old, v) },
+			"removal":   func() Map[uint64, *uint64] { return m.Without(old) },
+		} {
+			if got := write(); height(got) != height(m) || len(nodes(got))-sharedNodes(got, m) != height(m) {
+				t.Fatalf("n=%d, %s: copied %d nodes of a height-%d map", n, name, len(nodes(got))-sharedNodes(got, m), height(m))
+			}
+			allocs := testing.AllocsPerRun(100, func() { sinkMap = write() })
+			if allocs != float64(height(m)) {
+				t.Fatalf("n=%d, %s: %.1f allocations, want one per level (%d)", n, name, allocs, height(m))
+			}
+		}
+	}
+}
+
+// leafOf returns the leaf a descent for k ends on.
+func leafOf[K num.Key, V any](m Map[K, V], k K) *leaf[K, V] {
+	p := m.root
+	for h := m.height; h > 1; h-- {
+		in := (*inner[K])(p)
+		p = in.kids[search(in.keys[:in.n], k)]
+	}
+	return (*leaf[K, V])(p)
+}
+
+// FuzzDeltaOps drives With, Without, keep-this-version, FromSorted
+// rebuilds, cursor walks and returns to a kept version over the keys
+// 0..255, three bytes (op, key, argument) a step. Runs of writes reach
+// leaf splits, inner splits and inner nodes emptied by removals within a
+// short input. After every step each kept version must equal its
+// array oracle and pass checkInvariants.
+func FuzzDeltaOps(f *testing.F) {
+	const (
+		opWith = iota
+		opWithout
+		opWithRun
+		opWithoutRun
+		opKeep
+		opRebuild
+		opSeek
+		opReturn
+		numOps
+	)
+	f.Add([]byte{opWithRun, 0, 16})                                                         // 17 keys: the root leaf splits
+	f.Add([]byte{opWithRun, 0, 255, opKeep, 0, 0, opWith, 7, 0})                            // 256 keys: an inner node splits
+	f.Add([]byte{opWithRun, 0, 255, opKeep, 0, 0, opWithoutRun, 0, 254, opWithout, 255, 0}) // drain to empty, low end first
+	f.Add([]byte{opWithRun, 0, 255, opRebuild, 0, 0, opWithoutRun, 0, 255})                 // drain a bulk-loaded map, high end first
+	f.Add([]byte{opWithRun, 0, 200, opKeep, 0, 0, opWithoutRun, 40, 99, opSeek, 30, 40, opReturn, 0, 0, opWith, 50, 0})
+	type oracle [256]struct {
+		v  int
+		ok bool
+	}
+	type kept struct {
+		m    Map[uint8, int]
+		want oracle
+	}
+	check := func(t *testing.T, step int, v kept) {
+		if err := checkInvariants(v.m); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		n, next := 0, 0
+		v.m.Ascend(func(k uint8, val int) bool {
+			for next < len(v.want) && !v.want[next].ok {
+				next++
+			}
+			if next != int(k) || v.want[k].v != val {
+				t.Fatalf("step %d: entry (%d,%d), oracle's next is key %d", step, k, val, next)
+			}
+			n, next = n+1, next+1
+			return true
+		})
+		for next < len(v.want) && !v.want[next].ok {
+			next++
+		}
+		if next != len(v.want) || n != v.m.Len() {
+			t.Fatalf("step %d: %d entries, Len %d, oracle has more from key %d", step, n, v.m.Len(), next)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cur kept
+		all := []kept{cur}
+		for step := 0; step+3 <= len(data); step += 3 {
+			op, k, arg := data[step]%numOps, data[step+1], data[step+2]
+			last := min(int(k)+int(arg), 255)
+			switch op {
+			case opWith:
+				cur.m, cur.want[k].v, cur.want[k].ok = cur.m.With(k, step), step, true
+			case opWithout:
+				cur.m, cur.want[k].ok, cur.want[k].v = cur.m.Without(k), false, 0
+			case opWithRun:
+				for i := int(k); i <= last; i++ {
+					cur.m, cur.want[i].v, cur.want[i].ok = cur.m.With(uint8(i), step+i), step+i, true
+				}
+			case opWithoutRun:
+				// An odd argument removes the run from its top down.
+				for j := range last - int(k) + 1 {
+					i := int(k) + j
+					if arg%2 == 1 {
+						i = last - j
+					}
+					cur.m, cur.want[i].ok, cur.want[i].v = cur.m.Without(uint8(i)), false, 0
+				}
+			case opKeep:
+				all = append(all, cur)
+			case opRebuild:
+				var keys []uint8
+				var vals []int
+				cur.m.Ascend(func(k uint8, v int) bool { keys, vals = append(keys, k), append(vals, v); return true })
+				cur.m = FromSorted(keys, vals)
+			case opSeek:
+				var it Iter[uint8, int]
+				i := int(k)
+				for it.SeekGE(cur.m, k); it.Valid() && i <= last; it.Next() {
+					for !cur.want[i].ok {
+						i++
+					}
+					if it.Key() != uint8(i) || it.Value() != cur.want[i].v {
+						t.Fatalf("step %d: SeekGE(%d) reached (%d,%d), oracle key %d", step, k, it.Key(), it.Value(), i)
+					}
+					i++
+				}
+				for ; !it.Valid() && i < len(cur.want); i++ {
+					if cur.want[i].ok {
+						t.Fatalf("step %d: SeekGE(%d) ran out before key %d", step, k, i)
+					}
+				}
+			case opReturn:
+				cur = all[int(arg)%len(all)]
+			}
+			for i := range cur.want {
+				if got, ok := cur.m.Get(uint8(i)); ok != cur.want[i].ok || got != cur.want[i].v {
+					t.Fatalf("step %d: Get(%d) = %d,%v, oracle %d,%v", step, i, got, ok, cur.want[i].v, cur.want[i].ok)
+				}
+			}
+			check(t, step, cur)
+			for _, v := range all {
+				check(t, step, v)
+			}
+		}
+	})
 }
 
 var sinkMap Map[uint64, *uint64]

@@ -170,6 +170,30 @@ func TestDeltaPublishCost(t *testing.T) {
 	}
 }
 
+// TestInsertAllocationsPerDeltaLevel pins what an Insert of a fresh key
+// allocates: the entry, its adds, the delta and state headers, and one
+// fixed-array node per level of the delta's map (2 levels at 64 pending
+// writes, 4 at 4096), split leaves averaged in.
+func TestInsertAllocationsPerDeltaLevel(t *testing.T) {
+	o := pipelineFixture(t, 100_000)
+	rng := rand.New(rand.NewSource(47))
+	insert := func() {
+		k := rng.Uint64()%200_000 | 1 // odd: absent from the base
+		o.Insert(k, k)
+	}
+	for _, c := range []struct {
+		pending int
+		most    float64
+	}{{64, 6}, {4096, 8}} {
+		for o.Stats().Buffered < c.pending {
+			insert()
+		}
+		if allocs := testing.AllocsPerRun(200, insert); allocs > c.most {
+			t.Fatalf("an Insert with %d pending allocates %.0f objects, want <= %.0f", c.pending, allocs, c.most)
+		}
+	}
+}
+
 // TestOverlayMissAllocatesNothing: a lookup of a key no layer mentions,
 // through a full ladder and an active delta, reaches the tree without a
 // heap allocation.
