@@ -203,27 +203,25 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 	return trees, order, reachable, chunks, nil
 }
 
-// replayTail composes a WAL tail into one frozen delta layer instead of
-// pushing it through the facade one write at a time: a long tail pushed
-// through the ordinary insert path trips the flush threshold (at least
-// 1024 pending writes) again and again and re-segments the same hot pages
-// each time, which dominates recovery. The records are sorted by key, in
-// log order within a key, and each key's run applies the write path's op
-// rule through the same helpers: a delete consumes the newest
-// still-pending insert it may take (consumeAdd), else records one more
-// tombstone on the checkpoint tree's matches (addTomb). Every logged
-// delete had a live victim when it was logged, and the WAL tail is a
-// prefix-exact record of the ops that created it, so the tombstones can
-// never exceed the checkpoint tree's matches. The runs become the entries
-// of one frozen layer (deltaFromOps; nil for an empty tail) that the
-// shard's first flush folds into the checkpoint tree with a single
-// page-granular MergeCOW pass. Which of several distinct-valued duplicates an anonymous
-// delete victimizes may differ from the original run's
-// flush-timing-dependent choice; that choice was never acknowledged state
-// (see Optimistic.Delete). A value delete replays exactly: its record
-// names the victim. Records with LSN < replayFrom are skipped — they are
-// covered by the checkpoint and survive only because the truncation after
-// it didn't land (crash between superblock commit and truncate).
+// replayTail composes a WAL tail into one frozen delta layer; through the
+// write path a long tail would fold again and again, re-segmenting the same
+// hot pages. The records are sorted by key, in log order within a key, and
+// each key's run applies the write path's op rule through the same helpers:
+// a delete consumes the newest still-pending insert it may take
+// (consumeAdd), else records one more tombstone on the checkpoint tree's
+// matches (addTomb). Every logged delete had a live victim when it was
+// logged, and the WAL tail is a prefix-exact record of the ops that created
+// it, so the tombstones can never exceed the checkpoint tree's matches. The
+// runs become the entries of one frozen layer (deltaFromOps; nil for an
+// empty tail) that the shard's first flush folds into the checkpoint tree
+// with a single page-granular MergeCOW pass. Which of several
+// distinct-valued duplicates an anonymous delete victimizes may differ from
+// the original run's flush-timing-dependent choice; that choice was never
+// acknowledged state (see Optimistic.Delete). A value delete replays
+// exactly: its record names the victim. Records with LSN < replayFrom are
+// skipped — they are covered by the checkpoint and survive only because the
+// truncation after it didn't land (crash between superblock commit and
+// truncate).
 func replayTail[K Key, V any](codec opCodec[K, V], records []wal.Record,
 	replayFrom uint64) (*odelta[K, V], error) {
 	type record struct {
@@ -249,7 +247,13 @@ func replayTail[K Key, V any](codec opCodec[K, V], records []wal.Record,
 		}
 		return cmp.Compare(a.lsn, b.lsn)
 	})
-	var ops []core.MergeOp[K, V]
+	distinct := 0 // keys, so ops is allocated once
+	for i := range recs {
+		if i == 0 || recs[i].k != recs[i-1].k {
+			distinct++
+		}
+	}
+	ops := make([]core.MergeOp[K, V], 0, distinct)
 	for len(recs) > 0 {
 		n := 1
 		for n < len(recs) && recs[n].k == recs[0].k {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -156,6 +157,23 @@ func (e Elem[T]) appendAll(buf []byte, vs []T) []byte {
 		return buf
 	}
 	panic("fitingtree: element type has no raw form")
+}
+
+// littleEndian is whether a word's memory is its wire form.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeRun decodes n elements from the front of data into an array of
+// their own and returns the bytes past them. On a little-endian host a run
+// of elemWord fields is its elements' memory: it is copied once into a
+// fresh, so word-aligned, allocation and viewed as []T.
+func (e Elem[T]) decodeRun(n int, data []byte) ([]T, []byte, error) {
+	if e.kind != elemWord || !littleEndian || n == 0 || len(data) < 8*n {
+		out := make([]T, n)
+		data, err := e.decodeInto(out, data)
+		return out, data, err
+	}
+	words := bytes.Clone(data[:8*n])
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(words))), n), data[8*n:], nil
 }
 
 // decodeInto decodes len(out) elements from the front of data into out and

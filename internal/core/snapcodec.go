@@ -179,17 +179,15 @@ func (c *SnapCodec[K, V]) Decode(data []byte) (ChunkSnap[K, V], error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ks, vs := make([]K, n), make([]V, n)
-		if data, err = c.key.decodeInto(ks, data); err != nil {
+		ks, data, err := c.key.decodeRun(n, data)
+		if err != nil {
 			return nil, nil, nil, err
 		}
 		if err = verifyKeys(ks); err != nil {
 			return nil, nil, nil, err
 		}
-		if data, err = c.val.decodeInto(vs, data); err != nil {
-			return nil, nil, nil, err
-		}
-		return ks, vs, data, nil
+		vs, data, err := c.val.decodeRun(n, data)
+		return ks, vs, data, err
 	}
 	for i := range snap.Pages {
 		p := &snap.Pages[i]

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -126,4 +128,86 @@ func fuzzSnapCodec[K num.Key, V any](t *testing.T, data []byte) {
 	if err != nil || !snapsEqual(back, snap) {
 		t.Fatalf("%x re-encodes as %x, which decodes as %+v (%v)", data, again, back, err)
 	}
+}
+
+type wordKey int64
+
+// checkDecodeRun decodes vals' raw form with decodeRun and with the
+// element loop (make + decodeInto): the elements, their re-encoding and the
+// bytes past the run agree, the run owns an array of exactly len(vals)
+// that the wire bytes do not alias, and every truncation fails both ways
+// with the same error.
+func checkDecodeRun[T any](t *testing.T, vals []T) {
+	t.Helper()
+	e := NewElem[T]()
+	n := len(vals)
+	wire := append(e.appendAll(nil, vals), 0xEE, 0xFF) // two bytes past the run
+	got, rest, err := e.decodeRun(n, wire)
+	want := make([]T, n)
+	wantRest, wantErr := e.decodeInto(want, wire)
+	if err != nil || wantErr != nil {
+		t.Fatalf("%T: decodeRun %v, loop %v", vals, err, wantErr)
+	}
+	if len(got) != n || cap(got) != n || !bytes.Equal(rest, wantRest) {
+		t.Fatalf("%T: len %d cap %d rest %x, want %d elements and rest %x", vals, len(got), cap(got), rest, n, wantRest)
+	}
+	enc := e.appendAll(nil, got)
+	if !bytes.Equal(enc, e.appendAll(nil, want)) || !bytes.Equal(enc, wire[:len(wire)-2]) {
+		t.Fatalf("%T: decodeRun and the loop decode differently", vals)
+	}
+	clear(wire)
+	if !bytes.Equal(e.appendAll(nil, got), enc) {
+		t.Fatalf("%T: the decoded run aliases the wire bytes", vals)
+	}
+	wire = e.appendAll(nil, vals)
+	for cut := range len(wire) {
+		_, _, err := e.decodeRun(n, wire[:cut])
+		_, wantErr := e.decodeInto(make([]T, n), wire[:cut])
+		if err == nil || err != wantErr {
+			t.Fatalf("%T: run cut to %d of %d bytes: decodeRun %v, loop %v", vals, cut, len(wire), err, wantErr)
+		}
+	}
+}
+
+// TestDecodeRunEqualsLoopDecode runs checkDecodeRun over every raw kind —
+// the one-copy path takes the 8-byte ones on a little-endian host, the
+// loop every other — at run lengths 0, 1 and 37.
+func TestDecodeRunEqualsLoopDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 37} {
+		words := make([]uint64, n)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		floats := make([]float64, n)
+		for i := range floats {
+			floats[i] = []float64{math.NaN(), math.Copysign(0, -1), math.Inf(1), rng.NormFloat64()}[i%4]
+		}
+		checkDecodeRun(t, words)
+		checkDecodeRun(t, floats)
+		checkDecodeRun(t, mapRun(words, func(w uint64) int64 { return int64(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) int { return int(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) uint { return uint(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) uintptr { return uintptr(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) wordKey { return wordKey(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) int8 { return int8(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) int16 { return int16(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) int32 { return int32(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) uint8 { return uint8(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) uint16 { return uint16(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) narrowKey { return narrowKey(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) uint32 { return uint32(w) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) bool { return w&1 == 1 }))
+		checkDecodeRun(t, mapRun(floats, func(f float64) float32 { return float32(f) }))
+		checkDecodeRun(t, mapRun(words, func(w uint64) string { return fmt.Sprint(w)[:w%5] }))
+	}
+}
+
+// mapRun returns f of every element of xs.
+func mapRun[X, Y any](xs []X, f func(X) Y) []Y {
+	ys := make([]Y, len(xs))
+	for i, x := range xs {
+		ys[i] = f(x)
+	}
+	return ys
 }

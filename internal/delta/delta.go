@@ -91,9 +91,15 @@ func searchString(keys []string, k string) int {
 
 // Get returns the value stored for k.
 func (m Map[K, V]) Get(k K) (V, bool) {
-	var it Iter[K, V]
-	if it.SeekGE(m, k); it.Valid() && it.Key() == k {
-		return it.Value(), true
+	p := m.root
+	for h := m.height; h > 1; h-- {
+		in := (*inner[K])(p)
+		p = in.kids[search(in.keys[:in.n], k)]
+	}
+	if l := (*leaf[K, V])(p); l != nil {
+		if i := search(l.keys[:l.n], k); i > 0 && l.keys[i-1] == k {
+			return l.vals[i-1], true
+		}
 	}
 	var zero V
 	return zero, false
@@ -233,31 +239,42 @@ func FromSorted[K num.Key, V any](keys []K, vals []V) Map[K, V] {
 	if len(keys) != len(vals) {
 		panic("delta: FromSorted: keys and values differ in length")
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			panic("delta: FromSorted: keys not strictly ascending")
-		}
-	}
-	if len(keys) == 0 {
+	return FromSortedFunc(len(keys), func(i int) (K, V) { return keys[i], vals[i] })
+}
+
+// FromSortedFunc is FromSorted over the entries at(0), ..., at(n-1), for a
+// caller whose entries are not two arrays already.
+func FromSortedFunc[K num.Key, V any](n int, at func(i int) (K, V)) Map[K, V] {
+	if n == 0 {
 		return Map[K, V]{}
 	}
 	// firsts[i] is the smallest key under level[i]; parents overwrite both.
-	var level []unsafe.Pointer
-	var firsts []K
-	for at := 0; at < len(keys); at += order {
-		end := min(at+order, len(keys))
-		level, firsts = append(level, newLeaf(keys[at:end], vals[at:end])), append(firsts, keys[at])
+	level := make([]unsafe.Pointer, 0, (n+order-1)/order)
+	firsts := make([]K, 0, cap(level))
+	var l *leaf[K, V]
+	var prev K
+	for i := range n {
+		k, v := at(i)
+		if i > 0 && k <= prev {
+			panic("delta: FromSorted: keys not strictly ascending")
+		}
+		if prev = k; i%order == 0 {
+			l = &leaf[K, V]{}
+			level, firsts = append(level, unsafe.Pointer(l)), append(firsts, k)
+		}
+		l.keys[l.n], l.vals[l.n] = k, v
+		l.n++
 	}
 	h := 1
 	for ; len(level) > 1; h++ {
 		j := 0
-		for at := 0; at < len(level); at, j = at+order, j+1 {
-			end := min(at+order, len(level))
-			level[j], firsts[j] = newInner(firsts[at+1:end], level[at:end]), firsts[at]
+		for i := 0; i < len(level); i, j = i+order, j+1 {
+			end := min(i+order, len(level))
+			level[j], firsts[j] = newInner(firsts[i+1:end], level[i:end]), firsts[i]
 		}
 		level, firsts = level[:j], firsts[:j]
 	}
-	return Map[K, V]{root: level[0], height: h, size: len(keys)}
+	return Map[K, V]{root: level[0], height: h, size: n}
 }
 
 // Ascend calls fn for every entry in ascending key order, stopping early

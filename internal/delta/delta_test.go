@@ -789,7 +789,10 @@ func FuzzDeltaOps(f *testing.F) {
 	})
 }
 
-var sinkMap Map[uint64, *uint64]
+var (
+	sinkMap Map[uint64, *uint64]
+	sinkVal *uint64
+)
 
 // BenchmarkDeltaWith measures one With of a fresh key into a map of n
 // entries — what publishing one write costs at that many pending keys.
@@ -810,6 +813,30 @@ func BenchmarkDeltaWith(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sinkMap = m.With(fresh[i&(len(fresh)-1)], v)
+			}
+		})
+	}
+}
+
+// BenchmarkDeltaGet times one Get at 64, 4 096 and 65 536 entries, half
+// the probes hits and half misses between two entries.
+func BenchmarkDeltaGet(b *testing.B) {
+	for _, n := range []int{64, 4096, 65_536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			var m Map[uint64, *uint64]
+			var held []uint64
+			for m.Len() < n {
+				k := uint64(rng.Intn(8*n)) * 2
+				m, held = m.With(k, new(uint64)), append(held, k)
+			}
+			probes := make([]uint64, 1<<12)
+			for i := range probes {
+				probes[i] = held[rng.Intn(len(held))] + uint64(i&1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkVal, _ = m.Get(probes[i&(len(probes)-1)])
 			}
 		})
 	}

@@ -49,14 +49,24 @@ func (d *Disk) Sync() error { return nil }
 // the call that triggered it and every later Read, Write and Sync return
 // its error, so a write error surfaces at a later call — at the latest at
 // Sync.
+//
+// Reads go ahead on sequential access: a Read of the page after the
+// previous one fills a window of up to runPages pages from it with one file
+// read, and later Reads inside the window copy from it. The window borrows
+// the run buffer's array, which is empty whenever Read runs because Read
+// hands the run over first; every Write drops the window, as the run it
+// grows overwrites it. Any other Read reads its one page from the file.
 type FileDisk struct {
 	f        *os.File
 	pages    int
-	reads    int64
-	writes   int64
 	run      []byte // buffered full pages, from runStart on
 	runStart PageID
 	err      error // the first failed hand-over
+
+	last     PageID // the page the previous Read asked for
+	winStart PageID // the read-ahead window holds winN pages from winStart,
+	winN     int    // in run's array; 0 when it holds none
+	reads    int64  // file reads Read made
 }
 
 // runPages is the most pages one hand-over writes (256 KiB).
@@ -75,7 +85,7 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		return nil, err
 	}
 	pages := int((st.Size() + PageSize - 1) / PageSize)
-	return &FileDisk{f: f, pages: pages, run: make([]byte, 0, runPages*PageSize)}, nil
+	return &FileDisk{f: f, pages: pages, run: make([]byte, 0, runPages*PageSize), last: NilPage - 1}, nil // no first read is sequential
 }
 
 // Allocate extends the device by one zero page.
@@ -102,7 +112,8 @@ func (d *FileDisk) flush() error {
 }
 
 // Read copies page id into buf, zero-filling any part past the file's
-// current end.
+// current end. A page inside the read-ahead window is copied from it; the
+// page after the previous one refills the window from id on.
 func (d *FileDisk) Read(id PageID, buf []byte) error {
 	if int(id) >= d.pages {
 		return fmt.Errorf("pager: read of unallocated page %d", id)
@@ -110,15 +121,25 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 	if err := d.flush(); err != nil {
 		return err
 	}
+	sequential := id == d.last+1
+	d.last = id
+	if i := int(id - d.winStart); id >= d.winStart && i < d.winN {
+		copy(buf, d.run[i*PageSize:(i+1)*PageSize])
+		return nil
+	}
+	dst := buf[:PageSize]
+	if sequential {
+		d.winStart, d.winN = id, min(runPages, d.pages-int(id))
+		dst = d.run[:d.winN*PageSize]
+	}
 	d.reads++
-	buf = buf[:PageSize]
-	n, err := d.f.ReadAt(buf, int64(id)*PageSize)
+	n, err := d.f.ReadAt(dst, int64(id)*PageSize)
 	if err != nil && err != io.EOF {
+		d.winN = 0
 		return err
 	}
-	for i := n; i < PageSize; i++ {
-		buf[i] = 0
-	}
+	clear(dst[n:])
+	copy(buf, dst[:PageSize]) // onto itself unless dst is the window
 	return nil
 }
 
@@ -128,7 +149,7 @@ func (d *FileDisk) Write(id PageID, buf []byte) error {
 	if int(id) >= d.pages {
 		return fmt.Errorf("pager: write of unallocated page %d", id)
 	}
-	d.writes++
+	d.winN = 0
 	if len(buf) < PageSize {
 		if err := d.flush(); err != nil {
 			return err
@@ -165,12 +186,6 @@ func (d *FileDisk) Close() error {
 	}
 	return err
 }
-
-// Reads returns the number of page reads served.
-func (d *FileDisk) Reads() int64 { return d.reads }
-
-// Writes returns the number of page writes received.
-func (d *FileDisk) Writes() int64 { return d.writes }
 
 // ErrInjected is the error FaultDevice operations return once their trip
 // point has been reached.

@@ -234,3 +234,162 @@ func TestFileDiskWriteErrorSticks(t *testing.T) {
 		}
 	})
 }
+
+// readAheadDisks returns a FileDisk and a Disk holding the same n pages of
+// random bytes, the FileDisk's last pages allocated past its file's end
+// and so read as zeroes.
+func readAheadDisks(t *testing.T, rng *rand.Rand, n int) (*FileDisk, *Disk) {
+	t.Helper()
+	file, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { file.Close() })
+	mem := NewDisk()
+	page := make([]byte, PageSize)
+	for id := PageID(0); int(id) < n; id++ {
+		file.Allocate()
+		mem.Allocate()
+		if int(id) >= n-5 {
+			continue // never written: past the end of the file
+		}
+		rng.Read(page)
+		if err := file.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+		mem.Write(id, page)
+	}
+	if err := file.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return file, mem
+}
+
+// TestFileDiskReadAheadMatchesDisk reads a FileDisk and a Disk of the same
+// pages in sequential, reverse and random orders, and in a script that
+// mixes sequential walks with full-page and short writes into the window,
+// allocations and syncs: every read returns the same bytes, zeroes past
+// the file's end included.
+func TestFileDiskReadAheadMatchesDisk(t *testing.T) {
+	const n = 200 // three windows and a part
+	rng := rand.New(rand.NewSource(7))
+	fbuf, mbuf := make([]byte, PageSize), make([]byte, PageSize)
+	read := func(t *testing.T, file *FileDisk, mem *Disk, id PageID) {
+		t.Helper()
+		clear(fbuf)
+		if err := file.Read(id, fbuf); err != nil {
+			t.Fatal(err)
+		}
+		mem.Read(id, mbuf)
+		if !bytes.Equal(fbuf, mbuf) {
+			t.Fatalf("page %d reads differently", id)
+		}
+	}
+	var sequential, reverse, random []PageID
+	for id := PageID(0); id < n; id++ {
+		sequential, reverse = append(sequential, id), append(reverse, n-1-id)
+	}
+	for _, i := range rng.Perm(n) {
+		random = append(random, PageID(i))
+	}
+	for _, order := range []struct {
+		name string
+		ids  []PageID
+	}{{"sequential", sequential}, {"reverse", reverse}, {"random", random}} {
+		t.Run(order.name, func(t *testing.T) {
+			file, mem := readAheadDisks(t, rng, n)
+			for _, id := range order.ids {
+				read(t, file, mem, id)
+			}
+		})
+	}
+
+	t.Run("read-after-write", func(t *testing.T) {
+		file, mem := readAheadDisks(t, rng, n)
+		page := make([]byte, PageSize)
+		at := PageID(0)
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 60: // walk on
+				read(t, file, mem, at)
+				at = (at + 1) % PageID(mem.NumPages())
+			case r < 70: // start a walk elsewhere
+				at = PageID(rng.Intn(mem.NumPages()))
+				read(t, file, mem, at)
+			case r < 82: // a full page just ahead of the walk: inside the window
+				id := min(at+PageID(rng.Intn(8)), PageID(mem.NumPages()-1))
+				rng.Read(page)
+				if err := file.Write(id, page); err != nil {
+					t.Fatal(err)
+				}
+				mem.Write(id, page)
+			case r < 88: // a short write
+				id := PageID(rng.Intn(mem.NumPages()))
+				short := page[:1+rng.Intn(PageSize-1)]
+				rng.Read(short)
+				if err := file.Write(id, short); err != nil {
+					t.Fatal(err)
+				}
+				mem.Write(id, short)
+			case r < 92:
+				file.Allocate()
+				mem.Allocate()
+			default:
+				if err := file.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// TestFileDiskReadAheadReadCount counts the file reads behind Read: a
+// sequential walk of n pages takes at most ⌈n/runPages⌉ + 1, a walk that
+// never reads the page after the previous one takes one per page, and a
+// write drops the window, so the next read goes to the file again.
+func TestFileDiskReadAheadReadCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	buf := make([]byte, PageSize)
+	for _, n := range []int{1, 2, runPages, runPages + 1, 3*runPages + 7} {
+		file, _ := readAheadDisks(t, rng, n+5)
+		for id := PageID(0); int(id) < n; id++ {
+			if err := file.Read(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if max := int64((n+runPages-1)/runPages + 1); file.reads > max {
+			t.Errorf("a sequential walk of %d pages made %d file reads, want <= %d", n, file.reads, max)
+		}
+
+		file, _ = readAheadDisks(t, rng, n+5)
+		var walk []PageID // random, no page right after its predecessor
+		for _, i := range rng.Perm(n + 5) {
+			if len(walk) == 0 || PageID(i) != walk[len(walk)-1]+1 {
+				walk = append(walk, PageID(i))
+			}
+		}
+		for _, id := range walk {
+			if err := file.Read(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if file.reads != int64(len(walk)) {
+			t.Errorf("a random walk of %d pages made %d file reads", len(walk), file.reads)
+		}
+	}
+
+	file, _ := readAheadDisks(t, rng, 10)
+	for _, id := range []PageID{0, 1, 2} {
+		file.Read(id, buf)
+	}
+	if file.reads != 2 {
+		t.Fatalf("pages 0..2 took %d file reads, want 2 (page 1 fills the window)", file.reads)
+	}
+	if err := file.Write(7, buf); err != nil {
+		t.Fatal(err)
+	}
+	file.Read(3, buf) // inside the old window, but the write dropped it
+	if file.reads != 3 {
+		t.Fatalf("pages 0..3 around a write took %d file reads, want 3", file.reads)
+	}
+}

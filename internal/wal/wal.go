@@ -1,10 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"sync/atomic"
 
@@ -110,7 +110,7 @@ func Open(fsys FS, name string) (*Log, []Record, OpenStats, error) {
 	stats.Records = len(records)
 	stats.TornBytes = len(data) - consumed
 	stats.TruncatedAt = consumed
-	stats.CorruptFrames = countCorruptFrames(data[consumed:])
+	stats.CorruptFrames = countFrames(data[consumed:])
 	if stats.TornBytes > 0 {
 		// Repair: rewrite the intact prefix and atomically swap it in, so
 		// the torn bytes cannot resurface.
@@ -129,22 +129,31 @@ func Open(fsys FS, name string) (*Log, []Record, OpenStats, error) {
 	return l, records, stats, nil
 }
 
-// readAll returns the full content of name.
+// readAll returns the full content of name: in one allocation when the
+// file reports its size, the spare bytes seeing the end of file.
 func readAll(fsys FS, name string) ([]byte, error) {
 	r, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return io.ReadAll(r)
+	var size int64
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if st, err := f.Stat(); err == nil {
+			size = st.Size()
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err = buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // parseRecords decodes the longest intact record prefix of data, returning
 // the records and the number of bytes they occupy. Parsing stops at the
 // first frame that is truncated, oversized, fails its checksum, or breaks
-// LSN monotonicity.
+// LSN monotonicity. Every payload aliases data.
 func parseRecords(data []byte) ([]Record, int) {
-	var records []Record
+	records := make([]Record, 0, countFrames(data))
 	at := 0
 	var prevLSN uint64
 	for len(data)-at >= recordHeader {
@@ -163,7 +172,7 @@ func parseRecords(data []byte) ([]Record, int) {
 		}
 		records = append(records, Record{
 			LSN:     lsn,
-			Payload: append([]byte(nil), body[8:]...),
+			Payload: body[8:len(body):len(body)],
 		})
 		prevLSN = lsn
 		at += recordHeader + n
@@ -171,23 +180,23 @@ func parseRecords(data []byte) ([]Record, int) {
 	return records, at
 }
 
-// countCorruptFrames walks the discarded tail counting structurally
-// complete frames — a sane length field with the whole body present —
-// that parseRecords nevertheless rejected (bad checksum or broken LSN
+// countFrames counts the structurally complete frames — a sane length
+// field with the whole body present — at the front of tail: over the tail
+// parseRecords discarded, those it rejected (bad checksum or broken LSN
 // monotonicity). The walk stops at the first incomplete or unparseable
 // frame: whatever follows is indistinguishable from a torn append.
-func countCorruptFrames(tail []byte) int {
-	corrupt := 0
+func countFrames(tail []byte) int {
+	frames := 0
 	at := 0
 	for len(tail)-at >= recordHeader {
 		n := int(binary.LittleEndian.Uint32(tail[at:]))
 		if n > maxRecordSize || at+recordHeader+n > len(tail) {
 			break
 		}
-		corrupt++
+		frames++
 		at += recordHeader + n
 	}
-	return corrupt
+	return frames
 }
 
 // appendFrame appends one framed record to buf.
@@ -339,19 +348,19 @@ func (l *Log) Truncate(upTo uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: truncate read: %w", err)
 	}
-	records, _ := parseRecords(data)
-	buf := make([]byte, 0, 1024)
-	kept := 0
+	// LSNs ascend, so the kept records are the intact frames from at on.
+	records, end := parseRecords(data)
+	at, kept := 0, len(records)
 	for _, r := range records {
 		if r.LSN > upTo {
-			buf = appendFrame(buf, r.LSN, r.Payload)
-			kept++
+			break
 		}
+		at, kept = at+recordHeader+len(r.Payload), kept-1
 	}
 	if kept == len(records) {
 		return nil // nothing to drop
 	}
-	if err := rewrite(l.fs, l.name, buf); err != nil {
+	if err := rewrite(l.fs, l.name, data[at:end]); err != nil {
 		return fmt.Errorf("wal: truncate rewrite: %w", err)
 	}
 	// Swap the append handle to the new file. The old handle points at the

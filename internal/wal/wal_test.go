@@ -384,3 +384,39 @@ func TestDirFSRoundTrip(t *testing.T) {
 		t.Fatalf("after dir truncate: %d records, first LSN %v", len(recs), recs)
 	}
 }
+
+// TestReplayedPayloadsAliasOnlyThemselves replays a log from a real
+// directory, which Open reads in one allocation (the file reports its
+// size), and grows every payload by more than a frame header: each is
+// capped at its own length, so no append reaches the next record.
+func TestReplayedPayloadsAliasOnlyThemselves(t *testing.T) {
+	fsys, err := NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, _, err := Open(fsys, "wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("op-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, stats, err := Open(fsys, "wal.log")
+	if err != nil || len(recs) != 500 || stats.TornBytes != 0 {
+		t.Fatalf("replayed %d records, torn %d: %v", len(recs), stats.TornBytes, err)
+	}
+	suffix := bytes.Repeat([]byte{'x'}, recordHeader+4)
+	for i := range recs {
+		recs[i].Payload = append(recs[i].Payload, suffix...)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("op-%d%s", i, suffix); string(r.Payload) != want {
+			t.Fatalf("record %d reads %q after the appends, want %q", i, r.Payload, want)
+		}
+	}
+}

@@ -815,21 +815,20 @@ func (d *odelta[K, V]) ops() []core.MergeOp[K, V] {
 
 // deltaFromOps bulk-loads a delta from a sorted op list (CompactOps
 // output), whose elements become the entries, with a filter sized for
-// them; nil when the list is empty.
+// them; nil when the list is empty. The leaves are filled from the list
+// itself, with no key or entry array in between.
 func deltaFromOps[K Key, V any](ops []core.MergeOp[K, V]) *odelta[K, V] {
 	if len(ops) == 0 {
 		return nil
 	}
-	d := &odelta[K, V]{}
-	keys := make([]K, len(ops))
-	ents := make([]*core.MergeOp[K, V], len(ops))
-	for i := range ops {
-		keys[i], ents[i] = ops[i].Key, &ops[i]
-		d.addN += len(ops[i].Adds)
-		d.delN += ops[i].Dels + len(ops[i].Tombs)
-	}
-	d.m = delta.FromSorted(keys, ents)
-	d.f = filterOf(d.m, len(keys))
+	d := &odelta[K, V]{f: make(keyFilter, (len(ops)+3)/4)}
+	d.m = delta.FromSortedFunc(len(ops), func(i int) (K, *core.MergeOp[K, V]) {
+		op := &ops[i]
+		d.addN += len(op.Adds)
+		d.delN += op.Dels + len(op.Tombs)
+		d.f.add(keyHash(op.Key))
+		return op.Key, op
+	})
 	return d
 }
 
