@@ -14,7 +14,8 @@ import (
 )
 
 // This file holds the per-shard halves of the durability protocol: the
-// commit log a durable store plugs into each shard's writer section,
+// op encoding a durable store plugs into each shard's writer section
+// (group commit itself — batch, barriers, poison — is internal/wal's),
 // loading one shard's checkpoint chunks, composing its WAL tail into one
 // frozen layer, folding its pending layers for a cut, and writing or
 // releasing its chunk blobs.
@@ -22,28 +23,16 @@ import (
 // — is DurableSharded (durable_sharded.go); a one-shard store is the same
 // code with one shard.
 
-// walShared is what every shard log of one durable store shares: the op
-// codec, the group-commit batch, and the logs' group — its background
-// barriers in flight and the sticky write-path poison (first error wins).
-type walShared[K Key, V any] struct {
-	codec     opCodec[K, V]
-	syncEvery atomic.Int64 // group-commit batch, per shard
-	group     wal.Group
-}
-
-// shardLog is one shard's commit log: its private WAL plus the
-// group-commit counter. It is attached to the shard's Optimistic and only
-// ever touched under that shard's writer mutex, which makes append order
-// apply order. Any WAL error poisons the whole store: the failed log's
-// tail state is unknown (a torn frame may sit where the next append would
-// land; a failed fsync leaves the durability of everything since the
-// previous barrier unknown), and once one log is in that state no write
-// anywhere can be honestly acknowledged.
+// shardLog is one shard's commit log as its writer section sees it: the
+// shard's WAL and the buffer its ops are encoded into. It is attached to
+// the shard's Optimistic and only ever touched under that shard's writer
+// mutex, which makes append order apply order. The WAL owns the rest of
+// group commit: the batch, the barriers and the store-wide poison live in
+// its wal.Group.
 type shardLog[K Key, V any] struct {
-	*walShared[K, V]
-	wal      *wal.Log
-	unsynced int    // appends since the last barrier began
-	buf      []byte // the record being appended; the log copies it into its frame
+	*wal.Log
+	codec *opCodec[K, V]
+	buf   []byte // the record being appended; the log copies it into its frame
 }
 
 // append encodes one op and appends its record. An encode error (an
@@ -55,45 +44,8 @@ func (l *shardLog[K, V]) append(op byte, k K, v V) error {
 		return err
 	}
 	l.buf = payload
-	if _, err := l.wal.Append(payload); err != nil {
-		l.group.Fail(err)
-		return err
-	}
-	return nil
-}
-
-// commit counts one appended-and-applied op against the group-commit
-// batch. A full batch of one syncs on the writer; a larger one starts a
-// background barrier, or grows while the shard's last one is in flight.
-func (l *shardLog[K, V]) commit() error {
-	l.unsynced++
-	n := int(l.syncEvery.Load())
-	if l.unsynced < n {
-		return nil
-	}
-	if n == 1 {
-		return l.sync()
-	}
-	started, err := l.wal.SyncBehind() // a failed barrier poisoned already
-	if started {
-		l.unsynced = 0
-	}
+	_, err = l.Append(payload)
 	return err
-}
-
-// sync waits for the shard's background barrier, then runs its own if
-// anything came after.
-func (l *shardLog[K, V]) sync() error {
-	err := l.wal.Wait()
-	if err == nil && l.unsynced > 0 {
-		err = l.wal.Sync()
-	}
-	if err != nil {
-		l.group.Fail(err)
-		return err
-	}
-	l.unsynced = 0
-	return nil
 }
 
 // loadCheckpoint is the one loader of a stored cut: it decodes every
@@ -160,12 +112,18 @@ func loadCheckpoint[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K
 		}()
 	}
 	reachable = c.mchain
+	largest := 0 // the largest blob read so far: a fresh buffer's size
 	for i := 0; i < len(chunkHeads) && !failed.Load(); i++ {
-		blob, chain, err := store.GetChain(chunkHeads[i], <-ring, reachable)
+		buf := <-ring
+		if buf == nil {
+			buf = make([]byte, 0, largest)
+		}
+		blob, chain, err := store.GetChain(chunkHeads[i], buf, reachable)
 		if err != nil {
 			errs[i] = err
 			break
 		}
+		largest = max(largest, len(blob))
 		chunks[i].Pages, chunks[i].Bytes = len(chain)-len(reachable), len(blob)
 		reachable = chain
 		if workers > 1 {

@@ -72,8 +72,8 @@ func keySpan(d *DurableSharded[int, int]) int {
 	return hi + 1
 }
 
-// countingDev counts Read calls and hides the disk's PageView, so every
-// page a chain walk touches is one Read.
+// countingDev counts Read calls: every page a chain walk touches is one
+// Read.
 type countingDev struct {
 	pager.Device
 	reads atomic.Int64
@@ -406,8 +406,7 @@ func (o *overlap) enter() {
 
 func (o *overlap) exit() { o.busy.Store(0) }
 
-// serialDev is a Device that reports overlapping calls. It hides PageView,
-// so reads take the copying path a real device has.
+// serialDev is a Device that reports overlapping calls.
 type serialDev struct {
 	inner pager.Device
 	o     *overlap

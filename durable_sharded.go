@@ -89,20 +89,23 @@ func shardWALName(gen uint64, i int) string {
 //     the next open recovers whichever generation it names and sweeps the
 //     logs of the generations on either side (sweepGeneration).
 //
-// Any WAL or device error on the write path poisons the store (see
-// shardLog): Err turns sticky, every later write and Checkpoint fails fast
-// (an acknowledged write that replay cannot see must never happen), and
-// Close skips the final checkpoint — the last committed cut plus the
-// synced log prefixes already hold everything acknowledged. Reads stay
-// latch-free, snapshot-consistent and unaffected throughout.
+// Any WAL or device error on the write path poisons the store (the logs'
+// wal.Group records it): Err turns sticky, every later write and
+// Checkpoint fails fast (an acknowledged write that replay cannot see must
+// never happen), and Close skips the final checkpoint — the last committed
+// cut plus the synced log prefixes already hold everything acknowledged.
+// Reads stay latch-free, snapshot-consistent and unaffected throughout.
 //
 // Lock order: reshape (the engine's) → ckptMu → a shard's writer mutex.
 type DurableSharded[K Key, V any] struct {
 	shardEngine[K, V]
-	walShared[K, V]
 
-	snap core.SnapCodec[K, V]
-	fsys wal.FS
+	codec opCodec[K, V]
+	snap  core.SnapCodec[K, V]
+	// group is what every shard's WAL shares: the group-commit batch, the
+	// background barriers in flight and the write-path poison.
+	group wal.Group
+	fsys  wal.FS
 
 	// ckptMu serializes checkpoints and rebalance commits and guards the
 	// fields below.
@@ -304,18 +307,17 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 // plugs it into its own engine.
 func newDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, want int) (*DurableSharded[K, V], error) {
 	d := &DurableSharded[K, V]{
-		walShared: walShared[K, V]{codec: newOpCodec[K, V]()},
-		snap:      core.NewSnapCodec[K, V](),
-		fsys:      fsys,
-		store:     pager.NewStore(dev),
-		heads:     make(map[uint64]pager.PageID),
-		trigger:   make(chan struct{}, 1),
+		codec:   newOpCodec[K, V](),
+		snap:    core.NewSnapCodec[K, V](),
+		fsys:    fsys,
+		store:   pager.NewStore(dev),
+		heads:   make(map[uint64]pager.PageID),
+		trigger: make(chan struct{}, 1),
 	}
 	if err := d.init(opts, want); err != nil {
 		return nil, err
 	}
 	d.durable = d
-	d.syncEvery.Store(1)
 	return d, nil
 }
 
@@ -331,7 +333,7 @@ func (d *DurableSharded[K, V]) attach(set *shardSet[K, V], logs []*wal.Log) {
 	}
 	for i, sh := range set.shards {
 		logs[i].Share(&d.group)
-		sh.log = &shardLog[K, V]{walShared: &d.walShared, wal: logs[i]}
+		sh.log = &shardLog[K, V]{Log: logs[i], codec: &d.codec}
 		sh.SetFlushHook(kick)
 	}
 }
@@ -526,7 +528,7 @@ func (d *DurableSharded[K, V]) SetSyncEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetSyncEvery batch must be >= 1")
 	}
-	d.syncEvery.Store(int64(n))
+	d.group.SetBatch(n)
 }
 
 // Sync is the explicit cross-shard group-commit barrier: after it
@@ -536,14 +538,11 @@ func (d *DurableSharded[K, V]) SetSyncEvery(n int) {
 func (d *DurableSharded[K, V]) Sync() error {
 	d.reshape.RLock()
 	defer d.reshape.RUnlock()
-	if err := d.group.Err(); err != nil {
-		return err
-	}
 	ss := d.set.Load()
 	errs := make([]error, len(ss.shards))
 	forEachShardParallel(ss.shards, func(i int, sh *Optimistic[K, V]) {
 		sh.mu.Lock()
-		errs[i] = sh.log.sync()
+		errs[i] = sh.log.Barrier()
 		sh.mu.Unlock()
 	})
 	for _, err := range errs {
@@ -590,7 +589,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 	states := make([]*ostate[K, V], len(set.shards))
 	for i, sh := range set.shards {
 		sh.mu.Lock()
-		cuts[i] = sh.log.wal.NextLSN()
+		cuts[i] = sh.log.NextLSN()
 		states[i] = sh.state.Load()
 		sh.mu.Unlock()
 	}
@@ -671,7 +670,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 			continue
 		}
 		sh.mu.Lock()
-		err := sh.log.wal.Truncate(cuts[i] - 1)
+		err := sh.log.Truncate(cuts[i] - 1)
 		sh.mu.Unlock()
 		if err != nil {
 			return stats, err
@@ -709,7 +708,7 @@ func (d *DurableSharded[K, V]) beginRebalance() (func(), error) {
 func (d *DurableSharded[K, V]) commitRebalance(old, next *shardSet[K, V]) error {
 	logs := make([]*wal.Log, len(old.shards))
 	for i, sh := range old.shards {
-		logs[i] = sh.log.wal
+		logs[i] = sh.log.Log
 	}
 	if err := d.switchGeneration(next, d.generation+1, logs); err != nil {
 		d.group.Fail(err)
@@ -834,7 +833,7 @@ func (d *DurableSharded[K, V]) Close() error {
 	}
 	for _, sh := range ss.shards {
 		sh.mu.Lock()
-		err := sh.log.wal.Close()
+		err := sh.log.Close()
 		sh.mu.Unlock()
 		if cerr == nil {
 			cerr = err
@@ -853,7 +852,7 @@ func (d *DurableSharded[K, V]) Stats() Stats {
 	s := d.shardEngine.Stats()
 	for _, sh := range d.set.Load().shards {
 		sh.mu.Lock()
-		s.WALRecords += sh.log.wal.Len()
+		s.WALRecords += sh.log.Len()
 		sh.mu.Unlock()
 	}
 	for _, ws := range d.walStats {

@@ -70,9 +70,9 @@ func blobChainStore(seed int64, sizes []int, rewrites int) blobChainSeed {
 // file holding them and as an in-memory Disk, and runs a fuzzed script of
 // ReadSuper, Get and Chain calls at fuzzed heads on a Store over each:
 // both return the same superblock, bytes and page ids or fail with the
-// same error, and neither panics or loops. The Disk serves zero-copy page
-// views; the FileDisk reads the file ahead through its window, so this is
-// the window's differential oracle. Seeded with real stores, one with a
+// same error, and neither panics or loops. The Disk copies each page out
+// of memory; the FileDisk reads the file ahead through its window, so this
+// is the window's differential oracle. Seeded with real stores, one with a
 // blob longer than a window.
 func FuzzBlobChain(f *testing.F) {
 	for _, sd := range []blobChainSeed{

@@ -61,17 +61,6 @@ func (d *Disk) Write(id PageID, buf []byte) error {
 	return nil
 }
 
-// PageView returns a read-only view of page id without copying, counting
-// one read. Callers must not write through or retain the slice past the
-// next Write to the page. Implements the optional PageViewer fast path.
-func (d *Disk) PageView(id PageID) ([]byte, error) {
-	if int(id) >= len(d.pages) {
-		return nil, fmt.Errorf("pager: read of unallocated page %d", id)
-	}
-	d.reads++
-	return d.pages[id], nil
-}
-
 // Reads returns the number of page reads served by the disk.
 func (d *Disk) Reads() int64 { return d.reads }
 

@@ -167,26 +167,6 @@ func (s *Store) Device() Device { return s.dev }
 // FreePages returns the number of immediately reusable pages.
 func (s *Store) FreePages() int { return len(s.free) }
 
-// PageViewer is the optional zero-copy read path: an in-memory device can
-// hand out a view of a page instead of copying it into the caller's
-// buffer. The view is only valid until the page is next written.
-type PageViewer interface {
-	PageView(id PageID) ([]byte, error)
-}
-
-// readPage reads page id through the device's zero-copy view when it has
-// one, falling back to a copy into the scratch buffer. The returned slice
-// follows PageViewer's validity rules either way.
-func (s *Store) readPage(id PageID) ([]byte, error) {
-	if v, ok := s.dev.(PageViewer); ok {
-		return v.PageView(id)
-	}
-	if err := s.dev.Read(id, s.scratch); err != nil {
-		return nil, err
-	}
-	return s.scratch, nil
-}
-
 // alloc returns the lowest free page, extending the device when none is
 // free.
 func (s *Store) alloc() PageID {
@@ -275,8 +255,7 @@ func (s *Store) Get(head PageID) ([]byte, error) {
 // reachability set and should not pay the page reads twice — and
 // remembers the chain for a later Free. The blob is appended to data and
 // the ids to ids, so a caller looping over many blobs can recycle both
-// backing arrays (pass them back re-sliced to zero length); the bytes are
-// copied, never a view into a PageViewer's page.
+// backing arrays (pass them back re-sliced to zero length).
 func (s *Store) GetChain(head PageID, data []byte, ids []PageID) ([]byte, []PageID, error) {
 	start := len(ids)
 	data, ids, err := s.walk(head, data, ids, true)
@@ -303,8 +282,8 @@ func (s *Store) walk(head PageID, data []byte, ids []PageID, payload bool) ([]by
 		if len(ids)-start >= s.dev.NumPages() {
 			return nil, nil, fmt.Errorf("pager: blob chain from page %d cycles", head)
 		}
-		buf, err := s.readPage(id)
-		if err != nil {
+		buf := s.scratch
+		if err := s.dev.Read(id, buf); err != nil {
 			return nil, nil, err
 		}
 		if binary.LittleEndian.Uint32(buf[0:]) != crc32.Checksum(buf[4:], storeCRC) {

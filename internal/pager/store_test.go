@@ -259,8 +259,7 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// readCounter counts Read calls; it deliberately has no PageView, so every
-// page a walk touches is one Read.
+// readCounter counts Read calls: every page a walk touches is one Read.
 type readCounter struct {
 	Device
 	reads int

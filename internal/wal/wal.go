@@ -66,18 +66,28 @@ type Log struct {
 	nextLSN uint64
 	records int // records appended, held ones included
 
-	group *Group
-	buf   []byte     // framed records not yet written
-	spare []byte     // the other buffer; the in-flight barrier writes from it
-	done  chan error // the in-flight barrier's result; nil when none is
+	group    *Group
+	unsynced int        // ops committed since the last barrier began
+	buf      []byte     // framed records not yet written
+	spare    []byte     // the other buffer; the in-flight barrier writes from it
+	done     chan error // the in-flight barrier's result; nil when none is
 }
 
-// Group is what the logs of one store share: their background barriers in
-// flight, and the first failure one of them (or the owner) recorded.
+// Group is what the logs of one store share: the group-commit batch, their
+// background barriers in flight, and the sticky poison — the first failure
+// one of them (or the owner) recorded. Once a failure is recorded, the
+// tail of some log is unknown (a torn frame may sit where the next append
+// would land; a failed fsync leaves everything since the previous barrier
+// in doubt), so no log of the group acknowledges anything again.
 type Group struct {
+	batch    atomic.Int64 // ops per barrier, per log; below 2, every op syncs
 	inflight atomic.Int32
 	failed   atomic.Pointer[error]
 }
+
+// SetBatch sets the group-commit batch: each log of g syncs every n (or
+// more) of its committed ops instead of every op.
+func (g *Group) SetBatch(n int) { g.batch.Store(int64(n)) }
 
 // Fail records err unless a failure is recorded already.
 func (g *Group) Fail(err error) { g.failed.CompareAndSwap(nil, &err) }
@@ -90,8 +100,12 @@ func (g *Group) Err() error {
 	return nil
 }
 
-// Share makes l one of g's logs. Until then every Append writes through.
+// Share makes l one of g's logs. Until then it is alone in a group of its
+// own.
 func (l *Log) Share(g *Group) { l.group = g }
+
+// Err returns the failure recorded in the log's group, nil when none.
+func (l *Log) Err() error { return l.group.Err() }
 
 // Open opens (or creates) the log called name inside fsys, replaying every
 // intact record. A torn tail — trailing bytes that do not parse into a
@@ -122,7 +136,7 @@ func Open(fsys FS, name string) (*Log, []Record, OpenStats, error) {
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("wal: open %s: %w", name, err)
 	}
-	l := &Log{fs: fsys, name: name, f: f, records: len(records)}
+	l := &Log{fs: fsys, name: name, f: f, records: len(records), group: new(Group)}
 	if n := len(records); n > 0 {
 		l.nextLSN = records[n-1].LSN + 1
 	}
@@ -236,16 +250,21 @@ func rewrite(fsys FS, name string, data []byte) error {
 // Append frames one record with the next LSN into the log's buffer, written
 // at once (held records first) unless a barrier of its Group is in flight,
 // and returns that LSN. A failed append may leave a torn frame at the
-// file's tail; the next Open cuts it off, so the LSN is not advanced.
+// file's tail; the next Open cuts it off, so the LSN is not advanced. The
+// failure is recorded in the group, and a group that recorded one refuses
+// every later append.
 func (l *Log) Append(payload []byte) (uint64, error) {
+	if err := l.group.Err(); err != nil {
+		return 0, err
+	}
 	if len(payload) > maxRecordSize {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), maxRecordSize)
+		return 0, l.fail(fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), maxRecordSize))
 	}
 	lsn := l.nextLSN
 	l.buf = appendFrame(l.buf, lsn, payload)
-	if l.group == nil || l.group.inflight.Load() == 0 {
+	if l.group.inflight.Load() == 0 {
 		if err := l.flush(); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	l.nextLSN = lsn + 1
@@ -253,10 +272,18 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
+// fail records err, when there is one, in the log's group and returns it.
+func (l *Log) fail(err error) error {
+	if err != nil {
+		l.group.Fail(err)
+	}
+	return err
+}
+
 // flush waits for the log's barrier, then writes the held records with
 // one Write. After a failure they are dropped: nothing is acknowledged.
 func (l *Log) flush() error {
-	err := l.Wait()
+	err := l.wait()
 	if err == nil && len(l.buf) > 0 {
 		_, err = l.f.Write(l.buf)
 	}
@@ -264,9 +291,9 @@ func (l *Log) flush() error {
 	return err
 }
 
-// Wait waits for the log's background barrier, if any, and returns its
+// wait waits for the log's background barrier, if any, and returns its
 // error.
-func (l *Log) Wait() error {
+func (l *Log) wait() error {
 	if l.done == nil {
 		return nil
 	}
@@ -275,10 +302,54 @@ func (l *Log) Wait() error {
 	return err
 }
 
-// Sync is the group-commit barrier: after it returns nil, every record
-// appended so far survives a crash. A failed background barrier is
-// returned without a new fsync.
-func (l *Log) Sync() error {
+// Commit counts one appended-and-applied op against the group's batch.
+// The batch's n-th op since the last barrier began syncs: with a batch of
+// one, on the caller (one Write, one fsync); with a larger one, in the
+// background (SyncBehind), the batch growing while the log's last barrier
+// is still in flight. A group that recorded a failure returns it.
+func (l *Log) Commit() error {
+	if err := l.group.Err(); err != nil {
+		return err
+	}
+	l.unsynced++
+	n := l.group.batch.Load()
+	if int64(l.unsynced) < n {
+		return nil
+	}
+	if n <= 1 {
+		return l.Barrier()
+	}
+	started, err := l.SyncBehind() // a failed barrier is recorded already
+	if started {
+		l.unsynced = 0
+	}
+	return err
+}
+
+// Barrier is the owner's group-commit barrier: it waits for the log's
+// background barrier, then syncs if ops were committed since that one
+// began. After it returns nil, every committed op survives a crash. A
+// group that recorded a failure returns it and syncs nothing.
+func (l *Log) Barrier() error {
+	err := l.group.Err()
+	if err == nil {
+		err = l.wait() // a failed barrier is recorded already
+	}
+	if err == nil && l.unsynced > 0 {
+		err = l.Sync()
+	}
+	if err == nil {
+		l.unsynced = 0
+	}
+	return err
+}
+
+// Sync writes the held records and fsyncs: after it returns nil, every
+// record appended so far survives a crash. A failed background barrier is
+// returned without a new fsync. A failure is recorded in the group.
+func (l *Log) Sync() error { return l.fail(l.sync()) }
+
+func (l *Log) sync() error {
 	if err := l.flush(); err != nil {
 		return err
 	}
@@ -292,18 +363,19 @@ func (l *Log) SyncBehind() (bool, error) {
 	if l.done != nil && len(l.done) == 0 {
 		return false, nil
 	}
-	if err := l.Wait(); err != nil {
+	if err := l.wait(); err != nil {
 		return false, err
 	}
 	l.buf, l.spare, l.done = l.spare[:0], l.buf, make(chan error, 1)
 	l.group.inflight.Add(1)
-	go barrier(l.f, l.spare, l.group, l.done)
+	go runBarrier(l.f, l.spare, l.group, l.done)
 	return true, nil
 }
 
-// barrier runs a background barrier. The count drops after the result is
-// sent, so an append that sees none in flight may reuse file and buffer.
-func barrier(f File, buf []byte, g *Group, done chan<- error) {
+// runBarrier runs a background barrier and records its failure in the
+// group. The count drops after the result is sent, so an append that sees
+// none in flight may reuse file and buffer.
+func runBarrier(f File, buf []byte, g *Group, done chan<- error) {
 	var err error
 	if len(buf) > 0 {
 		_, err = f.Write(buf)
@@ -375,10 +447,11 @@ func (l *Log) Truncate(upTo uint64) error {
 	return nil
 }
 
-// Close syncs and releases the log's file handle. The log must not be
-// used afterwards.
+// Close syncs and releases the log's file handle; unlike Sync, its
+// failure is not recorded in the group. The log must not be used
+// afterwards.
 func (l *Log) Close() error {
-	err := l.Sync()
+	err := l.sync()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

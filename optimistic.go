@@ -474,7 +474,7 @@ func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 		o.roundDone.Wait()
 	}
 	if o.log != nil {
-		if err := o.log.group.Err(); err != nil {
+		if err := o.log.Err(); err != nil {
 			return false, err
 		}
 	}
@@ -495,7 +495,7 @@ func (o *Optimistic[K, V]) apply(op byte, k K, v V) (bool, error) {
 	}
 	o.publishWrite(o.maybeFlush(&ostate[K, V]{tree: st.tree, frozen: st.frozen, delta: delta, size: size}))
 	if o.log != nil {
-		return true, o.log.commit()
+		return true, o.log.Commit()
 	}
 	return true, nil
 }
