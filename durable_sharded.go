@@ -598,7 +598,7 @@ func (d *DurableSharded[K, V]) checkpointLocked(set *shardSet[K, V], generation 
 	newOrder := make([]uint64, 0, len(d.order))
 	mshards := make([]core.ShardCut, len(set.shards))
 	for i, st := range states {
-		tree := st.fold()
+		tree, _ := st.fold()
 		ids, chunks, written, reused, err := writeDirtyChunks(d.store, d.snap, tree, d.heads, newHeads)
 		if err != nil {
 			d.store.Rollback()

@@ -173,5 +173,6 @@ func AssembleChunks[K num.Key, V any](snaps []ChunkSnap[K, V], opts Options) (*T
 		t.npages += len(run.pages)
 	}
 	t.setChunks(chunks)
+	t.fill0 = fillOf(t.size, t.npages) // a load is the tree's last whole build
 	return t, nil
 }

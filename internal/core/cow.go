@@ -90,10 +90,7 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 		// tree, so copying the spine would be pure waste.
 		return t
 	}
-	nt := &Tree[K, V]{
-		opts:     t.opts,
-		counters: t.counters,
-	}
+	nt := &Tree[K, V]{opts: t.opts, counters: t.counters, fill0: t.fill0, reconeAt: t.reconeAt}
 
 	addN := 0
 	for _, op := range ops {
@@ -112,8 +109,9 @@ func (t *Tree[K, V]) mergeLayer(ops []MergeOp[K, V]) *Tree[K, V] {
 				vals = append(vals, v)
 			}
 		}
-		pages := t.buildPages(keys, vals, nil, 0, &nt.counters)
+		pages := t.buildPages(keys, vals, &nt.counters)
 		nt.npages = stampIDs([][]*page[K, V]{pages})
+		nt.fill0 = fillOf(addN, nt.npages) // a whole build
 		var run pageRun[K, V]
 		run.add(t.opts.segError(), pages...)
 		nt.setChunks(cutChunks(run))
@@ -212,11 +210,17 @@ const (
 // worker rebuilds is merged into it and then cut into pages that own
 // their arrays, so a fold allocates (and clears) no run per region, and
 // the buffer — stale value pointers included — is garbage as soon as
-// rebuildRegions returns.
+// rebuildRegions returns. adds locates the region's inserted keys in the
+// run, one span per op, and added counts them.
 type regionScratch[K num.Key, V any] struct {
-	keys []K
-	vals []V
+	keys  []K
+	vals  []V
+	adds  []addSpan
+	added int
 }
+
+// addSpan is the run positions [at, at+n) of one op's adds.
+type addSpan struct{ at, n int }
 
 // rebuildRegions fills rebuilt[i] with the pages that replace dirty
 // interval ivs[i], counting the work in ctr, and returns how many elements
@@ -264,69 +268,85 @@ func (t *Tree[K, V]) rebuildRegions(ivs []cowInterval, ops []MergeOp[K, V], rebu
 }
 
 // rebuildRegion merges one dirty interval's pages with its ops (in s) and
-// builds the pages that replace them.
+// builds the pages that replace them: the region's one page refit, or the
+// run re-segmented into loose pages.
 func (t *Tree[K, V]) rebuildRegion(iv cowInterval, ops []MergeOp[K, V], s *regionScratch[K, V], ctr *Counters) ([]*page[K, V], int) {
 	deleted := t.mergeRegion(iv, ops, s)
-	var only *page[K, V] // the region's page, when it has just one
-	moved := 0           // the run's elements before this position are only's, unmoved
-	if iv.loCI == iv.hiCI && iv.loPI == iv.hiPI {
-		only = t.chunks[iv.loCI].pages[iv.loPI]
-		if len(only.bufKeys) == 0 && only.deletes == 0 {
-			// Ops ascend, so everything before the first op's key was copied
-			// through in place. A page with an insert buffer interleaves it
-			// with the data, and one with in-place deletes was accepted under
-			// a window widened by them: both are checked from the start.
-			moved, _ = findKey(only.keys, ops[0].Key)
+	if len(s.keys) > 0 && iv.loCI == iv.hiCI && iv.loPI == iv.hiPI {
+		if p := t.refit(t.chunks[iv.loCI].pages[iv.loPI], s, deleted); p != nil {
+			ctr.add(Counters{Merges: 1, PagesMade: 1, Refits: 1})
+			return []*page[K, V]{p}, deleted
 		}
 	}
-	return t.buildPages(s.keys, s.vals, only, moved, ctr), deleted
+	pages := t.buildPages(s.keys, s.vals, ctr)
+	for _, p := range pages {
+		p.loose = true
+	}
+	return pages, deleted
 }
 
-// buildPages turns a sorted merged run into fresh pages under the tree's
-// segmentation bound, counting the work in ctr. The run is only read, and
-// every page gets arrays of its own, exactly its size (ownCopy): the run is
-// a worker's scratch, and a page that shared an array with its siblings
-// would keep all of it alive for as long as any one of them survives.
+// refit returns the run in s, which replaces the one page only after
+// deleted elements left it, as one page under only's line — same start,
+// same slope — when that line still predicts every key of the run within
+// the tree's bound; nil when it does not. What the paper guarantees is the
+// bound, checked here key by key; the cone is only the way a slope is found
+// when none is known. A few inserts rarely push a page out of its bound,
+// while the greedy cone re-run on slightly denser data routinely splits a
+// page the old slope still covers.
 //
-// only is the page the run replaces when the dirty region was that one
-// page (nil otherwise), and moved the position before which the run is that
-// page's data unmoved. They buy a refit before re-segmenting: when only's
-// own line — same start, same slope — still predicts every key of the run
-// within the tree's bound, the run stays one page under the old model
-// (counted in Refits). What the paper guarantees is the bound, and the
-// bound is checked here key by key; the cone is only the way a slope is
-// found when none is known. A few inserts rarely push a page out of its
-// bound, while the greedy cone re-run on slightly denser data routinely
-// splits a page the old slope still covers, so skipping it saves the
-// segmentation pass and the page growth.
-//
-// The check starts at moved: the elements before it are the old page's,
-// at the positions they had under the very (start, slope, bound) that
-// accepted them when that page was built, so only what the batch moved —
-// everything from its first op's position on — is tested.
-func (t *Tree[K, V]) buildPages(keys []K, vals []V, only *page[K, V], moved int, ctr *Counters) []*page[K, V] {
+// The verdict is the full check's (segment.Fits over the run), reached
+// without a pass over the run where only's bounds allow: each old element
+// moved down by at most the adds and up by at most the deletes, so the
+// shifted bounds bracket the old keys and only the inserted ones are
+// checked, at their run positions. Bounds that are unknown, or out once
+// shifted, cost one exact scan, which yields exact ones.
+func (t *Tree[K, V]) refit(only *page[K, V], s *regionScratch[K, V], deleted int) *page[K, V] {
+	segErr, start, slope := t.opts.segError(), only.start(), only.seg.Slope
+	if start > s.keys[0] {
+		return nil
+	}
+	lo, hi, ok := float64(int(only.fit.lo)-s.added), float64(int(only.fit.hi)+deleted), false
+	if only.fit.ok && len(only.bufKeys) == 0 && only.deletes == 0 && lo >= float64(-segErr) && hi <= float64(segErr) {
+		for _, a := range s.adds {
+			l, h, in := segment.Residuals(s.keys[:a.at+a.n], a.at, start, slope, segErr)
+			if !in {
+				return nil // an inserted key is out: so is the full check
+			}
+			lo, hi = min(lo, l), max(hi, h)
+		}
+	} else if lo, hi, ok = segment.Residuals(s.keys, 0, start, slope, segErr); !ok {
+		return nil
+	}
+	p := newPage(0, segment.Segment[K]{Start: start, Count: len(s.keys), Slope: slope}, ownCopy(s.keys), ownCopy(s.vals))
+	p.fit, p.loose = boundsOf(lo, hi), only.loose
+	return p
+}
+
+// buildPages turns a sorted run into fresh pages under the tree's
+// segmentation bound, counting the work in ctr.
+func (t *Tree[K, V]) buildPages(keys []K, vals []V, ctr *Counters) []*page[K, V] {
 	if len(keys) == 0 {
 		return nil
 	}
 	ctr.Merges++
-	segErr := t.opts.segError()
-	if only != nil && only.start() <= keys[0] &&
-		segment.FitsFrom(keys, moved, only.start(), only.seg.Slope, segErr) {
-		ctr.PagesMade++
-		ctr.Refits++
-		seg := segment.Segment[K]{Start: only.start(), Count: len(keys), Slope: only.seg.Slope}
-		return []*page[K, V]{newPage(0, seg, ownCopy(keys), ownCopy(vals))}
-	}
-	segs := segment.ShrinkingCone(keys, segErr)
+	segs := segment.ShrinkingCone(keys, t.opts.segError())
 	ctr.PagesMade += len(segs)
+	return t.conedPages(keys, vals, segs)
+}
+
+// conedPages cuts a sorted run along its segments into pages with exact
+// residual bounds. The run is only read, and every page gets arrays of its
+// own, exactly its size (ownCopy): the run is a worker's scratch, and a page
+// sharing an array with its siblings would keep all of it alive for as long
+// as any one of them survives.
+func (t *Tree[K, V]) conedPages(keys []K, vals []V, segs []segment.Segment[K]) []*page[K, V] {
 	pages := make([]*page[K, V], len(segs))
 	for i, s := range segs {
-		pages[i] = newPage(
-			0,
-			segment.Segment[K]{Start: s.Start, StartPos: 0, Count: s.Count, Slope: s.Slope},
-			ownCopy(keys[s.StartPos:s.EndPos()]),
-			ownCopy(vals[s.StartPos:s.EndPos()]),
-		)
+		pk := ownCopy(keys[s.StartPos:s.EndPos()])
+		pages[i] = newPage(0, segment.Segment[K]{Start: s.Start, Count: s.Count, Slope: s.Slope},
+			pk, ownCopy(vals[s.StartPos:s.EndPos()]))
+		lo, hi, _ := segment.Residuals(pk, 0, s.Start, s.Slope, t.opts.segError())
+		pages[i].fit = boundsOf(lo, hi)
 	}
 	return pages
 }
@@ -399,12 +419,14 @@ func (t *Tree[K, V]) dirtyIntervals(ops []MergeOp[K, V]) []cowInterval {
 // in insertion order.
 func (t *Tree[K, V]) mergeRegion(iv cowInterval, ops []MergeOp[K, V], s *regionScratch[K, V]) int {
 	keys, vals := s.keys[:0], s.vals[:0]
+	s.adds, s.added = s.adds[:0], 0
 	ts := newTombSets(ops) // tombstones left to apply, per op
 	deleted := 0
 	oi := 0
 	// Adds sort after every base match of the same key, so an op's adds go
 	// out only once the base run has moved past its key.
 	flushAdds := func() {
+		s.adds, s.added = append(s.adds, addSpan{len(keys), len(ops[oi].Adds)}), s.added+len(ops[oi].Adds)
 		for _, v := range ops[oi].Adds {
 			keys = append(keys, ops[oi].Key)
 			vals = append(vals, v)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -628,4 +630,77 @@ func BenchmarkFlushRebuild(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFoldStream folds successive random layers of 1,024 ops (90 %
+// inserts of keys held out of the load, drawn from the same Weblogs
+// distribution, 10 % deletes of present keys) into one evolving tree, the
+// way a facade's flush does: MergeCOW, then Recone. Unlike FlushCOW, whose
+// every fold starts from a fresh load, the pages here carry residual bounds
+// from earlier refits and the splits accumulate, so it shows the refit's
+// bound-only path and the compaction. It reports ns per folded op and the
+// pages over a BulkLoad's of the same content at the end.
+func BenchmarkFoldStream(b *testing.B) {
+	for _, n := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			const layer = 1024
+			base, layers, final := foldStream(n, b.N, layer, 11)
+			tr, err := BulkLoad(base, base, Options{Error: 32, BufferSize: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, ops := range layers {
+				tr = Recone(tr.MergeCOW(ops), len(ops))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*layer), "ns/folded-op")
+			fresh, err := BulkLoad(final, final, tr.Options())
+			if err != nil || tr.Len() != len(final) {
+				b.Fatalf("%d elements, the stream leaves %d (%v)", tr.Len(), len(final), err)
+			}
+			b.ReportMetric(float64(tr.NumPages())/float64(fresh.NumPages()), "pages/bulkload")
+		})
+	}
+}
+
+// foldStream draws an ingest-shaped write stream over a Weblogs universe of
+// n + n/2 keys: a random n of them sorted as the load (base), then layers
+// sorted op lists of size ops each — 90 % inserts of a key not present, 10 %
+// deletes (Dels: 1) of a present one, one op per key per layer, value = key
+// — and the sorted content they leave (final).
+func foldStream(n, layers, size int, seed int64) (base []uint64, out [][]MergeOp[uint64, uint64], final []uint64) {
+	universe := workload.Weblogs(n+n/2, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	rng.Shuffle(len(universe), func(i, j int) { universe[i], universe[j] = universe[j], universe[i] })
+	present, absent := slices.Clone(universe[:n]), universe[n:]
+	base = slices.Sorted(slices.Values(present))
+	out = make([][]MergeOp[uint64, uint64], layers)
+	for i := range out {
+		seen := map[uint64]bool{}
+		ops := make([]MergeOp[uint64, uint64], 0, size)
+		for len(ops) < size {
+			if rng.Intn(10) == 0 {
+				j := rng.Intn(len(present))
+				if k := present[j]; !seen[k] {
+					seen[k] = true
+					ops = append(ops, MergeOp[uint64, uint64]{Key: k, Dels: 1})
+					present[j], present = present[len(present)-1], present[:len(present)-1]
+					absent = append(absent, k)
+				}
+				continue
+			}
+			j := rng.Intn(len(absent))
+			if k := absent[j]; !seen[k] {
+				seen[k] = true
+				ops = append(ops, MergeOp[uint64, uint64]{Key: k, Adds: []uint64{k}})
+				absent[j], absent = absent[len(absent)-1], absent[:len(absent)-1]
+				present = append(present, k)
+			}
+		}
+		slices.SortFunc(ops, func(a, b MergeOp[uint64, uint64]) int { return cmp.Compare(a.Key, b.Key) })
+		out[i] = ops
+	}
+	return base, out, slices.Sorted(slices.Values(present))
 }

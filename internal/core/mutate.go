@@ -179,7 +179,7 @@ func (t *Tree[K, V]) splicePages(cu cursor[K, V], pages []*page[K, V]) {
 func (t *Tree[K, V]) merge(cu cursor[K, V]) {
 	p := cu.page()
 	keys, vals := mergeSorted(p.keys, p.vals, p.bufKeys, p.bufVals)
-	pages := t.buildPages(keys, vals, nil, 0, &t.counters)
+	pages := t.buildPages(keys, vals, &t.counters)
 	stampIDs([][]*page[K, V]{pages})
 	t.splicePages(cu, pages)
 }

@@ -142,7 +142,7 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 	size, buffered, deletes := 0, 0, 0
 	next := func() { // closes the tree being assembled and opens the next
 		t := &Tree[K, V]{opts: trees[0].opts, size: size, npages: len(run.pages),
-			buffered: buffered, deletes: deletes}
+			buffered: buffered, deletes: deletes, fill0: trees[0].fill0}
 		t.setChunks(cutChunks(run))
 		out, run, size, buffered, deletes = append(out, t), pageRun[K, V]{}, 0, 0, 0
 	}
@@ -165,7 +165,7 @@ func Cut[K num.Key, V any](trees []*Tree[K, V], fences []K) []*Tree[K, V] {
 					if len(out) < len(fences) {
 						n = lowerBound(keys, 0, n, fences[len(out)])
 					}
-					pages := tr.buildPages(keys[:n], vals[:n], nil, 0, new(Counters))
+					pages := tr.buildPages(keys[:n], vals[:n], new(Counters))
 					stampIDs([][]*page[K, V]{pages})
 					run.add(tr.opts.segError(), pages...)
 					size += n

@@ -38,6 +38,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -109,6 +110,8 @@ type page[K num.Key, V any] struct {
 	vals    []V                // parallel to keys
 	pref    []uint64           // string keys only: parallel 8-byte ordering prefixes
 	fixed8  bool               // string keys only: every key is exactly 8 bytes
+	loose   bool               // cut by a fold's re-segmentation, not a whole pass (see Recone)
+	fit     fitBounds          // bounds on the data's residuals, for the fold's refit
 	bufKeys []K                // sorted insert buffer
 	bufVals []V
 	deletes int // window widening since last rebuild: in-place deletes, excess bound at open
@@ -121,6 +124,20 @@ type page[K num.Key, V any] struct {
 func newPage[K num.Key, V any](id uint64, seg segment.Segment[K], keys []K, vals []V) *page[K, V] {
 	return &page[K, V]{id: id, seg: seg, keys: keys, vals: vals,
 		pref: stringPrefixes(keys), fixed8: allLen8(keys)}
+}
+
+// fitBounds brackets a page's residuals in whole positions: exact (rounded
+// outward) after a scan, conservative after a bound-only refit (Tree.refit),
+// unknown after a bulk load or a load. They fit in the padding after fixed8.
+type fitBounds struct {
+	lo, hi int16
+	ok     bool
+}
+
+// boundsOf rounds a scanned residual range outward; unknown past int16.
+func boundsOf(lo, hi float64) fitBounds {
+	l, h := math.Floor(lo), math.Ceil(hi)
+	return fitBounds{int16(l), int16(h), l >= math.MinInt16 && h <= math.MaxInt16}
 }
 
 // stampIDs gives every page of groups a fresh identity, in order, out of
@@ -338,7 +355,7 @@ type Counters struct {
 	// Refits counts the PagesMade that kept their predecessor's line: a
 	// copy-on-write merge rebuilt one page and its start and slope still
 	// predicted every merged key within the page's error bound, so the
-	// region was not re-segmented (see buildPages).
+	// region was not re-segmented (see Tree.refit).
 	Refits int
 }
 
@@ -363,6 +380,8 @@ type Tree[K num.Key, V any] struct {
 	size     int            // total elements (pages + buffers)
 	buffered int            // Σ len(bufKeys) over the chain's pages, carried like npages
 	deletes  int            // Σ pages' deletes, carried like npages
+	fill0    float64        // elements per page at the last whole build, 0 if unknown (see Recone)
+	reconeAt int            // the chunk Recone's next sweep starts at
 
 	counters Counters
 }
@@ -431,7 +450,7 @@ func BulkLoad[K num.Key, V any](keys []K, vals []V, opts Options) (*Tree[K, V], 
 	stampIDs([][]*page[K, V]{pages})
 	run := makeRun[K, V](len(pages))
 	run.add(o.segError(), pages...)
-	t := &Tree[K, V]{opts: o, size: len(keys), npages: len(pages)}
+	t := &Tree[K, V]{opts: o, size: len(keys), npages: len(pages), fill0: fillOf(len(keys), len(pages))}
 	t.setChunks(cutChunks(run))
 	return t, nil
 }

@@ -221,6 +221,16 @@ func ForParts(parts, n int, fn func(i, lo, hi int)) {
 // segments. A segment depends only on its start and the keys after it, so the
 // result is the serial pass's at any GOMAXPROCS.
 func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
+	return shrinkingCone(keys, err, Parts(len(keys)))
+}
+
+// ShrinkingConeSerial is ShrinkingCone on the caller's goroutine alone: the
+// same segments, for a caller that must not take a second processor.
+func ShrinkingConeSerial[K num.Key](keys []K, err int) []Segment[K] {
+	return shrinkingCone(keys, err, 1)
+}
+
+func shrinkingCone[K num.Key](keys []K, err, parts int) []Segment[K] {
 	if err < 1 {
 		panic(fmt.Sprintf("segment: error threshold %d < 1", err))
 	}
@@ -228,7 +238,6 @@ func ShrinkingCone[K num.Key](keys []K, err int) []Segment[K] {
 		return nil
 	}
 	e := float64(err)
-	parts := Parts(len(keys))
 	if parts == 1 {
 		// No fan-out for one part: a fold re-segments many small regions,
 		// and it would cost each of them three allocations.
@@ -332,17 +341,28 @@ func Fits[K num.Key](keys []K, start K, slope float64, err int) bool {
 // test of a caller that knows keys[:from] sit where the same model already
 // accepted them.
 func FitsFrom[K num.Key](keys []K, from int, start K, slope float64, err int) bool {
+	_, _, ok := Residuals(keys, from, start, slope, err)
+	return ok
+}
+
+// Residuals returns the least and the greatest residual (predicted minus
+// true position, Fits's arithmetic) of the elements at positions from and
+// up, and FitsFrom's verdict: false at the first element outside err.
+func Residuals[K num.Key](keys []K, from int, start K, slope float64, err int) (lo, hi float64, ok bool) {
 	x0 := num.Approx(start)
 	e := float64(err) + epsilon
+	lo, hi = math.Inf(1), math.Inf(-1)
 	var buf [approxBlock]float64
 	for base := from; base < len(keys); base += approxBlock {
 		for j, x := range num.ApproxInto(buf[:], keys[base:min(base+approxBlock, len(keys))]) {
-			if d := float64((x-x0)*slope) - float64(base+j); d > e || d < -e {
-				return false
+			d := float64((x-x0)*slope) - float64(base+j)
+			if d > e || d < -e {
+				return lo, hi, false
 			}
+			lo, hi = min(lo, d), max(hi, d)
 		}
 	}
-	return true
+	return lo, hi, true
 }
 
 func checkSorted[K num.Key](keys []K, err int) {

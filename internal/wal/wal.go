@@ -411,9 +411,10 @@ func (l *Log) Len() int { return l.records }
 // (a committed checkpoint) before calling. The old file is read once, but
 // only the surviving tail is rewritten and synced. On success the log
 // continues appending after the tail; on failure the old file remains
-// intact and the log stays usable.
+// intact and the log stays usable — unless writing the held records
+// failed: they are dropped, so the failure is recorded in the group.
 func (l *Log) Truncate(upTo uint64) error {
-	if err := l.flush(); err != nil {
+	if err := l.fail(l.flush()); err != nil {
 		return fmt.Errorf("wal: truncate flush: %w", err)
 	}
 	data, err := readAll(l.fs, l.name)

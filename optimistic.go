@@ -312,7 +312,7 @@ func (o *Optimistic[K, V]) SyncFlush() {
 	if len(st.frozen) == 0 && st.delta == nil {
 		return
 	}
-	o.publish(&ostate[K, V]{tree: st.fold(), size: st.size})
+	o.publish(&ostate[K, V]{tree: core.Recone(st.fold()), size: st.size})
 }
 
 // Close drains the flush pipeline: it disables asynchronous flushing,
@@ -654,7 +654,7 @@ func (o *Optimistic[K, V]) maybeFlush(st *ostate[K, V]) *ostate[K, V] {
 		// synchronously so pending state cannot grow without limit.
 		o.bpFolds.Add(1)
 	}
-	return &ostate[K, V]{tree: st.fold(), size: st.size}
+	return &ostate[K, V]{tree: core.Recone(st.fold()), size: st.size}
 }
 
 // kick ensures a background flush worker is live. At most one worker runs
@@ -772,10 +772,10 @@ func (st *ostate[K, V]) compactLayers(i int) *odelta[K, V] {
 	return deltaFromOps(ops)
 }
 
-// foldBottom merges the ladder's bottom layer into the base tree off-lock
-// and publishes the result, identified by layer pointer like compactPair.
+// foldBottom merges the ladder's bottom layer into the base tree off-lock,
+// re-cones and publishes it, identified by layer pointer like compactPair.
 func (o *Optimistic[K, V]) foldBottom(st *ostate[K, V]) {
-	merged := st.tree.MergeCOW(st.frozen[0].ops())
+	merged := core.Recone(st.tree.MergeCOW(st.frozen[0].ops()), st.frozen[0].pending())
 	o.publishRound(func(cur *ostate[K, V]) *ostate[K, V] {
 		if cur.tree != st.tree || len(cur.frozen) == 0 || cur.frozen[0] != st.frozen[0] {
 			return nil
@@ -791,16 +791,18 @@ func (o *Optimistic[K, V]) foldBottom(st *ostate[K, V]) {
 }
 
 // fold returns the state's base tree with every pending delta physically
-// merged in, bottom frozen layer first — the same layering reads apply.
-func (st *ostate[K, V]) fold() *Tree[K, V] {
-	layers := make([][]core.MergeOp[K, V], 0, len(st.frozen)+1)
+// merged in, bottom frozen layer first — the same layering reads apply —
+// and how many pending ops went in: a fold that publishes its tree as the
+// base re-cones it for them (core.Recone), a checkpoint's does not.
+func (st *ostate[K, V]) fold() (*Tree[K, V], int) {
+	layers, n := make([][]core.MergeOp[K, V], 0, len(st.frozen)+1), 0
 	for _, d := range st.frozen {
-		layers = append(layers, d.ops())
+		layers, n = append(layers, d.ops()), n+d.pending()
 	}
 	if st.delta != nil {
-		layers = append(layers, st.delta.ops())
+		layers, n = append(layers, st.delta.ops()), n+st.delta.pending()
 	}
-	return st.tree.MergeCOW(layers...)
+	return st.tree.MergeCOW(layers...), n
 }
 
 // ops walks the delta out in key order: MergeCOW's sorted op-list form.

@@ -541,7 +541,7 @@ func (e *shardEngine[K, V]) rebalance(force bool) error {
 	trees := make([]*Tree[K, V], len(ss.shards))
 	total := 0
 	for i, sh := range ss.shards {
-		trees[i] = sh.state.Load().fold()
+		trees[i], _ = sh.state.Load().fold()
 		total += trees[i].Len()
 	}
 	bounds := balancedFences(trees, e.want)
@@ -574,7 +574,8 @@ func collectStates[K Key, V any](states []*ostate[K, V]) ([]K, []V) {
 		st := states[i]
 		ks := make([]K, 0, st.size)
 		vs := make([]V, 0, st.size)
-		st.fold().Ascend(func(k K, v V) bool {
+		tree, _ := st.fold()
+		tree.Ascend(func(k K, v V) bool {
 			ks = append(ks, k)
 			vs = append(vs, v)
 			return true
