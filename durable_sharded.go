@@ -102,8 +102,8 @@ type DurableSharded[K Key, V any] struct {
 
 	codec opCodec[K, V]
 	snap  core.SnapCodec[K, V]
-	// group is what every shard's WAL shares: the group-commit batch, the
-	// background barriers in flight and the write-path poison.
+	// group is what every shard's WAL shares: the group-commit batch and
+	// the write-path poison.
 	group wal.Group
 	fsys  wal.FS
 
@@ -522,8 +522,9 @@ func (d *DurableSharded[K, V]) DeleteValue(k K, v V) (bool, error) {
 
 // SetSyncEvery sets the per-shard group-commit batch: each shard's WAL is
 // fsynced every n (or more) of that shard's writes instead of every write.
-// With n > 1 the fsync runs in the background, appends coalesce meanwhile,
-// and a later Sync (or Close) returning nil acknowledges. Panics if n < 1.
+// With n > 1 the fsync runs in the background, the shard's later appends
+// are held until its next barrier or Sync writes them with one Write, and
+// a later Sync (or Close) returning nil acknowledges. Panics if n < 1.
 func (d *DurableSharded[K, V]) SetSyncEvery(n int) {
 	if n < 1 {
 		panic("fitingtree: SetSyncEvery batch must be >= 1")

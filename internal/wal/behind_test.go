@@ -87,21 +87,33 @@ func appends(l *Log, n int) error {
 	return nil
 }
 
-// promptly appends n records to each of logs on another goroutine and
-// fails the test unless that returns within 10 s: an append that waits for
-// a held barrier never does.
-func promptly(t *testing.T, n int, logs ...*Log) {
+// commitN appends and commits n one-byte records to l.
+func commitN(t *testing.T, l *Log, n int) {
+	t.Helper()
+	if err := commits(l, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func commits(l *Log, n int) error {
+	for i := 0; i < n; i++ {
+		if _, err := l.Append([]byte{byte(i)}); err != nil {
+			return err
+		}
+		if err := l.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// promptly runs ops on another goroutine and fails the test unless it
+// returns within 10 s: an append or commit that waits for a held barrier
+// never does.
+func promptly(t *testing.T, ops func() error) {
 	t.Helper()
 	done := make(chan error, 1)
-	go func() {
-		for _, l := range logs {
-			if err := appends(l, n); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
+	go func() { done <- ops() }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -112,13 +124,29 @@ func promptly(t *testing.T, n int, logs ...*Log) {
 	}
 }
 
-// awaitIdle waits until no barrier of g is in flight.
-func awaitIdle(t *testing.T, g *Group) {
+// inFlight reports whether l's background barrier is still running.
+func inFlight(l *Log) bool { return l.done != nil && len(l.done) == 0 }
+
+// awaitEnded waits until l's background barrier, if any, has ended.
+func awaitEnded(t *testing.T, l *Log) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for g.inflight.Load() != 0 {
+	for inFlight(l) {
 		if time.Now().After(deadline) {
 			t.Fatal("barrier still in flight after 10 s")
+		}
+		runtime.Gosched()
+	}
+}
+
+// awaitSyncs waits until fsys has seen n Sync calls: a background barrier
+// counts its fsync on entry, after its Write.
+func awaitSyncs(t *testing.T, fsys *gatedFS, n int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for fsys.syncs.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d fsyncs after 10 s", fsys.syncs.Load(), n)
 		}
 		runtime.Gosched()
 	}
@@ -146,49 +174,60 @@ func equalLSNs(got []uint64, from, to uint64) bool {
 	return true
 }
 
-// TestAppendHoldsWhileBarrierInFlight pins the store-wide count: while one
-// log's background barrier is in flight, appends to every log sharing the
-// group stay in their buffers (no Write), a second barrier of the same log
-// is absorbed, and once the barrier ends each log's next append writes its
-// held records and itself with one Write.
+// TestAppendHoldsWhileBarrierInFlight pins the per-log hold: once a log's
+// background barrier begins, that log's appends stay in its buffer (no
+// Write) while the barrier is in flight and after it ends, a full batch
+// committed meanwhile starts nothing, and another log of the group writes
+// through all along. The log's next barrier writes the held records with
+// one Write, and a Barrier ends the hold: the next append writes through.
 func TestAppendHoldsWhileBarrierInFlight(t *testing.T) {
 	mem, fsys := newGatedFS("a")
 	g := &Group{}
+	g.SetBatch(4)
 	logs := openShared(t, fsys, g, "a", "b")
 	a, b := logs[0], logs[1]
-	appendN(t, a, 3)
-	if n := fsys.writes.Load(); n != 3 {
-		t.Fatalf("%d writes for 3 appends with no barrier in flight", n)
+	commitN(t, a, 4) // LSNs 0-3, written; the 4th starts a's barrier
+	awaitSyncs(t, fsys, 1)
+	promptly(t, func() error {
+		if err := commits(a, 5); err != nil { // LSNs 4-8, held: a full batch
+			return err
+		}
+		return appends(b, 2)
+	})
+	if n := fsys.writes.Load(); n != 6 {
+		t.Fatalf("%d writes while a's barrier was in flight, want 6", n)
 	}
-	if started, err := a.SyncBehind(); !started || err != nil {
-		t.Fatalf("SyncBehind = %v, %v", started, err)
+	if got := lsns(mem.Bytes("b")); !equalLSNs(got, 0, 2) {
+		t.Fatalf("b's file holds %v while a's barrier is in flight, want LSNs 0-1", got)
 	}
-	promptly(t, 2, a, b)
-	if started, err := a.SyncBehind(); started || err != nil {
-		t.Fatalf("second SyncBehind while the first is in flight = %v, %v", started, err)
-	}
-	if n := fsys.writes.Load(); n != 3 {
-		t.Fatalf("%d writes while a barrier was in flight, want 3", n)
-	}
-	if got := lsns(mem.Bytes("b")); len(got) != 0 {
-		t.Fatalf("b's file holds %v while a's barrier is in flight", got)
+	if got := lsns(mem.Bytes("a")); !equalLSNs(got, 0, 4) {
+		t.Fatalf("a's file holds %v while its barrier is in flight, want LSNs 0-3", got)
 	}
 
 	fsys.gate <- nil
-	awaitIdle(t, g)
-	appendN(t, b, 1)
-	if n := fsys.writes.Load(); n != 4 {
-		t.Fatalf("%d writes after b's next append, want 4", n)
+	awaitEnded(t, a)
+	appendN(t, a, 1) // LSN 9, still held
+	if n := fsys.writes.Load(); n != 6 {
+		t.Fatalf("%d writes after a's barrier ended, want 6", n)
 	}
-	if got := lsns(mem.Bytes("b")); !equalLSNs(got, 0, 3) {
-		t.Fatalf("b's file holds %v, want LSNs 0-2", got)
+	commitN(t, a, 1) // LSN 10; the commit starts the next barrier
+	awaitSyncs(t, fsys, 2)
+	if n := fsys.writes.Load(); n != 7 {
+		t.Fatalf("%d writes after a's second barrier began, want 7", n)
 	}
-	appendN(t, a, 1)
-	if n := fsys.writes.Load(); n != 5 {
-		t.Fatalf("%d writes after a's next append, want 5", n)
+	if got := lsns(mem.Bytes("a")); !equalLSNs(got, 0, 11) {
+		t.Fatalf("a's file holds %v, want LSNs 0-10", got)
 	}
-	if got := lsns(mem.Bytes("a")); !equalLSNs(got, 0, 6) {
-		t.Fatalf("a's file holds %v, want LSNs 0-5", got)
+	fsys.gate <- nil
+	if err := a.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.syncs.Load(); n != 2 {
+		t.Fatalf("%d syncs after a Barrier with nothing committed since, want 2", n)
+	}
+	appendN(t, a, 1) // LSN 11, written
+	if n := fsys.writes.Load(); n != 8 {
+		t.Fatalf("%d writes after the Barrier and an append, want 8", n)
 	}
 	close(fsys.gate)
 	for _, l := range logs {
@@ -205,20 +244,19 @@ func TestAppendHoldsWhileBarrierInFlight(t *testing.T) {
 func TestTruncateAndCloseKeepHeldRecords(t *testing.T) {
 	mem, fsys := newGatedFS("a")
 	g := &Group{}
+	g.SetBatch(4)
 	logs := openShared(t, fsys, g, "a", "b")
 	a, b := logs[0], logs[1]
-	appendN(t, a, 4)
-	if started, err := a.SyncBehind(); !started || err != nil {
-		t.Fatalf("SyncBehind = %v, %v", started, err)
-	}
-	promptly(t, 3, a) // LSNs 4-6, held
-	promptly(t, 5, b) // LSNs 0-4, held
+	commitN(t, a, 4)                                   // a's barrier starts, held at its fsync
+	commitN(t, b, 4)                                   // b's barrier starts
+	promptly(t, func() error { return appends(a, 3) }) // LSNs 4-6, held
+	promptly(t, func() error { return appends(b, 3) }) // LSNs 4-6, held
 
 	if err := b.Truncate(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := lsns(mem.Bytes("b")); !equalLSNs(got, 2, 5) {
-		t.Fatalf("b after Truncate(1) holds %v, want LSNs 2-4", got)
+	if got := lsns(mem.Bytes("b")); !equalLSNs(got, 2, 7) {
+		t.Fatalf("b after Truncate(1) holds %v, want LSNs 2-6", got)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -231,7 +269,7 @@ func TestTruncateAndCloseKeepHeldRecords(t *testing.T) {
 	if a.Len() != 6 {
 		t.Fatalf("a.Len() = %d after Truncate(0), want 6", a.Len())
 	}
-	appendN(t, a, 2) // LSNs 7-8
+	appendN(t, a, 2) // LSNs 7-8, held
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +277,7 @@ func TestTruncateAndCloseKeepHeldRecords(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		from, to uint64
-	}{{"a", 1, 9}, {"b", 2, 5}} {
+	}{{"a", 1, 9}, {"b", 2, 7}} {
 		if got := lsns(mem.Bytes(c.name)); !equalLSNs(got, c.from, c.to) {
 			t.Fatalf("%s after Close and a crash holds %v, want LSNs %d-%d", c.name, got, c.from, c.to-1)
 		}
@@ -252,14 +290,12 @@ func TestTruncateAndCloseKeepHeldRecords(t *testing.T) {
 func TestFailedBarrierIsReportedNotRetried(t *testing.T) {
 	_, fsys := newGatedFS("a")
 	g := &Group{}
+	g.SetBatch(2)
 	a := openShared(t, fsys, g, "a")[0]
-	appendN(t, a, 2)
-	if started, err := a.SyncBehind(); !started || err != nil {
-		t.Fatalf("SyncBehind = %v, %v", started, err)
-	}
+	commitN(t, a, 2) // the 2nd op starts the barrier
 	errBoom := errors.New("boom")
 	fsys.gate <- errBoom
-	awaitIdle(t, g)
+	awaitEnded(t, a)
 	if err := g.Err(); !errors.Is(err, errBoom) {
 		t.Fatalf("the group recorded %v, want %v", err, errBoom)
 	}

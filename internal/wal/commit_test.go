@@ -2,24 +2,9 @@ package wal
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// commitN appends and commits n one-byte records to l.
-func commitN(t *testing.T, l *Log, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if _, err := l.Append([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // TestCommitBatchOfOneSyncsOnCaller pins the synchronous policy: with a
 // batch of one (set, or the zero Group's default) every committed op makes
@@ -38,7 +23,7 @@ func TestCommitBatchOfOneSyncsOnCaller(t *testing.T) {
 			if w, s := fsys.writes.Load(), fsys.syncs.Load(); w != i || s != i {
 				t.Fatalf("batch %d: %d writes and %d syncs after %d ops, want %d each", batch, w, s, i, i)
 			}
-			if a.done != nil || g.inflight.Load() != 0 {
+			if a.done != nil || a.held {
 				t.Fatalf("batch %d: op %d started a background barrier", batch, i)
 			}
 		}
@@ -54,10 +39,12 @@ func TestCommitBatchOfOneSyncsOnCaller(t *testing.T) {
 
 // TestCommitStartsBarrierOnNthOp pins the background policy with a batch
 // of 4, holding each barrier at its fsync: the 4th committed op starts
-// one, ops committed while it is in flight are held and start nothing,
-// the first op after it ends starts the next (the batch grew to 5), and
-// then the 4th op after that one began. A Barrier fsyncs only when ops
-// were committed since the last barrier began.
+// one and the log holds its appends from then on; ops committed while it
+// is in flight start nothing; the first op after it ends starts the next
+// (the batch grew to 5), which writes the held ops with one Write; then
+// the 4th op after that one began starts the third. A Barrier fsyncs only
+// when ops were committed since the last barrier began, and ends the
+// hold.
 func TestCommitStartsBarrierOnNthOp(t *testing.T) {
 	_, fsys := newGatedFS("a")
 	g := &Group{}
@@ -71,7 +58,7 @@ func TestCommitStartsBarrierOnNthOp(t *testing.T) {
 		if s := fsys.syncs.Load(); s != syncs {
 			t.Fatalf("%s: %d syncs, want %d", step, s, syncs)
 		}
-		if got := g.inflight.Load() == 1; got != inflight {
+		if got := inFlight(a); got != inflight {
 			t.Fatalf("%s: barrier in flight = %v, want %v", step, got, inflight)
 		}
 	}
@@ -79,52 +66,47 @@ func TestCommitStartsBarrierOnNthOp(t *testing.T) {
 	// waits until that barrier is held at its fsync, the syncs-th.
 	started := func(step string, syncs int32) {
 		t.Helper()
-		if g.inflight.Load() != 1 {
+		if !inFlight(a) || a.unsynced != 0 || !a.held {
 			t.Fatalf("%s started no barrier", step)
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for fsys.syncs.Load() < syncs {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: the barrier did not reach its fsync in 10 s", step)
-			}
-			runtime.Gosched()
-		}
+		awaitSyncs(t, fsys, syncs)
 	}
 	release := func() {
 		fsys.gate <- nil
-		awaitIdle(t, g)
+		awaitEnded(t, a)
 	}
 
 	commitN(t, a, 3)
 	expect("ops 1-3", 3, 0, false)
-	commitN(t, a, 1)
+	commitN(t, a, 1) // written, then the barrier starts with nothing held
 	started("op 4", 1)
 	commitN(t, a, 4) // op 8 completes a batch while the barrier is held
 	expect("ops 5-8, barrier held", 4, 1, true)
 	release()
 	expect("barrier 1 ended", 4, 1, false)
 
-	commitN(t, a, 1) // writes the held ops 5-8 and itself with one Write
+	commitN(t, a, 1) // its barrier writes the held ops 5-9 with one Write
 	started("op 9", 2)
 	expect("op 9", 5, 2, true)
 	release()
 	commitN(t, a, 3)
-	expect("ops 10-12", 8, 2, false)
+	expect("ops 10-12, held", 5, 2, false)
 	commitN(t, a, 1)
 	started("op 13", 3)
 	release()
-	expect("barrier 3 ended", 9, 3, false)
+	expect("barrier 3 ended", 6, 3, false)
 
 	close(fsys.gate) // every later fsync of a passes at once
 	if err := a.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	expect("Barrier with nothing committed since", 9, 3, false)
-	commitN(t, a, 1)
+	expect("Barrier with nothing committed since", 6, 3, false)
+	commitN(t, a, 3) // written through: the Barrier ended the hold
+	expect("ops 14-16", 9, 3, false)
 	if err := a.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	expect("Barrier after op 14", 10, 4, false)
+	expect("Barrier after op 16", 9, 4, false)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +168,8 @@ func TestFailureRecordedOnceAndReturned(t *testing.T) {
 		}},
 		{"barrier", func(fsys *failFS, a *Log) error {
 			fsys.syncErr = errFirst
-			if started, err := a.SyncBehind(); !started || err != nil {
-				t.Fatalf("SyncBehind = %v, %v", started, err)
-			}
-			awaitIdle(t, a.group)
+			commitN(t, a, 1) // the batch's 2nd op: the barrier starts
+			awaitEnded(t, a)
 			return a.wait()
 		}},
 	} {

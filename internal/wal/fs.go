@@ -4,8 +4,8 @@
 // The log is the durability half of the repository's checkpoint+WAL
 // protocol (see docs/ARCHITECTURE.md): every acknowledged write is first
 // appended as one framed record, counted against its Group's batch
-// (Commit), synced on the caller or in the background (SyncBehind), and
-// replayed after a crash on top of the latest checkpoint.
+// (Commit), synced on the caller or by a background barrier that Commit
+// starts, and replayed after a crash on top of the latest checkpoint.
 // Records carry explicit log sequence numbers (LSNs) so a replay can skip
 // the prefix a checkpoint already folded in, and a CRC over every frame so
 // a torn tail is cut at the last intact record instead of being decoded

@@ -41,17 +41,15 @@ func (f *failWritesFile) Write(p []byte) (int, error) {
 // log sharing it returns the error, and both files reopen with gap-free
 // LSNs — an append after the dropped records would leave a gap.
 func TestTruncateFailedFlushPoisonsGroup(t *testing.T) {
-	mem, gated := newGatedFS("a")
-	fsys := &failWritesFS{FS: gated, name: "b"}
+	mem := NewMemFS()
+	fsys := &failWritesFS{FS: mem, name: "b"}
 	g := &Group{}
+	g.SetBatch(2)
 	logs := openShared(t, fsys, g, "a", "b")
 	a, b := logs[0], logs[1]
 	appendN(t, a, 2)
-	appendN(t, b, 2) // LSNs 0-1, written
-	if started, err := a.SyncBehind(); !started || err != nil {
-		t.Fatalf("SyncBehind = %v, %v", started, err)
-	}
-	promptly(t, 3, b) // LSNs 2-4, held behind a's barrier
+	commitN(t, b, 2) // LSNs 0-1, written; the 2nd starts b's barrier
+	appendN(t, b, 3) // LSNs 2-4, held behind it
 
 	errBoom := errors.New("boom")
 	fsys.err = errBoom
@@ -59,8 +57,6 @@ func TestTruncateFailedFlushPoisonsGroup(t *testing.T) {
 		t.Fatalf("Truncate with a failing Write = %v, want %v", err, errBoom)
 	}
 	fsys.err = nil // the file works again: only the recorded failure refuses
-	close(gated.gate)
-	awaitIdle(t, g)
 	for _, l := range logs {
 		if _, err := l.Append([]byte{9}); !errors.Is(err, errBoom) {
 			t.Fatalf("%s: Append after the failed truncate = %v, want %v", l.name, err, errBoom)

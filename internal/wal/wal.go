@@ -57,8 +57,9 @@ type OpenStats struct {
 }
 
 // Log is an append-only record log. It is not safe for concurrent use;
-// the owning facade serializes writers. While a barrier of its Group is in
-// flight, appends are held, so no File is used from two goroutines.
+// the owning facade serializes writers. From the start of a background
+// barrier until the next Barrier, appends are held, so no File is used
+// from two goroutines.
 type Log struct {
 	fs      FS
 	name    string
@@ -68,21 +69,21 @@ type Log struct {
 
 	group    *Group
 	unsynced int        // ops committed since the last barrier began
+	held     bool       // a background barrier began since the last Barrier
 	buf      []byte     // framed records not yet written
 	spare    []byte     // the other buffer; the in-flight barrier writes from it
 	done     chan error // the in-flight barrier's result; nil when none is
 }
 
-// Group is what the logs of one store share: the group-commit batch, their
-// background barriers in flight, and the sticky poison — the first failure
-// one of them (or the owner) recorded. Once a failure is recorded, the
-// tail of some log is unknown (a torn frame may sit where the next append
-// would land; a failed fsync leaves everything since the previous barrier
-// in doubt), so no log of the group acknowledges anything again.
+// Group is what the logs of one store share: the group-commit batch and
+// the sticky poison — the first failure one of them (or the owner)
+// recorded. Once a failure is recorded, the tail of some log is unknown (a
+// torn frame may sit where the next append would land; a failed fsync
+// leaves everything since the previous barrier in doubt), so no log of the
+// group acknowledges anything again.
 type Group struct {
-	batch    atomic.Int64 // ops per barrier, per log; below 2, every op syncs
-	inflight atomic.Int32
-	failed   atomic.Pointer[error]
+	batch  atomic.Int64 // ops per barrier, per log; below 2, every op syncs
+	failed atomic.Pointer[error]
 }
 
 // SetBatch sets the group-commit batch: each log of g syncs every n (or
@@ -248,11 +249,11 @@ func rewrite(fsys FS, name string, data []byte) error {
 }
 
 // Append frames one record with the next LSN into the log's buffer, written
-// at once (held records first) unless a barrier of its Group is in flight,
-// and returns that LSN. A failed append may leave a torn frame at the
-// file's tail; the next Open cuts it off, so the LSN is not advanced. The
-// failure is recorded in the group, and a group that recorded one refuses
-// every later append.
+// at once unless the log holds its appends (a background barrier began
+// since the last Barrier), and returns that LSN. A failed append may
+// leave a torn frame at the file's tail; the next Open cuts it off, so
+// the LSN is not advanced. The failure is recorded in the group, and a
+// group that recorded one refuses every later append.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if err := l.group.Err(); err != nil {
 		return 0, err
@@ -262,7 +263,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.buf = appendFrame(l.buf, lsn, payload)
-	if l.group.inflight.Load() == 0 {
+	if !l.held {
 		if err := l.flush(); err != nil {
 			return 0, l.fail(err)
 		}
@@ -304,9 +305,11 @@ func (l *Log) wait() error {
 
 // Commit counts one appended-and-applied op against the group's batch.
 // The batch's n-th op since the last barrier began syncs: with a batch of
-// one, on the caller (one Write, one fsync); with a larger one, in the
-// background (SyncBehind), the batch growing while the log's last barrier
-// is still in flight. A group that recorded a failure returns it.
+// one, on the caller (one Write, one fsync); with a larger one, it starts
+// a background barrier (one Write of the held records, one fsync) and
+// returns, and the log holds its appends from then on. While the log's
+// last barrier is still in flight the batch grows: the first commit after
+// it ends starts the next. A group that recorded a failure returns it.
 func (l *Log) Commit() error {
 	if err := l.group.Err(); err != nil {
 		return err
@@ -319,17 +322,23 @@ func (l *Log) Commit() error {
 	if n <= 1 {
 		return l.Barrier()
 	}
-	started, err := l.SyncBehind() // a failed barrier is recorded already
-	if started {
-		l.unsynced = 0
+	if l.done != nil && len(l.done) == 0 {
+		return nil // the last barrier is still running
 	}
-	return err
+	if err := l.wait(); err != nil {
+		return err // recorded already
+	}
+	l.buf, l.spare, l.done = l.spare[:0], l.buf, make(chan error, 1)
+	l.held, l.unsynced = true, 0
+	go runBarrier(l.f, l.spare, l.group, l.done)
+	return nil
 }
 
 // Barrier is the owner's group-commit barrier: it waits for the log's
 // background barrier, then syncs if ops were committed since that one
-// began. After it returns nil, every committed op survives a crash. A
-// group that recorded a failure returns it and syncs nothing.
+// began. After it returns nil, every committed op survives a crash and
+// appends are written at once again. A group that recorded a failure
+// returns it and syncs nothing.
 func (l *Log) Barrier() error {
 	err := l.group.Err()
 	if err == nil {
@@ -339,7 +348,7 @@ func (l *Log) Barrier() error {
 		err = l.Sync()
 	}
 	if err == nil {
-		l.unsynced = 0
+		l.unsynced, l.held = 0, false
 	}
 	return err
 }
@@ -356,25 +365,8 @@ func (l *Log) sync() error {
 	return l.f.Sync()
 }
 
-// SyncBehind starts a background barrier (one Write of the held records,
-// one fsync) and returns. While the log's last one is in flight it starts
-// nothing and reports false; if that one failed, it returns its error.
-func (l *Log) SyncBehind() (bool, error) {
-	if l.done != nil && len(l.done) == 0 {
-		return false, nil
-	}
-	if err := l.wait(); err != nil {
-		return false, err
-	}
-	l.buf, l.spare, l.done = l.spare[:0], l.buf, make(chan error, 1)
-	l.group.inflight.Add(1)
-	go runBarrier(l.f, l.spare, l.group, l.done)
-	return true, nil
-}
-
 // runBarrier runs a background barrier and records its failure in the
-// group. The count drops after the result is sent, so an append that sees
-// none in flight may reuse file and buffer.
+// group before it sends the result.
 func runBarrier(f File, buf []byte, g *Group, done chan<- error) {
 	var err error
 	if len(buf) > 0 {
@@ -387,7 +379,6 @@ func runBarrier(f File, buf []byte, g *Group, done chan<- error) {
 		g.Fail(err)
 	}
 	done <- err
-	g.inflight.Add(-1)
 }
 
 // NextLSN returns the LSN the next append will use.
