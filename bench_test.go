@@ -608,3 +608,46 @@ func BenchmarkLayeredLookup(b *testing.B) {
 	o.SyncFlush()
 	run("folded")
 }
+
+// BenchmarkOptimisticIngest is the in-process write path at the canonical
+// tree size: an asynchronous Optimistic over the 4 M-key Weblogs draw
+// (duplicates removed) with every third key held out, inserting the
+// held-out keys in a fixed shuffled order. Past the 1024 floor the flush
+// threshold follows the tree's page count, so this is the benchmark that
+// shows a change to fold batches; BenchmarkShardWrite's 100 k-key tree
+// sits at the floor. It reports ns and bytes allocated per insert (the
+// background folds' included) and pages/write: Counters.PagesMade over the
+// writes folded when the timer stops.
+func BenchmarkOptimisticIngest(b *testing.B) {
+	raw := workload.Weblogs(4_000_000, 1)
+	var base, held []uint64
+	for i, k := range raw {
+		switch {
+		case i > 0 && k == raw[i-1]:
+		case (len(base)+len(held))%3 == 2:
+			held = append(held, k)
+		default:
+			base = append(base, k)
+		}
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+	if b.N > len(held) {
+		b.Fatalf("%d inserts asked, %d keys held out", b.N, len(held))
+	}
+	t, err := fitingtree.BulkLoad(base, base, fitingtree.Options{Error: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := fitingtree.NewOptimistic(t)
+	defer o.Close()
+	o.SetAsyncFlush(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, k := range held[:b.N] {
+		o.Insert(k, k)
+	}
+	b.StopTimer()
+	if st := o.Stats(); b.N > st.Buffered {
+		b.ReportMetric(float64(st.Counters.PagesMade)/float64(b.N-st.Buffered), "pages/write")
+	}
+}

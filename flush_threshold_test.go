@@ -1,6 +1,7 @@
 package fitingtree
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -29,10 +30,10 @@ func manyPages(t *testing.T, n, segErr int) (tr *Tree[uint64, uint64], hold []ui
 }
 
 // derived is the documented default threshold over a tree of pages pages.
-func derived(pages int) int64 { return max(flushFloor, int64(pages/4)) }
+func derived(pages int) int64 { return max(flushFloor, int64(pages/2)) }
 
 // TestFlushThresholdFollowsTree pins the data-aware default: with nothing
-// pinned the threshold is a quarter of the base tree's page count (at least
+// pinned the threshold is half the base tree's page count (at least
 // flushFloor), each fold trips on exactly the write that reaches the
 // threshold of the tree then in force, and the next tree's page count sets
 // the next threshold.
@@ -244,6 +245,43 @@ func TestFlushThresholdPinRace(t *testing.T) {
 		if v, ok := o.Lookup(k); !ok || v != k {
 			t.Fatalf("write %d lost across the pin", k)
 		}
+	}
+	if err := o.state.Load().tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlushThresholdPagesPerWrite pins what the threshold buys: the pages a
+// fold rebuilds per write (Counters.PagesMade over the writes folded).
+// Folding B writes spread over P pages rebuilds about P·(1−e^(−B/P)) pages,
+// so a write pays P·(1−e^(−B/P))/B of one: 0.885 at B = P/4, 0.787 at
+// B = P/2. Inline folds over a fixed shuffled stream of four thresholds'
+// worth of held-out keys must stay within 0.04 of the latter; the slack
+// covers the extra pages a re-segmented page splits into, which ε = 16
+// keeps rare (at ε = 4 they add ~17 %). A quarter of the pages reads 0.874
+// here, a half 0.770.
+func TestFlushThresholdPagesPerWrite(t *testing.T) {
+	const bound = 0.787 + 0.04
+	tr, hold := manyPages(t, 1_000_000, 16)
+	rand.New(rand.NewSource(5)).Shuffle(len(hold), func(i, j int) { hold[i], hold[j] = hold[j], hold[i] })
+	n := 2 * tr.NumPages() // four thresholds of pages/2
+	if n > len(hold) {
+		t.Fatalf("%d pages need %d held-out keys, have %d", tr.NumPages(), n, len(hold))
+	}
+	o := NewOptimistic(tr)
+	o.SetAsyncFlush(false)
+	for _, k := range hold[:n] {
+		o.Insert(k, k)
+	}
+	st := o.Stats()
+	folded := n - st.Buffered
+	if folded == 0 {
+		t.Fatalf("%d writes over %d pages folded nothing", n, tr.NumPages())
+	}
+	perWrite := float64(st.Counters.PagesMade) / float64(folded)
+	t.Logf("%d pages, %d writes folded: %d pages made, %.3f per write", tr.NumPages(), folded, st.Counters.PagesMade, perWrite)
+	if perWrite > bound {
+		t.Fatalf("folds rebuilt %.3f pages per write, want at most %.3f", perWrite, bound)
 	}
 	if err := o.state.Load().tree.CheckInvariants(); err != nil {
 		t.Fatal(err)

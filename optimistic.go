@@ -10,12 +10,12 @@ import (
 )
 
 // flushFloor is the floor of the flush threshold: the number of pending
-// writes that triggers an Optimistic facade's delta flush (merge into a
-// freshly built tree) while the base tree is small. Past it the threshold
-// follows the tree — a quarter of its page count — because a fold rebuilds
-// every page a pending write falls into: B writes over P pages rebuild
-// P·(1−e^(−B/P)) of them, so a batch that does not grow with the tree pays
-// nearly one whole page per write.
+// writes that triggers an Optimistic facade's delta flush (a copy-on-write
+// fold into the base tree) while the base tree is small. Past it the
+// threshold follows the tree — half its page count — because a fold
+// rebuilds every page a pending write falls into: B writes over P pages
+// rebuild P·(1−e^(−B/P)) of them, so a batch that does not grow with the
+// tree pays nearly one whole page per write.
 const flushFloor = 1024
 
 // maxFrozenLayers is the depth of the frozen merge ladder: how many
@@ -36,7 +36,7 @@ const maxFrozenLayers = 4
 // other only while the combined layer stays within backpressureFactor ×
 // the flush threshold, so a fold into the base tree batches about that
 // many deltas. With the tree-derived threshold (see flushFloor) both bounds
-// come to about one pending write per page of the base tree.
+// come to about two pending writes per page of the base tree.
 const backpressureFactor = 4
 
 // compactTierFactor is the ladder scheduler's size-tiering ratio: the
@@ -269,17 +269,20 @@ func newOptimistic[K Key, V any](t *Tree[K, V], fs *flushSettings) *Optimistic[K
 	return o
 }
 
-// threshold returns the flush threshold in force over base tree t: a
-// quarter of t's page count, at least flushFloor, unless a test pinned it.
-// A fold copies every page some pending write falls into, so its cost per
-// write is set by pending writes per page; sizing the batch by the tree
-// holds that ratio (and the pages rebuilt per write) steady however large
-// the tree grows.
+// threshold returns the flush threshold in force over base tree t: half
+// of t's page count, at least flushFloor, unless a test pinned it. A fold
+// copies every page some pending write falls into, so its cost per write
+// is set by pending writes per page; sizing the batch by the tree holds
+// that ratio (and the pages rebuilt per write) steady however large the
+// tree grows. Half, not a quarter: the fold's CPU shares the cores with
+// the writer, and a write copies one delta node per level, so a tree under
+// ~8 k pages trips below 4 096 pending; past that a write copies a deeper
+// delta for a cheaper fold.
 func (o *Optimistic[K, V]) threshold(t *Tree[K, V]) int64 {
 	if n := o.flushAt.Load(); n > 0 {
 		return n
 	}
-	return max(flushFloor, int64(t.NumPages()/4))
+	return max(flushFloor, int64(t.NumPages()/2))
 }
 
 // SetAsyncFlush enables or disables the asynchronous flush pipeline
